@@ -108,6 +108,18 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _json_value(value):
+    """A table cell or metadata value as strict JSON; nan and inf become null."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def write_table(columns, rows, meta: dict, cfg: dict):
     """Emit the table per the output block; returns the rendered text.
 
@@ -123,14 +135,13 @@ def write_table(columns, rows, meta: dict, cfg: dict):
     for key in sorted(meta):
         header += f" {key}={_fmt(meta[key])}"
     if out["format"] == "json":
-        doc = {"tool": TOOL, "version": __version__, "params": dict(p),
-               "seed": cfg["numerics"]["seed"], "meta": meta,
+        doc = {"tool": TOOL, "version": __version__,
+               "params": {k: _json_value(v) for k, v in p.items()},
+               "seed": cfg["numerics"]["seed"],
+               "meta": {k: _json_value(v) for k, v in meta.items()},
                "columns": list(columns),
-               "rows": [[(v if isinstance(v, str) else
-                          (bool(v) if isinstance(v, (bool, np.bool_)) else
-                           (int(v) if isinstance(v, (int, np.integer)) else
-                            float(v)))) for v in row] for row in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+               "rows": [[_json_value(v) for v in row] for row in rows]}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif out["format"] == "csv":
         lines = [header, ",".join(columns)]
         for row in rows:

@@ -226,7 +226,7 @@ def iterate_fixed_point(params: ModelParams, lam: float, tol: float = 1e-12,
     Convergence criterion: ``|k_{i+1} - k_i| <= tol * max(1, |k_i|)``.  In
     the ordered regime the iterates increase monotonically to the closed-form
     value.  A non-convergent orbit is scanned for approximate recurrence
-    (any period up to 64, chordal metric); exhausting ``max_iter`` is a
+    (any period up to 256, chordal metric); exhausting ``max_iter`` is a
     diagnostic outcome, not an exception.
     """
     if tol <= 0:

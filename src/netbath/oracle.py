@@ -20,6 +20,13 @@ The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
 validated by the band edges omega^2 +- sqrt(8(n-1)) C/m that the adjacency
 spectral radius 2 sqrt(branching) reproduces.
+
+The sparsity pattern is assembled once per tree, vectorised from the parent
+array with the diagonal stored explicitly; each lambda then writes only the
+diagonal entries of a copy.  Small trees are solved by dense Cholesky, larger
+ones by sparse LU: measured on one thread, sparse LU overtakes dense Cholesky
+at about 85-100 nodes and is 90x faster at 1,365 nodes (0.5 ms against
+47 ms per solve).
 """
 
 from __future__ import annotations
@@ -32,13 +39,19 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DomainError, InstabilityError
+from .errors import DomainError, InstabilityError, SizeError
 from .model import ModelParams
 from .timedomain import TimeKernel
 from .tree_bp import TreeGraph
 
-#: Dense symmetric factorization below this node count, sparse above.
-DENSE_LIMIT = 4096
+#: Dense symmetric factorization up to this node count, sparse LU above; just
+#: above the measured crossover of about 85-100 nodes.
+DENSE_LIMIT = 128
+
+#: Refuse a dense eigendecomposition whose arrays would exceed this many bytes
+#: (2 GiB): about four N x N float64 arrays, the adjacency plus LAPACK's copy,
+#: eigenvectors and workspace.
+EIGH_BYTE_CAP = 2 << 30
 
 
 @dataclass
@@ -51,19 +64,47 @@ class TreeMatrix:
     offdiagonal: float
 
 
+def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+    """Tree adjacency in sorted CSC form, its zero diagonal stored explicitly.
+
+    Returns the matrix and the positions of the diagonal entries in its data
+    array, so that a matrix on the same pattern needs only new data.
+    """
+    n = tree.n_nodes
+    child = np.flatnonzero(tree.parent >= 0)
+    parent = tree.parent[child]
+    node = np.arange(n)
+    rows = np.concatenate((node, child, parent))
+    cols = np.concatenate((node, parent, child))
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    adj = scipy.sparse.csc_matrix(((rows != cols).astype(float), rows, indptr),
+                                  shape=(n, n))
+    return adj, np.flatnonzero(rows == cols)
+
+
+def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
+    """Yield the :class:`TreeMatrix` at each lambda of ``lambdas``.
+
+    The pattern is assembled once; each lambda writes only the diagonal
+    entries of a copy of the off-diagonal data.
+    """
+    adj, diag_pos = _adjacency(tree)
+    off = params.C / math.sqrt(2.0)
+    offdiag = adj.data * -off
+    for lam in lambdas:
+        diag = params.m * (lam**2 + params.omega_sq) / 2.0
+        data = offdiag.copy()
+        data[diag_pos] = diag
+        mat = scipy.sparse.csc_matrix((data, adj.indices, adj.indptr),
+                                      shape=adj.shape)
+        yield TreeMatrix(matrix=mat, root=0, diagonal=diag, offdiagonal=off)
+
+
 def tree_matrix(tree: TreeGraph, params: ModelParams, lam: float) -> TreeMatrix:
     """Assemble ``(m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A`` for the tree."""
-    n = tree.n_nodes
-    diag = params.m * (lam**2 + params.omega_sq) / 2.0
-    off = params.C / math.sqrt(2.0)
-    rows, cols = [], []
-    for child, parent in tree.edges:
-        rows.extend((child, parent))
-        cols.extend((parent, child))
-    data = np.full(len(rows), -off)
-    mat = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-    mat = (mat + scipy.sparse.eye(n) * diag).tocsc()
-    return TreeMatrix(matrix=mat, root=0, diagonal=diag, offdiagonal=off)
+    return next(_tree_matrices(tree, params, (lam,)))
 
 
 def _corner_inverse(tm: TreeMatrix, dense_limit: int = DENSE_LIMIT) -> float:
@@ -95,15 +136,18 @@ def _corner_inverse(tm: TreeMatrix, dense_limit: int = DENSE_LIMIT) -> float:
 def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam: float,
                           dense_limit: int = DENSE_LIMIT) -> float:
     """Exact finite-tree kernel (C^2/2) [M^{-1}]_{root,root} at one lambda."""
-    tm = tree_matrix(tree, params, lam)
-    return params.C**2 / 2.0 * _corner_inverse(tm, dense_limit)
+    return float(oracle_kernel_laplace_grid(tree, params, [lam], dense_limit)[0])
 
 
 def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
                                lambda_grid, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Vectorized sweep of :func:`oracle_kernel_laplace` over a lambda grid."""
-    return np.array([oracle_kernel_laplace(tree, params, lam, dense_limit)
-                     for lam in np.asarray(lambda_grid, dtype=float)])
+    """:func:`oracle_kernel_laplace` over a lambda grid, assembling the tree once.
+
+    Every lambda still gets its own factorisation and residual check.
+    """
+    matrices = _tree_matrices(tree, params, np.asarray(lambda_grid, dtype=float))
+    return np.array([params.C**2 / 2.0 * _corner_inverse(tm, dense_limit)
+                     for tm in matrices])
 
 
 def mode_decomposition(tree: TreeGraph, params: ModelParams):
@@ -112,16 +156,18 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     Adjacency eigenpairs (mu_b, v_b) give ``Omega_b^2 = omega^2 - sqrt(2) C
     mu_b / m`` and ``w_b = (C^2/m) v_{root,b}^2 / Omega_b``; the exact kernel
     is then ``k(tau) = sum_b w_b sin(Omega_b tau)``.  Returns (Omega, w)
-    sorted by frequency.
+    sorted by frequency.  Raises :class:`SizeError`, before allocating, when
+    the dense eigendecomposition would need more than ``EIGH_BYTE_CAP`` bytes.
     """
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     n = tree.n_nodes
-    adj = np.zeros((n, n))
-    for child, parent in tree.edges:
-        adj[child, parent] = 1.0
-        adj[parent, child] = 1.0
-    mu, vecs = np.linalg.eigh(adj)
+    need = 4 * 8 * n * n
+    if need > EIGH_BYTE_CAP:
+        raise SizeError(f"dense eigendecomposition of {n} nodes needs about "
+                        f"{need / 2**30:.3g} GiB, cap is "
+                        f"{EIGH_BYTE_CAP / 2**30:.3g} GiB")
+    mu, vecs = np.linalg.eigh(_adjacency(tree)[0].toarray())
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(

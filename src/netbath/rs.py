@@ -216,10 +216,19 @@ def population_step(pop: Population, mode: str = "generational") -> Population:
 
 
 def population_stats(pop: Population, bins: int = 50):
-    """(mean, variance, histogram) of the pool; histogram is (counts, edges)."""
+    """(mean, variance, histogram) of the pool; histogram is (counts, edges).
+
+    A pool whose spread is too narrow to hold ``bins`` distinct bin edges is
+    binned as numpy bins a constant pool, on ``[min - 0.5, max + 0.5]``.
+    """
     mean = float(np.mean(pop.samples))
     var = float(np.var(pop.samples))
-    counts, edges = np.histogram(pop.samples, bins=bins)
+    lo, hi = float(np.min(pop.samples)), float(np.max(pop.samples))
+    if np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
+        span = (lo, hi)
+    else:
+        span = (lo - 0.5, hi + 0.5)
+    counts, edges = np.histogram(pop.samples, bins=bins, range=span)
     return mean, var, (counts, edges)
 
 

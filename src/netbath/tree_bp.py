@@ -93,11 +93,13 @@ def build_chain(depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
 
 
 def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
-                     mode: str = "laplace") -> np.ndarray:
+                     mode: str = "laplace") -> tuple[np.ndarray, np.ndarray]:
     """m-type message each node sends toward its parent, per grid point.
 
-    Vectorized level by level; entry [v, j] is the message from v on edge
-    (v, parent(v)) at grid[j] (for the root: toward a virtual parent).
+    Vectorized level by level; returns ``(msgs, agg)``.  Entry [v, j] of
+    ``msgs`` is the message from v on edge (v, parent(v)) at grid[j] (for the
+    root: toward a virtual parent); ``agg[v, j]`` is the sum of the messages
+    v receives from its children.
     ``mode="fourier"`` evaluates on the imaginary axis, where the bare
     response is (2/m)/(omega^2 - nu^2) and finite trees have real messages
     with poles at the subtree mode frequencies.  Pole hits are recorded as

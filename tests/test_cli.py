@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from netbath import cli
 
@@ -155,3 +157,38 @@ def test_rows_all_finite_or_flagged(tmp_path):
     for row in rows:
         value, status = float(row[1]), row[2]
         assert np.isfinite(value) or status != "ok"
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_is_strict_and_csv_keeps_nan(tmp_path):
+    # below lambda* the flagged rows carry no value: null in JSON, nan in CSV
+    args = ["fixed-point", "--n", "2", "--omega0", "1", "--C", "2.5", "--m", "1"]
+    out = tmp_path / "fp.json"
+    assert run_cli(args + ["--format", "json", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    flagged = [row for row in doc["rows"] if row[-1] == "no-fixed-point"]
+    assert flagged and all(row[1] is None for row in flagged)
+    ok = [row for row in doc["rows"] if row[-1] == "ok"]
+    assert ok and all(math.isfinite(row[1]) for row in ok)
+    csv = tmp_path / "fp.csv"
+    assert run_cli(args + ["--output", str(csv)]) == 0
+    rows = [ln.split(",") for ln in read_lines(csv) if not ln.startswith("#")][1:]
+    assert all(r[1] == "nan" for r in rows if r[-1] == "no-fixed-point")
+
+
+@pytest.mark.parametrize("args", [
+    ["population", "--lam", "1.0", "--pool-size", "20000", "--sweeps", "10",
+     "--seed", "7"],
+    ["population"],
+], ids=["readme", "defaults"])
+def test_population_documented_lines(tmp_path, args):
+    # the pool collapses to a few ULPs within the first sweeps at these
+    # parameters; the table must still come out
+    out = tmp_path / "pop.csv"
+    assert run_cli(args + ["--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_lines(out) if not ln.startswith("#")][1:]
+    sweeps = 10 if "--sweeps" in args else 20
+    assert [int(r[0]) for r in rows] == list(range(sweeps + 1))

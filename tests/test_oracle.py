@@ -1,11 +1,32 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import netbath as nb
-from netbath.errors import DomainError
-from netbath.oracle import _corner_inverse, tree_matrix
+from netbath.errors import DomainError, SizeError
+from netbath.oracle import DENSE_LIMIT, _corner_inverse, tree_matrix
+from netbath.tree_bp import TreeGraph
+
+
+def _irregular_tree():
+    """Hand-made rooted tree with uneven branching and leaves at many depths."""
+    parent = [-1, 0, 0, 0, 1, 1, 3, 4, 4, 4, 4, 6, 8, 12, 12, 13]
+    levels = [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11], [12], [13, 14],
+              [15]]
+    return TreeGraph(parent=np.array(parent),
+                     levels=[np.array(lv) for lv in levels], branching=0,
+                     depth=len(levels) - 1)
+
+
+def _loop_adjacency(tree):
+    """Reference adjacency: one Python loop over the edges."""
+    adj = np.zeros((tree.n_nodes, tree.n_nodes))
+    for child, parent in tree.edges:
+        adj[child, parent] = adj[parent, child] = 1.0
+    return adj
 
 
 def test_single_node_equals_leaf_message(ordered_chain):
@@ -103,3 +124,57 @@ def test_corner_inverse_residual_guard(ordered_chain):
     tm = tree_matrix(nb.build_chain(5), ordered_chain, 1.0)
     val = _corner_inverse(tm)
     assert math.isfinite(val) and val > 0.0
+
+
+def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
+    for tree, params in ((_irregular_tree(), ordered_chain),
+                         (nb.build_tree(3, 3), narrow_band),
+                         (nb.build_chain(0), ordered_chain)):
+        for lam in (0.3, 2.0):
+            tm = tree_matrix(tree, params, lam)
+            assert isinstance(tm.matrix, scipy.sparse.csc_matrix)
+            assert tm.matrix.has_sorted_indices
+            diag = params.m * (lam**2 + params.omega_sq) / 2.0
+            expect = (np.eye(tree.n_nodes) * diag
+                      - params.C / math.sqrt(2.0) * _loop_adjacency(tree))
+            assert np.array_equal(tm.matrix.toarray(), expect)
+            # the diagonal is stored, so every node has an entry of its own
+            assert tm.matrix.nnz == tree.n_nodes + 2 * len(tree.edges)
+
+
+def test_grid_equals_pointwise_on_both_sides_of_dense_limit(ordered_chain,
+                                                             narrow_band):
+    lam = np.array([0.1, 0.7, 3.0, 40.0])
+    small, large = nb.build_chain(60), nb.build_tree(4, 4)
+    assert small.n_nodes <= DENSE_LIMIT < large.n_nodes
+    for tree, params in ((small, ordered_chain), (large, narrow_band),
+                         (_irregular_tree(), ordered_chain)):
+        grid = nb.oracle_kernel_laplace_grid(tree, params, lam)
+        point = [nb.oracle_kernel_laplace(tree, params, x) for x in lam]
+        assert np.array_equal(grid, point)
+        forced = nb.oracle_kernel_laplace_grid(tree, params, lam, dense_limit=0)
+        assert np.allclose(forced, grid, rtol=1e-12, atol=0.0)
+
+
+def test_mode_decomposition_irregular_tree(ordered_chain):
+    tree = _irregular_tree()
+    omega_b, w = nb.mode_decomposition(tree, ordered_chain)
+    mu = np.linalg.eigvalsh(_loop_adjacency(tree))
+    expect = np.sort(np.sqrt(ordered_chain.omega_sq - math.sqrt(2.0)
+                             * ordered_chain.C * mu / ordered_chain.m))
+    assert np.allclose(omega_b, expect, rtol=1e-13, atol=0.0)
+    assert float(np.sum(w * omega_b)) == pytest.approx(
+        ordered_chain.C**2 / ordered_chain.m, rel=1e-12)
+
+
+def test_mode_decomposition_refuses_before_allocating(narrow_band):
+    # branching 4, depth 8: 87,381 nodes, one dense N x N float64 is 61 GB
+    tree = nb.build_tree(4, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            nb.mode_decomposition(tree, narrow_band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

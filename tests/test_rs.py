@@ -126,6 +126,24 @@ def test_population_stats_examples(narrow_band):
     assert mean == pytest.approx(1.0) and var == pytest.approx(1.0)
 
 
+def test_population_stats_few_ulp_spread(narrow_band):
+    # a pool that has collapsed to a spread of a few ULPs cannot hold 50
+    # distinct bin edges; it is binned like a constant pool, not refused
+    k = 0.0180650589339513
+    samples = k + np.spacing(k) * (np.arange(1000) % 3)
+    pop = Population(samples=samples, lam=1.0, params=narrow_band, seed=0)
+    mean, var, (counts, edges) = nb.population_stats(pop)
+    assert mean == pytest.approx(k, rel=1e-15)
+    assert counts.sum() == 1000 and len(edges) == 51
+    assert edges[0] == samples.min() - 0.5 and edges[-1] == samples.max() + 0.5
+    # an ordinary spread keeps numpy's own data-range binning
+    wide = Population(samples=np.linspace(0.0, 1.0, 1000), lam=1.0,
+                      params=narrow_band, seed=0)
+    _, _, (counts, edges) = nb.population_stats(wide)
+    ref_counts, ref_edges = np.histogram(wide.samples, bins=50)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(edges, ref_edges)
+
+
 def test_pool_size_floor(narrow_band):
     with pytest.raises(ShapeError):
         nb.population_init(narrow_band, 1.0, size=10, seed=0)
