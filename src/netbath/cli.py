@@ -7,8 +7,8 @@ One subcommand per capability: ``phase``, ``fixed-point``, ``kernel``,
 given config and seed), or a JSON object with ``--format json``.  A JSON
 config file supplies defaults; explicit flags override it.
 
-Exit codes: 0 success, 2 config error, 3 domain error, 4 numerical-accuracy
-failure.
+Exit codes: 0 success, 2 config error or a size refused before allocating,
+3 domain error, 4 numerical-accuracy failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, ConfigError, DomainError, NetbathError
+from .errors import AccuracyError, ConfigError, DomainError, NetbathError, \
+    SizeError
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
     vernon_imag_finite, vernon_real_full, bare_response
 from .laplace import closed_form_fixed_point, iterate_fixed_point, \
@@ -326,8 +327,8 @@ def cmd_finite_time(cfg):
     u = times - times[0]
     rows = list(zip(u, bare_response(params, u), res.G.values[0],
                     kI_out.values[0], kR_boundary.values[0]))
-    meta = {"iterations": res.iterations, "converged": res.converged,
-            "residual": res.residual, "beta": num["beta"]}
+    meta = {"solver": res.G.meta["solver"], "residual": res.residual,
+            "beta": num["beta"]}
     _maybe_plot(cfg, u, [res.G.values[0]], ["G(tau, u)"],
                 "dressed response at the window start")
     return write_table(("u", "G0", "G", "kI_out", "kR_boundary"), rows, meta,
@@ -492,6 +493,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown subcommand {command!r}")
     except ConfigError as exc:
         print(f"ERROR config: {exc}", file=sys.stderr)
+        return 2
+    except SizeError as exc:
+        print(f"ERROR size: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
         print(f"ERROR accuracy: {exc}", file=sys.stderr)

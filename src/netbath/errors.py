@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DomainError -> 3,
-AccuracyError -> 4.
+The CLI maps these onto exit codes: ConfigError and SizeError -> 2,
+DomainError -> 3, AccuracyError -> 4.
 """
+
+#: Refuse, with SizeError and before allocating, any dense structure whose
+#: arrays would need more than this many bytes (2 GiB).
+BYTE_CAP = 2 << 30
 
 
 class NetbathError(Exception):

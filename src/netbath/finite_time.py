@@ -5,12 +5,15 @@ The dressed response G(t, s-t) obeys the two-time integral equation
 
     G(t, s-t) = G0(s-t) + int_t^T dt1 int_t1^T dt2 G0(t1-t) kI(t1, t2-t1) G(t2, s-t2),
 
-with ``G0(u) = (2/(m omega)) sin(omega u)`` twice the bare response.  It is
-solved by successive substitution (the Neumann series of the Volterra
-operator) with trapezoidal quadrature; on a finite window the series always
-terminates factorially, but the iteration count grows near and beyond the
-disordered-phase boundary, so exhaustion of the cap is reported as a
-diagnostic rather than raised.
+with ``G0(u) = (2/(m omega)) sin(omega u)`` twice the bare response.  With
+trapezoidal quadrature, and G0 and G vanishing at equal times, the discrete
+equation is ``G = A + M G`` with ``A`` the bare response on the grid and
+``M = dt^2 A (K - diag(K)/2)`` strictly upper triangular, so it is solved
+directly, with no iteration: a stationary upstream kernel (exactly upper
+Toeplitz) makes A, M and G Toeplitz and G is one row found by forward
+substitution; any other upstream takes one unit-upper-triangular solve of
+``(I - M) G = A``.  Both report the relative residual of that equation on
+the first row.
 
 The single-edge updates built on G:
 
@@ -24,8 +27,12 @@ The auxiliary backward path Q driven by a deviation history solves
     (m/2) Q'' + (m omega^2/2) Q = (1/2) C(t) drive(t) + int_t^T kI(t, s-t) Q(s) ds
 
 with rest conditions at T, and coincides with ``(1/2) int G(t,s-t) C(s)
-drive(s) ds``; :func:`ode_response_check` computes the left-hand route,
-:func:`response_from_twinning` the right-hand one.
+drive(s) ds``; :func:`ode_response_check` computes the left-hand route
+iteratively, :func:`response_from_twinning` the right-hand one.
+
+Every window holds a few N x N arrays; a window whose arrays would exceed
+:data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
+they are allocated.
 """
 
 from __future__ import annotations
@@ -34,9 +41,25 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import AccuracyError, DomainError, ShapeError
+from .errors import BYTE_CAP, AccuracyError, DomainError, ShapeError, SizeError
 from .model import ModelParams
+
+#: Peak number of N x N float64 arrays alive at once on a window of N points,
+#: measured with tracemalloc over the ``finite-time`` command (7.0 at N = 883
+#: and 1,323): its noise-kernel step holds the most, the solve on either path
+#: at most 4.25 besides the upstream kernel.
+WINDOW_ARRAYS = 7
+
+
+def _check_window(n: int) -> None:
+    """Refuse, before allocating, a window whose N x N arrays exceed the cap."""
+    need = WINDOW_ARRAYS * 8 * n * n
+    if need > BYTE_CAP:
+        raise SizeError(f"time window of {n} points needs about "
+                        f"{need / 2**30:.3g} GiB, cap is "
+                        f"{BYTE_CAP / 2**30:.3g} GiB; shorten T or coarsen dt")
 
 
 @dataclass(frozen=True)
@@ -102,18 +125,32 @@ class TwoTimeKernel:
 
     @classmethod
     def from_stationary(cls, times, func, kind: str = "causal") -> "TwoTimeKernel":
-        """Build K(t, s-t) = func(s-t) on the grid (zero below the diagonal)."""
+        """Build K(t, s-t) = func(s-t) on the grid (zero below the diagonal).
+
+        ``func`` is evaluated once per lag index, on ``times - times[0]``, so
+        the values are exactly Toeplitz (upper triangular when causal,
+        symmetric otherwise).
+        """
         times = np.asarray(times, dtype=float)
-        lag = times[None, :] - times[:, None]
-        vals = np.where(lag >= 0, func(np.maximum(lag, 0.0)), 0.0)
+        _check_window(times.size)
+        row = np.asarray(func(times - times[0]), dtype=float)
         if kind == "symmetric":
-            vals = np.where(lag >= 0, vals, vals.T)
+            vals = scipy.linalg.toeplitz(row)
+        else:
+            col = np.zeros_like(row)
+            col[:1] = row[:1]
+            vals = scipy.linalg.toeplitz(col, row)
         return cls(times=times, values=vals, kind=kind)
 
 
 def time_grid(T: float, dt: float, tau: float = 0.0) -> np.ndarray:
-    """Uniform grid tau..T, endpoint included, step no coarser than dt."""
+    """Uniform grid tau..T, endpoint included, step no coarser than dt.
+
+    Raises :class:`SizeError` when the N x N window arrays on this grid would
+    exceed the cap.
+    """
     n = max(1, int(math.ceil((T - tau) / dt - 1e-9)))
+    _check_window(n + 1)
     return tau + (T - tau) * np.arange(n + 1) / n
 
 
@@ -148,24 +185,62 @@ def _apply(x: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass
 class TwinningResult:
-    """Solved dressed response with iteration diagnostics."""
+    """Solved dressed response.
+
+    ``residual`` is the max-norm residual of ``(I - M) G = A`` on the first
+    row, relative to ``max(1, max |G[0]|)``; ``iterations`` is always 1, the
+    solve being direct.
+    """
 
     G: TwoTimeKernel
-    iterations: int
-    converged: bool
     residual: float
-    residual_history: np.ndarray
+    iterations: int = 1
+
+
+def _toeplitz_solve(a: np.ndarray, k_row: np.ndarray, dt: float):
+    """Row 0 of M, and G, for an upper-Toeplitz upstream kernel.
+
+    A, M and G are then upper-triangular Toeplitz, so row 0 of G follows by
+    forward substitution, ``g_j = a_j + sum_{l=1..j} m_l g_{j-l}``, and G is A
+    plus the Toeplitz matrix of ``g - a``; a zero kernel returns A exactly.
+    """
+    n = a.shape[0]
+    a_row = a[0]
+    k_half = k_row.copy()
+    k_half[0] *= 0.5
+    m_row = dt * dt * np.convolve(a_row, k_half)[:n]
+    g_row = a_row.copy()
+    for j in range(1, n):
+        g_row[j] += m_row[1:j + 1] @ g_row[j - 1::-1]
+    g = scipy.linalg.toeplitz(np.zeros(n), g_row - a_row)
+    g += a
+    return m_row, g
+
+
+def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
+    """Row 0 of M, and G, from one unit-upper-triangular solve of (I - M) G = A."""
+    k_half = k.copy()
+    diag = np.diag_indices_from(k_half)
+    k_half[diag] *= 0.5
+    minus_m = a @ k_half
+    del k_half
+    minus_m *= -dt * dt
+    # The unit diagonal of I - M is implied; the solver never reads it.
+    g = scipy.linalg.solve_triangular(minus_m, a, unit_diagonal=True,
+                                      check_finite=False)
+    return -minus_m[0], g
 
 
 def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
-                   T: float | None = None, dt: float | None = None,
-                   tol: float = 1e-10, max_iter: int = 200) -> TwinningResult:
-    """Solve the two-time response equation by successive substitution.
+                   T: float | None = None, dt: float | None = None) -> TwinningResult:
+    """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
     ``kI_upstream`` fixes the grid; T and dt, when given, must agree with it.
     The step must resolve the band, dt <= 1/(20 lambda_pp) (falls back to the
-    oscillator period when the band is degenerate).  Non-convergence at the
-    iteration cap returns a diagnostic result instead of raising.
+    oscillator period when the band is degenerate).  An exactly upper-Toeplitz
+    (stationary) upstream is solved as one Toeplitz row in O(N^2); any other
+    by a unit-upper-triangular solve in O(N^3).  ``G.meta["solver"]`` names
+    the path taken, ``"toeplitz"`` or ``"triangular"``.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
@@ -183,33 +258,23 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
 
     lag = times[None, :] - times[:, None]
     a = np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
+    del lag
     k = kI_upstream.values
-    g = a.copy()
-    history = []
-    converged = False
-    iterations = 0
-    residual = np.inf
-    for i in range(1, max_iter + 1):
-        g_new = a + _compose(a, _compose(k, g, grid_dt), grid_dt)
-        scale = max(1.0, np.abs(g_new).max())
-        residual = float(np.abs(g_new - g).max() / scale)
-        history.append(residual)
-        g = g_new
-        iterations = i
-        if residual <= tol:
-            converged = True
-            break
-    g = np.triu(g)
+    if np.array_equal(k[1:, 1:], k[:-1, :-1]):
+        solver = "toeplitz"
+        m_row, g = _toeplitz_solve(a, k[0], grid_dt)
+    else:
+        solver = "triangular"
+        m_row, g = _triangular_solve(a, k, grid_dt)
+    r_row = g[0] - m_row @ g - a[0]
+    residual = float(np.abs(r_row).max() / max(1.0, np.abs(g[0]).max()))
     kernel = TwoTimeKernel(times=times, values=g, kind="causal",
-                           meta={"iterations": iterations,
-                                 "converged": converged})
-    return TwinningResult(G=kernel, iterations=iterations, converged=converged,
-                          residual=residual,
-                          residual_history=np.asarray(history))
+                           meta={"solver": solver})
+    return TwinningResult(G=kernel, residual=residual)
 
 
 def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) -> np.ndarray:
-    """First-order term int int G0 kI G0 of the successive-substitution series."""
+    """First-order term int int G0 kI G0 of the Neumann series for G."""
     times = kI_upstream.times
     lag = times[None, :] - times[:, None]
     a = np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)

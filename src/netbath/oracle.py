@@ -39,7 +39,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DomainError, InstabilityError, SizeError
+from .errors import BYTE_CAP, DomainError, InstabilityError, SizeError
 from .model import ModelParams
 from .timedomain import TimeKernel
 from .tree_bp import TreeGraph
@@ -48,10 +48,9 @@ from .tree_bp import TreeGraph
 #: above the measured crossover of about 85-100 nodes.
 DENSE_LIMIT = 128
 
-#: Refuse a dense eigendecomposition whose arrays would exceed this many bytes
-#: (2 GiB): about four N x N float64 arrays, the adjacency plus LAPACK's copy,
-#: eigenvectors and workspace.
-EIGH_BYTE_CAP = 2 << 30
+#: N x N float64 arrays alive at once in a dense eigendecomposition: the
+#: adjacency plus LAPACK's copy, eigenvectors and workspace.
+EIGH_ARRAYS = 4
 
 
 @dataclass
@@ -157,16 +156,16 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     mu_b / m`` and ``w_b = (C^2/m) v_{root,b}^2 / Omega_b``; the exact kernel
     is then ``k(tau) = sum_b w_b sin(Omega_b tau)``.  Returns (Omega, w)
     sorted by frequency.  Raises :class:`SizeError`, before allocating, when
-    the dense eigendecomposition would need more than ``EIGH_BYTE_CAP`` bytes.
+    the dense eigendecomposition would need more than ``BYTE_CAP`` bytes.
     """
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     n = tree.n_nodes
-    need = 4 * 8 * n * n
-    if need > EIGH_BYTE_CAP:
+    need = EIGH_ARRAYS * 8 * n * n
+    if need > BYTE_CAP:
         raise SizeError(f"dense eigendecomposition of {n} nodes needs about "
                         f"{need / 2**30:.3g} GiB, cap is "
-                        f"{EIGH_BYTE_CAP / 2**30:.3g} GiB")
+                        f"{BYTE_CAP / 2**30:.3g} GiB")
     mu, vecs = np.linalg.eigh(_adjacency(tree)[0].toarray())
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):

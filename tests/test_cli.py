@@ -135,6 +135,16 @@ def test_exit_codes(tmp_path):
     assert run_cli(["frobnicate"]) == 2
 
 
+def test_size_refusal_exits_2(tmp_path, capsys):
+    # 21,845-node tree: the dense eigendecomposition would need 14 GiB
+    assert run_cli(["kernel", "--method", "oracle", "--branching", "4",
+                    "--depth", "7", "--output", str(tmp_path / "k.csv")]) == 2
+    # about 44,000 window points: refused before the grid is built
+    assert run_cli(["finite-time", "--T", "200", "--output",
+                    str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err.count("ERROR size:") == 2
+
+
 def test_plot_output(tmp_path):
     svg = tmp_path / "plot.svg"
     out = tmp_path / "out.csv"

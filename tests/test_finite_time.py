@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 import netbath as nb
-from netbath.errors import AccuracyError, DomainError, ShapeError
-from netbath.finite_time import TwoTimeKernel, neumann_first_correction
+from netbath.errors import AccuracyError, DomainError, ShapeError, SizeError
+from netbath.finite_time import TwoTimeKernel, _compose, neumann_first_correction
 from netbath.laplace import g0_laplace
 from netbath.timedomain import _composite_weights
 
@@ -31,6 +32,29 @@ def _damped_sine(params):
         return amp * nu0 / ((lam + gamma) ** 2 + nu0**2)
 
     return kfunc, ktilde, gamma
+
+
+def _successive_substitution(kI_upstream, params, tol=1e-15, max_iter=500):
+    """Reference: the Neumann loop G <- A + A*(K*G), run to convergence."""
+    times = kI_upstream.times
+    dt = kI_upstream.dt
+    lag = times[None, :] - times[:, None]
+    a = np.where(lag >= 0, nb.bare_response(params, np.maximum(lag, 0.0)), 0.0)
+    g = a.copy()
+    for _ in range(max_iter):
+        g_new = a + _compose(a, _compose(kI_upstream.values, g, dt), dt)
+        residual = np.abs(g_new - g).max() / max(1.0, np.abs(g_new).max())
+        g = g_new
+        if residual <= tol:
+            return np.triu(g)
+    raise AssertionError("reference loop did not converge")
+
+
+def _turn_on_upstream(params, times):
+    """Non-stationary upstream: a dressed kernel behind a coupling switched on at t=1."""
+    kfunc, _, _ = _damped_sine(params)
+    G = nb.twinning_solve(TwoTimeKernel.from_stationary(times, kfunc), params).G
+    return nb.vernon_imag_finite(G, lambda t: 0.0 if t < 1.0 else 1.3)
 
 
 def test_thermal_init_values():
@@ -68,7 +92,7 @@ def test_twinning_zero_kernel_returns_bare(ft_params):
     res = nb.twinning_solve(kz, ft_params)
     lag = np.maximum(times[None, :] - times[:, None], 0.0)
     bare = np.triu(nb.bare_response(ft_params, lag))
-    assert res.converged and res.iterations == 1
+    assert res.G.meta["solver"] == "toeplitz" and res.residual == 0.0
     assert np.array_equal(res.G.values, bare)
 
 
@@ -85,15 +109,56 @@ def test_twinning_causality_and_step_guard(ft_params):
         nb.twinning_solve(kc, ft_params)
 
 
-def test_twinning_residuals_decrease(ft_params):
+def test_twinning_residual_at_rounding(ft_params):
     dt = 1.0 / (20.0 * ft_params.lambda_pp)
     times = nb.time_grid(4.0, dt)
     kfunc, _, _ = _damped_sine(ft_params)
     kk = TwoTimeKernel.from_stationary(times, kfunc)
-    res = nb.twinning_solve(kk, ft_params)
-    hist = res.residual_history
-    assert res.converged
-    assert np.all(np.diff(hist[1:]) < 0.0)
+    for upstream in (kk, _turn_on_upstream(ft_params, times)):
+        res = nb.twinning_solve(upstream, ft_params)
+        assert res.residual <= 1e-13
+
+
+@pytest.mark.parametrize("solver", ["toeplitz", "triangular"])
+def test_twinning_matches_successive_substitution(ft_params, solver):
+    dt = 1.0 / (20.0 * ft_params.lambda_pp)
+    times = nb.time_grid(4.0, dt)
+    if solver == "toeplitz":
+        kfunc, _, _ = _damped_sine(ft_params)
+        upstream = TwoTimeKernel.from_stationary(times, kfunc)
+    else:
+        upstream = _turn_on_upstream(ft_params, times)
+    res = nb.twinning_solve(upstream, ft_params)
+    ref = _successive_substitution(upstream, ft_params)
+    assert res.G.meta["solver"] == solver
+    assert np.abs(res.G.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_from_stationary_is_exactly_toeplitz():
+    times = nb.time_grid(1.0, 0.01)
+    u = times - times[0]
+    causal = TwoTimeKernel.from_stationary(times, np.cos)
+    sym = TwoTimeKernel.from_stationary(times, np.cos, kind="symmetric")
+    assert np.array_equal(causal.values, np.triu(sym.values))
+    assert np.array_equal(sym.values, sym.values.T)
+    assert np.array_equal(sym.values[0], np.cos(u))
+    assert np.array_equal(sym.values[1:, 1:], sym.values[:-1, :-1])
+
+
+def test_window_refused_before_allocating(ft_params):
+    # T = 200 at the default step: about 44,000 points, 15 GiB per N x N array
+    dt = 1.0 / (20.0 * ft_params.lambda_pp)
+    times = np.linspace(0.0, 200.0, 44001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            nb.time_grid(200.0, dt)
+        with pytest.raises(SizeError):
+            TwoTimeKernel.from_stationary(times, np.sin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_twinning_stationary_laplace_closure(ft_params):
