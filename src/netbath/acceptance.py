@@ -43,7 +43,7 @@ class CriterionResult:
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        return f"{tag} [{self.number:2d}] {self.name}: {self.details} ({self.runtime:.1f} s)"
+        return f"{tag} [{self.number:2d}] {self.name}: {self.details}"
 
     def as_dict(self) -> dict:
         return {"number": self.number, "name": self.name,

@@ -375,8 +375,13 @@ def cmd_orbit(cfg):
 
 def cmd_check(cfg, report_path: str | None):
     from .acceptance import run_all
-    results, total = run_all(report=lambda res: print(res.line(), flush=True))
-    print(f"total runtime {total:.1f} s")
+    def report(res):
+        print(res.line(), flush=True)
+        print(f"[{res.number:2d}] {res.runtime:.1f} s", file=sys.stderr, flush=True)
+
+    # Wall times go to stderr so that stdout is the same bytes on every run.
+    results, total = run_all(report=report)
+    print(f"total runtime {total:.1f} s", file=sys.stderr)
     if report_path:
         doc = {"tool": TOOL, "version": __version__, "total_runtime_s": total,
                "criteria": [res.as_dict() for res in results]}

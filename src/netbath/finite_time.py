@@ -47,10 +47,11 @@ from .errors import BYTE_CAP, AccuracyError, DomainError, ShapeError, SizeError
 from .model import ModelParams
 
 #: Peak number of N x N float64 arrays alive at once on a window of N points,
-#: measured with tracemalloc over the ``finite-time`` command (7.0 at N = 883
-#: and 1,323): its noise-kernel step holds the most, the solve on either path
-#: at most 4.25 besides the upstream kernel.
-WINDOW_ARRAYS = 7
+#: measured with tracemalloc over the ``finite-time`` command (5.27 at N =
+#: 1,323, 5.26 at 1,984 and 2,645): the solve holds the most, at most 4.25
+#: besides the upstream kernel; the noise-kernel step holds two besides its
+#: result.
+WINDOW_ARRAYS = 5.3
 
 
 def _check_window(n: int) -> None:
@@ -313,6 +314,17 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     dt = G.dt
     c = _coupling_on_grid(C_edge, times)
     g = G.values
+    g_start = g[0, :]
+    # One-sided 2nd-order derivative along the first argument at r = tau.
+    dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * dt)
+    # Built in place: without an upstream kernel at most two N x N arrays
+    # are alive besides the result.
+    total = np.outer(g_start, g_start)
+    total *= state.C_prime
+    term = np.outer(dg, dg)
+    term *= 1.0 / state.A_prime
+    total += term
+    del term
     if kR_upstream is not None:
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
@@ -322,15 +334,12 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         gw[0, :] *= 0.5
         idx = np.arange(times.size)
         gw[idx, idx] *= 0.5
-        conv = gw.T @ kR_upstream.values @ gw
+        total += gw.T @ kR_upstream.values @ gw
     else:
-        conv = np.zeros((times.size, times.size))
-    g_start = g[0, :]
-    # One-sided 2nd-order derivative along the first argument at r = tau.
-    dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * dt)
-    boundary = state.C_prime * np.outer(g_start, g_start) \
-        + (1.0 / state.A_prime) * np.outer(dg, dg)
-    vals = c[:, None] * c[None, :] * (conv + boundary)
+        # The zero double convolution; adding it keeps -0.0 out of the result.
+        total += 0.0
+    vals = np.outer(c, c)
+    vals *= total
     return TwoTimeKernel(times=times, values=vals, kind="symmetric")
 
 

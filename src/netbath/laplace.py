@@ -105,6 +105,26 @@ def g0_laplace(params: ModelParams, lam):
     return float(out) if out.ndim == 0 else out
 
 
+def _edge_update(k_in, g0, c_half):
+    """Pole-guarded single-edge update ``c_half G0 / (1 - G0 k_in)``.
+
+    Elementwise over broadcast arrays; returns ``(values, poles)`` where
+    ``poles`` marks the entries whose denominator vanishes to relative
+    tolerance ``POLE_RTOL`` and ``values`` is nan there.
+    """
+    prod = g0 * k_in
+    denom = 1.0 - prod
+    tol = np.abs(prod)
+    # Sweeps pass whole tree levels and pools: hold few large temporaries.
+    del prod
+    tol = np.maximum(tol, 1.0)
+    tol *= POLE_RTOL
+    poles = np.abs(denom) < tol
+    if poles.any():
+        denom = np.where(poles, np.nan, denom)
+    return c_half * g0 / denom, poles
+
+
 def vernon_imag(kI_in, params: ModelParams, C_edge: float, lam):
     """Single-edge dissipation update: (C^2/2) G0 / (1 - G0 k_in).
 
@@ -113,15 +133,11 @@ def vernon_imag(kI_in, params: ModelParams, C_edge: float, lam):
     :class:`~netbath.errors.SingularTransformError` when the denominator
     vanishes to relative tolerance ``POLE_RTOL``.
     """
-    g0 = g0_laplace(params, lam)
-    kI_in = np.asarray(kI_in, dtype=float)
-    prod = g0 * kI_in
-    denom = 1.0 - prod
-    bad = np.abs(denom) < POLE_RTOL * np.maximum(1.0, np.abs(prod))
-    if np.any(bad):
+    out, bad = _edge_update(np.asarray(kI_in, dtype=float),
+                            g0_laplace(params, lam), C_edge**2 / 2.0)
+    if bad.any():
         raise SingularTransformError(
             f"single-edge update pole at lambda={np.asarray(lam)[bad] if np.ndim(lam) else lam}")
-    out = (C_edge**2 / 2.0) * g0 / denom
     return float(out) if out.ndim == 0 else out
 
 

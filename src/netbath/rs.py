@@ -15,10 +15,9 @@ g < 1.
 The population pool carries single-branch (m-type) samples.  A sweep is
 generational: every slot of the new pool is refilled from draws over the old
 pool, so the empirical variance contracts per sweep by the factor g in the
-linear regime.  An in-place variant that overwrites one uniformly chosen
-member per elementary update is available as ``mode="overwrite"``; its
-per-sweep contraction mixes generations (roughly exp(-(1-g))) and is kept
-for diagnostics only.
+linear regime.  This is the population dynamics of Abou-Chacra, Thouless &
+Anderson and of Mezard & Parisi, run as one vectorised draw per sweep for
+every disorder law.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, ShapeError, SingularTransformError
-from .laplace import (closed_form_fixed_point, detect_near_cycle, g0_laplace,
-                      iterate_fixed_point, uniform_map)
+from .laplace import (_edge_update, closed_form_fixed_point, detect_near_cycle,
+                      g0_laplace, iterate_fixed_point, uniform_map)
 from .model import ModelParams, fixed_point_exists
 
 #: Smallest pool giving usable variance estimates.
@@ -70,26 +69,29 @@ class DisorderSpec:
     coupling: tuple = ("constant", None)
     degree: tuple = ("constant", None)
 
-    def draw_coupling(self, rng: np.random.Generator, default: float) -> float:
+    def draw_coupling(self, rng: np.random.Generator, default: float,
+                      size: int):
+        """``size`` edge couplings; a scalar when the law is constant."""
         kind = self.coupling[0]
         if kind == "constant":
             c = self.coupling[1]
             return default if c is None else c
         if kind == "uniform":
-            return rng.uniform(self.coupling[1], self.coupling[2])
+            return rng.uniform(self.coupling[1], self.coupling[2], size)
         if kind == "two_point":
             a, b, p = self.coupling[1:]
-            return a if rng.random() < p else b
+            return np.where(rng.random(size) < p, a, b)
         raise ShapeError(f"unknown coupling disorder {kind!r}")
 
-    def draw_degree(self, rng: np.random.Generator, default: int) -> int:
+    def draw_degree(self, rng: np.random.Generator, default: int, size: int):
+        """``size`` node degrees; a scalar int when the law is constant."""
         kind = self.degree[0]
         if kind == "constant":
             k = self.degree[1]
             return default if k is None else int(k)
         if kind == "two_point":
             k1, k2, p = self.degree[1:]
-            return int(k1) if rng.random() < p else int(k2)
+            return np.where(rng.random(size) < p, int(k1), int(k2))
         raise ShapeError(f"unknown degree disorder {kind!r}")
 
 
@@ -132,87 +134,40 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
                       disorder=disorder or DisorderSpec(), rng=rng)
 
 
-def _one_update(pool: np.ndarray, pop: Population, rng: np.random.Generator,
-                max_retries: int = 100):
-    """Draw degree, aggregate k-1 samples, apply the edge update."""
-    g0 = g0_laplace(pop.params, pop.lam)
-    rejected = 0
-    for _ in range(max_retries):
-        k_deg = pop.disorder.draw_degree(rng, pop.params.n)
-        idx = rng.integers(0, pool.size, size=max(k_deg - 1, 0))
-        total = float(pool[idx].sum())
-        c_edge = pop.disorder.draw_coupling(rng, pop.params.C)
-        prod = g0 * total
-        denom = 1.0 - prod
-        if abs(denom) < 1e-14 * max(1.0, abs(prod)):
-            rejected += 1
-            continue
-        return (c_edge**2 / 2.0) * g0 / denom, rejected
-    raise DomainError("population update kept hitting the edge-update pole")
+def population_step(pop: Population) -> Population:
+    """One generational sweep: every slot of a new pool drawn from the old one.
 
-
-def _sweep_generational_uniform(pop: Population, rng: np.random.Generator):
-    """Vectorized sweep: constant degree and coupling, whole pool refilled."""
-    size = pop.samples.size
-    g0 = g0_laplace(pop.params, pop.lam)
-    c_edge = pop.disorder.coupling[1]
-    c_edge = pop.params.C if c_edge is None else c_edge
-    k_deg = pop.disorder.degree[1]
-    k_deg = pop.params.n if k_deg is None else int(k_deg)
+    Per slot: draw a degree k, sum k-1 samples drawn uniformly from the
+    previous generation, draw a coupling and apply the edge update.  All
+    slots are drawn at once as vectors; slots that hit the edge-update pole
+    are redrawn, up to ``100 * size`` rejections in total.  The linearized
+    variance contracts by :func:`variance_gain` per sweep.  Deterministic
+    for a given seed.
+    """
+    rng, disorder = pop.rng, pop.disorder
     source = pop.samples
-    idx = rng.integers(0, size, size=(size, max(k_deg - 1, 0)))
-    total = source[idx].sum(axis=1)
-    prod = g0 * total
-    denom = 1.0 - prod
-    bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
+    size = source.size
+    g0 = g0_laplace(pop.params, pop.lam)
+    new = np.empty(size)
+    todo = np.arange(size)
     rejected = 0
-    while np.any(bad):
-        redraw = np.flatnonzero(bad)
-        rejected += redraw.size
-        idx = rng.integers(0, size, size=(redraw.size, max(k_deg - 1, 0)))
-        total[redraw] = source[idx].sum(axis=1)
-        prod = g0 * total
-        denom = 1.0 - prod
-        bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
+    while todo.size:
+        degree = disorder.draw_degree(rng, pop.params.n, todo.size)
+        width = max(int(np.max(degree)) - 1, 0)
+        drawn = source[rng.integers(0, size, size=(todo.size, width))]
+        if np.ndim(degree):
+            drawn[np.arange(width) >= degree[:, None] - 1] = 0.0
+        total = drawn.sum(axis=1)
+        del drawn   # the (slots, k-1) draws are the sweep's largest array
+        c_edge = disorder.draw_coupling(rng, pop.params.C, todo.size)
+        values, poles = _edge_update(total, g0, c_edge**2 / 2.0)
+        new[todo] = values
+        todo = todo[poles]
+        rejected += todo.size
         if rejected > 100 * size:
             raise DomainError("population sweep kept hitting the edge-update pole")
-    return (c_edge**2 / 2.0) * g0 / denom, rejected
-
-
-def population_step(pop: Population, mode: str = "generational") -> Population:
-    """One sweep of pool-size elementary updates.
-
-    ``generational`` (default): every new-pool slot is refilled from draws
-    over the previous generation; the linearized variance contracts by
-    :func:`variance_gain` per sweep.  ``overwrite``: classic in-place
-    variant, one uniformly chosen member replaced per elementary update; its
-    per-sweep contraction mixes generations.  Deterministic for a given seed
-    and sequential execution.
-    """
-    rng = pop.rng
-    size = pop.samples.size
-    rejected = pop.rejected
-    uniform_spec = (pop.disorder.coupling[0] == "constant"
-                    and pop.disorder.degree[0] == "constant")
-    if mode == "generational" and uniform_spec:
-        new, rej = _sweep_generational_uniform(pop, rng)
-        rejected += rej
-    elif mode == "generational":
-        source = pop.samples.copy()
-        new = np.empty_like(source)
-        for i in range(size):
-            new[i], rej = _one_update(source, pop, rng)
-            rejected += rej
-    elif mode == "overwrite":
-        new = pop.samples.copy()
-        for _ in range(size):
-            value, rej = _one_update(new, pop, rng)
-            rejected += rej
-            new[rng.integers(0, size)] = value
-    else:
-        raise ShapeError(f"unknown sweep mode {mode!r}")
-    return replace(pop, samples=new, sweeps=pop.sweeps + 1, rejected=rejected,
-                   rng=rng)
+    return replace(pop, samples=new, sweeps=pop.sweeps + 1,
+                   rejected=pop.rejected + rejected)
 
 
 def population_stats(pop: Population, bins: int = 50):

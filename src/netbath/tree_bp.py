@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .laplace import CavityKernel, closed_form_fixed_point, g0_laplace, uniform_map
+from .laplace import (CavityKernel, _edge_update, closed_form_fixed_point,
+                      g0_laplace, uniform_map)
 from .model import ModelParams, derive_params, fixed_point_exists
 
 #: Refuse to build trees larger than this (2**20 nodes) by default.
@@ -49,16 +50,8 @@ class TreeGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Directed (child, parent) pairs."""
-        return [(v, int(self.parent[v])) for v in range(self.n_nodes)
-                if self.parent[v] >= 0]
-
-    def children(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n_nodes)]
-        for v in range(self.n_nodes):
-            p = int(self.parent[v])
-            if p >= 0:
-                out[p].append(v)
-        return out
+        child = np.flatnonzero(self.parent >= 0)
+        return list(zip(child.tolist(), self.parent[child].tolist()))
 
 
 def build_tree(branching: int, depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
@@ -116,12 +109,7 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     agg = np.zeros_like(msgs)
     c_half = params.C**2 / 2.0
     for level in reversed(tree.levels):
-        prod = g0[None, :] * agg[level]
-        denom = 1.0 - prod
-        bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            msgs[level] = c_half * g0[None, :] / denom
-        msgs[level][bad] = np.nan
+        msgs[level] = _edge_update(agg[level], g0[None, :], c_half)[0]
         parents = tree.parent[level]
         has_parent = parents >= 0
         if np.any(has_parent):
@@ -189,27 +177,23 @@ def edge_noise_gain(tree: TreeGraph, params: ModelParams, nu_grid) -> dict:
 
 
 def _downward_messages(tree: TreeGraph, params: ModelParams, lambda_grid,
-                       up: np.ndarray) -> np.ndarray:
-    """m-type message each node receives from its parent (root row stays 0)."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    g0 = np.atleast_1d(np.asarray(g0_laplace(params, lambda_grid), dtype=float))
-    down = np.zeros_like(up)
+                       up: np.ndarray, agg: np.ndarray, node: int) -> np.ndarray:
+    """m-type message ``node`` receives from its parent (zero at the root).
+
+    Walks only the root-to-node path, root first, using the ``(up, agg)``
+    pair of :func:`_upward_messages`: the message into v from its parent p is
+    the edge update of ``agg[p] - up[v] + down[p]``, everything p sees except
+    v's own branch.  Needs nothing but ``tree.parent``, so any rooted tree
+    works; a pole on the path gives nan.
+    """
+    g0 = g0_laplace(params, lambda_grid)
     c_half = params.C**2 / 2.0
-    children = tree.children()
-    for level in tree.levels:
-        for p in level:
-            kids = children[p]
-            if not kids:
-                continue
-            total = up[kids].sum(axis=0) + down[p]
-            for v in kids:
-                upstream = total - up[v]
-                prod = g0 * upstream
-                denom = 1.0 - prod
-                bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    down[v] = c_half * g0 / denom
-                down[v][bad] = np.nan
+    path = [node]
+    while tree.parent[path[-1]] >= 0:
+        path.append(int(tree.parent[path[-1]]))
+    down = np.zeros_like(g0)
+    for p, v in zip(path[:0:-1], path[-2::-1]):
+        down = _edge_update(agg[p] - up[v] + down, g0, c_half)[0]
     return down
 
 
@@ -217,19 +201,15 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
                        lambda_grid) -> CavityKernel:
     """Effective-environment kernel at a node: sum over ALL incident messages.
 
-    Degree-n sum (children plus parent side), obtained from the upward sweep
-    plus a root-to-leaf re-rooting pass.  An isolated node sees a zero
-    kernel.
+    ``agg[node] + down[node]``: the children's messages from the upward sweep
+    plus the one message from the parent side, found by walking the
+    root-to-node path only (O(depth x grid) after the sweep).  An isolated
+    node sees a zero kernel.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    up, _ = _upward_messages(tree, params, lambda_grid)
-    down = _downward_messages(tree, params, lambda_grid, up)
-    children = tree.children()
-    total = np.zeros(lambda_grid.size)
-    for v in children[node]:
-        total = total + up[v]
-    if tree.parent[node] >= 0:
-        total = total + down[node]
+    up, agg = _upward_messages(tree, params, lambda_grid)
+    total = agg[node] + _downward_messages(tree, params, lambda_grid, up, agg,
+                                           node)
     flags = ~np.isfinite(total)
     return CavityKernel(grid=lambda_grid, values=total, mode="laplace",
                         role="kI", message_type="n",

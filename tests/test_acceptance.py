@@ -43,6 +43,7 @@ def check_report(tmp_path_factory):
     doc["_exit_code"] = proc.returncode
     doc["_wall_time"] = wall
     doc["_stdout"] = proc.stdout
+    doc["_stderr"] = proc.stderr
     return doc
 
 
@@ -93,3 +94,12 @@ def test_criterion_11_check_subcommand(check_report):
     assert check_report["_wall_time"] < 300.0
     assert check_report["total_runtime_s"] < 300.0
     assert all(c["passed"] for c in check_report["criteria"])
+
+
+def test_check_stdout_holds_no_wall_time(check_report):
+    # wall times go to stderr, so identical runs print identical stdout
+    expect = "".join(
+        f"{'PASS' if c['passed'] else 'FAIL'} [{c['number']:2d}] "
+        f"{c['name']}: {c['details']}\n" for c in check_report["criteria"])
+    assert check_report["_stdout"] == expect
+    assert "total runtime" in check_report["_stderr"]

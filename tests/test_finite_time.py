@@ -246,6 +246,20 @@ def test_vernon_real_full_structure(ft_params):
     # boundary terms cannot cancel: both outer products are rank one with
     # positive coefficients
     assert np.all(np.diag(boundary_only.values) >= 0.0)
+    # bit for bit, signed zeros included, the out-of-place expression with
+    # an explicit zero double convolution when there is no upstream kernel
+    g, c = res.G.values, np.full(times.size, ft_params.C)
+    dg = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * res.G.dt)
+    boundary = state.C_prime * np.outer(g[0], g[0]) \
+        + (1.0 / state.A_prime) * np.outer(dg, dg)
+    gw = g * res.G.dt
+    gw[0, :] *= 0.5
+    gw[np.arange(times.size), np.arange(times.size)] *= 0.5
+    for got, conv in ((out, gw.T @ kr_up.values @ gw),
+                      (boundary_only, np.zeros_like(g))):
+        ref = c[:, None] * c[None, :] * (conv + boundary)
+        assert np.array_equal(got.values, ref)
+        assert np.array_equal(np.signbit(got.values), np.signbit(ref))
 
 
 def test_vernon_real_boundary_terms_decay_with_damped_fixture(ft_params):

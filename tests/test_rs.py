@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,13 +96,79 @@ def test_population_determinism(narrow_band):
     assert np.array_equal(a, b)
 
 
-def test_population_overwrite_mode_runs(narrow_band):
-    pop = nb.population_init(narrow_band, 2.0, size=1000, seed=3, sigma=1e-4)
-    stepped = nb.population_step(pop, mode="overwrite")
-    assert stepped.sweeps == 1
-    assert stepped.samples.shape == pop.samples.shape
-    with pytest.raises(ShapeError):
-        nb.population_step(pop, mode="bogus")
+def _sweep_generational_uniform(pop):
+    """The constant-degree, constant-coupling sweep population_step replaced."""
+    size = pop.samples.size
+    g0 = nb.g0_laplace(pop.params, pop.lam)
+    c_edge = pop.disorder.coupling[1]
+    c_edge = pop.params.C if c_edge is None else c_edge
+    k_deg = pop.disorder.degree[1]
+    k_deg = pop.params.n if k_deg is None else int(k_deg)
+    source = pop.samples
+    idx = pop.rng.integers(0, size, size=(size, max(k_deg - 1, 0)))
+    total = source[idx].sum(axis=1)
+    prod = g0 * total
+    denom = 1.0 - prod
+    bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
+    rejected = 0
+    while np.any(bad):
+        redraw = np.flatnonzero(bad)
+        rejected += redraw.size
+        idx = pop.rng.integers(0, size, size=(redraw.size, max(k_deg - 1, 0)))
+        total[redraw] = source[idx].sum(axis=1)
+        prod = g0 * total
+        denom = 1.0 - prod
+        bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
+    return (c_edge**2 / 2.0) * g0 / denom, rejected
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_population_sweep_matches_uniform_reference(n):
+    p = nb.derive_params(n, 1.0, 0.02, 1.0)
+    k_branch = nb.closed_form_fixed_point(p, 0.5) / (n - 1)
+    pop = nb.population_init(p, 0.5, size=1000, seed=n, sigma=0.1 * k_branch)
+    ref = nb.population_init(p, 0.5, size=1000, seed=n, sigma=0.1 * k_branch)
+    for sweep in range(1, 4):
+        pop = nb.population_step(pop)
+        values, rejected = _sweep_generational_uniform(ref)
+        ref = replace(ref, samples=values, rejected=ref.rejected + rejected)
+        assert pop.sweeps == sweep
+        assert pop.samples.shape == ref.samples.shape
+        assert np.array_equal(pop.samples, ref.samples)
+        assert pop.rejected == ref.rejected
+
+
+def test_population_two_point_degree_from_delta_pool(narrow_band):
+    # every slot sums either k1-1 or k2-1 copies of the fixed-point sample
+    lam, size, frac = 2.0, 100000, 0.3
+    spec = DisorderSpec(degree=("two_point", 3, 7, frac))
+    pop = nb.population_init(narrow_band, lam, size=size, seed=8, disorder=spec)
+    k_branch = pop.samples[0]
+    stepped = nb.population_step(pop)
+    low, high = (nb.vernon_imag(sum([k_branch] * (k - 1)), narrow_band,
+                                narrow_band.C, lam) for k in (3, 7))
+    values, counts = np.unique(stepped.samples, return_counts=True)
+    assert values.tolist() == sorted([low, high])
+    share = counts[values.tolist().index(low)] / size
+    assert abs(share - frac) <= 4.0 * np.sqrt(frac * (1.0 - frac) / size)
+    degrees = spec.draw_degree(np.random.default_rng(0), narrow_band.n, 50)
+    assert degrees.shape == (50,) and set(degrees.tolist()) <= {3, 7}
+
+
+def test_population_uniform_coupling_mean(narrow_band):
+    lam, size, lo, hi = 2.0, 100000, 0.5, 1.5
+    spec = DisorderSpec(coupling=("uniform", lo, hi))
+    pop = nb.population_init(narrow_band, lam, size=size, seed=12, disorder=spec)
+    stepped = nb.population_step(pop)
+    g0 = nb.g0_laplace(narrow_band, lam)
+    k_in = (narrow_band.n - 1) * pop.samples[0]
+    mean_c2 = (lo * lo + lo * hi + hi * hi) / 3.0
+    expect = mean_c2 / 2.0 * g0 / (1.0 - g0 * k_in)
+    se = np.std(stepped.samples) / np.sqrt(size)
+    assert abs(np.mean(stepped.samples) - expect) <= 4.0 * se
+    couplings = spec.draw_coupling(np.random.default_rng(0), narrow_band.C, 50)
+    assert couplings.shape == (50,) and np.all((couplings >= lo) & (couplings < hi))
+    assert DisorderSpec().draw_coupling(None, 0.7, 50) == 0.7
 
 
 def test_population_disorder_draws(narrow_band):

@@ -3,11 +3,56 @@ import pytest
 
 import netbath as nb
 from netbath.errors import DomainError, SizeError
+from netbath.tree_bp import _upward_messages
+
+
+def _rerooting_reference(tree, params, grid):
+    """Environment kernel at every node by the full re-rooting loop.
+
+    The node-by-node downward pass that ``output_environment`` replaced: for
+    each parent, sum all children's upward messages plus the parent's own
+    downward message, then hand every child that total minus its own branch.
+    """
+    up, _ = _upward_messages(tree, params, grid)
+    g0 = nb.g0_laplace(params, grid)
+    children = [[] for _ in range(tree.n_nodes)]
+    for v in range(tree.n_nodes):
+        if tree.parent[v] >= 0:
+            children[int(tree.parent[v])].append(v)
+    down = np.zeros_like(up)
+    for level in tree.levels:
+        for p in level:
+            if not children[p]:
+                continue
+            total = up[children[p]].sum(axis=0) + down[p]
+            for v in children[p]:
+                down[v] = nb.vernon_imag(total - up[v], params, params.C, grid)
+    env = np.zeros_like(up)
+    for v in range(tree.n_nodes):
+        for c in children[v]:
+            env[v] = env[v] + up[c]
+        if tree.parent[v] >= 0:
+            env[v] = env[v] + down[v]
+    return env
+
+
+def _random_tree(n_nodes, seed):
+    """Irregular tree: each node hangs under a uniformly drawn earlier node."""
+    rng = np.random.default_rng(seed)
+    parent = np.array([-1] + [int(rng.integers(0, v)) for v in range(1, n_nodes)])
+    depth = np.zeros(n_nodes, dtype=int)
+    for v in range(1, n_nodes):
+        depth[v] = depth[parent[v]] + 1
+    levels = [rng.permutation(np.flatnonzero(depth == d))
+              for d in range(depth.max() + 1)]
+    return nb.TreeGraph(parent=parent, levels=levels, branching=0,
+                        depth=int(depth.max()))
 
 
 def test_build_shapes():
     chain = nb.build_chain(3)
-    assert chain.n_nodes == 4 and len(chain.edges) == 3
+    assert chain.n_nodes == 4 and chain.edges == [(1, 0), (2, 1), (3, 2)]
+    assert all(type(v) is int for edge in chain.edges for v in edge)
     tree = nb.build_tree(2, 3)
     assert tree.n_nodes == 15
     assert [len(lvl) for lvl in tree.levels] == [1, 2, 4, 8]
@@ -91,6 +136,38 @@ def test_output_environment_boundary_cases(narrow_band):
     # the leaf sees exactly the downward message on its single edge
     up = nb.root_aggregate(chain, narrow_band, grid)  # sanity: sweep runs
     assert env_leaf.values[0] > 0.0 and np.isfinite(up[0])
+
+
+@pytest.mark.parametrize("shape", ["regular", "irregular"])
+def test_output_environment_matches_full_rerooting(narrow_band, shape):
+    # the root-to-node path walk reproduces the full re-rooting loop at
+    # every node, root and leaves included
+    grid = np.logspace(-1, 1.5, 9)
+    tree = nb.build_tree(3, 4) if shape == "regular" else _random_tree(300, 4)
+    ref = _rerooting_reference(tree, narrow_band, grid)
+    for v in range(tree.n_nodes):
+        env = nb.output_environment(tree, narrow_band, v, grid)
+        assert env.flags is None
+        assert np.max(np.abs(env.values - ref[v]) / np.abs(ref[v])) <= 1e-13
+
+
+def test_pole_inside_tree_gives_nan():
+    # root -> node 1 -> eight leaves; at lambda = 1 the eight leaf messages
+    # sum to exactly 1/G0, so the edge update out of node 1 hits its pole
+    p = nb.derive_params(2, 1.0, 1.0, 1.0)
+    parent = np.array([-1, 0] + [1] * 8)
+    tree = nb.TreeGraph(parent=parent,
+                        levels=[np.array([0]), np.array([1]), np.arange(2, 10)],
+                        branching=8, depth=2)
+    grid = np.array([0.5, 1.0, 2.0])
+    assert nb.g0_laplace(p, 1.0) == 0.5
+    root = nb.root_output_message(tree, p, grid)
+    assert np.isnan(root[1]) and np.all(np.isfinite(root[[0, 2]]))
+    assert np.array_equal(nb.sweep_messages(tree, p, grid)[(1, 0)].flags,
+                          [False, True, False])
+    for node in (0, 1, 9):
+        env = nb.output_environment(tree, p, node, grid)
+        assert np.array_equal(env.flags, [False, True, False])
 
 
 def test_root_output_message_is_aggregate_plus_one_update(narrow_band):
