@@ -9,14 +9,12 @@ machinery, and the replica-symmetric stability analysis, with a CLI on top.
 
 from .model import (ModelParams, critical_coupling, derive_params,
                     fixed_point_exists, lambda_star, sqrt_argument)
-from .laplace import (CavityKernel, IterationResult, bp_sum,
-                      closed_form_fixed_point, fourier_fixed_point,
-                      g0_laplace, iterate_fixed_point, quadratic_residual,
-                      real_kernel_orbit, real_multiplier, uniform_map,
+from .laplace import (CavityKernel, closed_form_fixed_point,
+                      fourier_fixed_point, g0_laplace, map_orbit,
+                      quadratic_residual, real_multiplier, uniform_map,
                       vernon_imag)
 from .tree_bp import (TreeGraph, build_chain, build_tree, depth_convergence,
-                      edge_noise_gain, output_environment, root_aggregate,
-                      root_output_message, sweep_messages)
+                      output_environment, root_output_message)
 from .timedomain import (TimeKernel, bessel_kernel, branch_cut_envelope,
                          branch_cut_kernel, forward_laplace, spectral_density,
                          spectral_density_sine_transform)
@@ -27,9 +25,8 @@ from .finite_time import (ThermalState, TwoTimeKernel, bare_response,
 from .oracle import (mode_decomposition, oracle_kernel_laplace,
                      oracle_kernel_laplace_grid, oracle_time_kernel,
                      tree_matrix)
-from .rs import (DisorderSpec, Population, map_orbit, orbit_converges,
-                 population_init, population_step, population_stats,
-                 variance_gain)
+from .rs import (DisorderSpec, Population, population_init, population_step,
+                 population_stats, variance_gain)
 from .bessel import j0
 
 __version__ = "0.1.0"
@@ -37,14 +34,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "derive_params", "critical_coupling", "lambda_star",
     "fixed_point_exists", "sqrt_argument",
-    "CavityKernel", "IterationResult", "g0_laplace", "vernon_imag", "bp_sum",
-    "uniform_map", "closed_form_fixed_point", "iterate_fixed_point",
-    "fourier_fixed_point", "real_multiplier", "real_kernel_orbit",
-    "quadratic_residual",
-    "TreeGraph", "build_chain", "build_tree", "sweep_messages",
-    "edge_noise_gain",
-    "root_aggregate", "root_output_message", "output_environment",
-    "depth_convergence",
+    "CavityKernel", "g0_laplace", "vernon_imag", "uniform_map",
+    "closed_form_fixed_point", "map_orbit", "fourier_fixed_point",
+    "real_multiplier", "quadratic_residual",
+    "TreeGraph", "build_chain", "build_tree", "root_output_message",
+    "output_environment", "depth_convergence",
     "TimeKernel", "branch_cut_kernel", "branch_cut_envelope", "bessel_kernel",
     "spectral_density", "spectral_density_sine_transform", "forward_laplace",
     "ThermalState", "TwoTimeKernel", "thermal_init", "twinning_solve",
@@ -53,7 +47,7 @@ __all__ = [
     "tree_matrix", "oracle_kernel_laplace", "oracle_kernel_laplace_grid",
     "mode_decomposition", "oracle_time_kernel",
     "DisorderSpec", "Population", "population_init", "population_step",
-    "population_stats", "variance_gain", "map_orbit", "orbit_converges",
+    "population_stats", "variance_gain",
     "j0",
     "__version__",
 ]

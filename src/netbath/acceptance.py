@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finite_time import TwoTimeKernel, time_grid, twinning_solve
-from .laplace import closed_form_fixed_point, iterate_fixed_point, \
-    quadratic_residual, real_multiplier
+from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
+    real_multiplier
 from .model import critical_coupling, derive_params, lambda_star
 from .oracle import mode_decomposition, oracle_kernel_laplace_grid, \
     oracle_time_kernel
-from .rs import orbit_converges, population_init, population_step, \
-    variance_gain
+from .rs import population_init, population_step, variance_gain
 from .timedomain import _composite_weights, bessel_kernel, branch_cut_kernel, \
     forward_laplace, spectral_density
 from .tree_bp import build_chain, build_tree, root_output_message
@@ -69,8 +68,8 @@ def criterion_1() -> CriterionResult:
         params = derive_params(**preset)
         for x in lam:
             closed = closed_form_fixed_point(params, x)
-            it = iterate_fixed_point(params, x, tol=1e-13, max_iter=100000)
-            worst_rel = max(worst_rel, abs(it.value - closed) / abs(closed))
+            it = map_orbit(params, x, steps=100000, tol=1e-13)
+            worst_rel = max(worst_rel, abs(it.final - closed) / abs(closed))
             res = abs(quadratic_residual(params, x, closed))
             worst_res = max(worst_res, res / max(1.0, abs(closed)))
     runtime = time.perf_counter() - t0
@@ -269,12 +268,16 @@ def criterion_9() -> CriterionResult:
     c_star = critical_coupling(2, 1.0, 1.0)
     params = derive_params(2, 1.0, 2.0 * c_star, 1.0)
     l_star = lambda_star(params)
-    below = orbit_converges(params, 0.9 * l_star)
-    above = orbit_converges(params, 1.1 * l_star)
+
+    def converges(lam):
+        return map_orbit(params, lam, steps=20000).classification == "converged"
+
+    below = converges(0.9 * l_star)
+    above = converges(1.1 * l_star)
     lo, hi = 0.9 * l_star, 1.1 * l_star
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        if orbit_converges(params, mid):
+        if converges(mid):
             hi = mid
         else:
             lo = mid

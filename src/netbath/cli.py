@@ -7,13 +7,19 @@ One subcommand per capability: ``phase``, ``fixed-point``, ``kernel``,
 given config and seed), or a JSON object with ``--format json``.  A JSON
 config file supplies defaults; explicit flags override it.
 
-Exit codes: 0 success, 2 config error or a size refused before allocating,
-3 domain error, 4 numerical-accuracy failure.
+One table, ``_KEYS``, names every config key once, with its type, flag and
+default: it builds the flags, collects them as overrides and checks every
+value of a config file.
+
+Exit codes: 0 success; 2 config error (an unwritable output path included),
+incompatible shapes, or a size refused before allocating; 3 domain error or
+an unstable mode; 4 numerical-accuracy failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -21,48 +27,86 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, ConfigError, DomainError, NetbathError, \
-    SizeError
+from .errors import AccuracyError, ConfigError, DomainError, \
+    InstabilityError, NetbathError, ShapeError, SizeError
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
     vernon_imag_finite, vernon_real_full, bare_response
-from .laplace import closed_form_fixed_point, iterate_fixed_point, \
-    quadratic_residual, real_multiplier
+from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
+    real_multiplier
 from .model import critical_coupling, derive_params, fixed_point_exists, \
     lambda_star, sqrt_argument
 from .oracle import oracle_time_kernel
-from .rs import map_orbit, population_init, population_step, population_stats, \
+from .rs import population_init, population_step, population_stats, \
     variance_gain
 from .timedomain import bessel_kernel, branch_cut_kernel, spectral_density
 from .tree_bp import build_tree, depth_convergence
 
 TOOL = "netbath"
 
-_DEFAULTS = {
-    "params": {"n": 5, "omega0": 10.0, "C": 1.0, "m": 0.5},
-    "lambda_grid": {"min": 0.1, "max": 100.0, "count": 200, "scale": "log"},
-    "nu_grid": {"min": 0.0, "max": 40.0, "count": 401, "scale": "linear"},
-    "tau_grid": {"min": 0.0, "max": 5.0, "count": 1001, "scale": "linear"},
-    "omega_grid": {"min": 0.0, "max": 40.0, "count": 401, "scale": "linear"},
-    "numerics": {"tol": 1e-12, "max_iter": 10000, "quad_order": None,
-                 "dt": None, "T": 6.0, "beta": 1.0, "pool_size": 10000,
-                 "seed": 0, "sweeps": 20, "sigma_rel": 0.01, "lam": 1.0,
-                 "x0": 0.0, "steps": 2000, "depth": 8, "branching": 2},
-    "output": {"format": "csv", "plot": None, "path": None},
-}
+# (block, key, type, flag, default, help): every config key once.  The type
+# is int, float, str or a tuple of allowed strings; a key whose default is
+# None may be null.
+_KEYS = (
+    ("params", "n", int, "--n", 5, "graph degree"),
+    ("params", "omega0", float, "--omega0", 10.0, "bare frequency"),
+    ("params", "C", float, "--C", 1.0, "edge coupling"),
+    ("params", "m", float, "--m", 0.5, "oscillator mass"),
+    ("output", "format", ("csv", "json"), "--format", "csv", "output format"),
+    ("output", "path", str, "--output", None, "output file (default stdout)"),
+    ("output", "plot", str, "--plot", None, "write an SVG polyline plot here"),
+    ("numerics", "seed", int, "--seed", 0, "RNG seed"),
+) + tuple(
+    (f"{grid}_grid", key, typ, f"--{grid}-{key}", default, argparse.SUPPRESS)
+    for grid, defaults in (("lambda", (0.1, 100.0, 200, "log")),
+                           ("nu", (0.0, 40.0, 401, "linear")),
+                           ("tau", (0.0, 5.0, 1001, "linear")),
+                           ("omega", (0.0, 40.0, 401, "linear")))
+    for (key, typ), default in zip((("min", float), ("max", float),
+                                    ("count", int),
+                                    ("scale", ("linear", "log"))), defaults)
+) + tuple(
+    ("numerics", key, typ, "--" + key.replace("_", "-"), default,
+     argparse.SUPPRESS)
+    for key, typ, default in (
+        ("tol", float, 1e-12), ("max_iter", int, 10000),
+        ("quad_order", int, None), ("dt", float, None), ("T", float, 6.0),
+        ("beta", float, 1.0), ("pool_size", int, 10000), ("sweeps", int, 20),
+        ("sigma_rel", float, 0.01), ("lam", float, 1.0), ("x0", float, 0.0),
+        ("steps", int, 2000), ("depth", int, 8), ("branching", int, 2))
+)
+
+_DEFAULTS: dict = {}
+for _block, _key, _, _, _default, _ in _KEYS:
+    _DEFAULTS.setdefault(_block, {})[_key] = _default
+
+
+def _check_value(block: str, key: str, val) -> None:
+    """Refuse a config value of the wrong type with ConfigError."""
+    typ = next(row[2] for row in _KEYS if row[:2] == (block, key))
+    if val is None:
+        ok = _DEFAULTS[block][key] is None
+    elif isinstance(typ, tuple):
+        ok = val in typ
+    else:
+        ok = not isinstance(val, bool) and isinstance(
+            val, (int, float) if typ is float else typ)
+    if not ok:
+        want = "one of " + ", ".join(typ) if isinstance(typ, tuple) else typ.__name__
+        raise ConfigError(f"config value {block}.{key}={val!r} is not {want}")
 
 
 def _merge(base: dict, update: dict) -> dict:
-    out = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for key, val in update.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(val, dict):
-            for sub, sval in val.items():
-                if sub not in out[key]:
-                    raise ConfigError(f"unknown config key {key}.{sub!r}")
-                out[key][sub] = sval
-        else:
-            out[key] = val
+    out = {block: dict(values) for block, values in base.items()}
+    for block, values in update.items():
+        if block not in out:
+            raise ConfigError(f"unknown config key {block!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config key {block!r} must hold an object")
+        for key, val in values.items():
+            if key not in out[block]:
+                raise ConfigError(f"unknown config key {block}.{key!r}")
+            _check_value(block, key, val)
+            out[block][key] = val
     return out
 
 
@@ -95,6 +139,14 @@ def _params(cfg: dict):
     p = cfg["params"]
     return derive_params(int(p["n"]), float(p["omega0"]), float(p["C"]),
                          float(p["m"]))
+
+
+def _open_out(path: str):
+    """``open(path, "w")``; a path that cannot be written is a ConfigError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -151,7 +203,7 @@ def write_table(columns, rows, meta: dict, cfg: dict):
     else:
         raise ConfigError(f"unknown output format {out['format']!r}")
     if out["path"]:
-        with open(out["path"], "w") as fh:
+        with _open_out(out["path"]) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -198,7 +250,7 @@ def write_svg(path: str, xs, series, labels, title: str):
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="12" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -239,11 +291,11 @@ def cmd_fixed_point(cfg):
                          "no-fixed-point"))
             continue
         closed = closed_form_fixed_point(params, x)
-        it = iterate_fixed_point(params, x, tol=num["tol"],
-                                 max_iter=int(num["max_iter"]))
-        rel = abs(it.value - closed) / abs(closed) if closed else 0.0
+        it = map_orbit(params, x, steps=int(num["max_iter"]), tol=num["tol"])
+        rel = abs(it.final - closed) / abs(closed) if closed else 0.0
         worst = max(worst, rel)
-        rows.append((x, closed, it.value, it.iterations, it.converged, rel,
+        rows.append((x, closed, it.final, it.orbit.size - 1,
+                     it.classification == "converged", rel,
                      quadratic_residual(params, x, closed), "ok"))
     meta = {"max_rel_diff": worst}
     _maybe_plot(cfg, lam, [np.array([r[1] for r in rows])], ["k*"],
@@ -379,13 +431,15 @@ def cmd_check(cfg, report_path: str | None):
         print(res.line(), flush=True)
         print(f"[{res.number:2d}] {res.runtime:.1f} s", file=sys.stderr, flush=True)
 
-    # Wall times go to stderr so that stdout is the same bytes on every run.
-    results, total = run_all(report=report)
-    print(f"total runtime {total:.1f} s", file=sys.stderr)
-    if report_path:
-        doc = {"tool": TOOL, "version": __version__, "total_runtime_s": total,
-               "criteria": [res.as_dict() for res in results]}
-        with open(report_path, "w") as fh:
+    # The report is opened first, so an unwritable path is refused before
+    # the run; wall times go to stderr so that stdout is the same bytes on
+    # every run.
+    with _open_out(report_path) if report_path else contextlib.nullcontext() as fh:
+        results, total = run_all(report=report)
+        print(f"total runtime {total:.1f} s", file=sys.stderr)
+        if fh:
+            doc = {"tool": TOOL, "version": __version__, "total_runtime_s": total,
+                   "criteria": [res.as_dict() for res in results]}
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if not all(res.passed for res in results):
@@ -396,71 +450,71 @@ def cmd_check(cfg, report_path: str | None):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _commands() -> dict:
+    """Subcommand -> (function, its own flag and that flag's argparse options).
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--n", type=int, help="graph degree")
-    sub.add_argument("--omega0", type=float, help="bare frequency")
-    sub.add_argument("--C", type=float, help="edge coupling")
-    sub.add_argument("--m", type=float, help="oscillator mass")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--output", help="output file (default stdout)")
-    sub.add_argument("--plot", help="write an SVG polyline plot here")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    for grid in ("lambda", "nu", "tau", "omega"):
-        sub.add_argument(f"--{grid}-min", type=float, help=argparse.SUPPRESS)
-        sub.add_argument(f"--{grid}-max", type=float, help=argparse.SUPPRESS)
-        sub.add_argument(f"--{grid}-count", type=int, help=argparse.SUPPRESS)
-        sub.add_argument(f"--{grid}-scale", choices=("linear", "log"),
-                         help=argparse.SUPPRESS)
-    for key, typ in (("tol", float), ("max-iter", int), ("quad-order", int),
-                     ("dt", float), ("T", float), ("beta", float),
-                     ("pool-size", int), ("sweeps", int), ("sigma-rel", float),
-                     ("lam", float), ("x0", float), ("steps", int),
-                     ("depth", int), ("branching", int)):
-        sub.add_argument(f"--{key}", type=typ, help=argparse.SUPPRESS)
+    The function is called with the config and the own flag's value, if any.
+    Built per call, so a function replaced on this module is the one run.
+    """
+    return {
+        "phase": (cmd_phase, None),
+        "fixed-point": (cmd_fixed_point, None),
+        "spectrum": (cmd_spectrum, None),
+        "multiplier": (cmd_multiplier, None),
+        "tree": (cmd_tree, None),
+        "finite-time": (cmd_finite_time, None),
+        "population": (cmd_population, None),
+        "orbit": (cmd_orbit, None),
+        "kernel": (cmd_kernel, ("--method", {
+            "choices": ("branch-cut", "bessel", "oracle"),
+            "default": "branch-cut"})),
+        "check": (cmd_check, ("--report", {"help": "write a JSON report here"})),
+    }
+
+
+# Error class -> (label, exit code); the most specific class listed wins.
+_EXITS = {
+    ConfigError: ("config", 2),
+    ShapeError: ("shape", 2),
+    SizeError: ("size", 2),
+    DomainError: ("domain", 3),
+    InstabilityError: ("instability", 3),
+    AccuracyError: ("accuracy", 4),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     over: dict = {}
-
-    def put(block, key, val):
+    for block, key, _, flag, _, _ in _KEYS:
+        val = getattr(args, _dest(flag))
         if val is not None:
             over.setdefault(block, {})[key] = val
-
-    for key in ("n", "omega0", "C", "m"):
-        put("params", key, getattr(args, key))
-    for grid in ("lambda", "nu", "tau", "omega"):
-        for part in ("min", "max", "count", "scale"):
-            put(f"{grid}_grid", part, getattr(args, f"{grid}_{part}"))
-    for key in ("tol", "max_iter", "quad_order", "dt", "T", "beta",
-                "pool_size", "sweeps", "sigma_rel", "lam", "x0", "steps",
-                "depth", "branching", "seed"):
-        put("numerics", key, getattr(args, key))
-    put("output", "format", args.format)
-    put("output", "path", args.output)
-    put("output", "plot", args.plot)
     return over
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for _, _, typ, flag, _, text in _KEYS:
+        if isinstance(typ, tuple):
+            common.add_argument(flag, choices=typ, help=text)
+        else:
+            common.add_argument(flag, type=None if typ is str else typ,
+                                help=text)
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Harmonic networks as effective quantum environments")
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("phase", "fixed-point", "spectrum", "multiplier", "tree",
-                 "finite-time", "population", "orbit"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-    kern = subs.add_parser("kernel")
-    kern.add_argument("--method", choices=("branch-cut", "bessel", "oracle"),
-                      default="branch-cut")
-    _add_common(kern)
-    chk = subs.add_parser("check")
-    chk.add_argument("--report", help="write a JSON report here")
-    _add_common(chk)
+    for name, (_, own) in _commands().items():
+        sub = subs.add_parser(name, parents=[common])
+        if own:
+            sub.add_argument(own[0], **own[1])
     return parser
 
 
@@ -471,46 +525,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code.
         return int(exc.code or 0)
+    cmd, own = _commands()[args.command]
+    extra = [getattr(args, _dest(own[0]))] if own else []
     try:
         cfg = load_config(args.config, _collect_overrides(args))
-        command = args.command
-        if command == "phase":
-            cmd_phase(cfg)
-        elif command == "fixed-point":
-            cmd_fixed_point(cfg)
-        elif command == "kernel":
-            cmd_kernel(cfg, args.method)
-        elif command == "spectrum":
-            cmd_spectrum(cfg)
-        elif command == "multiplier":
-            cmd_multiplier(cfg)
-        elif command == "tree":
-            cmd_tree(cfg)
-        elif command == "finite-time":
-            cmd_finite_time(cfg)
-        elif command == "population":
-            cmd_population(cfg)
-        elif command == "orbit":
-            cmd_orbit(cfg)
-        elif command == "check":
-            cmd_check(cfg, args.report)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown subcommand {command!r}")
-    except ConfigError as exc:
-        print(f"ERROR config: {exc}", file=sys.stderr)
-        return 2
-    except SizeError as exc:
-        print(f"ERROR size: {exc}", file=sys.stderr)
-        return 2
-    except AccuracyError as exc:
-        print(f"ERROR accuracy: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"ERROR domain: {exc}", file=sys.stderr)
-        return 3
+        cmd(cfg, *extra)
     except NetbathError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+        label, code = next(_EXITS[cls] for cls in type(exc).__mro__
+                           if cls in _EXITS)
+        print(f"ERROR {label}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError and SizeError -> 2,
-DomainError -> 3, AccuracyError -> 4.
+The CLI maps every one of these onto a documented exit code: ConfigError,
+ShapeError and SizeError -> 2, DomainError and InstabilityError -> 3,
+AccuracyError -> 4.
 """
 
 #: Refuse, with SizeError and before allocating, any dense structure whose

@@ -14,7 +14,9 @@ map :func:`uniform_map`, whose attracting fixed point
 :func:`~netbath.model.sqrt_argument` is nonnegative.  The analytic
 continuation onto the Fourier axis, :func:`fourier_fixed_point`, has constant
 modulus across the environment band, which makes the per-iteration gain of
-the noise kernel exactly 2 there (:func:`real_multiplier`).
+the noise kernel exactly 2 there (:func:`real_multiplier`).  The one orbit
+iterator of that map, :func:`map_orbit`, classifies where iteration from a
+start value goes: converged, near-periodic, wandering, or into the pole.
 
 All public fixed-point values are n-type (aggregate over n-1 branches); the
 single-branch (m-type) value is the n-type value divided by n-1.
@@ -22,8 +24,8 @@ single-branch (m-type) value is the n-type value divided by n-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,33 +35,33 @@ from .model import ModelParams, lambda_star, sqrt_argument
 #: Relative tolerance used to declare the rational update singular.
 POLE_RTOL = 1e-14
 
-#: Above this magnitude kernel orbits switch to log-magnitude bookkeeping.
-ORBIT_VALUE_CAP = 1e200
+#: Near-cycle search of a non-convergent orbit: longest period tried and the
+#: largest chordal recurrence error still called periodic.
+CYCLE_MAX_PERIOD = 256
+CYCLE_TOL = 0.05
 
 
 @dataclass
 class CavityKernel:
-    """A kernel sampled on a real Laplace (lambda > 0) or Fourier (nu) grid.
+    """A dissipation kernel sampled on a real Laplace (lambda > 0) grid.
 
     Parameters
     ----------
     grid : array
         Strictly increasing, finite evaluation points.
     values : array
-        Kernel values; real in Laplace mode, complex allowed in Fourier mode.
-    mode : {"laplace", "fourier"}
-    role : {"kI", "kR"}
-        Dissipation (imaginary-part) or noise (real-part) kernel.
+        Real kernel values.
     message_type : {"n", "m"}
         Aggregate node-to-node message or single-branch message.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    mode: str = "laplace"
-    role: str = "kI"
     message_type: str = "n"
     flags: np.ndarray | None = field(default=None, repr=False)
+    # Every kernel here is a Laplace-side dissipation kernel.
+    mode: ClassVar[str] = "laplace"
+    role: ClassVar[str] = "kI"
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -72,28 +74,11 @@ class CavityKernel:
             raise ShapeError("grid must be strictly increasing")
         if self.values.shape != self.grid.shape:
             raise ShapeError("values and grid shapes differ")
-        if self.mode not in ("laplace", "fourier"):
-            raise ShapeError(f"unknown mode {self.mode!r}")
-        if self.role not in ("kI", "kR"):
-            raise ShapeError(f"unknown role {self.role!r}")
         if self.message_type not in ("n", "m"):
             raise ShapeError(f"unknown message_type {self.message_type!r}")
-        if self.mode == "laplace":
-            if np.iscomplexobj(self.values) and np.any(self.values.imag != 0):
-                raise ShapeError("Laplace-mode kernel values must be real")
-            self.values = np.real(self.values).astype(float)
-
-    def hermitian_defect(self) -> float:
-        """Max |value(-nu) - conj(value(nu))| over grid points present in pairs."""
-        if self.mode != "fourier":
-            return 0.0
-        defect = 0.0
-        index = {g: i for i, g in enumerate(self.grid)}
-        for i, g in enumerate(self.grid):
-            j = index.get(-g)
-            if j is not None:
-                defect = max(defect, abs(self.values[j] - np.conj(self.values[i])))
-        return float(defect)
+        if np.iscomplexobj(self.values) and np.any(self.values.imag != 0):
+            raise ShapeError("kernel values must be real")
+        self.values = np.real(self.values).astype(float)
 
 
 def g0_laplace(params: ModelParams, lam):
@@ -141,33 +126,6 @@ def vernon_imag(kI_in, params: ModelParams, C_edge: float, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def bp_sum(messages, *, grid=None, mode="laplace", role="kI") -> CavityKernel:
-    """Combine single-branch messages into the aggregate kernel at a node.
-
-    Disjoint environments contribute additively, so the aggregate is the
-    pointwise sum; the type tag flips m -> n.  An empty list yields the zero
-    kernel of a leaf and then requires an explicit ``grid``.
-    """
-    messages = list(messages)
-    if not messages:
-        if grid is None:
-            raise ShapeError("empty message list needs an explicit grid")
-        return CavityKernel(grid=np.asarray(grid, dtype=float),
-                            values=np.zeros(len(grid)), mode=mode, role=role,
-                            message_type="n")
-    first = messages[0]
-    for msg in messages:
-        if msg.message_type != "m":
-            raise ShapeError("bp_sum combines m-type messages only")
-        if msg.mode != first.mode or msg.role != first.role:
-            raise ShapeError("messages disagree in mode or role")
-        if msg.grid.shape != first.grid.shape or not np.array_equal(msg.grid, first.grid):
-            raise ShapeError("messages disagree on the evaluation grid")
-    total = np.sum([msg.values for msg in messages], axis=0)
-    return CavityKernel(grid=first.grid.copy(), values=total, mode=first.mode,
-                        role=first.role, message_type="n")
-
-
 def uniform_map(k, params: ModelParams, lam):
     """One sweep of the aggregate kernel on the uniform degree-n network."""
     return (params.n - 1) * vernon_imag(k, params, params.C, lam)
@@ -196,86 +154,80 @@ def closed_form_fixed_point(params: ModelParams, lam):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class IterationResult:
-    """Outcome of iterating the uniform map from zero."""
-
-    value: float
-    iterations: int
-    converged: bool
-    cycle_detected: bool
-    period: int | None = None
-    recurrence_error: float | None = None
-    orbit: np.ndarray | None = field(default=None, repr=False)
-
-
 def _chordal(x, y):
     """Distance on the projective line; finite even across pole passages."""
     return np.abs(x - y) / np.sqrt((1.0 + x * x) * (1.0 + y * y))
 
 
-def detect_near_cycle(tail: np.ndarray, max_period: int = 256, tol: float = 0.05):
+def detect_near_cycle(tail: np.ndarray):
     """Search a trailing orbit window for approximate periodicity.
 
     Uses the chordal metric so that large excursions (pole passages of the
     rational map) do not mask recurrence.  Returns ``(period,
-    recurrence_error)`` for the best period, or ``(None, error)`` when no
-    period beats ``tol``.
+    recurrence_error)`` for the best period up to ``CYCLE_MAX_PERIOD``, or
+    ``(None, error)`` when no period beats ``CYCLE_TOL``.
     """
     tail = np.asarray(tail, dtype=float)
     n = tail.size
     best_p, best_err = None, np.inf
-    for p in range(1, min(max_period, n // 2) + 1):
+    for p in range(1, min(CYCLE_MAX_PERIOD, n // 2) + 1):
         err = float(np.max(_chordal(tail[p:], tail[:-p])))
         if err < best_err:
             best_p, best_err = p, err
-    if best_p is not None and best_err <= tol:
+    if best_p is not None and best_err <= CYCLE_TOL:
         return best_p, best_err
     return None, best_err
 
 
-def iterate_fixed_point(params: ModelParams, lam: float, tol: float = 1e-12,
-                        max_iter: int = 10000, keep_orbit: bool = False,
-                        cycle_tol: float = 0.05) -> IterationResult:
-    """Iterate the uniform map from k=0 and report how the orbit behaves.
+@dataclass
+class OrbitReport:
+    """Classification of a scalar-map orbit."""
 
-    Convergence criterion: ``|k_{i+1} - k_i| <= tol * max(1, |k_i|)``.  In
-    the ordered regime the iterates increase monotonically to the closed-form
-    value.  A non-convergent orbit is scanned for approximate recurrence
-    (any period up to 256, chordal metric); exhausting ``max_iter`` is a
-    diagnostic outcome, not an exception.
+    classification: str         # "converged" | "near-periodic" | "wandering" | "pole"
+    final: float
+    orbit: np.ndarray
+    diameter: float
+    period: int | None = None
+    recurrence_error: float | None = None
+
+
+def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
+              steps: int = 2000, tol: float = 1e-12) -> OrbitReport:
+    """Iterate the uniform map from x0 and classify the orbit.
+
+    Convergence criterion: ``|x_{i+1} - x_i| <= tol * max(1, |x_i|)``; a
+    converged orbit ends at the fixed point after ``orbit.size - 1`` steps.
+    From zero in the ordered regime the iterates increase monotonically to
+    the closed-form value.  An orbit that hits the pole of the edge update
+    stops there, classified ``"pole"``, with ``final`` the last finite
+    iterate.  An orbit still moving after ``steps`` steps is scanned for
+    approximate recurrence (:func:`detect_near_cycle` on its last 1024
+    points); its failure to settle signals the dynamically disordered regime.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    k = 0.0
-    orbit = [k]
-    converged = False
-    iterations = max_iter
-    for i in range(1, max_iter + 1):
+    if tol < 0:
+        raise DomainError("tol must be >= 0")
+    x = float(x0)
+    orbit = [x]
+    for _ in range(steps):
         try:
-            k_next = uniform_map(k, params, lam)
+            x_next = uniform_map(x, params, lam)
         except SingularTransformError:
-            # Pole passage: the projective orbit continues through infinity.
-            k_next = 0.0 if params.C == 0 else math.copysign(ORBIT_VALUE_CAP, k)
-        orbit.append(k_next)
-        if abs(k_next - k) <= tol * max(1.0, abs(k)):
-            converged = True
-            iterations = i
-            k = k_next
-            break
-        k = k_next
+            return OrbitReport(classification="pole", final=x,
+                               orbit=np.asarray(orbit),
+                               diameter=float(np.ptp(orbit)))
+        orbit.append(x_next)
+        if abs(x_next - x) <= tol * max(1.0, abs(x)):
+            return OrbitReport(classification="converged", final=x_next,
+                               orbit=np.asarray(orbit),
+                               diameter=float(np.ptp(orbit)))
+        x = x_next
     orbit = np.asarray(orbit)
-    period = None
-    rec_err = None
-    cycle = False
-    if not converged:
-        window = orbit[-min(1024, orbit.size):]
-        period, rec_err = detect_near_cycle(window, tol=cycle_tol)
-        cycle = period is not None and period > 1
-    return IterationResult(value=float(k), iterations=iterations,
-                           converged=converged, cycle_detected=cycle,
-                           period=period, recurrence_error=rec_err,
-                           orbit=orbit if keep_orbit else None)
+    window = orbit[-min(1024, orbit.size):]
+    period, rec_err = detect_near_cycle(window)
+    cls = "near-periodic" if period is not None and period > 1 else "wandering"
+    return OrbitReport(classification=cls, final=float(orbit[-1]), orbit=orbit,
+                       diameter=float(np.ptp(orbit)), period=period,
+                       recurrence_error=rec_err)
 
 
 def fourier_fixed_point(params: ModelParams, nu):
@@ -324,51 +276,6 @@ def real_multiplier(params: ModelParams, nu):
     khat = fourier_fixed_point(params, nu)
     out = 4.0 * np.abs(np.asarray(khat))**2 / ((params.n - 1) * params.C**2)
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass
-class OrbitStep:
-    """One step of a noise-kernel orbit; log-magnitude once values overflow."""
-
-    step: int
-    kernel: CavityKernel | None
-    log10_magnitude: np.ndarray | None = None
-    sign: np.ndarray | None = None
-    overflowed: bool = False
-
-
-def real_kernel_orbit(kR0: CavityKernel, params: ModelParams, steps: int,
-                      value_cap: float = ORBIT_VALUE_CAP) -> list[OrbitStep]:
-    """Iterate the stationary noise-kernel update kR -> A(nu) * kR.
-
-    In-band components double each step; components far outside the band
-    decay geometrically.  When a component's magnitude would exceed
-    ``value_cap`` the step is reported in log-magnitude form instead of
-    overflowing.
-    """
-    if kR0.mode != "fourier":
-        raise ShapeError("real_kernel_orbit needs a Fourier-mode kernel")
-    gain = np.asarray(real_multiplier(params, kR0.grid))
-    abs0 = np.abs(kR0.values)
-    phase0 = np.where(abs0 > 0, kR0.values / np.where(abs0 > 0, abs0, 1.0), 0.0)
-    with np.errstate(divide="ignore"):
-        log_abs0 = np.log10(abs0)
-        log_gain = np.log10(gain)
-    out = []
-    for i in range(1, steps + 1):
-        # -inf log-magnitudes (zero input or zero gain) stay exactly zero.
-        log_mag = log_abs0 + i * log_gain
-        if np.any(log_mag > math.log10(value_cap)):
-            out.append(OrbitStep(step=i, kernel=None,
-                                 log10_magnitude=log_mag, sign=phase0.copy(),
-                                 overflowed=True))
-            continue
-        values = np.where(np.isneginf(log_mag), 0.0, phase0 * 10.0**log_mag)
-        kern = CavityKernel(grid=kR0.grid.copy(), values=values,
-                            mode="fourier", role="kR",
-                            message_type=kR0.message_type)
-        out.append(OrbitStep(step=i, kernel=kern))
-    return out
 
 
 def quadratic_residual(params: ModelParams, lam, k):

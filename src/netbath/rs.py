@@ -26,9 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SingularTransformError
-from .laplace import (_edge_update, closed_form_fixed_point, detect_near_cycle,
-                      g0_laplace, iterate_fixed_point, uniform_map)
+from .errors import DomainError, ShapeError
+from .laplace import _edge_update, closed_form_fixed_point, g0_laplace
 from .model import ModelParams, fixed_point_exists
 
 #: Smallest pool giving usable variance estimates.
@@ -186,53 +185,3 @@ def population_stats(pop: Population, bins: int = 50):
     counts, edges = np.histogram(pop.samples, bins=bins, range=span)
     return mean, var, (counts, edges)
 
-
-@dataclass
-class OrbitReport:
-    """Classification of a scalar-map orbit."""
-
-    classification: str         # "converged" | "near-periodic" | "wandering" | "pole"
-    final: float
-    orbit: np.ndarray
-    diameter: float
-    period: int | None = None
-    recurrence_error: float | None = None
-
-
-def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
-              steps: int = 2000, tol: float = 1e-12) -> OrbitReport:
-    """Iterate the uniform map from x0 and classify the orbit.
-
-    Converged orbits end at the fixed point; non-convergent bounded orbits
-    are scanned for approximate recurrence.  The orbit is the dynamics under
-    repeated application of the single-frequency cavity update; its failure
-    to settle signals the dynamically disordered regime.
-    """
-    x = float(x0)
-    orbit = [x]
-    for _ in range(steps):
-        try:
-            x_next = uniform_map(x, params, lam)
-        except SingularTransformError:
-            return OrbitReport(classification="pole", final=x,
-                               orbit=np.asarray(orbit),
-                               diameter=float(np.ptp(orbit)))
-        orbit.append(x_next)
-        if abs(x_next - x) <= tol * max(1.0, abs(x)):
-            return OrbitReport(classification="converged", final=x_next,
-                               orbit=np.asarray(orbit),
-                               diameter=float(np.ptp(orbit)))
-        x = x_next
-    orbit = np.asarray(orbit)
-    window = orbit[-min(1024, orbit.size):]
-    period, rec_err = detect_near_cycle(window)
-    cls = "near-periodic" if period is not None and period > 1 else "wandering"
-    return OrbitReport(classification=cls, final=float(orbit[-1]), orbit=orbit,
-                       diameter=float(np.ptp(orbit)), period=period,
-                       recurrence_error=rec_err)
-
-
-def orbit_converges(params: ModelParams, lam: float, tol: float = 1e-12,
-                    max_iter: int = 20000) -> bool:
-    """Whether iteration from zero settles at this lambda (onset probe)."""
-    return iterate_fixed_point(params, lam, tol=tol, max_iter=max_iter).converged

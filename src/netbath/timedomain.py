@@ -400,7 +400,7 @@ def forward_laplace(tk: TimeKernel, lambda_grid, window_T: float | None = None) 
         warnings.warn("lambda*T < 20 for some grid points; transform is "
                       "truncation-dominated there", AccuracyWarning,
                       stacklevel=2)
-    kern = CavityKernel(grid=lambda_grid, values=out, mode="laplace",
-                        role="kI", message_type=tk.meta.get("message_type", "n"))
+    kern = CavityKernel(grid=lambda_grid, values=out,
+                        message_type=tk.meta.get("message_type", "n"))
     return ForwardLaplaceResult(kernel=kern, truncation_bound=bound,
                                 truncation_dominated=dominated)

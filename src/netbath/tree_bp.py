@@ -6,7 +6,9 @@ and pushes the aggregate through the single-edge update.  On a regular tree
 with branching b = n-1 the root aggregate after d levels equals the d-th
 iterate of the uniform scalar map with degree n; the message the root would
 send to a virtual parent is one further update and is what the resolvent
-oracle reproduces.
+oracle reproduces.  The environment a node sees, :func:`output_environment`,
+adds to its children's messages the one message from its parent side; at the
+root (node 0) it is the root aggregate.
 
 Message passing on trees is exact; these routines make no approximation
 beyond floating point.
@@ -47,12 +49,6 @@ class TreeGraph:
     def n_nodes(self) -> int:
         return self.parent.size
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """Directed (child, parent) pairs."""
-        child = np.flatnonzero(self.parent >= 0)
-        return list(zip(child.tolist(), self.parent[child].tolist()))
-
 
 def build_tree(branching: int, depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
     """Regular rooted tree: every node down to level depth-1 has ``branching`` children."""
@@ -85,26 +81,18 @@ def build_chain(depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
     return build_tree(1, depth, node_cap=node_cap)
 
 
-def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
-                     mode: str = "laplace") -> tuple[np.ndarray, np.ndarray]:
+def _upward_messages(tree: TreeGraph, params: ModelParams,
+                     grid) -> tuple[np.ndarray, np.ndarray]:
     """m-type message each node sends toward its parent, per grid point.
 
     Vectorized level by level; returns ``(msgs, agg)``.  Entry [v, j] of
     ``msgs`` is the message from v on edge (v, parent(v)) at grid[j] (for the
     root: toward a virtual parent); ``agg[v, j]`` is the sum of the messages
-    v receives from its children.
-    ``mode="fourier"`` evaluates on the imaginary axis, where the bare
-    response is (2/m)/(omega^2 - nu^2) and finite trees have real messages
-    with poles at the subtree mode frequencies.  Pole hits are recorded as
-    nan rather than aborting the sweep.
+    v receives from its children.  Pole hits are recorded as nan rather than
+    aborting the sweep.
     """
     grid = np.asarray(grid, dtype=float)
-    if mode == "laplace":
-        g0 = np.atleast_1d(np.asarray(g0_laplace(params, grid), dtype=float))
-    elif mode == "fourier":
-        g0 = (2.0 / params.m) / (params.omega_sq - grid**2)
-    else:
-        raise DomainError(f"unknown sweep mode {mode!r}")
+    g0 = np.atleast_1d(np.asarray(g0_laplace(params, grid), dtype=float))
     msgs = np.zeros((tree.n_nodes, grid.size))
     agg = np.zeros_like(msgs)
     c_half = params.C**2 / 2.0
@@ -117,31 +105,6 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     return msgs, agg
 
 
-def sweep_messages(tree: TreeGraph, params: ModelParams, lambda_grid) -> dict:
-    """Leaf-to-root pass; returns {(child, parent): m-type CavityKernel}.
-
-    Grid points where a pole was encountered are flagged on the kernel and
-    carry nan values; only those points are lost, not the sweep.
-    """
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    msgs, _ = _upward_messages(tree, params, lambda_grid)
-    out = {}
-    for child, parent in tree.edges:
-        vals = msgs[child]
-        flags = ~np.isfinite(vals)
-        out[(child, parent)] = CavityKernel(
-            grid=lambda_grid, values=np.where(flags, np.nan, vals),
-            mode="laplace", role="kI", message_type="m",
-            flags=flags if flags.any() else None)
-    return out
-
-
-def root_aggregate(tree: TreeGraph, params: ModelParams, lambda_grid) -> np.ndarray:
-    """n-type kernel at the root: sum of its children's m-type messages."""
-    _, agg = _upward_messages(tree, params, np.asarray(lambda_grid, dtype=float))
-    return agg[0]
-
-
 def root_output_message(tree: TreeGraph, params: ModelParams, lambda_grid) -> np.ndarray:
     """m-type message the root would send to a virtual parent.
 
@@ -151,29 +114,6 @@ def root_output_message(tree: TreeGraph, params: ModelParams, lambda_grid) -> np
     """
     msgs, _ = _upward_messages(tree, params, np.asarray(lambda_grid, dtype=float))
     return msgs[0]
-
-
-def edge_noise_gain(tree: TreeGraph, params: ModelParams, nu_grid) -> dict:
-    """Per-edge noise-kernel gain on a Fourier grid, by the stationary rule.
-
-    Each edge multiplies its noise component pointwise by ``4 |kI_edge|^2 /
-    C^2``, with the edge's dissipation message taken from a Fourier-mode
-    sweep.  Finite trees have real messages with poles at subtree mode
-    frequencies; those grid points come back nan.  This is the single-branch
-    gain: summing the n-1 branches at a node makes the aggregate per-sweep
-    gain (n-1) times larger, so deep below the root the per-edge value
-    approaches :func:`~netbath.laplace.real_multiplier` / (n-1) outside the
-    band.  Time-domain noise kernels on trees are out of scope here; the
-    finite-window machinery covers them.
-    """
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    msgs, _ = _upward_messages(tree, params, nu_grid, mode="fourier")
-    if params.C == 0:
-        return {edge: np.zeros(nu_grid.size) for edge in tree.edges}
-    out = {}
-    for child, parent in tree.edges:
-        out[(child, parent)] = 4.0 * msgs[child] ** 2 / params.C**2
-    return out
 
 
 def _downward_messages(tree: TreeGraph, params: ModelParams, lambda_grid,
@@ -211,8 +151,7 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     total = agg[node] + _downward_messages(tree, params, lambda_grid, up, agg,
                                            node)
     flags = ~np.isfinite(total)
-    return CavityKernel(grid=lambda_grid, values=total, mode="laplace",
-                        role="kI", message_type="n",
+    return CavityKernel(grid=lambda_grid, values=total, message_type="n",
                         flags=flags if flags.any() else None)
 
 

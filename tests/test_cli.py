@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +205,62 @@ def test_population_documented_lines(tmp_path, args):
     rows = [ln.split(",") for ln in read_lines(out) if not ln.startswith("#")][1:]
     sweeps = 10 if "--sweeps" in args else 20
     assert [int(r[0]) for r in rows] == list(range(sweeps + 1))
+
+
+@pytest.mark.parametrize("config", [
+    {"params": 5},
+    {"lambda_grid": {"count": "abc"}},
+    {"numerics": {"sweeps": "x"}},
+    {"params": {"n": 2.5}},
+], ids=["block", "grid-count", "numerics", "non-integer-n"])
+def test_config_values_are_type_checked(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["population", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR config:") and captured.out == ""
+
+
+def test_shape_and_instability_exit_codes(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    # pool below the population floor, and a tau grid off the fine grid
+    assert run_cli(["population", "--pool-size", "10", "--output", out]) == 2
+    assert run_cli(["kernel", "--method", "bessel", "--tau-min", "0.0001",
+                    "--tau-count", "5", "--output", out]) == 2
+    # a tree whose branching outgrows n: a mode with negative stiffness
+    assert run_cli(["kernel", "--method", "oracle", "--n", "2", "--omega0",
+                    "1", "--C", "0.45", "--m", "1", "--branching", "4",
+                    "--depth", "4", "--output", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == \
+        ["ERROR shape", "ERROR shape", "ERROR instability"]
+
+
+@pytest.mark.parametrize("args", [
+    ["phase", "--output", "{missing}/out.csv"],
+    ["phase", "--plot", "{missing}/plot.svg"],
+    ["check", "--report", "{missing}/report.json"],
+], ids=["output", "plot", "report"])
+def test_unwritable_path_exits_2(tmp_path, capsys, args):
+    missing = tmp_path / "no-such-dir"
+    args = [a.format(missing=missing) for a in args]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ERROR config: cannot write {missing}/")
+
+
+def _quick_start_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```sh\n(.*?)```", readme, re.S)
+    text = block.group(1).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("netbath ") and not line.startswith("netbath check")]
+
+
+@pytest.mark.parametrize("argv", _quick_start_lines(), ids=lambda a: a[0])
+def test_readme_quick_start_lines_run(tmp_path, argv):
+    # every documented command line runs, its files sent to tmp_path
+    argv = list(argv)
+    if "--plot" in argv:
+        argv[argv.index("--plot") + 1] = str(tmp_path / "plot.svg")
+    assert run_cli(argv + ["--output", str(tmp_path / "out.csv")]) == 0

@@ -34,9 +34,9 @@ def test_pipeline_consistency(seed):
     # fixed point: closed form vs iteration, quadratic residual
     for lam in lam_grid:
         closed = nb.closed_form_fixed_point(p, lam)
-        it = nb.iterate_fixed_point(p, lam, tol=1e-13, max_iter=200000)
-        assert it.converged
-        assert it.value == pytest.approx(closed, rel=1e-10)
+        it = nb.map_orbit(p, lam, steps=200000, tol=1e-13)
+        assert it.classification == "converged"
+        assert it.final == pytest.approx(closed, rel=1e-10)
         assert abs(nb.quadratic_residual(p, lam, closed)) <= \
             1e-12 * max(1.0, abs(closed))
 

@@ -237,5 +237,9 @@ def test_orbit_onset_bracket():
     c2 = nb.critical_coupling(2, 1.0, 1.0)
     p = nb.derive_params(2, 1.0, 2.0 * c2, 1.0)
     l_star = nb.lambda_star(p)
-    assert not nb.orbit_converges(p, 0.97 * l_star)
-    assert nb.orbit_converges(p, 1.03 * l_star)
+    # the disordered-phase onset probe of criterion 9
+    def converges(lam):
+        return nb.map_orbit(p, lam, steps=20000).classification == "converged"
+
+    assert not converges(0.97 * l_star)
+    assert converges(1.03 * l_star)
