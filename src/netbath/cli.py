@@ -7,9 +7,9 @@ One subcommand per capability: ``phase``, ``fixed-point``, ``kernel``,
 given config and seed), or a JSON object with ``--format json``.  A JSON
 config file supplies defaults; explicit flags override it.
 
-One table, ``_KEYS``, names every config key once, with its type, flag and
-default: it builds the flags, collects them as overrides and checks every
-value of a config file.
+One table, ``_KEYS``, names every config key once, with its type, flag,
+default and lower bound: it builds the flags, collects them as overrides and
+checks every value, from a flag or a config file, against type and bound.
 
 Exit codes: 0 success; 2 config error (an unwritable output path included),
 incompatible shapes, or a size refused before allocating; 3 domain error or
@@ -43,46 +43,57 @@ from .tree_bp import build_tree, depth_convergence
 
 TOOL = "netbath"
 
-# (block, key, type, flag, default, help): every config key once.  The type
-# is int, float, str or a tuple of allowed strings; a key whose default is
-# None may be null.
+# (block, key, type, flag, default, bound, help): every config key once.  The
+# type is int, float, str or a tuple of allowed strings; a key whose default
+# is None may be null.  A bound such as ">= 0" or "> 0" refuses every value
+# that fails it; keys the model validates itself (n, m, tol, beta, ...) have
+# none, so that their domain errors keep their exit code.
 _KEYS = (
-    ("params", "n", int, "--n", 5, "graph degree"),
-    ("params", "omega0", float, "--omega0", 10.0, "bare frequency"),
-    ("params", "C", float, "--C", 1.0, "edge coupling"),
-    ("params", "m", float, "--m", 0.5, "oscillator mass"),
-    ("output", "format", ("csv", "json"), "--format", "csv", "output format"),
-    ("output", "path", str, "--output", None, "output file (default stdout)"),
-    ("output", "plot", str, "--plot", None, "write an SVG polyline plot here"),
-    ("numerics", "seed", int, "--seed", 0, "RNG seed"),
+    ("params", "n", int, "--n", 5, None, "graph degree"),
+    ("params", "omega0", float, "--omega0", 10.0, None, "bare frequency"),
+    ("params", "C", float, "--C", 1.0, None, "edge coupling"),
+    ("params", "m", float, "--m", 0.5, None, "oscillator mass"),
+    ("output", "format", ("csv", "json"), "--format", "csv", None,
+     "output format"),
+    ("output", "path", str, "--output", None, None,
+     "output file (default stdout)"),
+    ("output", "plot", str, "--plot", None, None,
+     "write an SVG polyline plot here"),
+    ("numerics", "seed", int, "--seed", 0, ">= 0", "RNG seed"),
 ) + tuple(
-    (f"{grid}_grid", key, typ, f"--{grid}-{key}", default, argparse.SUPPRESS)
+    (f"{grid}_grid", key, typ, f"--{grid}-{key}", default, bound,
+     argparse.SUPPRESS)
     for grid, defaults in (("lambda", (0.1, 100.0, 200, "log")),
                            ("nu", (0.0, 40.0, 401, "linear")),
                            ("tau", (0.0, 5.0, 1001, "linear")),
                            ("omega", (0.0, 40.0, 401, "linear")))
-    for (key, typ), default in zip((("min", float), ("max", float),
-                                    ("count", int),
-                                    ("scale", ("linear", "log"))), defaults)
+    for (key, typ, bound), default in zip((("min", float, None),
+                                           ("max", float, None),
+                                           ("count", int, ">= 1"),
+                                           ("scale", ("linear", "log"), None)),
+                                          defaults)
 ) + tuple(
-    ("numerics", key, typ, "--" + key.replace("_", "-"), default,
+    ("numerics", key, typ, "--" + key.replace("_", "-"), default, bound,
      argparse.SUPPRESS)
-    for key, typ, default in (
-        ("tol", float, 1e-12), ("max_iter", int, 10000),
-        ("quad_order", int, None), ("dt", float, None), ("T", float, 6.0),
-        ("beta", float, 1.0), ("pool_size", int, 10000), ("sweeps", int, 20),
-        ("sigma_rel", float, 0.01), ("lam", float, 1.0), ("x0", float, 0.0),
-        ("steps", int, 2000), ("depth", int, 8), ("branching", int, 2))
+    for key, typ, default, bound in (
+        ("tol", float, 1e-12, None), ("max_iter", int, 10000, ">= 0"),
+        ("quad_order", int, None, ">= 1"), ("dt", float, None, "> 0"),
+        ("T", float, 6.0, None), ("beta", float, 1.0, None),
+        ("pool_size", int, 10000, ">= 1"), ("sweeps", int, 20, ">= 0"),
+        ("sigma_rel", float, 0.01, ">= 0"), ("lam", float, 1.0, None),
+        ("x0", float, 0.0, None), ("steps", int, 2000, ">= 0"),
+        ("depth", int, 8, ">= 0"), ("branching", int, 2, None))
 )
 
 _DEFAULTS: dict = {}
-for _block, _key, _, _, _default, _ in _KEYS:
+for _block, _key, _, _, _default, _, _ in _KEYS:
     _DEFAULTS.setdefault(_block, {})[_key] = _default
 
 
 def _check_value(block: str, key: str, val) -> None:
-    """Refuse a config value of the wrong type with ConfigError."""
-    typ = next(row[2] for row in _KEYS if row[:2] == (block, key))
+    """Refuse a config value of the wrong type or out of bounds with ConfigError."""
+    typ, bound = next((row[2], row[5]) for row in _KEYS
+                      if row[:2] == (block, key))
     if val is None:
         ok = _DEFAULTS[block][key] is None
     elif isinstance(typ, tuple):
@@ -93,6 +104,11 @@ def _check_value(block: str, key: str, val) -> None:
     if not ok:
         want = "one of " + ", ".join(typ) if isinstance(typ, tuple) else typ.__name__
         raise ConfigError(f"config value {block}.{key}={val!r} is not {want}")
+    if bound and val is not None:
+        op, lo = bound.split()
+        # written so that nan fails every bound
+        if not (val >= float(lo) if op == ">=" else val > float(lo)):
+            raise ConfigError(f"config value {block}.{key}={val!r} is not {bound}")
 
 
 def _merge(base: dict, update: dict) -> dict:
@@ -125,8 +141,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _grid(spec: dict, name: str) -> np.ndarray:
-    lo, hi, count = spec["min"], spec["max"], int(spec["count"])
-    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    lo, hi, count = spec["min"], spec["max"], spec["count"]
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ConfigError(f"invalid {name}: {spec}")
     if spec.get("scale", "linear") == "log":
         if lo <= 0:
@@ -367,7 +383,9 @@ def cmd_tree(cfg):
 def cmd_finite_time(cfg):
     params = _params(cfg)
     num = cfg["numerics"]
-    dt = num["dt"] or 1.0 / (20.0 * params.lambda_pp)
+    dt = num["dt"]
+    if dt is None:
+        dt = 1.0 / (20.0 * params.lambda_pp)
     times = time_grid(float(num["T"]), float(dt))
     kin = branch_cut_kernel(params, times - times[0])
     upstream = TwoTimeKernel.from_stationary(times, lambda u: np.interp(
@@ -489,7 +507,7 @@ def _dest(flag: str) -> str:
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     over: dict = {}
-    for block, key, _, flag, _, _ in _KEYS:
+    for block, key, _, flag, _, _, _ in _KEYS:
         val = getattr(args, _dest(flag))
         if val is not None:
             over.setdefault(block, {})[key] = val
@@ -499,7 +517,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    for _, _, typ, flag, _, text in _KEYS:
+    for _, _, typ, flag, _, _, text in _KEYS:
         if isinstance(typ, tuple):
             common.add_argument(flag, choices=typ, help=text)
         else:

@@ -147,10 +147,15 @@ class TwoTimeKernel:
 def time_grid(T: float, dt: float, tau: float = 0.0) -> np.ndarray:
     """Uniform grid tau..T, endpoint included, step no coarser than dt.
 
-    Raises :class:`SizeError` when the N x N window arrays on this grid would
-    exceed the cap.
+    Raises :class:`ShapeError` for a window of fewer than three points, which
+    the one-sided derivative of the boundary terms needs, and
+    :class:`SizeError` when the N x N window arrays on this grid would exceed
+    the cap.
     """
     n = max(1, int(math.ceil((T - tau) / dt - 1e-9)))
+    if n < 2:
+        raise ShapeError(f"time window {tau:g}..{T:g} at step {dt:g} has "
+                         f"{n + 1} points; the boundary terms need at least 3")
     _check_window(n + 1)
     return tau + (T - tau) * np.arange(n + 1) / n
 

@@ -203,18 +203,25 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     iterate.  An orbit still moving after ``steps`` steps is scanned for
     approximate recurrence (:func:`detect_near_cycle` on its last 1024
     points); its failure to settle signals the dynamically disordered regime.
+
+    Lambda is fixed along the orbit, so G0 is evaluated once per orbit and
+    each step is one :func:`_edge_update`; the iterates are those of
+    :func:`uniform_map`, bit for bit.
     """
     if tol < 0:
         raise DomainError("tol must be >= 0")
+    g0 = g0_laplace(params, lam)
+    c_half = params.C**2 / 2.0
+    branches = params.n - 1
     x = float(x0)
     orbit = [x]
     for _ in range(steps):
-        try:
-            x_next = uniform_map(x, params, lam)
-        except SingularTransformError:
+        k_branch, pole = _edge_update(x, g0, c_half)
+        if pole:
             return OrbitReport(classification="pole", final=x,
                                orbit=np.asarray(orbit),
                                diameter=float(np.ptp(orbit)))
+        x_next = branches * float(k_branch)
         orbit.append(x_next)
         if abs(x_next - x) <= tol * max(1.0, abs(x)):
             return OrbitReport(classification="converged", final=x_next,

@@ -212,13 +212,47 @@ def test_population_documented_lines(tmp_path, args):
     {"lambda_grid": {"count": "abc"}},
     {"numerics": {"sweeps": "x"}},
     {"params": {"n": 2.5}},
-], ids=["block", "grid-count", "numerics", "non-integer-n"])
+    {"numerics": {"pool_size": -5}},
+], ids=["block", "grid-count", "numerics", "non-integer-n", "below-bound"])
 def test_config_values_are_type_checked(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run_cli(["population", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("ERROR config:") and captured.out == ""
+
+
+@pytest.mark.parametrize("line, code, label", [
+    ("tree --depth -1", 2, "config"),
+    ("population --pool-size -5", 2, "config"),
+    ("population --seed -1", 2, "config"),
+    ("population --sweeps -1", 2, "config"),
+    ("population --sigma-rel -1", 2, "config"),
+    ("finite-time --dt 0", 2, "config"),
+    ("kernel --quad-order 0", 2, "config"),
+    ("kernel --method bessel --dt 0", 2, "config"),
+    ("orbit --steps -1", 2, "config"),
+    ("fixed-point --max-iter -1", 2, "config"),
+    ("phase --lambda-count 0", 2, "config"),
+    ("finite-time --T 0.0001", 2, "shape"),
+    ("tree", 0, None),
+    ("population", 0, None),
+    ("finite-time", 0, None),
+    ("kernel", 0, None),
+    ("orbit", 0, None),
+    ("fixed-point", 0, None),
+    ("phase", 0, None),
+])
+def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
+    # every bound is checked in one place, the key table; the time window
+    # is refused where it is built; the defaults stay inside every bound
+    out = tmp_path / "out.csv"
+    assert run_cli(shlex.split(line) + ["--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if label:
+        assert err.startswith(f"ERROR {label}:") and not out.exists()
+    else:
+        assert "ERROR" not in err and out.read_text()
 
 
 def test_shape_and_instability_exit_codes(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import netbath as nb
 from netbath.errors import DomainError, ShapeError, SingularTransformError
-from netbath.laplace import CavityKernel, detect_near_cycle
+from netbath.laplace import CavityKernel, OrbitReport, detect_near_cycle
 
 K_STAR_NARROW_LAM0 = 0.0729206334100700298717568095  # 30-digit evaluation
 
@@ -135,6 +135,67 @@ def test_map_orbit_stops_at_the_pole(narrow_band):
     assert res.final == x0 and res.orbit.size == 1 and res.period is None
     with pytest.raises(DomainError):
         nb.map_orbit(narrow_band, 1.0, tol=-1.0)
+
+
+def _map_orbit_reference(params, lam, x0=0.0, steps=2000, tol=1e-12):
+    """The orbit loop as it was, one :func:`uniform_map` call per step."""
+    x = float(x0)
+    orbit = [x]
+    for _ in range(steps):
+        try:
+            x_next = nb.uniform_map(x, params, lam)
+        except SingularTransformError:
+            return OrbitReport(classification="pole", final=x,
+                               orbit=np.asarray(orbit),
+                               diameter=float(np.ptp(orbit)))
+        orbit.append(x_next)
+        if abs(x_next - x) <= tol * max(1.0, abs(x)):
+            return OrbitReport(classification="converged", final=x_next,
+                               orbit=np.asarray(orbit),
+                               diameter=float(np.ptp(orbit)))
+        x = x_next
+    orbit = np.asarray(orbit)
+    period, rec_err = detect_near_cycle(orbit[-min(1024, orbit.size):])
+    cls = "near-periodic" if period is not None and period > 1 else "wandering"
+    return OrbitReport(classification=cls, final=float(orbit[-1]), orbit=orbit,
+                       diameter=float(np.ptp(orbit)), period=period,
+                       recurrence_error=rec_err)
+
+
+def _orbit_draws(count, seed):
+    """Seeded (params, lam, x0, steps, tol): ordered and disordered regimes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 5)), rng.uniform(0.5, 2.0)
+        c_star = nb.critical_coupling(n, 1.0, m)
+        p = nb.derive_params(n, 1.0, c_star * rng.uniform(0.3, 3.0), m)
+        l_star = nb.lambda_star(p)
+        lam = l_star * rng.uniform(0.2, 1.5) if l_star else rng.uniform(0.05, 3.0)
+        x0 = float(rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
+        yield (p, lam, x0, int(rng.integers(50, 400)),
+               float(rng.choice([0.0, 1e-12, 1e-9])))
+
+
+def test_map_orbit_matches_uniform_map_loop(narrow_band):
+    # G0 is taken once per orbit, not once per step: the same floats in the
+    # same order, so orbits agree bit for bit with the per-step loop
+    g0 = nb.g0_laplace(narrow_band, 1.0)
+    c_half = narrow_band.C**2 / 2.0
+    # a start at the pole, and one whose first image lands on it
+    poles = [(narrow_band, 1.0, 1.0 / g0, 2000, 1e-12),
+             (narrow_band, 1.0, (1.0 - (narrow_band.n - 1) * c_half * g0**2) / g0,
+              2000, 1e-12)]
+    seen = set()
+    for case in poles + list(_orbit_draws(300, seed=2026)):
+        got, ref = nb.map_orbit(*case), _map_orbit_reference(*case)
+        assert got.orbit.tobytes() == ref.orbit.tobytes()
+        assert (got.classification, got.period, got.orbit.size) == \
+            (ref.classification, ref.period, ref.orbit.size)
+        assert (got.final, got.diameter, got.recurrence_error) == \
+            (ref.final, ref.diameter, ref.recurrence_error)
+        seen.add(got.classification)
+    assert [nb.map_orbit(*case).orbit.size for case in poles] == [1, 2]
+    assert seen == {"pole", "converged", "near-periodic", "wandering"}
 
 
 def test_detect_near_cycle_exact_two_cycle():

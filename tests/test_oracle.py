@@ -1,13 +1,17 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 import netbath as nb
+import netbath.oracle
 from netbath.errors import DomainError, SizeError
-from netbath.oracle import DENSE_LIMIT, _corner_inverse, tree_matrix
+from netbath.oracle import DENSE_LIMIT, TreeMatrix, _corner_inverse, \
+    tree_matrix
 from netbath.tree_bp import TreeGraph
 
 
@@ -125,6 +129,64 @@ def test_corner_inverse_residual_guard(ordered_chain):
     tm = tree_matrix(nb.build_chain(5), ordered_chain, 1.0)
     val = _corner_inverse(tm)
     assert math.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("tree", [_irregular_tree(), nb.build_tree(4, 5),
+                                  nb.build_chain(400)],
+                         ids=["irregular-16", "branching4-1365", "chain-401"])
+def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
+    # the default route (dense below DENSE_LIMIT, sparse LU above) and the
+    # sparse route against dense Cholesky on every tree
+    lam = np.array([0.1, 0.7, 3.0, 40.0])
+    dense = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam,
+                                          dense_limit=4096)
+    for limit in (DENSE_LIMIT, 0):
+        got = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam,
+                                            dense_limit=limit)
+        assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
+    # past C*, at lambda = 0.5 the matrix is indefinite but not near-singular
+    # on all three trees: Cholesky fails over to the symmetric solve, and
+    # sparse LU pivots
+    p = nb.derive_params(2, 1.0, 2.5, 1.0)
+    eig = np.linalg.eigvalsh(tree_matrix(tree, p, 0.5).matrix.toarray())
+    assert eig.min() < 0.0 < eig.max() and np.abs(eig).min() > 1e-3
+    dense = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=4096)
+    sparse = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=0)
+    assert abs(sparse - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("dense_limit", [4096, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("diagonal", [0.0, 1e-310], ids=["zero", "subnormal"])
+def test_corner_inverse_refuses_singular_matrix(ordered_chain, dense_limit,
+                                                diagonal):
+    # a 3-node chain with zero diagonal has eigenvalue 0: an exactly singular
+    # factor; with a subnormal diagonal the solve overflows instead, and the
+    # residual guard refuses it
+    tm = tree_matrix(nb.build_chain(2), ordered_chain, 1.0)
+    mat = tm.matrix.copy()
+    mat.setdiag(diagonal)
+    singular = TreeMatrix(matrix=mat, root=0, diagonal=diagonal,
+                          offdiagonal=tm.offdiagonal)
+    with pytest.raises(DomainError, match="singular"):
+        _corner_inverse(singular, dense_limit)
+
+
+def test_oracle_imports_nothing_of_the_recursion():
+    # the oracle is an independent check only while it shares no code with
+    # the message passing: of tree_bp it may take the graph alone
+    source = Path(netbath.oracle.__file__).read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            assert "laplace" not in parts and "rs" not in parts, name
+            assert "tree_bp" not in parts or parts[-1] == "TreeGraph", name
 
 
 def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
