@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AccuracyError, ConfigError, DomainError, \
-    InstabilityError, NetbathError, ShapeError, SizeError
+    InstabilityError, NetbathError, ShapeError, SizeError, _check_bytes
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
     vernon_imag_finite, vernon_real_full, bare_response
 from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
@@ -144,6 +144,7 @@ def _grid(spec: dict, name: str) -> np.ndarray:
     lo, hi, count = spec["min"], spec["max"], spec["count"]
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ConfigError(f"invalid {name}: {spec}")
+    _check_bytes(8 * count, f"{name} of {count} points")
     if spec.get("scale", "linear") == "log":
         if lo <= 0:
             raise ConfigError(f"log-scale {name} needs min > 0")
@@ -387,12 +388,11 @@ def cmd_finite_time(cfg):
     if dt is None:
         dt = 1.0 / (20.0 * params.lambda_pp)
     times = time_grid(float(num["T"]), float(dt))
-    kin = branch_cut_kernel(params, times - times[0])
-    upstream = TwoTimeKernel.from_stationary(times, lambda u: np.interp(
-        u, kin.tau, kin.values))
+    state = thermal_init(float(num["beta"]), params)
+    upstream = TwoTimeKernel.from_stationary(
+        times, lambda u: branch_cut_kernel(params, u).values)
     res = twinning_solve(upstream, params)
     kI_out = vernon_imag_finite(res.G, params.C)
-    state = thermal_init(float(num["beta"]), params)
     kR_boundary = vernon_real_full(None, res.G, state, params.C)
     u = times - times[0]
     rows = list(zip(u, bare_response(params, u), res.G.values[0],

@@ -6,8 +6,16 @@ AccuracyError -> 4.
 """
 
 #: Refuse, with SizeError and before allocating, any dense structure whose
-#: arrays would need more than this many bytes (2 GiB).
+#: arrays would need more than this many bytes (2 GiB): time windows, grids,
+#: quadrature matrices, population pools and dense eigendecompositions.
 BYTE_CAP = 2 << 30
+
+
+def _check_bytes(need: float, what: str, hint: str = "") -> None:
+    """Refuse with SizeError, before allocating, ``what`` needing ``need`` bytes."""
+    if need > BYTE_CAP:
+        raise SizeError(f"{what} needs about {need / 2**30:.3g} GiB, cap is "
+                        f"{BYTE_CAP / 2**30:.3g} GiB{hint}")
 
 
 class NetbathError(Exception):

@@ -1,6 +1,6 @@
 """Finite-window, non-stationary kernel machinery.
 
-Everything here lives on a uniform time grid ``t_0 = tau, ..., t_N = T``.
+Everything here lives on a uniform time grid ``t_0 = 0, ..., t_N = T``.
 The dressed response G(t, s-t) obeys the two-time integral equation
 
     G(t, s-t) = G0(s-t) + int_t^T dt1 int_t1^T dt2 G0(t1-t) kI(t1, t2-t1) G(t2, s-t2),
@@ -20,7 +20,7 @@ The single-edge updates built on G:
 * dissipation: ``kI_out(t, s-t) = (1/2) C(t) C(s) G(t, s-t)``;
 * noise, full form: a double convolution of the upstream noise kernel with
   two G factors plus two boundary terms set by the initial Gaussian state,
-  ``C' G(tau, t-tau) G(tau, s-tau)`` and ``(1/A') dG/dr|_tau dG/dr|_tau``.
+  ``C' G(0, t) G(0, s)`` and ``(1/A') dG/dr|_0 dG/dr|_0``.
 
 The auxiliary backward path Q driven by a deviation history solves
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BYTE_CAP, AccuracyError, DomainError, ShapeError, SizeError
+from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
 from .model import ModelParams
 
 #: Peak number of N x N float64 arrays alive at once on a window of N points,
@@ -53,14 +53,16 @@ from .model import ModelParams
 #: result.
 WINDOW_ARRAYS = 5.3
 
+# Stop rule of ode_response_check: relative change per sweep, and the sweep
+# count after which it gives up.
+_ODE_TOL = 1e-12
+_ODE_MAX_SWEEPS = 400
+
 
 def _check_window(n: int) -> None:
     """Refuse, before allocating, a window whose N x N arrays exceed the cap."""
-    need = WINDOW_ARRAYS * 8 * n * n
-    if need > BYTE_CAP:
-        raise SizeError(f"time window of {n} points needs about "
-                        f"{need / 2**30:.3g} GiB, cap is "
-                        f"{BYTE_CAP / 2**30:.3g} GiB; shorten T or coarsen dt")
+    _check_bytes(WINDOW_ARRAYS * 8 * n * n, f"time window of {n} points",
+                 "; shorten T or coarsen dt")
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,11 @@ class ThermalState:
 
 
 def thermal_init(beta: float, params: ModelParams) -> ThermalState:
-    """Thermal-state parameters at inverse temperature beta (> 0)."""
-    if beta <= 0:
+    """Thermal-state parameters at inverse temperature beta > 0.
+
+    ``beta = inf`` is the ground state.
+    """
+    if not beta > 0:   # nan included
         raise DomainError(f"beta must be > 0, got {beta}")
     omega = math.sqrt(params.omega_sq)
     half = beta * omega / 2.0
@@ -92,7 +97,7 @@ def thermal_init(beta: float, params: ModelParams) -> ThermalState:
 
 @dataclass
 class TwoTimeKernel:
-    """Kernel on the uniform two-time grid tau <= t <= s <= T.
+    """Kernel on the uniform two-time grid 0 <= t <= s <= T.
 
     ``values[i, j]`` holds K(t_i, t_j - t_i); causal kernels vanish below the
     diagonal, symmetric kernels (noise type) satisfy V = V^T instead.
@@ -144,20 +149,24 @@ class TwoTimeKernel:
         return cls(times=times, values=vals, kind=kind)
 
 
-def time_grid(T: float, dt: float, tau: float = 0.0) -> np.ndarray:
-    """Uniform grid tau..T, endpoint included, step no coarser than dt.
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Uniform grid 0..T, endpoint included, step no coarser than dt.
 
-    Raises :class:`ShapeError` for a window of fewer than three points, which
-    the one-sided derivative of the boundary terms needs, and
-    :class:`SizeError` when the N x N window arrays on this grid would exceed
-    the cap.
+    Raises :class:`ShapeError` for a T or dt that is not finite, a dt that is
+    not positive, or a window of fewer than three points, which the one-sided
+    derivative of the boundary terms needs; and :class:`SizeError` when the
+    N x N window arrays on this grid would exceed the cap.
     """
-    n = max(1, int(math.ceil((T - tau) / dt - 1e-9)))
+    if not (math.isfinite(T) and math.isfinite(dt) and dt > 0):
+        raise ShapeError(f"time window 0..{T:g} at step {dt:g}: T and dt "
+                         f"must be finite and dt > 0")
+    steps = T / dt - 1e-9
+    n = max(1, math.ceil(steps)) if math.isfinite(steps) else math.inf
     if n < 2:
-        raise ShapeError(f"time window {tau:g}..{T:g} at step {dt:g} has "
+        raise ShapeError(f"time window 0..{T:g} at step {dt:g} has "
                          f"{n + 1} points; the boundary terms need at least 3")
     _check_window(n + 1)
-    return tau + (T - tau) * np.arange(n + 1) / n
+    return T * np.arange(n + 1) / n
 
 
 def bare_response(params: ModelParams, u):
@@ -237,12 +246,17 @@ def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
     return -minus_m[0], g
 
 
-def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
-                   T: float | None = None, dt: float | None = None) -> TwinningResult:
+def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
+    """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the diagonal."""
+    lag = times[None, :] - times[:, None]
+    return np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
+
+
+def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningResult:
     """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
-    ``kI_upstream`` fixes the grid; T and dt, when given, must agree with it.
-    The step must resolve the band, dt <= 1/(20 lambda_pp) (falls back to the
+    ``kI_upstream`` fixes the grid and so the window and step.  The step
+    must resolve the band, dt <= 1/(20 lambda_pp) (falls back to the
     oscillator period when the band is degenerate).  An exactly upper-Toeplitz
     (stationary) upstream is solved as one Toeplitz row in O(N^2); any other
     by a unit-upper-triangular solve in O(N^3).  ``G.meta["solver"]`` names
@@ -250,10 +264,6 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
-    if dt is not None and abs(dt - grid_dt) > 1e-9 * grid_dt:
-        raise ShapeError("dt disagrees with the kernel grid")
-    if T is not None and abs(T - times[-1]) > 1e-9 * max(1.0, abs(T)):
-        raise ShapeError("T disagrees with the kernel grid")
     if params.band_defined and params.lambda_pp > 0:
         limit = 1.0 / (20.0 * params.lambda_pp)
     else:
@@ -262,9 +272,7 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
         raise AccuracyError(
             f"dt={grid_dt:.3g} coarser than resolution limit {limit:.3g}")
 
-    lag = times[None, :] - times[:, None]
-    a = np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
-    del lag
+    a = _bare_matrix(params, times)
     k = kI_upstream.values
     if np.array_equal(k[1:, 1:], k[:-1, :-1]):
         solver = "toeplitz"
@@ -281,9 +289,7 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams,
 
 def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) -> np.ndarray:
     """First-order term int int G0 kI G0 of the Neumann series for G."""
-    times = kI_upstream.times
-    lag = times[None, :] - times[:, None]
-    a = np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
+    a = _bare_matrix(params, kI_upstream.times)
     return _compose(a, _compose(kI_upstream.values, a, kI_upstream.dt),
                     kI_upstream.dt)
 
@@ -309,8 +315,8 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
                      state: ThermalState, C_edge) -> TwoTimeKernel:
     """Downstream noise kernel: double convolution plus two boundary terms.
 
-    ``out(t,s) = C(t)C(s) [ int_tau^t int_tau^s kR(t',s') G(t',t-t') G(s',s-s')
-    + C' G(tau,t-tau) G(tau,s-tau) + (1/A') dG(r,t-r)/dr|_tau dG(r,s-r)/dr|_tau ]``.
+    ``out(t,s) = C(t)C(s) [ int_0^t int_0^s kR(t',s') G(t',t-t') G(s',s-s')
+    + C' G(0,t) G(0,s) + (1/A') dG(r,t-r)/dr|_0 dG(r,s-r)/dr|_0 ]``.
     The boundary terms stem from the initial state of the integrated-out
     oscillator and matter only near the start of the window when G has
     finite memory.  Output is symmetric.
@@ -320,7 +326,7 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     c = _coupling_on_grid(C_edge, times)
     g = G.values
     g_start = g[0, :]
-    # One-sided 2nd-order derivative along the first argument at r = tau.
+    # One-sided 2nd-order derivative along the first argument at r = 0.
     dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * dt)
     # Built in place: without an upstream kernel at most two N x N arrays
     # are alive besides the result.
@@ -334,7 +340,7 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
             raise ShapeError("noise kernel grid differs from G grid")
-        # Weighted columns: w_l in [tau, t_i], halved at both ends.
+        # Weighted columns: w_l in [0, t_i], halved at both ends.
         gw = g * dt
         gw[0, :] *= 0.5
         idx = np.arange(times.size)
@@ -355,23 +361,19 @@ def response_from_twinning(G: TwoTimeKernel, C_edge, drive: np.ndarray) -> np.nd
 
 
 def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
-                       drive: np.ndarray, T: float | None = None,
-                       dt: float | None = None, C_edge: float | None = None,
-                       tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
+                       drive: np.ndarray) -> np.ndarray:
     """Backward response to a deviation drive by iterated quadrature.
 
     Solves ``(m/2)Q'' + (m omega^2/2) Q = (1/2) C drive + int_t^T kI Q`` with
-    rest conditions at T, never referencing the dressed response: the bare
-    kernel is applied repeatedly until the history stops changing.  The
-    result must agree with :func:`response_from_twinning` built from
-    :func:`twinning_solve` on the same grid.
+    rest conditions at T, on the grid of ``kI_upstream`` and with the edge
+    coupling ``params.C``, never referencing the dressed response: the bare
+    kernel is applied repeatedly until the history changes by at most 1e-12
+    relative, for at most 400 sweeps.  The result must agree with
+    :func:`response_from_twinning` built from :func:`twinning_solve` on the
+    same grid.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
-    if dt is not None and abs(dt - grid_dt) > 1e-9 * grid_dt:
-        raise ShapeError("dt disagrees with the kernel grid")
-    if T is not None and abs(T - times[-1]) > 1e-9 * max(1.0, abs(T)):
-        raise ShapeError("T disagrees with the kernel grid")
     omega = math.sqrt(params.omega_sq)
     if grid_dt * omega > 0.5:
         raise AccuracyError(
@@ -380,17 +382,15 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     drive = np.asarray(drive, dtype=float)
     if drive.shape != times.shape:
         raise ShapeError("drive must be sampled on the kernel grid")
-    c = params.C if C_edge is None else C_edge
-    lag = times[None, :] - times[:, None]
-    a = np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
-    source = 0.5 * _coupling_on_grid(c, times) * drive
+    a = _bare_matrix(params, times)
+    source = 0.5 * _coupling_on_grid(params.C, times) * drive
     q = _apply(a, source, grid_dt)
-    for _ in range(max_iter):
+    for _ in range(_ODE_MAX_SWEEPS):
         q_new = _apply(a, source + _apply(kI_upstream.values, q, grid_dt),
                        grid_dt)
         delta = np.abs(q_new - q).max()
         q = q_new
-        if delta <= tol * max(1.0, np.abs(q).max()):
+        if delta <= _ODE_TOL * max(1.0, np.abs(q).max()):
             return q
     raise AccuracyError("backward response iteration did not converge; "
                         "reduce the window or the kernel strength")

@@ -25,12 +25,11 @@ single-branch (m-type) value is the n-type value divided by n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, SingularTransformError
-from .model import ModelParams, lambda_star, sqrt_argument
+from .model import ModelParams, _check_lambda, lambda_star, sqrt_argument
 
 #: Relative tolerance used to declare the rational update singular.
 POLE_RTOL = 1e-14
@@ -51,17 +50,13 @@ class CavityKernel:
         Strictly increasing, finite evaluation points.
     values : array
         Real kernel values.
-    message_type : {"n", "m"}
-        Aggregate node-to-node message or single-branch message.
+    flags : bool array or None
+        Grid points where the values are not finite (a pole was hit).
     """
 
     grid: np.ndarray
     values: np.ndarray
-    message_type: str = "n"
     flags: np.ndarray | None = field(default=None, repr=False)
-    # Every kernel here is a Laplace-side dissipation kernel.
-    mode: ClassVar[str] = "laplace"
-    role: ClassVar[str] = "kI"
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -74,8 +69,6 @@ class CavityKernel:
             raise ShapeError("grid must be strictly increasing")
         if self.values.shape != self.grid.shape:
             raise ShapeError("values and grid shapes differ")
-        if self.message_type not in ("n", "m"):
-            raise ShapeError(f"unknown message_type {self.message_type!r}")
         if np.iscomplexobj(self.values) and np.any(self.values.imag != 0):
             raise ShapeError("kernel values must be real")
         self.values = np.real(self.values).astype(float)
@@ -83,9 +76,7 @@ class CavityKernel:
 
 def g0_laplace(params: ModelParams, lam):
     """Twice the bare oscillator response, (2/m)/(lambda^2 + omega^2)."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise DomainError("lambda must be >= 0")
+    lam = _check_lambda(lam)
     out = (2.0 / params.m) / (lam**2 + params.omega_sq)
     return float(out) if out.ndim == 0 else out
 
@@ -208,8 +199,10 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     each step is one :func:`_edge_update`; the iterates are those of
     :func:`uniform_map`, bit for bit.
     """
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    if not tol >= 0:   # nan included
+        raise DomainError(f"tol must be >= 0, got {tol}")
+    if not np.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     g0 = g0_laplace(params, lam)
     c_half = params.C**2 / 2.0
     branches = params.n - 1

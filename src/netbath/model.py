@@ -139,6 +139,14 @@ def lambda_star(params: ModelParams) -> float | None:
     return params.omega0 * math.sqrt(params.C / c_star - 1.0)
 
 
+def _check_lambda(lam) -> np.ndarray:
+    """``lam`` as a float array; DomainError unless every entry is finite and >= 0."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam >= 0) & (lam < np.inf)):   # nan fails both
+        raise DomainError("lambda must be finite and >= 0")
+    return lam
+
+
 def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
     """Whether the uniform kernel fixed point exists at Laplace frequency lam.
 
@@ -146,10 +154,7 @@ def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
     omega^2)^2) >= 0`` directly; the closed-form critical coupling is never
     consulted here.  Accepts scalar or array ``lam >= 0``.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise DomainError("lambda must be >= 0")
-    arg = sqrt_argument(params, lam)
+    arg = sqrt_argument(params, _check_lambda(lam))
     out = arg >= 0.0
     return bool(out) if out.ndim == 0 else out
 

@@ -41,14 +41,12 @@ tree from about 70 to 25 ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import BYTE_CAP, DomainError, InstabilityError, SizeError
+from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams
 from .timedomain import TimeKernel
 from .tree_bp import TreeGraph
@@ -60,16 +58,6 @@ DENSE_LIMIT = 128
 #: N x N float64 arrays alive at once in a dense eigendecomposition: the
 #: adjacency plus LAPACK's copy, eigenvectors and workspace.
 EIGH_ARRAYS = 4
-
-
-@dataclass
-class TreeMatrix:
-    """Sparse symmetric matrix of a tree at a fixed Laplace frequency."""
-
-    matrix: scipy.sparse.csc_matrix
-    root: int
-    diagonal: float
-    offdiagonal: float
 
 
 def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
@@ -93,35 +81,34 @@ def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
 
 
 def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
-    """Yield the :class:`TreeMatrix` at each lambda of ``lambdas``.
+    """Yield the sparse tree matrix (CSC, root = node 0) at each lambda.
 
     The pattern is assembled once; each lambda writes only the diagonal
     entries of a copy of the off-diagonal data.
     """
     adj, diag_pos = _adjacency(tree)
-    off = params.C / math.sqrt(2.0)
-    offdiag = adj.data * -off
+    offdiag = adj.data * -(params.C / math.sqrt(2.0))
     for lam in lambdas:
-        diag = params.m * (lam**2 + params.omega_sq) / 2.0
         data = offdiag.copy()
-        data[diag_pos] = diag
-        mat = scipy.sparse.csc_matrix((data, adj.indices, adj.indptr),
+        data[diag_pos] = params.m * (lam**2 + params.omega_sq) / 2.0
+        yield scipy.sparse.csc_matrix((data, adj.indices, adj.indptr),
                                       shape=adj.shape)
-        yield TreeMatrix(matrix=mat, root=0, diagonal=diag, offdiagonal=off)
 
 
-def tree_matrix(tree: TreeGraph, params: ModelParams, lam: float) -> TreeMatrix:
+def tree_matrix(tree: TreeGraph, params: ModelParams,
+                lam: float) -> scipy.sparse.csc_matrix:
     """Assemble ``(m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A`` for the tree."""
     return next(_tree_matrices(tree, params, (lam,)))
 
 
-def _corner_inverse(tm: TreeMatrix, dense_limit: int = DENSE_LIMIT) -> float:
-    """[M^{-1}]_{root,root} by dense or sparse symmetric solve."""
-    n = tm.matrix.shape[0]
+def _corner_inverse(mat: scipy.sparse.csc_matrix,
+                    dense_limit: int = DENSE_LIMIT) -> float:
+    """[M^{-1}]_{0,0}, the root corner, by dense or sparse symmetric solve."""
+    n = mat.shape[0]
     e = np.zeros(n)
-    e[tm.root] = 1.0
+    e[0] = 1.0
     if n <= dense_limit:
-        dense = tm.matrix.toarray()
+        dense = mat.toarray()
         try:
             cho = scipy.linalg.cho_factor(dense, check_finite=False)
             x = scipy.linalg.cho_solve(cho, e, check_finite=False)
@@ -136,14 +123,14 @@ def _corner_inverse(tm: TreeMatrix, dense_limit: int = DENSE_LIMIT) -> float:
         # MMD orders a tree leaves first with no fill, so every supernode is
         # one column: larger relaxed supernodes and panels only pad.
         try:
-            lu = scipy.sparse.linalg.splu(tm.matrix,
+            lu = scipy.sparse.linalg.splu(mat,
                                           permc_spec="MMD_AT_PLUS_A",
                                           relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise DomainError(f"tree matrix is singular: {exc}") from exc
         x = lu.solve(e)
-    corner = float(x[tm.root])
-    residual = np.abs(tm.matrix @ x - e).max()
+    corner = float(x[0])
+    residual = np.abs(mat @ x - e).max()
     if not math.isfinite(corner) or residual > 1e-8 * (1.0 + np.abs(x).max()):
         raise DomainError(
             f"tree matrix is singular or near-singular (residual {residual:.3g})")
@@ -163,8 +150,8 @@ def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
     Every lambda still gets its own factorisation and residual check.
     """
     matrices = _tree_matrices(tree, params, np.asarray(lambda_grid, dtype=float))
-    return np.array([params.C**2 / 2.0 * _corner_inverse(tm, dense_limit)
-                     for tm in matrices])
+    return np.array([params.C**2 / 2.0 * _corner_inverse(mat, dense_limit)
+                     for mat in matrices])
 
 
 def mode_decomposition(tree: TreeGraph, params: ModelParams):
@@ -179,11 +166,8 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     n = tree.n_nodes
-    need = EIGH_ARRAYS * 8 * n * n
-    if need > BYTE_CAP:
-        raise SizeError(f"dense eigendecomposition of {n} nodes needs about "
-                        f"{need / 2**30:.3g} GiB, cap is "
-                        f"{BYTE_CAP / 2**30:.3g} GiB")
+    _check_bytes(EIGH_ARRAYS * 8 * n * n,
+                 f"dense eigendecomposition of {n} nodes")
     mu, vecs = np.linalg.eigh(_adjacency(tree)[0].toarray())
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
@@ -200,6 +184,5 @@ def oracle_time_kernel(tree: TreeGraph, params: ModelParams, tau_grid) -> TimeKe
     tau_grid = np.asarray(tau_grid, dtype=float)
     omega_b, weights = mode_decomposition(tree, params)
     values = np.sin(np.outer(tau_grid, omega_b)) @ weights
-    return TimeKernel(tau=tau_grid, values=values, method="oracle",
-                      params=params, meta={"n_modes": omega_b.size,
-                                           "message_type": "m"})
+    return TimeKernel(tau=tau_grid, values=values, params=params,
+                      meta={"n_modes": omega_b.size})

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_bytes
 from .laplace import _edge_update, closed_form_fixed_point, g0_laplace
 from .model import ModelParams, fixed_point_exists
 
@@ -124,6 +124,7 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
 
     ``sigma`` adds a Gaussian perturbation (absolute scale) to every sample.
     """
+    _check_bytes(8 * size, f"population pool of {size} samples")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)
     samples = np.full(size, k_branch)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import j0
-from .errors import AccuracyError, DomainError, ShapeError
+from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
 from .laplace import CavityKernel
 from .model import ModelParams
 
@@ -48,13 +48,13 @@ class AccuracyWarning(UserWarning):
 class TimeKernel:
     """A kernel sampled on a uniform tau >= 0 grid.
 
-    ``method`` records which evaluator produced it ("branch-cut", "bessel",
-    "oracle" or "synthetic").
+    ``params``, when given, lets :func:`forward_laplace` check the step
+    against the band; ``meta`` carries evaluator details such as the node
+    count.
     """
 
     tau: np.ndarray
     values: np.ndarray
-    method: str
     params: ModelParams | None = None
     meta: dict = field(default_factory=dict, repr=False)
 
@@ -116,7 +116,7 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
     tau_grid = np.asarray(tau_grid, dtype=float)
     if params.C == 0:
         return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          method="branch-cut", params=params)
+                          params=params)
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
@@ -128,18 +128,21 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
             f"quad_order={quad_order} below recommended {rule} for "
             f"tau_max*lambda_pp={tau_max * params.lambda_pp:.3g}",
             AccuracyWarning, stacklevel=2)
+    # the phase matrix and its sine
+    _check_bytes(2 * 8 * tau_grid.size * quad_order,
+                 f"branch-cut quadrature of {tau_grid.size} x {quad_order} points")
     x, coeff = _band_nodes(params, quad_order)
     phases = params.lambda_pp * np.outer(tau_grid, x)
     values = np.sin(phases) @ coeff
-    return TimeKernel(tau=tau_grid, values=values, method="branch-cut",
-                      params=params, meta={"quad_order": quad_order})
+    return TimeKernel(tau=tau_grid, values=values, params=params,
+                      meta={"quad_order": quad_order})
 
 
-def branch_cut_envelope(params: ModelParams, quad_order: int = 256) -> float:
-    """Amplitude bound Lambda * integral_q^1 sqrt((x^2-q^2)(1-x^2)) dx."""
+def branch_cut_envelope(params: ModelParams) -> float:
+    """Amplitude bound Lambda * integral_q^1 sqrt((x^2-q^2)(1-x^2)) dx (256 nodes)."""
     if params.C == 0:
         return 0.0
-    _, coeff = _band_nodes(params, quad_order)
+    _, coeff = _band_nodes(params, 256)
     return float(np.sum(coeff))
 
 
@@ -166,8 +169,7 @@ def spectral_density(params: ModelParams, omega_grid):
     return out
 
 
-def spectral_density_sine_transform(params: ModelParams, tau_grid,
-                                    quad_order: int | None = None) -> TimeKernel:
+def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel:
     """Integrate J(w) sin(w tau) dw over the band with the same node rule.
 
     Uses the substitution w = lambda_pp * x and evaluates J through
@@ -178,10 +180,9 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if params.C == 0:
         return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          method="synthetic", params=params)
+                          params=params)
     tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
-    if quad_order is None:
-        quad_order = recommended_quad_order(params, tau_max) + 40
+    quad_order = recommended_quad_order(params, tau_max) + 40
     x, _ = _band_nodes(params, quad_order)
     # Rebuild the quadrature weights for sqrt(s(1-s)) and change variables
     # w = lambda_pp x; J carries the square-root factors.
@@ -195,8 +196,7 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid,
     coeff = 0.25 * w_cheb * jvals * params.lambda_pp * (1.0 - q2) / (2.0 * x) \
         * (1.0 - q2) / np.sqrt((x**2 - q2) * (1.0 - x**2))
     values = np.sin(params.lambda_pp * np.outer(tau_grid, x)) @ coeff
-    return TimeKernel(tau=tau_grid, values=values, method="synthetic",
-                      params=params)
+    return TimeKernel(tau=tau_grid, values=values, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +232,31 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
     return delta[m, n - 1, :]
 
 
-def bessel_convolution(params: ModelParams, t_grid, gl_nodes: int | None = None) -> np.ndarray:
+def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
+    """Gauss-Legendre node count for the convolution on n_points up to t_max.
+
+    The count follows the total phase (w1 + w2) t_max.  Refuses, before
+    allocating, a (t x node) matrix or node-finding companion matrix past the
+    cap.
+    """
+    nodes = int(math.ceil(0.55 * (params.lambda_pm + params.lambda_pp)
+                          * t_max)) + 50
+    _check_bytes(8 * nodes * max(n_points, nodes),
+                 f"Bessel convolution of {n_points} x {nodes} points")
+    return nodes
+
+
+def bessel_convolution(params: ModelParams, t_grid) -> np.ndarray:
     """f(t) = integral_0^t J0(w1 u) J0(w2 (t-u)) du by Gauss-Legendre panels.
 
-    One fixed node set scaled to each t keeps the evaluation vectorized;
-    node count follows the total phase (w1 + w2) t_max.
+    One fixed node set scaled to each t keeps the evaluation vectorized.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     w1 = params.lambda_pm
     w2 = params.lambda_pp
     t_max = float(np.max(t_grid)) if t_grid.size else 0.0
-    if gl_nodes is None:
-        gl_nodes = int(math.ceil(0.55 * (w1 + w2) * t_max)) + 50
-    xi, wq = np.polynomial.legendre.leggauss(gl_nodes)
+    xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(params, t_grid.size,
+                                                       t_max))
     half = t_grid[:, None] / 2.0
     u = half * (xi[None, :] + 1.0)
     f = (j0(w1 * u) * j0(w2 * (t_grid[:, None] - u))) @ wq
@@ -263,7 +275,7 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if params.C == 0:
         return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          method="bessel", params=params)
+                          params=params)
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     limit = 1.0 / (20.0 * params.lambda_pp)
@@ -284,6 +296,7 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
                          "multiple of the fine step)")
     margin = 4
     n_fine = int(round((tau_grid[-1] - 0.0) / h)) + 1 + margin
+    _gl_nodes(params, n_fine, h * (n_fine - 1))   # refuse before allocating
     t_fine = h * np.arange(n_fine)
     f = bessel_convolution(params, t_fine)
 
@@ -312,8 +325,8 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
     a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
     w_sq = params.omega_sq
     values = params.m / 4.0 * (a4 * f0 - f4 - 2.0 * w_sq * f2 - w_sq**2 * f0)
-    return TimeKernel(tau=tau_grid, values=values, method="bessel",
-                      params=params, meta={"fine_step": h})
+    return TimeKernel(tau=tau_grid, values=values, params=params,
+                      meta={"fine_step": h})
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +377,13 @@ def _composite_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
-def forward_laplace(tk: TimeKernel, lambda_grid, window_T: float | None = None) -> ForwardLaplaceResult:
+def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
     """Numerically transform a sampled time kernel back to the Laplace side.
 
     Composite high-order quadrature of ``integral_0^T exp(-lambda tau) k(tau)
-    dtau``; the reported truncation bound is ``max|k| * exp(-lambda T) /
-    lambda``.  Warns when ``lambda*T < 20`` (truncation-dominated).
+    dtau`` over the whole sampled range, T = ``tk.tau[-1]``; the reported
+    truncation bound is ``max|k| * exp(-lambda T) / lambda``.  Warns when
+    ``lambda*T < 20`` (truncation-dominated).
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if np.any(lambda_grid <= 0):
@@ -383,12 +397,6 @@ def forward_laplace(tk: TimeKernel, lambda_grid, window_T: float | None = None) 
                 f"step={tk.step:.3g} coarser than 1/(20*lambda_pp)={limit:.3g}")
     tau = tk.tau
     values = tk.values
-    if window_T is not None:
-        if window_T > tau[-1] * (1.0 + 1e-12):
-            raise ShapeError("window_T exceeds the sampled range")
-        n_keep = int(round(window_T / tk.step)) + 1 if tk.step > 0 else tau.size
-        tau = tau[:n_keep]
-        values = values[:n_keep]
     T = tau[-1]
     w = _composite_weights(tau.size, tk.step)
     damped = np.exp(-np.outer(lambda_grid, tau))
@@ -400,7 +408,7 @@ def forward_laplace(tk: TimeKernel, lambda_grid, window_T: float | None = None) 
         warnings.warn("lambda*T < 20 for some grid points; transform is "
                       "truncation-dominated there", AccuracyWarning,
                       stacklevel=2)
-    kern = CavityKernel(grid=lambda_grid, values=out,
-                        message_type=tk.meta.get("message_type", "n"))
-    return ForwardLaplaceResult(kernel=kern, truncation_bound=bound,
+    return ForwardLaplaceResult(kernel=CavityKernel(grid=lambda_grid,
+                                                    values=out),
+                                truncation_bound=bound,
                                 truncation_dominated=dominated)

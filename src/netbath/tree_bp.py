@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .laplace import (CavityKernel, _edge_update, closed_form_fixed_point,
-                      g0_laplace, uniform_map)
+                      g0_laplace, map_orbit)
 from .model import ModelParams, derive_params, fixed_point_exists
 
-#: Refuse to build trees larger than this (2**20 nodes) by default.
+#: Refuse to build trees larger than this (2**20 nodes).
 NODE_CAP = 1 << 20
 
 
@@ -34,13 +34,12 @@ class TreeGraph:
     """Rooted tree with breadth-first node numbering (root = 0).
 
     ``parent[v]`` is -1 for the root; ``levels[k]`` lists the node ids at
-    depth k.
+    depth k.  These two fields are all a sweep reads, so an irregular tree
+    needs nothing else.
     """
 
     parent: np.ndarray
     levels: list[np.ndarray]
-    branching: int
-    depth: int
 
     def __post_init__(self):
         self.parent = np.asarray(self.parent, dtype=np.int64)
@@ -50,7 +49,7 @@ class TreeGraph:
         return self.parent.size
 
 
-def build_tree(branching: int, depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
+def build_tree(branching: int, depth: int) -> TreeGraph:
     """Regular rooted tree: every node down to level depth-1 has ``branching`` children."""
     if branching < 1:
         raise DomainError(f"branching must be >= 1, got {branching}")
@@ -60,8 +59,8 @@ def build_tree(branching: int, depth: int, node_cap: int = NODE_CAP) -> TreeGrap
         n_nodes = depth + 1
     else:
         n_nodes = (branching ** (depth + 1) - 1) // (branching - 1)
-    if n_nodes > node_cap:
-        raise SizeError(f"tree would have {n_nodes} nodes, cap is {node_cap}")
+    if n_nodes > NODE_CAP:
+        raise SizeError(f"tree would have {n_nodes} nodes, cap is {NODE_CAP}")
     parent = np.full(n_nodes, -1, dtype=np.int64)
     levels = [np.array([0], dtype=np.int64)]
     next_id = 1
@@ -72,13 +71,12 @@ def build_tree(branching: int, depth: int, node_cap: int = NODE_CAP) -> TreeGrap
         parent[ids] = np.repeat(prev, branching)
         levels.append(ids)
         next_id += count
-    return TreeGraph(parent=parent, levels=levels, branching=branching,
-                     depth=depth)
+    return TreeGraph(parent=parent, levels=levels)
 
 
-def build_chain(depth: int, node_cap: int = NODE_CAP) -> TreeGraph:
+def build_chain(depth: int) -> TreeGraph:
     """Chain of depth edges (depth+1 nodes), root at one end."""
-    return build_tree(1, depth, node_cap=node_cap)
+    return build_tree(1, depth)
 
 
 def _upward_messages(tree: TreeGraph, params: ModelParams,
@@ -151,7 +149,7 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     total = agg[node] + _downward_messages(tree, params, lambda_grid, up, agg,
                                            node)
     flags = ~np.isfinite(total)
-    return CavityKernel(grid=lambda_grid, values=total, message_type="n",
+    return CavityKernel(grid=lambda_grid, values=total,
                         flags=flags if flags.any() else None)
 
 
@@ -160,9 +158,10 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     """Residuals |k^(d) - k*| of the root aggregate over depth d = 0..max_depth.
 
     The regular-tree root aggregate at depth d equals the d-th iterate of the
-    uniform map with degree branching+1 starting from zero, so the residual
-    sequence is computed from the scalar recursion directly.  Requires the
-    fixed point to exist at ``lam``.
+    uniform map with degree branching+1 starting from zero, so the residuals
+    are those of the :func:`~netbath.laplace.map_orbit` orbit, run with zero
+    tolerance and, once it settles exactly, held at its last iterate.
+    Requires the fixed point to exist at ``lam``.
     """
     n = branching + 1
     params_n = params if params.n == n else derive_params(
@@ -170,11 +169,6 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     if not fixed_point_exists(params_n, lam):
         raise DomainError("no fixed point at this lambda; depth convergence "
                           "is undefined")
-    k_star = closed_form_fixed_point(params_n, lam)
-    residuals = np.empty(max_depth + 1)
-    k = 0.0
-    residuals[0] = abs(k - k_star)
-    for d in range(1, max_depth + 1):
-        k = uniform_map(k, params_n, lam)
-        residuals[d] = abs(k - k_star)
-    return residuals
+    orbit = map_orbit(params_n, lam, steps=max_depth, tol=0.0).orbit
+    orbit = np.pad(orbit, (0, max_depth + 1 - orbit.size), mode="edge")
+    return np.abs(orbit - closed_form_fixed_point(params_n, lam))

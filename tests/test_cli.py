@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,20 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("fixed-point --max-iter -1", 2, "config"),
     ("phase --lambda-count 0", 2, "config"),
     ("finite-time --T 0.0001", 2, "shape"),
+    # non-finite values, refused where each is checked
+    ("finite-time --T nan", 2, "shape"),
+    ("finite-time --T inf", 2, "shape"),
+    ("finite-time --beta nan", 3, "domain"),
+    ("orbit --lam nan", 3, "domain"),
+    ("tree --lam inf", 3, "domain"),
+    ("fixed-point --tol nan", 3, "domain"),
+    ("orbit --x0 nan", 3, "domain"),
+    # oversized requests, refused before allocating
+    (f"kernel --tau-count {10**11}", 2, "size"),
+    ("kernel --method bessel --tau-max 1e9", 2, "size"),
+    (f"population --pool-size {10**11}", 2, "size"),
+    # an infinite beta is the ground state
+    ("finite-time --beta inf --T 0.5", 0, None),
     ("tree", 0, None),
     ("population", 0, None),
     ("finite-time", 0, None),
@@ -253,6 +268,23 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
         assert err.startswith(f"ERROR {label}:") and not out.exists()
     else:
         assert "ERROR" not in err and out.read_text()
+
+
+def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
+    # each would need hundreds of GiB: a grid, the Bessel convolution's
+    # (t x node) matrix, a population pool
+    out = str(tmp_path / "x.csv")
+    tracemalloc.start()
+    try:
+        for line in (f"kernel --tau-count {10**11}",
+                     "kernel --method bessel --tau-max 1e9",
+                     f"population --pool-size {10**11}"):
+            assert run_cli(shlex.split(line) + ["--output", out]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err.count("ERROR size:") == 3
 
 
 def test_shape_and_instability_exit_codes(tmp_path, capsys):

@@ -272,13 +272,8 @@ def test_cavity_kernel_validation():
         CavityKernel(grid=np.array([1.0, np.inf]), values=np.zeros(2))
     with pytest.raises(ShapeError):
         CavityKernel(grid=np.array([1.0, 2.0]), values=np.array([1j, 0j]))
-    with pytest.raises(ShapeError):
-        CavityKernel(grid=np.array([1.0, 2.0]), values=np.zeros(2),
-                     message_type="x")
     kern = CavityKernel(grid=np.array([1.0, 2.0]),
-                        values=np.array([1 + 0j, 2 + 0j]), message_type="m")
-    assert kern.values.dtype == float and kern.message_type == "m"
-    # every kernel is a Laplace-side dissipation kernel: constants, not fields
-    assert (kern.mode, kern.role) == ("laplace", "kI")
+                        values=np.array([1 + 0j, 2 + 0j]))
+    assert kern.values.dtype == float
     with pytest.raises(TypeError):
         CavityKernel(grid=np.array([1.0]), values=np.zeros(1), mode="fourier")

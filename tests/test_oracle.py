@@ -10,8 +10,7 @@ import scipy.sparse
 import netbath as nb
 import netbath.oracle
 from netbath.errors import DomainError, SizeError
-from netbath.oracle import DENSE_LIMIT, TreeMatrix, _corner_inverse, \
-    tree_matrix
+from netbath.oracle import DENSE_LIMIT, _corner_inverse, tree_matrix
 from netbath.tree_bp import TreeGraph
 
 
@@ -21,8 +20,7 @@ def _irregular_tree():
     levels = [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11], [12], [13, 14],
               [15]]
     return TreeGraph(parent=np.array(parent),
-                     levels=[np.array(lv) for lv in levels], branching=0,
-                     depth=len(levels) - 1)
+                     levels=[np.array(lv) for lv in levels])
 
 
 def _loop_adjacency(tree):
@@ -126,8 +124,7 @@ def test_finite_size_error_decreases(ordered_chain):
 
 
 def test_corner_inverse_residual_guard(ordered_chain):
-    tm = tree_matrix(nb.build_chain(5), ordered_chain, 1.0)
-    val = _corner_inverse(tm)
+    val = _corner_inverse(tree_matrix(nb.build_chain(5), ordered_chain, 1.0))
     assert math.isfinite(val) and val > 0.0
 
 
@@ -148,7 +145,7 @@ def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
     # on all three trees: Cholesky fails over to the symmetric solve, and
     # sparse LU pivots
     p = nb.derive_params(2, 1.0, 2.5, 1.0)
-    eig = np.linalg.eigvalsh(tree_matrix(tree, p, 0.5).matrix.toarray())
+    eig = np.linalg.eigvalsh(tree_matrix(tree, p, 0.5).toarray())
     assert eig.min() < 0.0 < eig.max() and np.abs(eig).min() > 1e-3
     dense = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=4096)
     sparse = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=0)
@@ -163,13 +160,10 @@ def test_corner_inverse_refuses_singular_matrix(ordered_chain, dense_limit,
     # a 3-node chain with zero diagonal has eigenvalue 0: an exactly singular
     # factor; with a subnormal diagonal the solve overflows instead, and the
     # residual guard refuses it
-    tm = tree_matrix(nb.build_chain(2), ordered_chain, 1.0)
-    mat = tm.matrix.copy()
+    mat = tree_matrix(nb.build_chain(2), ordered_chain, 1.0)
     mat.setdiag(diagonal)
-    singular = TreeMatrix(matrix=mat, root=0, diagonal=diagonal,
-                          offdiagonal=tm.offdiagonal)
     with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(singular, dense_limit)
+        _corner_inverse(mat, dense_limit)
 
 
 def test_oracle_imports_nothing_of_the_recursion():
@@ -194,15 +188,15 @@ def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
                          (nb.build_tree(3, 3), narrow_band),
                          (nb.build_chain(0), ordered_chain)):
         for lam in (0.3, 2.0):
-            tm = tree_matrix(tree, params, lam)
-            assert isinstance(tm.matrix, scipy.sparse.csc_matrix)
-            assert tm.matrix.has_sorted_indices
+            mat = tree_matrix(tree, params, lam)
+            assert isinstance(mat, scipy.sparse.csc_matrix)
+            assert mat.has_sorted_indices
             diag = params.m * (lam**2 + params.omega_sq) / 2.0
             expect = (np.eye(tree.n_nodes) * diag
                       - params.C / math.sqrt(2.0) * _loop_adjacency(tree))
-            assert np.array_equal(tm.matrix.toarray(), expect)
+            assert np.array_equal(mat.toarray(), expect)
             # the diagonal is stored, so every node has an entry of its own
-            assert tm.matrix.nnz == tree.n_nodes + 2 * (tree.n_nodes - 1)
+            assert mat.nnz == tree.n_nodes + 2 * (tree.n_nodes - 1)
 
 
 def test_grid_equals_pointwise_on_both_sides_of_dense_limit(ordered_chain,

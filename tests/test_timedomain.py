@@ -152,13 +152,12 @@ def test_forward_laplace_linearity_and_zero(wide_band):
     tau = np.linspace(0.0, 2.0, 2001)
     tk = nb.branch_cut_kernel(wide_band, tau)
     lam = np.array([25.0, 40.0])    # lambda*T = 50, 80: no truncation warning
-    base = nb.forward_laplace(TimeKernel(tau=tau, values=tk.values,
-                                         method="synthetic"), lam)
-    scaled = nb.forward_laplace(TimeKernel(tau=tau, values=3.5 * tk.values,
-                                           method="synthetic"), lam)
+    base = nb.forward_laplace(TimeKernel(tau=tau, values=tk.values), lam)
+    scaled = nb.forward_laplace(TimeKernel(tau=tau, values=3.5 * tk.values),
+                                lam)
     assert np.allclose(scaled.kernel.values, 3.5 * base.kernel.values,
                        rtol=1e-13)
-    zero = TimeKernel(tau=tau, values=np.zeros_like(tau), method="synthetic")
+    zero = TimeKernel(tau=tau, values=np.zeros_like(tau))
     out = nb.forward_laplace(zero, lam)
     assert np.all(out.kernel.values == 0.0)
     with pytest.warns(AccuracyWarning):
@@ -167,26 +166,21 @@ def test_forward_laplace_linearity_and_zero(wide_band):
 
 def test_forward_laplace_guards(wide_band):
     tau = np.linspace(0.0, 1.0, 11)   # far coarser than 1/(20 lambda_pp)
-    tk = TimeKernel(tau=tau, values=np.zeros_like(tau), method="synthetic",
-                    params=wide_band)
+    tk = TimeKernel(tau=tau, values=np.zeros_like(tau), params=wide_band)
     with pytest.raises(AccuracyError):
         nb.forward_laplace(tk, np.array([50.0]))
-    shifted = TimeKernel(tau=tau + 1.0, values=np.zeros_like(tau),
-                         method="synthetic")
+    shifted = TimeKernel(tau=tau + 1.0, values=np.zeros_like(tau))
     with pytest.raises(ShapeError):
         nb.forward_laplace(shifted, np.array([50.0]))
     with pytest.raises(DomainError):
-        nb.forward_laplace(TimeKernel(tau=tau, values=np.zeros_like(tau),
-                                      method="synthetic"), np.array([0.0]))
+        nb.forward_laplace(TimeKernel(tau=tau, values=np.zeros_like(tau)),
+                           np.array([0.0]))
 
 
 def test_time_kernel_validation():
     with pytest.raises(ShapeError):
-        TimeKernel(tau=np.array([0.0, 0.1, 0.3]), values=np.zeros(3),
-                   method="synthetic")
+        TimeKernel(tau=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
     with pytest.raises(ShapeError):
-        TimeKernel(tau=np.array([-0.1, 0.0]), values=np.zeros(2),
-                   method="synthetic")
+        TimeKernel(tau=np.array([-0.1, 0.0]), values=np.zeros(2))
     with pytest.raises(ShapeError):
-        TimeKernel(tau=np.array([0.0, 0.1]), values=np.array([0.0, np.inf]),
-                   method="synthetic")
+        TimeKernel(tau=np.array([0.0, 0.1]), values=np.array([0.0, np.inf]))

@@ -45,8 +45,7 @@ def _random_tree(n_nodes, seed):
         depth[v] = depth[parent[v]] + 1
     levels = [rng.permutation(np.flatnonzero(depth == d))
               for d in range(depth.max() + 1)]
-    return nb.TreeGraph(parent=parent, levels=levels, branching=0,
-                        depth=int(depth.max()))
+    return nb.TreeGraph(parent=parent, levels=levels)
 
 
 def test_build_shapes():
@@ -105,8 +104,7 @@ def test_sweep_sibling_permutation_invariance(narrow_band):
     # rebuild with reversed level internals by relabeling children
     parent = t1.parent.copy()
     out2 = nb.root_output_message(
-        nb.TreeGraph(parent=parent, levels=[lvl[::-1] for lvl in t1.levels],
-                     branching=t1.branching, depth=t1.depth),
+        nb.TreeGraph(parent=parent, levels=[lvl[::-1] for lvl in t1.levels]),
         narrow_band, grid)
     assert np.array_equal(out1, out2)
 
@@ -120,7 +118,6 @@ def test_output_environment_interior_limit(narrow_band):
     k_star = nb.closed_form_fixed_point(narrow_band, grid)
     expect = narrow_band.n / (narrow_band.n - 1) * k_star
     assert np.allclose(env.values, expect, rtol=1e-8)
-    assert env.message_type == "n"
 
 
 def test_output_environment_boundary_cases(narrow_band):
@@ -155,8 +152,7 @@ def test_pole_inside_tree_gives_nan():
     p = nb.derive_params(2, 1.0, 1.0, 1.0)
     parent = np.array([-1, 0] + [1] * 8)
     tree = nb.TreeGraph(parent=parent,
-                        levels=[np.array([0]), np.array([1]), np.arange(2, 10)],
-                        branching=8, depth=2)
+                        levels=[np.array([0]), np.array([1]), np.arange(2, 10)])
     grid = np.array([0.5, 1.0, 2.0])
     assert nb.g0_laplace(p, 1.0) == 0.5
     root = nb.root_output_message(tree, p, grid)
@@ -193,6 +189,39 @@ def test_depth_convergence_geometric(narrow_band, ordered_chain):
     ratios = res2[6:15] / res2[5:14]
     assert np.all(ratios < 1.0)
     assert np.ptp(ratios) < 1e-3
+
+
+def _depth_convergence_reference(params, branching, max_depth, lam):
+    """The scalar loop ``depth_convergence`` ran before it read ``map_orbit``."""
+    n = branching + 1
+    params_n = params if params.n == n else nb.derive_params(
+        n, params.omega0, params.C, params.m)
+    k_star = nb.closed_form_fixed_point(params_n, lam)
+    residuals = np.empty(max_depth + 1)
+    k = 0.0
+    residuals[0] = abs(k - k_star)
+    for d in range(1, max_depth + 1):
+        k = nb.uniform_map(k, params_n, lam)
+        residuals[d] = abs(k - k_star)
+    return residuals
+
+
+@pytest.mark.parametrize("params, branching, max_depth, lam, settles", [
+    # the orbit stops moving long before max_depth: the padding is used
+    (nb.derive_params(5, 10.0, 1.0, 0.5), 4, 200, 1.0, True),
+    # a line near C* settles only after 270 steps: still moving at max_depth
+    (nb.derive_params(2, 1.0, 1.2, 1.0), 1, 200, 0.01, False),
+    # the README line: tree --branching 4 --depth 40 --lam 1.0
+    (nb.derive_params(5, 10.0, 1.0, 0.5), 4, 40, 1.0, None),
+], ids=["settles", "moving", "readme"])
+def test_depth_convergence_matches_scalar_loop(params, branching, max_depth,
+                                               lam, settles):
+    res = nb.depth_convergence(params, branching, max_depth, lam)
+    ref = _depth_convergence_reference(params, branching, max_depth, lam)
+    assert np.array_equal(res, ref)
+    orbit = nb.map_orbit(params, lam, steps=max_depth, tol=0.0).orbit
+    if settles is not None:
+        assert (orbit.size <= max_depth) == settles
 
 
 def test_depth_convergence_requires_fixed_point():
