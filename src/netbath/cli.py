@@ -326,16 +326,17 @@ def cmd_kernel(cfg, method: str):
     params = _params(cfg)
     tau = _grid(cfg["tau_grid"], "tau_grid")
     num = cfg["numerics"]
+    meta = {"method": method}
     if method == "branch-cut":
         tk = branch_cut_kernel(params, tau, quad_order=num["quad_order"])
     elif method == "bessel":
         tk = bessel_kernel(params, tau, fine_step=num["dt"])
     elif method == "oracle":
-        tree = build_tree(int(num["branching"]), int(num["depth"]))
-        tk = oracle_time_kernel(tree, params, tau)
+        shape = {"branching": int(num["branching"]), "depth": int(num["depth"])}
+        tk = oracle_time_kernel(build_tree(**shape), params, tau)
+        meta.update(shape, n_modes=tk.meta["n_modes"])
     else:
         raise ConfigError(f"unknown kernel method {method!r}")
-    meta = {"method": method}
     _maybe_plot(cfg, tau, [tk.values], [f"k ({method})"], "time-domain kernel")
     return write_table(("tau", "k"), list(zip(tau, tk.values)), meta, cfg)
 

@@ -7,7 +7,8 @@ AccuracyError -> 4.
 
 #: Refuse, with SizeError and before allocating, any dense structure whose
 #: arrays would need more than this many bytes (2 GiB): time windows, grids,
-#: quadrature matrices, population pools and dense eigendecompositions.
+#: quadrature matrices, population pools with their sweeps and the oracle's
+#: Lanczos basis.
 BYTE_CAP = 2 << 30
 
 

@@ -12,9 +12,23 @@ code with the message-passing module:
 
     kernel(lambda) = (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
-The lambda dependence sits entirely on the diagonal, so one eigenpair
-decomposition of the adjacency structure yields the exact mode frequencies
-and weights of the finite network, and with them the time-domain kernel.
+The lambda dependence sits entirely on the diagonal, so the spectral measure
+of the adjacency seen from the root gives the exact mode frequencies and
+weights of the finite network, and with them the time-domain kernel.  That
+measure is the one of a Jacobi (tridiagonal) matrix, which Lanczos from the
+root vector builds on the sparse adjacency (the Haydock-Heine-Kelly
+recursion, J. Phys. C 5, 2845 (1972)); its eigenvalues and first eigenvector
+components are the Gauss nodes and weights (Golub & Welsch, Math. Comp. 23,
+221 (1969)).  Only modes the root sees come out, a degenerate eigenvalue once
+with its summed weight: depth+1 modes on a regular tree of any size, where a
+dense eigendecomposition of the N x N adjacency returns N, most of zero
+weight.  Lanczos stops at breakdown, a new coefficient below BREAKDOWN_TOL of
+the largest, or at the number of node classes under the automorphisms that
+fix the root, which bounds the dimension of the root's Krylov space and
+sizes the basis before it is allocated.  A tree is connected and bipartite,
+so by Perron-Frobenius the extreme adjacency eigenvalues +-rho(A) have
+eigenvectors with no zero entry: the root sees them, and the extreme mode
+frequencies it returns are those of the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
@@ -55,9 +69,10 @@ from .tree_bp import TreeGraph
 #: above the measured crossover of about 85-100 nodes.
 DENSE_LIMIT = 128
 
-#: N x N float64 arrays alive at once in a dense eigendecomposition: the
-#: adjacency plus LAPACK's copy, eigenvectors and workspace.
-EIGH_ARRAYS = 4
+#: Lanczos breakdown: a new coefficient below this fraction of the largest
+#: one.  What a smaller one would couple to the root carries weight of its
+#: square, below rounding in any kernel.
+BREAKDOWN_TOL = 1e-8
 
 
 def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
@@ -154,21 +169,109 @@ def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
                      for mat in matrices])
 
 
-def mode_decomposition(tree: TreeGraph, params: ModelParams):
-    """Mode frequencies and root weights of the finite network.
+def _root_classes(parent: np.ndarray) -> int:
+    """Node classes of a tree under the automorphisms that fix the root.
 
-    Adjacency eigenpairs (mu_b, v_b) give ``Omega_b^2 = omega^2 - sqrt(2) C
-    mu_b / m`` and ``w_b = (C^2/m) v_{root,b}^2 / Omega_b``; the exact kernel
-    is then ``k(tau) = sum_b w_b sin(Omega_b tau)``.  Returns (Omega, w)
-    sorted by frequency.  Raises :class:`SizeError`, before allocating, when
-    the dense eigendecomposition would need more than ``BYTE_CAP`` bytes.
+    Nodes are numbered breadth-first, so every child follows its parent.
+    Bottom-up, each inner node gets the id of its subtree's shape: its count
+    of leaf children and the sorted shapes of the others.  Top-down, its
+    class is the pair (class of its parent, its shape), and the leaves under
+    one class form one class.  The root's Krylov space lies in the span of
+    the class indicators, so the count bounds its dimension: depth+1 on a
+    regular tree, N on a chain.
+    """
+    n_kids = np.bincount(parent[1:], minlength=parent.size)
+    leaf_kids = np.bincount(parent[1:][n_kids[1:] == 0],
+                            minlength=parent.size).tolist()
+    inner = np.flatnonzero(n_kids).tolist()
+    par = parent.tolist()
+    kids = {v: [] for v in inner}
+    shape, shapes = {}, {}
+    for v in reversed(inner[1:]):
+        key = (leaf_kids[v], tuple(sorted(kids[v])))
+        shape[v] = shapes.setdefault(key, len(shapes))
+        kids[par[v]].append(shape[v])
+    cls, classes = {0: 0}, {}
+    for v in inner[1:]:
+        cls[v] = classes.setdefault((cls[par[v]], shape[v]), len(classes) + 1)
+    return 1 + len(classes) + len({cls[v] for v in inner if leaf_kids[v]})
+
+
+def _lanczos(adj: scipy.sparse.csc_matrix, k_max: int) -> np.ndarray:
+    """Off-diagonal of the Jacobi matrix of a tree adjacency seen from e_0.
+
+    A tree is bipartite, so q_j lives on the nodes whose depth has the parity
+    of j: every diagonal entry q_j . A q_j is exactly 0, and vectors of
+    opposite parity are exactly orthogonal.  Each step runs the three-term
+    recurrence, then reorthogonalises in full against the vectors of its own
+    parity: one classical Gram-Schmidt pass, and a second only when the
+    first cut the norm below 1/sqrt(2) of its value.  Under breadth-first
+    numbering the vectors so far are zero past the nodes they reach, one
+    level further per step, so that work runs over those nodes, not all N.
+    It stops at breakdown, when the new coefficient falls below
+    ``BREAKDOWN_TOL`` times the largest norm seen, or after ``k_max``
+    vectors, a bound on the dimension of the root's Krylov space.
+    """
+    n = adj.shape[0]
+    # basis[j % 2, j // 2] is q_j, so each parity's vectors are contiguous.
+    basis = np.zeros((2, (k_max + 1) // 2, n))
+    basis[0, 0, 0] = 1.0
+    beta = np.empty(k_max)
+    # Nodes reached from the first c: with sorted indices and a stored
+    # diagonal, a column's last index is its largest row.
+    reach_after = (np.maximum.accumulate(adj.indices[adj.indptr[1:] - 1])
+                   + 1).tolist()
+    reach, scale = 1, 0.0
+    for j in range(k_max):
+        w = adj @ basis[j % 2, j // 2]
+        reach = reach_after[reach - 1]
+        q, v = basis[(j + 1) % 2, :(j + 1) // 2, :reach], w[:reach]
+        if j:
+            v -= beta[j - 1] * q[-1]
+        before = math.sqrt(v @ v)
+        scale = max(scale, before)
+        v -= (q @ v) @ q
+        after = math.sqrt(v @ v)
+        if after < before / math.sqrt(2.0):
+            v -= (q @ v) @ q
+            after = math.sqrt(v @ v)
+        if j + 1 == k_max or after <= BREAKDOWN_TOL * scale:
+            return beta[:j]
+        beta[j] = after
+        basis[(j + 1) % 2, (j + 1) // 2, :reach] = v / after
+
+
+def mode_decomposition(tree: TreeGraph, params: ModelParams):
+    """Frequencies and root weights of the modes the root of the tree sees.
+
+    The eigenpairs (mu_j, s_j) of the root's Jacobi matrix give ``Omega_j^2 =
+    omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 / Omega_j``;
+    the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j tau)``.
+    Degenerate modes come out merged, and by the Perron argument of the
+    module docstring the extreme Omega are those of the whole network.  On an
+    irregular tree rounding can carry Lanczos past a breakdown; the modes it
+    then adds are adjacency eigenvalues of root weight at the rounding level,
+    so they move no kernel value.  Returns (Omega, w) sorted by frequency.
+    Raises :class:`InstabilityError` when some Omega^2 <= 0, and
+    :class:`SizeError`, before the Lanczos basis is allocated, when it would
+    need more than ``BYTE_CAP`` bytes.
     """
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
     n = tree.n_nodes
-    _check_bytes(EIGH_ARRAYS * 8 * n * n,
-                 f"dense eigendecomposition of {n} nodes")
-    mu, vecs = np.linalg.eigh(_adjacency(tree)[0].toarray())
+    chain = np.array_equal(tree.parent[1:], np.arange(n - 1))
+
+    def check_basis(k):
+        _check_bytes(8 * n * (k + 1), f"{k} Krylov vectors on {n} nodes")
+
+    # The root's Krylov space reaches one level deeper per step, so it has at
+    # least depth+1 dimensions: a free refusal before classes are counted.
+    check_basis(len(tree.levels))
+    k_max = n if chain else _root_classes(tree.parent)
+    check_basis(k_max)
+    # A chain numbered from its root end is its own Jacobi matrix.
+    beta = np.ones(n - 1) if chain else _lanczos(_adjacency(tree)[0], k_max)
+    mu, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(beta.size + 1), beta)
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(

@@ -82,16 +82,23 @@ class DisorderSpec:
             return np.where(rng.random(size) < p, a, b)
         raise ShapeError(f"unknown coupling disorder {kind!r}")
 
-    def draw_degree(self, rng: np.random.Generator, default: int, size: int):
-        """``size`` node degrees; a scalar int when the law is constant."""
+    def _degrees(self, default: int):
+        """(degrees the law can draw, probability of the first)."""
         kind = self.degree[0]
         if kind == "constant":
             k = self.degree[1]
-            return default if k is None else int(k)
+            return (default if k is None else int(k),), 1.0
         if kind == "two_point":
             k1, k2, p = self.degree[1:]
-            return np.where(rng.random(size) < p, int(k1), int(k2))
+            return (int(k1), int(k2)), p
         raise ShapeError(f"unknown degree disorder {kind!r}")
+
+    def draw_degree(self, rng: np.random.Generator, default: int, size: int):
+        """``size`` node degrees; a scalar int when the law is constant."""
+        degrees, p = self._degrees(default)
+        if len(degrees) == 1:
+            return degrees[0]
+        return np.where(rng.random(size) < p, *degrees)
 
 
 @dataclass
@@ -123,15 +130,25 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     """Pool initialized at the single-branch fixed point k*/(n-1).
 
     ``sigma`` adds a Gaussian perturbation (absolute scale) to every sample.
+    Raises :class:`SizeError`, before the pool is allocated, when a sweep of
+    it at the largest degree the disorder allows would hold more than
+    ``BYTE_CAP`` bytes.
     """
-    _check_bytes(8 * size, f"population pool of {size} samples")
+    disorder = disorder or DisorderSpec()
+    width = max(max(disorder._degrees(params.n)[0]) - 1, 0)
+    # An upper bound on what a sweep holds at once: the old and new pools,
+    # the slots to fill and their degrees; per slot k-1 int64 indices, their
+    # float draws and a bool mask; and seven slot-long temporaries of the
+    # coupling draw and the edge update, which dominate at small k.
+    _check_bytes(size * (8 * (11 + 2 * width) + width),
+                 f"population pool of {size} samples and its sweep")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)
     samples = np.full(size, k_branch)
     if sigma > 0:
         samples = samples + sigma * rng.standard_normal(size)
     return Population(samples=samples, lam=lam, params=params, seed=seed,
-                      disorder=disorder or DisorderSpec(), rng=rng)
+                      disorder=disorder, rng=rng)
 
 
 def population_step(pop: Population) -> Population:

@@ -61,6 +61,17 @@ def test_kernel_methods(tmp_path):
     assert code == 0
 
 
+def test_oracle_kernel_meta_at_87381_nodes(tmp_path):
+    # branching 4, depth 8: the root sees one mode per level
+    out = tmp_path / "oracle.json"
+    assert run_cli(["kernel", "--method", "oracle", "--branching", "4",
+                    "--depth", "8", "--tau-count", "11", "--format", "json",
+                    "--output", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta == {"method": "oracle", "branching": 4, "depth": 8,
+                    "n_modes": 9}
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "spec.json"
     code = run_cli(["spectrum", "--format", "json", "--output", str(out),
@@ -140,9 +151,10 @@ def test_exit_codes(tmp_path):
 
 
 def test_size_refusal_exits_2(tmp_path, capsys):
-    # 21,845-node tree: the dense eigendecomposition would need 14 GiB
-    assert run_cli(["kernel", "--method", "oracle", "--branching", "4",
-                    "--depth", "7", "--output", str(tmp_path / "k.csv")]) == 2
+    # 20,001-node chain: its Lanczos basis would need 3 GiB
+    assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
+                    "--depth", "20000", "--output",
+                    str(tmp_path / "k.csv")]) == 2
     # about 44,000 window points: refused before the grid is built
     assert run_cli(["finite-time", "--T", "200", "--output",
                     str(tmp_path / "f.csv")]) == 2

@@ -9,7 +9,7 @@ import scipy.sparse
 
 import netbath as nb
 import netbath.oracle
-from netbath.errors import DomainError, SizeError
+from netbath.errors import DomainError, InstabilityError, SizeError
 from netbath.oracle import DENSE_LIMIT, _corner_inverse, tree_matrix
 from netbath.tree_bp import TreeGraph
 
@@ -30,6 +30,64 @@ def _loop_adjacency(tree):
         if parent >= 0:
             adj[child, parent] = adj[parent, child] = 1.0
     return adj
+
+
+def _random_tree(rng, max_nodes):
+    """Seeded irregular tree, numbered breadth-first: each node draws from
+    0 (the root from 1) to a seeded maximum of 1 to 4 children."""
+    max_kids = int(rng.integers(1, 5))
+    parent, levels = [-1], [[0]]
+    while len(parent) < max_nodes:
+        level = []
+        for v in levels[-1]:
+            for _ in range(rng.integers(0 if v else 1, max_kids + 1)):
+                if len(parent) < max_nodes:
+                    level.append(len(parent))
+                    parent.append(v)
+        if not level:
+            break
+        levels.append(level)
+    return TreeGraph(parent=np.array(parent),
+                     levels=[np.array(lv) for lv in levels])
+
+
+def _dense_modes_reference(tree, params):
+    """Root-visible modes from a dense ``eigh`` of the whole adjacency.
+
+    This is the route ``mode_decomposition`` took before its Lanczos
+    reduction.  It raises InstabilityError when any mode, seen from the root
+    or not, has Omega^2 <= 0.  Eigenvalues closer than 1e-9 form one
+    degenerate mode carrying their summed root weight, and modes whose root
+    weight is zero to rounding (below 1e-20 of the total) are dropped.
+    Returns (Omega, w) sorted by frequency.
+    """
+    mu, vecs = np.linalg.eigh(_loop_adjacency(tree))
+    omega_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
+    if np.any(omega_sq <= 0):
+        raise InstabilityError(f"unstable mode: min Omega^2 = {omega_sq.min()}")
+    first = np.flatnonzero(np.diff(mu, prepend=-np.inf) > 1e-9)
+    share = np.add.reduceat(vecs[0] ** 2, first)
+    seen = first[share > 1e-20][::-1]
+    omega = np.sqrt(omega_sq[seen])
+    return omega, params.C**2 / params.m * share[share > 1e-20][::-1] / omega
+
+
+def _assert_modes_match(got, ref, params):
+    """Every reference mode is matched in frequency to 1e-13 relative, and
+    carries the summed weight of the modes matched to it to 1e-13 of the
+    total; an unmatched mode has root weight below rounding.  No two modes
+    the root sees coincide: a Jacobi matrix has simple eigenvalues, and a
+    near-copy is a Lanczos ghost of lost orthogonality."""
+    (omega, w), (omega_ref, w_ref) = got, ref
+    nearest = np.abs(omega[:, None] - omega_ref[None, :]).argmin(axis=1)
+    matched = np.abs(omega - omega_ref[nearest]) <= 1e-13 * omega_ref[nearest]
+    share = w * omega * params.m / params.C**2
+    assert np.all(share[~matched] < 1e-20)
+    assert np.all(np.diff(omega[share >= 1e-20]) > 1e-9 * omega[-1])
+    summed = np.bincount(nearest[matched], weights=share[matched],
+                         minlength=omega_ref.size)
+    share_ref = w_ref * omega_ref * params.m / params.C**2
+    assert np.max(np.abs(summed - share_ref)) <= 1e-13
 
 
 def test_single_node_equals_leaf_message(ordered_chain):
@@ -74,9 +132,11 @@ def test_mode_decomposition_single_node(narrow_band):
 
 
 def test_mode_support_and_sum_rule(narrow_band):
-    for depth in (2, 4, 6):
+    # up to 87,381 nodes; the root sees one mode per level
+    for depth in (2, 4, 6, 8):
         tree = nb.build_tree(narrow_band.n - 1, depth)
         omega_b, w = nb.mode_decomposition(tree, narrow_band)
+        assert omega_b.size == depth + 1
         assert narrow_band.lambda_pm < omega_b.min()
         assert omega_b.max() < narrow_band.lambda_pp
         assert float(np.sum(w * omega_b)) == pytest.approx(
@@ -215,18 +275,52 @@ def test_grid_equals_pointwise_on_both_sides_of_dense_limit(ordered_chain,
 
 def test_mode_decomposition_irregular_tree(ordered_chain):
     tree = _irregular_tree()
-    omega_b, w = nb.mode_decomposition(tree, ordered_chain)
-    mu = np.linalg.eigvalsh(_loop_adjacency(tree))
-    expect = np.sort(np.sqrt(ordered_chain.omega_sq - math.sqrt(2.0)
-                             * ordered_chain.C * mu / ordered_chain.m))
-    assert np.allclose(omega_b, expect, rtol=1e-13, atol=0.0)
+    got = nb.mode_decomposition(tree, ordered_chain)
+    _assert_modes_match(got, _dense_modes_reference(tree, ordered_chain),
+                        ordered_chain)
+    omega_b, w = got
     assert float(np.sum(w * omega_b)) == pytest.approx(
         ordered_chain.C**2 / ordered_chain.m, rel=1e-12)
 
 
+def test_mode_decomposition_matches_dense_on_random_trees(narrow_band):
+    # narrow_band is stable on every tree here; n = 2 at C = 0.7 is stable up
+    # to adjacency radius 2.4/(0.7 sqrt(2)) = 2.42, which 24 of the 50 trees
+    # exceed, none within 0.019 of it
+    tipping = nb.derive_params(2, 1.0, 0.7, 1.0)
+    rng = np.random.default_rng(20240)
+    tau = np.linspace(0.0, 60.0, 601)
+    unstable = 0
+    for _ in range(50):
+        tree = _random_tree(rng, int(rng.integers(2, 250)))
+        got = nb.mode_decomposition(tree, narrow_band)
+        ref = _dense_modes_reference(tree, narrow_band)
+        _assert_modes_match(got, ref, narrow_band)
+        # Perron-Frobenius: the root sees both extremes of the spectrum
+        mu = np.linalg.eigvalsh(_loop_adjacency(tree))
+        extremes = np.sqrt(narrow_band.omega_sq - math.sqrt(2.0)
+                           * narrow_band.C * mu[[-1, 0]] / narrow_band.m)
+        assert np.allclose([got[0].min(), got[0].max()], extremes,
+                           rtol=1e-12, atol=0.0)
+        kernel = np.sin(np.outer(tau, got[0])) @ got[1]
+        kernel_ref = np.sin(np.outer(tau, ref[0])) @ ref[1]
+        assert np.max(np.abs(kernel - kernel_ref)) <= \
+            1e-13 * np.max(np.abs(kernel_ref))
+        try:
+            _dense_modes_reference(tree, tipping)
+        except InstabilityError:
+            unstable += 1
+            with pytest.raises(InstabilityError):
+                nb.mode_decomposition(tree, tipping)
+        else:
+            nb.mode_decomposition(tree, tipping)
+    assert unstable == 24
+
+
 def test_mode_decomposition_refuses_before_allocating(narrow_band):
-    # branching 4, depth 8: 87,381 nodes, one dense N x N float64 is 61 GB
-    tree = nb.build_tree(4, 8)
+    # a 20,001-node chain: the root's Krylov space is the whole space, so the
+    # Lanczos basis would be 20,001 x 20,001 float64, 3 GiB
+    tree = nb.build_chain(20000)
     tracemalloc.start()
     try:
         with pytest.raises(SizeError):

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import netbath as nb
-from netbath.errors import DomainError, ShapeError
+from netbath.errors import DomainError, ShapeError, SizeError
 from netbath.rs import DisorderSpec, Population
 
 
@@ -215,6 +216,25 @@ def test_population_stats_few_ulp_spread(narrow_band):
 def test_pool_size_floor(narrow_band):
     with pytest.raises(ShapeError):
         nb.population_init(narrow_band, 1.0, size=10, seed=0)
+
+
+def test_pool_refused_by_its_sweep_before_allocating():
+    # at n = 20 a sweep of 10^7 slots draws 19 int64 indices and 19 floats
+    # per slot, about 3 GiB, though the pool itself is 80 MB
+    params = nb.derive_params(20, 1.0, 0.01, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="sweep"):
+            nb.population_init(params, 1.0, size=10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # at n = 3 the same pool passes, but not under a degree law reaching 20
+    spec = DisorderSpec(degree=("two_point", 2, 20, 0.99))
+    with pytest.raises(SizeError):
+        nb.population_init(nb.derive_params(3, 1.0, 0.01, 1.0), 1.0,
+                           size=10**7, disorder=spec)
 
 
 def test_map_orbit_classifications(narrow_band):
