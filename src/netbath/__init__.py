@@ -15,16 +15,15 @@ from .laplace import (CavityKernel, closed_form_fixed_point,
                       vernon_imag)
 from .tree_bp import (TreeGraph, build_chain, build_tree, depth_convergence,
                       output_environment, root_output_message)
-from .timedomain import (TimeKernel, bessel_kernel, branch_cut_envelope,
-                         branch_cut_kernel, forward_laplace, spectral_density,
+from .timedomain import (TimeKernel, bessel_kernel, branch_cut_kernel,
+                         forward_laplace, spectral_density,
                          spectral_density_sine_transform)
 from .finite_time import (ThermalState, TwoTimeKernel, bare_response,
                           ode_response_check, response_from_twinning,
                           thermal_init, time_grid, twinning_solve,
                           vernon_imag_finite, vernon_real_full)
 from .oracle import (mode_decomposition, oracle_kernel_laplace,
-                     oracle_kernel_laplace_grid, oracle_time_kernel,
-                     tree_matrix)
+                     oracle_kernel_laplace_grid, oracle_time_kernel)
 from .rs import (DisorderSpec, Population, population_init, population_step,
                  population_stats, variance_gain)
 from .bessel import j0
@@ -39,12 +38,12 @@ __all__ = [
     "real_multiplier", "quadratic_residual",
     "TreeGraph", "build_chain", "build_tree", "root_output_message",
     "output_environment", "depth_convergence",
-    "TimeKernel", "branch_cut_kernel", "branch_cut_envelope", "bessel_kernel",
+    "TimeKernel", "branch_cut_kernel", "bessel_kernel",
     "spectral_density", "spectral_density_sine_transform", "forward_laplace",
     "ThermalState", "TwoTimeKernel", "thermal_init", "twinning_solve",
     "vernon_imag_finite", "vernon_real_full", "ode_response_check",
     "response_from_twinning", "bare_response", "time_grid",
-    "tree_matrix", "oracle_kernel_laplace", "oracle_kernel_laplace_grid",
+    "oracle_kernel_laplace", "oracle_kernel_laplace_grid",
     "mode_decomposition", "oracle_time_kernel",
     "DisorderSpec", "Population", "population_init", "population_step",
     "population_stats", "variance_gain",

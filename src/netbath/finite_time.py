@@ -30,9 +30,11 @@ with rest conditions at T, and coincides with ``(1/2) int G(t,s-t) C(s)
 drive(s) ds``; :func:`ode_response_check` computes the left-hand route
 iteratively, :func:`response_from_twinning` the right-hand one.
 
-Every window holds a few N x N arrays; a window whose arrays would exceed
-:data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
-they are allocated.
+The step must resolve the band: :func:`twinning_solve` refuses one coarser
+than :attr:`~netbath.model.ModelParams.fine_step`, which is also the default
+step of the ``finite-time`` command.  Every window holds a few N x N arrays;
+a window whose arrays would exceed :data:`~netbath.errors.BYTE_CAP` is
+refused with :class:`SizeError` before they are allocated.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
-from .model import ModelParams
+from .model import ModelParams, _check_step
 
 #: Peak number of N x N float64 arrays alive at once on a window of N points,
 #: measured with tracemalloc over the ``finite-time`` command (5.27 at N =
@@ -70,14 +72,11 @@ class ThermalState:
     """Symmetric Gaussian initial state of one oscillator (hbar = 1).
 
     ``A_prime = (m omega/2) tanh(beta omega/2)`` and ``C_prime = (m omega/2)
-    coth(beta omega/2)`` satisfy A'C' = (m omega/2)^2; the length scale is
-    ``l = 1/sqrt(A'C') = 2/(m omega)``.
+    coth(beta omega/2)`` satisfy A'C' = (m omega/2)^2.
     """
 
-    beta: float
     A_prime: float
     C_prime: float
-    length_scale: float
 
 
 def thermal_init(beta: float, params: ModelParams) -> ThermalState:
@@ -91,8 +90,7 @@ def thermal_init(beta: float, params: ModelParams) -> ThermalState:
     half = beta * omega / 2.0
     a_p = params.m * omega / 2.0 * math.tanh(half)
     c_p = params.m * omega / 2.0 / math.tanh(half)
-    return ThermalState(beta=float(beta), A_prime=a_p, C_prime=c_p,
-                        length_scale=2.0 / (params.m * omega))
+    return ThermalState(A_prime=a_p, C_prime=c_p)
 
 
 @dataclass
@@ -256,21 +254,15 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
     ``kI_upstream`` fixes the grid and so the window and step.  The step
-    must resolve the band, dt <= 1/(20 lambda_pp) (falls back to the
-    oscillator period when the band is degenerate).  An exactly upper-Toeplitz
-    (stationary) upstream is solved as one Toeplitz row in O(N^2); any other
-    by a unit-upper-triangular solve in O(N^3).  ``G.meta["solver"]`` names
-    the path taken, ``"toeplitz"`` or ``"triangular"``.
+    must resolve the band, dt <= ``params.fine_step``.  An exactly
+    upper-Toeplitz (stationary) upstream is solved as one Toeplitz row in
+    O(N^2); any other by a unit-upper-triangular solve in O(N^3).
+    ``G.meta["solver"]`` names the path taken, ``"toeplitz"`` or
+    ``"triangular"``.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
-    if params.band_defined and params.lambda_pp > 0:
-        limit = 1.0 / (20.0 * params.lambda_pp)
-    else:
-        limit = 1.0 / (20.0 * math.sqrt(params.omega_sq))
-    if grid_dt > limit * (1.0 + 1e-12):
-        raise AccuracyError(
-            f"dt={grid_dt:.3g} coarser than resolution limit {limit:.3g}")
+    _check_step(grid_dt, params, "dt")
 
     a = _bare_matrix(params, times)
     k = kI_upstream.values

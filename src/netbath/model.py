@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 
 # The total potential must stay positive definite: C > -m omega0^2 / n.
 _POSITIVITY_MSG = "coupling C={C} violates the positivity bound C > -m*omega0^2/n = {bound}"
@@ -48,6 +48,25 @@ class ModelParams:
     def band_defined(self) -> bool:
         """True when both band edges are real (C >= 0 and omega_sq >= a_sq)."""
         return math.isfinite(self.lambda_pm) and math.isfinite(self.lambda_pp)
+
+    @property
+    def fine_step(self) -> float:
+        """Coarsest time step that resolves the band, 1/(20 lambda_pp).
+
+        The Bessel route, the forward transform and the two-time response
+        solve refuse a coarser step (:func:`_check_step`).  When the band is
+        not real, 1/(20 omega).
+        """
+        top = self.lambda_pp if self.band_defined else math.sqrt(self.omega_sq)
+        return 1.0 / (20.0 * top)
+
+
+def _check_step(step: float, params: ModelParams, name: str) -> None:
+    """Refuse with AccuracyError a step coarser than ``params.fine_step``."""
+    limit = params.fine_step
+    if step > limit * (1.0 + 1e-12):
+        raise AccuracyError(f"{name}={step:.3g} coarser than the "
+                            f"band-resolving step fine_step={limit:.3g}")
 
 
 def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:

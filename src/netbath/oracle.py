@@ -62,7 +62,7 @@ import scipy.sparse.linalg
 
 from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams
-from .timedomain import TimeKernel
+from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
 #: Dense symmetric factorization up to this node count, sparse LU above; just
@@ -96,10 +96,11 @@ def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
 
 
 def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
-    """Yield the sparse tree matrix (CSC, root = node 0) at each lambda.
+    """Yield the sparse tree matrix at each lambda.
 
-    The pattern is assembled once; each lambda writes only the diagonal
-    entries of a copy of the off-diagonal data.
+    The matrix is ``(m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A`` in CSC form,
+    root = node 0.  The pattern is assembled once; each lambda writes only
+    the diagonal entries of a copy of the off-diagonal data.
     """
     adj, diag_pos = _adjacency(tree)
     offdiag = adj.data * -(params.C / math.sqrt(2.0))
@@ -108,12 +109,6 @@ def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
         data[diag_pos] = params.m * (lam**2 + params.omega_sq) / 2.0
         yield scipy.sparse.csc_matrix((data, adj.indices, adj.indptr),
                                       shape=adj.shape)
-
-
-def tree_matrix(tree: TreeGraph, params: ModelParams,
-                lam: float) -> scipy.sparse.csc_matrix:
-    """Assemble ``(m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A`` for the tree."""
-    return next(_tree_matrices(tree, params, (lam,)))
 
 
 def _corner_inverse(mat: scipy.sparse.csc_matrix,
@@ -283,9 +278,13 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
 
 
 def oracle_time_kernel(tree: TreeGraph, params: ModelParams, tau_grid) -> TimeKernel:
-    """Exact finite-tree kernel in the time domain from the mode sum."""
+    """Exact finite-tree kernel in the time domain from the mode sum.
+
+    Raises :class:`SizeError`, before the (tau x mode) sum is allocated, when
+    it would need more than ``BYTE_CAP`` bytes.
+    """
     tau_grid = np.asarray(tau_grid, dtype=float)
     omega_b, weights = mode_decomposition(tree, params)
-    values = np.sin(np.outer(tau_grid, omega_b)) @ weights
+    values = _sine_sum(tau_grid, omega_b, weights)
     return TimeKernel(tau=tau_grid, values=values, params=params,
                       meta={"n_modes": omega_b.size})

@@ -21,9 +21,11 @@ Two independent routes invert the Laplace-side fixed point:
 
 :func:`spectral_density` is the band-limited density J(w) whose sine
 transform reproduces the kernel; :func:`forward_laplace` closes the loop back
-to the Laplace side.  A direct damped-contour inversion is deliberately
-absent: the kernel does not decay and the transform has branch cuts on the
-imaginary axis, which standard inverters cannot handle.
+to the Laplace side.  Both the Bessel route's fine grid and a kernel handed to
+:func:`forward_laplace` must resolve the band: their step may not exceed
+:attr:`~netbath.model.ModelParams.fine_step`.  A direct damped-contour
+inversion is deliberately absent: the kernel does not decay and the transform
+has branch cuts on the imaginary axis, which standard inverters cannot handle.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import j0
-from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
+from .errors import DomainError, ShapeError, _check_bytes
 from .laplace import CavityKernel
-from .model import ModelParams
+from .model import ModelParams, _check_step
 
 
 class AccuracyWarning(UserWarning):
@@ -101,6 +103,17 @@ def _band_nodes(params: ModelParams, order: int):
     return x, coeff
 
 
+def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
+    """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
+
+    Refuses, before allocating, a (tau x frequency) phase matrix and its sine
+    past the cap.
+    """
+    _check_bytes(2 * 8 * len(tau) * len(freqs),
+                 f"sine sum over {len(tau)} x {len(freqs)} points")
+    return np.sin(scale * np.outer(tau, freqs)) @ weights
+
+
 def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
     """Node-count rule tied to the oscillation count lambda_pp * tau_max."""
     return int(math.ceil(4.0 + 2.0 * tau_max * params.lambda_pp / math.pi))
@@ -128,22 +141,10 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
             f"quad_order={quad_order} below recommended {rule} for "
             f"tau_max*lambda_pp={tau_max * params.lambda_pp:.3g}",
             AccuracyWarning, stacklevel=2)
-    # the phase matrix and its sine
-    _check_bytes(2 * 8 * tau_grid.size * quad_order,
-                 f"branch-cut quadrature of {tau_grid.size} x {quad_order} points")
     x, coeff = _band_nodes(params, quad_order)
-    phases = params.lambda_pp * np.outer(tau_grid, x)
-    values = np.sin(phases) @ coeff
+    values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
     return TimeKernel(tau=tau_grid, values=values, params=params,
                       meta={"quad_order": quad_order})
-
-
-def branch_cut_envelope(params: ModelParams) -> float:
-    """Amplitude bound Lambda * integral_q^1 sqrt((x^2-q^2)(1-x^2)) dx (256 nodes)."""
-    if params.C == 0:
-        return 0.0
-    _, coeff = _band_nodes(params, 256)
-    return float(np.sum(coeff))
 
 
 def spectral_density(params: ModelParams, omega_grid):
@@ -195,7 +196,7 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
     # dw = lambda_pp (1-q^2) ds / (2x); sqrt(s(1-s)) = sqrt((x^2-q^2)(1-x^2))/(1-q^2)
     coeff = 0.25 * w_cheb * jvals * params.lambda_pp * (1.0 - q2) / (2.0 * x) \
         * (1.0 - q2) / np.sqrt((x**2 - q2) * (1.0 - x**2))
-    values = np.sin(params.lambda_pp * np.outer(tau_grid, x)) @ coeff
+    values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
     return TimeKernel(tau=tau_grid, values=values, params=params)
 
 
@@ -278,12 +279,9 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
                           params=params)
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
-    limit = 1.0 / (20.0 * params.lambda_pp)
     if fine_step is None:
-        fine_step = limit
-    if fine_step > limit * (1.0 + 1e-12):
-        raise AccuracyError(
-            f"fine_step={fine_step:.3g} coarser than 1/(20*lambda_pp)={limit:.3g}")
+        fine_step = params.fine_step
+    _check_step(fine_step, params, "fine_step")
     if tau_grid.size > 1:
         dtau = tau_grid[1] - tau_grid[0]
         refine = max(1, int(math.ceil(dtau / fine_step - 1e-12)))
@@ -390,11 +388,8 @@ def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
         raise DomainError("forward transform needs lambda > 0")
     if tk.tau[0] != 0.0:
         raise ShapeError("time kernel must start at tau = 0")
-    if tk.params is not None and tk.params.band_defined and tk.step > 0:
-        limit = 1.0 / (20.0 * tk.params.lambda_pp)
-        if tk.step > limit * (1.0 + 1e-12):
-            raise AccuracyError(
-                f"step={tk.step:.3g} coarser than 1/(20*lambda_pp)={limit:.3g}")
+    if tk.params is not None and tk.params.band_defined:
+        _check_step(tk.step, tk.params, "step")
     tau = tk.tau
     values = tk.values
     T = tau[-1]

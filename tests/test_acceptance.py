@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from netbath import acceptance
+
 TOLERANCES = {
     1: {"max_rel_diff": 1e-10, "max_residual": 1e-12},
     2: {"rel_rms": 1e-4},
@@ -103,3 +105,29 @@ def test_check_stdout_holds_no_wall_time(check_report):
         f"{c['name']}: {c['details']}\n" for c in check_report["criteria"])
     assert check_report["_stdout"] == expect
     assert "total runtime" in check_report["_stderr"]
+
+
+def test_run_all_fails_a_slow_or_raising_criterion(monkeypatch):
+    # the runner alone times, numbers and gates: a criterion past its limit
+    # fails, one that raises fails with the exception as its details
+    def slow():
+        time.sleep(0.05)
+        return acceptance._result("slow", True, "ok")
+
+    def quick():
+        return acceptance._result("quick", True, "ok", figure=1.0)
+
+    def boom():
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (slow, quick, boom))
+    monkeypatch.setattr(acceptance, "RUNTIME_LIMITS", {1: 0.01, 2: 10.0})
+    seen = []
+    results, total = acceptance.run_all(report=seen.append)
+    assert seen == results and total >= results[0].runtime >= 0.05
+    assert [r.number for r in results] == [1, 2, 3]
+    assert [r.line() for r in results] == [
+        "FAIL [ 1] slow: ok, runtime limit 0.01 s",
+        "PASS [ 2] quick: ok, runtime limit 10 s",
+        "FAIL [ 3] boom: raised ValueError: bad input"]
+    assert results[1].as_dict()["metrics"] == {"figure": 1.0}

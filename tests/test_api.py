@@ -1,0 +1,65 @@
+"""The public API holds only what the package, the benchmark or the paper uses.
+
+Every name in ``netbath.__all__`` must be referenced from a package module
+other than the one that defines it (``__init__`` aside), be read as an
+attribute of the package in ``perfbench/``, or have an entry below that says
+why it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import netbath as nb
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALLOWED = {
+    "uniform_map": "the paper's BP update of a single edge",
+    "vernon_imag": "the paper's BP update of the dissipation kernel",
+    "fourier_fixed_point": "the fixed-point kernel on the Fourier axis, "
+                           "k*(i nu), a named quantity of the paper",
+    "spectral_density_sine_transform": "reference the tests hold the "
+                                       "branch-cut kernel against",
+    "ThermalState": "return type of thermal_init",
+    "Population": "return type of population_init and population_step",
+}
+
+
+def _identifiers(path: Path) -> set:
+    """Names a module uses: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _package_attributes(path: Path) -> set:
+    """Attributes read off the package itself, ``nb.X`` or ``netbath.X``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("nb", "netbath")}
+
+
+def test_every_public_name_has_a_user():
+    src = ROOT / "src" / "netbath"
+    used_by = {p.stem: _identifiers(p) for p in src.glob("*.py")
+               if p.stem != "__init__"}
+    bench = set().union(*(_package_attributes(p)
+                          for p in (ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for name in nb.__all__:
+        owner = getattr(getattr(nb, name), "__module__", "netbath")
+        owner = owner.rsplit(".", 1)[-1]
+        users = [mod for mod, names in used_by.items()
+                 if mod != owner and name in names]
+        if not users and name not in bench and name not in ALLOWED:
+            unused.append(name)
+    assert not unused, f"public names nothing uses: {unused}"
+    stale = [name for name in ALLOWED if name not in nb.__all__]
+    assert not stale, f"allowlist names no public name: {stale}"

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netbath as nb
 from netbath import cli
 
 
@@ -256,6 +257,8 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("tree --lam inf", 3, "domain"),
     ("fixed-point --tol nan", 3, "domain"),
     ("orbit --x0 nan", 3, "domain"),
+    # no real band: the default step is still finite, the kernel refuses
+    ("finite-time --C -0.1", 3, "domain"),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),
@@ -283,20 +286,51 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
 
 
 def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
-    # each would need hundreds of GiB: a grid, the Bessel convolution's
-    # (t x node) matrix, a population pool
+    # each would need tens to hundreds of GiB: a grid, the Bessel
+    # convolution's (t x node) matrix, a population pool, and the tables of
+    # a grid and of the three counted commands
     out = str(tmp_path / "x.csv")
+    lines = (f"kernel --tau-count {10**11}",
+             "kernel --method bessel --tau-max 1e9",
+             f"population --pool-size {10**11}",
+             "phase --lambda-count 50000000",
+             f"tree --depth {10**9}",
+             f"orbit --steps {10**9}",
+             f"population --sweeps {10**9}")
     tracemalloc.start()
     try:
-        for line in (f"kernel --tau-count {10**11}",
-                     "kernel --method bessel --tau-max 1e9",
-                     f"population --pool-size {10**11}"):
+        for line in lines:
             assert run_cli(shlex.split(line) + ["--output", out]) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert capsys.readouterr().err.count("ERROR size:") == 3
+    assert capsys.readouterr().err.count("ERROR size:") == len(lines)
+
+
+def _finite_time_noise(tmp_path, beta):
+    out = tmp_path / f"ft-{beta}.csv"
+    assert run_cli(["finite-time", "--T", "1", "--beta", str(beta),
+                    "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in read_lines(out)[2:]]
+    return np.array([float(r[4]) for r in rows])
+
+
+def test_finite_time_prints_equal_time_noise(tmp_path):
+    # the kR_boundary column is the equal-time noise kernel, bit for bit
+    p = nb.derive_params(5, 10.0, 1.0, 0.5)
+    times = nb.time_grid(1.0, p.fine_step)
+    upstream = nb.TwoTimeKernel.from_stationary(
+        times, lambda u: nb.branch_cut_kernel(p, u).values)
+    G = nb.twinning_solve(upstream, p).G
+    expect = {}
+    for beta in (0.3, 3.0):
+        kR = nb.vernon_real_full(None, G, nb.thermal_init(beta, p), p.C)
+        expect[beta] = np.diag(kR.values)
+        got = _finite_time_noise(tmp_path, beta)
+        assert np.array_equal(got, expect[beta])
+        assert got[0] == 0.0 and np.all(got[1:] != 0.0)
+    assert not np.array_equal(expect[0.3], expect[3.0])
 
 
 def test_shape_and_instability_exit_codes(tmp_path, capsys):

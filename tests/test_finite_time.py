@@ -62,7 +62,6 @@ def test_thermal_init_values():
     state = nb.thermal_init(2.0, p)               # beta*omega/2 = 1
     assert state.A_prime == pytest.approx(TANH1_HALF, rel=1e-14)
     assert state.A_prime * state.C_prime == pytest.approx(0.25, rel=1e-14)
-    assert state.length_scale == pytest.approx(2.0, rel=1e-14)
 
 
 def test_thermal_ground_state_limit(ft_params):

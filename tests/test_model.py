@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netbath as nb
-from netbath.errors import DomainError
+from netbath.errors import AccuracyError, DomainError
+from netbath.finite_time import TwoTimeKernel
+from netbath.timedomain import TimeKernel
 
 # Frozen at 30-digit precision from the defining formulas.
 NARROW = {
@@ -148,3 +150,34 @@ def test_existence_scan_accepts_arrays(narrow_band):
     lam = np.linspace(0.0, 50.0, 11)
     out = nb.fixed_point_exists(narrow_band, lam)
     assert out.shape == lam.shape and out.all()
+
+
+def test_fine_step_resolves_the_band(narrow_band):
+    assert narrow_band.fine_step == 1.0 / (20.0 * narrow_band.lambda_pp)
+    # no real band: the oscillator frequency sets the step
+    p = nb.derive_params(5, 10.0, -0.1, 0.5)
+    assert p.fine_step == 1.0 / (20.0 * math.sqrt(p.omega_sq))
+
+
+def _twinning(p, step):
+    nb.twinning_solve(TwoTimeKernel(step * np.arange(5), np.zeros((5, 5))), p)
+
+
+def _bessel(p, step):
+    nb.bessel_kernel(p, step * np.arange(5), fine_step=step)
+
+
+def _forward(p, step):
+    nb.forward_laplace(TimeKernel(step * np.arange(9), np.zeros(9), params=p),
+                       [1e4])
+
+
+@pytest.mark.parametrize("evaluate", [_twinning, _bessel, _forward],
+                         ids=["twinning_solve", "bessel_kernel",
+                              "forward_laplace"])
+def test_evaluators_accept_fine_step_and_refuse_coarser(narrow_band, evaluate):
+    # one owner of the limit: every evaluator accepts it exactly and refuses
+    # a step one part in 10^9 coarser, with the same message
+    evaluate(narrow_band, narrow_band.fine_step)
+    with pytest.raises(AccuracyError, match="band-resolving step"):
+        evaluate(narrow_band, narrow_band.fine_step * (1 + 1e-9))

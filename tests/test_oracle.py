@@ -10,7 +10,7 @@ import scipy.sparse
 import netbath as nb
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import DENSE_LIMIT, _corner_inverse, tree_matrix
+from netbath.oracle import DENSE_LIMIT, _corner_inverse, _tree_matrices
 from netbath.tree_bp import TreeGraph
 
 
@@ -184,7 +184,8 @@ def test_finite_size_error_decreases(ordered_chain):
 
 
 def test_corner_inverse_residual_guard(ordered_chain):
-    val = _corner_inverse(tree_matrix(nb.build_chain(5), ordered_chain, 1.0))
+    val = _corner_inverse(next(_tree_matrices(nb.build_chain(5), ordered_chain,
+                                              (1.0,))))
     assert math.isfinite(val) and val > 0.0
 
 
@@ -205,7 +206,7 @@ def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
     # on all three trees: Cholesky fails over to the symmetric solve, and
     # sparse LU pivots
     p = nb.derive_params(2, 1.0, 2.5, 1.0)
-    eig = np.linalg.eigvalsh(tree_matrix(tree, p, 0.5).toarray())
+    eig = np.linalg.eigvalsh(next(_tree_matrices(tree, p, (0.5,))).toarray())
     assert eig.min() < 0.0 < eig.max() and np.abs(eig).min() > 1e-3
     dense = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=4096)
     sparse = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=0)
@@ -220,7 +221,7 @@ def test_corner_inverse_refuses_singular_matrix(ordered_chain, dense_limit,
     # a 3-node chain with zero diagonal has eigenvalue 0: an exactly singular
     # factor; with a subnormal diagonal the solve overflows instead, and the
     # residual guard refuses it
-    mat = tree_matrix(nb.build_chain(2), ordered_chain, 1.0)
+    mat = next(_tree_matrices(nb.build_chain(2), ordered_chain, (1.0,)))
     mat.setdiag(diagonal)
     with pytest.raises(DomainError, match="singular"):
         _corner_inverse(mat, dense_limit)
@@ -248,7 +249,7 @@ def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
                          (nb.build_tree(3, 3), narrow_band),
                          (nb.build_chain(0), ordered_chain)):
         for lam in (0.3, 2.0):
-            mat = tree_matrix(tree, params, lam)
+            mat = next(_tree_matrices(tree, params, (lam,)))
             assert isinstance(mat, scipy.sparse.csc_matrix)
             assert mat.has_sorted_indices
             diag = params.m * (lam**2 + params.omega_sq) / 2.0
@@ -325,6 +326,21 @@ def test_mode_decomposition_refuses_before_allocating(narrow_band):
     try:
         with pytest.raises(SizeError):
             nb.mode_decomposition(tree, narrow_band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_oracle_time_kernel_refuses_oversized_sum(narrow_band):
+    # 10^8 tau points against the 4 modes of a depth-3 tree: the phase matrix
+    # and its sine would need 6.4 GB; the broadcast grid itself costs nothing
+    tau = np.broadcast_to(0.0, (10**8,))
+    tree = nb.build_tree(4, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="sine sum"):
+            nb.oracle_time_kernel(tree, narrow_band, tau)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
