@@ -30,7 +30,7 @@ from . import __version__
 from .errors import AccuracyError, ConfigError, DomainError, \
     InstabilityError, NetbathError, ShapeError, SizeError, _check_bytes
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
-    vernon_imag_finite, vernon_real_full, bare_response
+    vernon_imag_finite, bare_response, _noise_kernel
 from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
     real_multiplier
 from .model import critical_coupling, derive_params, fixed_point_exists, \
@@ -405,10 +405,11 @@ def cmd_finite_time(cfg):
         times, lambda u: branch_cut_kernel(params, u).values)
     res = twinning_solve(upstream, params)
     kI_out = vernon_imag_finite(res.G, params.C)
-    kR_boundary = vernon_real_full(None, res.G, state, params.C)
+    # The diagonal of vernon_real_full(None, G, ...), the boundary terms alone.
+    kR_boundary = _noise_kernel(res.G, state, params.C, np.multiply)
     u = times - times[0]
     rows = list(zip(u, bare_response(params, u), res.G.values[0],
-                    kI_out.values[0], np.diag(kR_boundary.values)))
+                    kI_out.values[0], kR_boundary))
     meta = {"solver": res.G.meta["solver"], "residual": res.residual,
             "beta": num["beta"]}
     _maybe_plot(cfg, u, [res.G.values[0]], ["G(tau, u)"],

@@ -9,11 +9,16 @@ with ``G0(u) = (2/(m omega)) sin(omega u)`` twice the bare response.  With
 trapezoidal quadrature, and G0 and G vanishing at equal times, the discrete
 equation is ``G = A + M G`` with ``A`` the bare response on the grid and
 ``M = dt^2 A (K - diag(K)/2)`` strictly upper triangular, so it is solved
-directly, with no iteration: a stationary upstream kernel (exactly upper
-Toeplitz) makes A, M and G Toeplitz and G is one row found by forward
-substitution; any other upstream takes one unit-upper-triangular solve of
-``(I - M) G = A``.  Both report the relative residual of that equation on
-the first row.
+directly, with no iteration: a stationary upstream kernel makes A, M and G
+upper-triangular Toeplitz, and G is one row found by forward substitution
+and returned as that row, so it is exactly Toeplitz; any other upstream
+takes one unit-upper-triangular solve of ``(I - M) G = A``.  Both report the
+relative residual of that equation on the first row.
+
+A stationary kernel (:meth:`TwoTimeKernel.from_stationary`, a stationary G,
+and its dissipation kernel at a constant coupling) keeps only its lag row:
+``values`` is a read-only Toeplitz view of it, so a row or the diagonal
+costs O(N) and N x N arithmetic allocates only where it is asked for.
 
 The single-edge updates built on G:
 
@@ -32,9 +37,10 @@ iteratively, :func:`response_from_twinning` the right-hand one.
 
 The step must resolve the band: :func:`twinning_solve` refuses one coarser
 than :attr:`~netbath.model.ModelParams.fine_step`, which is also the default
-step of the ``finite-time`` command.  Every window holds a few N x N arrays;
-a window whose arrays would exceed :data:`~netbath.errors.BYTE_CAP` is
-refused with :class:`SizeError` before they are allocated.
+step of the ``finite-time`` command.  A window whose N x N arrays (those of
+a non-stationary solve or noise kernel) would exceed
+:data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
+they are allocated.
 """
 
 from __future__ import annotations
@@ -44,15 +50,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
 from .model import ModelParams, _check_step
 
-#: Peak number of N x N float64 arrays alive at once on a window of N points,
-#: measured with tracemalloc over the ``finite-time`` command (5.27 at N =
-#: 1,323, 5.26 at 1,984 and 2,645): the solve holds the most, at most 4.25
-#: besides the upstream kernel; the noise-kernel step holds two besides its
-#: result.
+#: Peak number of N x N float64 arrays alive at once on a window of N points
+#: whose kernels are not stationary (a stationary window holds rows only).
+#: Measured with tracemalloc at N = 1,323, 1,984 and 2,645: the triangular
+#: solve allocates 4.25 besides its N x N upstream, 5.25 in all;
+#: ``vernon_real_full`` with an upstream allocates 3.01 besides that upstream
+#: and G, 5.01 in all.
 WINDOW_ARRAYS = 5.3
 
 # Stop rule of ode_response_check: relative change per sweep, and the sweep
@@ -98,13 +106,16 @@ class TwoTimeKernel:
     """Kernel on the uniform two-time grid 0 <= t <= s <= T.
 
     ``values[i, j]`` holds K(t_i, t_j - t_i); causal kernels vanish below the
-    diagonal, symmetric kernels (noise type) satisfy V = V^T instead.
+    diagonal, symmetric kernels (noise type) satisfy V = V^T instead.  A
+    stationary kernel stores its lag row in ``_row``, and ``values`` is a
+    read-only Toeplitz view of one buffer holding it.
     """
 
     times: np.ndarray
     values: np.ndarray
     kind: str = "causal"
     meta: dict = field(default_factory=dict, repr=False)
+    _row: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -118,7 +129,8 @@ class TwoTimeKernel:
             raise ShapeError("time grid must be uniform and increasing")
         if self.kind not in ("causal", "symmetric"):
             raise ShapeError(f"unknown kind {self.kind!r}")
-        if self.kind == "causal":
+        # A stationary kernel is causal by construction.
+        if self.kind == "causal" and self._row is None:
             lower = np.tril(self.values, k=-1)
             if np.any(lower != 0.0):
                 raise ShapeError("causal kernel has entries below the diagonal")
@@ -138,13 +150,23 @@ class TwoTimeKernel:
         times = np.asarray(times, dtype=float)
         _check_window(times.size)
         row = np.asarray(func(times - times[0]), dtype=float)
-        if kind == "symmetric":
-            vals = scipy.linalg.toeplitz(row)
-        else:
-            col = np.zeros_like(row)
-            col[:1] = row[:1]
-            vals = scipy.linalg.toeplitz(col, row)
-        return cls(times=times, values=vals, kind=kind)
+        return cls._from_row(times, row, kind)
+
+    @classmethod
+    def _from_row(cls, times, row: np.ndarray, kind: str = "causal") -> "TwoTimeKernel":
+        """The stationary kernel of a lag row, ``values`` a view of O(N) memory.
+
+        The buffer is the reversed first column followed by ``row[1:]``, the
+        layout ``scipy.linalg.toeplitz`` strides before it copies; here the
+        strided view is kept, read-only because every row aliases the buffer.
+        """
+        n = row.size
+        head = row[:0:-1] if kind == "symmetric" else np.zeros(n - 1)
+        buf = np.concatenate((head, row))
+        step = buf.strides[0]
+        vals = as_strided(buf[n - 1:], shape=(n, n), strides=(-step, step),
+                          writeable=False)
+        return cls(times=times, values=vals, kind=kind, _row=vals[0])
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
@@ -210,24 +232,21 @@ class TwinningResult:
     iterations: int = 1
 
 
-def _toeplitz_solve(a: np.ndarray, k_row: np.ndarray, dt: float):
-    """Row 0 of M, and G, for an upper-Toeplitz upstream kernel.
+def _toeplitz_solve(a_row: np.ndarray, k_row: np.ndarray, dt: float):
+    """Row 0 of M, and row 0 of G, for an upper-Toeplitz upstream kernel.
 
     A, M and G are then upper-triangular Toeplitz, so row 0 of G follows by
-    forward substitution, ``g_j = a_j + sum_{l=1..j} m_l g_{j-l}``, and G is A
-    plus the Toeplitz matrix of ``g - a``; a zero kernel returns A exactly.
+    forward substitution, ``g_j = a_j + sum_{l=1..j} m_l g_{j-l}``; a zero
+    kernel returns the bare row exactly.
     """
-    n = a.shape[0]
-    a_row = a[0]
+    n = a_row.size
     k_half = k_row.copy()
     k_half[0] *= 0.5
     m_row = dt * dt * np.convolve(a_row, k_half)[:n]
     g_row = a_row.copy()
     for j in range(1, n):
         g_row[j] += m_row[1:j + 1] @ g_row[j - 1::-1]
-    g = scipy.linalg.toeplitz(np.zeros(n), g_row - a_row)
-    g += a
-    return m_row, g
+    return m_row, g_row
 
 
 def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
@@ -254,9 +273,10 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
     ``kI_upstream`` fixes the grid and so the window and step.  The step
-    must resolve the band, dt <= ``params.fine_step``.  An exactly
-    upper-Toeplitz (stationary) upstream is solved as one Toeplitz row in
-    O(N^2); any other by a unit-upper-triangular solve in O(N^3).
+    must resolve the band, dt <= ``params.fine_step``.  A stationary upstream,
+    one that keeps its lag row as :meth:`TwoTimeKernel.from_stationary`
+    builds it, is solved as one Toeplitz row in O(N^2) and G is returned as
+    that row; any other by a unit-upper-triangular solve in O(N^3).
     ``G.meta["solver"]`` names the path taken, ``"toeplitz"`` or
     ``"triangular"``.
     """
@@ -264,18 +284,23 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     grid_dt = kI_upstream.dt
     _check_step(grid_dt, params, "dt")
 
-    a = _bare_matrix(params, times)
-    k = kI_upstream.values
-    if np.array_equal(k[1:, 1:], k[:-1, :-1]):
+    k_row = kI_upstream._row
+    if k_row is not None:
         solver = "toeplitz"
-        m_row, g = _toeplitz_solve(a, k[0], grid_dt)
+        a_row = bare_response(params, times - times[0])
+        m_row, g_row = _toeplitz_solve(a_row, k_row, grid_dt)
+        # (I - M) G = A on the first row is the row equation g - m * g = a.
+        r_row = g_row - np.convolve(m_row, g_row)[:times.size] - a_row
+        kernel = TwoTimeKernel._from_row(times, g_row)
     else:
         solver = "triangular"
-        m_row, g = _triangular_solve(a, k, grid_dt)
-    r_row = g[0] - m_row @ g - a[0]
-    residual = float(np.abs(r_row).max() / max(1.0, np.abs(g[0]).max()))
-    kernel = TwoTimeKernel(times=times, values=g, kind="causal",
-                           meta={"solver": solver})
+        a = _bare_matrix(params, times)
+        m_row, g = _triangular_solve(a, kI_upstream.values, grid_dt)
+        g_row = g[0]
+        r_row = g_row - m_row @ g - a[0]
+        kernel = TwoTimeKernel(times=times, values=g, kind="causal")
+    residual = float(np.abs(r_row).max() / max(1.0, np.abs(g_row).max()))
+    kernel.meta["solver"] = solver
     return TwinningResult(G=kernel, residual=residual)
 
 
@@ -296,11 +321,42 @@ def vernon_imag_finite(G: TwoTimeKernel, C_edge) -> TwoTimeKernel:
     """Downstream dissipation kernel (1/2) C(t) C(s) G(t, s-t).
 
     ``C_edge`` is a constant or a callable C(t); a coupling that vanishes
-    before a turn-on time zeroes the kernel there.
+    before a turn-on time zeroes the kernel there.  A constant coupling keeps
+    a stationary G stationary.
     """
+    if G._row is not None and not callable(C_edge):
+        c = float(C_edge)
+        return TwoTimeKernel._from_row(G.times, 0.5 * c * c * G._row)
     c = _coupling_on_grid(C_edge, G.times)
     vals = 0.5 * c[:, None] * c[None, :] * G.values
     return TwoTimeKernel(times=G.times, values=vals, kind="causal")
+
+
+def _noise_kernel(G: TwoTimeKernel, state: ThermalState, C_edge, pair,
+                  conv=0.0) -> np.ndarray:
+    """``C(t)C(s) [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``.
+
+    The boundary terms come from two vectors, the first row of G and its
+    one-sided derivative along the first argument at r = 0.  ``pair`` is
+    ``np.outer`` for the kernel and ``np.multiply`` for its diagonal, which
+    then costs O(N) on a stationary G.  Built in place: at most two N x N
+    arrays are alive besides ``conv`` and the result.
+    """
+    c = _coupling_on_grid(C_edge, G.times)
+    g = G.values
+    g_start = g[0, :]
+    # One-sided 2nd-order derivative along the first argument at r = 0.
+    dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * G.dt)
+    total = pair(g_start, g_start)
+    total *= state.C_prime
+    term = pair(dg, dg)
+    term *= 1.0 / state.A_prime
+    total += term
+    del term
+    total += conv
+    vals = pair(c, c)
+    vals *= total
+    return vals
 
 
 def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
@@ -314,35 +370,21 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     finite memory.  Output is symmetric.
     """
     times = G.times
-    dt = G.dt
-    c = _coupling_on_grid(C_edge, times)
-    g = G.values
-    g_start = g[0, :]
-    # One-sided 2nd-order derivative along the first argument at r = 0.
-    dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * dt)
-    # Built in place: without an upstream kernel at most two N x N arrays
-    # are alive besides the result.
-    total = np.outer(g_start, g_start)
-    total *= state.C_prime
-    term = np.outer(dg, dg)
-    term *= 1.0 / state.A_prime
-    total += term
-    del term
-    if kR_upstream is not None:
+    if kR_upstream is None:
+        # The zero double convolution; adding it keeps -0.0 out of the result.
+        conv = 0.0
+    else:
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
             raise ShapeError("noise kernel grid differs from G grid")
         # Weighted columns: w_l in [0, t_i], halved at both ends.
-        gw = g * dt
+        gw = G.values * G.dt
         gw[0, :] *= 0.5
         idx = np.arange(times.size)
         gw[idx, idx] *= 0.5
-        total += gw.T @ kR_upstream.values @ gw
-    else:
-        # The zero double convolution; adding it keeps -0.0 out of the result.
-        total += 0.0
-    vals = np.outer(c, c)
-    vals *= total
+        conv = gw.T @ kR_upstream.values @ gw
+        del gw
+    vals = _noise_kernel(G, state, C_edge, np.outer, conv)
     return TwoTimeKernel(times=times, values=vals, kind="symmetric")
 
 
@@ -375,11 +417,13 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     if drive.shape != times.shape:
         raise ShapeError("drive must be sampled on the kernel grid")
     a = _bare_matrix(params, times)
+    # A stationary upstream is a strided view; its matvecs run faster on a
+    # contiguous copy.
+    k = np.ascontiguousarray(kI_upstream.values)
     source = 0.5 * _coupling_on_grid(params.C, times) * drive
     q = _apply(a, source, grid_dt)
     for _ in range(_ODE_MAX_SWEEPS):
-        q_new = _apply(a, source + _apply(kI_upstream.values, q, grid_dt),
-                       grid_dt)
+        q_new = _apply(a, source + _apply(k, q, grid_dt), grid_dt)
         delta = np.abs(q_new - q).max()
         q = q_new
         if delta <= _ODE_TOL * max(1.0, np.abs(q).max()):

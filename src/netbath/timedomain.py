@@ -103,15 +103,39 @@ def _band_nodes(params: ModelParams, order: int):
     return x, coeff
 
 
+#: Elements of one block of rows of a (grid x node) matrix: 512 KiB per
+#: float64 array.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Slices of ``range(n_rows)`` whose rows of ``width`` fill about one block.
+
+    A multiple of 16 rows per slice: BLAS matrix-vector kernels sum rows in
+    groups of 4 or 8, so whole groups give every row the bits that one
+    product over all rows gives it.  A last single row joins the slice
+    before it, because numpy takes a one-row product as a dot product.
+    """
+    step = max(16, _BLOCK_ELEMENTS // max(1, width) // 16 * 16)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
+
+
 def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
 
     Refuses, before allocating, a (tau x frequency) phase matrix and its sine
-    past the cap.
+    past the cap; the matrix is then built one block of rows at a time.
     """
     _check_bytes(2 * 8 * len(tau) * len(freqs),
                  f"sine sum over {len(tau)} x {len(freqs)} points")
-    return np.sin(scale * np.outer(tau, freqs)) @ weights
+    tau = np.ravel(tau)
+    out = np.empty(tau.size)
+    for rows in _row_blocks(tau.size, len(freqs)):
+        out[rows] = np.sin(scale * np.outer(tau[rows], freqs)) @ weights
+    return out
 
 
 def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
@@ -250,7 +274,9 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
 def bessel_convolution(params: ModelParams, t_grid) -> np.ndarray:
     """f(t) = integral_0^t J0(w1 u) J0(w2 (t-u)) du by Gauss-Legendre panels.
 
-    One fixed node set scaled to each t keeps the evaluation vectorized.
+    One fixed node set scaled to each t keeps the evaluation vectorized; the
+    (t x node) matrices are built one block of rows at a time, so the working
+    memory is a few blocks whatever the grid and the band width.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     w1 = params.lambda_pm
@@ -258,10 +284,13 @@ def bessel_convolution(params: ModelParams, t_grid) -> np.ndarray:
     t_max = float(np.max(t_grid)) if t_grid.size else 0.0
     xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(params, t_grid.size,
                                                        t_max))
-    half = t_grid[:, None] / 2.0
-    u = half * (xi[None, :] + 1.0)
-    f = (j0(w1 * u) * j0(w2 * (t_grid[:, None] - u))) @ wq
-    return f * half[:, 0]
+    f = np.empty(t_grid.shape)
+    for rows in _row_blocks(t_grid.size, xi.size):
+        t = t_grid[rows, None]
+        half = t / 2.0
+        u = half * (xi[None, :] + 1.0)
+        f[rows] = (j0(w1 * u) * j0(w2 * (t - u))) @ wq * half[:, 0]
+    return f
 
 
 def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None) -> TimeKernel:

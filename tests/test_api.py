@@ -16,6 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "uniform_map": "the paper's BP update of a single edge",
     "vernon_imag": "the paper's BP update of the dissipation kernel",
+    "vernon_real_full": "the paper's BP update of the noise kernel on a "
+                        "finite window; finite-time prints its diagonal "
+                        "through the same private helper",
     "fourier_fixed_point": "the fixed-point kernel on the Fourier axis, "
                            "k*(i nu), a named quantity of the paper",
     "spectral_density_sine_transform": "reference the tests hold the "

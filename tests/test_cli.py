@@ -308,29 +308,50 @@ def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
     assert capsys.readouterr().err.count("ERROR size:") == len(lines)
 
 
-def _finite_time_noise(tmp_path, beta):
+def _finite_time_columns(tmp_path, beta):
     out = tmp_path / f"ft-{beta}.csv"
     assert run_cli(["finite-time", "--T", "1", "--beta", str(beta),
                     "--output", str(out)]) == 0
     rows = [ln.split(",") for ln in read_lines(out)[2:]]
-    return np.array([float(r[4]) for r in rows])
+    return np.array([[float(v) for v in r] for r in rows])
 
 
 def test_finite_time_prints_equal_time_noise(tmp_path):
-    # the kR_boundary column is the equal-time noise kernel, bit for bit
+    # the G, kI_out and kR_boundary columns are the library's first rows
+    # and equal-time noise kernel, bit for bit
     p = nb.derive_params(5, 10.0, 1.0, 0.5)
     times = nb.time_grid(1.0, p.fine_step)
     upstream = nb.TwoTimeKernel.from_stationary(
         times, lambda u: nb.branch_cut_kernel(p, u).values)
     G = nb.twinning_solve(upstream, p).G
+    kI = nb.vernon_imag_finite(G, p.C)
     expect = {}
     for beta in (0.3, 3.0):
         kR = nb.vernon_real_full(None, G, nb.thermal_init(beta, p), p.C)
         expect[beta] = np.diag(kR.values)
-        got = _finite_time_noise(tmp_path, beta)
+        cols = _finite_time_columns(tmp_path, beta)
+        assert np.array_equal(cols[:, 2], G.values[0])
+        assert np.array_equal(cols[:, 3], kI.values[0])
+        got = cols[:, 4]
         assert np.array_equal(got, expect[beta])
         assert got[0] == 0.0 and np.all(got[1:] != 0.0)
     assert not np.array_equal(expect[0.3], expect[3.0])
+
+
+def test_finite_time_holds_no_window_matrix(tmp_path):
+    # a 1,764-point window, warm, peaks below half of one N x N float64 array
+    out = tmp_path / "ft.csv"
+    argv = ["finite-time", "--T", "8", "--output", str(out)]
+    assert run_cli(argv) == 0
+    n = len(read_lines(out)) - 2
+    assert n == 1764
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
 
 
 def test_shape_and_instability_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.linalg import toeplitz
 
 import netbath as nb
 from netbath.errors import AccuracyError, DomainError, ShapeError, SizeError
@@ -89,10 +90,16 @@ def test_twinning_zero_kernel_returns_bare(ft_params):
     times = nb.time_grid(3.0, dt)
     kz = TwoTimeKernel.from_stationary(times, lambda u: 0.0 * u)
     res = nb.twinning_solve(kz, ft_params)
-    lag = np.maximum(times[None, :] - times[:, None], 0.0)
-    bare = np.triu(nb.bare_response(ft_params, lag))
+    u = times - times[0]
+    bare = toeplitz(np.zeros(times.size), nb.bare_response(ft_params, u))
     assert res.G.meta["solver"] == "toeplitz" and res.residual == 0.0
     assert np.array_equal(res.G.values, bare)
+    # The bare response at the subtracted times t_j - t_i differs from the
+    # grid lags by rounding only.
+    lag = np.maximum(times[None, :] - times[:, None], 0.0)
+    subtracted = np.triu(nb.bare_response(ft_params, lag))
+    assert np.abs(res.G.values - subtracted).max() <= \
+        1e-14 * np.abs(subtracted).max()
 
 
 def test_twinning_causality_and_step_guard(ft_params):
@@ -131,6 +138,9 @@ def test_twinning_matches_successive_substitution(ft_params, solver):
     ref = _successive_substitution(upstream, ft_params)
     assert res.G.meta["solver"] == solver
     assert np.abs(res.G.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    if solver == "toeplitz":
+        g = res.G.values
+        assert np.array_equal(g[1:, 1:], g[:-1, :-1])
 
 
 def test_from_stationary_is_exactly_toeplitz():
@@ -142,6 +152,36 @@ def test_from_stationary_is_exactly_toeplitz():
     assert np.array_equal(sym.values, sym.values.T)
     assert np.array_equal(sym.values[0], np.cos(u))
     assert np.array_equal(sym.values[1:, 1:], sym.values[:-1, :-1])
+
+
+def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
+    # every row of a stationary kernel aliases one buffer, so no write lands
+    dt = 1.0 / (20.0 * ft_params.lambda_pp)
+    times = nb.time_grid(2.0, dt)
+    kfunc, _, _ = _damped_sine(ft_params)
+    kk = TwoTimeKernel.from_stationary(times, kfunc)
+    G = nb.twinning_solve(kk, ft_params).G
+    kI = nb.vernon_imag_finite(G, ft_params.C)
+    sym = TwoTimeKernel.from_stationary(times, np.cos, kind="symmetric")
+    for kernel in (kk, G, kI, sym):
+        before = kernel.values[0].copy()
+        with pytest.raises(ValueError):
+            kernel.values[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            kernel.values[1] *= 2.0
+        assert np.array_equal(kernel.values[0], before)
+    # the noise kernel and the triangular solve return fresh, writable arrays
+    state = nb.thermal_init(1.0, ft_params)
+    upstream = _turn_on_upstream(ft_params, times)
+    fresh = [nb.vernon_real_full(None, G, state, ft_params.C).values,
+             nb.vernon_real_full(sym, G, state, ft_params.C).values,
+             nb.twinning_solve(upstream, ft_params).G.values]
+    for vals in fresh:
+        assert vals.flags.writeable
+        assert not any(np.shares_memory(vals, k.values)
+                       for k in (kk, G, kI, sym, upstream))
+        vals[0, 1] = 1.0
+    assert G.values[0, 1] != 1.0
 
 
 def test_window_refused_before_allocating(ft_params):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.special
 import netbath as nb
 from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
-    _composite_weights, bessel_convolution, fd_weights
+    _composite_weights, _gl_nodes, _sine_sum, bessel_convolution, fd_weights
 
 
 def test_j0_against_reference():
@@ -90,6 +91,39 @@ def test_bessel_boundary_values(wide_band):
     w1 = fd_weights(np.arange(0, 5), 1) / h
     fprime0 = float(w1 @ f[:5])
     assert fprime0 == pytest.approx(1.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 545, 2001, 3000])
+def test_blocked_sums_match_one_product(wide_band, n):
+    # Row blocks give every row the bits of one product over the whole grid.
+    p = wide_band
+    t = np.linspace(0.0, 5.0, n)
+    x, coeff = _band_nodes(p, 119)
+    one = np.sin(p.lambda_pp * np.outer(t, x)) @ coeff
+    assert np.array_equal(_sine_sum(t, x, coeff, p.lambda_pp), one)
+    xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(p, n, 5.0))
+    half = t[:, None] / 2.0
+    u = half * (xi[None, :] + 1.0)
+    f = (nb.j0(p.lambda_pm * u) * nb.j0(p.lambda_pp * (t[:, None] - u))) @ wq
+    assert np.array_equal(bessel_convolution(p, t), f * half[:, 0])
+
+
+def test_time_kernels_work_in_blocks():
+    # A wide band on a long grid: one (t x node) matrix of the Bessel
+    # convolution is 5.0 MiB, and one product over the whole grid peaked at
+    # 59 MiB; the branch-cut phase matrix is 4.4 MiB and peaked at 10.7 MiB.
+    p = nb.derive_params(5, 9.944699, 120.350994, 1.623234)
+    runs = ((nb.bessel_kernel, np.linspace(0.0, 4.908, 2203), 12),
+            (nb.branch_cut_kernel, np.linspace(0.0, 10.0, 3000), 3))
+    for kernel, tau, mib in runs:
+        kernel(p, tau[:50])
+        tracemalloc.start()
+        try:
+            kernel(p, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib << 20, kernel.__name__
 
 
 def test_bessel_kernel_zero_at_origin(wide_band):
