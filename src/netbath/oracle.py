@@ -6,7 +6,7 @@ The scalar map rewritten as a continued fraction,
 
 is exactly the corner entry recursion of the symmetric tree matrix with
 diagonal ``m(lambda^2+omega^2)/2`` and off-diagonal ``C/sqrt(2)``, the latter
-fixed by b^2 = C^2/2.  Solving that matrix with a general factorization
+fixed by b^2 = C^2/2.  Solving that matrix with a general linear solver
 therefore gives finite-network kernels through a code path that shares no
 code with the message-passing module:
 
@@ -37,19 +37,10 @@ spectral radius 2 sqrt(branching) reproduces.
 
 The sparsity pattern is assembled once per tree, vectorised from the parent
 array with the diagonal stored explicitly; each lambda then writes only the
-diagonal entries of a copy.  Small trees are solved by dense Cholesky, larger
-ones by sparse LU: measured on one thread, sparse LU overtakes dense Cholesky
-at about 85-100 nodes and is about 100x faster at 1,365 nodes (0.3 ms against
-36 ms per factor and solve).
-
-The sparse route is SuperLU with the minimum-degree ordering of A + A^T.  On
-a tree that ordering eliminates leaves first, so the factors have no fill
-(nnz(L) = nnz(U) = 2N - 1) and every supernode is a single column.  The
-independence from the recursion therefore lies in the code, not in the
-elimination order.  Since no supernode is wider than one column, SuperLU's
-default relaxed supernodes and panels only add padding work; it runs with
-``relax=1, panel_size=1``, which cuts one factor and solve on the 87,381-node
-tree from about 70 to 25 ms.
+diagonal entries of a copy.  The corner comes from one MINRES solve per
+lambda (Paige & Saunders, SIAM J. Numer. Anal. 12, 617 (1975)): no
+factorisation, so no fill on a graph with loops, and it takes the indefinite
+matrices past C* as well.  A true-residual guard checks every lambda.
 """
 
 from __future__ import annotations
@@ -64,10 +55,6 @@ from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams
 from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
-
-#: Dense symmetric factorization up to this node count, sparse LU above; just
-#: above the measured crossover of about 85-100 nodes.
-DENSE_LIMIT = 128
 
 #: Lanczos breakdown: a new coefficient below this fraction of the largest
 #: one.  What a smaller one would couple to the root carries weight of its
@@ -111,34 +98,11 @@ def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
                                       shape=adj.shape)
 
 
-def _corner_inverse(mat: scipy.sparse.csc_matrix,
-                    dense_limit: int = DENSE_LIMIT) -> float:
-    """[M^{-1}]_{0,0}, the root corner, by dense or sparse symmetric solve."""
-    n = mat.shape[0]
-    e = np.zeros(n)
+def _corner_inverse(mat: scipy.sparse.csc_matrix) -> float:
+    """[M^{-1}]_{0,0}, the root corner, by MINRES from e_0."""
+    e = np.zeros(mat.shape[0])
     e[0] = 1.0
-    if n <= dense_limit:
-        dense = mat.toarray()
-        try:
-            cho = scipy.linalg.cho_factor(dense, check_finite=False)
-            x = scipy.linalg.cho_solve(cho, e, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            # Indefinite at this lambda; fall back to a general solve.
-            try:
-                x = scipy.linalg.solve(dense, e, assume_a="sym",
-                                       check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise DomainError(f"tree matrix is singular: {exc}") from exc
-    else:
-        # MMD orders a tree leaves first with no fill, so every supernode is
-        # one column: larger relaxed supernodes and panels only pad.
-        try:
-            lu = scipy.sparse.linalg.splu(mat,
-                                          permc_spec="MMD_AT_PLUS_A",
-                                          relax=1, panel_size=1)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise DomainError(f"tree matrix is singular: {exc}") from exc
-        x = lu.solve(e)
+    x, _ = scipy.sparse.linalg.minres(mat, e, rtol=1e-14)
     corner = float(x[0])
     residual = np.abs(mat @ x - e).max()
     if not math.isfinite(corner) or residual > 1e-8 * (1.0 + np.abs(x).max()):
@@ -148,19 +112,25 @@ def _corner_inverse(mat: scipy.sparse.csc_matrix,
 
 
 def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam: float,
-                          dense_limit: int = DENSE_LIMIT) -> float:
-    """Exact finite-tree kernel (C^2/2) [M^{-1}]_{root,root} at one lambda."""
-    return float(oracle_kernel_laplace_grid(tree, params, [lam], dense_limit)[0])
+                          dense_limit=None) -> float:
+    """Exact finite-tree kernel (C^2/2) [M^{-1}]_{root,root} at one lambda.
+
+    ``dense_limit`` is accepted and ignored.  It chose between a dense and a
+    sparse factorisation before the single MINRES path, and the benchmark's
+    warm-up (``warm_up("check")`` in ``perfbench/jobs.py``) still passes it;
+    it goes with the next change to the benchmark.
+    """
+    return float(oracle_kernel_laplace_grid(tree, params, [lam])[0])
 
 
 def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
-                               lambda_grid, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+                               lambda_grid) -> np.ndarray:
     """:func:`oracle_kernel_laplace` over a lambda grid, assembling the tree once.
 
-    Every lambda still gets its own factorisation and residual check.
+    Every lambda still gets its own solve and residual check.
     """
     matrices = _tree_matrices(tree, params, np.asarray(lambda_grid, dtype=float))
-    return np.array([params.C**2 / 2.0 * _corner_inverse(mat, dense_limit)
+    return np.array([params.C**2 / 2.0 * _corner_inverse(mat)
                      for mat in matrices])
 
 
@@ -245,8 +215,9 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     Degenerate modes come out merged, and by the Perron argument of the
     module docstring the extreme Omega are those of the whole network.  On an
     irregular tree rounding can carry Lanczos past a breakdown; the modes it
-    then adds are adjacency eigenvalues of root weight at the rounding level,
-    so they move no kernel value.  Returns (Omega, w) sorted by frequency.
+    then adds carry root weight at the rounding level, and those below 1e-20
+    of the total are dropped, so every mode returned is one the root sees.
+    Returns (Omega, w) sorted by frequency.
     Raises :class:`InstabilityError` when some Omega^2 <= 0, and
     :class:`SizeError`, before the Lanczos basis is allocated, when it would
     need more than ``BYTE_CAP`` bytes.
@@ -271,8 +242,10 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(
             f"unstable mode: min Omega^2 = {omega_b_sq.min():.6g}")
-    omega_b = np.sqrt(omega_b_sq)
-    weights = params.C**2 / params.m * vecs[0] ** 2 / omega_b
+    share = vecs[0] ** 2
+    seen = share >= 1e-20 * share.sum()
+    omega_b = np.sqrt(omega_b_sq[seen])
+    weights = params.C**2 / params.m * share[seen] / omega_b
     order = np.argsort(omega_b)
     return omega_b[order], weights[order]
 

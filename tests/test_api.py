@@ -7,6 +7,8 @@ why it stays.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import netbath as nb
@@ -66,3 +68,16 @@ def test_every_public_name_has_a_user():
     assert not unused, f"public names nothing uses: {unused}"
     stale = [name for name in ALLOWED if name not in nb.__all__]
     assert not stale, f"allowlist names no public name: {stale}"
+
+
+def test_benchmark_warm_up_runs(monkeypatch):
+    # the benchmark's set-up calls the package as its jobs do, so a name or
+    # keyword it passes that the package drops fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, jobs)
+    spec.loader.exec_module(jobs)
+    for workload in jobs.WORKLOADS:
+        jobs.warm_up(workload)

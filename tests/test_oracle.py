@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import netbath as nb
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import DENSE_LIMIT, _corner_inverse, _tree_matrices
+from netbath.oracle import _adjacency, _corner_inverse, _lanczos, _tree_matrices
 from netbath.tree_bp import TreeGraph
 
 
@@ -30,6 +31,36 @@ def _loop_adjacency(tree):
         if parent >= 0:
             adj[child, parent] = adj[parent, child] = 1.0
     return adj
+
+
+def _dense_corner(mat):
+    """Reference [M^{-1}]_{0,0} by a dense solve: Cholesky where M is
+    positive definite, the symmetric indefinite solve where it is not."""
+    dense, e = mat.toarray(), np.eye(mat.shape[0])[0]
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense), e)[0]
+    except scipy.linalg.LinAlgError:
+        return scipy.linalg.solve(dense, e, assume_a="sym")[0]
+
+
+def _dense_kernel(tree, params, lam):
+    """Reference kernel (C^2/2) [M^{-1}]_{0,0} over a lambda grid."""
+    return np.array([params.C**2 / 2.0 * _dense_corner(mat)
+                     for mat in _tree_matrices(tree, params, lam)])
+
+
+def _regular_graph(rng, n_nodes, degree):
+    """Seeded simple random regular graph by stub pairing, in CSC form: the
+    stubs are paired anew until no pair is a self-loop or a repeated edge."""
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(n_nodes), degree))
+        lo, hi = np.sort(pairs.reshape(-1, 2), axis=1).T
+        edges = lo * n_nodes + hi
+        if np.all(lo != hi) and np.unique(edges).size == edges.size:
+            break
+    rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    return scipy.sparse.csc_matrix((np.ones(rows.size), (rows, cols)),
+                                   shape=(n_nodes, n_nodes))
 
 
 def _random_tree(rng, max_nodes):
@@ -77,8 +108,10 @@ def _assert_modes_match(got, ref, params):
     carries the summed weight of the modes matched to it to 1e-13 of the
     total; an unmatched mode has root weight below rounding.  No two modes
     the root sees coincide: a Jacobi matrix has simple eigenvalues, and a
-    near-copy is a Lanczos ghost of lost orthogonality."""
+    near-copy is a Lanczos ghost of lost orthogonality.  Ghosts are dropped,
+    so the mode counts agree."""
     (omega, w), (omega_ref, w_ref) = got, ref
+    assert omega.size == omega_ref.size
     nearest = np.abs(omega[:, None] - omega_ref[None, :]).argmin(axis=1)
     matched = np.abs(omega - omega_ref[nearest]) <= 1e-13 * omega_ref[nearest]
     share = w * omega * params.m / params.C**2
@@ -114,12 +147,11 @@ def test_deep_tree_approaches_branch_fixed_point(narrow_band):
 
 
 def test_dense_sparse_agree(ordered_chain):
+    # the sparse MINRES route against the dense reference solve
     lam = 0.7
     chain = nb.build_chain(300)
-    dense = nb.oracle_kernel_laplace(chain, ordered_chain, lam,
-                                     dense_limit=4096)
-    sparse = nb.oracle_kernel_laplace(chain, ordered_chain, lam,
-                                      dense_limit=10)
+    dense = _dense_kernel(chain, ordered_chain, (lam,))[0]
+    sparse = nb.oracle_kernel_laplace(chain, ordered_chain, lam)
     assert dense == pytest.approx(sparse, rel=1e-12)
 
 
@@ -193,38 +225,50 @@ def test_corner_inverse_residual_guard(ordered_chain):
                                   nb.build_chain(400)],
                          ids=["irregular-16", "branching4-1365", "chain-401"])
 def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
-    # the default route (dense below DENSE_LIMIT, sparse LU above) and the
-    # sparse route against dense Cholesky on every tree
+    # MINRES against the dense reference on every tree; on the 1,365-node
+    # tree the reference falls back to the symmetric solve at lambda <= 0.7
     lam = np.array([0.1, 0.7, 3.0, 40.0])
-    dense = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam,
-                                          dense_limit=4096)
-    for limit in (DENSE_LIMIT, 0):
-        got = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam,
-                                            dense_limit=limit)
-        assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
+    dense = _dense_kernel(tree, ordered_chain, lam)
+    got = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam)
+    assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
     # past C*, at lambda = 0.5 the matrix is indefinite but not near-singular
-    # on all three trees: Cholesky fails over to the symmetric solve, and
-    # sparse LU pivots
+    # on all three trees, where conjugate gradients would not apply
     p = nb.derive_params(2, 1.0, 2.5, 1.0)
     eig = np.linalg.eigvalsh(next(_tree_matrices(tree, p, (0.5,))).toarray())
     assert eig.min() < 0.0 < eig.max() and np.abs(eig).min() > 1e-3
-    dense = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=4096)
-    sparse = nb.oracle_kernel_laplace(tree, p, 0.5, dense_limit=0)
+    dense = _dense_kernel(tree, p, (0.5,))[0]
+    sparse = nb.oracle_kernel_laplace(tree, p, 0.5)
     assert abs(sparse - dense) <= 1e-13 * abs(dense)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-@pytest.mark.parametrize("dense_limit", [4096, 0], ids=["dense", "sparse"])
 @pytest.mark.parametrize("diagonal", [0.0, 1e-310], ids=["zero", "subnormal"])
-def test_corner_inverse_refuses_singular_matrix(ordered_chain, dense_limit,
-                                                diagonal):
-    # a 3-node chain with zero diagonal has eigenvalue 0: an exactly singular
-    # factor; with a subnormal diagonal the solve overflows instead, and the
-    # residual guard refuses it
+def test_corner_inverse_refuses_singular_matrix(ordered_chain, diagonal):
+    # a 3-node chain with zero or subnormal diagonal has an eigenvalue at 0
+    # whose eigenvector overlaps e_0: no solution exists, and the residual
+    # guard refuses the least-squares one MINRES returns
     mat = next(_tree_matrices(nb.build_chain(2), ordered_chain, (1.0,)))
     mat.setdiag(diagonal)
     with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(mat, dense_limit)
+        _corner_inverse(mat)
+
+
+def test_corner_inverse_on_random_regular_graphs():
+    # a random 3-regular graph has loops of length about log N, so the
+    # resolvent at a node approaches the BP output 1/(a - n k*/(n-1)) as the
+    # loops around it grow
+    p = nb.derive_params(3, 10.0, 1.0, 0.5)
+    lam = np.array([0.5, 2.0])
+    a = p.m * (lam**2 + p.omega_sq) / 2.0
+    bp = 1.0 / (a - p.n * nb.closed_form_fixed_point(p, lam) / (p.n - 1))
+    rng = np.random.default_rng(7)
+    errs = []
+    for n_nodes, bound in ((200, 1e-11), (2000, 1e-13)):
+        adj = -p.C / math.sqrt(2.0) * _regular_graph(rng, n_nodes, p.n)
+        errs.append([abs(_corner_inverse(scipy.sparse.csc_matrix(
+            adj + diag * scipy.sparse.identity(n_nodes))) - ref) / ref
+            for diag, ref in zip(a, bp)])
+        assert max(errs[-1]) <= bound
+    assert np.all(np.less(errs[1], errs[0]))
 
 
 def test_oracle_imports_nothing_of_the_recursion():
@@ -260,18 +304,26 @@ def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
             assert mat.nnz == tree.n_nodes + 2 * (tree.n_nodes - 1)
 
 
-def test_grid_equals_pointwise_on_both_sides_of_dense_limit(ordered_chain,
-                                                             narrow_band):
+def test_grid_equals_pointwise(ordered_chain, narrow_band):
     lam = np.array([0.1, 0.7, 3.0, 40.0])
-    small, large = nb.build_chain(60), nb.build_tree(4, 4)
-    assert small.n_nodes <= DENSE_LIMIT < large.n_nodes
-    for tree, params in ((small, ordered_chain), (large, narrow_band),
+    for tree, params in ((nb.build_chain(60), ordered_chain),
+                         (nb.build_tree(4, 4), narrow_band),
                          (_irregular_tree(), ordered_chain)):
         grid = nb.oracle_kernel_laplace_grid(tree, params, lam)
         point = [nb.oracle_kernel_laplace(tree, params, x) for x in lam]
         assert np.array_equal(grid, point)
-        forced = nb.oracle_kernel_laplace_grid(tree, params, lam, dense_limit=0)
-        assert np.allclose(forced, grid, rtol=1e-12, atol=0.0)
+        dense = _dense_kernel(tree, params, lam)
+        assert np.allclose(dense, grid, rtol=1e-12, atol=0.0)
+
+
+def test_lanczos_gives_a_chain_on_regular_trees():
+    # seen from the root, a b-ary tree is sqrt(b) times a chain: its Jacobi
+    # matrix has depth coefficients, all sqrt(b) (up to 87,381 nodes)
+    for b in (2, 3, 4):
+        for depth in range(1, 9):
+            beta = _lanczos(_adjacency(nb.build_tree(b, depth))[0], depth + 2)
+            assert beta.size == depth
+            assert np.max(np.abs(beta - math.sqrt(b))) <= 2e-15
 
 
 def test_mode_decomposition_irregular_tree(ordered_chain):
