@@ -87,8 +87,8 @@ def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:
     Raises
     ------
     DomainError
-        On non-finite inputs, out-of-range n/omega0/m, or C at or below
-        the positivity bound.
+        On non-finite inputs, out-of-range n/omega0/m, C at or below the
+        positivity bound, or inputs whose derived quantities overflow.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"degree n must be an integer, got {n!r}")
@@ -102,29 +102,34 @@ def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:
         raise DomainError(f"omega0 must be > 0, got {omega0}")
     if m <= 0:
         raise DomainError(f"mass m must be > 0, got {m}")
-    bound = -m * omega0**2 / n
-    if C <= bound:
-        raise DomainError(_POSITIVITY_MSG.format(C=C, bound=bound))
-
-    omega_sq = omega0**2 + n * C / m
-    if C >= 0:
-        a_sq = math.sqrt(8.0 * (n - 1)) * C / m
-        lambda_pp = math.sqrt(omega_sq + a_sq)
-        if omega_sq >= a_sq:
-            lambda_pm = math.sqrt(omega_sq - a_sq)
-            q = lambda_pm / lambda_pp
+    # Finite inputs can still overflow a derived quantity: a power raises
+    # OverflowError, a product or a sum goes to inf.  nan marks a quantity
+    # the band leaves undefined.
+    try:
+        bound = -m * omega0**2 / n
+        if C <= bound:
+            raise DomainError(_POSITIVITY_MSG.format(C=C, bound=bound))
+        omega_sq = omega0**2 + n * C / m
+        if C >= 0:
+            a_sq = math.sqrt(8.0 * (n - 1)) * C / m
+            lambda_pp = math.sqrt(omega_sq + a_sq)
+            if omega_sq >= a_sq:
+                lambda_pm = math.sqrt(omega_sq - a_sq)
+                q = lambda_pm / lambda_pp
+            else:
+                lambda_pm = math.nan
+                q = math.nan
+            Lambda = m * lambda_pp**3 / math.pi
         else:
-            lambda_pm = math.nan
-            q = math.nan
-        Lambda = m * lambda_pp**3 / math.pi
-    else:
-        # Negative coupling is allowed only for existence scans; the band
-        # structure is undefined there.
-        a_sq = math.nan
-        lambda_pp = math.nan
-        lambda_pm = math.nan
-        q = math.nan
-        Lambda = math.nan
+            # Negative coupling is allowed only for existence scans; the band
+            # structure is undefined there.
+            a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
+        derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda)
+    except OverflowError:
+        derived = (math.inf,)
+    if any(map(math.isinf, derived)):
+        raise DomainError(f"a derived quantity overflows at n={n}, "
+                          f"{omega0=}, {C=}, {m=}")
     return ModelParams(n=n, omega0=float(omega0), C=float(C), m=float(m),
                        omega_sq=omega_sq, a_sq=a_sq, lambda_pp=lambda_pp,
                        lambda_pm=lambda_pm, q=q, Lambda=Lambda)

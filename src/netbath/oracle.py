@@ -14,21 +14,27 @@ code with the message-passing module:
 
 The lambda dependence sits entirely on the diagonal, so the spectral measure
 of the adjacency seen from the root gives the exact mode frequencies and
-weights of the finite network, and with them the time-domain kernel.  That
-measure is the one of a Jacobi (tridiagonal) matrix, which Lanczos from the
-root vector builds on the sparse adjacency (the Haydock-Heine-Kelly
-recursion, J. Phys. C 5, 2845 (1972)); its eigenvalues and first eigenvector
-components are the Gauss nodes and weights (Golub & Welsch, Math. Comp. 23,
-221 (1969)).  Only modes the root sees come out, a degenerate eigenvalue once
-with its summed weight: depth+1 modes on a regular tree of any size, where a
-dense eigendecomposition of the N x N adjacency returns N, most of zero
-weight.  Lanczos stops at breakdown, a new coefficient below BREAKDOWN_TOL of
-the largest, or at the number of node classes under the automorphisms that
-fix the root, which bounds the dimension of the root's Krylov space and
-sizes the basis before it is allocated.  A tree is connected and bipartite,
-so by Perron-Frobenius the extreme adjacency eigenvalues +-rho(A) have
-eigenvectors with no zero entry: the root sees them, and the extreme mode
-frequencies it returns are those of the whole network.
+weights of the finite network, and with them the time-domain kernel.  The
+node classes under the automorphisms that fix the root form an equitable
+partition: every node of one class has the same number of neighbours in
+each other class.  The span of the class indicators is then invariant under
+the adjacency, and on it, in the normalised indicators, the adjacency is the
+symmetrised quotient, a weighted tree on the classes whose edge from a class
+to its parent class carries the square root of the class's multiplicity
+(Godsil, Algebraic Combinatorics, 1993).  The root is a class of its own, so
+its spectral measure is that of the quotient: its eigenvalues and first
+eigenvector components are the mode frequencies and weights, and only modes
+the root sees come out, a degenerate eigenvalue once with its summed weight.
+A b-ary tree of depth d has d+1 classes, one per level, and its quotient is
+sqrt(b) times a chain, the chain mapping of Chin, Rivas, Huelga & Plenio
+(J. Math. Phys. 51, 092109 (2010)); a dense eigendecomposition of the
+N x N adjacency would return N modes, most of zero weight.  A tree is
+connected and bipartite, so by Perron-Frobenius the extreme adjacency
+eigenvalues +-rho(A) are simple, with eigenvectors that have no zero entry.
+An automorphism that fixes the root maps such an eigenvector to a multiple
+of itself with the same root entry, so to itself: it is constant on
+classes, the quotient keeps +-rho(A), and the extreme mode frequencies the
+root sees are those of the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
@@ -55,12 +61,6 @@ from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams
 from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
-
-#: Lanczos breakdown: a new coefficient below this fraction of the largest
-#: one.  What a smaller one would couple to the root carries weight of its
-#: square, below rounding in any kernel.
-BREAKDOWN_TOL = 1e-8
-
 
 def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
     """Tree adjacency in sorted CSC form, its zero diagonal stored explicitly.
@@ -134,16 +134,18 @@ def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
                      for mat in matrices])
 
 
-def _root_classes(parent: np.ndarray) -> int:
-    """Node classes of a tree under the automorphisms that fix the root.
+def _class_tree(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient of a tree by the automorphisms that fix its root.
 
     Nodes are numbered breadth-first, so every child follows its parent.
     Bottom-up, each inner node gets the id of its subtree's shape: its count
     of leaf children and the sorted shapes of the others.  Top-down, its
     class is the pair (class of its parent, its shape), and the leaves under
-    one class form one class.  The root's Krylov space lies in the span of
-    the class indicators, so the count bounds its dimension: depth+1 on a
-    regular tree, N on a chain.
+    one class form one class.  Returns, for each class, its parent class (-1
+    for the root's class 0) and its multiplicity: the number of its nodes
+    under each node of the parent class, read off the parent class's shape.
+    Classes are numbered top-down, so a path of classes is numbered along
+    the path: depth+1 classes on a regular tree, N on a chain.
     """
     n_kids = np.bincount(parent[1:], minlength=parent.size)
     leaf_kids = np.bincount(parent[1:][n_kids[1:] == 0],
@@ -159,92 +161,64 @@ def _root_classes(parent: np.ndarray) -> int:
     cls, classes = {0: 0}, {}
     for v in inner[1:]:
         cls[v] = classes.setdefault((cls[par[v]], shape[v]), len(classes) + 1)
-    return 1 + len(classes) + len({cls[v] for v in inner if leaf_kids[v]})
-
-
-def _lanczos(adj: scipy.sparse.csc_matrix, k_max: int) -> np.ndarray:
-    """Off-diagonal of the Jacobi matrix of a tree adjacency seen from e_0.
-
-    A tree is bipartite, so q_j lives on the nodes whose depth has the parity
-    of j: every diagonal entry q_j . A q_j is exactly 0, and vectors of
-    opposite parity are exactly orthogonal.  Each step runs the three-term
-    recurrence, then reorthogonalises in full against the vectors of its own
-    parity: one classical Gram-Schmidt pass, and a second only when the
-    first cut the norm below 1/sqrt(2) of its value.  Under breadth-first
-    numbering the vectors so far are zero past the nodes they reach, one
-    level further per step, so that work runs over those nodes, not all N.
-    It stops at breakdown, when the new coefficient falls below
-    ``BREAKDOWN_TOL`` times the largest norm seen, or after ``k_max``
-    vectors, a bound on the dimension of the root's Krylov space.
-    """
-    n = adj.shape[0]
-    # basis[j % 2, j // 2] is q_j, so each parity's vectors are contiguous.
-    basis = np.zeros((2, (k_max + 1) // 2, n))
-    basis[0, 0, 0] = 1.0
-    beta = np.empty(k_max)
-    # Nodes reached from the first c: with sorted indices and a stored
-    # diagonal, a column's last index is its largest row.
-    reach_after = (np.maximum.accumulate(adj.indices[adj.indptr[1:] - 1])
-                   + 1).tolist()
-    reach, scale = 1, 0.0
-    for j in range(k_max):
-        w = adj @ basis[j % 2, j // 2]
-        reach = reach_after[reach - 1]
-        q, v = basis[(j + 1) % 2, :(j + 1) // 2, :reach], w[:reach]
-        if j:
-            v -= beta[j - 1] * q[-1]
-        before = math.sqrt(v @ v)
-        scale = max(scale, before)
-        v -= (q @ v) @ q
-        after = math.sqrt(v @ v)
-        if after < before / math.sqrt(2.0):
-            v -= (q @ v) @ q
-            after = math.sqrt(v @ v)
-        if j + 1 == k_max or after <= BREAKDOWN_TOL * scale:
-            return beta[:j]
-        beta[j] = after
-        basis[(j + 1) % 2, (j + 1) // 2, :reach] = v / after
+    keys = list(shapes)
+    class_key = [(leaf_kids[0], tuple(kids.get(0, ())))]
+    edges = [(-1, 1)]
+    for up, kind in classes:
+        edges.append((up, class_key[up][1].count(kind)))
+        class_key.append(keys[kind])
+    edges += [(up, leaves) for up, (leaves, _) in enumerate(class_key) if leaves]
+    class_parent, multiplicity = np.array(edges).T
+    return class_parent, multiplicity
 
 
 def mode_decomposition(tree: TreeGraph, params: ModelParams):
     """Frequencies and root weights of the modes the root of the tree sees.
 
-    The eigenpairs (mu_j, s_j) of the root's Jacobi matrix give ``Omega_j^2 =
-    omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 / Omega_j``;
-    the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j tau)``.
-    Degenerate modes come out merged, and by the Perron argument of the
-    module docstring the extreme Omega are those of the whole network.  On an
-    irregular tree rounding can carry Lanczos past a breakdown; the modes it
-    then adds carry root weight at the rounding level, and those below 1e-20
-    of the total are dropped, so every mode returned is one the root sees.
-    Returns (Omega, w) sorted by frequency.
+    The eigenpairs (mu_j, s_j) of the tree's class quotient give ``Omega_j^2
+    = omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 / Omega_j``;
+    the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j tau)``.  When
+    the classes form a path the quotient is the root's Jacobi matrix and
+    goes to the tridiagonal solver; any other quotient takes one dense
+    ``eigh``.  Eigenvalues closer than 1e-9 are one mode carrying their
+    summed weight, and modes of root weight below 1e-20 of the total are
+    dropped, so every mode returned is one the root sees.  By the Perron
+    argument of the module docstring the extreme Omega are those of the
+    whole network.  Returns (Omega, w) sorted by frequency.
     Raises :class:`InstabilityError` when some Omega^2 <= 0, and
-    :class:`SizeError`, before the Lanczos basis is allocated, when it would
-    need more than ``BYTE_CAP`` bytes.
+    :class:`SizeError`, before the eigendecomposition is allocated, when it
+    would need more than ``BYTE_CAP`` bytes.
     """
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
-    n = tree.n_nodes
-    chain = np.array_equal(tree.parent[1:], np.arange(n - 1))
-
-    def check_basis(k):
-        _check_bytes(8 * n * (k + 1), f"{k} Krylov vectors on {n} nodes")
-
-    # The root's Krylov space reaches one level deeper per step, so it has at
-    # least depth+1 dimensions: a free refusal before classes are counted.
-    check_basis(len(tree.levels))
-    k_max = n if chain else _root_classes(tree.parent)
-    check_basis(k_max)
-    # A chain numbered from its root end is its own Jacobi matrix.
-    beta = np.ones(n - 1) if chain else _lanczos(_adjacency(tree)[0], k_max)
-    mu, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(beta.size + 1), beta)
+    # No class spans two levels, so there are at least depth+1 classes, and
+    # a path of them has exactly that many: a free refusal of the path
+    # branch's eigenvectors, before the classes are found.
+    k = len(tree.levels)
+    _check_bytes(8 * k * k, f"eigenvectors of {k} or more node classes")
+    class_parent, multiplicity = _class_tree(tree.parent)
+    k = class_parent.size
+    coupling = np.sqrt(multiplicity[1:])
+    if np.array_equal(class_parent[1:], np.arange(k - 1)):
+        mu, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(k), coupling)
+    else:
+        # Measured: the matrix, LAPACK's copy of it with a 2 k^2 workspace,
+        # and the eigenvectors come to about 5.4 k^2 doubles.  numpy's eigh
+        # (syevd): scipy's default, LAPACK's evr, has returned first components
+        # whose squares sum to 1.00026 on a 50-node tree.
+        _check_bytes(6 * 8 * k * k, f"eigendecomposition of {k} node classes")
+        quotient = np.zeros((k, k))
+        child, up = np.arange(1, k), class_parent[1:]
+        quotient[child, up] = quotient[up, child] = coupling
+        mu, vecs = np.linalg.eigh(quotient)
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(
             f"unstable mode: min Omega^2 = {omega_b_sq.min():.6g}")
-    share = vecs[0] ** 2
+    first = np.flatnonzero(np.diff(mu, prepend=-np.inf) > 1e-9)
+    share = np.add.reduceat(vecs[0] ** 2, first)
     seen = share >= 1e-20 * share.sum()
-    omega_b = np.sqrt(omega_b_sq[seen])
+    omega_b = np.sqrt(omega_b_sq[first][seen])
     weights = params.C**2 / params.m * share[seen] / omega_b
     order = np.argsort(omega_b)
     return omega_b[order], weights[order]

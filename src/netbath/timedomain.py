@@ -123,14 +123,27 @@ def _row_blocks(n_rows: int, width: int):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
 
 
+#: Peak bytes per node of the arrays that build the band quadrature's nodes
+#: and coefficients, measured with tracemalloc: 56 in branch_cut_kernel, 96
+#: in spectral_density_sine_transform.
+_NODE_BYTES = 96
+
+
+def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
+    """Refuse, before allocating, a (tau x frequency) phase matrix and its
+    sine past the cap, with ``node_bytes`` per frequency for the arrays that
+    build the frequencies."""
+    _check_bytes((2 * 8 * n_tau + node_bytes) * n_freqs,
+                 f"sine sum over {n_tau} x {n_freqs} points")
+
+
 def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
 
     Refuses, before allocating, a (tau x frequency) phase matrix and its sine
     past the cap; the matrix is then built one block of rows at a time.
     """
-    _check_bytes(2 * 8 * len(tau) * len(freqs),
-                 f"sine sum over {len(tau)} x {len(freqs)} points")
+    _check_sine_sum(len(tau), len(freqs))
     tau = np.ravel(tau)
     out = np.empty(tau.size)
     for rows in _row_blocks(tau.size, len(freqs)):
@@ -165,6 +178,7 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
             f"quad_order={quad_order} below recommended {rule} for "
             f"tau_max*lambda_pp={tau_max * params.lambda_pp:.3g}",
             AccuracyWarning, stacklevel=2)
+    _check_sine_sum(tau_grid.size, quad_order, _NODE_BYTES)
     x, coeff = _band_nodes(params, quad_order)
     values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
     return TimeKernel(tau=tau_grid, values=values, params=params,
@@ -208,6 +222,7 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
                           params=params)
     tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
     quad_order = recommended_quad_order(params, tau_max) + 40
+    _check_sine_sum(tau_grid.size, quad_order, _NODE_BYTES)
     x, _ = _band_nodes(params, quad_order)
     # Rebuild the quadrature weights for sqrt(s(1-s)) and change variables
     # w = lambda_pp x; J carries the square-root factors.

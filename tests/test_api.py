@@ -70,14 +70,44 @@ def test_every_public_name_has_a_user():
     assert not stale, f"allowlist names no public name: {stale}"
 
 
+def _load_bench(name, monkeypatch):
+    """A module of ``perfbench/`` loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_warm_up_runs(monkeypatch):
     # the benchmark's set-up calls the package as its jobs do, so a name or
     # keyword it passes that the package drops fails here
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
-    jobs = importlib.util.module_from_spec(spec)
-    # its dataclasses resolve their annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, jobs)
-    spec.loader.exec_module(jobs)
+    jobs = _load_bench("jobs", monkeypatch)
     for workload in jobs.WORKLOADS:
         jobs.warm_up(workload)
+
+
+def test_benchmark_trace_wraps_and_restores(monkeypatch, narrow_band):
+    # the benchmark's traced mode imports every layer it names and wraps its
+    # entry points, so a layer module that goes fails here; restoring puts
+    # back every function object it replaced
+    spans = _load_bench("spans", monkeypatch)
+    from netbath.finite_time import TwoTimeKernel
+    modules = [nb] + [importlib.import_module(f"netbath.{layer}")
+                      for layer in spans.LAYERS]
+    before = [dict(vars(mod)) for mod in modules]
+    from_stationary = vars(TwoTimeKernel)["from_stationary"]
+    tree = nb.build_tree(4, 3)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        nb.mode_decomposition(tree, narrow_band)
+    finally:
+        restore()
+    assert [span[spans.FUNC] for span in tracer.spans] == \
+        ["mode_decomposition"]
+    for mod, names in zip(modules, before):
+        assert all(vars(mod)[name] is obj for name, obj in names.items())
+    assert vars(TwoTimeKernel)["from_stationary"] is from_stationary

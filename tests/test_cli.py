@@ -152,7 +152,7 @@ def test_exit_codes(tmp_path):
 
 
 def test_size_refusal_exits_2(tmp_path, capsys):
-    # 20,001-node chain: its Lanczos basis would need 3 GiB
+    # 20,001-node chain: the eigenvectors of its class tree would need 3 GiB
     assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
                     "--depth", "20000", "--output",
                     str(tmp_path / "k.csv")]) == 2
@@ -259,6 +259,12 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("orbit --x0 nan", 3, "domain"),
     # no real band: the default step is still finite, the kernel refuses
     ("finite-time --C -0.1", 3, "domain"),
+    # finite values whose derived quantities overflow
+    ("kernel --omega0 1e200", 3, "domain"),
+    ("orbit --omega0 1e155 --steps 3", 3, "domain"),
+    ("kernel --m 1e-300", 3, "domain"),
+    ("tree --C 1e300", 3, "domain"),
+    ("phase --n 2 --omega0 1 --C 1e308 --m 1", 3, "domain"),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),
@@ -286,11 +292,13 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
 
 
 def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
-    # each would need tens to hundreds of GiB: a grid, the Bessel
-    # convolution's (t x node) matrix, a population pool, and the tables of
-    # a grid and of the three counted commands
+    # each would need tens to hundreds of GiB: a grid, the branch-cut
+    # quadrature's nodes with its sine sum, the Bessel convolution's
+    # (t x node) matrix, a population pool, and the tables of a grid and of
+    # the three counted commands
     out = str(tmp_path / "x.csv")
     lines = (f"kernel --tau-count {10**11}",
+             "kernel --tau-max 1e9 --tau-count 10",
              "kernel --method bessel --tau-max 1e9",
              f"population --pool-size {10**11}",
              "phase --lambda-count 50000000",

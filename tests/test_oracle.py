@@ -11,7 +11,7 @@ import scipy.sparse
 import netbath as nb
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import _adjacency, _corner_inverse, _lanczos, _tree_matrices
+from netbath.oracle import _class_tree, _corner_inverse, _tree_matrices
 from netbath.tree_bp import TreeGraph
 
 
@@ -85,8 +85,8 @@ def _random_tree(rng, max_nodes):
 def _dense_modes_reference(tree, params):
     """Root-visible modes from a dense ``eigh`` of the whole adjacency.
 
-    This is the route ``mode_decomposition`` took before its Lanczos
-    reduction.  It raises InstabilityError when any mode, seen from the root
+    This is the route ``mode_decomposition`` took before it reduced the tree
+    to the root's view of it.  It raises InstabilityError when any mode, seen from the root
     or not, has Omega^2 <= 0.  Eigenvalues closer than 1e-9 form one
     degenerate mode carrying their summed root weight, and modes whose root
     weight is zero to rounding (below 1e-20 of the total) are dropped.
@@ -107,9 +107,9 @@ def _assert_modes_match(got, ref, params):
     """Every reference mode is matched in frequency to 1e-13 relative, and
     carries the summed weight of the modes matched to it to 1e-13 of the
     total; an unmatched mode has root weight below rounding.  No two modes
-    the root sees coincide: a Jacobi matrix has simple eigenvalues, and a
-    near-copy is a Lanczos ghost of lost orthogonality.  Ghosts are dropped,
-    so the mode counts agree."""
+    the root sees coincide: each is one eigenvalue with its summed weight,
+    and a near-copy would be a mode counted twice.  Modes the root does not
+    see are dropped, so the mode counts agree."""
     (omega, w), (omega_ref, w_ref) = got, ref
     assert omega.size == omega_ref.size
     nearest = np.abs(omega[:, None] - omega_ref[None, :]).argmin(axis=1)
@@ -316,14 +316,16 @@ def test_grid_equals_pointwise(ordered_chain, narrow_band):
         assert np.allclose(dense, grid, rtol=1e-12, atol=0.0)
 
 
-def test_lanczos_gives_a_chain_on_regular_trees():
-    # seen from the root, a b-ary tree is sqrt(b) times a chain: its Jacobi
-    # matrix has depth coefficients, all sqrt(b) (up to 87,381 nodes)
+def test_class_tree_is_a_chain_on_regular_trees():
+    # seen from the root, a b-ary tree is sqrt(b) times a chain: its classes
+    # are its depth+1 levels, each b nodes under each node of the one above
+    # (up to 87,381 nodes)
     for b in (2, 3, 4):
         for depth in range(1, 9):
-            beta = _lanczos(_adjacency(nb.build_tree(b, depth))[0], depth + 2)
-            assert beta.size == depth
-            assert np.max(np.abs(beta - math.sqrt(b))) <= 2e-15
+            class_parent, multiplicity = _class_tree(
+                nb.build_tree(b, depth).parent)
+            assert np.array_equal(class_parent, np.arange(-1, depth))
+            assert np.array_equal(multiplicity[1:], np.full(depth, b))
 
 
 def test_mode_decomposition_irregular_tree(ordered_chain):
@@ -371,8 +373,8 @@ def test_mode_decomposition_matches_dense_on_random_trees(narrow_band):
 
 
 def test_mode_decomposition_refuses_before_allocating(narrow_band):
-    # a 20,001-node chain: the root's Krylov space is the whole space, so the
-    # Lanczos basis would be 20,001 x 20,001 float64, 3 GiB
+    # a 20,001-node chain: every node is a class of its own, so the
+    # eigenvectors of its class tree would be 20,001 x 20,001 float64, 3 GiB
     tree = nb.build_chain(20000)
     tracemalloc.start()
     try:
