@@ -23,7 +23,7 @@ from .finite_time import (ThermalState, TwoTimeKernel, bare_response,
                           thermal_init, time_grid, twinning_solve,
                           vernon_imag_finite, vernon_real_full)
 from .oracle import (mode_decomposition, oracle_kernel_laplace,
-                     oracle_kernel_laplace_grid, oracle_time_kernel)
+                     oracle_time_kernel)
 from .rs import (DisorderSpec, Population, population_init, population_step,
                  population_stats, variance_gain)
 from .bessel import j0
@@ -43,8 +43,7 @@ __all__ = [
     "ThermalState", "TwoTimeKernel", "thermal_init", "twinning_solve",
     "vernon_imag_finite", "vernon_real_full", "ode_response_check",
     "response_from_twinning", "bare_response", "time_grid",
-    "oracle_kernel_laplace", "oracle_kernel_laplace_grid",
-    "mode_decomposition", "oracle_time_kernel",
+    "oracle_kernel_laplace", "mode_decomposition", "oracle_time_kernel",
     "DisorderSpec", "Population", "population_init", "population_step",
     "population_stats", "variance_gain",
     "j0",

@@ -21,7 +21,7 @@ from .finite_time import TwoTimeKernel, time_grid, twinning_solve
 from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
     real_multiplier
 from .model import critical_coupling, derive_params, lambda_star
-from .oracle import mode_decomposition, oracle_kernel_laplace_grid, \
+from .oracle import mode_decomposition, oracle_kernel_laplace, \
     oracle_time_kernel
 from .rs import population_init, population_step, variance_gain
 from .timedomain import _composite_weights, bessel_kernel, branch_cut_kernel, \
@@ -123,13 +123,13 @@ def criterion_4() -> CriterionResult:
     for depth in (50, 200, 400):
         tree = build_chain(depth)
         bp = root_output_message(tree, chain_params, lam)
-        orc = oracle_kernel_laplace_grid(tree, chain_params, lam)
+        orc = oracle_kernel_laplace(tree, chain_params, lam)
         worst = max(worst, float(np.max(np.abs(orc - bp) / np.abs(bp))))
     tree_params = derive_params(**NARROW_BAND)
     for depth in (2, 5, 8):
         tree = build_tree(tree_params.n - 1, depth)
         bp = root_output_message(tree, tree_params, lam)
-        orc = oracle_kernel_laplace_grid(tree, tree_params, lam)
+        orc = oracle_kernel_laplace(tree, tree_params, lam)
         worst = max(worst, float(np.max(np.abs(orc - bp) / np.abs(bp))))
     return _result("oracle equivalence", worst <= 1e-10,
                    f"max rel diff {worst:.2e} (<=1e-10)", max_rel_diff=worst)

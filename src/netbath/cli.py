@@ -185,8 +185,6 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, str):
         return value
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     return f"{float(value):.17g}"
 
 
@@ -400,6 +398,7 @@ def cmd_finite_time(cfg):
     num = cfg["numerics"]
     dt = params.fine_step if num["dt"] is None else num["dt"]
     times = time_grid(float(num["T"]), float(dt))
+    _check_rows(times.size)
     state = thermal_init(float(num["beta"]), params)
     upstream = TwoTimeKernel.from_stationary(
         times, lambda u: branch_cut_kernel(params, u).values)

@@ -37,10 +37,9 @@ iteratively, :func:`response_from_twinning` the right-hand one.
 
 The step must resolve the band: :func:`twinning_solve` refuses one coarser
 than :attr:`~netbath.model.ModelParams.fine_step`, which is also the default
-step of the ``finite-time`` command.  A window whose N x N arrays (those of
-a non-stationary solve or noise kernel) would exceed
-:data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
-they are allocated.
+step of the ``finite-time`` command.  A step whose arrays, rows of N points
+or N x N, would exceed :data:`~netbath.errors.BYTE_CAP` is refused with
+:class:`SizeError` before it builds them.
 """
 
 from __future__ import annotations
@@ -55,13 +54,16 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
 from .model import ModelParams, _check_step
 
-#: Peak number of N x N float64 arrays alive at once on a window of N points
-#: whose kernels are not stationary (a stationary window holds rows only).
-#: Measured with tracemalloc at N = 1,323, 1,984 and 2,645: the triangular
-#: solve allocates 4.25 besides its N x N upstream, 5.25 in all;
-#: ``vernon_real_full`` with an upstream allocates 3.01 besides that upstream
-#: and G, 5.01 in all.
-WINDOW_ARRAYS = 5.3
+# Peak float64 arrays a window step allocates besides its inputs, by
+# tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
+# 7.16-7.52 rows besides func's; neumann_first_correction 5.00-5.02 N x N,
+# the largest step on the bare response matrix, whose build is 4.25; the
+# noise kernel 2.01-2.04, one more with an upstream; a dissipation kernel 2.13.
+_GRID_ROWS = 3.1
+_STATIONARY_ROWS = 7.6
+_BARE_SQUARES = 5.1
+_NOISE_SQUARES = 2.1
+_DISSIPATION_SQUARES = 2.2
 
 # Stop rule of ode_response_check: relative change per sweep, and the sweep
 # count after which it gives up.
@@ -69,9 +71,12 @@ _ODE_TOL = 1e-12
 _ODE_MAX_SWEEPS = 400
 
 
-def _check_window(n: int) -> None:
-    """Refuse, before allocating, a window whose N x N arrays exceed the cap."""
-    _check_bytes(WINDOW_ARRAYS * 8 * n * n, f"time window of {n} points",
+def _check_window(n: int, what: str, rows: float = 0.0,
+                  squares: float = 0.0) -> None:
+    """Refuse, before allocating, ``what`` holding ``rows`` float64 arrays of
+    N points and ``squares`` of N x N on a window of N points."""
+    _check_bytes(8 * n * (rows + squares * n),
+                 f"{what} on a time window of {n} points",
                  "; shorten T or coarsen dt")
 
 
@@ -148,7 +153,7 @@ class TwoTimeKernel:
         symmetric otherwise).
         """
         times = np.asarray(times, dtype=float)
-        _check_window(times.size)
+        _check_window(times.size, "stationary kernel", rows=_STATIONARY_ROWS)
         row = np.asarray(func(times - times[0]), dtype=float)
         return cls._from_row(times, row, kind)
 
@@ -175,7 +180,7 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     Raises :class:`ShapeError` for a T or dt that is not finite, a dt that is
     not positive, or a window of fewer than three points, which the one-sided
     derivative of the boundary terms needs; and :class:`SizeError` when the
-    N x N window arrays on this grid would exceed the cap.
+    grid itself would exceed the cap.
     """
     if not (math.isfinite(T) and math.isfinite(dt) and dt > 0):
         raise ShapeError(f"time window 0..{T:g} at step {dt:g}: T and dt "
@@ -185,7 +190,7 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     if n < 2:
         raise ShapeError(f"time window 0..{T:g} at step {dt:g} has "
                          f"{n + 1} points; the boundary terms need at least 3")
-    _check_window(n + 1)
+    _check_window(n + 1, "grid", rows=_GRID_ROWS)
     return T * np.arange(n + 1) / n
 
 
@@ -265,6 +270,7 @@ def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
 
 def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
     """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the diagonal."""
+    _check_window(times.size, "bare response matrix", squares=_BARE_SQUARES)
     lag = times[None, :] - times[:, None]
     return np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
 
@@ -327,6 +333,8 @@ def vernon_imag_finite(G: TwoTimeKernel, C_edge) -> TwoTimeKernel:
     if G._row is not None and not callable(C_edge):
         c = float(C_edge)
         return TwoTimeKernel._from_row(G.times, 0.5 * c * c * G._row)
+    _check_window(G.times.size, "dissipation kernel",
+                  squares=_DISSIPATION_SQUARES)
     c = _coupling_on_grid(C_edge, G.times)
     vals = 0.5 * c[:, None] * c[None, :] * G.values
     return TwoTimeKernel(times=G.times, values=vals, kind="causal")
@@ -370,6 +378,8 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     finite memory.  Output is symmetric.
     """
     times = G.times
+    _check_window(times.size, "noise kernel",
+                  squares=_NOISE_SQUARES + (kR_upstream is not None))
     if kR_upstream is None:
         # The zero double convolution; adding it keeps -0.0 out of the result.
         conv = 0.0

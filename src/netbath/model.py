@@ -124,7 +124,9 @@ def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:
             # Negative coupling is allowed only for existence scans; the band
             # structure is undefined there.
             a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
-        derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda)
+        # C^4: the highest power of C any evaluator takes (the variance gain).
+        derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda,
+                   float(C)**4)
     except OverflowError:
         derived = (math.inf,)
     if any(map(math.isinf, derived)):

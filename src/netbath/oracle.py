@@ -41,12 +41,12 @@ recursion, not a physical identification of the edge Hamiltonian; it is
 validated by the band edges omega^2 +- sqrt(8(n-1)) C/m that the adjacency
 spectral radius 2 sqrt(branching) reproduces.
 
-The sparsity pattern is assembled once per tree, vectorised from the parent
-array with the diagonal stored explicitly; each lambda then writes only the
-diagonal entries of a copy.  The corner comes from one MINRES solve per
-lambda (Paige & Saunders, SIAM J. Numer. Anal. 12, 617 (1975)): no
-factorisation, so no fill on a graph with loops, and it takes the indefinite
-matrices past C* as well.  A true-residual guard checks every lambda.
+The coupling -(C/sqrt(2)) A is assembled once per tree, vectorised from the
+parent array; lambda moves only the diagonal, which each lambda passes to
+one MINRES solve as its shift (Paige & Saunders, SIAM J. Numer. Anal. 12,
+617 (1975)).  No factorisation, so no fill on a graph with loops, and it
+takes the indefinite matrices past C* as well.  A true-residual guard checks
+every lambda.
 """
 
 from __future__ import annotations
@@ -62,76 +62,46 @@ from .model import ModelParams
 from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
-def _adjacency(tree: TreeGraph) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """Tree adjacency in sorted CSC form, its zero diagonal stored explicitly.
 
-    Returns the matrix and the positions of the diagonal entries in its data
-    array, so that a matrix on the same pattern needs only new data.
-    """
-    n = tree.n_nodes
+def _coupling_matrix(tree: TreeGraph, params: ModelParams) -> scipy.sparse.csr_matrix:
+    """The tree's coupling ``-(C/sqrt(2)) A`` in CSR form; lambda is not in it."""
     child = np.flatnonzero(tree.parent >= 0)
     parent = tree.parent[child]
-    node = np.arange(n)
-    rows = np.concatenate((node, child, parent))
-    cols = np.concatenate((node, parent, child))
-    order = np.lexsort((rows, cols))
-    rows, cols = rows[order], cols[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    adj = scipy.sparse.csc_matrix(((rows != cols).astype(float), rows, indptr),
-                                  shape=(n, n))
-    return adj, np.flatnonzero(rows == cols)
+    rows = np.concatenate((child, parent))
+    cols = np.concatenate((parent, child))
+    data = np.full(rows.size, -params.C / math.sqrt(2.0))
+    return scipy.sparse.csr_matrix((data, (rows, cols)),
+                                   shape=(tree.n_nodes, tree.n_nodes))
 
 
-def _tree_matrices(tree: TreeGraph, params: ModelParams, lambdas):
-    """Yield the sparse tree matrix at each lambda.
-
-    The matrix is ``(m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A`` in CSC form,
-    root = node 0.  The pattern is assembled once; each lambda writes only
-    the diagonal entries of a copy of the off-diagonal data.
-    """
-    adj, diag_pos = _adjacency(tree)
-    offdiag = adj.data * -(params.C / math.sqrt(2.0))
-    for lam in lambdas:
-        data = offdiag.copy()
-        data[diag_pos] = params.m * (lam**2 + params.omega_sq) / 2.0
-        yield scipy.sparse.csc_matrix((data, adj.indices, adj.indptr),
-                                      shape=adj.shape)
-
-
-def _corner_inverse(mat: scipy.sparse.csc_matrix) -> float:
-    """[M^{-1}]_{0,0}, the root corner, by MINRES from e_0."""
-    e = np.zeros(mat.shape[0])
+def _corner_inverse(coupling, diagonal: float) -> float:
+    """[M^{-1}]_{0,0} of ``diagonal I + coupling``, MINRES with the diagonal as shift."""
+    e = np.zeros(coupling.shape[0])
     e[0] = 1.0
-    x, _ = scipy.sparse.linalg.minres(mat, e, rtol=1e-14)
+    x, _ = scipy.sparse.linalg.minres(coupling, e, shift=-diagonal, rtol=1e-14)
     corner = float(x[0])
-    residual = np.abs(mat @ x - e).max()
+    residual = np.abs(coupling @ x + diagonal * x - e).max()
     if not math.isfinite(corner) or residual > 1e-8 * (1.0 + np.abs(x).max()):
         raise DomainError(
             f"tree matrix is singular or near-singular (residual {residual:.3g})")
     return corner
 
 
-def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam: float,
-                          dense_limit=None) -> float:
-    """Exact finite-tree kernel (C^2/2) [M^{-1}]_{root,root} at one lambda.
+def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
+                          dense_limit=None):
+    """Exact finite-tree kernel (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
-    ``dense_limit`` is accepted and ignored.  It chose between a dense and a
-    sparse factorisation before the single MINRES path, and the benchmark's
-    warm-up (``warm_up("check")`` in ``perfbench/jobs.py``) still passes it;
-    it goes with the next change to the benchmark.
+    A float for a scalar ``lam``, an array for a grid.  The coupling matrix
+    is built once; each lambda is one MINRES run with its own residual check.
+    ``dense_limit`` is ignored; the benchmark's warm-up (``warm_up("check")``
+    in ``perfbench/jobs.py``) still passes it.
     """
-    return float(oracle_kernel_laplace_grid(tree, params, [lam])[0])
-
-
-def oracle_kernel_laplace_grid(tree: TreeGraph, params: ModelParams,
-                               lambda_grid) -> np.ndarray:
-    """:func:`oracle_kernel_laplace` over a lambda grid, assembling the tree once.
-
-    Every lambda still gets its own solve and residual check.
-    """
-    matrices = _tree_matrices(tree, params, np.asarray(lambda_grid, dtype=float))
-    return np.array([params.C**2 / 2.0 * _corner_inverse(mat)
-                     for mat in matrices])
+    coupling = _coupling_matrix(tree, params)
+    lam = np.asarray(lam, dtype=float)
+    diagonal = params.m * (lam**2 + params.omega_sq) / 2.0
+    out = np.array([params.C**2 / 2.0 * _corner_inverse(coupling, d)
+                    for d in diagonal.ravel()]).reshape(lam.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _class_tree(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -123,28 +123,37 @@ def _row_blocks(n_rows: int, width: int):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
 
 
-#: Peak bytes per node of the arrays that build the band quadrature's nodes
-#: and coefficients, measured with tracemalloc: 56 in branch_cut_kernel, 96
-#: in spectral_density_sine_transform.
-_NODE_BYTES = 96
+# Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
+# node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
+# float64 arrays, by peak RSS); per element of a row block, at most
+# max(_BLOCK_ELEMENTS, 17 width) (2.00-2.24 arrays for the sine, 11.8-12.0
+# for the j0 calls); per point (3.13 for a sine-sum kernel with TimeKernel's
+# checks, 10.0 per fine point for the Bessel kernel).
+_NODE_BYTES = 100
+_COMPANION_BYTES = 8 * 2.25
+_SINE_BLOCK_BYTES = 8 * 2.5
+_BESSEL_BLOCK_BYTES = 8 * 12.5
+_TAU_BYTES = 8 * 3.2
+_FINE_POINT_BYTES = 8 * 10.2
 
 
 def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
-    """Refuse, before allocating, a (tau x frequency) phase matrix and its
-    sine past the cap, with ``node_bytes`` per frequency for the arrays that
-    build the frequencies."""
-    _check_bytes((2 * 8 * n_tau + node_bytes) * n_freqs,
+    """Refuse, before allocating, a sine sum past the cap: its output, one
+    block of its phase matrix, and ``node_bytes`` per frequency for the
+    arrays that build the frequencies."""
+    _check_bytes(_TAU_BYTES * n_tau + node_bytes * n_freqs
+                 + _SINE_BLOCK_BYTES * max(_BLOCK_ELEMENTS, 17 * n_freqs),
                  f"sine sum over {n_tau} x {n_freqs} points")
 
 
 def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
 
-    Refuses, before allocating, a (tau x frequency) phase matrix and its sine
-    past the cap; the matrix is then built one block of rows at a time.
+    Refuses, before allocating, a sum past the cap; the (tau x frequency)
+    phase matrix is built one block of rows at a time.
     """
     _check_sine_sum(len(tau), len(freqs))
-    tau = np.ravel(tau)
+    tau = np.asarray(tau)
     out = np.empty(tau.size)
     for rows in _row_blocks(tau.size, len(freqs)):
         out[rows] = np.sin(scale * np.outer(tau[rows], freqs)) @ weights
@@ -276,12 +285,15 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
     """Gauss-Legendre node count for the convolution on n_points up to t_max.
 
     The count follows the total phase (w1 + w2) t_max.  Refuses, before
-    allocating, a (t x node) matrix or node-finding companion matrix past the
-    cap.
+    allocating, a Bessel kernel past the cap: its arrays on the grid, the
+    nodes with their nodes x nodes companion matrix, and one block of the
+    (t x node) matrices.
     """
     nodes = int(math.ceil(0.55 * (params.lambda_pm + params.lambda_pp)
                           * t_max)) + 50
-    _check_bytes(8 * nodes * max(n_points, nodes),
+    _check_bytes(_FINE_POINT_BYTES * n_points + _NODE_BYTES * nodes
+                 + _COMPANION_BYTES * nodes * nodes
+                 + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, 17 * nodes),
                  f"Bessel convolution of {n_points} x {nodes} points")
     return nodes
 

@@ -156,8 +156,8 @@ def test_size_refusal_exits_2(tmp_path, capsys):
     assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
                     "--depth", "20000", "--output",
                     str(tmp_path / "k.csv")]) == 2
-    # about 44,000 window points: refused before the grid is built
-    assert run_cli(["finite-time", "--T", "200", "--output",
+    # about 2.2 million window points: the table alone passes the cap
+    assert run_cli(["finite-time", "--T", "10000", "--output",
                     str(tmp_path / "f.csv")]) == 2
     assert capsys.readouterr().err.count("ERROR size:") == 2
 
@@ -265,6 +265,16 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("kernel --m 1e-300", 3, "domain"),
     ("tree --C 1e300", 3, "domain"),
     ("phase --n 2 --omega0 1 --C 1e308 --m 1", 3, "domain"),
+    # couplings whose C^4, the variance gain's power, overflows
+    ("phase --C 1e200", 3, "domain"),
+    ("phase --C 1e160", 3, "domain"),
+    ("tree --C 1e200", 3, "domain"),
+    ("fixed-point --C 1e200", 3, "domain"),
+    ("orbit --C 1e200 --steps 3", 3, "domain"),
+    ("multiplier --n 10 --C 1e200", 3, "domain"),
+    ("kernel --n 10 --method oracle --branching 9 --depth 2 --C 1e200", 3,
+     "domain"),
+    ("population --n 10 --C 1e100", 3, "domain"),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),

@@ -185,19 +185,29 @@ def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
 
 
 def test_window_refused_before_allocating(ft_params):
-    # T = 200 at the default step: about 44,000 points, 15 GiB per N x N array
-    dt = 1.0 / (20.0 * ft_params.lambda_pp)
+    # 44,001 points: the grid and a stationary kernel are rows, but every
+    # step that builds N x N arrays, at 15 GiB each, refuses before it does
     times = np.linspace(0.0, 200.0, 44001)
+    kernel = TwoTimeKernel.from_stationary(times, np.sin)
+    dense = TwoTimeKernel(times=times, values=np.broadcast_to(0.0, (44001,) * 2),
+                          kind="symmetric")
+    drive = np.zeros(times.size)
+    state = nb.thermal_init(1.0, ft_params)
+    steps = (lambda: nb.twinning_solve(dense, ft_params),
+             lambda: neumann_first_correction(kernel, ft_params),
+             lambda: nb.ode_response_check(kernel, ft_params, drive),
+             lambda: nb.vernon_real_full(None, kernel, state, ft_params.C),
+             lambda: nb.vernon_imag_finite(kernel, lambda t: ft_params.C))
     tracemalloc.start()
     try:
-        with pytest.raises(SizeError):
-            nb.time_grid(200.0, dt)
-        with pytest.raises(SizeError):
-            TwoTimeKernel.from_stationary(times, np.sin)
+        for step in steps:
+            with pytest.raises(SizeError):
+                step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert nb.time_grid(200.0, times[1]).size == times.size
 
 
 def test_twinning_stationary_laplace_closure(ft_params):

@@ -62,7 +62,7 @@ def test_pipeline_consistency(seed):
     chain = nb.build_chain(30)
     lam6 = np.logspace(-0.5, 1.5, 6)
     bp = nb.root_output_message(chain, p, lam6)
-    orc = nb.oracle_kernel_laplace_grid(chain, p, lam6)
+    orc = nb.oracle_kernel_laplace(chain, p, lam6)
     assert np.max(np.abs(orc - bp) / np.abs(bp)) <= 1e-10
 
     # variance-gain identity

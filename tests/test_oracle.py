@@ -11,7 +11,7 @@ import scipy.sparse
 import netbath as nb
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import _class_tree, _corner_inverse, _tree_matrices
+from netbath.oracle import _class_tree, _corner_inverse, _coupling_matrix
 from netbath.tree_bp import TreeGraph
 
 
@@ -33,10 +33,18 @@ def _loop_adjacency(tree):
     return adj
 
 
-def _dense_corner(mat):
+def _dense_matrix(tree, params, lam):
+    """Reference M(lambda) = (m/2)(lambda^2+omega^2) I - (C/sqrt(2)) A, dense,
+    from the loop adjacency."""
+    diag = params.m * (lam**2 + params.omega_sq) / 2.0
+    return (np.eye(tree.n_nodes) * diag
+            - params.C / math.sqrt(2.0) * _loop_adjacency(tree))
+
+
+def _dense_corner(dense):
     """Reference [M^{-1}]_{0,0} by a dense solve: Cholesky where M is
     positive definite, the symmetric indefinite solve where it is not."""
-    dense, e = mat.toarray(), np.eye(mat.shape[0])[0]
+    e = np.eye(dense.shape[0])[0]
     try:
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense), e)[0]
     except scipy.linalg.LinAlgError:
@@ -45,8 +53,9 @@ def _dense_corner(mat):
 
 def _dense_kernel(tree, params, lam):
     """Reference kernel (C^2/2) [M^{-1}]_{0,0} over a lambda grid."""
-    return np.array([params.C**2 / 2.0 * _dense_corner(mat)
-                     for mat in _tree_matrices(tree, params, lam)])
+    return np.array([params.C**2 / 2.0
+                     * _dense_corner(_dense_matrix(tree, params, x))
+                     for x in lam])
 
 
 def _regular_graph(rng, n_nodes, degree):
@@ -134,7 +143,7 @@ def test_single_node_equals_leaf_message(ordered_chain):
 def test_chain_matches_message_passing(ordered_chain, lambda_grid):
     chain = nb.build_chain(35)
     bp = nb.root_output_message(chain, ordered_chain, lambda_grid)
-    orc = nb.oracle_kernel_laplace_grid(chain, ordered_chain, lambda_grid)
+    orc = nb.oracle_kernel_laplace(chain, ordered_chain, lambda_grid)
     assert np.max(np.abs(orc - bp) / np.abs(bp)) <= 1e-10
 
 
@@ -196,7 +205,7 @@ def test_oracle_time_kernel_zero_origin_and_forward_closure(ordered_chain):
     assert tk.values[0] == 0.0
     lam = np.array([1.0, 2.0, 4.0])
     res = nb.forward_laplace(tk, lam)
-    direct = nb.oracle_kernel_laplace_grid(chain, ordered_chain, lam)
+    direct = nb.oracle_kernel_laplace(chain, ordered_chain, lam)
     rel = np.abs(res.kernel.values - direct) / np.abs(direct)
     # bounded by quadrature plus the reported truncation bound
     bound = 1e-6 + res.truncation_bound / np.abs(direct)
@@ -216,8 +225,9 @@ def test_finite_size_error_decreases(ordered_chain):
 
 
 def test_corner_inverse_residual_guard(ordered_chain):
-    val = _corner_inverse(next(_tree_matrices(nb.build_chain(5), ordered_chain,
-                                              (1.0,))))
+    p = ordered_chain
+    val = _corner_inverse(_coupling_matrix(nb.build_chain(5), p),
+                          p.m * (1.0 + p.omega_sq) / 2.0)
     assert math.isfinite(val) and val > 0.0
 
 
@@ -229,12 +239,12 @@ def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
     # tree the reference falls back to the symmetric solve at lambda <= 0.7
     lam = np.array([0.1, 0.7, 3.0, 40.0])
     dense = _dense_kernel(tree, ordered_chain, lam)
-    got = nb.oracle_kernel_laplace_grid(tree, ordered_chain, lam)
+    got = nb.oracle_kernel_laplace(tree, ordered_chain, lam)
     assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
     # past C*, at lambda = 0.5 the matrix is indefinite but not near-singular
     # on all three trees, where conjugate gradients would not apply
     p = nb.derive_params(2, 1.0, 2.5, 1.0)
-    eig = np.linalg.eigvalsh(next(_tree_matrices(tree, p, (0.5,))).toarray())
+    eig = np.linalg.eigvalsh(_dense_matrix(tree, p, 0.5))
     assert eig.min() < 0.0 < eig.max() and np.abs(eig).min() > 1e-3
     dense = _dense_kernel(tree, p, (0.5,))[0]
     sparse = nb.oracle_kernel_laplace(tree, p, 0.5)
@@ -246,10 +256,9 @@ def test_corner_inverse_refuses_singular_matrix(ordered_chain, diagonal):
     # a 3-node chain with zero or subnormal diagonal has an eigenvalue at 0
     # whose eigenvector overlaps e_0: no solution exists, and the residual
     # guard refuses the least-squares one MINRES returns
-    mat = next(_tree_matrices(nb.build_chain(2), ordered_chain, (1.0,)))
-    mat.setdiag(diagonal)
+    coupling = _coupling_matrix(nb.build_chain(2), ordered_chain)
     with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(mat)
+        _corner_inverse(coupling, diagonal)
 
 
 def test_corner_inverse_on_random_regular_graphs():
@@ -264,9 +273,8 @@ def test_corner_inverse_on_random_regular_graphs():
     errs = []
     for n_nodes, bound in ((200, 1e-11), (2000, 1e-13)):
         adj = -p.C / math.sqrt(2.0) * _regular_graph(rng, n_nodes, p.n)
-        errs.append([abs(_corner_inverse(scipy.sparse.csc_matrix(
-            adj + diag * scipy.sparse.identity(n_nodes))) - ref) / ref
-            for diag, ref in zip(a, bp)])
+        errs.append([abs(_corner_inverse(adj, diag) - ref) / ref
+                     for diag, ref in zip(a, bp)])
         assert max(errs[-1]) <= bound
     assert np.all(np.less(errs[1], errs[0]))
 
@@ -289,19 +297,16 @@ def test_oracle_imports_nothing_of_the_recursion():
 
 
 def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
+    # lambda moves only the diagonal, so the coupling is all there is to
+    # build, once per tree: two entries per edge and none on the diagonal
     for tree, params in ((_irregular_tree(), ordered_chain),
                          (nb.build_tree(3, 3), narrow_band),
                          (nb.build_chain(0), ordered_chain)):
-        for lam in (0.3, 2.0):
-            mat = next(_tree_matrices(tree, params, (lam,)))
-            assert isinstance(mat, scipy.sparse.csc_matrix)
-            assert mat.has_sorted_indices
-            diag = params.m * (lam**2 + params.omega_sq) / 2.0
-            expect = (np.eye(tree.n_nodes) * diag
-                      - params.C / math.sqrt(2.0) * _loop_adjacency(tree))
-            assert np.array_equal(mat.toarray(), expect)
-            # the diagonal is stored, so every node has an entry of its own
-            assert mat.nnz == tree.n_nodes + 2 * (tree.n_nodes - 1)
+        mat = _coupling_matrix(tree, params)
+        assert isinstance(mat, scipy.sparse.csr_matrix)
+        expect = -params.C / math.sqrt(2.0) * _loop_adjacency(tree)
+        assert np.array_equal(mat.toarray(), expect)
+        assert mat.nnz == 2 * (tree.n_nodes - 1)
 
 
 def test_grid_equals_pointwise(ordered_chain, narrow_band):
@@ -309,9 +314,11 @@ def test_grid_equals_pointwise(ordered_chain, narrow_band):
     for tree, params in ((nb.build_chain(60), ordered_chain),
                          (nb.build_tree(4, 4), narrow_band),
                          (_irregular_tree(), ordered_chain)):
-        grid = nb.oracle_kernel_laplace_grid(tree, params, lam)
+        grid = nb.oracle_kernel_laplace(tree, params, lam)
         point = [nb.oracle_kernel_laplace(tree, params, x) for x in lam]
         assert np.array_equal(grid, point)
+        # a scalar lambda gives a float, a grid an array of its shape
+        assert all(type(x) is float for x in point) and grid.shape == lam.shape
         dense = _dense_kernel(tree, params, lam)
         assert np.allclose(dense, grid, rtol=1e-12, atol=0.0)
 
@@ -387,9 +394,9 @@ def test_mode_decomposition_refuses_before_allocating(narrow_band):
 
 
 def test_oracle_time_kernel_refuses_oversized_sum(narrow_band):
-    # 10^8 tau points against the 4 modes of a depth-3 tree: the phase matrix
-    # and its sine would need 6.4 GB; the broadcast grid itself costs nothing
-    tau = np.broadcast_to(0.0, (10**8,))
+    # 10^9 tau points against the 4 modes of a depth-3 tree: the sum's output
+    # alone would need 8 GB; the broadcast grid itself costs nothing
+    tau = np.broadcast_to(0.0, (10**9,))
     tree = nb.build_tree(4, 3)
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 
 import netbath as nb
+import netbath.errors
 from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
     _composite_weights, _gl_nodes, _sine_sum, bessel_convolution, fd_weights
@@ -124,6 +125,23 @@ def test_time_kernels_work_in_blocks():
         finally:
             tracemalloc.stop()
         assert peak < mib << 20, kernel.__name__
+
+
+def test_sine_sum_charged_for_one_block(monkeypatch, wide_band):
+    # Under a 2 MiB cap: the whole (tau x node) phase matrix and its sine
+    # of 4,001 x 159 points, which the guard once charged, would need 9.7 MiB;
+    # the output, the nodes and one block of rows that the sum builds fit,
+    # and the sum stays inside the cap.
+    tau = np.linspace(0.0, 5.0, 4001)
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", 2 << 20)
+    tracemalloc.start()
+    try:
+        tk = nb.branch_cut_kernel(wide_band, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tk.meta["quad_order"] == 159
+    assert peak < 2 << 20
 
 
 def test_bessel_kernel_zero_at_origin(wide_band):
