@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -141,9 +142,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 #: Peak bytes a table row holds, measured with tracemalloc over each command
-#: (5,000 to 100,000 rows): 249-690 in csv and json for the tables of two to
-#: four columns, and for the widest, fixed-point's eight, 595 in csv and
-#: 1,258 in json.
+#: (5,000 to 100,000 rows, the column writer): 157-463 in csv and 255-680 in
+#: json for the tables of two to five columns, and for the widest,
+#: fixed-point's eight, 416-420 in csv and 787-794 in json.
 TABLE_ROW_BYTES = 1300
 
 
@@ -200,8 +201,40 @@ def _json_value(value):
     return value if math.isfinite(value) else None
 
 
-def write_table(columns, rows, meta: dict, cfg: dict):
+def _is_float_column(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
+
+
+def _csv_cells(col):
+    if _is_float_column(col):
+        return map("{:.17g}".format, col.tolist())
+    return map(_fmt, col)
+
+
+def _json_cells(col):
+    if not _is_float_column(col):
+        return [json.dumps(_json_value(v)) for v in col]
+    cells = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = "null"
+    return cells
+
+
+def _json_rows(data) -> str:
+    """The ``rows`` value of at least one row exactly as ``json.dumps(...,
+    indent=2)`` lays it out two levels deep."""
+    rows = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]"
+                      for row in zip(*map(_json_cells, data)))
+    return "[\n" + rows + "\n  ]"
+
+
+def write_table(columns, data, meta: dict, cfg: dict):
     """Emit the table per the output block; returns the rendered text.
+
+    ``data`` holds one sequence per name in ``columns``, all of one length,
+    at least one row: a float ndarray, or a list of other cells (str, bool,
+    int, or a float mixed with ``"none"``).  Cells are rendered a column at
+    a time, the bytes those of rendering each row in turn.
 
     Column format: one metadata line (tool, version, params, seed, plus any
     subcommand metadata as space-separated key=value tokens), the column-name
@@ -220,12 +253,15 @@ def write_table(columns, rows, meta: dict, cfg: dict):
                "seed": cfg["numerics"]["seed"],
                "meta": {k: _json_value(v) for k, v in meta.items()},
                "columns": list(columns),
-               "rows": [[_json_value(v) for v in row] for row in rows]}
+               "rows": []}
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # splice the rows in: no other line opens "rows" two spaces in, as
+        # nested keys sit deeper and a string's quotes are escaped
+        text = text.replace('\n  "rows": []',
+                            '\n  "rows": ' + _json_rows(data), 1)
     elif out["format"] == "csv":
         lines = [header, ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines += map(",".join, zip(*map(_csv_cells, data)))
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown output format {out['format']!r}")
@@ -295,41 +331,46 @@ def cmd_phase(cfg):
     lam = _grid(cfg["lambda_grid"], "lambda_grid")
     c_star = critical_coupling(params.n, params.omega0, params.m)
     l_star = lambda_star(params)
-    rows = []
-    for x in lam:
-        arg = float(sqrt_argument(params, x))
-        rows.append((x, arg, bool(arg >= 0.0)))
+    # point by point: on a 0-d array numpy squares with pow, which can differ
+    # in the last bit from the array's x*x
+    arg = np.array([sqrt_argument(params, x) for x in lam])
     meta = {"C_star": "none" if c_star is None else c_star,
             "lambda_star": "none" if l_star is None else l_star}
-    _maybe_plot(cfg, lam, [np.array([r[1] for r in rows])], ["sqrt argument"],
+    _maybe_plot(cfg, lam, [arg], ["sqrt argument"],
                 "fixed-point existence scan")
-    return write_table(("lambda", "sqrt_argument", "exists"), rows, meta, cfg)
+    return write_table(("lambda", "sqrt_argument", "exists"),
+                       (lam, arg, (arg >= 0.0).tolist()), meta, cfg)
 
 
 def cmd_fixed_point(cfg):
     params = _params(cfg)
     lam = _grid(cfg["lambda_grid"], "lambda_grid")
     num = cfg["numerics"]
-    rows = []
+    # the rows without a fixed point keep these fills
+    closed, final, rel, residual = (np.full(lam.size, math.nan)
+                                    for _ in range(4))
+    iterations = [0] * lam.size
+    converged = [False] * lam.size
+    status = ["no-fixed-point"] * lam.size
     worst = 0.0
-    for x in lam:
+    for i, x in enumerate(lam):
         if not fixed_point_exists(params, x):
-            rows.append((x, math.nan, math.nan, 0, False, math.nan, math.nan,
-                         "no-fixed-point"))
             continue
-        closed = closed_form_fixed_point(params, x)
+        closed[i] = k = closed_form_fixed_point(params, x)
         it = map_orbit(params, x, steps=int(num["max_iter"]), tol=num["tol"])
-        rel = abs(it.final - closed) / abs(closed) if closed else 0.0
-        worst = max(worst, rel)
-        rows.append((x, closed, it.final, it.orbit.size - 1,
-                     it.classification == "converged", rel,
-                     quadratic_residual(params, x, closed), "ok"))
+        final[i] = it.final
+        rel[i] = abs(it.final - k) / abs(k) if k else 0.0
+        worst = max(worst, rel[i])
+        iterations[i] = it.orbit.size - 1
+        converged[i] = it.classification == "converged"
+        residual[i] = quadratic_residual(params, x, k)
+        status[i] = "ok"
     meta = {"max_rel_diff": worst}
-    _maybe_plot(cfg, lam, [np.array([r[1] for r in rows])], ["k*"],
-                "uniform fixed point")
+    _maybe_plot(cfg, lam, [closed], ["k*"], "uniform fixed point")
     return write_table(("lambda", "k_closed", "k_iterated", "iterations",
                         "converged", "rel_diff", "quad_residual", "status"),
-                       rows, meta, cfg)
+                       (lam, closed, final, iterations, converged, rel,
+                        residual, status), meta, cfg)
 
 
 def cmd_kernel(cfg, method: str):
@@ -348,7 +389,7 @@ def cmd_kernel(cfg, method: str):
     else:
         raise ConfigError(f"unknown kernel method {method!r}")
     _maybe_plot(cfg, tau, [tk.values], [f"k ({method})"], "time-domain kernel")
-    return write_table(("tau", "k"), list(zip(tau, tk.values)), meta, cfg)
+    return write_table(("tau", "k"), (tau, tk.values), meta, cfg)
 
 
 def cmd_spectrum(cfg):
@@ -357,23 +398,18 @@ def cmd_spectrum(cfg):
     j = spectral_density(params, omega)
     meta = {"band_lo": params.lambda_pm, "band_hi": params.lambda_pp}
     _maybe_plot(cfg, omega, [j], ["J"], "environment spectral density")
-    return write_table(("omega", "J"), list(zip(omega, j)), meta, cfg)
+    return write_table(("omega", "J"), (omega, j), meta, cfg)
 
 
 def cmd_multiplier(cfg):
     params = _params(cfg)
     nu = _grid(cfg["nu_grid"], "nu_grid")
-    gain = real_multiplier(params, nu)
-    gain = np.atleast_1d(gain)
-    rows = []
-    for x, a in zip(nu, gain):
-        if params.band_defined and params.lambda_pm <= abs(x) <= params.lambda_pp:
-            region = "band"
-        else:
-            region = "outside"
-        rows.append((x, a, region))
+    gain = np.atleast_1d(real_multiplier(params, nu))
+    band = params.band_defined & (params.lambda_pm <= np.abs(nu)) \
+        & (np.abs(nu) <= params.lambda_pp)
+    region = ["band" if b else "outside" for b in band.tolist()]
     _maybe_plot(cfg, nu, [gain], ["A"], "noise-kernel gain per sweep")
-    return write_table(("nu", "gain", "region"), rows, {}, cfg)
+    return write_table(("nu", "gain", "region"), (nu, gain, region), {}, cfg)
 
 
 def cmd_tree(cfg):
@@ -382,15 +418,14 @@ def cmd_tree(cfg):
     _check_rows(int(num["depth"]) + 1)
     res = depth_convergence(params, int(num["branching"]), int(num["depth"]),
                             float(num["lam"]))
-    rows = []
-    for d, r in enumerate(res):
-        # no predecessor at depth 0; underflowed residuals leave no ratio
-        ratio = res[d] / res[d - 1] if d and res[d - 1] > 0.0 else "none"
-        rows.append((d, r, ratio))
+    # no predecessor at depth 0; underflowed residuals leave no ratio
+    ratio = ["none"] + [r / prev if prev > 0.0 else "none"
+                        for prev, r in zip(res[:-1].tolist(), res[1:].tolist())]
     meta = {"lambda": num["lam"], "branching": int(num["branching"])}
     _maybe_plot(cfg, np.arange(len(res)), [np.log10(np.maximum(res, 1e-300))],
                 ["log10 residual"], "depth convergence")
-    return write_table(("depth", "residual", "ratio"), rows, meta, cfg)
+    return write_table(("depth", "residual", "ratio"),
+                       (list(range(res.size)), res, ratio), meta, cfg)
 
 
 def cmd_finite_time(cfg):
@@ -407,14 +442,13 @@ def cmd_finite_time(cfg):
     # The diagonal of vernon_real_full(None, G, ...), the boundary terms alone.
     kR_boundary = _noise_kernel(res.G, state, params.C, np.multiply)
     u = times - times[0]
-    rows = list(zip(u, bare_response(params, u), res.G.values[0],
-                    kI_out.values[0], kR_boundary))
     meta = {"solver": res.G.meta["solver"], "residual": res.residual,
             "beta": num["beta"]}
     _maybe_plot(cfg, u, [res.G.values[0]], ["G(tau, u)"],
                 "dressed response at the window start")
-    return write_table(("u", "G0", "G", "kI_out", "kR_boundary"), rows, meta,
-                       cfg)
+    return write_table(("u", "G0", "G", "kI_out", "kR_boundary"),
+                       (u, bare_response(params, u), res.G.values[0],
+                        kI_out.values[0], kR_boundary), meta, cfg)
 
 
 def cmd_population(cfg):
@@ -427,18 +461,19 @@ def cmd_population(cfg):
     pop = population_init(params, lam, size=int(num["pool_size"]),
                           seed=int(num["seed"]),
                           sigma=float(num["sigma_rel"]) * abs(k_branch))
-    rows = []
-    for sweep in range(int(num["sweeps"]) + 1):
-        mean, var, _ = population_stats(pop)
-        rows.append((sweep, mean, var, pop.rejected))
+    sweeps = np.arange(int(num["sweeps"]) + 1)
+    mean, var = np.empty(sweeps.size), np.empty(sweeps.size)
+    rejected = []
+    for sweep in sweeps.tolist():
+        mean[sweep], var[sweep], _ = population_stats(pop)
+        rejected.append(pop.rejected)
         if sweep < int(num["sweeps"]):
             pop = population_step(pop)
     meta = {"lambda": lam, "variance_gain": gain, "k_branch": k_branch}
-    _maybe_plot(cfg, np.array([r[0] for r in rows]),
-                [np.log10(np.maximum([r[2] for r in rows], 1e-300))],
+    _maybe_plot(cfg, sweeps, [np.log10(np.maximum(var, 1e-300))],
                 ["log10 variance"], "population variance trajectory")
-    return write_table(("sweep", "mean", "variance", "rejected"), rows, meta,
-                       cfg)
+    return write_table(("sweep", "mean", "variance", "rejected"),
+                       (sweeps.tolist(), mean, var, rejected), meta, cfg)
 
 
 def cmd_orbit(cfg):
@@ -447,14 +482,14 @@ def cmd_orbit(cfg):
     _check_rows(int(num["steps"]) + 1)
     rep = map_orbit(params, float(num["lam"]), x0=float(num["x0"]),
                     steps=int(num["steps"]), tol=num["tol"])
-    rows = [(i, v, "ok" if math.isfinite(v) else "pole")
-            for i, v in enumerate(rep.orbit)]
+    status = ["ok" if f else "pole" for f in np.isfinite(rep.orbit).tolist()]
     meta = {"classification": rep.classification,
             "period": "none" if rep.period is None else rep.period,
             "diameter": rep.diameter}
-    _maybe_plot(cfg, np.array([r[0] for r in rows]), [rep.orbit], ["k"],
-                "cavity-map orbit")
-    return write_table(("iteration", "k", "status"), rows, meta, cfg)
+    steps = np.arange(rep.orbit.size)
+    _maybe_plot(cfg, steps, [rep.orbit], ["k"], "cavity-map orbit")
+    return write_table(("iteration", "k", "status"),
+                       (steps.tolist(), rep.orbit, status), meta, cfg)
 
 
 def cmd_check(cfg, report_path: str | None):
@@ -528,7 +563,13 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return over
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds flags and subcommand names only, no command functions, and
+    ``parse_args`` leaves it unchanged, so every ``main`` call can share it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     for _, _, typ, flag, _, _, text in _KEYS:

@@ -22,6 +22,7 @@ every disorder law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,15 +46,33 @@ def variance_gain(params: ModelParams, lam: float) -> float:
         raise DomainError("no fixed point at this lambda")
     k_star = closed_form_fixed_point(params, lam)
     g0 = g0_laplace(params, lam)
-    n = params.n
-    direct = (n - 1) / 4.0 * params.C**4 * (g0 / (1.0 - g0 * k_star)) ** 4
     if params.C == 0:
         return 0.0
-    algebraic = 4.0 * k_star**4 / ((n - 1) ** 3 * params.C**4)
-    if abs(direct - algebraic) > 1e-12 * max(abs(direct), abs(algebraic)):
+    n = params.n
+    response = g0 / (1.0 - g0 * k_star)
+    # Both forms are first taken as the module docstring writes them, so
+    # that every gain they agree on keeps its bits.  A fourth power of C, k*
+    # or the response alone can leave the float range where the gain does
+    # not (C past about 1e76 or below 1e-81, a large lambda); there both are
+    # taken again in powers of k*/C and of C times the response.
+    try:
+        direct = (n - 1) / 4.0 * params.C**4 * response**4
+        algebraic = 4.0 * k_star**4 / ((n - 1) ** 3 * params.C**4)
+    except ArithmeticError:    # k*^4 overflows, or C^4 underflows to zero
+        direct = algebraic = math.nan
+    if not _agree(direct, algebraic):
+        direct = (n - 1) / 4.0 * (params.C * response) ** 4
+        algebraic = 4.0 * (k_star / params.C) ** 4 / (n - 1) ** 3
+    if not _agree(direct, algebraic):
         raise AssertionError(
             f"variance-gain forms disagree: {direct!r} vs {algebraic!r}")
     return direct
+
+
+def _agree(a: float, b: float) -> bool:
+    """Both finite and equal to 1e-12 relative."""
+    return math.isfinite(a) and math.isfinite(b) and \
+        abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -191,15 +210,18 @@ def population_stats(pop: Population, bins: int = 50):
     """(mean, variance, histogram) of the pool; histogram is (counts, edges).
 
     A pool whose spread is too narrow to hold ``bins`` distinct bin edges is
-    binned as numpy bins a constant pool, on ``[min - 0.5, max + 0.5]``.
+    binned as numpy bins a constant pool, on ``[min - 0.5, max + 0.5]``, or,
+    where 0.5 is below the samples' resolution (past about 4.5e15), with
+    ``4 * bins`` of their ULPs on each side.
     """
     mean = float(np.mean(pop.samples))
     var = float(np.var(pop.samples))
     lo, hi = float(np.min(pop.samples)), float(np.max(pop.samples))
-    if np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
-        span = (lo, hi)
-    else:
-        span = (lo - 0.5, hi + 0.5)
+    ulp = float(np.spacing(max(abs(lo), abs(hi))))
+    for pad in (0.0, 0.5, 4.0 * bins * ulp):
+        span = (lo - pad, hi + pad)
+        if np.all(np.diff(np.linspace(*span, bins + 1)) > 0):
+            break
     counts, edges = np.histogram(pop.samples, bins=bins, range=span)
     return mean, var, (counts, edges)
 

@@ -275,6 +275,12 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("kernel --n 10 --method oracle --branching 9 --depth 2 --C 1e200", 3,
      "domain"),
     ("population --n 10 --C 1e100", 3, "domain"),
+    # a pool collapsed below the resolution of half a unit, and variance
+    # gains whose C^4 or k*^4 alone leaves the float range
+    ("population --n 10 --C 1e20", 0, None),
+    ("population --n 10 --C 1e55", 0, None),
+    ("population --n 10 --C 5e76", 0, None),
+    ("population --n 10 --C 1e77", 0, None),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),
@@ -415,3 +421,133 @@ def test_readme_quick_start_lines_run(tmp_path, argv):
     if "--plot" in argv:
         argv[argv.index("--plot") + 1] = str(tmp_path / "plot.svg")
     assert run_cli(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+
+
+def _reference_table(columns, rows, meta, cfg):
+    """The table rendered row by row, cell by cell: the reference for the
+    column writer."""
+    def fmt(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return v if isinstance(v, str) else f"{float(v):.17g}"
+
+    def json_value(v):
+        if isinstance(v, (str, bool, np.bool_)):
+            return v if isinstance(v, str) else bool(v)
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        return float(v) if math.isfinite(v) else None
+
+    p = cfg["params"]
+    if cfg["output"]["format"] == "json":
+        doc = {"tool": "netbath", "version": nb.__version__,
+               "params": {k: json_value(v) for k, v in p.items()},
+               "seed": cfg["numerics"]["seed"],
+               "meta": {k: json_value(v) for k, v in meta.items()},
+               "columns": list(columns),
+               "rows": [[json_value(v) for v in row] for row in rows]}
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    header = (f"# tool=netbath version={nb.__version__} params=n={p['n']},"
+              f"omega0={fmt(p['omega0'])},C={fmt(p['C'])},m={fmt(p['m'])} "
+              f"seed={cfg['numerics']['seed']}")
+    header += "".join(f" {key}={fmt(meta[key])}" for key in sorted(meta))
+    lines = [header, ",".join(columns)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_DEFAULT_LINES = [["phase"], ["fixed-point"], ["kernel"],
+                  ["kernel", "--method", "bessel"],
+                  ["kernel", "--method", "oracle"], ["spectrum"],
+                  ["multiplier"], ["tree"], ["finite-time"], ["population"],
+                  ["orbit"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _quick_start_lines() + _DEFAULT_LINES,
+                         ids=lambda a: " ".join(a))
+def test_column_writer_matches_row_reference(tmp_path, monkeypatch, argv, fmt):
+    # every documented line and every subcommand at its defaults: the bytes
+    # written are those of the row-wise reference
+    tables = []
+    write_table = cli.write_table
+
+    def spy(columns, data, meta, cfg):
+        text = write_table(columns, data, meta, cfg)
+        tables.append((_reference_table(columns, list(zip(*data)), meta, cfg),
+                       text))
+        return text
+
+    monkeypatch.setattr(cli, "write_table", spy)
+    argv = [str(tmp_path / "plot.svg") if a.endswith(".svg") else a
+            for a in argv]
+    out = tmp_path / "out.txt"
+    assert run_cli(argv + ["--format", fmt, "--output", str(out)]) == 0
+    [(expect, text)] = tables
+    assert text == expect and out.read_text() == expect
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_crafted_cells(tmp_path, fmt):
+    tiny = 5e-324
+    data = (np.array([math.nan, math.inf, -math.inf, -0.0, tiny, 1e16, 0.1]),
+            [True, False, np.bool_(True), 0, -3, np.int64(7), 2**70],
+            ["none", 1.5, math.nan, "none", -math.inf, np.float64(2.5), 1e-300],
+            ["a,b", 'quote " and \\', "tab\tnew\nline", "é", "", "ok",
+             "none"])
+    meta = {"x": math.nan, "s": "a b", "flag": True, "k": np.int64(3)}
+    columns = ("f", "mixed_int", "mixed_float", "text")
+    for rows in (data, tuple(col[:1] for col in data)):
+        out = tmp_path / f"t.{fmt}"
+        cfg = cli.load_config(None, {"output": {"format": fmt,
+                                                "path": str(out)}})
+        text = cli.write_table(columns, rows, meta, cfg)
+        assert text == out.read_text() == \
+            _reference_table(columns, list(zip(*rows)), meta, cfg)
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert doc["rows"] == [[None, True, "none", "a,b"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_widest_table_within_row_charge(tmp_path, fmt):
+    # fixed-point's eight columns are the widest table; with the numerics
+    # that fill it, it peaks below the charge the size guard makes per row
+    rows = 2000
+    argv = ["fixed-point", "--lambda-count", str(rows), "--format", fmt,
+            "--output", str(tmp_path / "fp")]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cli.TABLE_ROW_BYTES * rows
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # a format, a method or a config file given once does not reach the
+    # next call; a usage error leaves the parser usable
+    assert run_cli(["phase", "--lambda-count", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["columns"][0] == "lambda"
+    assert run_cli(["phase", "--lambda-count", "2"]) == 0
+    assert capsys.readouterr().out.startswith("# tool=netbath ")
+    assert run_cli(["kernel", "--method", "bessel", "--tau-count", "3"]) == 0
+    assert "method=bessel" in capsys.readouterr().out
+    assert run_cli(["kernel", "--tau-count", "3"]) == 0
+    assert "method=branch-cut" in capsys.readouterr().out
+    assert run_cli(["phase", "--no-such-flag"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run_cli(["phase", "--lambda-count", "2"]) == 0
+    assert capsys.readouterr().out.startswith("# tool=netbath ")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n": 20, "C": 20.0},
+                               "output": {"format": "json"}}))
+    assert run_cli(["spectrum", "--omega-count", "2", "--config",
+                    str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["n"] == 20
+    assert run_cli(["spectrum", "--omega-count", "2"]) == 0
+    assert "params=n=5,omega0=10,C=1,m=0.5 " in capsys.readouterr().out

@@ -46,6 +46,30 @@ def test_variance_gain_small_coupling_quartic():
     assert nb.variance_gain(p0, lam) == 0.0
 
 
+def test_variance_gain_across_the_float_range():
+    # at lambda = 1 and omega0 = 10 the gain tends to a constant as C grows;
+    # past C of about 1e76 C^4 or k*^4 alone leaves the float range, and
+    # the gain is taken in powers of k*/C and C times the response
+    gains = [nb.variance_gain(nb.derive_params(10, 10.0, c, 0.5), 1.0)
+             for c in (1e20, 1e55, 5e76, 1e77)]
+    assert gains == pytest.approx([gains[0]] * 4, rel=1e-12)
+    # a gain the direct product holds keeps its bits
+    p = nb.derive_params(10, 10.0, 1.0, 0.5)
+    assert nb.variance_gain(p, 1.0) == 2.7408649142339156e-06
+
+
+def test_population_stats_far_past_half_a_unit(narrow_band):
+    # a collapsed pool at 1e20 and beyond: 0.5 is below one ULP there, so
+    # the constant pool's span is widened by ULPs instead
+    for k in (1e20, 1e55, 1e76):
+        pop = Population(samples=np.full(1000, k), lam=1.0,
+                         params=narrow_band, seed=0)
+        mean, var, (counts, edges) = nb.population_stats(pop)
+        assert mean == pytest.approx(k, rel=1e-15) and var <= (1e-15 * k) ** 2
+        assert counts.sum() == 1000
+        assert np.all(np.diff(edges) > 0) and edges[0] < k < edges[-1]
+
+
 def test_delta_pool_exactly_invariant(narrow_band):
     lam = 1.0
     pop = nb.population_init(narrow_band, lam, size=2000, seed=5)
