@@ -26,7 +26,6 @@ from .oracle import (mode_decomposition, oracle_kernel_laplace,
                      oracle_time_kernel)
 from .rs import (DisorderSpec, Population, population_init, population_step,
                  population_stats, variance_gain)
-from .bessel import j0
 
 __version__ = "0.1.0"
 
@@ -46,6 +45,5 @@ __all__ = [
     "oracle_kernel_laplace", "mode_decomposition", "oracle_time_kernel",
     "DisorderSpec", "Population", "population_init", "population_step",
     "population_stats", "variance_gain",
-    "j0",
     "__version__",
 ]

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_time import TwoTimeKernel, time_grid, twinning_solve
-from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
-    real_multiplier
+from .finite_time import TwoTimeKernel, ode_response_check, \
+    response_from_twinning, time_grid, twinning_solve
+from .laplace import closed_form_fixed_point, g0_laplace, map_orbit, \
+    quadratic_residual, real_multiplier
 from .model import critical_coupling, derive_params, lambda_star
 from .oracle import mode_decomposition, oracle_kernel_laplace, \
     oracle_time_kernel
@@ -72,12 +73,14 @@ def criterion_1() -> CriterionResult:
     worst_res = 0.0
     for preset in (NARROW_BAND, WIDE_BAND):
         params = derive_params(**preset)
-        for x in lam:
-            closed = closed_form_fixed_point(params, x)
-            it = map_orbit(params, x, steps=100000, tol=1e-13)
-            worst_rel = max(worst_rel, abs(it.final - closed) / abs(closed))
-            res = abs(quadratic_residual(params, x, closed))
-            worst_res = max(worst_res, res / max(1.0, abs(closed)))
+        closed = closed_form_fixed_point(params, lam)
+        final = np.array([map_orbit(params, x, steps=100000, tol=1e-13).final
+                          for x in lam])
+        worst_rel = max(worst_rel,
+                        float(np.max(np.abs(final - closed) / np.abs(closed))))
+        res = np.abs(quadratic_residual(params, lam, closed))
+        worst_res = max(worst_res,
+                        float(np.max(res / np.maximum(1.0, np.abs(closed)))))
     return _result("fixed-point closure",
                    worst_rel <= 1e-10 and worst_res <= 1e-12,
                    f"max rel diff {worst_rel:.2e} (<=1e-10), "
@@ -301,16 +304,13 @@ def criterion_10() -> CriterionResult:
     u = times[:n_keep]
     row = res.G.values[0, :n_keep]
     w = _composite_weights(n_keep, dt_act)
-    worst_closure = 0.0
-    from .laplace import g0_laplace
-    for lam in np.linspace(2.0 * omega, 10.0 * omega, 9):
-        num = float(np.sum(w * np.exp(-lam * u) * row))
-        g0 = g0_laplace(params, lam)
-        ref = g0 / (1.0 - g0 * ktilde(lam))
-        worst_closure = max(worst_closure, abs(num - ref) / abs(ref))
+    lam = np.linspace(2.0 * omega, 10.0 * omega, 9)
+    num = np.sum(w * np.exp(-lam[:, None] * u) * row, axis=1)
+    g0 = g0_laplace(params, lam)
+    ref = g0 / (1.0 - g0 * ktilde(lam))
+    worst_closure = float(np.max(np.abs(num - ref) / np.abs(ref)))
 
     # Backward response vs the dressed-response convolution.
-    from .finite_time import ode_response_check, response_from_twinning
     times2 = time_grid(6.0, params.fine_step)
     up2 = TwoTimeKernel.from_stationary(times2, kfunc)
     res2 = twinning_solve(up2, params)

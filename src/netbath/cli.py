@@ -331,9 +331,7 @@ def cmd_phase(cfg):
     lam = _grid(cfg["lambda_grid"], "lambda_grid")
     c_star = critical_coupling(params.n, params.omega0, params.m)
     l_star = lambda_star(params)
-    # point by point: on a 0-d array numpy squares with pow, which can differ
-    # in the last bit from the array's x*x
-    arg = np.array([sqrt_argument(params, x) for x in lam])
+    arg = sqrt_argument(params, lam)
     meta = {"C_star": "none" if c_star is None else c_star,
             "lambda_star": "none" if l_star is None else l_star}
     _maybe_plot(cfg, lam, [arg], ["sqrt argument"],
@@ -346,26 +344,25 @@ def cmd_fixed_point(cfg):
     params = _params(cfg)
     lam = _grid(cfg["lambda_grid"], "lambda_grid")
     num = cfg["numerics"]
+    ok = fixed_point_exists(params, lam)
     # the rows without a fixed point keep these fills
     closed, final, rel, residual = (np.full(lam.size, math.nan)
                                     for _ in range(4))
     iterations = [0] * lam.size
     converged = [False] * lam.size
-    status = ["no-fixed-point"] * lam.size
-    worst = 0.0
-    for i, x in enumerate(lam):
-        if not fixed_point_exists(params, x):
-            continue
-        closed[i] = k = closed_form_fixed_point(params, x)
-        it = map_orbit(params, x, steps=int(num["max_iter"]), tol=num["tol"])
+    k = closed[ok] = closed_form_fixed_point(params, lam[ok])
+    residual[ok] = quadratic_residual(params, lam[ok], k)
+    for i in np.flatnonzero(ok).tolist():
+        it = map_orbit(params, lam[i], steps=int(num["max_iter"]),
+                       tol=num["tol"])
         final[i] = it.final
-        rel[i] = abs(it.final - k) / abs(k) if k else 0.0
-        worst = max(worst, rel[i])
         iterations[i] = it.orbit.size - 1
         converged[i] = it.classification == "converged"
-        residual[i] = quadratic_residual(params, x, k)
-        status[i] = "ok"
-    meta = {"max_rel_diff": worst}
+    rel[ok] = np.divide(np.abs(final[ok] - k), np.abs(k),
+                        out=np.zeros(k.size), where=k != 0.0)
+    status = np.where(ok, "ok", "no-fixed-point").tolist()
+    # fmax skips the nan fills of the rows without a fixed point
+    meta = {"max_rel_diff": float(np.fmax.reduce(rel, initial=0.0))}
     _maybe_plot(cfg, lam, [closed], ["k*"], "uniform fixed point")
     return write_table(("lambda", "k_closed", "k_iterated", "iterations",
                         "converged", "rel_diff", "quad_residual", "status"),

@@ -19,7 +19,9 @@ iterator of that map, :func:`map_orbit`, classifies where iteration from a
 start value goes: converged, near-periodic, wandering, or into the pole.
 
 All public fixed-point values are n-type (aggregate over n-1 branches); the
-single-branch (m-type) value is the n-type value divided by n-1.
+single-branch (m-type) value is the n-type value divided by n-1.  A scalar
+lambda or nu is a grid of one: squares are taken by multiplication, as numpy
+squares an array, so a point returns exactly the grid's float at that point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError, SingularTransformError
-from .model import ModelParams, _check_lambda, lambda_star, sqrt_argument
+from .model import ModelParams, _check_lambda, _sqrt_terms, lambda_star
 
 #: Relative tolerance used to declare the rational update singular.
 POLE_RTOL = 1e-14
@@ -77,7 +79,7 @@ class CavityKernel:
 def g0_laplace(params: ModelParams, lam):
     """Twice the bare oscillator response, (2/m)/(lambda^2 + omega^2)."""
     lam = _check_lambda(lam)
-    out = (2.0 / params.m) / (lam**2 + params.omega_sq)
+    out = (2.0 / params.m) / (lam * lam + params.omega_sq)
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,16 +133,14 @@ def closed_form_fixed_point(params: ModelParams, lam):
     :class:`~netbath.errors.DomainError` (carrying the onset frequency) where
     the square-root argument is negative.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    arg = sqrt_argument(params, lam_arr)
+    s, u = _sqrt_terms(params, lam)
+    arg = 1.0 - u
     if np.any(arg < 0.0):
         raise DomainError(
             "no uniform fixed point at the requested lambda",
             lambda_star=lambda_star(params))
-    s = lam_arr**2 + params.omega_sq
     # 1 - sqrt(1-u) written as u/(1 + sqrt(1-u)): no cancellation at small u,
     # which the 1e-12 gain identity downstream relies on.
-    u = 8.0 * (params.n - 1) * params.C**2 / (params.m**2 * s**2)
     out = params.m * s / 4.0 * u / (1.0 + np.sqrt(arg))
     return float(out) if out.ndim == 0 else out
 
@@ -248,17 +248,18 @@ def fourier_fixed_point(params: ModelParams, nu):
     if not params.band_defined:
         raise DomainError("band edges are not real; no continuation at nu=0",
                           lambda_star=lambda_star(params))
-    x = params.omega_sq - nu_arr**2
+    x = params.omega_sq - nu_arr * nu_arr
     a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
     out = np.empty(nu_arr.shape, dtype=complex)
-    inside = x**2 < a4
+    inside = x * x < a4
     xo = x[~inside]
     # Outside the band: same minus-branch expression as on the Laplace axis,
     # in the cancellation-free form.
-    out[~inside] = params.m * a4 / (4.0 * xo) / (1.0 + np.sqrt(1.0 - a4 / xo**2))
+    out[~inside] = params.m * a4 / (4.0 * xo) / (
+        1.0 + np.sqrt(1.0 - a4 / (xo * xo)))
     xi = x[inside]
     out[inside] = params.m / 4.0 * (
-        xi - 1j * np.sign(nu_arr[inside]) * np.sqrt(a4 - xi**2))
+        xi - 1j * np.sign(nu_arr[inside]) * np.sqrt(a4 - xi * xi))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -269,12 +270,9 @@ def real_multiplier(params: ModelParams, nu):
     point: exactly 2 on the closed band, decaying below 1 far outside it.
     Defined as 0 for a decoupled network (C = 0).
     """
-    if params.C == 0:
-        nu_arr = np.asarray(nu, dtype=float)
-        out = np.zeros(nu_arr.shape)
-        return float(out) if out.ndim == 0 else out
-    khat = fourier_fixed_point(params, nu)
-    out = 4.0 * np.abs(np.asarray(khat))**2 / ((params.n - 1) * params.C**2)
+    out = np.abs(fourier_fixed_point(params, nu))    # zeros where C = 0
+    if params.C:
+        out = 4.0 * (out * out) / ((params.n - 1) * params.C**2)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -282,5 +280,5 @@ def quadratic_residual(params: ModelParams, lam, k):
     """Residual of G0 k^2 - k + (n-1) C^2 G0 / 2 at the claimed fixed point."""
     g0 = g0_laplace(params, lam)
     k = np.asarray(k, dtype=float)
-    out = g0 * k**2 - k + (params.n - 1) * params.C**2 * g0 / 2.0
+    out = g0 * (k * k) - k + (params.n - 1) * params.C**2 * g0 / 2.0
     return float(out) if out.ndim == 0 else out

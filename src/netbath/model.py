@@ -6,7 +6,8 @@ regular graph of degree ``n``; every edge carries the same spring constant
 :class:`ModelParams`: the effective squared frequency ``omega_sq``, the band
 half-width ``a_sq`` of the equivalent environment, the band edges
 ``lambda_pm <= lambda_pp``, their ratio ``q`` and the time-domain kernel
-amplitude ``Lambda``.
+amplitude ``Lambda``.  A scalar lambda is a grid of one: squares are taken
+by multiplication, so a point returns exactly the grid's float at that point.
 
 Units: frequencies in rad/time, couplings in mass/time^2, hbar = 1.
 """
@@ -124,9 +125,10 @@ def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:
             # Negative coupling is allowed only for existence scans; the band
             # structure is undefined there.
             a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
-        # C^4: the highest power of C any evaluator takes (the variance gain).
+        # C^4: the highest power of C any evaluator takes (the variance gain);
+        # omega_sq^2: the fixed point's (lambda^2 + omega^2)^2 at lambda = 0.
         derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda,
-                   float(C)**4)
+                   float(C)**4, omega_sq**2)
     except OverflowError:
         derived = (math.inf,)
     if any(map(math.isinf, derived)):
@@ -185,8 +187,19 @@ def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
     return bool(out) if out.ndim == 0 else out
 
 
+def _sqrt_terms(params: ModelParams, lam):
+    """``(s, u)``, s = lam^2 + omega^2 and u = 8(n-1)C^2/(m^2 s^2) = 1 - the
+    square-root argument; DomainError where s^2 is not finite."""
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        s = lam * lam + params.omega_sq
+        s_sq = s * s
+    if not np.all(np.isfinite(s_sq)):
+        raise DomainError("(lambda^2 + omega^2)^2 is not finite at the "
+                          "requested lambda")
+    return s, 8.0 * (params.n - 1) * params.C**2 / (params.m**2 * s_sq)
+
+
 def sqrt_argument(params: ModelParams, lam) -> np.ndarray:
     """Argument of the fixed-point square root, 1 - 8(n-1)C^2/(m^2(lam^2+w^2)^2)."""
-    lam = np.asarray(lam, dtype=float)
-    s = lam**2 + params.omega_sq
-    return 1.0 - 8.0 * (params.n - 1) * params.C**2 / (params.m**2 * s**2)
+    return 1.0 - _sqrt_terms(params, lam)[1]

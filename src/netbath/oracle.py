@@ -98,7 +98,7 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
     """
     coupling = _coupling_matrix(tree, params)
     lam = np.asarray(lam, dtype=float)
-    diagonal = params.m * (lam**2 + params.omega_sq) / 2.0
+    diagonal = params.m * (lam * lam + params.omega_sq) / 2.0
     out = np.array([params.C**2 / 2.0 * _corner_inverse(coupling, d)
                     for d in diagonal.ravel()]).reshape(lam.shape)
     return float(out) if out.ndim == 0 else out

@@ -128,7 +128,8 @@ def _row_blocks(n_rows: int, width: int):
 # float64 arrays, by peak RSS); per element of a row block, at most
 # max(_BLOCK_ELEMENTS, 17 width) (2.00-2.24 arrays for the sine, 11.8-12.0
 # for the j0 calls); per point (3.13 for a sine-sum kernel with TimeKernel's
-# checks, 10.0 per fine point for the Bessel kernel).
+# checks, 6.6 per fine point for the Bessel kernel's stencils on the odd
+# extension of f, on a tau grid as fine as its fine grid).
 _NODE_BYTES = 100
 _COMPANION_BYTES = 8 * 2.25
 _SINE_BLOCK_BYTES = 8 * 2.5
@@ -351,31 +352,24 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
     margin = 4
     n_fine = int(round((tau_grid[-1] - 0.0) / h)) + 1 + margin
     _gl_nodes(params, n_fine, h * (n_fine - 1))   # refuse before allocating
-    t_fine = h * np.arange(n_fine)
-    f = bessel_convolution(params, t_fine)
+    f = bessel_convolution(params, h * np.arange(n_fine))
 
-    # Odd extension: f(-u) = -f(u); index u/h -> signed lookup.
-    def sample(idx):
-        idx = np.asarray(idx)
-        sign = np.where(idx < 0, -1.0, 1.0)
-        return sign * f[np.abs(idx)]
+    # Odd extension f(-u) = -f(u): u/h = j sits at index j + n_fine - 1.
+    odd = np.concatenate((-f[:0:-1], f))
+    at = np.round(tau_grid / h).astype(int) + (n_fine - 1)
+    f0 = odd[at]
 
-    base = np.round(tau_grid / h).astype(int)
-    w4 = fd_weights(np.arange(-4, 5), 4) / h**4
-    w2c = fd_weights(np.arange(-3, 4), 2) / h**2
-
-    def central(weights, half_width):
+    def central(weights):
         # Symmetric weights; summing +-k pairs first keeps the combination
         # exactly zero at tau = 0 despite the large cancelling terms.
-        mid = half_width
-        acc = weights[mid] * sample(base)
-        for k in range(1, half_width + 1):
-            acc = acc + weights[mid + k] * (sample(base + k) + sample(base - k))
+        mid = weights.size // 2
+        acc = weights[mid] * f0
+        for k in range(1, mid + 1):
+            acc = acc + weights[mid + k] * (odd[at + k] + odd[at - k])
         return acc
 
-    f4 = central(w4, 4)
-    f2 = central(w2c, 3)
-    f0 = sample(base)
+    f4 = central(fd_weights(np.arange(-4, 5), 4) / h**4)
+    f2 = central(fd_weights(np.arange(-3, 4), 2) / h**2)
     a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
     w_sq = params.omega_sq
     values = params.m / 4.0 * (a4 * f0 - f4 - 2.0 * w_sq * f2 - w_sq**2 * f0)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .laplace import (CavityKernel, _edge_update, closed_form_fixed_point,
                       g0_laplace, map_orbit)
-from .model import ModelParams, derive_params, fixed_point_exists
+from .model import ModelParams, derive_params
 
 #: Refuse to build trees larger than this (2**20 nodes).
 NODE_CAP = 1 << 20
@@ -166,9 +166,7 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     n = branching + 1
     params_n = params if params.n == n else derive_params(
         n, params.omega0, params.C, params.m)
-    if not fixed_point_exists(params_n, lam):
-        raise DomainError("no fixed point at this lambda; depth convergence "
-                          "is undefined")
+    k_star = closed_form_fixed_point(params_n, lam)
     orbit = map_orbit(params_n, lam, steps=max_depth, tol=0.0).orbit
     orbit = np.pad(orbit, (0, max_depth + 1 - orbit.size), mode="edge")
-    return np.abs(orbit - closed_form_fixed_point(params_n, lam))
+    return np.abs(orbit - k_star)

@@ -281,6 +281,15 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("population --n 10 --C 1e55", 0, None),
     ("population --n 10 --C 5e76", 0, None),
     ("population --n 10 --C 1e77", 0, None),
+    # subnormal variance gains, checked on their fourth roots
+    ("population --n 10 --C 8.5e-79", 0, None),
+    ("population --n 29 --C 2.6e10 --omega0 1 --lam 1e45", 0, None),
+    # a (lambda^2 + omega^2)^2 that overflows, at omega0 or at lambda
+    ("fixed-point --omega0 1e80", 3, "domain"),
+    ("fixed-point --lambda-min 1e100 --lambda-max 1e200 --lambda-count 3", 3,
+     "domain"),
+    ("tree --lam 1e300", 3, "domain"),
+    ("population --lam 1e200", 3, "domain"),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -277,3 +278,56 @@ def test_cavity_kernel_validation():
     assert kern.values.dtype == float
     with pytest.raises(TypeError):
         CavityKernel(grid=np.array([1.0]), values=np.zeros(1), mode="fourier")
+
+
+def _seeded_params(count: int, seed: int):
+    """Degree 2-6 networks with C from 0.1 to 4 times C*, both phases."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        omega0, m = rng.uniform(0.5, 10.0), rng.uniform(0.5, 2.0)
+        c = rng.uniform(0.1, 4.0) * nb.critical_coupling(n, omega0, m)
+        out.append(nb.derive_params(n, omega0, c, m))
+    return out
+
+
+def test_point_and_grid_give_the_same_bits(narrow_band):
+    # a scalar lambda is a grid of one: every evaluator returns at a point
+    # exactly the float it returns at that point of a grid
+    lam = np.logspace(-1, 2, 373)
+    cases = []
+    # the last bit of s^2 differed here at index 58 when a point squared by pow
+    for p in [nb.derive_params(2, 6.889003, 133.69532, 0.792661)] \
+            + _seeded_params(30, 3):
+        ok = nb.fixed_point_exists(p, lam)
+        k = np.zeros(lam.size)
+        k[ok] = nb.closed_form_fixed_point(p, lam[ok])
+        cases += [
+            ("sqrt_argument", functools.partial(nb.sqrt_argument, p), lam),
+            ("fixed_point_exists", functools.partial(nb.fixed_point_exists, p),
+             lam),
+            ("g0_laplace", functools.partial(nb.g0_laplace, p), lam),
+            ("closed_form_fixed_point",
+             functools.partial(nb.closed_form_fixed_point, p), lam[ok]),
+            ("quadratic_residual", functools.partial(nb.quadratic_residual, p),
+             lam, k),
+            ("vernon_imag", lambda k, x, p=p: nb.vernon_imag(k, p, p.C, x),
+             k, lam),
+            ("uniform_map", lambda k, x, p=p: nb.uniform_map(k, p, x), k, lam),
+        ]
+        if p.band_defined:
+            cases += [(f.__name__, functools.partial(f, p), lam)
+                      for f in (nb.fourier_fixed_point, nb.real_multiplier,
+                                nb.spectral_density)]
+    tree = nb.build_tree(narrow_band.n - 1, 2)
+    cases.append(("oracle_kernel_laplace",
+                  functools.partial(nb.oracle_kernel_laplace, tree, narrow_band),
+                  lam))
+    mismatched = {}
+    for name, f, *grids in cases:
+        grid = f(*grids)
+        for i in range(grids[0].size):
+            if not grid[i] == f(*(g[i] for g in grids)):
+                mismatched[name] = mismatched.get(name, 0) + 1
+    assert not mismatched, f"points that differ from the grid: {mismatched}"

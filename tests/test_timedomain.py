@@ -7,6 +7,7 @@ import scipy.special
 
 import netbath as nb
 import netbath.errors
+from netbath.bessel import j0
 from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
     _composite_weights, _gl_nodes, _sine_sum, bessel_convolution, fd_weights
@@ -14,9 +15,9 @@ from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
 
 def test_j0_against_reference():
     x = np.linspace(0.0, 300.0, 30001)
-    assert np.max(np.abs(nb.j0(x) - scipy.special.j0(x))) < 1e-14
-    assert nb.j0(0.0) == 1.0
-    assert nb.j0(-3.7) == nb.j0(3.7)
+    assert np.max(np.abs(j0(x) - scipy.special.j0(x))) < 1e-14
+    assert j0(0.0) == 1.0
+    assert j0(-3.7) == j0(3.7)
 
 
 def test_fd_weights_known_stencils():
@@ -105,7 +106,7 @@ def test_blocked_sums_match_one_product(wide_band, n):
     xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(p, n, 5.0))
     half = t[:, None] / 2.0
     u = half * (xi[None, :] + 1.0)
-    f = (nb.j0(p.lambda_pm * u) * nb.j0(p.lambda_pp * (t[:, None] - u))) @ wq
+    f = (j0(p.lambda_pm * u) * j0(p.lambda_pp * (t[:, None] - u))) @ wq
     assert np.array_equal(bessel_convolution(p, t), f * half[:, 0])
 
 
