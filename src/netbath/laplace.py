@@ -77,9 +77,17 @@ class CavityKernel:
 
 
 def g0_laplace(params: ModelParams, lam):
-    """Twice the bare oscillator response, (2/m)/(lambda^2 + omega^2)."""
+    """Twice the bare oscillator response, (2/m)/(lambda^2 + omega^2).
+
+    Raises :class:`DomainError` where lambda^2 overflows.
+    """
     lam = _check_lambda(lam)
-    out = (2.0 / params.m) / (lam * lam + params.omega_sq)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        s = lam * lam + params.omega_sq
+    if not np.all(s < np.inf):
+        raise DomainError("lambda^2 + omega^2 is not finite at the requested "
+                          "lambda")
+    out = (2.0 / params.m) / s
     return float(out) if out.ndim == 0 else out
 
 

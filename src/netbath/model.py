@@ -182,7 +182,7 @@ def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
     omega^2)^2) >= 0`` directly; the closed-form critical coupling is never
     consulted here.  Accepts scalar or array ``lam >= 0``.
     """
-    arg = sqrt_argument(params, _check_lambda(lam))
+    arg = sqrt_argument(params, lam)
     out = arg >= 0.0
     return bool(out) if out.ndim == 0 else out
 
@@ -201,5 +201,8 @@ def _sqrt_terms(params: ModelParams, lam):
 
 
 def sqrt_argument(params: ModelParams, lam) -> np.ndarray:
-    """Argument of the fixed-point square root, 1 - 8(n-1)C^2/(m^2(lam^2+w^2)^2)."""
-    return 1.0 - _sqrt_terms(params, lam)[1]
+    """Argument of the fixed-point square root, 1 - 8(n-1)C^2/(m^2(lam^2+w^2)^2).
+
+    Raises :class:`DomainError` unless every lambda is finite and >= 0.
+    """
+    return 1.0 - _sqrt_terms(params, _check_lambda(lam))[1]

@@ -42,11 +42,15 @@ validated by the band edges omega^2 +- sqrt(8(n-1)) C/m that the adjacency
 spectral radius 2 sqrt(branching) reproduces.
 
 The coupling -(C/sqrt(2)) A is assembled once per tree, vectorised from the
-parent array; lambda moves only the diagonal, which each lambda passes to
-one MINRES solve as its shift (Paige & Saunders, SIAM J. Numer. Anal. 12,
-617 (1975)).  No factorisation, so no fill on a graph with loops, and it
-takes the indefinite matrices past C* as well.  A true-residual guard checks
-every lambda.
+parent array; lambda moves only the diagonal, a shift of the coupling.  The
+Krylov space of the coupling from the root does not depend on the shift, so
+one Lanczos run per tree serves every lambda of a grid, and each lambda
+carries only its own MINRES recurrence on it (Paige & Saunders, SIAM J.
+Numer. Anal. 12, 617 (1975); Jegerlehner, hep-lat/9612014, for shifted
+systems).  No factorisation, so no fill on a graph with loops, and it takes
+the indefinite matrices past C* as well.  The run stores its basis: depth+1
+vectors on a regular tree, whose Krylov space from the root is exhausted
+after depth+1 steps.  A true-residual guard checks every lambda.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams
@@ -74,17 +77,95 @@ def _coupling_matrix(tree: TreeGraph, params: ModelParams) -> scipy.sparse.csr_m
                                    shape=(tree.n_nodes, tree.n_nodes))
 
 
-def _corner_inverse(coupling, diagonal: float) -> float:
-    """[M^{-1}]_{0,0} of ``diagonal I + coupling``, MINRES with the diagonal as shift."""
-    e = np.zeros(coupling.shape[0])
+def _corner_inverse(coupling, diagonal):
+    """[M^{-1}]_{0,0} of ``diagonal I + coupling``, for one diagonal or a grid.
+
+    One Lanczos run on ``coupling`` from e_0 serves every diagonal, because
+    the Krylov space does not depend on the shift.  Each shift carries only
+    MINRES's Givens recurrence (Paige & Saunders 1975), vectorised over the
+    shift axis, and its iterate as coordinates in the stored basis.  Each
+    shift stops at its own convergence test, so a diagonal in a grid gets
+    the bits it gets alone.  The run ends when every shift has stopped, or
+    when beta falls to rounding: the Krylov space is exhausted there, after
+    depth+1 steps on a regular tree.  A true-residual guard then checks
+    every shift, one at a time.  A float for a scalar ``diagonal``, an array
+    of its shape for a grid.  Raises :class:`DomainError` when some shift
+    leaves the matrix singular or near-singular, and :class:`SizeError`,
+    before a basis vector is stored, when the basis would need more than
+    ``BYTE_CAP`` bytes.
+    """
+    diagonal = np.asarray(diagonal, dtype=float)
+    sigma = diagonal.ravel()
+    n, rtol, eps = coupling.shape[0], 1e-14, np.finfo(float).eps
+    e = np.zeros(n)
     e[0] = 1.0
-    x, _ = scipy.sparse.linalg.minres(coupling, e, shift=-diagonal, rtol=1e-14)
-    corner = float(x[0])
-    residual = np.abs(coupling @ x + diagonal * x - e).max()
-    if not math.isfinite(corner) or residual > 1e-8 * (1.0 + np.abs(x).max()):
-        raise DomainError(
-            f"tree matrix is singular or near-singular (residual {residual:.3g})")
-    return corner
+    # Per live shift: its index and MINRES scalars, and the coordinates of
+    # its iterate and of its last two search directions.
+    live = np.arange(sigma.size)
+    cs, sn = np.full(live.size, -1.0), np.zeros(live.size)
+    dbar, epsln, phibar = np.zeros(live.size), np.zeros(live.size), np.ones(live.size)
+    tnorm2, gmax, gmin = np.zeros(live.size), np.zeros(live.size), np.full(live.size, np.inf)
+    w_old = w = y = np.zeros((live.size, 0))
+    solved = {}
+    basis, v, v_old, beta = [], e, np.zeros(n), 0.0
+    for step in range(1, 5 * n + 1):
+        # the basis as a list and as the array stacked from it below
+        _check_bytes(2 * 8 * n * step, f"Lanczos basis of {step} vectors of {n} nodes")
+        basis.append(v)
+        av = coupling @ v
+        alpha = float(v @ av)
+        r = av - alpha * v - beta * v_old
+        beta_new = float(np.linalg.norm(r))
+        exhausted = beta_new <= 10.0 * eps * (abs(alpha) + beta)
+        # the previous rotation, then the next one, on each shift's column
+        a = alpha + sigma[live]
+        oldeps = epsln
+        delta = cs * dbar + sn * a
+        gbar = sn * dbar - cs * a
+        epsln = sn * beta_new
+        dbar = -cs * beta_new
+        root = np.hypot(gbar, dbar)
+        gamma = np.maximum(np.hypot(gbar, beta_new), eps)
+        cs, sn = gbar / gamma, beta_new / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        pad = np.zeros((live.size, 1))
+        w_old, w = np.hstack((w_old, pad)), np.hstack((w, pad))
+        w_new = -oldeps[:, None] * w_old - delta[:, None] * w
+        w_new[:, -1] += 1.0
+        w_old, w = w, w_new / gamma[:, None]
+        y = np.hstack((y, pad)) + phi[:, None] * w
+        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
+        tnorm2 += a * a + beta * beta + beta_new * beta_new
+        anorm, ynorm = np.sqrt(tnorm2), np.linalg.norm(y, axis=1)
+        # scipy's tests: a small residual or normal-equations residual, an
+        # ill-conditioned or exploding iterate, or the last step
+        done = ((phibar <= rtol * anorm * ynorm) | (root <= rtol * anorm)
+                | (gmax * eps >= 0.1 * gmin) | (anorm * ynorm * eps >= 1.0)
+                | exhausted | (step == 5 * n))
+        for i in np.flatnonzero(done).tolist():
+            solved[int(live[i])] = y[i].copy()
+        keep = ~done
+        if not keep.any():
+            break
+        live, cs, sn, dbar, epsln, phibar, tnorm2, gmax, gmin, w_old, w, y = (
+            q[keep] for q in (live, cs, sn, dbar, epsln, phibar, tnorm2, gmax,
+                              gmin, w_old, w, y))
+        v_old, v, beta = v, r / beta_new, beta_new
+    basis = np.array(basis)
+    corner = np.empty(sigma.size)
+    for s, coords in solved.items():
+        k = coords.size
+        x = coords @ basis[:k]
+        # x[0] by a dot product of its own, so its bits depend on the
+        # coordinates alone, not on how BLAS blocks the product above
+        corner[s] = coords @ basis[:k, 0]
+        residual = np.abs(coupling @ x + sigma[s] * x - e).max()
+        if not math.isfinite(corner[s]) or residual > 1e-8 * (1.0 + np.abs(x).max()):
+            raise DomainError(
+                f"tree matrix is singular or near-singular (residual {residual:.3g})")
+    corner = corner.reshape(diagonal.shape)
+    return float(corner) if corner.ndim == 0 else corner
 
 
 def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
@@ -92,16 +173,15 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
     """Exact finite-tree kernel (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
     A float for a scalar ``lam``, an array for a grid.  The coupling matrix
-    is built once; each lambda is one MINRES run with its own residual check.
+    is built once, and one Lanczos run on it serves every lambda, each with
+    its own MINRES recurrence and residual check.
     ``dense_limit`` is ignored; the benchmark's warm-up (``warm_up("check")``
     in ``perfbench/jobs.py``) still passes it.
     """
     coupling = _coupling_matrix(tree, params)
     lam = np.asarray(lam, dtype=float)
     diagonal = params.m * (lam * lam + params.omega_sq) / 2.0
-    out = np.array([params.C**2 / 2.0 * _corner_inverse(coupling, d)
-                    for d in diagonal.ravel()]).reshape(lam.shape)
-    return float(out) if out.ndim == 0 else out
+    return params.C**2 / 2.0 * _corner_inverse(coupling, diagonal)
 
 
 def _class_tree(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

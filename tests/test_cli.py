@@ -290,6 +290,12 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
      "domain"),
     ("tree --lam 1e300", 3, "domain"),
     ("population --lam 1e200", 3, "domain"),
+    ("orbit --lam 1e200 --steps 3", 3, "domain"),
+    # a negative lambda in a grid, refused by every command that takes one
+    ("phase --lambda-scale linear --lambda-min -2 --lambda-max 2 "
+     "--lambda-count 3", 3, "domain"),
+    ("fixed-point --lambda-scale linear --lambda-min -2 --lambda-max 2 "
+     "--lambda-count 3", 3, "domain"),
     # oversized requests, refused before allocating
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),

@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg
 import scipy.sparse
 
 import netbath as nb
+import netbath.errors
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
 from netbath.oracle import _class_tree, _corner_inverse, _coupling_matrix
@@ -251,6 +253,88 @@ def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
     assert abs(sparse - dense) <= 1e-13 * abs(dense)
 
 
+@pytest.mark.parametrize("tree", [_irregular_tree(), nb.build_tree(4, 5),
+                                  nb.build_chain(400)],
+                         ids=["irregular-16", "branching4-1365", "chain-401"])
+def test_one_grid_mixes_definite_and_indefinite_shifts(tree):
+    # past C*, the small lambda leave M indefinite and the large ones
+    # positive definite; one Lanczos run serves the whole grid
+    p = nb.derive_params(2, 1.0, 2.5, 1.0)
+    lam = np.array([0.3, 0.5, 0.7, 1.3, 3.0, 40.0])
+    eig = np.array([np.linalg.eigvalsh(_dense_matrix(tree, p, x)) for x in lam])
+    assert np.any(eig.min(axis=1) < 0.0) and np.any(eig.min(axis=1) > 0.0)
+    assert np.abs(eig).min() > 1e-3
+    dense = _dense_kernel(tree, p, lam)
+    got = nb.oracle_kernel_laplace(tree, p, lam)
+    assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
+
+
+def test_grid_with_a_singular_shift_is_refused_whole(ordered_chain):
+    # a chain of 41 nodes has an eigenvalue at 0 whose eigenvector overlaps
+    # e_0; the Lanczos run exhausts its Krylov space with beta exactly 0 and
+    # stops there, so the refusal comes from the residual guard, not from a
+    # division by zero
+    coupling = _coupling_matrix(nb.build_chain(40), ordered_chain)
+    diagonal = np.array([0.5, 0.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="singular"):
+            _corner_inverse(coupling, diagonal)
+        ok = _corner_inverse(coupling, diagonal[[0, 2]])
+    assert np.all(np.isfinite(ok))
+
+
+def test_lanczos_run_stops_where_the_krylov_space_is_exhausted(narrow_band,
+                                                               monkeypatch):
+    # from the root of a binary tree of depth 12 the Krylov space has 13
+    # dimensions; a NaN shift passes no convergence test, so only the
+    # rounding-level beta after 13 steps ends the run, and the residual
+    # guard refuses the shift instead of a basis grown to the size cap
+    steps = []
+    charge = netbath.oracle._check_bytes
+    monkeypatch.setattr(netbath.oracle, "_check_bytes",
+                        lambda need, what: (steps.append(what), charge(need, what)))
+    coupling = _coupling_matrix(nb.build_tree(2, 12), narrow_band)
+    with pytest.raises(DomainError, match="singular"):
+        _corner_inverse(coupling, np.array([1.0, np.nan]))
+    assert len(steps) == 13
+
+
+def test_oracle_peaks_below_message_passing(narrow_band):
+    # the Lanczos basis of the 87,381-node tree holds 9 vectors, against
+    # message passing's (node x lambda) arrays over criterion 4's grid
+    tree = nb.build_tree(narrow_band.n - 1, 8)
+    lam = np.logspace(-1, 2, 50)
+    peaks = []
+    for f in (nb.oracle_kernel_laplace, nb.root_output_message):
+        tracemalloc.start()
+        try:
+            f(tree, narrow_band, lam)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
+def test_lanczos_basis_refused_before_allocating(ordered_chain, monkeypatch):
+    # past C* the 401-node chain takes 401 Lanczos steps; with the cap at
+    # 1 MiB, and each 3.2 kB vector charged twice (the list and its stacked
+    # copy), the basis is refused at its 164th vector
+    cap = 1 << 20
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
+    p = nb.derive_params(2, 1.0, 2.5, 1.0)
+    coupling = _coupling_matrix(nb.build_chain(400), p)
+    diagonal = p.m * (0.5**2 + p.omega_sq) / 2.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="Lanczos basis"):
+            _corner_inverse(coupling, diagonal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
 @pytest.mark.parametrize("diagonal", [0.0, 1e-310], ids=["zero", "subnormal"])
 def test_corner_inverse_refuses_singular_matrix(ordered_chain, diagonal):
     # a 3-node chain with zero or subnormal diagonal has an eigenvalue at 0
@@ -273,9 +357,8 @@ def test_corner_inverse_on_random_regular_graphs():
     errs = []
     for n_nodes, bound in ((200, 1e-11), (2000, 1e-13)):
         adj = -p.C / math.sqrt(2.0) * _regular_graph(rng, n_nodes, p.n)
-        errs.append([abs(_corner_inverse(adj, diag) - ref) / ref
-                     for diag, ref in zip(a, bp)])
-        assert max(errs[-1]) <= bound
+        errs.append(np.abs(_corner_inverse(adj, a) - bp) / bp)
+        assert errs[-1].max() <= bound
     assert np.all(np.less(errs[1], errs[0]))
 
 
