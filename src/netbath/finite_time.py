@@ -35,9 +35,10 @@ with rest conditions at T, and coincides with ``(1/2) int G(t,s-t) C(s)
 drive(s) ds``; :func:`ode_response_check` computes the left-hand route
 iteratively, :func:`response_from_twinning` the right-hand one.
 
-The step must resolve the band: :func:`twinning_solve` refuses one coarser
-than :attr:`~netbath.model.ModelParams.fine_step`, which is also the default
-step of the ``finite-time`` command.  A step whose arrays, rows of N points
+The step must resolve the band: :func:`twinning_solve` and
+:func:`ode_response_check` refuse one coarser than
+:attr:`~netbath.model.ModelParams.fine_step`, which is also the default step
+of the ``finite-time`` command.  A step whose arrays, rows of N points
 or N x N, would exceed :data:`~netbath.errors.BYTE_CAP` is refused with
 :class:`SizeError` before it builds them.
 """
@@ -52,7 +53,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
-from .model import ModelParams, _check_step
+from .model import ModelParams, _check_step, _check_uniform
 
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
@@ -111,9 +112,9 @@ class TwoTimeKernel:
     """Kernel on the uniform two-time grid 0 <= t <= s <= T.
 
     ``values[i, j]`` holds K(t_i, t_j - t_i); causal kernels vanish below the
-    diagonal, symmetric kernels (noise type) satisfy V = V^T instead.  A
-    stationary kernel stores its lag row in ``_row``, and ``values`` is a
-    read-only Toeplitz view of one buffer holding it.
+    diagonal, symmetric kernels (noise type) satisfy V = V^T instead.  ``dt``
+    is the grid step.  A stationary kernel stores its lag row in ``_row``, and
+    ``values`` is a read-only Toeplitz view of one buffer holding it.
     """
 
     times: np.ndarray
@@ -121,6 +122,7 @@ class TwoTimeKernel:
     kind: str = "causal"
     meta: dict = field(default_factory=dict, repr=False)
     _row: np.ndarray | None = field(default=None, repr=False)
+    dt: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -128,10 +130,7 @@ class TwoTimeKernel:
         n = self.times.size
         if self.values.shape != (n, n):
             raise ShapeError("values must be square over the time grid")
-        steps = np.diff(self.times)
-        if n > 1 and (np.any(steps <= 0)
-                      or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
-            raise ShapeError("time grid must be uniform and increasing")
+        self.dt = _check_uniform(self.times, "time")
         if self.kind not in ("causal", "symmetric"):
             raise ShapeError(f"unknown kind {self.kind!r}")
         # A stationary kernel is causal by construction.
@@ -139,10 +138,6 @@ class TwoTimeKernel:
             lower = np.tril(self.values, k=-1)
             if np.any(lower != 0.0):
                 raise ShapeError("causal kernel has entries below the diagonal")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
     @classmethod
     def from_stationary(cls, times, func, kind: str = "causal") -> "TwoTimeKernel":
@@ -414,15 +409,11 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     kernel is applied repeatedly until the history changes by at most 1e-12
     relative, for at most 400 sweeps.  The result must agree with
     :func:`response_from_twinning` built from :func:`twinning_solve` on the
-    same grid.
+    same grid, and the step rule is :func:`twinning_solve`'s.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
-    omega = math.sqrt(params.omega_sq)
-    if grid_dt * omega > 0.5:
-        raise AccuracyError(
-            f"dt={grid_dt:.3g} too coarse for the oscillation period "
-            f"{2 * math.pi / omega:.3g}; backward quadrature would be unstable")
+    _check_step(grid_dt, params, "dt")
     drive = np.asarray(drive, dtype=float)
     if drive.shape != times.shape:
         raise ShapeError("drive must be sampled on the kernel grid")

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError, SingularTransformError
-from .model import ModelParams, _check_lambda, _sqrt_terms, lambda_star
+from .model import ModelParams, _check_finite, _laplace_s, _sqrt_terms, \
+    lambda_star
 
 #: Relative tolerance used to declare the rational update singular.
 POLE_RTOL = 1e-14
@@ -79,15 +80,9 @@ class CavityKernel:
 def g0_laplace(params: ModelParams, lam):
     """Twice the bare oscillator response, (2/m)/(lambda^2 + omega^2).
 
-    Raises :class:`DomainError` where lambda^2 overflows.
+    Raises :class:`DomainError` where :func:`~netbath.model._laplace_s` does.
     """
-    lam = _check_lambda(lam)
-    with np.errstate(over="ignore"):   # an overflow is refused below
-        s = lam * lam + params.omega_sq
-    if not np.all(s < np.inf):
-        raise DomainError("lambda^2 + omega^2 is not finite at the requested "
-                          "lambda")
-    out = (2.0 / params.m) / s
+    out = (2.0 / params.m) / _laplace_s(params, lam)
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,8 +204,7 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     """
     if not tol >= 0:   # nan included
         raise DomainError(f"tol must be >= 0, got {tol}")
-    if not np.isfinite(x0):
-        raise DomainError(f"x0 must be finite, got {x0}")
+    _check_finite(x0, "x0")
     g0 = g0_laplace(params, lam)
     c_half = params.C**2 / 2.0
     branches = params.n - 1
@@ -245,11 +239,12 @@ def fourier_fixed_point(params: ModelParams, nu):
     cut, ``(m/4)(x - i sign(nu) sqrt(a^4 - x^2))`` with ``x = omega^2 -
     nu^2``, so that the imaginary part is dissipative (<= 0 for nu > 0) and
     ``k*(nu) k*(-nu) = (n-1) C^2 / 2`` on the cut.  Hermitian by
-    construction: ``k*(-nu) = conj(k*(nu))``.
+    construction: ``k*(-nu) = conj(k*(nu))``.  Raises :class:`DomainError`
+    unless every nu is finite.
     """
     if params.C < 0:
         raise DomainError("Fourier continuation needs C >= 0")
-    nu_arr = np.asarray(nu, dtype=float)
+    nu_arr = _check_finite(nu, "nu")
     if params.C == 0:
         out = np.zeros(nu_arr.shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out

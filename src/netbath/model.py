@@ -9,6 +9,11 @@ half-width ``a_sq`` of the equivalent environment, the band edges
 amplitude ``Lambda``.  A scalar lambda is a grid of one: squares are taken
 by multiplication, so a point returns exactly the grid's float at that point.
 
+Each rule on outside input has one owner here, which every evaluator calls:
+:func:`_laplace_s` for lambda, the one place lambda^2 + omega^2 is formed;
+:func:`_check_step` for a time step; :func:`_check_uniform` for a time grid;
+:func:`_check_finite` for any frequency to be finite.
+
 Units: frequencies in rad/time, couplings in mass/time^2, hbar = 1.
 """
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, ShapeError
 
 # The total potential must stay positive definite: C > -m omega0^2 / n.
 _POSITIVITY_MSG = "coupling C={C} violates the positivity bound C > -m*omega0^2/n = {bound}"
@@ -54,16 +59,19 @@ class ModelParams:
     def fine_step(self) -> float:
         """Coarsest time step that resolves the band, 1/(20 lambda_pp).
 
-        The Bessel route, the forward transform and the two-time response
-        solve refuse a coarser step (:func:`_check_step`).  When the band is
-        not real, 1/(20 omega).
+        The Bessel route, the forward transform, the two-time response
+        solve and its backward cross-check refuse a coarser step
+        (:func:`_check_step`).  When the band is not real, 1/(20 omega).
         """
         top = self.lambda_pp if self.band_defined else math.sqrt(self.omega_sq)
         return 1.0 / (20.0 * top)
 
 
 def _check_step(step: float, params: ModelParams, name: str) -> None:
-    """Refuse with AccuracyError a step coarser than ``params.fine_step``."""
+    """Refuse a step that is not positive and finite with DomainError, and one
+    coarser than ``params.fine_step`` with AccuracyError."""
+    if not 0.0 < step < math.inf:   # nan fails both
+        raise DomainError(f"{name}={step:.3g} must be positive and finite")
     limit = params.fine_step
     if step > limit * (1.0 + 1e-12):
         raise AccuracyError(f"{name}={step:.3g} coarser than the "
@@ -167,12 +175,35 @@ def lambda_star(params: ModelParams) -> float | None:
     return params.omega0 * math.sqrt(params.C / c_star - 1.0)
 
 
-def _check_lambda(lam) -> np.ndarray:
-    """``lam`` as a float array; DomainError unless every entry is finite and >= 0."""
+def _check_uniform(grid: np.ndarray, name: str) -> float:
+    """The step of a grid, 0 for one point; ShapeError unless the grid is
+    uniform (to 1e-9 relative) and increasing by a finite step."""
+    steps = np.diff(grid)
+    if not ((steps > 0) & (steps < np.inf)).all() or not np.allclose(
+            steps, steps[:1], rtol=1e-9, atol=0.0):
+        raise ShapeError(f"{name} grid must be uniform and increasing by a finite step")
+    return float(steps[0]) if steps.size else 0.0
+
+
+def _check_finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array; DomainError unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
+def _laplace_s(params: ModelParams, lam) -> np.ndarray:
+    """``s = lam^2 + omega^2``; DomainError unless every lambda is >= 0 and
+    every s finite, which a lambda that is not finite never gives."""
     lam = np.asarray(lam, dtype=float)
-    if not np.all((lam >= 0) & (lam < np.inf)):   # nan fails both
-        raise DomainError("lambda must be finite and >= 0")
-    return lam
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        s = lam * lam + params.omega_sq
+    # the ndarray methods: np.all and np.any cost microseconds on a point
+    if not ((lam >= 0) & (s < np.inf)).all():   # nan fails both
+        raise DomainError("lambda must be finite and >= 0, with "
+                          "lambda^2 + omega^2 finite")
+    return s
 
 
 def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
@@ -189,12 +220,11 @@ def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:
 
 def _sqrt_terms(params: ModelParams, lam):
     """``(s, u)``, s = lam^2 + omega^2 and u = 8(n-1)C^2/(m^2 s^2) = 1 - the
-    square-root argument; DomainError where s^2 is not finite."""
-    lam = np.asarray(lam, dtype=float)
+    square-root argument; DomainError also where s^2 is not finite."""
+    s = _laplace_s(params, lam)
     with np.errstate(over="ignore"):   # an overflow is refused below
-        s = lam * lam + params.omega_sq
         s_sq = s * s
-    if not np.all(np.isfinite(s_sq)):
+    if not np.isfinite(s_sq).all():
         raise DomainError("(lambda^2 + omega^2)^2 is not finite at the "
                           "requested lambda")
     return s, 8.0 * (params.n - 1) * params.C**2 / (params.m**2 * s_sq)
@@ -205,4 +235,4 @@ def sqrt_argument(params: ModelParams, lam) -> np.ndarray:
 
     Raises :class:`DomainError` unless every lambda is finite and >= 0.
     """
-    return 1.0 - _sqrt_terms(params, _check_lambda(lam))[1]
+    return 1.0 - _sqrt_terms(params, lam)[1]

@@ -61,7 +61,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DomainError, InstabilityError, _check_bytes
-from .model import ModelParams
+from .model import ModelParams, _laplace_s
 from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
@@ -172,15 +172,14 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
                           dense_limit=None):
     """Exact finite-tree kernel (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
-    A float for a scalar ``lam``, an array for a grid.  The coupling matrix
-    is built once, and one Lanczos run on it serves every lambda, each with
-    its own MINRES recurrence and residual check.
-    ``dense_limit`` is ignored; the benchmark's warm-up (``warm_up("check")``
-    in ``perfbench/jobs.py``) still passes it.
+    A float for a scalar ``lam``, an array for a grid; DomainError where
+    :func:`~netbath.model._laplace_s` raises it.  The coupling matrix is built
+    once, and one Lanczos run on it serves every lambda, each with its own
+    MINRES recurrence and residual check.  ``dense_limit`` is ignored; the
+    benchmark's warm-up (``warm_up("check")`` in ``perfbench/jobs.py``) passes it.
     """
+    diagonal = params.m * _laplace_s(params, lam) / 2.0
     coupling = _coupling_matrix(tree, params)
-    lam = np.asarray(lam, dtype=float)
-    diagonal = params.m * (lam * lam + params.omega_sq) / 2.0
     return params.C**2 / 2.0 * _corner_inverse(coupling, diagonal)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .bessel import j0
 from .errors import DomainError, ShapeError, _check_bytes
 from .laplace import CavityKernel
-from .model import ModelParams, _check_step
+from .model import ModelParams, _check_finite, _check_step, _check_uniform
 
 
 class AccuracyWarning(UserWarning):
@@ -48,7 +48,7 @@ class AccuracyWarning(UserWarning):
 
 @dataclass
 class TimeKernel:
-    """A kernel sampled on a uniform tau >= 0 grid.
+    """A kernel sampled on a uniform tau >= 0 grid of step ``step``.
 
     ``params``, when given, lets :func:`forward_laplace` check the step
     against the band; ``meta`` carries evaluator details such as the node
@@ -59,6 +59,7 @@ class TimeKernel:
     values: np.ndarray
     params: ModelParams | None = None
     meta: dict = field(default_factory=dict, repr=False)
+    step: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
@@ -67,21 +68,11 @@ class TimeKernel:
             raise ShapeError("tau grid must be a nonempty 1-d array")
         if np.any(self.tau < 0):
             raise ShapeError("tau grid must be nonnegative")
-        if self.tau.size > 1:
-            steps = np.diff(self.tau)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0],
-                                                     rtol=1e-9, atol=0.0):
-                raise ShapeError("tau grid must be uniform and increasing")
+        self.step = _check_uniform(self.tau, "tau")
         if self.values.shape != self.tau.shape:
             raise ShapeError("values and tau shapes differ")
         if not np.all(np.isfinite(self.values)):
             raise ShapeError("kernel values must be finite")
-
-    @property
-    def step(self) -> float:
-        if self.tau.size < 2:
-            return 0.0
-        return float(self.tau[1] - self.tau[0])
 
 
 def _band_nodes(params: ModelParams, order: int):
@@ -203,14 +194,14 @@ def spectral_density(params: ModelParams, omega_grid):
     ``integral J(w) sin(w tau) dw`` to coincide with
     :func:`branch_cut_kernel`, whose own normalization is pinned by the
     forward-transform closure.  A degenerate band (C = 0) yields identically
-    zero.
+    zero.  Raises :class:`DomainError` unless every omega is finite.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    if params.C != 0 and not params.band_defined:
+        raise DomainError("band edges are not real at these parameters")
+    omega_grid = _check_finite(omega_grid, "omega")
     out = np.zeros_like(omega_grid)
     if params.C == 0:
         return out
-    if not params.band_defined:
-        raise DomainError("band edges are not real at these parameters")
     w2 = omega_grid**2
     inside = (np.abs(omega_grid) >= params.lambda_pm) & (np.abs(omega_grid) <= params.lambda_pp)
     out[inside] = params.m / (2.0 * math.pi) * np.sqrt(
@@ -336,15 +327,11 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
                           params=params)
     if not params.band_defined:
         raise DomainError("band edges are not real at these parameters")
-    if fine_step is None:
-        fine_step = params.fine_step
+    fine_step = params.fine_step if fine_step is None else fine_step
     _check_step(fine_step, params, "fine_step")
-    if tau_grid.size > 1:
-        dtau = tau_grid[1] - tau_grid[0]
-        refine = max(1, int(math.ceil(dtau / fine_step - 1e-12)))
-        h = dtau / refine
-    else:
-        h = fine_step
+    dtau = _check_uniform(tau_grid, "tau")
+    refine = max(1, int(math.ceil(dtau / fine_step - 1e-12)))
+    h = dtau / refine if dtau else fine_step
     offset0 = tau_grid[0] / h
     if abs(offset0 - round(offset0)) > 1e-6:
         raise ShapeError("tau grid must align with the fine grid (start at a "
@@ -431,14 +418,16 @@ def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
     Composite high-order quadrature of ``integral_0^T exp(-lambda tau) k(tau)
     dtau`` over the whole sampled range, T = ``tk.tau[-1]``; the reported
     truncation bound is ``max|k| * exp(-lambda T) / lambda``.  Warns when
-    ``lambda*T < 20`` (truncation-dominated).
+    ``lambda*T < 20`` (truncation-dominated).  Raises :class:`DomainError`
+    unless every lambda is finite and > 0.
     """
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    lambda_grid = _check_finite(lambda_grid, "lambda")
     if np.any(lambda_grid <= 0):
         raise DomainError("forward transform needs lambda > 0")
     if tk.tau[0] != 0.0:
         raise ShapeError("time kernel must start at tau = 0")
-    if tk.params is not None and tk.params.band_defined:
+    # a one-point grid has no step, and its transform is 0
+    if tk.params is not None and tk.params.band_defined and tk.tau.size > 1:
         _check_step(tk.step, tk.params, "step")
     tau = tk.tau
     values = tk.values

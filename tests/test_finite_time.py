@@ -83,6 +83,8 @@ def test_two_time_kernel_validation():
     assert ok.dt == pytest.approx(0.25)
     with pytest.raises(ShapeError):
         TwoTimeKernel(times=times, values=np.zeros((4, 4)))
+    with pytest.raises(ShapeError, match="finite step"):
+        TwoTimeKernel(times=np.array([-np.inf, 0.0]), values=np.zeros((2, 2)))
 
 
 def test_twinning_zero_kernel_returns_bare(ft_params):

@@ -239,6 +239,21 @@ def test_real_multiplier_band_and_decay(narrow_band):
     assert nb.real_multiplier(p0, 5.0) == 0.0
 
 
+@pytest.mark.parametrize("evaluate", [nb.fourier_fixed_point,
+                                      nb.real_multiplier, nb.spectral_density])
+def test_fourier_side_refuses_non_finite_frequencies(narrow_band, evaluate):
+    # nan gave J = 0.0 and a nan gain; a negative frequency stays valid, the
+    # continuation being Hermitian, and a decoupled network checks it too
+    decoupled = nb.derive_params(5, 10.0, 0.0, 0.5)
+    for p in (narrow_band, decoupled):
+        evaluate(p, [-10.0, 0.0, 10.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                evaluate(p, bad)
+            with pytest.raises(DomainError, match="must be finite"):
+                evaluate(p, [1.0, bad])
+
+
 def test_real_kernel_orbit(narrow_band):
     # a real noise kernel iterated at the fixed point grows by the gain per
     # step: doubles in the band, halves where the gain is exactly 1/2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netbath as nb
-from netbath.errors import AccuracyError, DomainError
+from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.finite_time import TwoTimeKernel
 from netbath.timedomain import TimeKernel
 
@@ -163,8 +164,14 @@ def _twinning(p, step):
     nb.twinning_solve(TwoTimeKernel(step * np.arange(5), np.zeros((5, 5))), p)
 
 
+def _ode(p, step):
+    nb.ode_response_check(TwoTimeKernel(step * np.arange(5), np.zeros((5, 5))),
+                          p, np.zeros(5))
+
+
 def _bessel(p, step):
-    nb.bessel_kernel(p, step * np.arange(5), fine_step=step)
+    # the tau grid stays at the band-resolving step: only fine_step varies
+    nb.bessel_kernel(p, p.fine_step * np.arange(5), fine_step=step)
 
 
 def _forward(p, step):
@@ -172,12 +179,73 @@ def _forward(p, step):
                        [1e4])
 
 
-@pytest.mark.parametrize("evaluate", [_twinning, _bessel, _forward],
-                         ids=["twinning_solve", "bessel_kernel",
-                              "forward_laplace"])
+@pytest.mark.parametrize("evaluate", [_twinning, _ode, _bessel, _forward],
+                         ids=["twinning_solve", "ode_response_check",
+                              "bessel_kernel", "forward_laplace"])
 def test_evaluators_accept_fine_step_and_refuse_coarser(narrow_band, evaluate):
     # one owner of the limit: every evaluator accepts it exactly and refuses
     # a step one part in 10^9 coarser, with the same message
     evaluate(narrow_band, narrow_band.fine_step)
     with pytest.raises(AccuracyError, match="band-resolving step"):
         evaluate(narrow_band, narrow_band.fine_step * (1 + 1e-9))
+    # a step that is not positive and finite never runs: a grid built on it
+    # is refused as a grid, a step passed on its own by the step owner
+    for step in (0.0, -1e-3, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises((DomainError, ShapeError)):
+                evaluate(narrow_band, step)
+    if evaluate is _bessel:
+        with pytest.raises(DomainError, match="positive and finite"):
+            evaluate(narrow_band, -1e-3)
+
+
+# every public Laplace-side evaluator, as a function of (params, tree, lambda)
+LAMBDA_ENTRY_POINTS = {
+    "g0_laplace": lambda p, tree, lam: nb.g0_laplace(p, lam),
+    "vernon_imag": lambda p, tree, lam: nb.vernon_imag(0.0, p, p.C, lam),
+    "uniform_map": lambda p, tree, lam: nb.uniform_map(0.0, p, lam),
+    "closed_form_fixed_point":
+        lambda p, tree, lam: nb.closed_form_fixed_point(p, lam),
+    "quadratic_residual": lambda p, tree, lam: nb.quadratic_residual(p, lam, 0.0),
+    "sqrt_argument": lambda p, tree, lam: nb.sqrt_argument(p, lam),
+    "fixed_point_exists": lambda p, tree, lam: nb.fixed_point_exists(p, lam),
+    "map_orbit": lambda p, tree, lam: nb.map_orbit(p, lam, steps=10),
+    "root_output_message":
+        lambda p, tree, lam: nb.root_output_message(tree, p, [lam]),
+    "output_environment":
+        lambda p, tree, lam: nb.output_environment(tree, p, 1, [lam]),
+    "depth_convergence":
+        lambda p, tree, lam: nb.depth_convergence(p, p.n - 1, 3, lam),
+    "oracle_kernel_laplace":
+        lambda p, tree, lam: nb.oracle_kernel_laplace(tree, p, lam),
+    "variance_gain": lambda p, tree, lam: nb.variance_gain(p, lam),
+    "population_init":
+        lambda p, tree, lam: nb.population_init(p, lam, size=1000),
+}
+
+
+@pytest.mark.parametrize("name", list(LAMBDA_ENTRY_POINTS))
+def test_one_lambda_rule(narrow_band, name):
+    # one owner decides which lambda is valid: every Laplace-side entry point
+    # takes lambda = 0 and refuses, with DomainError and no numpy warning, a
+    # negative, nan or infinite lambda and one whose square overflows
+    tree = nb.build_tree(narrow_band.n - 1, 2)
+    evaluate = LAMBDA_ENTRY_POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        evaluate(narrow_band, tree, 0.0)
+        for lam in (-1.0, math.nan, math.inf, 1e200):
+            with pytest.raises(DomainError, match="lambda"):
+                evaluate(narrow_band, tree, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_forward_laplace_takes_the_lambda_rule(narrow_band, lam):
+    # the same rule, plus lambda != 0: the truncation bound divides by it
+    tk = TimeKernel(narrow_band.fine_step * np.arange(9), np.zeros(9),
+                    params=narrow_band)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="lambda"):
+            nb.forward_laplace(tk, [lam])

@@ -238,3 +238,6 @@ def test_time_kernel_validation():
         TimeKernel(tau=np.array([-0.1, 0.0]), values=np.zeros(2))
     with pytest.raises(ShapeError):
         TimeKernel(tau=np.array([0.0, 0.1]), values=np.array([0.0, np.inf]))
+    # an infinite step is no step: forward_laplace took it to a nan weight
+    with pytest.raises(ShapeError, match="finite step"):
+        TimeKernel(tau=np.array([0.0, np.inf]), values=np.zeros(2))
