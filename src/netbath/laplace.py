@@ -43,6 +43,19 @@ CYCLE_MAX_PERIOD = 256
 CYCLE_TOL = 0.05
 
 
+def _check_lambda_grid(grid) -> np.ndarray:
+    """The grid of a :class:`CavityKernel` as floats: refuse, with ShapeError,
+    one that is not a nonempty 1-d array of finite, strictly increasing points."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ShapeError("grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(grid)):
+        raise ShapeError("grid points must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ShapeError("grid must be strictly increasing")
+    return grid
+
+
 @dataclass
 class CavityKernel:
     """A dissipation kernel sampled on a real Laplace (lambda > 0) grid.
@@ -62,14 +75,8 @@ class CavityKernel:
     flags: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _check_lambda_grid(self.grid)
         self.values = np.asarray(self.values)
-        if self.grid.ndim != 1 or self.grid.size == 0:
-            raise ShapeError("grid must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.grid)):
-            raise ShapeError("grid points must be finite")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ShapeError("grid must be strictly increasing")
         if self.values.shape != self.grid.shape:
             raise ShapeError("values and grid shapes differ")
         if np.iscomplexobj(self.values) and np.any(self.values.imag != 0):

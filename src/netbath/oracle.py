@@ -186,7 +186,7 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
 def _class_tree(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quotient of a tree by the automorphisms that fix its root.
 
-    Nodes are numbered breadth-first, so every child follows its parent.
+    Every child follows its parent in id order, as ``TreeGraph`` ensures.
     Bottom-up, each inner node gets the id of its subtree's shape: its count
     of leaf children and the sorted shapes of the others.  Top-down, its
     class is the pair (class of its parent, its shape), and the leaves under

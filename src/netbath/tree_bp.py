@@ -16,26 +16,37 @@ beyond floating point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
-from .laplace import (CavityKernel, _edge_update, closed_form_fixed_point,
-                      g0_laplace, map_orbit)
-from .model import ModelParams, derive_params
+from .errors import DomainError, ShapeError, SizeError, _check_bytes
+from .laplace import (CavityKernel, _check_lambda_grid, _edge_update,
+                      closed_form_fixed_point, g0_laplace, map_orbit)
+from .model import ModelParams, _laplace_s, derive_params
 
 #: Refuse to build trees larger than this (2**20 nodes).
 NODE_CAP = 1 << 20
 
+#: What an upward sweep is charged, above the tracemalloc peaks of regular,
+#: random, chain and star trees (4.2 to 4.7 and at most 15.1): float rows per
+#: node of its widest inner level, times the grid size, and words per node.
+SWEEP_ROWS = 5
+SWEEP_WORDS = 16
+
 
 @dataclass
 class TreeGraph:
-    """Rooted tree with breadth-first node numbering (root = 0).
+    """Rooted tree, root = node 0.
 
-    ``parent[v]`` is -1 for the root; ``levels[k]`` lists the node ids at
-    depth k.  These two fields are all a sweep reads, so an irregular tree
-    needs nothing else.
+    ``parent[v]`` is the parent of node v (-1 for the root); ``levels[k]``
+    lists the node ids at depth k, in any order.  These two fields are all a
+    sweep reads, so an irregular tree needs nothing else.  Construction
+    refuses with ShapeError a tree that breaks the contract the sweeps and
+    the oracle read: node 0 is the only root, every parent has a smaller id
+    than its child, the levels partition the nodes with ``levels[0] == [0]``,
+    and the parent of every node of level k lies in level k-1.
     """
 
     parent: np.ndarray
@@ -43,6 +54,25 @@ class TreeGraph:
 
     def __post_init__(self):
         self.parent = np.asarray(self.parent, dtype=np.int64)
+        self.levels = [np.asarray(level, dtype=np.int64) for level in self.levels]
+        parent, n = self.parent, self.parent.size
+        if parent.ndim != 1 or n == 0:
+            raise ShapeError("parent must be a nonempty 1-d array")
+        if parent[0] != -1 or np.any(parent[1:] < 0):
+            raise ShapeError("node 0 must be the only root")
+        if np.any(parent[1:] >= np.arange(1, n)):
+            raise ShapeError("every parent must have a smaller id than its child")
+        if not self.levels or any(level.ndim != 1 or level.size == 0
+                                  for level in self.levels):
+            raise ShapeError("levels must be a nonempty list of nonempty 1-d arrays")
+        nodes = np.concatenate(self.levels)
+        if (nodes.size != n or self.levels[0].tolist() != [0]
+                or np.any((nodes < 0) | (nodes >= n))
+                or np.any(np.bincount(nodes, minlength=n) != 1)):
+            raise ShapeError("levels must partition the nodes, with levels[0] == [0]")
+        depth, _ = _level_index(self)
+        if np.any(depth[parent[1:]] != depth[1:] - 1):
+            raise ShapeError("the parent of every node of level k must lie in level k-1")
 
     @property
     def n_nodes(self) -> int:
@@ -79,28 +109,91 @@ def build_chain(depth: int) -> TreeGraph:
     return build_tree(1, depth)
 
 
-def _upward_messages(tree: TreeGraph, params: ModelParams,
-                     grid) -> tuple[np.ndarray, np.ndarray]:
-    """m-type message each node sends toward its parent, per grid point.
+def _level_index(tree: TreeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Level of every node, and its position in its level's array."""
+    sizes = np.array([level.size for level in tree.levels])
+    nodes = np.concatenate(tree.levels)
+    depth = np.empty(nodes.size, dtype=np.int64)
+    depth[nodes] = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.arange(nodes.size)
+    slot -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pos = np.empty_like(depth)
+    pos[nodes] = slot
+    return depth, pos
 
-    Vectorized level by level; returns ``(msgs, agg)``.  Entry [v, j] of
-    ``msgs`` is the message from v on edge (v, parent(v)) at grid[j] (for the
-    root: toward a virtual parent); ``agg[v, j]`` is the sum of the messages
-    v receives from its children.  Pole hits are recorded as nan rather than
-    aborting the sweep.
+
+def _sibling_groups(tree: TreeGraph, depth: np.ndarray, pos: np.ndarray):
+    """Every level's children grouped by their rank among their siblings.
+
+    Returns ``(child, parent, starts, first_group)``.  Group g is
+    ``child[starts[g]:starts[g+1]]``, positions in their level, with their
+    parents' positions in ``parent``; the groups of level k are
+    ``first_group[k]`` up to ``first_group[k+1]``, rank 0 first.  Group r of
+    a level holds the r-th child, in level order, of every parent with more
+    than r children, so no group names a parent twice.  Adding a level's
+    groups in turn to zeros adds each parent's children in level order, as
+    ``np.add.at`` does, with the same bits.
+    """
+    nodes = np.concatenate(tree.levels)[1:]     # all but the root, level order
+    parents = tree.parent[nodes]
+    order = np.argsort(parents, kind="stable")
+    first = np.flatnonzero(np.diff(parents[order], prepend=-1))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(first, np.diff(first, append=order.size))
+    level = depth[nodes]
+    by_group = np.lexsort((rank, level))
+    level, rank = level[by_group], rank[by_group]
+    starts = np.flatnonzero(np.diff(level, prepend=-1) | np.diff(rank, prepend=-1))
+    first_group = np.searchsorted(level[starts], np.arange(len(tree.levels) + 1))
+    return (pos[nodes[by_group]], pos[parents[by_group]],
+            np.append(starts, nodes.size), first_group)
+
+
+def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
+                     path) -> tuple[np.ndarray, np.ndarray]:
+    """Upward message and child aggregate along a root-to-node path, per grid point.
+
+    ``path`` lists node ids from the root down, one per level.  Returns
+    ``(up, agg)`` with one row per node of the path: ``up[k, j]`` is the
+    message path[k] sends toward its parent at grid[j] (for the root: toward
+    a virtual parent), and ``agg[k, j]`` the sum of the messages it receives
+    from its children.  The sweep goes level by level from the deepest and
+    holds only the level being formed and the level below it.  Every node of
+    the deepest level is a leaf, so that level's messages are one row.
+    Siblings are added in level order starting from 0.0.  Pole hits are
+    recorded as nan rather than aborting the sweep.
     """
     grid = np.asarray(grid, dtype=float)
     g0 = np.atleast_1d(np.asarray(g0_laplace(params, grid), dtype=float))
-    msgs = np.zeros((tree.n_nodes, grid.size))
-    agg = np.zeros_like(msgs)
+    path = np.asarray(path, dtype=np.int64)
+    sizes = [level.size for level in tree.levels]
+    # The widest inner level's aggregate, edge-update temporaries and
+    # messages, with the level above it and one sibling group at a time;
+    # the path's rows; the index arrays, a few words per node.
+    widest = max(sizes[:-1], default=0)
+    _check_bytes(8 * (g0.size * (SWEEP_ROWS * widest + 2 * path.size)
+                      + SWEEP_WORDS * tree.n_nodes),
+                 f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
-    for level in reversed(tree.levels):
-        msgs[level] = _edge_update(agg[level], g0[None, :], c_half)[0]
-        parents = tree.parent[level]
-        has_parent = parents >= 0
-        if np.any(has_parent):
-            np.add.at(agg, parents[has_parent], msgs[level][has_parent])
-    return msgs, agg
+    depth, pos = _level_index(tree)
+    child, parent, starts, first_group = _sibling_groups(tree, depth, pos)
+    up = np.empty((path.size, g0.size))
+    agg_path = np.empty_like(up)
+    agg = np.zeros(g0.size)
+    for k in reversed(range(len(sizes))):
+        msgs = _edge_update(agg, g0, c_half)[0]
+        if k < path.size:
+            up[k] = msgs if msgs.ndim == 1 else msgs[pos[path[k]]]
+            agg_path[k] = agg if agg.ndim == 1 else agg[pos[path[k]]]
+        if k == 0:
+            break
+        del agg
+        agg = np.zeros((sizes[k - 1], g0.size))
+        for g in range(first_group[k], first_group[k + 1]):
+            a, b = starts[g], starts[g + 1]
+            agg[parent[a:b]] += msgs if msgs.ndim == 1 else msgs[child[a:b]]
+        del msgs
+    return up, agg_path
 
 
 def root_output_message(tree: TreeGraph, params: ModelParams, lambda_grid) -> np.ndarray:
@@ -110,28 +203,25 @@ def root_output_message(tree: TreeGraph, params: ModelParams, lambda_grid) -> np
     whole tree presents as an environment, and the quantity the corner
     resolvent of the tree matrix reproduces.
     """
-    msgs, _ = _upward_messages(tree, params, np.asarray(lambda_grid, dtype=float))
-    return msgs[0]
+    up, _ = _upward_messages(tree, params, lambda_grid, [0])
+    return up[0]
 
 
 def _downward_messages(tree: TreeGraph, params: ModelParams, lambda_grid,
-                       up: np.ndarray, agg: np.ndarray, node: int) -> np.ndarray:
-    """m-type message ``node`` receives from its parent (zero at the root).
+                       up: np.ndarray, agg: np.ndarray) -> np.ndarray:
+    """m-type message the last node of a root-to-node path receives from its parent.
 
-    Walks only the root-to-node path, root first, using the ``(up, agg)``
-    pair of :func:`_upward_messages`: the message into v from its parent p is
-    the edge update of ``agg[p] - up[v] + down[p]``, everything p sees except
-    v's own branch.  Needs nothing but ``tree.parent``, so any rooted tree
-    works; a pole on the path gives nan.
+    ``up`` and ``agg`` are the rows of :func:`_upward_messages` for the path
+    through ``tree``, root first; the message is zero at the root.  The
+    message into v from its parent p is the edge update of
+    ``agg[p] - up[v] + down[p]``, everything p sees except v's own branch.
+    A pole on the path gives nan.
     """
     g0 = g0_laplace(params, lambda_grid)
     c_half = params.C**2 / 2.0
-    path = [node]
-    while tree.parent[path[-1]] >= 0:
-        path.append(int(tree.parent[path[-1]]))
     down = np.zeros_like(g0)
-    for p, v in zip(path[:0:-1], path[-2::-1]):
-        down = _edge_update(agg[p] - up[v] + down, g0, c_half)[0]
+    for i in range(1, len(up)):
+        down = _edge_update(agg[i - 1] - up[i] + down, g0, c_half)[0]
     return down
 
 
@@ -142,12 +232,21 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     ``agg[node] + down[node]``: the children's messages from the upward sweep
     plus the one message from the parent side, found by walking the
     root-to-node path only (O(depth x grid) after the sweep).  An isolated
-    node sees a zero kernel.
+    node sees a zero kernel.  Before the sweep, a lambda the model refuses
+    raises DomainError, and a node that is not an integer in 0..N-1 or a
+    grid :class:`~netbath.laplace.CavityKernel` would refuse raises
+    ShapeError.
     """
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    up, agg = _upward_messages(tree, params, lambda_grid)
-    total = agg[node] + _downward_messages(tree, params, lambda_grid, up, agg,
-                                           node)
+    if (not isinstance(node, numbers.Integral) or isinstance(node, bool)
+            or not 0 <= node < tree.n_nodes):
+        raise ShapeError(f"node must be an integer in 0..{tree.n_nodes - 1}, got {node!r}")
+    _laplace_s(params, lambda_grid)     # a bad lambda is a DomainError first
+    lambda_grid = _check_lambda_grid(lambda_grid)
+    path = [int(node)]
+    while path[-1] > 0:
+        path.append(int(tree.parent[path[-1]]))
+    up, agg = _upward_messages(tree, params, lambda_grid, path[::-1])
+    total = agg[-1] + _downward_messages(tree, params, lambda_grid, up, agg)
     flags = ~np.isfinite(total)
     return CavityKernel(grid=lambda_grid, values=total,
                         flags=flags if flags.any() else None)

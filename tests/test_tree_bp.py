@@ -1,9 +1,50 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import netbath as nb
-from netbath.errors import DomainError, SizeError
-from netbath.tree_bp import _upward_messages
+import netbath.errors
+import netbath.tree_bp
+from netbath.errors import DomainError, ShapeError, SizeError
+from netbath.laplace import _edge_update
+
+
+def _upward_reference(tree, params, grid):
+    """Upward message and child aggregate of every node, as (N, grid) arrays.
+
+    The sweep ``tree_bp`` ran before it held two levels: every node's row
+    over the whole tree, siblings summed by ``np.add.at``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    g0 = np.atleast_1d(np.asarray(nb.g0_laplace(params, grid), dtype=float))
+    msgs = np.zeros((tree.n_nodes, grid.size))
+    agg = np.zeros_like(msgs)
+    c_half = params.C**2 / 2.0
+    for level in reversed(tree.levels):
+        msgs[level] = _edge_update(agg[level], g0[None, :], c_half)[0]
+        parents = tree.parent[level]
+        has_parent = parents >= 0
+        if np.any(has_parent):
+            np.add.at(agg, parents[has_parent], msgs[level][has_parent])
+    return msgs, agg
+
+
+def _environment_reference(tree, params, grid, up, agg, node):
+    """``output_environment(...).values`` from the reference sweep's rows."""
+    g0 = nb.g0_laplace(params, grid)
+    c_half = params.C**2 / 2.0
+    path = [node]
+    while tree.parent[path[-1]] >= 0:
+        path.append(int(tree.parent[path[-1]]))
+    down = np.zeros_like(g0)
+    for p, v in zip(path[:0:-1], path[-2::-1]):
+        down = _edge_update(agg[p] - up[v] + down, g0, c_half)[0]
+    return agg[node] + down
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _rerooting_reference(tree, params, grid):
@@ -13,7 +54,7 @@ def _rerooting_reference(tree, params, grid):
     each parent, sum all children's upward messages plus the parent's own
     downward message, then hand every child that total minus its own branch.
     """
-    up, _ = _upward_messages(tree, params, grid)
+    up, _ = _upward_reference(tree, params, grid)
     g0 = nb.g0_laplace(params, grid)
     children = [[] for _ in range(tree.n_nodes)]
     for v in range(tree.n_nodes):
@@ -146,18 +187,29 @@ def test_output_environment_matches_full_rerooting(narrow_band, shape):
         assert np.max(np.abs(env.values - ref[v]) / np.abs(ref[v])) <= 1e-13
 
 
-def test_pole_inside_tree_gives_nan():
+def _pole_tree():
     # root -> node 1 -> eight leaves; at lambda = 1 the eight leaf messages
     # sum to exactly 1/G0, so the edge update out of node 1 hits its pole
     p = nb.derive_params(2, 1.0, 1.0, 1.0)
     parent = np.array([-1, 0] + [1] * 8)
     tree = nb.TreeGraph(parent=parent,
                         levels=[np.array([0]), np.array([1]), np.arange(2, 10)])
-    grid = np.array([0.5, 1.0, 2.0])
+    return tree, p, np.array([0.5, 1.0, 2.0])
+
+
+def _inner_leaves_tree():
+    # leaves on levels 1, 2 and 3 besides the deepest, levels out of id order
+    parent = np.array([-1, 0, 0, 0, 1, 1, 3, 6, 7, 4])
+    levels = [[0], [3, 1, 2], [5, 6, 4], [9, 7], [8]]
+    return nb.TreeGraph(parent=parent, levels=levels)
+
+
+def test_pole_inside_tree_gives_nan():
+    tree, p, grid = _pole_tree()
     assert nb.g0_laplace(p, 1.0) == 0.5
     root = nb.root_output_message(tree, p, grid)
     assert np.isnan(root[1]) and np.all(np.isfinite(root[[0, 2]]))
-    up, _ = _upward_messages(tree, p, grid)
+    up, _ = _upward_reference(tree, p, grid)
     assert np.array_equal(np.isnan(up[1]), [False, True, False])
     for node in (0, 1, 9):
         env = nb.output_environment(tree, p, node, grid)
@@ -241,3 +293,106 @@ def test_edge_noise_gain_zero_coupling():
     for node in range(chain.n_nodes):
         env = nb.output_environment(chain, p0, node, grid)
         assert np.all(env.values == 0.0)
+
+
+@pytest.mark.parametrize("shape", ["b3d4", "b2d8", "chain", "random300",
+                                   "random500", "inner-leaves", "pole"])
+def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
+    # the two-level sweep adds siblings in level order from 0.0, as np.add.at
+    # did over the whole tree: the root message and the environment of every
+    # node are the reference's, bit for bit, nan positions and flags included
+    grid = np.logspace(-1, 1.5, 9)
+    params = narrow_band
+    tree = {"b3d4": lambda: nb.build_tree(3, 4),
+            "b2d8": lambda: nb.build_tree(2, 8),
+            "chain": lambda: nb.build_chain(40),
+            "random300": lambda: _random_tree(300, 4),
+            "random500": lambda: _random_tree(500, 9),
+            "inner-leaves": _inner_leaves_tree,
+            "pole": lambda: None}[shape]()
+    if tree is None:
+        tree, params, grid = _pole_tree()
+    up, agg = _upward_reference(tree, params, grid)
+    assert _same_bits(nb.root_output_message(tree, params, grid), up[0])
+    for v in range(tree.n_nodes):
+        ref = _environment_reference(tree, params, grid, up, agg, v)
+        env = nb.output_environment(tree, params, v, grid)
+        assert _same_bits(env.values, ref)
+        flags = ~np.isfinite(ref)
+        assert (env.flags is None) if not flags.any() else _same_bits(env.flags, flags)
+    if shape == "pole":
+        assert np.isnan(up[1, 1])
+
+
+def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
+    # the add.at sweep peaked at 169.9 MiB here: two 87,381 x 50 arrays and
+    # the temporaries of a whole level; two levels of at most 16,384 rows
+    # and the leaves as one row peak near 28 MiB
+    tree = nb.build_tree(4, 8)
+    grid = np.logspace(-1, 2, 50)
+    tracemalloc.start()
+    try:
+        nb.root_output_message(tree, narrow_band, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
+def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
+    # build_tree(4, 6) over 50 lambda is charged about 2.7 MB (its widest
+    # inner level has 1,024 nodes); with the cap at 1 MiB it is refused
+    # before any level is formed
+    cap = 1 << 20
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
+    tree = nb.build_tree(4, 6)
+    grid = np.logspace(-1, 2, 50)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="upward sweep"):
+            nb.root_output_message(tree, narrow_band, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
+def test_output_environment_refuses_node_and_grid_before_the_sweep(
+        narrow_band, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep was entered")
+
+    monkeypatch.setattr(netbath.tree_bp, "_upward_messages", no_sweep)
+    tree = nb.build_tree(3, 3)
+    grid = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(AssertionError, match="entered"):
+        nb.output_environment(tree, narrow_band, np.int64(39), grid)
+    for node in (-1, tree.n_nodes, 10**6, 2.0, True, "1"):
+        with pytest.raises(ShapeError, match="node"):
+            nb.output_environment(tree, narrow_band, node, grid)
+    for bad in (grid[::-1], [1.0, 1.0], [], [[1.0]]):
+        with pytest.raises(ShapeError, match="grid"):
+            nb.output_environment(tree, narrow_band, 0, bad)
+    with pytest.raises(DomainError, match="lambda"):
+        nb.output_environment(tree, narrow_band, 0, [1.0, np.nan])
+
+
+@pytest.mark.parametrize("parent, levels, why", [
+    # levels that omit node 3 once gave the 3-node tree's root message
+    ([-1, 0, 0, 1], [[0], [1, 2]], "partition"),
+    ([-1, 0, 0, 1], [[0], [1, 2], [3, 3]], "partition"),
+    ([-1, 0, 0, 1], [[0], [1, 2], [4]], "partition"),
+    ([-1, 0, 0, 1], [[1], [0, 2], [3]], "partition"),
+    ([-1, 0, -1, 1], [[0], [1, 2], [3]], "only root"),
+    ([0, 0, 0, 1], [[0], [1, 2], [3]], "only root"),
+    ([-1, 0, 3, 0], [[0], [1, 3], [2]], "smaller id"),
+    ([-1, 0, 0, 1], [[0], [1], [2, 3]], "level k-1"),
+    ([-1, 0, 0, 1], [[0], [1, 2], [], [3]], "nonempty"),
+    ([-1, 0, 0, 1], [], "nonempty"),
+    ([], [[0]], "parent"),
+], ids=["omitted", "repeated", "out-of-range", "root-not-first", "two-roots",
+        "root-has-parent", "parent-after-child", "skips-a-level",
+        "empty-level", "no-levels", "no-nodes"])
+def test_tree_graph_refuses_a_broken_contract(parent, levels, why):
+    with pytest.raises(ShapeError, match=why):
+        nb.TreeGraph(parent=parent, levels=[np.array(lv, dtype=int) for lv in levels])
