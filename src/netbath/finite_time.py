@@ -172,14 +172,15 @@ class TwoTimeKernel:
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform grid 0..T, endpoint included, step no coarser than dt.
 
-    Raises :class:`ShapeError` for a T or dt that is not finite, a dt that is
-    not positive, or a window of fewer than three points, which the one-sided
-    derivative of the boundary terms needs; and :class:`SizeError` when the
-    grid itself would exceed the cap.
+    Raises :class:`DomainError` for a dt that is not positive and finite, as
+    every step is refused (:func:`~netbath.model._check_step`);
+    :class:`ShapeError` for a T that is not finite or a window of fewer than
+    three points, which the one-sided derivative of the boundary terms needs;
+    and :class:`SizeError` when the grid itself would exceed the cap.
     """
-    if not (math.isfinite(T) and math.isfinite(dt) and dt > 0):
-        raise ShapeError(f"time window 0..{T:g} at step {dt:g}: T and dt "
-                         f"must be finite and dt > 0")
+    _check_step(dt, None, "dt")
+    if not math.isfinite(T):
+        raise ShapeError(f"time window 0..{T:g} must be finite")
     steps = T / dt - 1e-9
     n = max(1, math.ceil(steps)) if math.isfinite(steps) else math.inf
     if n < 2:

@@ -67,11 +67,14 @@ class ModelParams:
         return 1.0 / (20.0 * top)
 
 
-def _check_step(step: float, params: ModelParams, name: str) -> None:
+def _check_step(step: float, params: ModelParams | None, name: str) -> None:
     """Refuse a step that is not positive and finite with DomainError, and one
-    coarser than ``params.fine_step`` with AccuracyError."""
+    coarser than ``params.fine_step`` with AccuracyError.  Without ``params``,
+    for a grid with no band to resolve, only the first rule applies."""
     if not 0.0 < step < math.inf:   # nan fails both
         raise DomainError(f"{name}={step:.3g} must be positive and finite")
+    if params is None:
+        return
     limit = params.fine_step
     if step > limit * (1.0 + 1e-12):
         raise AccuracyError(f"{name}={step:.3g} coarser than the "

@@ -50,7 +50,7 @@ Numer. Anal. 12, 617 (1975); Jegerlehner, hep-lat/9612014, for shifted
 systems).  No factorisation, so no fill on a graph with loops, and it takes
 the indefinite matrices past C* as well.  The run stores its basis: depth+1
 vectors on a regular tree, whose Krylov space from the root is exhausted
-after depth+1 steps.  A true-residual guard checks every lambda.
+after depth+1 steps.  A backward-error guard checks every lambda.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def _corner_inverse(coupling, diagonal):
     shift stops at its own convergence test, so a diagonal in a grid gets
     the bits it gets alone.  The run ends when every shift has stopped, or
     when beta falls to rounding: the Krylov space is exhausted there, after
-    depth+1 steps on a regular tree.  A true-residual guard then checks
-    every shift, one at a time.  A float for a scalar ``diagonal``, an array
-    of its shape for a grid.  Raises :class:`DomainError` when some shift
-    leaves the matrix singular or near-singular, and :class:`SizeError`,
-    before a basis vector is stored, when the basis would need more than
-    ``BYTE_CAP`` bytes.
+    depth+1 steps on a regular tree.  A backward-error guard then checks
+    every shift, one at a time: the true residual against ``||e_0|| +
+    ||M|| ||x||`` in the max norm, so a scaled M gets the same verdict.  A
+    float for a scalar ``diagonal``, an array of its shape for a grid.
+    Raises :class:`DomainError` when some shift leaves the matrix singular
+    or near-singular, and :class:`SizeError`, before a basis vector is
+    stored, when the basis would need more than ``BYTE_CAP`` bytes.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     sigma = diagonal.ravel()
@@ -153,6 +154,9 @@ def _corner_inverse(coupling, diagonal):
                               gmin, w_old, w, y))
         v_old, v, beta = v, r / beta_new, beta_new
     basis = np.array(basis)
+    # The coupling's max-norm; its diagonal is zero, so ||coupling + sigma I||
+    # is this plus |sigma|.
+    coupling_norm = float(abs(coupling).sum(axis=1).max())
     corner = np.empty(sigma.size)
     for s, coords in solved.items():
         k = coords.size
@@ -161,7 +165,8 @@ def _corner_inverse(coupling, diagonal):
         # coordinates alone, not on how BLAS blocks the product above
         corner[s] = coords @ basis[:k, 0]
         residual = np.abs(coupling @ x + sigma[s] * x - e).max()
-        if not math.isfinite(corner[s]) or residual > 1e-8 * (1.0 + np.abs(x).max()):
+        scale = 1.0 + (coupling_norm + abs(sigma[s])) * np.abs(x).max()
+        if not math.isfinite(corner[s]) or residual > 1e-8 * scale:
             raise DomainError(
                 f"tree matrix is singular or near-singular (residual {residual:.3g})")
     corner = corner.reshape(diagonal.shape)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,14 @@ from .model import ModelParams, _laplace_s, derive_params
 NODE_CAP = 1 << 20
 
 #: What an upward sweep is charged, above the tracemalloc peaks of regular,
-#: random, chain and star trees (4.2 to 4.7 and at most 15.1): float rows per
-#: node of its widest inner level, times the grid size, and words per node.
+#: random, chain, star and caterpillar trees: float rows per subtree class
+#: of its widest level, times the grid size, and words per node, where
+#: finding the classes peaked at 11 to 22.4.
 SWEEP_ROWS = 5
-SWEEP_WORDS = 16
+SWEEP_WORDS = 24
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeGraph:
     """Rooted tree, root = node 0.
 
@@ -46,27 +48,34 @@ class TreeGraph:
     refuses with ShapeError a tree that breaks the contract the sweeps and
     the oracle read: node 0 is the only root, every parent has a smaller id
     than its child, the levels partition the nodes with ``levels[0] == [0]``,
-    and the parent of every node of level k lies in level k-1.
+    and the parent of every node of level k lies in level k-1.  The tree
+    keeps read-only copies, ``levels`` as a tuple, so the subtree classes
+    its first sweep finds and keeps cannot go stale.
     """
 
     parent: np.ndarray
-    levels: list[np.ndarray]
+    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.parent = np.asarray(self.parent, dtype=np.int64)
-        self.levels = [np.asarray(level, dtype=np.int64) for level in self.levels]
-        parent, n = self.parent, self.parent.size
+        parent = np.array(self.parent, dtype=np.int64)
+        levels = [np.asarray(level, dtype=np.int64) for level in self.levels]
+        n = parent.size
         if parent.ndim != 1 or n == 0:
             raise ShapeError("parent must be a nonempty 1-d array")
         if parent[0] != -1 or np.any(parent[1:] < 0):
             raise ShapeError("node 0 must be the only root")
         if np.any(parent[1:] >= np.arange(1, n)):
             raise ShapeError("every parent must have a smaller id than its child")
-        if not self.levels or any(level.ndim != 1 or level.size == 0
-                                  for level in self.levels):
+        if not levels or any(level.ndim != 1 or level.size == 0 for level in levels):
             raise ShapeError("levels must be a nonempty list of nonempty 1-d arrays")
-        nodes = np.concatenate(self.levels)
-        if (nodes.size != n or self.levels[0].tolist() != [0]
+        # One copy of the levels, read-only, which each level is a view of.
+        nodes = np.concatenate(levels)
+        parent.flags.writeable = nodes.flags.writeable = False
+        ends = np.cumsum([level.size for level in levels]).tolist()
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "levels", tuple(
+            nodes[a:b] for a, b in zip([0] + ends[:-1], ends)))
+        if (nodes.size != n or levels[0].tolist() != [0]
                 or np.any((nodes < 0) | (nodes >= n))
                 or np.any(np.bincount(nodes, minlength=n) != 1)):
             raise ShapeError("levels must partition the nodes, with levels[0] == [0]")
@@ -77,6 +86,13 @@ class TreeGraph:
     @property
     def n_nodes(self) -> int:
         return self.parent.size
+
+    @cached_property
+    def _classes(self):
+        """:func:`_subtree_classes` of this tree, found on its first sweep."""
+        _check_bytes(8 * SWEEP_WORDS * self.n_nodes,
+                     f"subtree classes of {self.n_nodes} nodes")
+        return _subtree_classes(self)
 
 
 def build_tree(branching: int, depth: int) -> TreeGraph:
@@ -122,31 +138,72 @@ def _level_index(tree: TreeGraph) -> tuple[np.ndarray, np.ndarray]:
     return depth, pos
 
 
-def _sibling_groups(tree: TreeGraph, depth: np.ndarray, pos: np.ndarray):
-    """Every level's children grouped by their rank among their siblings.
+def _subtree_classes(tree: TreeGraph):
+    """Classes of identical subtrees, level by level.
 
-    Returns ``(child, parent, starts, first_group)``.  Group g is
-    ``child[starts[g]:starts[g+1]]``, positions in their level, with their
-    parents' positions in ``parent``; the groups of level k are
-    ``first_group[k]`` up to ``first_group[k+1]``, rank 0 first.  Group r of
-    a level holds the r-th child, in level order, of every parent with more
-    than r children, so no group names a parent twice.  Adding a level's
-    groups in turn to zeros adds each parent's children in level order, as
-    ``np.add.at`` does, with the same bits.
+    The bottom-up subtree labelling of Aho, Hopcroft & Ullman (1974), with
+    ordered children.  Every node of the deepest level is a leaf, of class 0.
+    A node of a higher level has the class of the sequence of its children's
+    classes, in level order; the leaves of a level, the empty sequence, are
+    its class 0.  A class is a sequence, not a multiset, so a class's row is
+    formed by the same additions, in the same order, as each of its nodes.
+    Returns ``(node_class, counts, target, source, bounds)``: the class of
+    every node among those of its level, the number of classes of every
+    level, and the terms that form the aggregates of one node of each class
+    from its children's messages, child by child in level order, the terms
+    of the children of level k being ``bounds[k]:bounds[k+1]``.  There,
+    ``np.add.at(agg, target, msgs[source])`` adds them from 0.0 as
+    ``np.add.at`` over the whole level did.
     """
+    n_levels = len(tree.levels)
+    depth, pos = _level_index(tree)
     nodes = np.concatenate(tree.levels)[1:]     # all but the root, level order
     parents = tree.parent[nodes]
-    order = np.argsort(parents, kind="stable")
-    first = np.flatnonzero(np.diff(parents[order], prepend=-1))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - np.repeat(first, np.diff(first, append=order.size))
-    level = depth[nodes]
-    by_group = np.lexsort((rank, level))
-    level, rank = level[by_group], rank[by_group]
-    starts = np.flatnonzero(np.diff(level, prepend=-1) | np.diff(rank, prepend=-1))
-    first_group = np.searchsorted(level[starts], np.arange(len(tree.levels) + 1))
-    return (pos[nodes[by_group]], pos[parents[by_group]],
-            np.append(starts, nodes.size), first_group)
+    kids = np.bincount(parents, minlength=tree.n_nodes)
+    # Children by level, then by their parent's number of children, then by
+    # parent; the stable sort keeps siblings in level order.  The children of
+    # the parents of one level with w children each are then a block of rows
+    # of width w, one row per parent.
+    order = np.lexsort((pos[parents], kids[parents], depth[nodes]))
+    nodes, parents = nodes[order], parents[order]
+    width, level = kids[parents], depth[nodes]
+    starts = np.flatnonzero(np.diff(level, prepend=-1) | np.diff(width, prepend=-1))
+    ends = np.append(starts[1:], nodes.size)
+    block_level = level[starts]
+    # A block of one row, one parent, is one class.  These take the classes
+    # after the leaves' class 0 of their parents' level, so they need no
+    # look at the classes below; only blocks of many rows are looked at.
+    one = ends - starts == width[starts]
+    node_class = np.zeros(tree.n_nodes, dtype=np.int64)
+    counts = (np.bincount(depth[kids == 0], minlength=n_levels) > 0).astype(np.int64)
+    one_level = block_level[one] - 1
+    in_level = np.arange(one_level.size)
+    in_level -= np.searchsorted(one_level, one_level)
+    node_class[parents[starts[one]]] = counts[one_level] + in_level
+    counts += np.bincount(one_level, minlength=n_levels)
+    counts = counts.tolist()
+    first_row = np.zeros(nodes.size, dtype=bool)    # of one parent of each class
+    first_row[starts[one]] = True
+    many = ~one
+    for a, b, k in zip(starts[many][::-1].tolist(), ends[many][::-1].tolist(),
+                       block_level[many][::-1].tolist()):
+        w = int(width[a])
+        if counts[k] == 1:      # every row is the same sequence
+            first, inverse = np.zeros(1, dtype=np.int64), 0
+        else:
+            rows = node_class[nodes[a:b]].reshape(-1, w)
+            _, first, inverse = np.unique(rows.view(np.dtype((np.void, 8 * w))).ravel(),
+                                          return_index=True, return_inverse=True)
+        node_class[parents[a:b:w]] = counts[k - 1] + inverse
+        first_row[a + w * first] = True
+        counts[k - 1] += first.size
+    first = np.flatnonzero(first_row)
+    row_width = width[first]
+    terms = np.repeat(first - np.cumsum(row_width) + row_width, row_width)
+    terms += np.arange(terms.size)
+    bounds = np.searchsorted(level[terms], np.arange(n_levels + 1))
+    return (node_class, counts, node_class[parents[terms]], node_class[nodes[terms]],
+            bounds)
 
 
 def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
@@ -157,41 +214,39 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     ``(up, agg)`` with one row per node of the path: ``up[k, j]`` is the
     message path[k] sends toward its parent at grid[j] (for the root: toward
     a virtual parent), and ``agg[k, j]`` the sum of the messages it receives
-    from its children.  The sweep goes level by level from the deepest and
-    holds only the level being formed and the level below it.  Every node of
-    the deepest level is a leaf, so that level's messages are one row.
+    from its children.  Nodes with identical subtrees send identical
+    messages, so the sweep forms one row per subtree class
+    (:func:`_subtree_classes`, found on a tree's first sweep and kept on it),
+    level by level from the deepest, holding the level being formed and the
+    level below it, and reads the path's rows through each node's class.
     Siblings are added in level order starting from 0.0.  Pole hits are
     recorded as nan rather than aborting the sweep.
     """
     grid = np.asarray(grid, dtype=float)
     g0 = np.atleast_1d(np.asarray(g0_laplace(params, grid), dtype=float))
     path = np.asarray(path, dtype=np.int64)
-    sizes = [level.size for level in tree.levels]
-    # The widest inner level's aggregate, edge-update temporaries and
-    # messages, with the level above it and one sibling group at a time;
-    # the path's rows; the index arrays, a few words per node.
-    widest = max(sizes[:-1], default=0)
-    _check_bytes(8 * (g0.size * (SWEEP_ROWS * widest + 2 * path.size)
-                      + SWEEP_WORDS * tree.n_nodes),
+    node_class, counts, target, source, bounds = tree._classes
+    # The widest level's class aggregates, edge-update temporaries and
+    # messages, with the level above it; the most terms of one level,
+    # gathered; the path's rows; the classes' index words.
+    rows = SWEEP_ROWS * max(counts) + np.diff(bounds).max() + 2 * path.size
+    _check_bytes(8 * (g0.size * rows + SWEEP_WORDS * tree.n_nodes),
                  f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
-    depth, pos = _level_index(tree)
-    child, parent, starts, first_group = _sibling_groups(tree, depth, pos)
     up = np.empty((path.size, g0.size))
     agg_path = np.empty_like(up)
-    agg = np.zeros(g0.size)
-    for k in reversed(range(len(sizes))):
+    agg = np.zeros((1, g0.size))
+    path_class = node_class[path].tolist()
+    for k in reversed(range(len(counts))):
         msgs = _edge_update(agg, g0, c_half)[0]
         if k < path.size:
-            up[k] = msgs if msgs.ndim == 1 else msgs[pos[path[k]]]
-            agg_path[k] = agg if agg.ndim == 1 else agg[pos[path[k]]]
+            up[k], agg_path[k] = msgs[path_class[k]], agg[path_class[k]]
         if k == 0:
             break
         del agg
-        agg = np.zeros((sizes[k - 1], g0.size))
-        for g in range(first_group[k], first_group[k + 1]):
-            a, b = starts[g], starts[g + 1]
-            agg[parent[a:b]] += msgs if msgs.ndim == 1 else msgs[child[a:b]]
+        agg = np.zeros((counts[k - 1], g0.size))
+        a, b = bounds[k], bounds[k + 1]
+        np.add.at(agg, target[a:b], msgs[source[a:b]])
         del msgs
     return up, agg_path
 

@@ -253,6 +253,7 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("finite-time --T nan", 2, "shape"),
     ("finite-time --T inf", 2, "shape"),
     ("finite-time --beta nan", 3, "domain"),
+    ("finite-time --dt inf", 3, "domain"),
     ("orbit --lam nan", 3, "domain"),
     ("tree --lam inf", 3, "domain"),
     ("fixed-point --tol nan", 3, "domain"),

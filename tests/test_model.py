@@ -200,6 +200,18 @@ def test_evaluators_accept_fine_step_and_refuse_coarser(narrow_band, evaluate):
             evaluate(narrow_band, -1e-3)
 
 
+def test_time_grid_refuses_a_step_as_every_evaluator_does():
+    # one owner of the positive-and-finite rule: time_grid refused these
+    # with ShapeError (exit 2) while the evaluators refused them with
+    # DomainError (exit 3)
+    for dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="dt=.* must be positive and finite"):
+            nb.time_grid(3.0, dt)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ShapeError, match="must be finite"):
+            nb.time_grid(T, 0.1)
+
+
 # every public Laplace-side evaluator, as a function of (params, tree, lambda)
 LAMBDA_ENTRY_POINTS = {
     "g0_laplace": lambda p, tree, lam: nb.g0_laplace(p, lam),

@@ -204,6 +204,51 @@ def _inner_leaves_tree():
     return nb.TreeGraph(parent=parent, levels=levels)
 
 
+def _tree_from_children(children):
+    """TreeGraph from each node's ordered children, node ids breadth first."""
+    parent, levels, frontier = [-1], [[0]], [0]
+    while True:
+        level = []
+        for v in frontier:
+            for _ in range(children[v] if v < len(children) else 0):
+                level.append(len(parent))
+                parent.append(v)
+        if not level:
+            return nb.TreeGraph(parent=np.array(parent),
+                                levels=[np.array(lv) for lv in levels])
+        levels.append(level)
+        frontier = level
+
+
+def _swapped_tree():
+    # five parents on level 1 whose children are, in level order, (X, Y),
+    # (Y, X), (X, Y, Z), (Z, Y, X) and (X, Y, Z), with X a leaf, Y a node
+    # with one leaf and Z a node with two: the same multisets in opposite
+    # orders, which a class must tell apart
+    x, y, z = 0, 1, 2
+    rows = [(x, y), (y, x), (x, y, z), (z, y, x), (x, y, z)]
+    return _tree_from_children([len(rows)] + [len(r) for r in rows]
+                               + [c for r in rows for c in r])
+
+
+def _star(n_leaves):
+    return nb.TreeGraph(parent=np.r_[-1, np.zeros(n_leaves, dtype=int)],
+                        levels=[np.array([0]), np.arange(1, n_leaves + 1)])
+
+
+def _caterpillar(spine):
+    # a path of ``spine`` nodes, each but the last with a leaf beside the
+    # next spine node; the leaf comes first on odd levels
+    parent, levels = [-1], [[0]]
+    for k in range(1, spine):
+        tip = levels[-1][-1] if (k - 1) % 2 else levels[-1][0]
+        ids = [len(parent), len(parent) + 1]
+        parent += [tip, tip]
+        levels.append(ids if k % 2 else ids[::-1])
+    return nb.TreeGraph(parent=np.array(parent),
+                        levels=[np.array(lv) for lv in levels])
+
+
 def test_pole_inside_tree_gives_nan():
     tree, p, grid = _pole_tree()
     assert nb.g0_laplace(p, 1.0) == 0.5
@@ -296,11 +341,13 @@ def test_edge_noise_gain_zero_coupling():
 
 
 @pytest.mark.parametrize("shape", ["b3d4", "b2d8", "chain", "random300",
-                                   "random500", "inner-leaves", "pole"])
+                                   "random500", "inner-leaves", "pole",
+                                   "swapped", "star2000", "caterpillar"])
 def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
-    # the two-level sweep adds siblings in level order from 0.0, as np.add.at
-    # did over the whole tree: the root message and the environment of every
-    # node are the reference's, bit for bit, nan positions and flags included
+    # the class sweep adds each class's children in level order from 0.0, as
+    # np.add.at did over the whole tree: the root message and the environment
+    # of every node are the reference's, bit for bit, nan positions and flags
+    # included
     grid = np.logspace(-1, 1.5, 9)
     params = narrow_band
     tree = {"b3d4": lambda: nb.build_tree(3, 4),
@@ -309,7 +356,10 @@ def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
             "random300": lambda: _random_tree(300, 4),
             "random500": lambda: _random_tree(500, 9),
             "inner-leaves": _inner_leaves_tree,
-            "pole": lambda: None}[shape]()
+            "pole": lambda: None,
+            "swapped": _swapped_tree,
+            "star2000": lambda: _star(2000),
+            "caterpillar": lambda: _caterpillar(60)}[shape]()
     if tree is None:
         tree, params, grid = _pole_tree()
     up, agg = _upward_reference(tree, params, grid)
@@ -322,39 +372,115 @@ def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
         assert (env.flags is None) if not flags.any() else _same_bits(env.flags, flags)
     if shape == "pole":
         assert np.isnan(up[1, 1])
+    if shape == "swapped":
+        node_class = tree._classes[0]
+        assert len(set(node_class[1:6].tolist())) == 4
+        assert node_class[3] == node_class[5]
+
+
+def test_subtree_classes_of_regular_trees_and_of_a_random_tree():
+    # a regular tree has one class per level and one addition per child of
+    # a class; a random tree's classes are its distinct ordered subtrees,
+    # found here by a loop over the nodes
+    node_class, counts, target, source, bounds = nb.build_tree(3, 4)._classes
+    assert counts == [1] * 5 and not node_class.any()
+    assert np.diff(bounds).tolist() == [0, 3, 3, 3, 3]
+    assert not target.any() and not source.any()
+    tree = _random_tree(500, 9)
+    node_class, counts, *_ = tree._classes
+    children = [[] for _ in range(tree.n_nodes)]
+    for level in tree.levels[1:]:
+        for v in level.tolist():
+            children[tree.parent[v]].append(v)
+    shape = {}
+    for k, level in reversed(list(enumerate(tree.levels))):
+        keys = {v: (k, tuple(shape[c] for c in children[v])) for v in level.tolist()}
+        ids = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
+        assert counts[k] == len(ids)
+        for v, key in keys.items():
+            shape[v] = ids[key]
+    same = np.equal.outer(node_class, node_class)
+    ref = np.equal.outer([shape[v] for v in range(tree.n_nodes)],
+                         [shape[v] for v in range(tree.n_nodes)])
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for k, level in enumerate(tree.levels):
+        depth[level] = k
+    on_level = np.equal.outer(depth, depth)
+    assert np.array_equal(same & on_level, ref & on_level)
+
+
+def test_deepest_node_of_the_largest_tree_over_a_thousand_lambda(ordered_chain):
+    # build_tree(2, 19), 1,048,575 nodes, has one class per level: the sweep
+    # over 1,000 lambda holds 20 class rows, where one row per node asked for
+    # 9.89 GiB; the deepest node's environment is the message down its path,
+    # which the iterated scalar map gives
+    p = nb.derive_params(3, ordered_chain.omega0, ordered_chain.C, ordered_chain.m)
+    tree = nb.build_tree(2, 19)
+    lam = np.logspace(-2, 2, 1000)
+    env = nb.output_environment(tree, p, tree.n_nodes - 1, lam)
+    agg = [np.zeros_like(lam)]               # aggregate at height h
+    for _ in range(19):
+        agg.append(nb.uniform_map(agg[-1], p, lam))
+    down = np.zeros_like(lam)
+    for height in range(18, -1, -1):         # the sibling's subtree height
+        down = nb.vernon_imag(nb.vernon_imag(agg[height], p, p.C, lam) + down,
+                              p, p.C, lam)
+    assert env.flags is None
+    assert np.max(np.abs(env.values - down) / np.abs(down)) <= 1e-12
 
 
 def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
     # the add.at sweep peaked at 169.9 MiB here: two 87,381 x 50 arrays and
-    # the temporaries of a whole level; two levels of at most 16,384 rows
-    # and the leaves as one row peak near 28 MiB
+    # the temporaries of a whole level; one row per node of two levels, 28.5
+    # MiB.  Finding the classes holds index words, 7.3 MiB measured, below
+    # their charge; a sweep then holds one row per class of two levels, all
+    # 9 levels being one class each, and the path's rows: 12 kB measured
     tree = nb.build_tree(4, 8)
     grid = np.logspace(-1, 2, 50)
-    tracemalloc.start()
-    try:
-        nb.root_output_message(tree, narrow_band, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * 2**20
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            nb.root_output_message(tree, narrow_band, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8 * netbath.tree_bp.SWEEP_WORDS * tree.n_nodes
+    assert peaks[1] <= 64 * 2**10
 
 
 def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
-    # build_tree(4, 6) over 50 lambda is charged about 2.7 MB (its widest
-    # inner level has 1,024 nodes); with the cap at 1 MiB it is refused
-    # before any level is formed
+    # a random tree of 3,000 nodes has at most 107 classes on one level and
+    # 299 terms; over 200 lambda its rows are charged 1.34 MB, with 0.58 MB
+    # of index words, so with the cap at 1 MiB it is refused before any
+    # level is formed; over 50 lambda, 0.33 MB of rows, it runs
     cap = 1 << 20
     monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
-    tree = nb.build_tree(4, 6)
-    grid = np.logspace(-1, 2, 50)
+    tree = _random_tree(3000, 4)
     tracemalloc.start()
     try:
         with pytest.raises(SizeError, match="upward sweep"):
-            nb.root_output_message(tree, narrow_band, grid)
+            nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 200))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < cap
+    assert nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 50)).size == 50
+
+
+def test_tree_graph_is_read_only():
+    # the subtree classes a sweep keeps on the tree cannot go stale
+    tree = nb.build_tree(2, 3)
+    parent = np.array([-1, 0, 0, 1])
+    other = nb.TreeGraph(parent=parent, levels=[[0], [1, 2], [3]])
+    parent[3] = 2                   # the caller's array, not the tree's
+    assert other.parent.tolist() == [-1, 0, 0, 1]
+    for array in (tree.parent, tree.levels[1], other.parent):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(AttributeError):
+        tree.parent = other.parent
+    assert isinstance(tree.levels, tuple)
 
 
 def test_output_environment_refuses_node_and_grid_before_the_sweep(
