@@ -32,8 +32,8 @@ NODE_CAP = 1 << 20
 
 #: What an upward sweep is charged, above the tracemalloc peaks of regular,
 #: random, chain, star and caterpillar trees: float rows per subtree class
-#: of its widest level, times the grid size, and words per node, where
-#: finding the classes peaked at 11 to 22.4.
+#: of its widest level, times the grid size; and what finding a tree's
+#: classes, once, is charged: words per node, where it peaked at 11 to 22.4.
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
 
@@ -168,7 +168,7 @@ def _subtree_classes(tree: TreeGraph):
     nodes, parents = nodes[order], parents[order]
     width, level = kids[parents], depth[nodes]
     starts = np.flatnonzero(np.diff(level, prepend=-1) | np.diff(width, prepend=-1))
-    ends = np.append(starts[1:], nodes.size)
+    ends = np.append(starts, nodes.size)[1:]
     block_level = level[starts]
     # A block of one row, one parent, is one class.  These take the classes
     # after the leaves' class 0 of their parents' level, so they need no
@@ -228,9 +228,9 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     node_class, counts, target, source, bounds = tree._classes
     # The widest level's class aggregates, edge-update temporaries and
     # messages, with the level above it; the most terms of one level,
-    # gathered; the path's rows; the classes' index words.
+    # gathered; the path's rows.
     rows = SWEEP_ROWS * max(counts) + np.diff(bounds).max() + 2 * path.size
-    _check_bytes(8 * (g0.size * rows + SWEEP_WORDS * tree.n_nodes),
+    _check_bytes(8 * g0.size * rows,
                  f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
     up = np.empty((path.size, g0.size))

@@ -382,6 +382,8 @@ def test_subtree_classes_of_regular_trees_and_of_a_random_tree():
     # a regular tree has one class per level and one addition per child of
     # a class; a random tree's classes are its distinct ordered subtrees,
     # found here by a loop over the nodes
+    node_class, counts, target, source, bounds = nb.build_chain(0)._classes
+    assert counts == [1] and bounds.tolist() == [0, 0] and not target.size
     node_class, counts, target, source, bounds = nb.build_tree(3, 4)._classes
     assert counts == [1] * 5 and not node_class.any()
     assert np.diff(bounds).tolist() == [0, 3, 3, 3, 3]
@@ -451,9 +453,11 @@ def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
 
 def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
     # a random tree of 3,000 nodes has at most 107 classes on one level and
-    # 299 terms; over 200 lambda its rows are charged 1.34 MB, with 0.58 MB
-    # of index words, so with the cap at 1 MiB it is refused before any
-    # level is formed; over 50 lambda, 0.33 MB of rows, it runs
+    # 299 terms; finding them is charged 0.58 MB of index words, and over
+    # 200 lambda its rows are charged 1.34 MB, so with the cap at 1 MiB the
+    # sweep is refused before any level is formed; over 50 lambda, 0.33 MB
+    # of rows, it runs, and runs again once the cap is below the index
+    # words, which the tree's first sweep paid for
     cap = 1 << 20
     monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
     tree = _random_tree(3000, 4)
@@ -465,6 +469,8 @@ def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < cap
+    assert nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 50)).size == 50
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap // 2)
     assert nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 50)).size == 50
 
 
