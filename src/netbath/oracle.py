@@ -248,7 +248,7 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     # No class spans two levels, so there are at least depth+1 classes, and
     # a path of them has exactly that many: a free refusal of the path
     # branch's eigenvectors, before the classes are found.
-    k = len(tree.levels)
+    k = int(tree.depth.max()) + 1
     _check_bytes(8 * k * k, f"eigenvectors of {k} or more node classes")
     class_parent, multiplicity = _class_tree(tree.parent)
     k = class_parent.size

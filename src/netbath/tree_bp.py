@@ -33,59 +33,73 @@ NODE_CAP = 1 << 20
 #: What an upward sweep is charged, above the tracemalloc peaks of regular,
 #: random, chain, star and caterpillar trees: float rows per subtree class
 #: of its widest level, times the grid size; and what finding a tree's
-#: classes, once, is charged: words per node, where it peaked at 11 to 22.4.
+#: classes, once, is charged: words per node, where it peaked at 10 to 21.4,
+#: the tree's depth index included.
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeGraph:
-    """Rooted tree, root = node 0.
+    """Rooted tree, root = node 0, given by its parent array alone.
 
-    ``parent[v]`` is the parent of node v (-1 for the root); ``levels[k]``
-    lists the node ids at depth k, in any order.  These two fields are all a
-    sweep reads, so an irregular tree needs nothing else.  Construction
-    refuses with ShapeError a tree that breaks the contract the sweeps and
-    the oracle read: node 0 is the only root, every parent has a smaller id
-    than its child, the levels partition the nodes with ``levels[0] == [0]``,
-    and the parent of every node of level k lies in level k-1.  The tree
-    keeps read-only copies, ``levels`` as a tuple, so the subtree classes
-    its first sweep finds and keeps cannot go stale.
+    ``parent[v]`` is the parent of node v (-1 for the root).  Construction
+    refuses with ShapeError an array that breaks the contract the sweeps and
+    the oracle read: a nonempty 1-d array of signed integers (int64 at
+    most), node 0 the only root, every parent with a smaller id than its
+    child.  The tree keeps a read-only int64 copy.  ``depth`` and ``levels``
+    are derived from it once, on first use, and are read-only too:
+    ``depth[v]`` is the level of node v, and ``levels[k]`` lists the nodes
+    of level k in increasing id order, which is the order a sweep adds
+    siblings in.  Two trees are equal when their parent arrays are, and
+    hash alike.
     """
 
     parent: np.ndarray
-    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        parent = np.array(self.parent, dtype=np.int64)
-        levels = [np.asarray(level, dtype=np.int64) for level in self.levels]
-        n = parent.size
-        if parent.ndim != 1 or n == 0:
+        parent = np.asarray(self.parent)
+        if parent.ndim != 1 or parent.size == 0:
             raise ShapeError("parent must be a nonempty 1-d array")
+        if parent.dtype.kind != "i":
+            raise ShapeError(f"parent must hold integer ids that fit int64, got {parent.dtype}")
+        parent = parent.astype(np.int64)
         if parent[0] != -1 or np.any(parent[1:] < 0):
             raise ShapeError("node 0 must be the only root")
-        if np.any(parent[1:] >= np.arange(1, n)):
+        if np.any(parent[1:] >= np.arange(1, parent.size)):
             raise ShapeError("every parent must have a smaller id than its child")
-        if not levels or any(level.ndim != 1 or level.size == 0 for level in levels):
-            raise ShapeError("levels must be a nonempty list of nonempty 1-d arrays")
-        # One copy of the levels, read-only, which each level is a view of.
-        nodes = np.concatenate(levels)
-        parent.flags.writeable = nodes.flags.writeable = False
-        ends = np.cumsum([level.size for level in levels]).tolist()
+        parent.flags.writeable = False
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "levels", tuple(
-            nodes[a:b] for a, b in zip([0] + ends[:-1], ends)))
-        if (nodes.size != n or levels[0].tolist() != [0]
-                or np.any((nodes < 0) | (nodes >= n))
-                or np.any(np.bincount(nodes, minlength=n) != 1)):
-            raise ShapeError("levels must partition the nodes, with levels[0] == [0]")
-        depth, _ = _level_index(self)
-        if np.any(depth[parent[1:]] != depth[1:] - 1):
-            raise ShapeError("the parent of every node of level k must lie in level k-1")
+
+    def __eq__(self, other):
+        if not isinstance(other, TreeGraph):
+            return NotImplemented
+        return np.array_equal(self.parent, other.parent)
+
+    def __hash__(self):
+        return hash(self.parent.tobytes())
 
     @property
     def n_nodes(self) -> int:
         return self.parent.size
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Level of every node, by pointer jumping: log2(height) passes."""
+        up, depth = self.parent.copy(), np.ones_like(self.parent)
+        up[0] = depth[0] = 0
+        while up.any():
+            depth += depth[up]
+            up = up[up]
+        depth.flags.writeable = False
+        return depth
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Node ids of every level, increasing: views of one read-only array."""
+        nodes = np.argsort(self.depth, kind="stable")
+        nodes.flags.writeable = False
+        return tuple(np.split(nodes, np.cumsum(np.bincount(self.depth))[:-1]))
 
     @cached_property
     def _classes(self):
@@ -96,7 +110,10 @@ class TreeGraph:
 
 
 def build_tree(branching: int, depth: int) -> TreeGraph:
-    """Regular rooted tree: every node down to level depth-1 has ``branching`` children."""
+    """Regular rooted tree: every node down to level depth-1 has ``branching`` children.
+
+    Nodes are numbered breadth first, so each level is one run of ids.
+    """
     if branching < 1:
         raise DomainError(f"branching must be >= 1, got {branching}")
     if depth < 0:
@@ -107,35 +124,12 @@ def build_tree(branching: int, depth: int) -> TreeGraph:
         n_nodes = (branching ** (depth + 1) - 1) // (branching - 1)
     if n_nodes > NODE_CAP:
         raise SizeError(f"tree would have {n_nodes} nodes, cap is {NODE_CAP}")
-    parent = np.full(n_nodes, -1, dtype=np.int64)
-    levels = [np.array([0], dtype=np.int64)]
-    next_id = 1
-    for _ in range(depth):
-        prev = levels[-1]
-        count = prev.size * branching
-        ids = np.arange(next_id, next_id + count, dtype=np.int64)
-        parent[ids] = np.repeat(prev, branching)
-        levels.append(ids)
-        next_id += count
-    return TreeGraph(parent=parent, levels=levels)
+    return TreeGraph(parent=(np.arange(n_nodes) - 1) // branching)
 
 
 def build_chain(depth: int) -> TreeGraph:
     """Chain of depth edges (depth+1 nodes), root at one end."""
     return build_tree(1, depth)
-
-
-def _level_index(tree: TreeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Level of every node, and its position in its level's array."""
-    sizes = np.array([level.size for level in tree.levels])
-    nodes = np.concatenate(tree.levels)
-    depth = np.empty(nodes.size, dtype=np.int64)
-    depth[nodes] = np.repeat(np.arange(sizes.size), sizes)
-    slot = np.arange(nodes.size)
-    slot -= np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pos = np.empty_like(depth)
-    pos[nodes] = slot
-    return depth, pos
 
 
 def _subtree_classes(tree: TreeGraph):
@@ -144,28 +138,27 @@ def _subtree_classes(tree: TreeGraph):
     The bottom-up subtree labelling of Aho, Hopcroft & Ullman (1974), with
     ordered children.  Every node of the deepest level is a leaf, of class 0.
     A node of a higher level has the class of the sequence of its children's
-    classes, in level order; the leaves of a level, the empty sequence, are
+    classes, in id order; the leaves of a level, the empty sequence, are
     its class 0.  A class is a sequence, not a multiset, so a class's row is
     formed by the same additions, in the same order, as each of its nodes.
     Returns ``(node_class, counts, target, source, bounds)``: the class of
     every node among those of its level, the number of classes of every
     level, and the terms that form the aggregates of one node of each class
-    from its children's messages, child by child in level order, the terms
+    from its children's messages, child by child in id order, the terms
     of the children of level k being ``bounds[k]:bounds[k+1]``.  There,
     ``np.add.at(agg, target, msgs[source])`` adds them from 0.0 as
     ``np.add.at`` over the whole level did.
     """
-    n_levels = len(tree.levels)
-    depth, pos = _level_index(tree)
-    nodes = np.concatenate(tree.levels)[1:]     # all but the root, level order
-    parents = tree.parent[nodes]
+    depth = tree.depth
+    n_levels = int(depth.max()) + 1
+    parents = tree.parent[1:]
     kids = np.bincount(parents, minlength=tree.n_nodes)
-    # Children by level, then by their parent's number of children, then by
-    # parent; the stable sort keeps siblings in level order.  The children of
-    # the parents of one level with w children each are then a block of rows
-    # of width w, one row per parent.
-    order = np.lexsort((pos[parents], kids[parents], depth[nodes]))
-    nodes, parents = nodes[order], parents[order]
+    # Every node but the root, by level, then by its parent's number of
+    # children, then by parent; the stable sort keeps siblings in id order.
+    # The children of the parents of one level with w children each are
+    # then a block of rows of width w, one row per parent.
+    order = np.lexsort((parents, kids[parents], depth[1:]))
+    nodes, parents = order + 1, parents[order]
     width, level = kids[parents], depth[nodes]
     starts = np.flatnonzero(np.diff(level, prepend=-1) | np.diff(width, prepend=-1))
     ends = np.append(starts, nodes.size)[1:]
@@ -219,7 +212,7 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     (:func:`_subtree_classes`, found on a tree's first sweep and kept on it),
     level by level from the deepest, holding the level being formed and the
     level below it, and reads the path's rows through each node's class.
-    Siblings are added in level order starting from 0.0.  Pole hits are
+    Siblings are added in id order starting from 0.0.  Pole hits are
     recorded as nan rather than aborting the sweep.
     """
     grid = np.asarray(grid, dtype=float)

@@ -19,11 +19,7 @@ from netbath.tree_bp import TreeGraph
 
 def _irregular_tree():
     """Hand-made rooted tree with uneven branching and leaves at many depths."""
-    parent = [-1, 0, 0, 0, 1, 1, 3, 4, 4, 4, 4, 6, 8, 12, 12, 13]
-    levels = [[0], [1, 2, 3], [4, 5, 6], [7, 8, 9, 10, 11], [12], [13, 14],
-              [15]]
-    return TreeGraph(parent=np.array(parent),
-                     levels=[np.array(lv) for lv in levels])
+    return TreeGraph(parent=[-1, 0, 0, 0, 1, 1, 3, 4, 4, 4, 4, 6, 8, 12, 12, 13])
 
 
 def _loop_adjacency(tree):
@@ -78,19 +74,18 @@ def _random_tree(rng, max_nodes):
     """Seeded irregular tree, numbered breadth-first: each node draws from
     0 (the root from 1) to a seeded maximum of 1 to 4 children."""
     max_kids = int(rng.integers(1, 5))
-    parent, levels = [-1], [[0]]
+    parent, level = [-1], [0]
     while len(parent) < max_nodes:
-        level = []
-        for v in levels[-1]:
+        below = []
+        for v in level:
             for _ in range(rng.integers(0 if v else 1, max_kids + 1)):
                 if len(parent) < max_nodes:
-                    level.append(len(parent))
+                    below.append(len(parent))
                     parent.append(v)
-        if not level:
+        if not below:
             break
-        levels.append(level)
-    return TreeGraph(parent=np.array(parent),
-                     levels=[np.array(lv) for lv in levels])
+        level = below
+    return TreeGraph(parent=parent)
 
 
 def _dense_modes_reference(tree, params):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import netbath as nb
 import netbath.errors
@@ -77,16 +79,29 @@ def _rerooting_reference(tree, params, grid):
     return env
 
 
+def _renumbered(parent, order):
+    """TreeGraph of ``parent`` with node ``order[i]`` renumbered i.
+
+    ``order`` runs through the levels one after the other, so every parent
+    keeps a smaller id than its children, and sets the id order of each
+    level, which is the order a sweep adds siblings in.
+    """
+    new = np.empty_like(order)
+    new[order] = np.arange(order.size)
+    return nb.TreeGraph(parent=np.r_[-1, new[np.asarray(parent)[order[1:]]]])
+
+
 def _random_tree(n_nodes, seed):
-    """Irregular tree: each node hangs under a uniformly drawn earlier node."""
+    """Irregular tree: each node hangs under a uniformly drawn earlier node;
+    the nodes are then renumbered level by level, in random order within a
+    level."""
     rng = np.random.default_rng(seed)
     parent = np.array([-1] + [int(rng.integers(0, v)) for v in range(1, n_nodes)])
     depth = np.zeros(n_nodes, dtype=int)
     for v in range(1, n_nodes):
         depth[v] = depth[parent[v]] + 1
-    levels = [rng.permutation(np.flatnonzero(depth == d))
-              for d in range(depth.max() + 1)]
-    return nb.TreeGraph(parent=parent, levels=levels)
+    return _renumbered(parent, np.concatenate(
+        [rng.permutation(np.flatnonzero(depth == d)) for d in range(depth.max() + 1)]))
 
 
 def test_build_shapes():
@@ -137,17 +152,17 @@ def test_output_environment_of_one_edge_is_leaf_message(narrow_band):
 
 
 def test_sweep_sibling_permutation_invariance(narrow_band):
-    # messages depend on the multiset of child messages, not their order;
-    # two different labelings of the same shape give identical root output
+    # messages depend on the multiset of child messages, not their order:
+    # renumbering the nodes so that the ids of each level run backwards
+    # reverses every sibling order, and the root output stays, up to the
+    # order of the additions
     grid = np.logspace(-1, 1, 7)
-    t1 = nb.build_tree(3, 3)
+    t1 = _random_tree(300, 4)
+    t2 = _renumbered(t1.parent, np.concatenate([lvl[::-1] for lvl in t1.levels]))
+    assert t1 != t2
     out1 = nb.root_output_message(t1, narrow_band, grid)
-    # rebuild with reversed level internals by relabeling children
-    parent = t1.parent.copy()
-    out2 = nb.root_output_message(
-        nb.TreeGraph(parent=parent, levels=[lvl[::-1] for lvl in t1.levels]),
-        narrow_band, grid)
-    assert np.array_equal(out1, out2)
+    out2 = nb.root_output_message(t2, narrow_band, grid)
+    assert np.max(np.abs(out1 - out2) / np.abs(out1)) <= 1e-14
 
 
 def test_output_environment_interior_limit(narrow_band):
@@ -191,33 +206,22 @@ def _pole_tree():
     # root -> node 1 -> eight leaves; at lambda = 1 the eight leaf messages
     # sum to exactly 1/G0, so the edge update out of node 1 hits its pole
     p = nb.derive_params(2, 1.0, 1.0, 1.0)
-    parent = np.array([-1, 0] + [1] * 8)
-    tree = nb.TreeGraph(parent=parent,
-                        levels=[np.array([0]), np.array([1]), np.arange(2, 10)])
+    tree = nb.TreeGraph(parent=[-1, 0] + [1] * 8)
     return tree, p, np.array([0.5, 1.0, 2.0])
 
 
 def _inner_leaves_tree():
-    # leaves on levels 1, 2 and 3 besides the deepest, levels out of id order
-    parent = np.array([-1, 0, 0, 0, 1, 1, 3, 6, 7, 4])
-    levels = [[0], [3, 1, 2], [5, 6, 4], [9, 7], [8]]
-    return nb.TreeGraph(parent=parent, levels=levels)
+    # leaves on levels 1, 2 and 3 besides the deepest; the children of
+    # nodes 2 and 1 interleave on level 2, and those of 6 and 5 on level 3
+    return nb.TreeGraph(parent=[-1, 0, 0, 0, 2, 1, 2, 6, 5, 8])
 
 
 def _tree_from_children(children):
     """TreeGraph from each node's ordered children, node ids breadth first."""
-    parent, levels, frontier = [-1], [[0]], [0]
-    while True:
-        level = []
-        for v in frontier:
-            for _ in range(children[v] if v < len(children) else 0):
-                level.append(len(parent))
-                parent.append(v)
-        if not level:
-            return nb.TreeGraph(parent=np.array(parent),
-                                levels=[np.array(lv) for lv in levels])
-        levels.append(level)
-        frontier = level
+    parent = [-1]
+    for v, count in enumerate(children):
+        parent += [v] * count
+    return nb.TreeGraph(parent=parent)
 
 
 def _swapped_tree():
@@ -232,21 +236,17 @@ def _swapped_tree():
 
 
 def _star(n_leaves):
-    return nb.TreeGraph(parent=np.r_[-1, np.zeros(n_leaves, dtype=int)],
-                        levels=[np.array([0]), np.arange(1, n_leaves + 1)])
+    return nb.TreeGraph(parent=np.r_[-1, np.zeros(n_leaves, dtype=int)])
 
 
 def _caterpillar(spine):
     # a path of ``spine`` nodes, each but the last with a leaf beside the
-    # next spine node; the leaf comes first on odd levels
-    parent, levels = [-1], [[0]]
+    # next spine node; the leaf takes the smaller id on odd levels
+    parent, tip = [-1], 0
     for k in range(1, spine):
-        tip = levels[-1][-1] if (k - 1) % 2 else levels[-1][0]
-        ids = [len(parent), len(parent) + 1]
         parent += [tip, tip]
-        levels.append(ids if k % 2 else ids[::-1])
-    return nb.TreeGraph(parent=np.array(parent),
-                        levels=[np.array(lv) for lv in levels])
+        tip = len(parent) - (1 if k % 2 else 2)
+    return nb.TreeGraph(parent=parent)
 
 
 def test_pole_inside_tree_gives_nan():
@@ -344,7 +344,7 @@ def test_edge_noise_gain_zero_coupling():
                                    "random500", "inner-leaves", "pole",
                                    "swapped", "star2000", "caterpillar"])
 def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
-    # the class sweep adds each class's children in level order from 0.0, as
+    # the class sweep adds each class's children in id order from 0.0, as
     # np.add.at did over the whole tree: the root message and the environment
     # of every node are the reference's, bit for bit, nan positions and flags
     # included
@@ -434,7 +434,7 @@ def test_deepest_node_of_the_largest_tree_over_a_thousand_lambda(ordered_chain):
 def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
     # the add.at sweep peaked at 169.9 MiB here: two 87,381 x 50 arrays and
     # the temporaries of a whole level; one row per node of two levels, 28.5
-    # MiB.  Finding the classes holds index words, 7.3 MiB measured, below
+    # MiB.  Finding the classes holds index words, 6.7 MiB measured, below
     # their charge; a sweep then holds one row per class of two levels, all
     # 9 levels being one class each, and the path's rows: 12 kB measured
     tree = nb.build_tree(4, 8)
@@ -475,18 +475,29 @@ def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
 
 
 def test_tree_graph_is_read_only():
-    # the subtree classes a sweep keeps on the tree cannot go stale
+    # the levels and subtree classes a tree derives and keeps cannot go stale
     tree = nb.build_tree(2, 3)
     parent = np.array([-1, 0, 0, 1])
-    other = nb.TreeGraph(parent=parent, levels=[[0], [1, 2], [3]])
+    other = nb.TreeGraph(parent=parent)
     parent[3] = 2                   # the caller's array, not the tree's
     assert other.parent.tolist() == [-1, 0, 0, 1]
-    for array in (tree.parent, tree.levels[1], other.parent):
+    for array in (tree.parent, tree.depth, tree.levels[1], other.parent):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     with pytest.raises(AttributeError):
         tree.parent = other.parent
     assert isinstance(tree.levels, tuple)
+
+
+def test_trees_are_equal_when_their_parent_arrays_are():
+    # equality and hash read the parent array alone, whatever its integer
+    # dtype was and whatever the trees have derived so far
+    a, b = nb.build_tree(2, 3), nb.build_tree(2, 3)
+    a.levels
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == nb.TreeGraph(parent=a.parent.astype(np.int32))
+    assert a != nb.build_tree(3, 2) and a != nb.build_chain(14)
+    assert {nb.build_chain(3): "chain"}[nb.TreeGraph(parent=[-1, 0, 1, 2])] == "chain"
 
 
 def test_output_environment_refuses_node_and_grid_before_the_sweep(
@@ -509,22 +520,71 @@ def test_output_environment_refuses_node_and_grid_before_the_sweep(
         nb.output_environment(tree, narrow_band, 0, [1.0, np.nan])
 
 
-@pytest.mark.parametrize("parent, levels, why", [
-    # levels that omit node 3 once gave the 3-node tree's root message
-    ([-1, 0, 0, 1], [[0], [1, 2]], "partition"),
-    ([-1, 0, 0, 1], [[0], [1, 2], [3, 3]], "partition"),
-    ([-1, 0, 0, 1], [[0], [1, 2], [4]], "partition"),
-    ([-1, 0, 0, 1], [[1], [0, 2], [3]], "partition"),
-    ([-1, 0, -1, 1], [[0], [1, 2], [3]], "only root"),
-    ([0, 0, 0, 1], [[0], [1, 2], [3]], "only root"),
-    ([-1, 0, 3, 0], [[0], [1, 3], [2]], "smaller id"),
-    ([-1, 0, 0, 1], [[0], [1], [2, 3]], "level k-1"),
-    ([-1, 0, 0, 1], [[0], [1, 2], [], [3]], "nonempty"),
-    ([-1, 0, 0, 1], [], "nonempty"),
-    ([], [[0]], "parent"),
-], ids=["omitted", "repeated", "out-of-range", "root-not-first", "two-roots",
-        "root-has-parent", "parent-after-child", "skips-a-level",
-        "empty-level", "no-levels", "no-nodes"])
-def test_tree_graph_refuses_a_broken_contract(parent, levels, why):
+@pytest.mark.parametrize("parent, why", [
+    ([-1, 0, -1, 1], "only root"),
+    ([0, 0, 0, 1], "only root"),
+    ([1, -1, 0, 1], "only root"),
+    ([-1, 0, 3, 0], "smaller id"),
+    ([-1, 0, 7, 1], "smaller id"),
+    ([], "nonempty"),
+    ([[-1, 0]], "1-d"),
+    # floats were once truncated to the ids [-1, 0, 1]
+    ([-1, 0.7, 1.2], "integer"),
+    # an id past int64 once escaped as OverflowError
+    ([-1, 2**70], "integer"),
+    ([-1, 2**63], "integer"),
+], ids=["two-roots", "root-has-parent", "root-not-first", "parent-after-child",
+        "out-of-range", "no-nodes", "two-d", "float-ids", "past-int64",
+        "past-int64-float"])
+def test_tree_graph_refuses_a_broken_contract(parent, why):
     with pytest.raises(ShapeError, match=why):
-        nb.TreeGraph(parent=parent, levels=[np.array(lv, dtype=int) for lv in levels])
+        nb.TreeGraph(parent=parent)
+
+
+@st.composite
+def _parent_arrays(draw):
+    """Parent arrays with parent[v] < v: bushy when parents are drawn from
+    the first nodes, deep when from the last."""
+    n_nodes, deep = draw(st.integers(1, 60)), draw(st.booleans())
+    parent = [-1]
+    for v in range(1, n_nodes):
+        p = draw(st.integers(0, v - 1))
+        parent.append(v - 1 - p if deep else p)
+    return parent
+
+
+@given(_parent_arrays())
+def test_levels_derived_from_any_parent_array(parent):
+    tree = nb.TreeGraph(parent=parent)
+    depth = np.zeros(len(parent), dtype=int)
+    for v in range(1, len(parent)):
+        depth[v] = depth[parent[v]] + 1
+    assert np.array_equal(tree.depth, depth)
+    assert tree.levels[0].tolist() == [0]
+    assert np.array_equal(np.sort(np.concatenate(tree.levels)), np.arange(len(parent)))
+    for k, level in enumerate(tree.levels):
+        assert level.size and np.all(depth[level] == k) and np.all(np.diff(level) > 0)
+        assert not level.flags.writeable
+    assert not tree.depth.flags.writeable and not tree.parent.flags.writeable
+
+
+def _build_tree_by_levels(branching, depth):
+    """Parent array and levels of the regular tree, level by level: the loop
+    ``build_tree`` ran before its closed form."""
+    n_nodes = sum(branching**k for k in range(depth + 1))
+    parent = np.full(n_nodes, -1, dtype=np.int64)
+    levels = [np.array([0])]
+    for _ in range(depth):
+        ids = levels[-1][-1] + 1 + np.arange(levels[-1].size * branching)
+        parent[ids] = np.repeat(levels[-1], branching)
+        levels.append(ids)
+    return parent, levels
+
+
+@pytest.mark.parametrize("branching", range(1, 6))
+def test_build_tree_closed_form_matches_the_level_loop(branching):
+    for depth in range(7):
+        tree = nb.build_tree(branching, depth)
+        parent, levels = _build_tree_by_levels(branching, depth)
+        assert tree.parent.dtype == np.int64 and np.array_equal(tree.parent, parent)
+        assert [lv.tolist() for lv in tree.levels] == [lv.tolist() for lv in levels]
