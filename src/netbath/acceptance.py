@@ -122,17 +122,12 @@ def criterion_4() -> CriterionResult:
     """Corner-resolvent oracle vs message passing on chains and trees."""
     lam = np.logspace(-1, 2, 50)
     worst = 0.0
-    chain_params = derive_params(**ORDERED_CHAIN)
-    for depth in (50, 200, 400):
-        tree = build_chain(depth)
-        bp = root_output_message(tree, chain_params, lam)
-        orc = oracle_kernel_laplace(tree, chain_params, lam)
-        worst = max(worst, float(np.max(np.abs(orc - bp) / np.abs(bp))))
-    tree_params = derive_params(**NARROW_BAND)
-    for depth in (2, 5, 8):
-        tree = build_tree(tree_params.n - 1, depth)
-        bp = root_output_message(tree, tree_params, lam)
-        orc = oracle_kernel_laplace(tree, tree_params, lam)
+    chain_params, tree_params = derive_params(**ORDERED_CHAIN), derive_params(**NARROW_BAND)
+    cases = [(chain_params, build_chain(d)) for d in (50, 200, 400)]
+    cases += [(tree_params, build_tree(tree_params.n - 1, d)) for d in (2, 5, 8)]
+    for params, tree in cases:
+        bp = root_output_message(tree, params, lam)
+        orc = oracle_kernel_laplace(tree, params, lam)
         worst = max(worst, float(np.max(np.abs(orc - bp) / np.abs(bp))))
     return _result("oracle equivalence", worst <= 1e-10,
                    f"max rel diff {worst:.2e} (<=1e-10)", max_rel_diff=worst)

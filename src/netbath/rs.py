@@ -23,6 +23,7 @@ every disorder law.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,49 +81,69 @@ def _agree(a: float, b: float, rtol: float = 1e-12) -> bool:
         abs(a - b) <= rtol * max(abs(a), abs(b))
 
 
+#: The number of values of every disorder law, by quantity and tag.
+_LAWS = {"coupling": {"constant": 1, "uniform": 2, "two_point": 3},
+         "degree": {"constant": 1, "two_point": 3}}
+
+
+def _check_law(what: str, law) -> None:
+    """Refuse, with ShapeError, a law the population cannot draw."""
+    arity = _LAWS[what]
+    if not (isinstance(law, (tuple, list)) and law and isinstance(law[0], str)
+            and len(law) == 1 + arity.get(law[0], -1)):
+        raise ShapeError(f"unknown {what} disorder {law!r}: values per law {arity}")
+    tag, *values = law
+    p = values.pop() if tag == "two_point" else 0.0
+    if tag == "constant" and values[0] is None:
+        return
+    ok = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+             and math.isfinite(x) for x in values + [p])
+    if what == "degree":
+        ok = ok and all(isinstance(k, numbers.Integral) and k >= 1 for k in values)
+    if not (ok and 0 <= p <= 1 and (tag != "uniform" or values[0] <= values[1])):
+        raise ShapeError(f"{what} disorder {law!r} cannot be drawn: values must be finite, "
+                         "p in [0, 1], lo <= hi and degrees integers >= 1")
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Coupling and degree disorder for the population update.
 
     ``coupling``: ("constant", C) | ("uniform", lo, hi) | ("two_point", a, b, p)
     ``degree``:   ("constant", n) | ("two_point", k1, k2, p)
-    where p is the probability of the first alternative.
+    where p is the probability of the first alternative and a constant of
+    None takes the model's value.  Construction refuses, with ShapeError, an
+    unknown law, the wrong number of values, a value that is not finite, p
+    outside [0, 1], lo > hi and a degree that is not an integer >= 1.
     """
 
     coupling: tuple = ("constant", None)
     degree: tuple = ("constant", None)
 
+    def __post_init__(self):
+        _check_law("coupling", self.coupling)
+        _check_law("degree", self.degree)
+
     def draw_coupling(self, rng: np.random.Generator, default: float,
                       size: int):
         """``size`` edge couplings; a scalar when the law is constant."""
-        kind = self.coupling[0]
-        if kind == "constant":
-            c = self.coupling[1]
-            return default if c is None else c
-        if kind == "uniform":
-            return rng.uniform(self.coupling[1], self.coupling[2], size)
-        if kind == "two_point":
-            a, b, p = self.coupling[1:]
-            return np.where(rng.random(size) < p, a, b)
-        raise ShapeError(f"unknown coupling disorder {kind!r}")
-
-    def _degrees(self, default: int):
-        """(degrees the law can draw, probability of the first)."""
-        kind = self.degree[0]
-        if kind == "constant":
-            k = self.degree[1]
-            return (default if k is None else int(k),), 1.0
-        if kind == "two_point":
-            k1, k2, p = self.degree[1:]
-            return (int(k1), int(k2)), p
-        raise ShapeError(f"unknown degree disorder {kind!r}")
+        return _draw(self.coupling, rng, default, size)
 
     def draw_degree(self, rng: np.random.Generator, default: int, size: int):
-        """``size`` node degrees; a scalar int when the law is constant."""
-        degrees, p = self._degrees(default)
-        if len(degrees) == 1:
-            return degrees[0]
-        return np.where(rng.random(size) < p, *degrees)
+        """``size`` node degrees; a scalar when the law is constant."""
+        return _draw(self.degree, rng, default, size)
+
+
+def _draw(law: tuple, rng: np.random.Generator, default, size: int):
+    """``size`` draws of a checked law; its value, or ``default`` for None,
+    when it is constant."""
+    tag, *values = law
+    if tag == "constant":
+        return default if values[0] is None else values[0]
+    if tag == "uniform":
+        return rng.uniform(*values, size)
+    a, b, p = values
+    return np.where(rng.random(size) < p, a, b)
 
 
 @dataclass
@@ -159,7 +180,8 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     ``BYTE_CAP`` bytes.
     """
     disorder = disorder or DisorderSpec()
-    width = max(max(disorder._degrees(params.n)[0]) - 1, 0)
+    degrees = disorder.degree[1:3]      # the law's degrees, or (None,)
+    width = max((params.n if degrees[0] is None else max(degrees)) - 1, 0)
     # An upper bound on what a sweep holds at once: the old and new pools,
     # the slots to fill and their degrees; per slot k-1 int64 indices, their
     # float draws and a bool mask; and seven slot-long temporaries of the

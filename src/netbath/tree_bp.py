@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ShapeError, SizeError, _check_bytes
 from .laplace import (CavityKernel, _check_lambda_grid, _edge_update,
                       closed_form_fixed_point, g0_laplace, map_orbit)
-from .model import ModelParams, _laplace_s, derive_params
+from .model import ModelParams, derive_params
 
 #: Refuse to build trees larger than this (2**20 nodes).
 NODE_CAP = 1 << 20
@@ -47,12 +47,11 @@ class TreeGraph:
     refuses with ShapeError an array that breaks the contract the sweeps and
     the oracle read: a nonempty 1-d array of signed integers (int64 at
     most), node 0 the only root, every parent with a smaller id than its
-    child.  The tree keeps a read-only int64 copy.  ``depth`` and ``levels``
-    are derived from it once, on first use, and are read-only too:
-    ``depth[v]`` is the level of node v, and ``levels[k]`` lists the nodes
-    of level k in increasing id order, which is the order a sweep adds
-    siblings in.  Two trees are equal when their parent arrays are, and
-    hash alike.
+    child.  The tree keeps a read-only int64 copy.  ``depth``, the level
+    of every node and the tree's one level index, is derived from it once,
+    on first use, and is read-only too.  A sweep adds the siblings of a
+    level in increasing id order.  Two trees are equal when their parent
+    arrays are, and hash alike.
     """
 
     parent: np.ndarray
@@ -93,13 +92,6 @@ class TreeGraph:
             up = up[up]
         depth.flags.writeable = False
         return depth
-
-    @cached_property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """Node ids of every level, increasing: views of one read-only array."""
-        nodes = np.argsort(self.depth, kind="stable")
-        nodes.flags.writeable = False
-        return tuple(np.split(nodes, np.cumsum(np.bincount(self.depth))[:-1]))
 
     @cached_property
     def _classes(self):
@@ -199,40 +191,38 @@ def _subtree_classes(tree: TreeGraph):
             bounds)
 
 
-def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
+def _upward_messages(tree: TreeGraph, params: ModelParams, g0: np.ndarray,
                      path) -> tuple[np.ndarray, np.ndarray]:
     """Upward message and child aggregate along a root-to-node path, per grid point.
 
-    ``path`` lists node ids from the root down, one per level.  Returns
-    ``(up, agg)`` with one row per node of the path: ``up[k, j]`` is the
-    message path[k] sends toward its parent at grid[j] (for the root: toward
-    a virtual parent), and ``agg[k, j]`` the sum of the messages it receives
-    from its children.  Nodes with identical subtrees send identical
-    messages, so the sweep forms one row per subtree class
-    (:func:`_subtree_classes`, found on a tree's first sweep and kept on it),
-    level by level from the deepest, holding the level being formed and the
-    level below it, and reads the path's rows through each node's class.
-    Siblings are added in id order starting from 0.0.  Pole hits are
-    recorded as nan rather than aborting the sweep.
+    ``g0`` is :func:`_g0_grid` of the lambda grid; ``path`` lists node ids
+    from the root down, one per level.  Returns ``(up, agg)`` with one row
+    per node of the path: ``up[k, j]`` is the message path[k] sends toward
+    its parent at g0[j] (for the root: toward a virtual parent), and
+    ``agg[k, j]`` the sum of the messages it receives from its children.
+    Nodes with identical subtrees send identical messages, so the sweep
+    forms one row per subtree class (:func:`_subtree_classes`, found on a
+    tree's first sweep and kept on it), level by level from the deepest,
+    holding the level being formed and the level below it, and reads the
+    path's rows through each node's class.  Siblings are added in id order
+    starting from 0.0.  Pole hits are recorded as nan rather than aborting
+    the sweep.
     """
-    grid = np.asarray(grid, dtype=float)
-    g0 = np.atleast_1d(np.asarray(g0_laplace(params, grid), dtype=float))
-    path = np.asarray(path, dtype=np.int64)
     node_class, counts, target, source, bounds = tree._classes
     # The widest level's class aggregates, edge-update temporaries and
     # messages, with the level above it; the most terms of one level,
     # gathered; the path's rows.
-    rows = SWEEP_ROWS * max(counts) + np.diff(bounds).max() + 2 * path.size
+    rows = SWEEP_ROWS * max(counts) + np.diff(bounds).max() + 2 * len(path)
     _check_bytes(8 * g0.size * rows,
                  f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
-    up = np.empty((path.size, g0.size))
+    up = np.empty((len(path), g0.size))
     agg_path = np.empty_like(up)
     agg = np.zeros((1, g0.size))
     path_class = node_class[path].tolist()
     for k in reversed(range(len(counts))):
         msgs = _edge_update(agg, g0, c_half)[0]
-        if k < path.size:
+        if k < len(path):
             up[k], agg_path[k] = msgs[path_class[k]], agg[path_class[k]]
         if k == 0:
             break
@@ -244,57 +234,54 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, grid,
     return up, agg_path
 
 
-def root_output_message(tree: TreeGraph, params: ModelParams, lambda_grid) -> np.ndarray:
+def _g0_grid(params: ModelParams, lambda_grid) -> np.ndarray:
+    """G0 on a lambda point, as a grid of one, or on a 1-d grid; after the
+    model's DomainError, ShapeError for an array of two or more dimensions."""
+    g0 = g0_laplace(params, lambda_grid)
+    if np.ndim(g0) > 1:
+        raise ShapeError(f"lambda grid must be a point or 1-d, got {np.ndim(g0)}-d")
+    return np.atleast_1d(g0)
+
+
+def root_output_message(tree: TreeGraph, params: ModelParams,
+                        lambda_grid) -> float | np.ndarray:
     """m-type message the root would send to a virtual parent.
 
     One single-edge update applied to the root aggregate; the kernel the
     whole tree presents as an environment, and the quantity the corner
-    resolvent of the tree matrix reproduces.
+    resolvent of the tree matrix reproduces.  A float at a lambda point, an
+    array over a 1-d grid.
     """
-    up, _ = _upward_messages(tree, params, lambda_grid, [0])
-    return up[0]
-
-
-def _downward_messages(tree: TreeGraph, params: ModelParams, lambda_grid,
-                       up: np.ndarray, agg: np.ndarray) -> np.ndarray:
-    """m-type message the last node of a root-to-node path receives from its parent.
-
-    ``up`` and ``agg`` are the rows of :func:`_upward_messages` for the path
-    through ``tree``, root first; the message is zero at the root.  The
-    message into v from its parent p is the edge update of
-    ``agg[p] - up[v] + down[p]``, everything p sees except v's own branch.
-    A pole on the path gives nan.
-    """
-    g0 = g0_laplace(params, lambda_grid)
-    c_half = params.C**2 / 2.0
-    down = np.zeros_like(g0)
-    for i in range(1, len(up)):
-        down = _edge_update(agg[i - 1] - up[i] + down, g0, c_half)[0]
-    return down
+    up, _ = _upward_messages(tree, params, _g0_grid(params, lambda_grid), [0])
+    return float(up[0, 0]) if np.ndim(lambda_grid) == 0 else up[0]
 
 
 def output_environment(tree: TreeGraph, params: ModelParams, node: int,
                        lambda_grid) -> CavityKernel:
     """Effective-environment kernel at a node: sum over ALL incident messages.
 
-    ``agg[node] + down[node]``: the children's messages from the upward sweep
-    plus the one message from the parent side, found by walking the
-    root-to-node path only (O(depth x grid) after the sweep).  An isolated
-    node sees a zero kernel.  Before the sweep, a lambda the model refuses
-    raises DomainError, and a node that is not an integer in 0..N-1 or a
-    grid :class:`~netbath.laplace.CavityKernel` would refuse raises
-    ShapeError.
+    The children's messages plus the one from the parent side, found by
+    walking the root-to-node path (O(depth x grid) after the sweep): into v
+    from its parent p comes the edge update of ``agg[p] - up[v] + down[p]``,
+    all p sees but v's branch.  An isolated node sees a zero kernel; a
+    lambda point gives a kernel on a grid of one.  Before the sweep, a
+    lambda the model refuses raises DomainError, and a node that is not an
+    integer in 0..N-1 or a grid CavityKernel would refuse, ShapeError.
     """
     if (not isinstance(node, numbers.Integral) or isinstance(node, bool)
             or not 0 <= node < tree.n_nodes):
         raise ShapeError(f"node must be an integer in 0..{tree.n_nodes - 1}, got {node!r}")
-    _laplace_s(params, lambda_grid)     # a bad lambda is a DomainError first
-    lambda_grid = _check_lambda_grid(lambda_grid)
+    g0 = _g0_grid(params, lambda_grid)
+    lambda_grid = _check_lambda_grid(np.atleast_1d(lambda_grid))
     path = [int(node)]
     while path[-1] > 0:
         path.append(int(tree.parent[path[-1]]))
-    up, agg = _upward_messages(tree, params, lambda_grid, path[::-1])
-    total = agg[-1] + _downward_messages(tree, params, lambda_grid, up, agg)
+    up, agg = _upward_messages(tree, params, g0, path[::-1])
+    c_half = params.C**2 / 2.0
+    down = np.zeros_like(g0)
+    for i in range(1, len(up)):
+        down = _edge_update(agg[i - 1] - up[i] + down, g0, c_half)[0]
+    total = agg[-1] + down
     flags = ~np.isfinite(total)
     return CavityKernel(grid=lambda_grid, values=total,
                         flags=flags if flags.any() else None)

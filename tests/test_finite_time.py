@@ -85,6 +85,8 @@ def test_two_time_kernel_validation():
         TwoTimeKernel(times=times, values=np.zeros((4, 4)))
     with pytest.raises(ShapeError, match="finite step"):
         TwoTimeKernel(times=np.array([-np.inf, 0.0]), values=np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match="unknown kind 'anti'"):
+        TwoTimeKernel(times=times, values=np.zeros((5, 5)), kind="anti")
 
 
 def test_twinning_zero_kernel_returns_bare(ft_params):
@@ -297,6 +299,11 @@ def test_vernon_real_full_structure(ft_params):
     # boundary terms cannot cancel: both outer products are rank one with
     # positive coefficients
     assert np.all(np.diag(boundary_only.values) >= 0.0)
+    # an upstream noise kernel on another grid is refused, whatever its size
+    for other in (times[:-1], times * (1.0 + 1e-9)):
+        shifted = TwoTimeKernel.from_stationary(other, np.zeros_like, kind="symmetric")
+        with pytest.raises(ShapeError, match="grid differs"):
+            nb.vernon_real_full(shifted, res.G, state, ft_params.C)
     # bit for bit, signed zeros included, the out-of-place expression with
     # an explicit zero double convolution when there is no upstream kernel
     g, c = res.G.values, np.full(times.size, ft_params.C)
@@ -340,6 +347,9 @@ def test_ode_response_zero_drive(ft_params):
     kk = TwoTimeKernel.from_stationary(times, kfunc)
     q = nb.ode_response_check(kk, ft_params, np.zeros_like(times))
     assert np.all(q == 0.0)
+    for drive in (np.zeros(times.size - 1), np.zeros((1, times.size)), 0.0):
+        with pytest.raises(ShapeError, match="drive must be sampled"):
+            nb.ode_response_check(kk, ft_params, drive)
 
 
 def test_ode_response_free_impulse(ft_params):
@@ -389,3 +399,84 @@ def test_ode_response_step_guard(ft_params):
     kz = TwoTimeKernel.from_stationary(times, lambda u: 0.0 * u)
     with pytest.raises(AccuracyError):
         nb.ode_response_check(kz, ft_params, np.zeros_like(times))
+
+
+def _modes_error(G_row, tree, params, times):
+    """Max error of a dressed response row against the tree's mode sum over
+    C^2/2, over the mode sum's max."""
+    ref = nb.oracle_time_kernel(tree, params, times).values / (params.C**2 / 2.0)
+    return np.abs(G_row - ref).max() / np.abs(ref).max()
+
+
+# max error over max |G| at dt = fine_step, /2 and /4, measured: binary
+# trees 6.86e-6, 1.72e-6, 4.29e-7 (depth 1; depths 3 and 6 below); chains
+# 3.53e-6, 8.84e-7, 2.21e-7 (depth 1; depth 5 below)
+@pytest.mark.parametrize("family, depths, bounds", [
+    ("binary", (1, 3, 6), (7.0e-6, 1.75e-6, 4.4e-7)),
+    ("chain", (1, 5), (3.6e-6, 9.0e-7, 2.3e-7)),
+])
+def test_finite_window_matches_the_tree_modes_one_level(ft_params, family, depths,
+                                                        bounds):
+    # the root of a depth-d tree is one oscillator whose upstream is the sum
+    # of its children's subtree kernels; the mode sum gives both exactly, so
+    # the window's error is its own discretisation: O(dt^2), the same at
+    # every depth
+    build, children = ((lambda d: nb.build_tree(2, d), 2) if family == "binary"
+                       else (nb.build_chain, 1))
+    errors = np.empty((len(depths), 3))
+    for i, d in enumerate(depths):
+        upstream_tree = build(d - 1)
+        for k in range(3):
+            times = nb.time_grid(6.0, ft_params.fine_step / 2**k)
+            upstream = TwoTimeKernel.from_stationary(
+                times, lambda u: children * nb.oracle_time_kernel(
+                    upstream_tree, ft_params, u).values)
+            G = nb.twinning_solve(upstream, ft_params).G
+            assert G.meta["solver"] == "toeplitz"
+            errors[i, k] = _modes_error(G.values[0], build(d), ft_params, times)
+    assert np.all(errors <= bounds)
+    ratios = errors[:, :-1] / errors[:, 1:]
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1))
+    assert np.all(errors[1:] <= errors[0])
+
+
+def test_finite_window_matches_the_tree_modes_on_the_triangular_path(ft_params):
+    # the same upstream as a full matrix: every row of G is the mode sum's
+    # lag row, shifted to its diagonal (6.70e-6 measured at depth 3)
+    times = nb.time_grid(6.0, ft_params.fine_step)
+    upstream_tree = nb.build_tree(2, 2)
+    upstream = TwoTimeKernel.from_stationary(
+        times, lambda u: 2 * nb.oracle_time_kernel(upstream_tree, ft_params, u).values)
+    G = nb.twinning_solve(TwoTimeKernel(times=times, values=np.array(upstream.values)),
+                          ft_params).G
+    assert G.meta["solver"] == "triangular"
+    n = times.size
+    ref = nb.oracle_time_kernel(nb.build_tree(2, 3), ft_params, times).values
+    ref /= ft_params.C**2 / 2.0
+    worst = max(np.abs(G.values[i, i:] - ref[:n - i]).max() for i in range(n))
+    assert worst / np.abs(ref).max() <= 6.8e-6
+    assert np.all(np.tril(G.values, k=-1) == 0.0)
+
+
+def test_finite_window_iterated_level_by_level_matches_the_tree_modes(ft_params):
+    # from a zero upstream, the depth-(d+1) root's upstream is its two
+    # children's kernels, 2 (C^2/2) G_d: the loop the network's finite
+    # window iterates.  Measured 6.46e-6, 1.62e-6 and 4.04e-7 at dt =
+    # fine_step, /2 and /4, at depths 4, 8 and 12 alike
+    c_half = ft_params.C**2 / 2.0
+    checked = (4, 8, 12)
+    errors = np.empty((len(checked), 3))
+    for k in range(3):
+        times = nb.time_grid(6.0, ft_params.fine_step / 2**k)
+        upstream = TwoTimeKernel.from_stationary(times, np.zeros_like)
+        for d in range(checked[-1] + 1):
+            row = nb.twinning_solve(upstream, ft_params).G.values[0]
+            if d in checked:
+                errors[checked.index(d), k] = _modes_error(
+                    row, nb.build_tree(2, d), ft_params, times)
+            upstream = TwoTimeKernel.from_stationary(
+                times, lambda u, row=row: 2.0 * c_half * row)
+    assert np.all(errors <= (6.6e-6, 1.65e-6, 4.1e-7))
+    ratios = errors[:, :-1] / errors[:, 1:]
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1))
+    assert np.all(errors[1:] <= errors[0] * (1.0 + 1e-3))

@@ -79,6 +79,21 @@ def test_closed_form_domain_error():
     with pytest.raises(DomainError) as err:
         nb.closed_form_fixed_point(p, 0.5)
     assert err.value.lambda_star == pytest.approx(1.0, rel=1e-12)
+    # lambda^2 is finite at 1e154, (lambda^2 + omega^2)^2 is not
+    with pytest.raises(DomainError, match=r"\(lambda\^2 \+ omega\^2\)\^2 is not finite"):
+        nb.closed_form_fixed_point(p, 1e154)
+
+
+def test_fourier_fixed_point_refuses_what_it_cannot_continue():
+    # a negative C, allowed above the positivity bound, has no continuation;
+    # where the band edges are not real the refusal carries lambda*
+    with pytest.raises(DomainError, match="C >= 0"):
+        nb.fourier_fixed_point(nb.derive_params(2, 1.0, -0.4, 1.0), 1.0)
+    p = nb.derive_params(2, 0.2, 5.0, 0.1)
+    assert not p.band_defined
+    with pytest.raises(DomainError, match="band edges are not real") as err:
+        nb.fourier_fixed_point(p, [0.0, 1.0])
+    assert err.value.lambda_star == nb.lambda_star(p)
 
 
 @given(st.integers(2, 10), st.floats(0.5, 15.0), st.floats(0.0, 3.0),
@@ -288,6 +303,9 @@ def test_cavity_kernel_validation():
         CavityKernel(grid=np.array([1.0, np.inf]), values=np.zeros(2))
     with pytest.raises(ShapeError):
         CavityKernel(grid=np.array([1.0, 2.0]), values=np.array([1j, 0j]))
+    for values in (np.zeros(3), np.zeros((1, 2)), 0.0):
+        with pytest.raises(ShapeError, match="shapes differ"):
+            CavityKernel(grid=np.array([1.0, 2.0]), values=values)
     kern = CavityKernel(grid=np.array([1.0, 2.0]),
                         values=np.array([1 + 0j, 2 + 0j]))
     assert kern.values.dtype == float
@@ -336,9 +354,15 @@ def test_point_and_grid_give_the_same_bits(narrow_band):
                       for f in (nb.fourier_fixed_point, nb.real_multiplier,
                                 nb.spectral_density)]
     tree = nb.build_tree(narrow_band.n - 1, 2)
-    cases.append(("oracle_kernel_laplace",
-                  functools.partial(nb.oracle_kernel_laplace, tree, narrow_band),
-                  lam))
+    cases += [
+        ("oracle_kernel_laplace",
+         functools.partial(nb.oracle_kernel_laplace, tree, narrow_band), lam),
+        ("root_output_message",
+         functools.partial(nb.root_output_message, tree, narrow_band), lam),
+        # a point gives the one-point kernel
+        ("output_environment",
+         lambda x: nb.output_environment(tree, narrow_band, 3, x).values, lam),
+    ]
     mismatched = {}
     for name, f, *grids in cases:
         grid = f(*grids)

@@ -79,6 +79,8 @@ def test_positivity_bound_rejected():
     dict(n=2, omega0=1.0, C=0.1, m=0.0),
     dict(n=2, omega0=float("nan"), C=0.1, m=1.0),
     dict(n=2, omega0=1.0, C=float("inf"), m=1.0),
+    dict(n=2.0, omega0=1.0, C=0.1, m=1.0),
+    dict(n="2", omega0=1.0, C=0.1, m=1.0),
 ])
 def test_invalid_inputs_rejected(bad):
     with pytest.raises(DomainError):
@@ -90,6 +92,9 @@ def test_critical_coupling_values():
         1.2071067811865475244, rel=1e-14)
     assert nb.critical_coupling(5, 10.0, 0.5) == pytest.approx(
         76.1203874963741442514, rel=1e-14)
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError, match="degree n must be >= 2"):
+            nb.critical_coupling(n, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [7, 8, 12, 50])
@@ -224,9 +229,9 @@ LAMBDA_ENTRY_POINTS = {
     "fixed_point_exists": lambda p, tree, lam: nb.fixed_point_exists(p, lam),
     "map_orbit": lambda p, tree, lam: nb.map_orbit(p, lam, steps=10),
     "root_output_message":
-        lambda p, tree, lam: nb.root_output_message(tree, p, [lam]),
+        lambda p, tree, lam: nb.root_output_message(tree, p, lam),
     "output_environment":
-        lambda p, tree, lam: nb.output_environment(tree, p, 1, [lam]),
+        lambda p, tree, lam: nb.output_environment(tree, p, 1, lam),
     "depth_convergence":
         lambda p, tree, lam: nb.depth_convergence(p, p.n - 1, 3, lam),
     "oracle_kernel_laplace":

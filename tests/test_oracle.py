@@ -372,21 +372,26 @@ def test_corner_inverse_on_random_regular_graphs():
     assert np.all(np.less(errs[1], errs[0]))
 
 
+def _imported_names(module):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
 def test_oracle_imports_nothing_of_the_recursion():
     # the oracle is an independent check only while it shares no code with
-    # the message passing: of tree_bp it may take the graph alone
-    source = Path(netbath.oracle.__file__).read_text()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            assert "laplace" not in parts and "rs" not in parts, name
-            assert "tree_bp" not in parts or parts[-1] == "TreeGraph", name
+    # the message passing: of tree_bp it may take the graph alone; and the
+    # finite window is checked against the oracle's mode sum only while
+    # neither imports the other
+    for name in _imported_names(netbath.oracle):
+        parts = name.split(".")
+        assert "laplace" not in parts and "rs" not in parts, name
+        assert "finite_time" not in parts, name
+        assert "tree_bp" not in parts or parts[-1] == "TreeGraph", name
+    for name in _imported_names(netbath.finite_time):
+        assert "oracle" not in name.split("."), name
 
 
 def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):

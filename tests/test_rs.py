@@ -6,7 +6,7 @@ import pytest
 
 import netbath as nb
 from netbath.errors import DomainError, ShapeError, SizeError
-from netbath.rs import DisorderSpec, Population
+from netbath.rs import MIN_POOL, DisorderSpec, Population
 
 
 def test_variance_gain_identity(narrow_band, wide_band, lambda_grid):
@@ -196,6 +196,76 @@ def test_population_uniform_coupling_mean(narrow_band):
     assert DisorderSpec().draw_coupling(None, 0.7, 50) == 0.7
 
 
+def test_population_two_point_coupling_from_delta_pool(narrow_band):
+    # every slot pushes the same aggregate through the edge update, with
+    # coupling a at probability p and b otherwise
+    lam, size, frac, a, b = 2.0, 100000, 0.3, 0.5, 1.5
+    spec = DisorderSpec(coupling=("two_point", a, b, frac))
+    pop = nb.population_init(narrow_band, lam, size=size, seed=5, disorder=spec)
+    k_in = sum([pop.samples[0]] * (narrow_band.n - 1))
+    stepped = nb.population_step(pop)
+    low, high = (nb.vernon_imag(k_in, narrow_band, c, lam) for c in (a, b))
+    values, counts = np.unique(stepped.samples, return_counts=True)
+    assert values.tolist() == sorted([low, high])
+    share = counts[values.tolist().index(low)] / size
+    assert abs(share - frac) <= 4.0 * np.sqrt(frac * (1.0 - frac) / size)
+    couplings = spec.draw_coupling(np.random.default_rng(0), narrow_band.C, 50)
+    assert couplings.shape == (50,) and set(couplings.tolist()) == {a, b}
+
+
+_BAD_LAWS = [
+    # unknown laws, once refused only by the first population_step, after
+    # the pool was allocated; ("two_point", 3, 5) was a raw ValueError
+    ("coupling", ("gaussian", 1.0), "unknown"),
+    ("degree", ("poisson", 3.0), "unknown"),
+    ("coupling", ("uniform", 1.0), "unknown"),
+    ("coupling", (), "unknown"),
+    ("coupling", [("constant", 1.0)], "unknown"),
+    ("degree", ("two_point", 3, 5), "unknown"),
+    # p = 1.5 once drew 0.2 alone
+    ("coupling", ("two_point", 0.2, 0.4, 1.5), "value"),
+    ("coupling", ("two_point", 0.2, 0.4, -0.1), "value"),
+    ("degree", ("two_point", 3, 5, float("nan")), "value"),
+    # degrees 0 and -3 were accepted
+    ("degree", ("two_point", 0, 5, 0.5), "value"),
+    ("degree", ("two_point", -3, 5, 0.5), "value"),
+    ("degree", ("two_point", 3.5, 5, 0.5), "value"),
+    ("degree", ("constant", 0), "value"),
+    ("degree", ("constant", True), "value"),
+    # a nan bound was a raw OverflowError from the first draw
+    ("coupling", ("uniform", float("nan"), 1.0), "value"),
+    ("coupling", ("uniform", 0.0, float("inf")), "value"),
+    ("coupling", ("two_point", 0.2, float("inf"), 0.5), "value"),
+    ("coupling", ("constant", float("nan")), "value"),
+    ("coupling", ("constant", "1.0"), "value"),
+    ("coupling", ("uniform", 1.5, 0.5), "value"),
+]
+
+
+@pytest.mark.parametrize("what, law, fault", _BAD_LAWS,
+                         ids=[f"{what}{list(law)}" for what, law, _ in _BAD_LAWS])
+def test_disorder_spec_refuses_a_law_it_cannot_draw(what, law, fault):
+    match = (f"unknown {what} disorder" if fault == "unknown"
+             else f"{what} disorder .* cannot be drawn")
+    with pytest.raises(ShapeError, match=match):
+        DisorderSpec(**{what: law})
+
+
+def test_disorder_spec_takes_every_law_it_can_draw(narrow_band):
+    # the benchmark's two laws among them: a uniform coupling about C and a
+    # degree of n - 1 or n + 1
+    C = narrow_band.C
+    for law in (dict(), dict(coupling=("constant", 0.0)), dict(degree=("constant", 3)),
+                dict(coupling=("uniform", 0.8 * C, 1.2 * C)),
+                dict(coupling=("uniform", 1.0, 1.0)),
+                dict(coupling=("two_point", 0.2, 0.4, 0.0)),
+                dict(degree=("two_point", np.int64(1), 5, 1.0)),
+                dict(degree=("two_point", narrow_band.n - 1, narrow_band.n + 1, 0.5))):
+        spec = DisorderSpec(**law)
+        pop = nb.population_init(narrow_band, 2.0, size=1000, seed=3, disorder=spec)
+        assert np.all(np.isfinite(nb.population_step(pop).samples))
+
+
 def test_population_disorder_draws(narrow_band):
     spec = DisorderSpec(coupling=("uniform", 0.5, 1.5),
                         degree=("two_point", 3, 5, 0.5))
@@ -240,6 +310,23 @@ def test_population_stats_few_ulp_spread(narrow_band):
 def test_pool_size_floor(narrow_band):
     with pytest.raises(ShapeError):
         nb.population_init(narrow_band, 1.0, size=10, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.full(MIN_POOL, 0.01)
+        samples[7] = bad
+        with pytest.raises(ShapeError, match="pool samples must be finite"):
+            Population(samples=samples, lam=1.0, params=narrow_band, seed=0)
+
+
+def test_sweep_stops_redrawing_at_the_pole(narrow_band):
+    # every sample at 1/(G0 (n-1)): every aggregate is 1/G0, so every draw
+    # hits the pole, and the sweep gives up after 100 redraws of the pool
+    lam = 1.0
+    sample = 1.0 / (nb.g0_laplace(narrow_band, lam) * (narrow_band.n - 1))
+    assert sum([sample] * (narrow_band.n - 1)) * nb.g0_laplace(narrow_band, lam) == 1.0
+    pop = Population(samples=np.full(MIN_POOL, sample), lam=lam, params=narrow_band,
+                     seed=0, rng=np.random.default_rng(0))
+    with pytest.raises(DomainError, match="kept hitting the edge-update pole"):
+        nb.population_step(pop)
 
 
 def test_pool_refused_by_its_sweep_before_allocating():

@@ -30,6 +30,9 @@ def test_fd_weights_known_stencils():
 
 
 def test_composite_weights_integrate_polynomials():
+    # one point spans no interval; two take the trapezoid
+    assert _composite_weights(1, 0.5).tolist() == [0.0]
+    assert _composite_weights(2, 0.5).tolist() == [0.25, 0.25]
     for n in (5, 9, 8, 7, 6):
         h = 1.0 / (n - 1)
         x = np.linspace(0.0, 1.0, n)
@@ -49,9 +52,22 @@ def test_branch_cut_zero_at_origin(narrow_band, wide_band):
 
 
 def test_branch_cut_decoupled_zero():
+    # every time-domain route gives a decoupled network the zero kernel
     p0 = nb.derive_params(5, 10.0, 0.0, 0.5)
-    tk = nb.branch_cut_kernel(p0, np.linspace(0, 2, 20))
-    assert np.all(tk.values == 0.0)
+    tau = np.linspace(0, 2, 20)
+    for route in (nb.branch_cut_kernel, nb.bessel_kernel,
+                  nb.spectral_density_sine_transform):
+        tk = route(p0, tau)
+        assert np.all(tk.values == 0.0) and np.array_equal(tk.tau, tau)
+
+
+def test_time_domain_routes_refuse_a_band_that_is_not_real():
+    p = nb.derive_params(2, 0.2, 5.0, 0.1)
+    assert not p.band_defined
+    for evaluate in (lambda: nb.spectral_density(p, [0.5, 1.0]),
+                     lambda: nb.bessel_kernel(p, np.linspace(0.0, 1.0, 11))):
+        with pytest.raises(DomainError, match="band edges are not real"):
+            evaluate()
 
 
 def test_branch_cut_quadrature_converged(wide_band):
@@ -232,6 +248,11 @@ def test_forward_laplace_guards(wide_band):
 
 
 def test_time_kernel_validation():
+    for tau in ([], [[0.0, 0.1]], 0.0):
+        with pytest.raises(ShapeError, match="nonempty 1-d"):
+            TimeKernel(tau=tau, values=np.zeros(np.shape(tau)))
+    with pytest.raises(ShapeError, match="values and tau shapes differ"):
+        TimeKernel(tau=np.array([0.0, 0.1, 0.2]), values=np.zeros(2))
     with pytest.raises(ShapeError):
         TimeKernel(tau=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
     with pytest.raises(ShapeError):

@@ -23,7 +23,8 @@ def _upward_reference(tree, params, grid):
     msgs = np.zeros((tree.n_nodes, grid.size))
     agg = np.zeros_like(msgs)
     c_half = params.C**2 / 2.0
-    for level in reversed(tree.levels):
+    for k in range(tree.depth.max(), -1, -1):
+        level = np.flatnonzero(tree.depth == k)
         msgs[level] = _edge_update(agg[level], g0[None, :], c_half)[0]
         parents = tree.parent[level]
         has_parent = parents >= 0
@@ -63,13 +64,12 @@ def _rerooting_reference(tree, params, grid):
         if tree.parent[v] >= 0:
             children[int(tree.parent[v])].append(v)
     down = np.zeros_like(up)
-    for level in tree.levels:
-        for p in level:
-            if not children[p]:
-                continue
-            total = up[children[p]].sum(axis=0) + down[p]
-            for v in children[p]:
-                down[v] = nb.vernon_imag(total - up[v], params, params.C, grid)
+    for p in range(tree.n_nodes):       # every parent before its children
+        if not children[p]:
+            continue
+        total = up[children[p]].sum(axis=0) + down[p]
+        for v in children[p]:
+            down[v] = nb.vernon_imag(total - up[v], params, params.C, grid)
     env = np.zeros_like(up)
     for v in range(tree.n_nodes):
         for c in children[v]:
@@ -109,7 +109,7 @@ def test_build_shapes():
     assert chain.n_nodes == 4 and chain.parent.tolist() == [-1, 0, 1, 2]
     tree = nb.build_tree(2, 3)
     assert tree.n_nodes == 15
-    assert [len(lvl) for lvl in tree.levels] == [1, 2, 4, 8]
+    assert np.bincount(tree.depth).tolist() == [1, 2, 4, 8]
     assert nb.build_tree(1, 5).n_nodes == nb.build_chain(5).n_nodes
 
 
@@ -158,7 +158,7 @@ def test_sweep_sibling_permutation_invariance(narrow_band):
     # order of the additions
     grid = np.logspace(-1, 1, 7)
     t1 = _random_tree(300, 4)
-    t2 = _renumbered(t1.parent, np.concatenate([lvl[::-1] for lvl in t1.levels]))
+    t2 = _renumbered(t1.parent, np.lexsort((-np.arange(t1.n_nodes), t1.depth)))
     assert t1 != t2
     out1 = nb.root_output_message(t1, narrow_band, grid)
     out2 = nb.root_output_message(t2, narrow_band, grid)
@@ -169,7 +169,7 @@ def test_output_environment_interior_limit(narrow_band):
     # deep regular tree: interior node sees n/(n-1) * k*
     grid = np.array([1.0, 3.0])
     tree = nb.build_tree(narrow_band.n - 1, 9)
-    interior = int(tree.levels[4][0])
+    interior = int(np.flatnonzero(tree.depth == 4)[0])
     env = nb.output_environment(tree, narrow_band, interior, grid)
     k_star = nb.closed_form_fixed_point(narrow_band, grid)
     expect = narrow_band.n / (narrow_band.n - 1) * k_star
@@ -391,11 +391,11 @@ def test_subtree_classes_of_regular_trees_and_of_a_random_tree():
     tree = _random_tree(500, 9)
     node_class, counts, *_ = tree._classes
     children = [[] for _ in range(tree.n_nodes)]
-    for level in tree.levels[1:]:
-        for v in level.tolist():
-            children[tree.parent[v]].append(v)
+    for v in range(1, tree.n_nodes):
+        children[tree.parent[v]].append(v)
+    levels = [np.flatnonzero(tree.depth == k) for k in range(tree.depth.max() + 1)]
     shape = {}
-    for k, level in reversed(list(enumerate(tree.levels))):
+    for k, level in reversed(list(enumerate(levels))):
         keys = {v: (k, tuple(shape[c] for c in children[v])) for v in level.tolist()}
         ids = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
         assert counts[k] == len(ids)
@@ -404,10 +404,7 @@ def test_subtree_classes_of_regular_trees_and_of_a_random_tree():
     same = np.equal.outer(node_class, node_class)
     ref = np.equal.outer([shape[v] for v in range(tree.n_nodes)],
                          [shape[v] for v in range(tree.n_nodes)])
-    depth = np.zeros(tree.n_nodes, dtype=int)
-    for k, level in enumerate(tree.levels):
-        depth[level] = k
-    on_level = np.equal.outer(depth, depth)
+    on_level = np.equal.outer(tree.depth, tree.depth)
     assert np.array_equal(same & on_level, ref & on_level)
 
 
@@ -475,25 +472,25 @@ def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
 
 
 def test_tree_graph_is_read_only():
-    # the levels and subtree classes a tree derives and keeps cannot go stale
+    # the depth index and subtree classes a tree derives and keeps cannot go
+    # stale
     tree = nb.build_tree(2, 3)
     parent = np.array([-1, 0, 0, 1])
     other = nb.TreeGraph(parent=parent)
     parent[3] = 2                   # the caller's array, not the tree's
     assert other.parent.tolist() == [-1, 0, 0, 1]
-    for array in (tree.parent, tree.depth, tree.levels[1], other.parent):
+    for array in (tree.parent, tree.depth, other.parent):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     with pytest.raises(AttributeError):
         tree.parent = other.parent
-    assert isinstance(tree.levels, tuple)
 
 
 def test_trees_are_equal_when_their_parent_arrays_are():
     # equality and hash read the parent array alone, whatever its integer
     # dtype was and whatever the trees have derived so far
     a, b = nb.build_tree(2, 3), nb.build_tree(2, 3)
-    a.levels
+    a.depth
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a == nb.TreeGraph(parent=a.parent.astype(np.int32))
     assert a != nb.build_tree(3, 2) and a != nb.build_chain(14)
@@ -518,6 +515,45 @@ def test_output_environment_refuses_node_and_grid_before_the_sweep(
             nb.output_environment(tree, narrow_band, 0, bad)
     with pytest.raises(DomainError, match="lambda"):
         nb.output_environment(tree, narrow_band, 0, [1.0, np.nan])
+
+
+def test_tree_entries_refuse_a_lambda_array_before_the_sweep(narrow_band, monkeypatch):
+    # a point or a 1-d grid: an array of two or more dimensions is a
+    # ShapeError before the sweep, where it escaped the root message as a
+    # raw numpy ValueError from the edge update; a bad lambda stays a
+    # DomainError first
+    def no_sweep(*args):
+        raise AssertionError("the sweep was entered")
+
+    monkeypatch.setattr(netbath.tree_bp, "_upward_messages", no_sweep)
+    tree = nb.build_tree(3, 3)
+    entries = (lambda lam: nb.root_output_message(tree, narrow_band, lam),
+               lambda lam: nb.output_environment(tree, narrow_band, 5, lam))
+    for evaluate in entries:
+        for lam in (0.5, [0.5, 1.0]):
+            with pytest.raises(AssertionError, match="entered"):
+                evaluate(lam)
+        for bad in ([[1.0]], np.ones((2, 3)), np.ones((1, 1, 2))):
+            with pytest.raises(ShapeError, match="grid must be a point or 1-d"):
+                evaluate(bad)
+        with pytest.raises(DomainError, match="lambda"):
+            evaluate([[1.0, -1.0]])
+
+
+def test_tree_entries_take_a_point_as_a_grid_of_one(narrow_band):
+    # the root message at a point is a Python float with the bits of the
+    # grid of one; the environment at a point is the one-point kernel
+    tree = _random_tree(300, 4)
+    for lam in (0.0, 0.37, 2.0, 55.0):
+        root = nb.root_output_message(tree, narrow_band, lam)
+        assert type(root) is float
+        assert _same_bits(np.array([root]),
+                          nb.root_output_message(tree, narrow_band, [lam]))
+        for node in (0, 7, tree.n_nodes - 1):
+            env = nb.output_environment(tree, narrow_band, node, lam)
+            ref = nb.output_environment(tree, narrow_band, node, [lam])
+            assert _same_bits(env.grid, ref.grid) and _same_bits(env.values, ref.values)
+            assert env.flags is None and ref.flags is None
 
 
 @pytest.mark.parametrize("parent, why", [
@@ -554,18 +590,15 @@ def _parent_arrays(draw):
 
 
 @given(_parent_arrays())
-def test_levels_derived_from_any_parent_array(parent):
+def test_depth_derived_from_any_parent_array(parent):
+    # the root is level 0, every other node one level below its parent, and
+    # the index is read-only
     tree = nb.TreeGraph(parent=parent)
-    depth = np.zeros(len(parent), dtype=int)
-    for v in range(1, len(parent)):
-        depth[v] = depth[parent[v]] + 1
-    assert np.array_equal(tree.depth, depth)
-    assert tree.levels[0].tolist() == [0]
-    assert np.array_equal(np.sort(np.concatenate(tree.levels)), np.arange(len(parent)))
-    for k, level in enumerate(tree.levels):
-        assert level.size and np.all(depth[level] == k) and np.all(np.diff(level) > 0)
-        assert not level.flags.writeable
-    assert not tree.depth.flags.writeable and not tree.parent.flags.writeable
+    depth = tree.depth
+    assert depth.dtype == np.int64 and depth.shape == (len(parent),)
+    assert depth[0] == 0
+    assert np.array_equal(depth[1:], depth[tree.parent[1:]] + 1)
+    assert not depth.flags.writeable and not tree.parent.flags.writeable
 
 
 def _build_tree_by_levels(branching, depth):
@@ -587,4 +620,5 @@ def test_build_tree_closed_form_matches_the_level_loop(branching):
         tree = nb.build_tree(branching, depth)
         parent, levels = _build_tree_by_levels(branching, depth)
         assert tree.parent.dtype == np.int64 and np.array_equal(tree.parent, parent)
-        assert [lv.tolist() for lv in tree.levels] == [lv.tolist() for lv in levels]
+        assert np.array_equal(tree.depth, np.repeat(np.arange(depth + 1),
+                                                    [lv.size for lv in levels]))
