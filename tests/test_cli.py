@@ -324,10 +324,11 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
 
 
 def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
-    # each would need tens to hundreds of GiB: a grid, the branch-cut
-    # quadrature's nodes with its sine sum, the Bessel convolution's
-    # (t x node) matrix, a population pool, and the tables of a grid and of
-    # the three counted commands
+    # each would pass the 2 GiB cap, most by tens to hundreds of GiB: a
+    # grid, the branch-cut quadrature's nodes with its sine sum, the Bessel
+    # convolution's (t x node) matrix, a population pool, the tables of a
+    # grid and of the three counted commands, and an orbit at lambda* = 1,
+    # which never settles at tol 0, of 10^8 steps at 41 bytes each
     out = str(tmp_path / "x.csv")
     lines = (f"kernel --tau-count {10**11}",
              "kernel --tau-max 1e9 --tau-count 10",
@@ -336,7 +337,10 @@ def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
              "phase --lambda-count 50000000",
              f"tree --depth {10**9}",
              f"orbit --steps {10**9}",
-             f"population --sweeps {10**9}")
+             f"population --sweeps {10**9}",
+             "fixed-point --n 2 --omega0 1 --C 2.4142135623730945 --m 1 "
+             "--lambda-min 1 --lambda-max 1 --lambda-count 1 --tol 0 "
+             f"--max-iter {10**8}")
     tracemalloc.start()
     try:
         for line in lines:

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netbath as nb
-from netbath.errors import DomainError, ShapeError, SingularTransformError
-from netbath.laplace import CavityKernel, OrbitReport, detect_near_cycle
+from netbath.errors import BYTE_CAP, DomainError, ShapeError, SizeError, \
+    SingularTransformError
+from netbath.laplace import POLE_RTOL, _ORBIT_STEP_BYTES, CavityKernel, \
+    OrbitReport, _edge_update, detect_near_cycle
 
 K_STAR_NARROW_LAM0 = 0.0729206334100700298717568095  # 30-digit evaluation
 
@@ -29,6 +31,7 @@ def test_g0_values(narrow_band):
 def test_vernon_imag_free_branch(narrow_band):
     lam = 2.0
     out = nb.vernon_imag(0.0, narrow_band, narrow_band.C, lam)
+    assert type(out) is float
     assert out == pytest.approx(
         narrow_band.C**2 / 2 * nb.g0_laplace(narrow_band, lam), rel=1e-14)
 
@@ -212,6 +215,66 @@ def test_map_orbit_matches_uniform_map_loop(narrow_band):
         seen.add(got.classification)
     assert [nb.map_orbit(*case).orbit.size for case in poles] == [1, 2]
     assert seen == {"pole", "converged", "near-periodic", "wandering"}
+
+
+def _edge_update_inputs(seed):
+    """Python-float (k_in, g0, c_half): seeded draws with G0 k_in on both
+    sides of 1 within a few POLE_RTOL, then IEEE edge values in every slot."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(2000):
+        g0 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        target = 1.0 + float(rng.uniform(-4.0, 4.0)) * POLE_RTOL
+        cases.append((target / g0, g0, float(rng.uniform(0.0, 5.0))))
+    for _ in range(200):
+        cases.append(tuple(float(v) for v in rng.normal(0.0, 3.0, 3)))
+    edges = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             1e308, -1e308, 1.0, 0.5)
+    cases += [(k, g, c) for k in edges for g in edges for c in edges[::3]]
+    return cases
+
+
+def test_edge_update_float_branch_matches_the_array_body():
+    # the float branch (Python operators) against the array body on the same
+    # floats as 1-element arrays: equal value bits, nan at the same poles,
+    # the same flags
+    cases = _edge_update_inputs(seed=23)
+    k_in, g0, c_half = (np.array(col) for col in zip(*cases))
+    with np.errstate(all="ignore"):
+        ref_values, ref_poles = _edge_update(k_in, g0, c_half)
+    got = [_edge_update(*case) for case in cases]
+    assert all(type(v) is float and type(p) is bool for v, p in got)
+    values = np.array([v for v, _ in got])
+    poles = np.array([p for _, p in got])
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(poles, ref_poles)
+    assert np.all(np.isnan(values[poles]))
+    # a numpy scalar or 0-d array, as vernon_imag passes, takes the array
+    # body and keeps its numpy flag
+    for k in (np.float64(0.5), np.asarray(0.5)):
+        assert type(_edge_update(k, 0.5, 1.0)[1]) is np.bool_
+    # the draws reach the pole and miss it on both sides of G0 k = 1
+    near = poles[:2000]
+    prod = g0[:2000] * k_in[:2000]
+    assert near.any() and (~near & (prod < 1.0)).any() and \
+        (~near & (prod > 1.0)).any()
+
+
+def test_map_orbit_refuses_a_lambda_array(narrow_band):
+    for lam in (np.array([1.0, 2.0]), np.array([1.0])):
+        with pytest.raises(ShapeError):
+            nb.map_orbit(narrow_band, lam)
+    assert nb.map_orbit(narrow_band, np.asarray(1.0)).orbit.tobytes() == \
+        nb.map_orbit(narrow_band, 1.0).orbit.tobytes()
+
+
+def test_map_orbit_refuses_an_orbit_past_the_byte_cap(narrow_band):
+    # 41 bytes a step: 10^8 steps would hold about 4 GiB; nothing is iterated
+    with pytest.raises(SizeError):
+        nb.map_orbit(narrow_band, 1.0, steps=10**8)
+    steps = int(BYTE_CAP // _ORBIT_STEP_BYTES) - 1
+    assert nb.map_orbit(narrow_band, 1.0, steps=steps).classification == \
+        "converged"
 
 
 def test_detect_near_cycle_exact_two_cycle():
