@@ -172,8 +172,22 @@ def closed_form_fixed_point(params: ModelParams, lam):
 
 
 def _chordal(x, y):
-    """Distance on the projective line; finite even across pole passages."""
-    return np.abs(x - y) / np.sqrt((1.0 + x * x) * (1.0 + y * y))
+    """Distance on the projective line, ``|sin(arctan x - arctan y)|``.
+
+    Finite even across pole passages, and for any pair of finite floats:
+    where ``(1 + x^2)(1 + y^2)`` overflows (``|x| |y|`` or a square past
+    about 1.8e308), the pair is taken again as ``|x/2 - y/2|``, divided by
+    each ``hypot(1, .)`` in turn and doubled.  Every other pair keeps the
+    squared form and its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):   # taken again below
+        norm = np.sqrt((1.0 + x * x) * (1.0 + y * y))
+        out = np.abs(x - y) / norm
+    far = np.isinf(norm)
+    if far.any():
+        x, y = x[far], y[far]
+        out[far] = np.abs(0.5 * x - 0.5 * y) / np.hypot(1.0, x) / np.hypot(1.0, y) * 2.0
+    return out
 
 
 def detect_near_cycle(tail: np.ndarray):
@@ -224,17 +238,19 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     Lambda is fixed along the orbit, so G0 is evaluated once per orbit and
     each step is one :func:`_edge_update` on Python floats, which takes its
     float branch: the same IEEE operations as the array body, so the
-    iterates are those of :func:`uniform_map`, bit for bit.  Lambda is one
-    point: an array of any size is refused with
+    iterates are those of :func:`uniform_map`, bit for bit.  Lambda and x0
+    are each one point: an array of any size is refused with
     :class:`~netbath.errors.ShapeError`.  The orbit is charged 41 bytes a
     step against the byte cap before it starts, so ``steps`` past about
     5 x 10^7 are refused with :class:`~netbath.errors.SizeError`.
     """
     if not tol >= 0:   # nan included
         raise DomainError(f"tol must be >= 0, got {tol}")
-    _check_finite(x0, "x0")
     if np.ndim(lam) > 0:
         raise ShapeError("map_orbit takes one lambda, not an array")
+    if np.ndim(x0) > 0:
+        raise ShapeError("map_orbit takes one x0, not an array")
+    _check_finite(x0, "x0")
     _check_bytes(_ORBIT_STEP_BYTES * (steps + 1), f"orbit of {steps} steps")
     g0 = g0_laplace(params, lam)
     # a Python float, so that a numpy C keeps the steps on the float branch

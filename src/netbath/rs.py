@@ -16,8 +16,15 @@ The population pool carries single-branch (m-type) samples.  A sweep is
 generational: every slot of the new pool is refilled from draws over the old
 pool, so the empirical variance contracts per sweep by the factor g in the
 linear regime.  This is the population dynamics of Abou-Chacra, Thouless &
-Anderson and of Mezard & Parisi, run as one vectorised draw per sweep for
-every disorder law.
+Anderson and of Mezard & Parisi, run as one vectorised sweep for every
+disorder law.
+
+Each round of a sweep draws the degrees of all its slots, then their sample
+indices in cache-sized blocks of slots, row by row, then their couplings:
+the order of one draw over the whole round, so each seed keeps its pool bit
+for bit.  A slot's k-1 samples are added in draw order below 8 terms and by
+numpy's pairwise row sum from 8 terms on, exactly as numpy sums a row of
+that length.
 """
 
 from __future__ import annotations
@@ -185,48 +192,92 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     # An upper bound on what a sweep holds at once: the old and new pools,
     # the slots to fill and their degrees; per slot k-1 int64 indices, their
     # float draws and a bool mask; and seven slot-long temporaries of the
-    # coupling draw and the edge update, which dominate at small k.
+    # coupling draw and the edge update, which dominate at small k.  The
+    # indices, draws and mask live one block of slots at a time, so past one
+    # block the bound is loose: at 10^6 slots a sweep peaks at 41 to 65
+    # bytes a slot against 139 to 275 charged (tracemalloc, k-1 = 3 and 11).
+    # A tighter charge would admit larger pools than any caller asks for.
     _check_bytes(size * (8 * (11 + 2 * width) + width),
                  f"population pool of {size} samples and its sweep")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)
-    samples = np.full(size, k_branch)
-    if sigma > 0:
-        samples = samples + sigma * rng.standard_normal(size)
+    if sigma > 0:    # in place: the bits of k_branch + sigma * z
+        samples = rng.standard_normal(size)
+        samples *= sigma
+        samples += k_branch
+    else:
+        samples = np.full(size, k_branch)
     return Population(samples=samples, lam=lam, params=params, seed=seed,
                       disorder=disorder, rng=rng)
+
+
+#: Slots per block of the aggregate step, whose index draw, gather and sum
+#: then stay in cache.  At 10^6 slots the step took 29-42 ms at k-1 = 3 and
+#: 135-159 ms at k-1 = 11 for every block from 2^11 to 2^16 slots, against
+#: 46-58 and 175-223 ms as one block (best of 9, one pinned CPU of a shared
+#: host); 2^14 is the middle of that flat range.
+_BLOCK = 1 << 14
+
+
+def _aggregate(rng: np.random.Generator, source: np.ndarray, degree,
+               count: int) -> np.ndarray:
+    """Per slot, the sum of k-1 samples drawn uniformly from ``source``.
+
+    Each block of ``_BLOCK`` slots draws its (slots x k-1) indices row by
+    row, so the blocks draw the stream of one (count x k-1) draw, gathers
+    them, zeroes the draws past each slot's own k-1 and sums its rows into
+    its part of the total: column by column below 8 terms, which is
+    numpy's row sum of so few terms, and by numpy, pairwise, from 8 on.
+    """
+    width = max(int(np.max(degree)) - 1, 0)
+    total = np.empty(count)
+    columns = np.arange(width)
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        drawn = source[rng.integers(0, source.size, size=(hi - lo, width))]
+        if np.ndim(degree):
+            drawn[columns >= degree[lo:hi, None] - 1] = 0.0
+        out = total[lo:hi]
+        if 0 < width < 8:
+            out[:] = drawn[:, 0]
+            for j in range(1, width):
+                out += drawn[:, j]
+        else:
+            drawn.sum(axis=1, out=out)
+    return total
 
 
 def population_step(pop: Population) -> Population:
     """One generational sweep: every slot of a new pool drawn from the old one.
 
     Per slot: draw a degree k, sum k-1 samples drawn uniformly from the
-    previous generation, draw a coupling and apply the edge update.  All
-    slots are drawn at once as vectors; slots that hit the edge-update pole
-    are redrawn, up to ``100 * size`` rejections in total.  The linearized
-    variance contracts by :func:`variance_gain` per sweep.  Deterministic
-    for a given seed.
+    previous generation, draw a coupling and apply the edge update.  A round
+    draws the degrees of all its slots, then their indices block by block
+    (:func:`_aggregate`), then their couplings: the order of one whole-round
+    draw, so each seed keeps its pool.  The k-1 terms of a slot are added in
+    draw order below 8 terms and by numpy's pairwise row sum from 8 on.
+    Slots that hit the edge-update pole are redrawn in further rounds, up to
+    ``100 * size`` rejections in total.  The linearized variance contracts
+    by :func:`variance_gain` per sweep.  Deterministic for a given seed.
     """
     rng, disorder = pop.rng, pop.disorder
     source = pop.samples
     size = source.size
     g0 = g0_laplace(pop.params, pop.lam)
-    new = np.empty(size)
-    todo = np.arange(size)
-    rejected = 0
-    while todo.size:
-        degree = disorder.draw_degree(rng, pop.params.n, todo.size)
-        width = max(int(np.max(degree)) - 1, 0)
-        drawn = source[rng.integers(0, size, size=(todo.size, width))]
-        if np.ndim(degree):
-            drawn[np.arange(width) >= degree[:, None] - 1] = 0.0
-        total = drawn.sum(axis=1)
-        del drawn   # the (slots, k-1) draws are the sweep's largest array
-        c_edge = disorder.draw_coupling(rng, pop.params.C, todo.size)
+    new = todo = None   # the first round fills every slot in order
+    count, rejected = size, 0
+    while count:
+        degree = disorder.draw_degree(rng, pop.params.n, count)
+        total = _aggregate(rng, source, degree, count)
+        c_edge = disorder.draw_coupling(rng, pop.params.C, count)
         values, poles = _edge_update(total, g0, c_edge**2 / 2.0)
-        new[todo] = values
-        todo = todo[poles]
-        rejected += todo.size
+        if todo is None:
+            new, todo = values, np.flatnonzero(poles)
+        else:
+            new[todo] = values
+            todo = todo[poles]
+        count = todo.size
+        rejected += count
         if rejected > 100 * size:
             raise DomainError("population sweep kept hitting the edge-update pole")
     return replace(pop, samples=new, sweeps=pop.sweeps + 1,

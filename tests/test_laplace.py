@@ -10,7 +10,7 @@ import netbath as nb
 from netbath.errors import BYTE_CAP, DomainError, ShapeError, SizeError, \
     SingularTransformError
 from netbath.laplace import POLE_RTOL, _ORBIT_STEP_BYTES, CavityKernel, \
-    OrbitReport, _edge_update, detect_near_cycle
+    OrbitReport, _chordal, _edge_update, detect_near_cycle
 
 K_STAR_NARROW_LAM0 = 0.0729206334100700298717568095  # 30-digit evaluation
 
@@ -266,6 +266,38 @@ def test_map_orbit_refuses_a_lambda_array(narrow_band):
             nb.map_orbit(narrow_band, lam)
     assert nb.map_orbit(narrow_band, np.asarray(1.0)).orbit.tobytes() == \
         nb.map_orbit(narrow_band, 1.0).orbit.tobytes()
+
+
+def test_map_orbit_refuses_an_x0_array(narrow_band):
+    for x0 in (np.array([1.0, 2.0]), np.array([1.0]), np.array([[np.nan]])):
+        with pytest.raises(ShapeError, match="one x0"):
+            nb.map_orbit(narrow_band, 1.0, x0=x0)
+    assert nb.map_orbit(narrow_band, 1.0, x0=np.asarray(0.5)).orbit.tobytes() == \
+        nb.map_orbit(narrow_band, 1.0, x0=0.5).orbit.tobytes()
+
+
+def test_chordal_distance_past_the_square_range():
+    # (1 + x^2)(1 + y^2) overflows here; the distance is still
+    # |sin(arctan x - arctan y)|, with no RuntimeWarning
+    for big in (1e300, -1e300, 1e200, -1.7e308):
+        y = np.array([0.0, 1.0, -3.0, 2.5e-7, 0.5])
+        got = _chordal(np.full(y.size, big), y)
+        want = np.abs(np.sin(np.arctan(big) - np.arctan(y)))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # between two huge points, where arctan has no bits left, the distance
+    # |x - y| / (|x| |y|) is |1/y - 1/x|: 2/|x| for antipodal points, not
+    # sin(pi) = 1.2e-16
+    x = np.array([1e300, 1e300, 1.7e308, -1e200, 3e160])
+    y = np.array([-1e300, 1e300, -1.7e308, 7e153, 5e160])
+    np.testing.assert_allclose(_chordal(x, y), np.abs(1.0 / y - 1.0 / x),
+                               rtol=1e-15, atol=0.0)
+    # below the range, the squared form keeps its bits
+    x, y = np.array([0.3, -2.0, 1e150]), np.array([1.7, 5.0, 3.0])
+    assert np.array_equal(_chordal(x, y),
+                          np.abs(x - y) / np.sqrt((1.0 + x * x) * (1.0 + y * y)))
+    report = nb.map_orbit(nb.derive_params(2, 1.0, 2.4142135623730951, 1.0), 0.5,
+                          x0=1e300, steps=10)
+    assert np.isfinite(report.recurrence_error)
 
 
 def test_map_orbit_refuses_an_orbit_past_the_byte_cap(narrow_band):

@@ -6,7 +6,8 @@ import pytest
 
 import netbath as nb
 from netbath.errors import DomainError, ShapeError, SizeError
-from netbath.rs import MIN_POOL, DisorderSpec, Population
+from netbath import rs
+from netbath.rs import _BLOCK, MIN_POOL, DisorderSpec, Population
 
 
 def test_variance_gain_identity(narrow_band, wide_band, lambda_grid):
@@ -121,30 +122,32 @@ def test_population_determinism(narrow_band):
     assert np.array_equal(a, b)
 
 
-def _sweep_generational_uniform(pop):
-    """The constant-degree, constant-coupling sweep population_step replaced."""
-    size = pop.samples.size
-    g0 = nb.g0_laplace(pop.params, pop.lam)
-    c_edge = pop.disorder.coupling[1]
-    c_edge = pop.params.C if c_edge is None else c_edge
-    k_deg = pop.disorder.degree[1]
-    k_deg = pop.params.n if k_deg is None else int(k_deg)
+def _sweep_by_rounds(pop):
+    """The sweep population_step replaced: each round draws the degrees,
+    then one (slots x k-1) index array, sums its rows with numpy and draws
+    the couplings; slots at the pole go to the next round."""
+    rng, disorder = pop.rng, pop.disorder
     source = pop.samples
-    idx = pop.rng.integers(0, size, size=(size, max(k_deg - 1, 0)))
-    total = source[idx].sum(axis=1)
-    prod = g0 * total
-    denom = 1.0 - prod
-    bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
+    size = source.size
+    g0 = nb.g0_laplace(pop.params, pop.lam)
+    new = np.empty(size)
+    todo = np.arange(size)
     rejected = 0
-    while np.any(bad):
-        redraw = np.flatnonzero(bad)
-        rejected += redraw.size
-        idx = pop.rng.integers(0, size, size=(redraw.size, max(k_deg - 1, 0)))
-        total[redraw] = source[idx].sum(axis=1)
+    while todo.size:
+        degree = disorder.draw_degree(rng, pop.params.n, todo.size)
+        width = max(int(np.max(degree)) - 1, 0)
+        drawn = source[rng.integers(0, size, size=(todo.size, width))]
+        if np.ndim(degree):
+            drawn[np.arange(width) >= degree[:, None] - 1] = 0.0
+        total = drawn.sum(axis=1)
+        c_edge = disorder.draw_coupling(rng, pop.params.C, todo.size)
         prod = g0 * total
         denom = 1.0 - prod
-        bad = np.abs(denom) < 1e-14 * np.maximum(1.0, np.abs(prod))
-    return (c_edge**2 / 2.0) * g0 / denom, rejected
+        poles = np.abs(denom) < np.maximum(np.abs(prod), 1.0) * 1e-14
+        new[todo] = (c_edge**2 / 2.0) * g0 / np.where(poles, np.nan, denom)
+        todo = todo[poles]
+        rejected += todo.size
+    return new, rejected
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -155,12 +158,78 @@ def test_population_sweep_matches_uniform_reference(n):
     ref = nb.population_init(p, 0.5, size=1000, seed=n, sigma=0.1 * k_branch)
     for sweep in range(1, 4):
         pop = nb.population_step(pop)
-        values, rejected = _sweep_generational_uniform(ref)
+        values, rejected = _sweep_by_rounds(ref)
         ref = replace(ref, samples=values, rejected=ref.rejected + rejected)
         assert pop.sweeps == sweep
         assert pop.samples.shape == ref.samples.shape
         assert np.array_equal(pop.samples, ref.samples)
         assert pop.rejected == ref.rejected
+
+
+# degree laws whose widest slot sums 0 to 12 terms, across the 7/8 boundary
+# where numpy's row sum turns pairwise, and both coupling laws
+_ROUND_LAWS = [dict(degree=("two_point", 1, k, 0.4)) for k in range(1, 14)] + [
+    dict(degree=("constant", 1)),
+    dict(degree=("two_point", 8, 9, 0.5)),
+    dict(coupling=("uniform", 0.01, 0.03)),
+    dict(coupling=("two_point", 0.01, 0.03, 0.3)),
+    dict(degree=("two_point", 3, 12, 0.5), coupling=("uniform", 0.01, 0.03)),
+]
+
+
+@pytest.mark.parametrize("law", _ROUND_LAWS,
+                         ids=[str(list(law.values())) for law in _ROUND_LAWS])
+@pytest.mark.parametrize("size", [MIN_POOL, 2 * _BLOCK + 7])
+def test_population_sweep_matches_row_sum_reference(law, size):
+    # the block walk keeps the stream and the sums of the whole-round draw
+    p = nb.derive_params(5, 1.0, 0.02, 1.0)
+    k_branch = nb.closed_form_fixed_point(p, 0.5) / (p.n - 1)
+    spec = DisorderSpec(**law)
+    pop, ref = (nb.population_init(p, 0.5, size=size, seed=size, sigma=0.1 * k_branch,
+                                   disorder=spec) for _ in range(2))
+    for _ in range(2):
+        pop = nb.population_step(pop)
+        values, rejected = _sweep_by_rounds(ref)
+        ref = replace(ref, samples=values, rejected=ref.rejected + rejected)
+        assert np.array_equal(pop.samples, ref.samples)
+        assert pop.rejected == ref.rejected
+
+
+@pytest.mark.parametrize("law", [dict(), dict(degree=("two_point", 2, 5, 0.5)),
+                                 dict(coupling=("uniform", 0.5, 1.5))])
+def test_population_redraw_rounds_match_row_sum_reference(narrow_band, law):
+    # half the samples sit where n-1 of them sum to the pole 1/G0, so whole
+    # slots are redrawn over several rounds
+    lam = 1.0
+    sample = 1.0 / (nb.g0_laplace(narrow_band, lam) * (narrow_band.n - 1))
+    samples = np.full(3 * MIN_POOL, sample)
+    samples[1::2] *= 0.9
+    pop, ref = (Population(samples=samples, lam=lam, params=narrow_band, seed=0,
+                           disorder=DisorderSpec(**law), rng=np.random.default_rng(4))
+                for _ in range(2))
+    stepped = nb.population_step(pop)
+    values, rejected = _sweep_by_rounds(ref)
+    assert rejected > 0
+    assert np.array_equal(stepped.samples, values)
+    assert stepped.rejected == rejected
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("size", [MIN_POOL, 3 * _BLOCK])
+def test_sweep_memory_within_its_charge(monkeypatch, n, size):
+    # a pool and its first sweep, k-1 = 3 and 11, hold less than
+    # population_init charges against the byte cap
+    charged = []
+    monkeypatch.setattr(rs, "_check_bytes", lambda need, what: charged.append(need))
+    p = nb.derive_params(n, 1.0, 0.02, 1.0)
+    tracemalloc.start()
+    try:
+        pop = nb.population_init(p, 0.5, size=size, seed=1, sigma=1e-4)
+        nb.population_step(pop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and peak < charged[0]
 
 
 def test_population_two_point_degree_from_delta_pool(narrow_band):
@@ -330,8 +399,8 @@ def test_sweep_stops_redrawing_at_the_pole(narrow_band):
 
 
 def test_pool_refused_by_its_sweep_before_allocating():
-    # at n = 20 a sweep of 10^7 slots draws 19 int64 indices and 19 floats
-    # per slot, about 3 GiB, though the pool itself is 80 MB
+    # at n = 20 a sweep of 10^7 slots is charged 19 int64 indices and 19
+    # floats per slot, about 3 GiB, though the pool itself is 80 MB
     params = nb.derive_params(20, 1.0, 0.01, 1.0)
     tracemalloc.start()
     try:
