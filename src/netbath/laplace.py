@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, SingularTransformError, \
     _check_bytes
-from .model import ModelParams, _check_finite, _laplace_s, _sqrt_terms, \
-    lambda_star
+from .model import ModelParams, _band, _check_finite, _laplace_s, \
+    _sqrt_terms, lambda_star
 
 #: Relative tolerance used to declare the rational update singular.
 POLE_RTOL = 1e-14
@@ -287,18 +287,15 @@ def fourier_fixed_point(params: ModelParams, nu):
     cut, ``(m/4)(x - i sign(nu) sqrt(a^4 - x^2))`` with ``x = omega^2 -
     nu^2``, so that the imaginary part is dissipative (<= 0 for nu > 0) and
     ``k*(nu) k*(-nu) = (n-1) C^2 / 2`` on the cut.  Hermitian by
-    construction: ``k*(-nu) = conj(k*(nu))``.  Raises :class:`DomainError`
-    unless every nu is finite.
+    construction: ``k*(-nu) = conj(k*(nu))``.  Zero for a decoupled network
+    (C = 0); raises :class:`DomainError` where the band is not real
+    (:func:`~netbath.model._band`) and unless every nu is finite.
     """
-    if params.C < 0:
-        raise DomainError("Fourier continuation needs C >= 0")
+    band = _band(params)
     nu_arr = _check_finite(nu, "nu")
-    if params.C == 0:
+    if not band:
         out = np.zeros(nu_arr.shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
-    if not params.band_defined:
-        raise DomainError("band edges are not real; no continuation at nu=0",
-                          lambda_star=lambda_star(params))
     x = params.omega_sq - nu_arr * nu_arr
     a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
     out = np.empty(nu_arr.shape, dtype=complex)

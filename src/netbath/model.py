@@ -10,9 +10,11 @@ amplitude ``Lambda``.  A scalar lambda is a grid of one: squares are taken
 by multiplication, so a point returns exactly the grid's float at that point.
 
 Each rule on outside input has one owner here, which every evaluator calls:
-:func:`_laplace_s` for lambda, the one place lambda^2 + omega^2 is formed;
+:class:`ModelParams` itself for the network's four inputs; :func:`_laplace_s`
+for lambda, the one place lambda^2 + omega^2 is formed;
 :func:`_check_step` for a time step; :func:`_check_uniform` for a time grid;
-:func:`_check_finite` for any frequency to be finite.
+:func:`_check_finite` for any frequency to be finite; :func:`_band` for
+whether a spectral route has a band to work on.
 
 Units: frequencies in rad/time, couplings in mass/time^2, hbar = 1.
 """
@@ -20,7 +22,7 @@ Units: frequencies in rad/time, couplings in mass/time^2, hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +36,11 @@ _POSITIVITY_MSG = "coupling C={C} violates the positivity bound C > -m*omega0^2/
 class ModelParams:
     """Network parameters plus every derived spectral quantity.
 
+    Takes four finite inputs: the degree n, an integer >= 2; the bare
+    frequency omega0 > 0; the edge coupling C, which may be negative down to
+    the positivity bound -m*omega0^2/n (exclusive); the mass m > 0.  Raises
+    DomainError on any other, and where a derived quantity overflows.  The
+    rest is derived, so ``dataclasses.replace`` re-derives and re-validates.
     Fields ``a_sq``, ``lambda_pp``, ``lambda_pm``, ``q`` and ``Lambda`` are
     ``nan`` when undefined (negative coupling for the band quantities,
     ``omega_sq < a_sq`` for the lower edge).
@@ -43,12 +50,61 @@ class ModelParams:
     omega0: float
     C: float
     m: float
-    omega_sq: float
-    a_sq: float
-    lambda_pp: float
-    lambda_pm: float
-    q: float
-    Lambda: float
+    omega_sq: float = field(init=False)
+    a_sq: float = field(init=False)
+    lambda_pp: float = field(init=False)
+    lambda_pm: float = field(init=False)
+    q: float = field(init=False)
+    Lambda: float = field(init=False)
+
+    def __post_init__(self):
+        n, omega0, C, m = self.n, self.omega0, self.C, self.m
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError(f"degree n must be an integer, got {n!r}")
+        n = int(n)
+        for name, val in (("omega0", omega0), ("C", C), ("m", m)):
+            if not math.isfinite(val):
+                raise DomainError(f"{name} must be finite, got {val!r}")
+        if n < 2:
+            raise DomainError(f"degree n must be >= 2, got {n}")
+        if omega0 <= 0:
+            raise DomainError(f"omega0 must be > 0, got {omega0}")
+        if m <= 0:
+            raise DomainError(f"mass m must be > 0, got {m}")
+        # Finite inputs can still overflow a derived quantity: a power raises
+        # OverflowError, a product or a sum goes to inf.  nan marks a quantity
+        # the band leaves undefined.
+        try:
+            bound = -m * omega0**2 / n
+            if C <= bound:
+                raise DomainError(_POSITIVITY_MSG.format(C=C, bound=bound))
+            omega_sq = omega0**2 + n * C / m
+            if C >= 0:
+                a_sq = math.sqrt(8.0 * (n - 1)) * C / m
+                lambda_pp = math.sqrt(omega_sq + a_sq)
+                if omega_sq >= a_sq:
+                    lambda_pm = math.sqrt(omega_sq - a_sq)
+                    q = lambda_pm / lambda_pp
+                else:
+                    lambda_pm = q = math.nan
+                Lambda = m * lambda_pp**3 / math.pi
+            else:
+                # Negative coupling is allowed only for existence scans; the
+                # band structure is undefined there.
+                a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
+            # C^4: the highest power of C any evaluator takes (the variance
+            # gain); omega_sq^2: the fixed point's (lambda^2 + omega^2)^2 at
+            # lambda = 0.
+            derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda,
+                       float(C)**4, omega_sq**2)
+        except OverflowError:
+            derived = (math.inf,)
+        if any(map(math.isinf, derived)):
+            raise DomainError(f"a derived quantity overflows at n={n}, "
+                              f"{omega0=}, {C=}, {m=}")
+        values = (n, float(omega0), float(C), float(m)) + derived[:6]
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     @property
     def band_defined(self) -> bool:
@@ -82,72 +138,8 @@ def _check_step(step: float, params: ModelParams | None, name: str) -> None:
 
 
 def derive_params(n: int, omega0: float, C: float, m: float) -> ModelParams:
-    """Validate raw inputs and populate all derived fields.
-
-    Parameters
-    ----------
-    n : int
-        Degree of the regular interaction graph, n >= 2.
-    omega0 : float
-        Bare oscillator frequency, > 0.
-    C : float
-        Spring constant of every edge.  May be negative down to the
-        positivity bound -m*omega0^2/n (exclusive).
-    m : float
-        Oscillator mass, > 0.
-
-    Raises
-    ------
-    DomainError
-        On non-finite inputs, out-of-range n/omega0/m, C at or below the
-        positivity bound, or inputs whose derived quantities overflow.
-    """
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"degree n must be an integer, got {n!r}")
-    n = int(n)
-    for name, val in (("omega0", omega0), ("C", C), ("m", m)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val!r}")
-    if n < 2:
-        raise DomainError(f"degree n must be >= 2, got {n}")
-    if omega0 <= 0:
-        raise DomainError(f"omega0 must be > 0, got {omega0}")
-    if m <= 0:
-        raise DomainError(f"mass m must be > 0, got {m}")
-    # Finite inputs can still overflow a derived quantity: a power raises
-    # OverflowError, a product or a sum goes to inf.  nan marks a quantity
-    # the band leaves undefined.
-    try:
-        bound = -m * omega0**2 / n
-        if C <= bound:
-            raise DomainError(_POSITIVITY_MSG.format(C=C, bound=bound))
-        omega_sq = omega0**2 + n * C / m
-        if C >= 0:
-            a_sq = math.sqrt(8.0 * (n - 1)) * C / m
-            lambda_pp = math.sqrt(omega_sq + a_sq)
-            if omega_sq >= a_sq:
-                lambda_pm = math.sqrt(omega_sq - a_sq)
-                q = lambda_pm / lambda_pp
-            else:
-                lambda_pm = math.nan
-                q = math.nan
-            Lambda = m * lambda_pp**3 / math.pi
-        else:
-            # Negative coupling is allowed only for existence scans; the band
-            # structure is undefined there.
-            a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
-        # C^4: the highest power of C any evaluator takes (the variance gain);
-        # omega_sq^2: the fixed point's (lambda^2 + omega^2)^2 at lambda = 0.
-        derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda,
-                   float(C)**4, omega_sq**2)
-    except OverflowError:
-        derived = (math.inf,)
-    if any(map(math.isinf, derived)):
-        raise DomainError(f"a derived quantity overflows at n={n}, "
-                          f"{omega0=}, {C=}, {m=}")
-    return ModelParams(n=n, omega0=float(omega0), C=float(C), m=float(m),
-                       omega_sq=omega_sq, a_sq=a_sq, lambda_pp=lambda_pp,
-                       lambda_pm=lambda_pm, q=q, Lambda=Lambda)
+    """``ModelParams(n, omega0, C, m)``: the inputs checked, the rest derived."""
+    return ModelParams(n, omega0, C, m)
 
 
 def critical_coupling(n: int, omega0: float, m: float) -> float | None:
@@ -207,6 +199,19 @@ def _laplace_s(params: ModelParams, lam) -> np.ndarray:
         raise DomainError("lambda must be finite and >= 0, with "
                           "lambda^2 + omega^2 finite")
     return s
+
+
+def _band(params: ModelParams) -> bool:
+    """The band rule of every spectral route: False for a decoupled network
+    (C = 0), where every kernel and density is exactly 0; True where both
+    band edges are real; otherwise DomainError, carrying lambda*."""
+    if params.C == 0:
+        return False
+    if not params.band_defined:
+        raise DomainError("band edges are not real at these parameters: "
+                          "they need C >= 0 and omega^2 >= a^2",
+                          lambda_star=lambda_star(params))
+    return True
 
 
 def fixed_point_exists(params: ModelParams, lam) -> bool | np.ndarray:

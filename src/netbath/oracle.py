@@ -61,7 +61,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DomainError, InstabilityError, _check_bytes
-from .model import ModelParams, _laplace_s
+from .model import ModelParams, _band, _laplace_s
 from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
@@ -243,8 +243,7 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     :class:`SizeError`, before the eigendecomposition is allocated, when it
     would need more than ``BYTE_CAP`` bytes.
     """
-    if not params.band_defined:
-        raise DomainError("band edges are not real at these parameters")
+    _band(params)   # refuses a band that is not real
     # No class spans two levels, so there are at least depth+1 classes, and
     # a path of them has exactly that many: a free refusal of the path
     # branch's eigenvectors, before the classes are found.

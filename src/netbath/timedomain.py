@@ -39,7 +39,8 @@ import numpy as np
 from .bessel import j0
 from .errors import DomainError, ShapeError, _check_bytes
 from .laplace import CavityKernel
-from .model import ModelParams, _check_finite, _check_step, _check_uniform
+from .model import ModelParams, _band, _check_finite, _check_step, \
+    _check_uniform
 
 
 class AccuracyWarning(UserWarning):
@@ -78,8 +79,9 @@ class TimeKernel:
 def _band_nodes(params: ModelParams, order: int):
     """Gauss-Chebyshev (2nd kind) nodes mapped onto the band variable.
 
-    Returns (x_i, c_i) with k(tau) = sum_i c_i sin(lambda_pp x_i tau) and the
-    envelope bound sum_i c_i.
+    Returns (x_i, c_i, w_i) with k(tau) = sum_i c_i sin(lambda_pp x_i tau),
+    the envelope bound sum_i c_i, and w_i the quadrature weights of
+    sqrt(s(1-s)).
     """
     i = np.arange(1, order + 1)
     theta = i * math.pi / (order + 1)
@@ -91,7 +93,7 @@ def _band_nodes(params: ModelParams, order: int):
     # Half of ModelParams.Lambda: the closure-consistent kernel amplitude.
     amplitude = 0.5 * params.Lambda
     coeff = amplitude * (1.0 - q2) ** 2 / 2.0 * 0.25 * w / x
-    return x, coeff
+    return x, coeff, w
 
 
 #: Elements of one block of rows of a (grid x node) matrix: 512 KiB per
@@ -157,19 +159,11 @@ def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
     return int(math.ceil(4.0 + 2.0 * tau_max * params.lambda_pp / math.pi))
 
 
-def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = None) -> TimeKernel:
-    """Evaluate the fixed-point kernel by quadrature over the spectral band.
-
-    Exact zero kernel for a decoupled network (C = 0).  Warns with
-    :class:`AccuracyWarning` when ``quad_order`` is below the rule
-    ``4 + 2 tau_max lambda_pp / pi``.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if params.C == 0:
-        return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          params=params)
-    if not params.band_defined:
-        raise DomainError("band edges are not real at these parameters")
+def _quad_order(params: ModelParams, tau_grid: np.ndarray,
+                quad_order: int | None = None) -> int:
+    """A band quadrature's order, by default 40 nodes past the rule at the
+    largest tau, which a given order below it is warned of; refuses, before
+    the nodes are built, a sine sum past the cap."""
     tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
     rule = recommended_quad_order(params, tau_max)
     if quad_order is None:
@@ -178,9 +172,24 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
         warnings.warn(
             f"quad_order={quad_order} below recommended {rule} for "
             f"tau_max*lambda_pp={tau_max * params.lambda_pp:.3g}",
-            AccuracyWarning, stacklevel=2)
+            AccuracyWarning, stacklevel=3)
     _check_sine_sum(tau_grid.size, quad_order, _NODE_BYTES)
-    x, coeff = _band_nodes(params, quad_order)
+    return quad_order
+
+
+def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = None) -> TimeKernel:
+    """Evaluate the fixed-point kernel by quadrature over the spectral band.
+
+    Exact zero kernel for a decoupled network (C = 0), and DomainError
+    where the band is not real: the band rule of every spectral route,
+    :func:`~netbath.model._band`.  Warns with :class:`AccuracyWarning` when
+    ``quad_order`` is below the rule ``4 + 2 tau_max lambda_pp / pi``.
+    """
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if not _band(params):
+        return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
+    quad_order = _quad_order(params, tau_grid, quad_order)
+    x, coeff, _ = _band_nodes(params, quad_order)
     values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
     return TimeKernel(tau=tau_grid, values=values, params=params,
                       meta={"quad_order": quad_order})
@@ -194,13 +203,13 @@ def spectral_density(params: ModelParams, omega_grid):
     ``integral J(w) sin(w tau) dw`` to coincide with
     :func:`branch_cut_kernel`, whose own normalization is pinned by the
     forward-transform closure.  A degenerate band (C = 0) yields identically
-    zero.  Raises :class:`DomainError` unless every omega is finite.
+    zero.  Raises :class:`DomainError` where the band is not real and unless
+    every omega is finite.
     """
-    if params.C != 0 and not params.band_defined:
-        raise DomainError("band edges are not real at these parameters")
+    band = _band(params)
     omega_grid = _check_finite(omega_grid, "omega")
     out = np.zeros_like(omega_grid)
-    if params.C == 0:
+    if not band:
         return out
     w2 = omega_grid**2
     inside = (np.abs(omega_grid) >= params.lambda_pm) & (np.abs(omega_grid) <= params.lambda_pp)
@@ -215,21 +224,15 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
     Uses the substitution w = lambda_pp * x and evaluates J through
     :func:`spectral_density`, so agreement with :func:`branch_cut_kernel`
     checks the density's formula and prefactor rather than repeating the
-    kernel quadrature verbatim.
+    kernel quadrature verbatim.  The band rule and the default order are
+    :func:`branch_cut_kernel`'s.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if params.C == 0:
-        return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          params=params)
-    tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
-    quad_order = recommended_quad_order(params, tau_max) + 40
-    _check_sine_sum(tau_grid.size, quad_order, _NODE_BYTES)
-    x, _ = _band_nodes(params, quad_order)
-    # Rebuild the quadrature weights for sqrt(s(1-s)) and change variables
+    if not _band(params):
+        return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
+    # The quadrature weights for sqrt(s(1-s)), with the variables changed to
     # w = lambda_pp x; J carries the square-root factors.
-    i = np.arange(1, quad_order + 1)
-    theta = i * math.pi / (quad_order + 1)
-    w_cheb = (math.pi / (quad_order + 1)) * np.sin(theta) ** 2
+    x, _, w_cheb = _band_nodes(params, _quad_order(params, tau_grid))
     omega = params.lambda_pp * x
     jvals = spectral_density(params, omega)
     q2 = params.q**2
@@ -322,11 +325,8 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
     f''''(0)=0.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if params.C == 0:
-        return TimeKernel(tau=tau_grid, values=np.zeros_like(tau_grid),
-                          params=params)
-    if not params.band_defined:
-        raise DomainError("band edges are not real at these parameters")
+    if not _band(params):
+        return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
     fine_step = params.fine_step if fine_step is None else fine_step
     _check_step(fine_step, params, "fine_step")
     dtau = _check_uniform(tau_grid, "tau")

@@ -17,7 +17,7 @@ beyond floating point.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ShapeError, SizeError, _check_bytes
 from .laplace import (CavityKernel, _check_lambda_grid, _edge_update,
                       closed_form_fixed_point, g0_laplace, map_orbit)
-from .model import ModelParams, derive_params
+from .model import ModelParams
 
 #: Refuse to build trees larger than this (2**20 nodes).
 NODE_CAP = 1 << 20
@@ -298,8 +298,7 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     Requires the fixed point to exist at ``lam``.
     """
     n = branching + 1
-    params_n = params if params.n == n else derive_params(
-        n, params.omega0, params.C, params.m)
+    params_n = params if params.n == n else replace(params, n=n)
     k_star = closed_form_fixed_point(params_n, lam)
     orbit = map_orbit(params_n, lam, steps=max_depth, tol=0.0).orbit
     orbit = np.pad(orbit, (0, max_depth + 1 - orbit.size), mode="edge")

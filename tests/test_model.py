@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -142,6 +143,32 @@ def test_derive_params_pure(n, omega0, c, m):
     b = nb.derive_params(n, omega0, c, m)
     # repr equality is bit-level and treats undefined (nan) fields as equal
     assert repr(a) == repr(b)
+
+
+@given(st.integers(2, 12), st.floats(0.1, 20.0), st.floats(0.0, 5.0),
+       st.floats(0.1, 4.0), st.floats(-1.0, 5.0))
+def test_replace_derives_and_validates_again(n, omega0, c, m, c_new):
+    # the four inputs are the only init fields: replace derives every other
+    # field again, bit for bit, and refuses what derive_params refuses
+    p = nb.derive_params(n, omega0, c, m)
+    assert [f.name for f in dataclasses.fields(p) if f.init] == ["n", "omega0", "C", "m"]
+    bound = -m * omega0**2 / n
+    if c_new > bound:
+        assert repr(dataclasses.replace(p, C=c_new)) == repr(
+            nb.derive_params(n, omega0, c_new, m))
+    for bad in (bound, bound - 1.0, math.nan):
+        with pytest.raises(DomainError):
+            dataclasses.replace(p, C=bad)
+
+
+def test_replace_rederives_the_fixed_point():
+    p = dataclasses.replace(nb.derive_params(5, 10.0, 1.0, 0.5), C=2.0)
+    assert p.omega_sq == 120.0
+    assert nb.closed_form_fixed_point(p, 1.0) == nb.closed_form_fixed_point(
+        nb.derive_params(5, 10.0, 2.0, 0.5), 1.0)
+    for bad in (-10.0, -20.0):     # the bound is -m omega0^2/n = -10
+        with pytest.raises(DomainError, match="positivity"):
+            dataclasses.replace(p, C=bad)
 
 
 @given(st.integers(2, 12), st.floats(0.1, 20.0),

@@ -47,7 +47,7 @@ def test_branch_cut_zero_at_origin(narrow_band, wide_band):
         tk = nb.branch_cut_kernel(p, tau)
         assert tk.values[0] == 0.0
         # |sin| <= 1 bounds the kernel by the sum of its node coefficients
-        _, coeff = _band_nodes(p, 256)
+        _, coeff, _ = _band_nodes(p, 256)
         assert np.max(np.abs(tk.values)) <= np.sum(coeff) * (1 + 1e-12)
 
 
@@ -62,12 +62,19 @@ def test_branch_cut_decoupled_zero():
 
 
 def test_time_domain_routes_refuse_a_band_that_is_not_real():
-    p = nb.derive_params(2, 0.2, 5.0, 0.1)
-    assert not p.band_defined
-    for evaluate in (lambda: nb.spectral_density(p, [0.5, 1.0]),
-                     lambda: nb.bessel_kernel(p, np.linspace(0.0, 1.0, 11))):
-        with pytest.raises(DomainError, match="band edges are not real"):
-            evaluate()
+    # one band rule: every route refuses a lower edge that is not real, and a
+    # negative coupling, with the same DomainError carrying lambda*
+    tau = np.linspace(0.0, 1.0, 11)
+    for p in (nb.derive_params(2, 0.2, 5.0, 0.1), nb.derive_params(2, 1.0, -0.4, 1.0)):
+        assert not p.band_defined
+        for evaluate in (lambda: nb.spectral_density(p, [0.5, 1.0]),
+                         lambda: nb.bessel_kernel(p, tau),
+                         lambda: nb.branch_cut_kernel(p, tau),
+                         lambda: nb.spectral_density_sine_transform(p, tau),
+                         lambda: nb.oracle_time_kernel(nb.build_chain(4), p, tau)):
+            with pytest.raises(DomainError, match="band edges are not real") as err:
+                evaluate()
+            assert err.value.lambda_star == nb.lambda_star(p)
 
 
 def test_branch_cut_quadrature_converged(wide_band):
@@ -116,7 +123,7 @@ def test_blocked_sums_match_one_product(wide_band, n):
     # Row blocks give every row the bits of one product over the whole grid.
     p = wide_band
     t = np.linspace(0.0, 5.0, n)
-    x, coeff = _band_nodes(p, 119)
+    x, coeff, _ = _band_nodes(p, 119)
     one = np.sin(p.lambda_pp * np.outer(t, x)) @ coeff
     assert np.array_equal(_sine_sum(t, x, coeff, p.lambda_pp), one)
     xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(p, n, 5.0))
