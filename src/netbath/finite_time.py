@@ -96,15 +96,18 @@ class ThermalState:
 def thermal_init(beta: float, params: ModelParams) -> ThermalState:
     """Thermal-state parameters at inverse temperature beta > 0.
 
-    ``beta = inf`` is the ground state.
+    ``beta = inf`` is the ground state.  A beta so small that A', C' or 1/A'
+    is not a finite positive float is refused with DomainError.
     """
     if not beta > 0:   # nan included
         raise DomainError(f"beta must be > 0, got {beta}")
     omega = math.sqrt(params.omega_sq)
-    half = beta * omega / 2.0
-    a_p = params.m * omega / 2.0 * math.tanh(half)
-    c_p = params.m * omega / 2.0 / math.tanh(half)
-    return ThermalState(A_prime=a_p, C_prime=c_p)
+    scale = params.m * omega / 2.0
+    tanh = math.tanh(beta * omega / 2.0)
+    a_p = scale * tanh
+    if not (a_p > 0.0 and scale / tanh < math.inf and 1.0 / a_p < math.inf):
+        raise DomainError(f"beta={beta:.3g} leaves the thermal state not finite")
+    return ThermalState(A_prime=a_p, C_prime=scale / tanh)
 
 
 @dataclass

@@ -22,7 +22,7 @@ Units: frequencies in rad/time, couplings in mass/time^2, hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,8 +103,8 @@ class ModelParams:
             raise DomainError(f"a derived quantity overflows at n={n}, "
                               f"{omega0=}, {C=}, {m=}")
         values = (n, float(omega0), float(C), float(m)) + derived[:6]
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
+        # every field in order, written past the frozen __setattr__
+        self.__dict__.update(zip(self.__dataclass_fields__, values))
 
     @property
     def band_defined(self) -> bool:

@@ -189,15 +189,13 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     disorder = disorder or DisorderSpec()
     degrees = disorder.degree[1:3]      # the law's degrees, or (None,)
     width = max((params.n if degrees[0] is None else max(degrees)) - 1, 0)
-    # An upper bound on what a sweep holds at once: the old and new pools,
-    # the slots to fill and their degrees; per slot k-1 int64 indices, their
-    # float draws and a bool mask; and seven slot-long temporaries of the
-    # coupling draw and the edge update, which dominate at small k.  The
-    # indices, draws and mask live one block of slots at a time, so past one
-    # block the bound is loose: at 10^6 slots a sweep peaks at 41 to 65
-    # bytes a slot against 139 to 275 charged (tracemalloc, k-1 = 3 and 11).
-    # A tighter charge would admit larger pools than any caller asks for.
-    _check_bytes(size * (8 * (11 + 2 * width) + width),
+    # Above the tracemalloc peaks of a pool and its sweep at k-1 = 3 and 11:
+    # per slot, 72 bytes for the pools and the slot-long temporaries of the
+    # degree and coupling draws and the edge update, which peaked at 41.0 (no
+    # disorder) to 65.0 bytes (both laws) at 10^5 and 10^6 slots; and 25 per
+    # entry of one block of (slots x k-1) int64 indices, float draws and bool
+    # mask, which peaked at 24.0 with the draws of the block before held.
+    _check_bytes(72 * size + 25 * _BLOCK * width,
                  f"population pool of {size} samples and its sweep")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)

@@ -161,9 +161,9 @@ def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
 
 def _quad_order(params: ModelParams, tau_grid: np.ndarray,
                 quad_order: int | None = None) -> int:
-    """A band quadrature's order, by default 40 nodes past the rule at the
-    largest tau, which a given order below it is warned of; refuses, before
-    the nodes are built, a sine sum past the cap."""
+    """The order of a band quadrature on ``tau_grid``: 40 nodes past the rule
+    at its largest tau, or ``quad_order``, warned of below the rule.  Refuses,
+    before the nodes are built, a sine sum past the cap."""
     tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
     rule = recommended_quad_order(params, tau_max)
     if quad_order is None:

@@ -104,19 +104,22 @@ class TreeGraph:
 def build_tree(branching: int, depth: int) -> TreeGraph:
     """Regular rooted tree: every node down to level depth-1 has ``branching`` children.
 
-    Nodes are numbered breadth first, so each level is one run of ids.
+    Nodes are numbered breadth first, so each level is one run of ids.  A
+    tree of more than ``NODE_CAP`` nodes is refused with SizeError, one that
+    branches past depth 20 before its node count is formed.
     """
     if branching < 1:
         raise DomainError(f"branching must be >= 1, got {branching}")
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    if branching == 1:
-        n_nodes = depth + 1
-    else:
-        n_nodes = (branching ** (depth + 1) - 1) // (branching - 1)
+    # A wider or deeper branching tree than this count forms gets the same
+    # verdict, and a one-node tree of any width the same parent array.
+    b = min(branching, NODE_CAP + 1)
+    levels = min(depth, NODE_CAP.bit_length()) + 1
+    n_nodes = depth + 1 if b == 1 else (b ** levels - 1) // (b - 1)
     if n_nodes > NODE_CAP:
-        raise SizeError(f"tree would have {n_nodes} nodes, cap is {NODE_CAP}")
-    return TreeGraph(parent=(np.arange(n_nodes) - 1) // branching)
+        raise SizeError(f"tree would have more than {NODE_CAP} nodes, the cap")
+    return TreeGraph(parent=(np.arange(n_nodes) - 1) // b)
 
 
 def build_chain(depth: int) -> TreeGraph:

@@ -301,6 +301,11 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     (f"kernel --tau-count {10**11}", 2, "size"),
     ("kernel --method bessel --tau-max 1e9", 2, "size"),
     (f"population --pool-size {10**11}", 2, "size"),
+    # a tree refused from its depth, before a node count of 6,000 digits
+    ("kernel --method oracle --depth 20000", 2, "size"),
+    # a beta at which tanh(beta omega/2) underflows, or C' overflows
+    ("finite-time --omega0 0.1 --C 0.001 --beta 5e-324", 3, "domain"),
+    ("finite-time --omega0 0.1 --C 0.001 --beta 1e-320", 3, "domain"),
     # an infinite beta is the ground state
     ("finite-time --beta inf --T 0.5", 0, None),
     ("tree", 0, None),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_thermal_init_values():
     state = nb.thermal_init(2.0, p)               # beta*omega/2 = 1
     assert state.A_prime == pytest.approx(TANH1_HALF, rel=1e-14)
     assert state.A_prime * state.C_prime == pytest.approx(0.25, rel=1e-14)
+    # a beta at which tanh(beta omega/2) underflows to 0, or C' overflows,
+    # is refused as beta = 0 is, here and at the finite-time command's omega
+    for params in (p, nb.derive_params(5, 0.1, 0.001, 0.5)):
+        for beta in (0.0, 5e-324, 1e-320):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError, match="beta"):
+                    nb.thermal_init(beta, params)
 
 
 def test_thermal_ground_state_limit(ft_params):

@@ -398,23 +398,38 @@ def test_sweep_stops_redrawing_at_the_pole(narrow_band):
         nb.population_step(pop)
 
 
-def test_pool_refused_by_its_sweep_before_allocating():
-    # at n = 20 a sweep of 10^7 slots is charged 19 int64 indices and 19
-    # floats per slot, about 3 GiB, though the pool itself is 80 MB
+def test_pool_refused_by_its_sweep_before_allocating(monkeypatch):
+    # a sweep of 3 x 10^7 slots is charged 72 bytes a slot, about 2.01 GiB,
+    # though the pool itself is 240 MB
     params = nb.derive_params(20, 1.0, 0.01, 1.0)
     tracemalloc.start()
     try:
         with pytest.raises(SizeError, match="sweep"):
-            nb.population_init(params, 1.0, size=10**7)
+            nb.population_init(params, 1.0, size=3 * 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # at n = 3 the same pool passes, but not under a degree law reaching 20
-    spec = DisorderSpec(degree=("two_point", 2, 20, 0.99))
+
+    # 2.97 x 10^7 slots pass the charge at n = 3 and 20, which stops here
+    # before any pool is allocated, but not under a degree law reaching 40,
+    # whose block of 39 indices and draws a slot tips them past the cap
+    class Passed(Exception):
+        pass
+
+    def charge(need, what, check=rs._check_bytes):
+        check(need, what)
+        raise Passed
+
+    monkeypatch.setattr(rs, "_check_bytes", charge)
+    size = 297 * 10**5
+    for n in (3, 20):
+        with pytest.raises(Passed):
+            nb.population_init(nb.derive_params(n, 1.0, 0.01, 1.0), 1.0, size=size)
+    spec = DisorderSpec(degree=("two_point", 2, 40, 0.99))
     with pytest.raises(SizeError):
         nb.population_init(nb.derive_params(3, 1.0, 0.01, 1.0), 1.0,
-                           size=10**7, disorder=spec)
+                           size=size, disorder=spec)
 
 
 def test_map_orbit_classifications(narrow_band):

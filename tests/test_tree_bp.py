@@ -116,6 +116,14 @@ def test_build_shapes():
 def test_build_caps_and_validation():
     with pytest.raises(SizeError):
         nb.build_tree(2, 25)
+    # refused from its depth or width, before a node count of thousands of
+    # digits is formed or formatted; a one-node tree of any width is built
+    for branching, depth in ((2, 20000), (3, 9000), (10**5000, 1), (1, 10**5000)):
+        with pytest.raises(SizeError) as err:
+            nb.build_tree(branching, depth)
+        assert len(str(err.value)) < 100
+    assert nb.build_tree(2, 19).n_nodes == (1 << 20) - 1
+    assert nb.build_tree(10**5000, 0).n_nodes == 1
     with pytest.raises(DomainError):
         nb.build_tree(0, 3)
     with pytest.raises(DomainError):
