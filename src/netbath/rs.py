@@ -192,10 +192,11 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     # Above the tracemalloc peaks of a pool and its sweep at k-1 = 3 and 11:
     # per slot, 72 bytes for the pools and the slot-long temporaries of the
     # degree and coupling draws and the edge update, which peaked at 41.0 (no
-    # disorder) to 65.0 bytes (both laws) at 10^5 and 10^6 slots; and 25 per
+    # disorder) to 65.0 bytes (both laws) at 10^5 and 10^6 slots; and 18 per
     # entry of one block of (slots x k-1) int64 indices, float draws and bool
-    # mask, which peaked at 24.0 with the draws of the block before held.
-    _check_bytes(72 * size + 25 * _BLOCK * width,
+    # mask, which peaked at 16.0 for k-1 = 1 to 50, and at 17.1 for k-1 = 1
+    # under a degree law.
+    _check_bytes(72 * size + 18 * _BLOCK * width,
                  f"population pool of {size} samples and its sweep")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)
@@ -242,6 +243,7 @@ def _aggregate(rng: np.random.Generator, source: np.ndarray, degree,
                 out += drawn[:, j]
         else:
             drawn.sum(axis=1, out=out)
+        del drawn   # before the next block's draw
     return total
 
 

@@ -12,7 +12,11 @@ Two independent routes invert the Laplace-side fixed point:
   square-root singularities exactly.  This is the production evaluator.  The
   amplitude is half of ``ModelParams.Lambda``: the halved value is what the
   contour algebra gives, what the Bessel route reproduces, and what
-  forward-transforms back to the closed-form fixed point.
+  forward-transforms back to the closed-form fixed point.  Its sum over the
+  nodes, which the spectral-density transform and the oracle's mode sum
+  share, is evaluated on the uniform tau grid by the angle-addition split
+  sin(a + r) = sin a cos r + cos a sin r, with about sqrt(N) block starts a
+  and offsets r, as matrix products (:func:`_sine_sum`).
 
 * :func:`bessel_kernel` builds f(t) = integral_0^t J0(w1 u) J0(w2 (t-u)) du
   and combines it with finite-difference derivatives,
@@ -65,15 +69,21 @@ class TimeKernel:
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.tau.ndim != 1 or self.tau.size < 1:
-            raise ShapeError("tau grid must be a nonempty 1-d array")
-        if np.any(self.tau < 0):
-            raise ShapeError("tau grid must be nonnegative")
-        self.step = _check_uniform(self.tau, "tau")
+        self.step = _check_tau(self.tau)
         if self.values.shape != self.tau.shape:
             raise ShapeError("values and tau shapes differ")
         if not np.all(np.isfinite(self.values)):
             raise ShapeError("kernel values must be finite")
+
+
+def _check_tau(tau: np.ndarray) -> float:
+    """The step of a tau grid; ShapeError unless it is a nonempty 1-d array,
+    nonnegative, uniform and increasing."""
+    if tau.ndim != 1 or tau.size < 1:
+        raise ShapeError("tau grid must be a nonempty 1-d array")
+    if np.any(tau < 0):
+        raise ShapeError("tau grid must be nonnegative")
+    return _check_uniform(tau, "tau")
 
 
 def _band_nodes(params: ModelParams, order: int):
@@ -96,13 +106,14 @@ def _band_nodes(params: ModelParams, order: int):
     return x, coeff, w
 
 
-#: Elements of one block of rows of a (grid x node) matrix: 512 KiB per
-#: float64 array.
+#: Elements of one block of a (grid x node) matrix: 512 KiB per float64
+#: array.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def _row_blocks(n_rows: int, width: int):
-    """Slices of ``range(n_rows)`` whose rows of ``width`` fill about one block.
+    """Slices of ``range(n_rows)`` whose rows of ``width`` fill about one
+    block: the (t x node) rows of the Bessel convolution.
 
     A multiple of 16 rows per slice: BLAS matrix-vector kernels sum rows in
     groups of 4 or 8, so whole groups give every row the bits that one
@@ -119,39 +130,93 @@ def _row_blocks(n_rows: int, width: int):
 # Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
 # node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
 # float64 arrays, by peak RSS); per element of a row block, at most
-# max(_BLOCK_ELEMENTS, 17 width) (2.00-2.24 arrays for the sine, 11.8-12.0
-# for the j0 calls); per point (3.13 for a sine-sum kernel with TimeKernel's
-# checks, 6.6 per fine point for the Bessel kernel's stencils on the odd
-# extension of f, on a tau grid as fine as its fine grid).
+# max(_BLOCK_ELEMENTS, 17 width) (11.8-12.0 arrays for the j0 calls); per
+# (Q + B) x width entry of a column block of the sine sum, with its phases,
+# weighted copies and node vectors (3.3-3.7 arrays, 4.85 at N = 2); per
+# point (3.01-3.14 for a sine-sum kernel: its output and accumulators, then
+# TimeKernel's checks; 6.6 per fine point for the Bessel kernel's stencils
+# on the odd extension of f, on a tau grid as fine as its fine grid).
 _NODE_BYTES = 100
 _COMPANION_BYTES = 8 * 2.25
-_SINE_BLOCK_BYTES = 8 * 2.5
+_TRIG_BYTES = 8 * 5.0
 _BESSEL_BLOCK_BYTES = 8 * 12.5
 _TAU_BYTES = 8 * 3.2
 _FINE_POINT_BYTES = 8 * 10.2
 
 
+def _split(n_tau: int, n_freqs: int):
+    """(B, Q, width) of the sine sum on ``n_tau`` points: B = ceil(sqrt N)
+    offsets, Q block starts, and the frequencies of one column block, whose
+    four trig matrices of Q and B rows hold about ``_BLOCK_ELEMENTS / 2``
+    entries together."""
+    b = math.isqrt(max(n_tau - 1, 0)) + 1
+    q = -(-n_tau // b)
+    return b, q, max(1, min(n_freqs, _BLOCK_ELEMENTS // (4 * (q + b))))
+
+
 def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
-    """Refuse, before allocating, a sine sum past the cap: its output, one
-    block of its phase matrix, and ``node_bytes`` per frequency for the
-    arrays that build the frequencies."""
-    _check_bytes(_TAU_BYTES * n_tau + node_bytes * n_freqs
-                 + _SINE_BLOCK_BYTES * max(_BLOCK_ELEMENTS, 17 * n_freqs),
+    """Refuse, before allocating, a sine sum past the cap: its output and
+    (Q x B) accumulators, one column block of its trig matrices, never less
+    than a whole one, and ``node_bytes`` per frequency for the arrays that
+    build the frequencies."""
+    b, q, _ = _split(n_tau, n_freqs)
+    _check_bytes(_TAU_BYTES * q * b + node_bytes * n_freqs
+                 + _TRIG_BYTES * max(q + b, _BLOCK_ELEMENTS // 4),
                  f"sine sum over {n_tau} x {n_freqs} points")
 
 
 def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
 
-    Refuses, before allocating, a sum past the cap; the (tau x frequency)
-    phase matrix is built one block of rows at a time.
+    Refuses, before allocating, a sum past the cap, and a tau grid that
+    :class:`TimeKernel` refuses.  The grid is uniform, so each
+    tau_i = a_q + r_b + delta_i, with block starts a_q = ``tau[::B]``,
+    offsets r_b = ``tau[:B] - tau[0]`` and delta_i within the grid's
+    tolerance.  The sum is evaluated by the angle-addition split
+
+        sin(A + R) = sin A cos R + cos A sin R,
+
+    as matrix products of the (Q x node) and (node x B) trig matrices:
+    2 (Q + B) sines and cosines per node instead of N sines.  The first
+    order term in delta_i, ``delta_i sum_j w_j f_j cos(f_j (a_q + r_b))``,
+    comes from the same trig matrices.  The nodes are walked in column
+    blocks, since the sum is linear in them.
     """
-    _check_sine_sum(len(tau), len(freqs))
-    tau = np.asarray(tau)
-    out = np.empty(tau.size)
-    for rows in _row_blocks(tau.size, len(freqs)):
-        out[rows] = np.sin(scale * np.outer(tau[rows], freqs)) @ weights
-    return out
+    tau = np.asarray(tau, dtype=float)
+    n = tau.size
+    _check_sine_sum(n, len(freqs))
+    _check_tau(tau)
+    b, q, width = _split(n, len(freqs))
+    starts, offsets = tau[::b], tau[:b] - tau[0]
+    out, slope, part = np.zeros((q, b)), np.zeros((q, b)), np.empty((q, b))
+    for lo in range(0, len(freqs), width):
+        f = scale * freqs[lo:lo + width]
+        w = weights[lo:lo + width, None]
+        c = f.size
+        phase = np.outer(starts, f)
+        left = np.empty((q, 2 * c))      # [sin A | cos A]
+        np.sin(phase, out=left[:, :c])
+        np.cos(phase, out=left[:, c:])
+        phase = np.outer(f, offsets)
+        sin_r = np.sin(phase)
+        cos_r = np.cos(phase, out=phase)
+        right = np.empty((2 * c, b))
+        np.multiply(w, cos_r, out=right[:c])
+        np.multiply(w, sin_r, out=right[c:])
+        out += np.matmul(left, right, out=part)
+        w = w * f[:, None]               # d/dtau sin(f tau) = f cos(f tau)
+        np.multiply(-w, sin_r, out=right[:c])
+        np.multiply(w, cos_r, out=right[c:])
+        slope += np.matmul(left, right, out=part)
+        del left, right, sin_r, cos_r, phase   # before the next block's
+    delta = part.reshape(-1)
+    delta[:n] = tau
+    delta[n:] = tau[-1]                  # padding, cut from the output
+    part -= starts[:, None]
+    part -= offsets
+    part *= slope
+    out += part
+    return out.reshape(-1)[:n]
 
 
 def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
