@@ -1,83 +1,19 @@
-"""Bessel function J0 evaluated in-repo (no special-function dependency).
+"""Bessel function J0 for the convolution route of the time-domain kernel.
 
-Classic double-precision scheme (Cephes j0): on [0, 5] a rational
-approximation pinned at the first two zeros of J0, above 5 the Hankel
-asymptotic form with degree-6/6 and 7/7 rational modulators,
-
-    J0(x) ~ sqrt(2/(pi x)) [P(25/x^2) cos(x - pi/4) - (5/x) Q(25/x^2) sin(x - pi/4)].
-
-Peak absolute error a few 1e-16 over [0, 30]; well below the 1e-14 budget of
-the convolution route that consumes it.
+The values are ``scipy.special.j0``'s (Cephes j0: a rational approximation
+on [0, 5], the Hankel asymptotic form above), imported on the first call so
+that only the Bessel route loads ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_SQ2OPI = 7.9788456080286535587989e-1    # sqrt(2/pi)
-_PIO4 = 7.85398163397448309616e-1        # pi/4
-
-_PP = [7.96936729297347051624e-4, 8.28352392107440799803e-2,
-       1.23953371646414299388e0, 5.44725003058768775090e0,
-       8.74716500199817011941e0, 5.30324038235394892183e0,
-       9.99999999999999997821e-1]
-_PQ = [9.24408810558863637013e-4, 8.56288474354474431428e-2,
-       1.25352743901058953537e0, 5.47097740330417105182e0,
-       8.76190883237069594232e0, 5.30605288235394617618e0,
-       1.00000000000000000218e0]
-_QP = [-1.13663838898469149931e-2, -1.28252718670509318512e0,
-       -1.95539544257735972385e1, -9.32060152123768231369e1,
-       -1.77681167980488050595e2, -1.47077505154951170175e2,
-       -5.14105326766599330220e1, -6.05014350600728481186e0]
-_QQ = [6.43178256118178023184e1, 8.56430025976980587198e2,
-       3.88240183605401609683e3, 7.24046774195652478189e3,
-       5.93072701187316984827e3, 2.06209331660327847417e3,
-       2.42005740240291393179e2]    # leading coefficient 1 implied
-_RP = [-4.79443220978201773821e9, 1.95617491946556577543e12,
-       -2.49248344360967716204e14, 9.70862251047306323952e15]
-_RQ = [4.99563147152651017219e2, 1.73785401676374683123e5,
-       4.84409658339962045305e7, 1.11855537045356834862e10,
-       2.11277520115489217587e12, 3.10518229857422583814e14,
-       3.18121955943204943306e16, 1.71086294081043136091e18]
-_DR1 = 5.78318596294678452118e0          # first zero of J0, squared
-_DR2 = 3.04712623436620863991e1          # second zero of J0, squared
-
-
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
 
 def j0(x):
-    """Bessel function of the first kind, order zero, for real argument."""
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
+    """Bessel function of the first kind, order zero, for real argument;
+    a Python float for a scalar."""
+    from scipy.special import j0 as _j0
 
-    small = x <= 5.0
-    xs = x[small]
-    z = xs * xs
-    tiny = xs < 1.0e-5
-    approx = 1.0 - z / 4.0
-    rational = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
-    out[small] = np.where(tiny, approx, rational)
-
-    xl = x[~small]
-    w = 5.0 / xl
-    z = w * w
-    p = _polevl(z, _PP) / _polevl(z, _PQ)
-    q = _polevl(z, _QP) / _p1evl(z, _QQ)
-    xn = xl - _PIO4
-    out[~small] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
-
-    return float(out[0]) if scalar else out
+    out = _j0(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out

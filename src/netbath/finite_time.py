@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
@@ -255,6 +254,8 @@ def _toeplitz_solve(a_row: np.ndarray, k_row: np.ndarray, dt: float):
 
 def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
     """Row 0 of M, and G, from one unit-upper-triangular solve of (I - M) G = A."""
+    import scipy.linalg
+
     k_half = k.copy()
     diag = np.diag_indices_from(k_half)
     k_half[diag] *= 0.5

@@ -173,7 +173,8 @@ def lambda_star(params: ModelParams) -> float | None:
 def _check_uniform(grid: np.ndarray, name: str) -> float:
     """The step of a grid, 0 for one point; ShapeError unless the grid is
     uniform (to 1e-9 relative) and increasing by a finite step."""
-    steps = np.diff(grid)
+    with np.errstate(invalid="ignore"):   # inf - inf: a nan step, refused
+        steps = np.diff(grid)
     if not ((steps > 0) & (steps < np.inf)).all() or not np.allclose(
             steps, steps[:1], rtol=1e-9, atol=0.0):
         raise ShapeError(f"{name} grid must be uniform and increasing by a finite step")

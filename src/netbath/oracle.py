@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import math
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import DomainError, InstabilityError, _check_bytes
 from .model import ModelParams, _band, _laplace_s
@@ -66,8 +64,11 @@ from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
 
-def _coupling_matrix(tree: TreeGraph, params: ModelParams) -> scipy.sparse.csr_matrix:
-    """The tree's coupling ``-(C/sqrt(2)) A`` in CSR form; lambda is not in it."""
+def _coupling_matrix(tree: TreeGraph, params: ModelParams):
+    """The tree's coupling ``-(C/sqrt(2)) A`` as a ``scipy.sparse.csr_matrix``;
+    lambda is not in it."""
+    import scipy.sparse
+
     child = np.flatnonzero(tree.parent >= 0)
     parent = tree.parent[child]
     rows = np.concatenate((child, parent))
@@ -253,6 +254,8 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     k = class_parent.size
     coupling = np.sqrt(multiplicity[1:])
     if np.array_equal(class_parent[1:], np.arange(k - 1)):
+        import scipy.linalg
+
         mu, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(k), coupling)
     else:
         # Measured: the matrix, LAPACK's copy of it with a 2 k^2 workspace,

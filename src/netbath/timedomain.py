@@ -78,12 +78,15 @@ class TimeKernel:
 
 def _check_tau(tau: np.ndarray) -> float:
     """The step of a tau grid; ShapeError unless it is a nonempty 1-d array,
-    nonnegative, uniform and increasing."""
+    nonnegative, finite, uniform and increasing."""
     if tau.ndim != 1 or tau.size < 1:
         raise ShapeError("tau grid must be a nonempty 1-d array")
     if np.any(tau < 0):
         raise ShapeError("tau grid must be nonnegative")
-    return _check_uniform(tau, "tau")
+    step = _check_uniform(tau, "tau")
+    if not math.isfinite(tau[0]):   # past a finite step, every tau is finite
+        raise ShapeError("tau grid must be finite")
+    return step
 
 
 def _band_nodes(params: ModelParams, order: int):
@@ -130,7 +133,8 @@ def _row_blocks(n_rows: int, width: int):
 # Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
 # node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
 # float64 arrays, by peak RSS); per element of a row block, at most
-# max(_BLOCK_ELEMENTS, 17 width) (11.8-12.0 arrays for the j0 calls); per
+# max(_BLOCK_ELEMENTS, 17 width) (4.00-4.02 arrays: the phases, the two J0
+# values and their product, at 60-20,000 nodes); per
 # (Q + B) x width entry of a column block of the sine sum, with its phases,
 # weighted copies and node vectors (3.3-3.7 arrays, 4.85 at N = 2); per
 # point (3.01-3.14 for a sine-sum kernel: its output and accumulators, then
@@ -139,7 +143,7 @@ def _row_blocks(n_rows: int, width: int):
 _NODE_BYTES = 100
 _COMPANION_BYTES = 8 * 2.25
 _TRIG_BYTES = 8 * 5.0
-_BESSEL_BLOCK_BYTES = 8 * 12.5
+_BESSEL_BLOCK_BYTES = 8 * 4.1
 _TAU_BYTES = 8 * 3.2
 _FINE_POINT_BYTES = 8 * 10.2
 
@@ -227,9 +231,11 @@ def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
 def _quad_order(params: ModelParams, tau_grid: np.ndarray,
                 quad_order: int | None = None) -> int:
     """The order of a band quadrature on ``tau_grid``: 40 nodes past the rule
-    at its largest tau, or ``quad_order``, warned of below the rule.  Refuses,
-    before the nodes are built, a sine sum past the cap."""
-    tau_max = float(np.max(tau_grid)) if tau_grid.size else 0.0
+    at its largest tau, or ``quad_order``, warned of below the rule.  Refuses
+    first a grid that :func:`_check_tau` refuses, then, before the nodes are
+    built, a sine sum past the cap."""
+    _check_tau(tau_grid)
+    tau_max = float(tau_grid[-1])
     rule = recommended_quad_order(params, tau_max)
     if quad_order is None:
         quad_order = rule + 40
@@ -394,7 +400,7 @@ def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None)
         return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
     fine_step = params.fine_step if fine_step is None else fine_step
     _check_step(fine_step, params, "fine_step")
-    dtau = _check_uniform(tau_grid, "tau")
+    dtau = _check_tau(tau_grid)
     refine = max(1, int(math.ceil(dtau / fine_step - 1e-12)))
     h = dtau / refine if dtau else fine_step
     offset0 = tau_grid[0] / h

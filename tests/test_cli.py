@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +21,30 @@ def run_cli(args):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+_SCIPY_LOADS = """
+import sys
+import netbath, netbath.cli
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert scipy() == [], scipy()
+assert netbath.cli.main(["phase", "--lambda-count", "5"]) == 0
+assert scipy() == [], scipy()
+assert netbath.cli.main(["kernel", "--method", "bessel", "--tau-count", "11"]) == 0
+assert "scipy.special" in sys.modules, scipy()
+"""
+
+
+def test_scipy_loads_only_with_the_routes_that_use_it():
+    # importing the package and its CLI, and the light subcommands, start
+    # without scipy; the Bessel kernel's J0 loads scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADS],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fixed_point_table(tmp_path):

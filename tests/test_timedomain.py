@@ -17,7 +17,7 @@ from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
 def test_j0_against_reference():
     x = np.linspace(0.0, 300.0, 30001)
     assert np.max(np.abs(j0(x) - scipy.special.j0(x))) < 1e-14
-    assert j0(0.0) == 1.0
+    assert j0(0.0) == 1.0 and type(j0(0.0)) is float
     assert j0(-3.7) == j0(3.7)
 
 
@@ -311,16 +311,25 @@ def test_forward_laplace_guards(wide_band):
                            np.array([0.0]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_time_kernel_validation(wide_band):
-    # the sine-sum routes refuse a bad grid as TimeKernel does, before the sum
+    # every time-domain route refuses a bad grid as TimeKernel does, before
+    # it forms a node count or a sum, and without a warning
     routes = (lambda tau: TimeKernel(tau=tau, values=np.zeros(np.shape(tau))),
               lambda tau: nb.branch_cut_kernel(wide_band, tau),
+              lambda tau: nb.spectral_density_sine_transform(wide_band, tau),
+              lambda tau: nb.bessel_kernel(wide_band, tau),
               lambda tau: nb.oracle_time_kernel(nb.build_chain(4), wide_band, tau))
     for tau, message in (([], "a nonempty 1-d array"),
                          ([[0.0, 0.1]], "a nonempty 1-d array"),
                          (0.0, "a nonempty 1-d array"),
                          ([-0.1, 0.0], "nonnegative"),
-                         ([0.0, 0.1, 0.3], "uniform and increasing")):
+                         ([0.0, 0.1, 0.3], "uniform and increasing"),
+                         ([0.0, np.inf], "uniform and increasing by a finite"),
+                         ([0.0, np.nan], "uniform and increasing by a finite"),
+                         ([np.inf, np.inf], "uniform and increasing by a finite"),
+                         ([np.inf], "finite"),
+                         ([np.nan], "finite")):
         for route in routes:
             with pytest.raises(ShapeError, match=f"^tau grid must be {message}"):
                 route(tau)
