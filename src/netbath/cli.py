@@ -83,7 +83,7 @@ _KEYS = (
         ("pool_size", int, 10000, ">= 1"), ("sweeps", int, 20, ">= 0"),
         ("sigma_rel", float, 0.01, ">= 0"), ("lam", float, 1.0, None),
         ("x0", float, 0.0, None), ("steps", int, 2000, ">= 0"),
-        ("depth", int, 8, ">= 0"), ("branching", int, 2, None))
+        ("depth", int, 8, ">= 0"), ("branching", int, 2, ">= 1"))
 )
 
 _DEFAULTS: dict = {}

@@ -7,8 +7,8 @@ AccuracyError -> 4.
 
 #: Refuse, with SizeError and before allocating, any dense structure whose
 #: arrays would need more than this many bytes (2 GiB): time-window steps,
-#: grids, quadratures, population pools with their sweeps and the
-#: eigendecomposition of the oracle's class tree.
+#: grids, quadratures, population pools with their sweeps and the oracle's
+#: Lanczos basis.
 BYTE_CAP = 2 << 30
 
 

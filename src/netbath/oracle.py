@@ -4,53 +4,46 @@ The scalar map rewritten as a continued fraction,
 
     k_{d+1} = (C^2/2) / (m(lambda^2+omega^2)/2 - k_d),
 
-is exactly the corner entry recursion of the symmetric tree matrix with
-diagonal ``m(lambda^2+omega^2)/2`` and off-diagonal ``C/sqrt(2)``, the latter
-fixed by b^2 = C^2/2.  Solving that matrix with a general linear solver
-therefore gives finite-network kernels through a code path that shares no
-code with the message-passing module:
+is exactly the corner entry recursion of the symmetric tree matrix
+M(lambda) = sigma I - c A, with sigma = m(lambda^2+omega^2)/2 on the
+diagonal, A the tree's adjacency and c = C/sqrt(2), the latter fixed by
+b^2 = C^2/2.  Solving that matrix with general linear algebra therefore
+gives finite-network kernels through a code path that shares no code with
+the message-passing module:
 
     kernel(lambda) = (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
-The lambda dependence sits entirely on the diagonal, so the spectral measure
-of the adjacency seen from the root gives the exact mode frequencies and
-weights of the finite network, and with them the time-domain kernel.  The
-node classes under the automorphisms that fix the root form an equitable
-partition: every node of one class has the same number of neighbours in
-each other class.  The span of the class indicators is then invariant under
-the adjacency, and on it, in the normalised indicators, the adjacency is the
-symmetrised quotient, a weighted tree on the classes whose edge from a class
-to its parent class carries the square root of the class's multiplicity
-(Godsil, Algebraic Combinatorics, 1993).  The root is a class of its own, so
-its spectral measure is that of the quotient: its eigenvalues and first
-eigenvector components are the mode frequencies and weights, and only modes
-the root sees come out, a degenerate eigenvalue once with its summed weight.
-A b-ary tree of depth d has d+1 classes, one per level, and its quotient is
-sqrt(b) times a chain, the chain mapping of Chin, Rivas, Huelga & Plenio
-(J. Math. Phys. 51, 092109 (2010)); a dense eigendecomposition of the
-N x N adjacency would return N modes, most of zero weight.  A tree is
-connected and bipartite, so by Perron-Frobenius the extreme adjacency
-eigenvalues +-rho(A) are simple, with eigenvectors that have no zero entry.
-An automorphism that fixes the root maps such an eigenvector to a multiple
-of itself with the same root entry, so to itself: it is constant on
-classes, the quotient keeps +-rho(A), and the extreme mode frequencies the
-root sees are those of the whole network.
+Lambda moves only sigma, so all the root sees of the network is the spectral
+measure of A at the root, and one Lanczos run from e_0 gives it: the Jacobi
+matrix T, with alpha_j on its diagonal and beta_j beside it, is A on the
+Krylov space of e_0.  By Golub & Welsch (Math. Comp. 23, 221 (1969)) the
+eigenvalues mu_j of T and the squared first components of its eigenvectors
+are the nodes and weights of that measure: the mode frequencies
+Omega_j^2 = omega^2 - sqrt(2) C mu_j / m and their root weights, only modes
+the root sees, a degenerate eigenvalue once with its summed weight.  They
+give the time-domain kernel.  On the Laplace side the corner of M^{-1} is
+that of sigma - cT, one banded solve per lambda.  A lambda whose sigma lies
+within 1e-8 of the scale of M from some c mu_j leaves M singular or
+near-singular, and that gap guard refuses it.  The run does not depend on
+lambda, so one run serves a grid, and a point gets the bits it gets in one.
+
+The run reorthogonalises each new vector against its whole basis; plain
+Lanczos loses orthogonality on irregular trees, and with it the modes.  The
+Krylov space of a tree from its root holds a vector that reaches each level,
+so the run takes at least depth+1 steps: exactly that many on a b-ary tree,
+whose levels span the space and whose T is sqrt(b) times a chain, the chain
+mapping of Chin, Rivas, Huelga & Plenio (J. Math. Phys. 51, 092109 (2010));
+N steps on a chain of N nodes.  The matrix-vector product is two scatters
+over the parent array.  A tree is connected and bipartite, so by
+Perron-Frobenius the extreme adjacency eigenvalues +-rho(A) are simple, with
+eigenvectors that have no zero entry, the root's entry among them.  The
+root therefore sees both, T keeps +-rho(A), and the extreme mode
+frequencies the root sees are those of the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
 validated by the band edges omega^2 +- sqrt(8(n-1)) C/m that the adjacency
 spectral radius 2 sqrt(branching) reproduces.
-
-The coupling -(C/sqrt(2)) A is assembled once per tree, vectorised from the
-parent array; lambda moves only the diagonal, a shift of the coupling.  The
-Krylov space of the coupling from the root does not depend on the shift, so
-one Lanczos run per tree serves every lambda of a grid, and each lambda
-carries only its own MINRES recurrence on it (Paige & Saunders, SIAM J.
-Numer. Anal. 12, 617 (1975); Jegerlehner, hep-lat/9612014, for shifted
-systems).  No factorisation, so no fill on a graph with loops, and it takes
-the indefinite matrices past C* as well.  The run stores its basis: depth+1
-vectors on a regular tree, whose Krylov space from the root is exhausted
-after depth+1 steps.  A backward-error guard checks every lambda.
 """
 
 from __future__ import annotations
@@ -64,114 +57,99 @@ from .timedomain import TimeKernel, _sine_sum
 from .tree_bp import TreeGraph
 
 
-def _coupling_matrix(tree: TreeGraph, params: ModelParams):
-    """The tree's coupling ``-(C/sqrt(2)) A`` as a ``scipy.sparse.csr_matrix``;
-    lambda is not in it."""
-    import scipy.sparse
+def _tree_matvec(tree: TreeGraph):
+    """``x -> A x`` for the tree's adjacency A: each node gathers its
+    children by a bincount over the parent array and its parent by an
+    indexed add."""
+    child_of = tree.parent[1:]
+    n = tree.n_nodes
 
-    child = np.flatnonzero(tree.parent >= 0)
-    parent = tree.parent[child]
-    rows = np.concatenate((child, parent))
-    cols = np.concatenate((parent, child))
-    data = np.full(rows.size, -params.C / math.sqrt(2.0))
-    return scipy.sparse.csr_matrix((data, (rows, cols)),
-                                   shape=(tree.n_nodes, tree.n_nodes))
+    def matvec(x):
+        # float even for one node, where the bincount is empty and int
+        y = np.bincount(child_of, weights=x[1:], minlength=n).astype(float, copy=False)
+        y[1:] += x[child_of]
+        return y
+    return matvec
 
 
-def _corner_inverse(coupling, diagonal):
-    """[M^{-1}]_{0,0} of ``diagonal I + coupling``, for one diagonal or a grid.
+def _jacobi(matvec, n: int, k_min: int = 1):
+    """Jacobi matrix (alpha, beta) of a symmetric n x n operator from e_0.
 
-    One Lanczos run on ``coupling`` from e_0 serves every diagonal, because
-    the Krylov space does not depend on the shift.  Each shift carries only
-    MINRES's Givens recurrence (Paige & Saunders 1975), vectorised over the
-    shift axis, and its iterate as coordinates in the stored basis.  Each
-    shift stops at its own convergence test, so a diagonal in a grid gets
-    the bits it gets alone.  The run ends when every shift has stopped, or
-    when beta falls to rounding: the Krylov space is exhausted there, after
-    depth+1 steps on a regular tree.  A backward-error guard then checks
-    every shift, one at a time: the true residual against ``||e_0|| +
-    ||M|| ||x||`` in the max norm, so a scaled M gets the same verdict.  A
-    float for a scalar ``diagonal``, an array of its shape for a grid.
-    Raises :class:`DomainError` when some shift leaves the matrix singular
-    or near-singular, and :class:`SizeError`, before a basis vector is
-    stored, when the basis would need more than ``BYTE_CAP`` bytes.
+    Lanczos with full reorthogonalisation: each new vector is projected out
+    of the whole basis by classical Gram-Schmidt, a second time when the
+    first pass leaves less than 1/sqrt(2) of its norm (Parlett, The
+    Symmetric Eigenvalue Problem, 1980, sec. 6-9).  The run stops when beta
+    falls to 1e-10 of the largest coefficient seen, where the Krylov space
+    is exhausted, or after n steps.  The basis is allocated for ``k_min``
+    vectors, a lower bound on the steps, and doubled when full; each
+    allocation is charged, old and new basis together, before it is made.
+    Returns alpha of the k steps and beta of the k-1 couplings between them.
+    Raises :class:`SizeError` when the basis would pass ``BYTE_CAP``.
     """
-    diagonal = np.asarray(diagonal, dtype=float)
-    sigma = diagonal.ravel()
-    n, rtol, eps = coupling.shape[0], 1e-14, np.finfo(float).eps
-    e = np.zeros(n)
-    e[0] = 1.0
-    # Per live shift: its index and MINRES scalars, and the coordinates of
-    # its iterate and of its last two search directions.
-    live = np.arange(sigma.size)
-    cs, sn = np.full(live.size, -1.0), np.zeros(live.size)
-    dbar, epsln, phibar = np.zeros(live.size), np.zeros(live.size), np.ones(live.size)
-    tnorm2, gmax, gmin = np.zeros(live.size), np.zeros(live.size), np.full(live.size, np.inf)
-    w_old = w = y = np.zeros((live.size, 0))
-    solved = {}
-    basis, v, v_old, beta = [], e, np.zeros(n), 0.0
-    for step in range(1, 5 * n + 1):
-        # the basis as a list and as the array stacked from it below
-        _check_bytes(2 * 8 * n * step, f"Lanczos basis of {step} vectors of {n} nodes")
-        basis.append(v)
-        av = coupling @ v
-        alpha = float(v @ av)
-        r = av - alpha * v - beta * v_old
-        beta_new = float(np.linalg.norm(r))
-        exhausted = beta_new <= 10.0 * eps * (abs(alpha) + beta)
-        # the previous rotation, then the next one, on each shift's column
-        a = alpha + sigma[live]
-        oldeps = epsln
-        delta = cs * dbar + sn * a
-        gbar = sn * dbar - cs * a
-        epsln = sn * beta_new
-        dbar = -cs * beta_new
-        root = np.hypot(gbar, dbar)
-        gamma = np.maximum(np.hypot(gbar, beta_new), eps)
-        cs, sn = gbar / gamma, beta_new / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        pad = np.zeros((live.size, 1))
-        w_old, w = np.hstack((w_old, pad)), np.hstack((w, pad))
-        w_new = -oldeps[:, None] * w_old - delta[:, None] * w
-        w_new[:, -1] += 1.0
-        w_old, w = w, w_new / gamma[:, None]
-        y = np.hstack((y, pad)) + phi[:, None] * w
-        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
-        tnorm2 += a * a + beta * beta + beta_new * beta_new
-        anorm, ynorm = np.sqrt(tnorm2), np.linalg.norm(y, axis=1)
-        # scipy's tests: a small residual or normal-equations residual, an
-        # ill-conditioned or exploding iterate, or the last step
-        done = ((phibar <= rtol * anorm * ynorm) | (root <= rtol * anorm)
-                | (gmax * eps >= 0.1 * gmin) | (anorm * ynorm * eps >= 1.0)
-                | exhausted | (step == 5 * n))
-        for i in np.flatnonzero(done).tolist():
-            solved[int(live[i])] = y[i].copy()
-        keep = ~done
-        if not keep.any():
+    size = max(1, min(k_min, n))
+    _check_bytes(8 * n * size, f"Lanczos basis of {size} vectors of {n} nodes")
+    basis = np.zeros((size, n))
+    basis[0, 0] = 1.0
+    alpha, beta, largest = [], [], 0.0
+    for k in range(1, n + 1):
+        q = basis[k - 1]
+        r = matvec(q)
+        alpha.append(float(q @ r))
+        r -= alpha[-1] * q
+        if beta:
+            r -= beta[-1] * basis[k - 2]
+        for _ in range(2):
+            before = np.linalg.norm(r)
+            r -= (basis[:k] @ r) @ basis[:k]
+            norm = float(np.linalg.norm(r))
+            if norm >= before / math.sqrt(2.0):
+                break
+        largest = max(largest, abs(alpha[-1]))
+        if k == n or norm <= 1e-10 * largest:
             break
-        live, cs, sn, dbar, epsln, phibar, tnorm2, gmax, gmin, w_old, w, y = (
-            q[keep] for q in (live, cs, sn, dbar, epsln, phibar, tnorm2, gmax,
-                              gmin, w_old, w, y))
-        v_old, v, beta = v, r / beta_new, beta_new
-    basis = np.array(basis)
-    # The coupling's max-norm; its diagonal is zero, so ||coupling + sigma I||
-    # is this plus |sigma|.
-    coupling_norm = float(abs(coupling).sum(axis=1).max())
+        largest = max(largest, norm)
+        if k == size:
+            grown = min(n, 2 * size)
+            _check_bytes(8 * n * (size + grown),
+                         f"Lanczos basis of {grown} vectors of {n} nodes")
+            basis = np.concatenate((basis, np.empty((grown - size, n))))
+            size = grown
+        basis[k] = r / norm
+        beta.append(norm)
+    return np.array(alpha), np.array(beta)
+
+
+def _tree_jacobi(tree: TreeGraph):
+    """The root's Jacobi matrix, its basis first allocated for depth+1
+    vectors, so a tree too deep for the cap is refused for free."""
+    return _jacobi(_tree_matvec(tree), tree.n_nodes, int(tree.depth.max()) + 1)
+
+
+def _corner(alpha, beta, c: float, sigma: np.ndarray) -> np.ndarray:
+    """``[(sigma - c T)^{-1}]_{0,0}`` for each shift of the flat array
+    ``sigma``, T the Jacobi matrix (alpha, beta), by one banded solve each.
+
+    Raises :class:`DomainError` when some shift lies within 1e-8 (|sigma|
+    + |c| max|mu|) of an eigenvalue c mu_j of cT: the matrix is singular
+    or near-singular there.
+    """
+    import scipy.linalg
+
+    c_mu = c * scipy.linalg.eigvalsh_tridiagonal(alpha, beta)
+    reach = np.abs(c_mu).max()
+    band = np.zeros((3, alpha.size))
+    band[0, 1:] = band[2, :-1] = -c * beta
+    e = np.zeros(alpha.size)
+    e[0] = 1.0
     corner = np.empty(sigma.size)
-    for s, coords in solved.items():
-        k = coords.size
-        x = coords @ basis[:k]
-        # x[0] by a dot product of its own, so its bits depend on the
-        # coordinates alone, not on how BLAS blocks the product above
-        corner[s] = coords @ basis[:k, 0]
-        residual = np.abs(coupling @ x + sigma[s] * x - e).max()
-        scale = 1.0 + (coupling_norm + abs(sigma[s])) * np.abs(x).max()
-        if not math.isfinite(corner[s]) or residual > 1e-8 * scale:
+    for i, s in enumerate(sigma.tolist()):
+        gap = np.abs(s - c_mu).min()
+        if not gap > 1e-8 * (abs(s) + reach):
             raise DomainError(
-                f"tree matrix is singular or near-singular (residual {residual:.3g})")
-    corner = corner.reshape(diagonal.shape)
-    return float(corner) if corner.ndim == 0 else corner
+                f"tree matrix is singular or near-singular (gap {gap:.3g})")
+        band[1] = s - c * alpha
+        corner[i] = scipy.linalg.solve_banded((1, 1), band, e)[0]
+    return corner
 
 
 def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
@@ -179,94 +157,40 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
     """Exact finite-tree kernel (C^2/2) [M(lambda)^{-1}]_{root,root}.
 
     A float for a scalar ``lam``, an array for a grid; DomainError where
-    :func:`~netbath.model._laplace_s` raises it.  The coupling matrix is built
-    once, and one Lanczos run on it serves every lambda, each with its own
-    MINRES recurrence and residual check.  ``dense_limit`` is ignored; the
-    benchmark's warm-up (``warm_up("check")`` in ``perfbench/jobs.py``) passes it.
+    :func:`~netbath.model._laplace_s` raises it, or where M is singular or
+    near-singular.  One Lanczos run gives the root's Jacobi matrix, and each
+    lambda takes one banded solve on it.  ``dense_limit`` is ignored; the
+    benchmark's warm-up (``warm_up("check")`` in ``perfbench/jobs.py``)
+    passes it.
     """
-    diagonal = params.m * _laplace_s(params, lam) / 2.0
-    coupling = _coupling_matrix(tree, params)
-    return params.C**2 / 2.0 * _corner_inverse(coupling, diagonal)
-
-
-def _class_tree(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient of a tree by the automorphisms that fix its root.
-
-    Every child follows its parent in id order, as ``TreeGraph`` ensures.
-    Bottom-up, each inner node gets the id of its subtree's shape: its count
-    of leaf children and the sorted shapes of the others.  Top-down, its
-    class is the pair (class of its parent, its shape), and the leaves under
-    one class form one class.  Returns, for each class, its parent class (-1
-    for the root's class 0) and its multiplicity: the number of its nodes
-    under each node of the parent class, read off the parent class's shape.
-    Classes are numbered top-down, so a path of classes is numbered along
-    the path: depth+1 classes on a regular tree, N on a chain.
-    """
-    n_kids = np.bincount(parent[1:], minlength=parent.size)
-    leaf_kids = np.bincount(parent[1:][n_kids[1:] == 0],
-                            minlength=parent.size).tolist()
-    inner = np.flatnonzero(n_kids).tolist()
-    par = parent.tolist()
-    kids = {v: [] for v in inner}
-    shape, shapes = {}, {}
-    for v in reversed(inner[1:]):
-        key = (leaf_kids[v], tuple(sorted(kids[v])))
-        shape[v] = shapes.setdefault(key, len(shapes))
-        kids[par[v]].append(shape[v])
-    cls, classes = {0: 0}, {}
-    for v in inner[1:]:
-        cls[v] = classes.setdefault((cls[par[v]], shape[v]), len(classes) + 1)
-    keys = list(shapes)
-    class_key = [(leaf_kids[0], tuple(kids.get(0, ())))]
-    edges = [(-1, 1)]
-    for up, kind in classes:
-        edges.append((up, class_key[up][1].count(kind)))
-        class_key.append(keys[kind])
-    edges += [(up, leaves) for up, (leaves, _) in enumerate(class_key) if leaves]
-    class_parent, multiplicity = np.array(edges).T
-    return class_parent, multiplicity
+    sigma = params.m * _laplace_s(params, lam) / 2.0
+    alpha, beta = _tree_jacobi(tree)
+    c = params.C / math.sqrt(2.0)
+    kernel = params.C**2 / 2.0 * _corner(alpha, beta, c, sigma.ravel())
+    return float(kernel[0]) if sigma.ndim == 0 else kernel.reshape(sigma.shape)
 
 
 def mode_decomposition(tree: TreeGraph, params: ModelParams):
     """Frequencies and root weights of the modes the root of the tree sees.
 
-    The eigenpairs (mu_j, s_j) of the tree's class quotient give ``Omega_j^2
-    = omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 / Omega_j``;
-    the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j tau)``.  When
-    the classes form a path the quotient is the root's Jacobi matrix and
-    goes to the tridiagonal solver; any other quotient takes one dense
-    ``eigh``.  Eigenvalues closer than 1e-9 are one mode carrying their
-    summed weight, and modes of root weight below 1e-20 of the total are
-    dropped, so every mode returned is one the root sees.  By the Perron
-    argument of the module docstring the extreme Omega are those of the
-    whole network.  Returns (Omega, w) sorted by frequency.
-    Raises :class:`InstabilityError` when some Omega^2 <= 0, and
-    :class:`SizeError`, before the eigendecomposition is allocated, when it
-    would need more than ``BYTE_CAP`` bytes.
+    The eigenpairs (mu_j, s_j) of the root's Jacobi matrix give ``Omega_j^2
+    = omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 /
+    Omega_j``; the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j
+    tau)``.  Eigenvalues closer than 1e-9 are one mode carrying their summed
+    weight, and modes of root weight below 1e-20 of the total are dropped,
+    so every mode returned is one the root sees.  By the Perron argument of
+    the module docstring the extreme Omega are those of the whole network.
+    A decoupled network (C = 0) has no modes.  Returns (Omega, w) sorted by
+    frequency.  Raises :class:`InstabilityError` when some Omega^2 <= 0, and
+    :class:`SizeError` when the Lanczos basis would need more than
+    ``BYTE_CAP`` bytes; the k x k eigenvectors need no more than the k
+    basis vectors of N >= k nodes.
     """
-    _band(params)   # refuses a band that is not real
-    # No class spans two levels, so there are at least depth+1 classes, and
-    # a path of them has exactly that many: a free refusal of the path
-    # branch's eigenvectors, before the classes are found.
-    k = int(tree.depth.max()) + 1
-    _check_bytes(8 * k * k, f"eigenvectors of {k} or more node classes")
-    class_parent, multiplicity = _class_tree(tree.parent)
-    k = class_parent.size
-    coupling = np.sqrt(multiplicity[1:])
-    if np.array_equal(class_parent[1:], np.arange(k - 1)):
-        import scipy.linalg
+    if not _band(params):
+        return np.empty(0), np.empty(0)
+    import scipy.linalg
 
-        mu, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(k), coupling)
-    else:
-        # Measured: the matrix, LAPACK's copy of it with a 2 k^2 workspace,
-        # and the eigenvectors come to about 5.4 k^2 doubles.  numpy's eigh
-        # (syevd): scipy's default, LAPACK's evr, has returned first components
-        # whose squares sum to 1.00026 on a 50-node tree.
-        _check_bytes(6 * 8 * k * k, f"eigendecomposition of {k} node classes")
-        quotient = np.zeros((k, k))
-        child, up = np.arange(1, k), class_parent[1:]
-        quotient[child, up] = quotient[up, child] = coupling
-        mu, vecs = np.linalg.eigh(quotient)
+    mu, vecs = scipy.linalg.eigh_tridiagonal(*_tree_jacobi(tree))
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(

@@ -179,7 +179,8 @@ def test_exit_codes(tmp_path):
 
 
 def test_size_refusal_exits_2(tmp_path, capsys):
-    # 20,001-node chain: the eigenvectors of its class tree would need 3 GiB
+    # 20,001-node chain: its Lanczos basis, at least 20,001 vectors of
+    # 20,001 nodes, would need 3 GiB
     assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
                     "--depth", "20000", "--output",
                     str(tmp_path / "k.csv")]) == 2
@@ -265,6 +266,8 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
 
 @pytest.mark.parametrize("line, code, label", [
     ("tree --depth -1", 2, "config"),
+    ("tree --branching 0", 2, "config"),
+    ("kernel --method oracle --branching -3", 2, "config"),
     ("population --pool-size -5", 2, "config"),
     ("population --seed -1", 2, "config"),
     ("population --sweeps -1", 2, "config"),

@@ -13,7 +13,7 @@ import netbath as nb
 import netbath.errors
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import _class_tree, _corner_inverse, _coupling_matrix
+from netbath.oracle import _corner, _jacobi, _tree_jacobi, _tree_matvec
 from netbath.tree_bp import TreeGraph
 
 
@@ -153,7 +153,7 @@ def test_deep_tree_approaches_branch_fixed_point(narrow_band):
 
 
 def test_dense_sparse_agree(ordered_chain):
-    # the sparse MINRES route against the dense reference solve
+    # the Lanczos run and banded solve against the dense reference solve
     lam = 0.7
     chain = nb.build_chain(300)
     dense = _dense_kernel(chain, ordered_chain, (lam,))[0]
@@ -221,19 +221,20 @@ def test_finite_size_error_decreases(ordered_chain):
     assert errs[1] <= 1e-2
 
 
-def test_corner_inverse_residual_guard(ordered_chain):
+def test_corner_inverse_gap_guard_takes_a_regular_matrix(ordered_chain):
     p = ordered_chain
-    val = _corner_inverse(_coupling_matrix(nb.build_chain(5), p),
-                          p.m * (1.0 + p.omega_sq) / 2.0)
-    assert math.isfinite(val) and val > 0.0
+    val = _corner(*_tree_jacobi(nb.build_chain(5)), p.C / math.sqrt(2.0),
+                  np.array([p.m * (1.0 + p.omega_sq) / 2.0]))
+    assert math.isfinite(val[0]) and val[0] > 0.0
 
 
 @pytest.mark.parametrize("tree", [_irregular_tree(), nb.build_tree(4, 5),
                                   nb.build_chain(400)],
                          ids=["irregular-16", "branching4-1365", "chain-401"])
 def test_corner_solve_matches_dense_cholesky(ordered_chain, tree):
-    # MINRES against the dense reference on every tree; on the 1,365-node
-    # tree the reference falls back to the symmetric solve at lambda <= 0.7
+    # the banded solve against the dense reference on every tree; on the
+    # 1,365-node tree the reference falls back to the symmetric solve at
+    # lambda <= 0.7
     lam = np.array([0.1, 0.7, 3.0, 40.0])
     dense = _dense_kernel(tree, ordered_chain, lam)
     got = nb.oracle_kernel_laplace(tree, ordered_chain, lam)
@@ -266,38 +267,57 @@ def test_one_grid_mixes_definite_and_indefinite_shifts(tree):
 
 def test_grid_with_a_singular_shift_is_refused_whole(ordered_chain):
     # a chain of 41 nodes has an eigenvalue at 0 whose eigenvector overlaps
-    # e_0; the Lanczos run exhausts its Krylov space with beta exactly 0 and
-    # stops there, so the refusal comes from the residual guard, not from a
-    # division by zero
-    coupling = _coupling_matrix(nb.build_chain(40), ordered_chain)
+    # e_0, so its Jacobi matrix has it too; the gap guard refuses the zero
+    # shift before a division by zero
+    jacobi = _tree_jacobi(nb.build_chain(40))
+    c = ordered_chain.C / math.sqrt(2.0)
     diagonal = np.array([0.5, 0.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="singular"):
-            _corner_inverse(coupling, diagonal)
-        ok = _corner_inverse(coupling, diagonal[[0, 2]])
+            _corner(*jacobi, c, diagonal)
+        ok = _corner(*jacobi, c, diagonal[[0, 2]])
     assert np.all(np.isfinite(ok))
 
 
-def test_lanczos_run_stops_where_the_krylov_space_is_exhausted(narrow_band,
-                                                               monkeypatch):
+def test_shift_on_an_eigenvalue_is_refused():
+    # past C* lambda can put sigma on the largest eigenvalue c mu of cA
+    # that the root sees; oracle_kernel_laplace refuses that lambda, alone
+    # or in a grid, and takes its neighbours
+    p = nb.derive_params(2, 1.0, 2.5, 1.0)
+    tree = nb.build_tree(2, 4)
+    c_mu = p.C / math.sqrt(2.0) * np.linalg.eigvalsh(_loop_adjacency(tree)).max()
+    lam = math.sqrt(2.0 * c_mu / p.m - p.omega_sq)
+    for grid in (lam, [0.5 * lam, lam]):
+        with pytest.raises(DomainError, match="singular"):
+            nb.oracle_kernel_laplace(tree, p, grid)
+    near = np.array([0.99, 1.01]) * lam
+    dense = _dense_kernel(tree, p, near)
+    got = nb.oracle_kernel_laplace(tree, p, near)
+    assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-12
+
+
+def test_lanczos_run_stops_where_the_krylov_space_is_exhausted(monkeypatch):
     # from the root of a binary tree of depth 12 the Krylov space has 13
-    # dimensions; a NaN shift passes no convergence test, so only the
-    # rounding-level beta after 13 steps ends the run, and the residual
-    # guard refuses the shift instead of a basis grown to the size cap
-    steps = []
+    # dimensions: the rounding-level beta after 13 steps ends the run, from
+    # a basis allocated for 13 vectors or grown from one to 16, not to the
+    # 8,191 nodes
+    charges = []
     charge = netbath.oracle._check_bytes
     monkeypatch.setattr(netbath.oracle, "_check_bytes",
-                        lambda need, what: (steps.append(what), charge(need, what)))
-    coupling = _coupling_matrix(nb.build_tree(2, 12), narrow_band)
-    with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(coupling, np.array([1.0, np.nan]))
-    assert len(steps) == 13
+                        lambda need, what: (charges.append(what), charge(need, what)))
+    tree = nb.build_tree(2, 12)
+    alpha, beta = _tree_jacobi(tree)
+    assert alpha.size == 13 and beta.size == 12
+    assert charges == [f"Lanczos basis of 13 vectors of {tree.n_nodes} nodes"]
+    grown, _ = _jacobi(_tree_matvec(tree), tree.n_nodes)
+    assert grown.size == 13 and len(charges) == 6
+    assert charges[-1] == f"Lanczos basis of 16 vectors of {tree.n_nodes} nodes"
 
 
 def test_oracle_peaks_below_message_passing(narrow_band):
     # the Lanczos basis of the 87,381-node tree holds 9 vectors: over
-    # criterion 4's grid the oracle peaked at 15.7 MiB, below the 33.3 MiB of
+    # criterion 4's grid the oracle peaked at 15.3 MiB, below the 33.3 MiB of
     # one (node x lambda) array, which message passing held before it formed
     # one row per subtree class
     tree = nb.build_tree(narrow_band.n - 1, 8)
@@ -312,18 +332,19 @@ def test_oracle_peaks_below_message_passing(narrow_band):
 
 
 def test_lanczos_basis_refused_before_allocating(ordered_chain, monkeypatch):
-    # past C* the 401-node chain takes 401 Lanczos steps; with the cap at
-    # 1 MiB, and each 3.2 kB vector charged twice (the list and its stacked
-    # copy), the basis is refused at its 164th vector
+    # the 401-node chain takes 401 Lanczos steps, each vector 3.2 kB; with
+    # the cap at 1 MiB the oracle refuses its depth+1 vectors at once, and a
+    # run from one vector is refused where the basis would double from 128
+    # to 256 vectors, the old and the new basis together past the cap
     cap = 1 << 20
     monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
-    p = nb.derive_params(2, 1.0, 2.5, 1.0)
-    coupling = _coupling_matrix(nb.build_chain(400), p)
-    diagonal = p.m * (0.5**2 + p.omega_sq) / 2.0
+    chain = nb.build_chain(400)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeError, match="Lanczos basis"):
-            _corner_inverse(coupling, diagonal)
+        with pytest.raises(SizeError, match="Lanczos basis of 401 vectors"):
+            nb.oracle_kernel_laplace(chain, ordered_chain, 0.5)
+        with pytest.raises(SizeError, match="Lanczos basis of 256 vectors"):
+            _jacobi(_tree_matvec(chain), chain.n_nodes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -333,26 +354,26 @@ def test_lanczos_basis_refused_before_allocating(ordered_chain, monkeypatch):
 @pytest.mark.parametrize("diagonal", [0.0, 1e-310], ids=["zero", "subnormal"])
 def test_corner_inverse_refuses_singular_matrix(ordered_chain, diagonal):
     # a 3-node chain with zero or subnormal diagonal has an eigenvalue at 0
-    # whose eigenvector overlaps e_0: no solution exists, and the residual
-    # guard refuses the least-squares one MINRES returns
-    coupling = _coupling_matrix(nb.build_chain(2), ordered_chain)
+    # whose eigenvector overlaps e_0: no solution exists, and the gap guard
+    # refuses the shift
+    jacobi = _tree_jacobi(nb.build_chain(2))
     with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(coupling, diagonal)
+        _corner(*jacobi, ordered_chain.C / math.sqrt(2.0), np.array([diagonal]))
 
 
 @pytest.mark.parametrize("C", [1.0, 1e-10, 1e-100])
 def test_corner_inverse_guard_is_scale_invariant(C):
     # with a zero diagonal the 7-node binary tree's matrix is singular, with
-    # a null vector that overlaps e_0; the least-squares x MINRES returns
-    # grows as 1/C, which once lifted a guard relative to max|x| past the
-    # residual 0.5 at C = 1e-10.  Against ||e_0|| + ||M|| ||x|| the guard
-    # refuses it at every scale, and takes the same matrix with a diagonal
-    # of 3C, where the corner scales as 1/C, as far as MINRES reaches
-    coupling = _coupling_matrix(nb.build_tree(2, 2), nb.derive_params(3, 1.0, C, 1.0))
+    # a null vector that overlaps e_0.  The gap to c mu_j is measured
+    # against |sigma| + |c| max|mu|, so the guard refuses it at every scale,
+    # and takes the same matrix with a diagonal of 3C, where the corner
+    # scales as 1/C
+    jacobi = _tree_jacobi(nb.build_tree(2, 2))
+    c = C / math.sqrt(2.0)
     with pytest.raises(DomainError, match="singular"):
-        _corner_inverse(coupling, 0.0)
-    if C >= 1e-10:
-        assert _corner_inverse(coupling, 3.0 * C) * C == pytest.approx(8.0 / 21.0, rel=1e-14)
+        _corner(*jacobi, c, np.array([0.0]))
+    assert _corner(*jacobi, c, np.array([3.0 * C]))[0] * C == \
+        pytest.approx(8.0 / 21.0, rel=1e-14)
 
 
 def test_corner_inverse_on_random_regular_graphs():
@@ -366,8 +387,9 @@ def test_corner_inverse_on_random_regular_graphs():
     rng = np.random.default_rng(7)
     errs = []
     for n_nodes, bound in ((200, 1e-11), (2000, 1e-13)):
-        adj = -p.C / math.sqrt(2.0) * _regular_graph(rng, n_nodes, p.n)
-        errs.append(np.abs(_corner_inverse(adj, a) - bp) / bp)
+        adj = _regular_graph(rng, n_nodes, p.n)
+        jacobi = _jacobi(lambda x: adj @ x, n_nodes)
+        errs.append(np.abs(_corner(*jacobi, p.C / math.sqrt(2.0), a) - bp) / bp)
         assert errs[-1].max() <= bound
     assert np.all(np.less(errs[1], errs[0]))
 
@@ -394,17 +416,15 @@ def test_oracle_imports_nothing_of_the_recursion():
         assert "oracle" not in name.split("."), name
 
 
-def test_tree_matrix_matches_loop_reference(ordered_chain, narrow_band):
-    # lambda moves only the diagonal, so the coupling is all there is to
-    # build, once per tree: two entries per edge and none on the diagonal
-    for tree, params in ((_irregular_tree(), ordered_chain),
-                         (nb.build_tree(3, 3), narrow_band),
-                         (nb.build_chain(0), ordered_chain)):
-        mat = _coupling_matrix(tree, params)
-        assert isinstance(mat, scipy.sparse.csr_matrix)
-        expect = -params.C / math.sqrt(2.0) * _loop_adjacency(tree)
-        assert np.array_equal(mat.toarray(), expect)
-        assert mat.nnz == 2 * (tree.n_nodes - 1)
+def test_tree_matrix_matches_loop_reference():
+    # lambda moves only the diagonal, so the adjacency is all the Lanczos
+    # run reads of the tree: its product with each unit vector is a column
+    # of the loop adjacency, two entries per edge and none on the diagonal
+    for tree in (_irregular_tree(), nb.build_tree(3, 3), nb.build_chain(0)):
+        matvec = _tree_matvec(tree)
+        columns = np.array([matvec(e) for e in np.eye(tree.n_nodes)]).T
+        assert columns.dtype == float
+        assert np.array_equal(columns, _loop_adjacency(tree))
 
 
 def test_grid_equals_pointwise(ordered_chain, narrow_band):
@@ -421,16 +441,17 @@ def test_grid_equals_pointwise(ordered_chain, narrow_band):
         assert np.allclose(dense, grid, rtol=1e-12, atol=0.0)
 
 
-def test_class_tree_is_a_chain_on_regular_trees():
-    # seen from the root, a b-ary tree is sqrt(b) times a chain: its classes
-    # are its depth+1 levels, each b nodes under each node of the one above
-    # (up to 87,381 nodes)
-    for b in (2, 3, 4):
+def test_jacobi_is_a_scaled_chain_on_regular_trees():
+    # seen from the root, a b-ary tree is sqrt(b) times a chain: its levels
+    # span the Krylov space, so the run takes depth+1 steps, with alpha
+    # exactly 0, as on every bipartite graph, and beta sqrt(b) to rounding
+    # (up to 87,381 nodes; b = 1 is a chain, exact)
+    for b in (1, 2, 3, 4):
         for depth in range(1, 9):
-            class_parent, multiplicity = _class_tree(
-                nb.build_tree(b, depth).parent)
-            assert np.array_equal(class_parent, np.arange(-1, depth))
-            assert np.array_equal(multiplicity[1:], np.full(depth, b))
+            alpha, beta = _tree_jacobi(nb.build_tree(b, depth))
+            assert alpha.size == depth + 1
+            assert np.all(alpha == 0.0)
+            assert np.max(np.abs(beta - math.sqrt(b))) <= 4e-15
 
 
 def test_mode_decomposition_irregular_tree(ordered_chain):
@@ -477,9 +498,38 @@ def test_mode_decomposition_matches_dense_on_random_trees(narrow_band):
     assert unstable == 24
 
 
+def test_corner_matches_dense_on_random_trees(narrow_band):
+    # the banded solve on the trees of the test above.  Past C* the small
+    # lambda leave M indefinite; shifts that keep M 1e-3 from
+    # singular are compared against the corner's own scale, (C^2/2) sum_j
+    # v_0j^2/|mu_j| over the eigenpairs of M, which is |corner| where M is
+    # definite.  Signed terms can cancel in the corner: 1,010-fold on the
+    # 20-node tree at lambda = 0.5, where the dense solve is 3.9e-13 and
+    # the oracle 8.5e-13 of the corner from a 40-digit reference
+    past = nb.derive_params(2, 1.0, 2.5, 1.0)
+    rng = np.random.default_rng(20240)
+    indefinite = 0
+    for _ in range(50):
+        tree = _random_tree(rng, int(rng.integers(2, 250)))
+        lam = np.array([0.1, 0.7, 3.0, 40.0])
+        dense = _dense_kernel(tree, narrow_band, lam)
+        got = nb.oracle_kernel_laplace(tree, narrow_band, lam)
+        assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-13
+        for x in (0.3, 0.5, 0.7, 1.3, 3.0, 40.0):
+            mu, vecs = np.linalg.eigh(_dense_matrix(tree, past, x))
+            if np.abs(mu).min() <= 1e-3:
+                continue
+            indefinite += int(mu.min() < 0.0)
+            scale = past.C**2 / 2.0 * np.sum(vecs[0] ** 2 / np.abs(mu))
+            dense = _dense_kernel(tree, past, (x,))[0]
+            got = nb.oracle_kernel_laplace(tree, past, x)
+            assert abs(got - dense) <= 1e-13 * scale
+    assert indefinite == 123
+
+
 def test_mode_decomposition_refuses_before_allocating(narrow_band):
-    # a 20,001-node chain: every node is a class of its own, so the
-    # eigenvectors of its class tree would be 20,001 x 20,001 float64, 3 GiB
+    # a 20,001-node chain: the Lanczos run takes at least depth+1 steps, so
+    # its basis would be at least 20,001 x 20,001 float64, 3 GiB
     tree = nb.build_chain(20000)
     tracemalloc.start()
     try:

@@ -57,9 +57,12 @@ def test_branch_cut_decoupled_zero():
     p0 = nb.derive_params(5, 10.0, 0.0, 0.5)
     tau = np.linspace(0, 2, 20)
     for route in (nb.branch_cut_kernel, nb.bessel_kernel,
-                  nb.spectral_density_sine_transform):
+                  nb.spectral_density_sine_transform,
+                  lambda p, t: nb.oracle_time_kernel(nb.build_tree(2, 3), p, t)):
         tk = route(p0, tau)
         assert np.all(tk.values == 0.0) and np.array_equal(tk.tau, tau)
+    # the oracle sees no mode of a decoupled network
+    assert tk.meta["n_modes"] == 0
 
 
 def test_time_domain_routes_refuse_a_band_that_is_not_real():
