@@ -19,8 +19,8 @@ import numpy as np
 
 from .finite_time import TwoTimeKernel, ode_response_check, \
     response_from_twinning, time_grid, twinning_solve
-from .laplace import closed_form_fixed_point, g0_laplace, map_orbit, \
-    quadratic_residual, real_multiplier
+from .laplace import _orbit_ends, closed_form_fixed_point, g0_laplace, \
+    map_orbit, quadratic_residual, real_multiplier
 from .model import critical_coupling, derive_params, lambda_star
 from .oracle import mode_decomposition, oracle_kernel_laplace, \
     oracle_time_kernel
@@ -74,8 +74,7 @@ def criterion_1() -> CriterionResult:
     for preset in (NARROW_BAND, WIDE_BAND):
         params = derive_params(**preset)
         closed = closed_form_fixed_point(params, lam)
-        final = np.array([map_orbit(params, x, steps=100000, tol=1e-13).final
-                          for x in lam])
+        final = _orbit_ends(params, lam, 100000, 1e-13)[0]
         worst_rel = max(worst_rel,
                         float(np.max(np.abs(final - closed) / np.abs(closed))))
         res = np.abs(quadratic_residual(params, lam, closed))

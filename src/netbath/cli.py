@@ -32,8 +32,8 @@ from .errors import AccuracyError, ConfigError, DomainError, \
     InstabilityError, NetbathError, ShapeError, SizeError, _check_bytes
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
     vernon_imag_finite, bare_response, _noise_kernel
-from .laplace import closed_form_fixed_point, map_orbit, quadratic_residual, \
-    real_multiplier
+from .laplace import _orbit_ends, closed_form_fixed_point, map_orbit, \
+    quadratic_residual, real_multiplier
 from .model import critical_coupling, derive_params, fixed_point_exists, \
     lambda_star, sqrt_argument
 from .oracle import oracle_time_kernel
@@ -348,16 +348,13 @@ def cmd_fixed_point(cfg):
     # the rows without a fixed point keep these fills
     closed, final, rel, residual = (np.full(lam.size, math.nan)
                                     for _ in range(4))
-    iterations = [0] * lam.size
-    converged = [False] * lam.size
+    iterations = np.zeros(lam.size, dtype=int)
+    converged = np.zeros(lam.size, dtype=bool)
     k = closed[ok] = closed_form_fixed_point(params, lam[ok])
     residual[ok] = quadratic_residual(params, lam[ok], k)
-    for i in np.flatnonzero(ok).tolist():
-        it = map_orbit(params, lam[i], steps=int(num["max_iter"]),
-                       tol=num["tol"])
-        final[i] = it.final
-        iterations[i] = it.orbit.size - 1
-        converged[i] = it.classification == "converged"
+    if ok.any():
+        final[ok], iterations[ok], converged[ok] = _orbit_ends(
+            params, lam[ok], int(num["max_iter"]), num["tol"])
     rel[ok] = np.divide(np.abs(final[ok] - k), np.abs(k),
                         out=np.zeros(k.size), where=k != 0.0)
     status = np.where(ok, "ok", "no-fixed-point").tolist()
@@ -366,8 +363,8 @@ def cmd_fixed_point(cfg):
     _maybe_plot(cfg, lam, [closed], ["k*"], "uniform fixed point")
     return write_table(("lambda", "k_closed", "k_iterated", "iterations",
                         "converged", "rel_diff", "quad_residual", "status"),
-                       (lam, closed, final, iterations, converged, rel,
-                        residual, status), meta, cfg)
+                       (lam, closed, final, iterations.tolist(),
+                        converged.tolist(), rel, residual, status), meta, cfg)
 
 
 def cmd_kernel(cfg, method: str):

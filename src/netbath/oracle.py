@@ -27,18 +27,18 @@ within 1e-8 of the scale of M from some c mu_j leaves M singular or
 near-singular, and that gap guard refuses it.  The run does not depend on
 lambda, so one run serves a grid, and a point gets the bits it gets in one.
 
-The run reorthogonalises each new vector against its whole basis; plain
-Lanczos loses orthogonality on irregular trees, and with it the modes.  The
-Krylov space of a tree from its root holds a vector that reaches each level,
-so the run takes at least depth+1 steps: exactly that many on a b-ary tree,
-whose levels span the space and whose T is sqrt(b) times a chain, the chain
-mapping of Chin, Rivas, Huelga & Plenio (J. Math. Phys. 51, 092109 (2010));
-N steps on a chain of N nodes.  The matrix-vector product is two scatters
-over the parent array.  A tree is connected and bipartite, so by
-Perron-Frobenius the extreme adjacency eigenvalues +-rho(A) are simple, with
-eigenvectors that have no zero entry, the root's entry among them.  The
-root therefore sees both, T keeps +-rho(A), and the extreme mode
-frequencies the root sees are those of the whole network.
+The run reorthogonalises each new vector against the basis vectors of its
+parity; plain Lanczos loses orthogonality on irregular trees, and with it
+the modes.  The Krylov space of a tree from its root holds a vector that
+reaches each level, so the run takes at least depth+1 steps: exactly that
+many on a b-ary tree, whose levels span the space and whose T is sqrt(b)
+times a chain, the chain mapping of Chin, Rivas, Huelga & Plenio (J. Math.
+Phys. 51, 092109 (2010)); N steps on a chain of N nodes.  The matrix-vector
+product is two scatters over the parent array.  A tree is connected and
+bipartite, so by Perron-Frobenius the extreme adjacency eigenvalues +-rho(A)
+are simple, with eigenvectors that have no zero entry, the root's entry
+among them.  The root therefore sees both, T keeps +-rho(A), and the extreme
+mode frequencies the root sees are those of the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
@@ -72,13 +72,16 @@ def _tree_matvec(tree: TreeGraph):
     return matvec
 
 
-def _jacobi(matvec, n: int, k_min: int = 1):
+def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
     """Jacobi matrix (alpha, beta) of a symmetric n x n operator from e_0.
 
     Lanczos with full reorthogonalisation: each new vector is projected out
     of the whole basis by classical Gram-Schmidt, a second time when the
     first pass leaves less than 1/sqrt(2) of its norm (Parlett, The
-    Symmetric Eigenvalue Problem, 1980, sec. 6-9).  The run stops when beta
+    Symmetric Eigenvalue Problem, 1980, sec. 6-9).  A ``bipartite``
+    operator, whose e_0 side holds the even vectors and the other side the
+    odd ones, keeps each new vector exactly zero off its own side, so it is
+    projected out of the vectors of its parity only.  The run stops when beta
     falls to 1e-10 of the largest coefficient seen, where the Krylov space
     is exhausted, or after n steps.  The basis is allocated for ``k_min``
     vectors, a lower bound on the steps, and doubled when full; each
@@ -98,9 +101,10 @@ def _jacobi(matvec, n: int, k_min: int = 1):
         r -= alpha[-1] * q
         if beta:
             r -= beta[-1] * basis[k - 2]
+        rows = basis[k % 2:k:2] if bipartite else basis[:k]
         for _ in range(2):
             before = np.linalg.norm(r)
-            r -= (basis[:k] @ r) @ basis[:k]
+            r -= (rows @ r) @ rows
             norm = float(np.linalg.norm(r))
             if norm >= before / math.sqrt(2.0):
                 break
@@ -122,7 +126,8 @@ def _jacobi(matvec, n: int, k_min: int = 1):
 def _tree_jacobi(tree: TreeGraph):
     """The root's Jacobi matrix, its basis first allocated for depth+1
     vectors, so a tree too deep for the cap is refused for free."""
-    return _jacobi(_tree_matvec(tree), tree.n_nodes, int(tree.depth.max()) + 1)
+    return _jacobi(_tree_matvec(tree), tree.n_nodes, int(tree.depth.max()) + 1,
+                   bipartite=True)
 
 
 def _corner(alpha, beta, c: float, sigma: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netbath as nb
-from netbath import cli
+from netbath import cli, laplace
 
 
 def run_cli(args):
@@ -287,6 +287,7 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("orbit --lam nan", 3, "domain"),
     ("tree --lam inf", 3, "domain"),
     ("fixed-point --tol nan", 3, "domain"),
+    ("fixed-point --tol -1", 3, "domain"),
     ("orbit --x0 nan", 3, "domain"),
     # no real band: the default step is still finite, the kernel refuses
     ("finite-time --C -0.1", 3, "domain"),
@@ -358,12 +359,19 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
         assert "ERROR" not in err and out.read_text()
 
 
-def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
+def test_oversized_requests_refused_before_allocating(tmp_path, capsys,
+                                                     monkeypatch):
     # each would pass the 2 GiB cap, most by tens to hundreds of GiB: a
     # grid, the branch-cut quadrature's nodes with its sine sum, the Bessel
     # convolution's (t x node) matrix, a population pool, the tables of a
-    # grid and of the three counted commands, and an orbit at lambda* = 1,
-    # which never settles at tol 0, of 10^8 steps at 41 bytes each
+    # grid and of the three counted commands, and orbits of 10^8 steps at
+    # 41 bytes each: one at lambda* = 1, which never settles at tol 0, and a
+    # grid of 50 around it, which would step in lockstep.  No orbit takes a
+    # step before it is charged
+    def step(*args):
+        raise AssertionError("an orbit stepped before it was charged")
+
+    monkeypatch.setattr(laplace, "_edge_update", step)
     out = str(tmp_path / "x.csv")
     lines = (f"kernel --tau-count {10**11}",
              "kernel --tau-max 1e9 --tau-count 10",
@@ -375,6 +383,9 @@ def test_oversized_requests_refused_before_allocating(tmp_path, capsys):
              f"population --sweeps {10**9}",
              "fixed-point --n 2 --omega0 1 --C 2.4142135623730945 --m 1 "
              "--lambda-min 1 --lambda-max 1 --lambda-count 1 --tol 0 "
+             f"--max-iter {10**8}",
+             "fixed-point --n 2 --omega0 1 --C 2.4142135623730945 --m 1 "
+             "--lambda-min 0.5 --lambda-max 2 --lambda-count 50 --tol 0 "
              f"--max-iter {10**8}")
     tracemalloc.start()
     try:

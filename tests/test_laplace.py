@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netbath as nb
+from netbath import laplace
 from netbath.errors import BYTE_CAP, DomainError, ShapeError, SizeError, \
     SingularTransformError
 from netbath.laplace import POLE_RTOL, _ORBIT_STEP_BYTES, CavityKernel, \
-    OrbitReport, _chordal, _edge_update, detect_near_cycle
+    OrbitReport, _chordal, _edge_update, _orbit_ends, detect_near_cycle
 
 K_STAR_NARROW_LAM0 = 0.0729206334100700298717568095  # 30-digit evaluation
 
@@ -258,6 +259,68 @@ def test_edge_update_float_branch_matches_the_array_body():
     prod = g0[:2000] * k_in[:2000]
     assert near.any() and (~near & (prod < 1.0)).any() and \
         (~near & (prod > 1.0)).any()
+
+
+def _pole_lambda(params, lo, hi, step):
+    """The float in (lo, hi) nearest the lambda at which the orbit from 0
+    meets the pole at its step-th step: bisection on that step's
+    denominator."""
+    def denom(lam):
+        x = 0.0
+        for _ in range(step - 1):
+            x = nb.uniform_map(x, params, lam)
+        return 1.0 - nb.g0_laplace(params, lam) * x
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (denom(mid) > 0.0) == (denom(lo) > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda lam: abs(denom(lam)))
+
+
+def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
+    # the lockstep grid against one map_orbit per lambda.  Grids of 1 and 8
+    # go to map_orbit whole; grids of 9 and more step in lockstep and hand
+    # their last orbits over mid-run.  Both regimes, lambda* itself, and
+    # points below it, where orbits wander or meet the pole
+    rng = np.random.default_rng(29)
+    cases = []
+    for size in (1, 8, 9, 200):
+        for ratio in (0.6, 2.0):   # C/C*: ordered, disordered
+            n, m = int(rng.integers(2, 5)), float(rng.uniform(0.5, 2.0))
+            p = nb.derive_params(n, 1.0, ratio * nb.critical_coupling(n, 1.0, m), m)
+            l_star = nb.lambda_star(p)
+            lam = rng.uniform(0.05, 3.0, size) if l_star is None else \
+                np.append(l_star * rng.uniform(0.2, 1.5, size - 1), l_star)
+            cases.append((p, np.sort(lam)))
+    # lambda* = 1; the orbits from 0 at these two points meet the pole at
+    # their 5th and 7th steps, in lockstep
+    wandering = nb.derive_params(2, 1.0, 2.4142135623730951, 1.0)
+    poles = [_pole_lambda(wandering, 0.28, 0.30, 5),
+             _pole_lambda(wandering, 0.68, 0.70, 7)]
+    cases.append((wandering, np.sort(np.concatenate(
+        (rng.uniform(0.2, 1.5, 7), [1.0], poles)))))
+    handed = []
+
+    def spy(*args, **kwargs):
+        handed.append(kwargs["x0"])
+        return nb.map_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(laplace, "map_orbit", spy)
+    seen = set()
+    for p, lam in cases:
+        for steps in (0, 1, 2000):
+            for tol in (0.0, 1e-12):
+                final, taken, converged = _orbit_ends(p, lam, steps, tol)
+                for i, x in enumerate(lam.tolist()):
+                    ref = nb.map_orbit(p, x, steps=steps, tol=tol)
+                    assert final[i].tobytes() == np.float64(ref.final).tobytes()
+                    assert (taken[i], converged[i]) == \
+                        (ref.orbit.size - 1, ref.classification == "converged")
+                    seen.add(ref.classification)
+    assert seen == {"pole", "converged", "near-periodic", "wandering"}
+    assert any(x0 != 0.0 for x0 in handed)
 
 
 def test_map_orbit_refuses_a_lambda_array(narrow_band):
