@@ -37,8 +37,7 @@ from .laplace import _orbit_ends, closed_form_fixed_point, map_orbit, \
 from .model import critical_coupling, derive_params, fixed_point_exists, \
     lambda_star, sqrt_argument
 from .oracle import oracle_time_kernel
-from .rs import population_init, population_step, population_stats, \
-    variance_gain
+from .rs import population_init, population_step, variance_gain
 from .timedomain import bessel_kernel, branch_cut_kernel, spectral_density
 from .tree_bp import build_tree, depth_convergence
 
@@ -211,9 +210,23 @@ def _csv_cells(col):
     return map(_fmt, col)
 
 
+#: cell types rendered once per distinct (type, value): True and 1 stay
+#: apart, and floats, whose 0.0 and -0.0 would share a key, are not memoised
+_MEMO_TYPES = (str, bool, int)
+
+
 def _json_cells(col):
     if not _is_float_column(col):
-        return [json.dumps(_json_value(v)) for v in col]
+        memo, cells = {}, []
+        for v in col:
+            if type(v) not in _MEMO_TYPES:
+                cells.append(json.dumps(_json_value(v)))
+                continue
+            key = (type(v), v)
+            if key not in memo:
+                memo[key] = json.dumps(v)
+            cells.append(memo[key])
+        return cells
     cells = list(map(float.__repr__, col.tolist()))
     for i in np.flatnonzero(~np.isfinite(col)).tolist():
         cells[i] = "null"
@@ -459,7 +472,7 @@ def cmd_population(cfg):
     mean, var = np.empty(sweeps.size), np.empty(sweeps.size)
     rejected = []
     for sweep in sweeps.tolist():
-        mean[sweep], var[sweep], _ = population_stats(pop)
+        mean[sweep], var[sweep] = np.mean(pop.samples), np.var(pop.samples)
         rejected.append(pop.rejected)
         if sweep < int(num["sweeps"]):
             pop = population_step(pop)

@@ -33,12 +33,15 @@ the modes.  The Krylov space of a tree from its root holds a vector that
 reaches each level, so the run takes at least depth+1 steps: exactly that
 many on a b-ary tree, whose levels span the space and whose T is sqrt(b)
 times a chain, the chain mapping of Chin, Rivas, Huelga & Plenio (J. Math.
-Phys. 51, 092109 (2010)); N steps on a chain of N nodes.  The matrix-vector
-product is two scatters over the parent array.  A tree is connected and
-bipartite, so by Perron-Frobenius the extreme adjacency eigenvalues +-rho(A)
-are simple, with eigenvectors that have no zero entry, the root's entry
-among them.  The root therefore sees both, T keeps +-rho(A), and the extreme
-mode frequencies the root sees are those of the whole network.
+Phys. 51, 092109 (2010)).  A chain of N nodes rooted at its end is already
+tridiagonal, T = A, so it takes no run and O(N) memory; its modes cost
+most, since the eigenproblem of a k x k T peaks at two k x k arrays and is
+charged for them.  The matrix-vector product is two scatters over the
+parent array.  A tree is connected and bipartite, so by Perron-Frobenius
+the extreme adjacency eigenvalues +-rho(A) are simple, with eigenvectors
+that have no zero entry, the root's entry among them.  The root therefore
+sees both, T keeps +-rho(A), and the extreme mode frequencies the root
+sees are those of the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
@@ -124,10 +127,15 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
 
 
 def _tree_jacobi(tree: TreeGraph):
-    """The root's Jacobi matrix, its basis first allocated for depth+1
-    vectors, so a tree too deep for the cap is refused for free."""
-    return _jacobi(_tree_matvec(tree), tree.n_nodes, int(tree.depth.max()) + 1,
-                   bipartite=True)
+    """The root's Jacobi matrix.  A path from the root, the one tree with a
+    node at every depth below N, is its own: alpha = 0 and beta = 1, the
+    bits the run gives there, since each of its steps is exact.  Any other
+    tree takes the run, its basis first allocated for depth+1 vectors, so a
+    tree too deep for the cap is refused for free."""
+    n, levels = tree.n_nodes, int(tree.depth.max()) + 1
+    if levels == n:
+        return np.zeros(n), np.ones(n - 1)
+    return _jacobi(_tree_matvec(tree), n, levels, bipartite=True)
 
 
 def _corner(alpha, beta, c: float, sigma: np.ndarray) -> np.ndarray:
@@ -187,15 +195,22 @@ def mode_decomposition(tree: TreeGraph, params: ModelParams):
     the module docstring the extreme Omega are those of the whole network.
     A decoupled network (C = 0) has no modes.  Returns (Omega, w) sorted by
     frequency.  Raises :class:`InstabilityError` when some Omega^2 <= 0, and
-    :class:`SizeError` when the Lanczos basis would need more than
-    ``BYTE_CAP`` bytes; the k x k eigenvectors need no more than the k
-    basis vectors of N >= k nodes.
+    :class:`SizeError` when the Lanczos basis, or the eigenproblem of the
+    k x k Jacobi matrix, would need more than ``BYTE_CAP`` bytes: that
+    eigenproblem peaks at two k x k arrays, so it is charged on its own
+    before it starts, and it is what refuses a chain of 11,600 nodes or
+    more, whose Jacobi matrix takes O(N) memory.
     """
     if not _band(params):
         return np.empty(0), np.empty(0)
     import scipy.linalg
 
-    mu, vecs = scipy.linalg.eigh_tridiagonal(*_tree_jacobi(tree))
+    alpha, beta = _tree_jacobi(tree)
+    k = alpha.size
+    # tracemalloc: eigh_tridiagonal peaks at two k x k arrays and ~10 k-vectors
+    _check_bytes(8 * k * (2 * k + 32),
+                 f"eigenvectors of a {k} x {k} Jacobi matrix")
+    mu, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta)
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(

@@ -179,8 +179,8 @@ def test_exit_codes(tmp_path):
 
 
 def test_size_refusal_exits_2(tmp_path, capsys):
-    # 20,001-node chain: its Lanczos basis, at least 20,001 vectors of
-    # 20,001 nodes, would need 3 GiB
+    # 20,001-node chain: the eigenproblem of its 20,001 x 20,001 Jacobi
+    # matrix peaks at two eigenvector-sized arrays, 6 GiB
     assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
                     "--depth", "20000", "--output",
                     str(tmp_path / "k.csv")]) == 2
@@ -558,11 +558,15 @@ def test_column_writer_matches_row_reference(tmp_path, monkeypatch, argv, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_writer_crafted_cells(tmp_path, fmt):
     tiny = 5e-324
-    data = (np.array([math.nan, math.inf, -math.inf, -0.0, tiny, 1e16, 0.1]),
-            [True, False, np.bool_(True), 0, -3, np.int64(7), 2**70],
-            ["none", 1.5, math.nan, "none", -math.inf, np.float64(2.5), 1e-300],
+    # repeated cells of equal value and another type (True and 1, False and
+    # 0, 0.0 and -0.0) must render apart
+    data = (np.array([math.nan, math.inf, -math.inf, -0.0, tiny, 1e16, 0.1,
+                      0.0, 1.0]),
+            [True, False, np.bool_(True), 0, -3, np.int64(7), 2**70, 1, True],
+            ["none", 1.5, math.nan, "none", -math.inf, np.float64(2.5), 1e-300,
+             0.0, -0.0],
             ["a,b", 'quote " and \\', "tab\tnew\nline", "é", "", "ok",
-             "none"])
+             "none", "1", "none"])
     meta = {"x": math.nan, "s": "a b", "flag": True, "k": np.int64(3)}
     columns = ("f", "mixed_int", "mixed_float", "text")
     for rows in (data, tuple(col[:1] for col in data)):

@@ -331,18 +331,62 @@ def test_oracle_peaks_below_message_passing(narrow_band):
     assert peak <= 20 * 2**20 < 8 * tree.n_nodes * lam.size
 
 
+def _chain_and_leaf(depth):
+    """A chain of ``depth`` edges with one more leaf on its root: not a path
+    from the root, so its Jacobi matrix takes the Lanczos run."""
+    return TreeGraph(parent=np.append(nb.build_chain(depth).parent, 0))
+
+
+@pytest.mark.parametrize("depth", [*range(61), 400, 2000])
+def test_path_jacobi_is_the_run_without_running_it(depth):
+    # on a path from its root every Lanczos step is exact arithmetic, so
+    # alpha = 0 and beta = 1 are the very bits the run gives
+    chain = nb.build_chain(depth)
+    run = _jacobi(_tree_matvec(chain), chain.n_nodes, bipartite=True)
+    got = _tree_jacobi(chain)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in run]
+
+
+def test_path_and_leaf_takes_the_run():
+    # one more leaf on the root and the tree is no longer a path: its
+    # Jacobi matrix is the run's, and not all of its beta are 1
+    tree = _chain_and_leaf(400)
+    alpha, beta = _tree_jacobi(tree)
+    run = _jacobi(_tree_matvec(tree), tree.n_nodes, 401, bipartite=True)
+    assert [alpha.tobytes(), beta.tobytes()] == [a.tobytes() for a in run]
+    assert alpha.size >= 401 and not np.all(beta == 1.0)
+
+
+def test_path_eigenvectors_refused_before_allocating(narrow_band, monkeypatch):
+    # the 401-node chain's Jacobi matrix is 6.4 kB, its 401 x 401
+    # eigenvectors 1.3 MB, and the eigenproblem peaks at two of them: with
+    # the cap at 1 MiB the modes are refused before eigh starts
+    cap = 1 << 20
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
+    chain = nb.build_chain(400)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="eigenvectors of a 401 x 401"):
+            nb.mode_decomposition(chain, narrow_band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
 def test_lanczos_basis_refused_before_allocating(ordered_chain, monkeypatch):
-    # the 401-node chain takes 401 Lanczos steps, each vector 3.2 kB; with
-    # the cap at 1 MiB the oracle refuses its depth+1 vectors at once, and a
-    # run from one vector is refused where the basis would double from 128
-    # to 256 vectors, the old and the new basis together past the cap
+    # the 402-node path-plus-leaf takes at least 401 Lanczos steps, each
+    # vector 3.2 kB; with the cap at 1 MiB the oracle refuses its depth+1
+    # vectors at once, and a run from one vector on the 401-node chain is
+    # refused where the basis would double from 128 to 256 vectors, the old
+    # and the new basis together past the cap
     cap = 1 << 20
     monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
     chain = nb.build_chain(400)
     tracemalloc.start()
     try:
         with pytest.raises(SizeError, match="Lanczos basis of 401 vectors"):
-            nb.oracle_kernel_laplace(chain, ordered_chain, 0.5)
+            nb.oracle_kernel_laplace(_chain_and_leaf(400), ordered_chain, 0.5)
         with pytest.raises(SizeError, match="Lanczos basis of 256 vectors"):
             _jacobi(_tree_matvec(chain), chain.n_nodes)
         _, peak = tracemalloc.get_traced_memory()
@@ -528,8 +572,9 @@ def test_corner_matches_dense_on_random_trees(narrow_band):
 
 
 def test_mode_decomposition_refuses_before_allocating(narrow_band):
-    # a 20,001-node chain: the Lanczos run takes at least depth+1 steps, so
-    # its basis would be at least 20,001 x 20,001 float64, 3 GiB
+    # a 20,001-node chain is its own Jacobi matrix, 320 kB, but the
+    # eigenproblem of it peaks at two 20,001 x 20,001 float64 arrays, 6 GiB,
+    # and that charge refuses it
     tree = nb.build_chain(20000)
     tracemalloc.start()
     try:
