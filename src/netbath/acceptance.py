@@ -88,7 +88,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Branch-cut vs Bessel-convolution inversion on tau in [0, 5]."""
+    """Branch-cut vs closed-form Bessel inversion on tau in [0, 5]."""
     params = derive_params(**WIDE_BAND)
     tau = np.linspace(0.0, 5.0, 1001)
     bc = branch_cut_kernel(params, tau)

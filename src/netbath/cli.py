@@ -388,7 +388,7 @@ def cmd_kernel(cfg, method: str):
     if method == "branch-cut":
         tk = branch_cut_kernel(params, tau, quad_order=num["quad_order"])
     elif method == "bessel":
-        tk = bessel_kernel(params, tau, fine_step=num["dt"])
+        tk = bessel_kernel(params, tau)
     elif method == "oracle":
         shape = {"branching": int(num["branching"]), "depth": int(num["depth"])}
         tk = oracle_time_kernel(build_tree(**shape), params, tau)

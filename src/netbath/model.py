@@ -115,8 +115,8 @@ class ModelParams:
     def fine_step(self) -> float:
         """Coarsest time step that resolves the band, 1/(20 lambda_pp).
 
-        The Bessel route, the forward transform, the two-time response
-        solve and its backward cross-check refuse a coarser step
+        The forward transform, the two-time response solve and its
+        backward cross-check refuse a coarser step
         (:func:`_check_step`).  When the band is not real, 1/(20 omega).
         """
         top = self.lambda_pp if self.band_defined else math.sqrt(self.omega_sq)

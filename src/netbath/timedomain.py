@@ -18,15 +18,21 @@ Two independent routes invert the Laplace-side fixed point:
   sin(a + r) = sin a cos r + cos a sin r, with about sqrt(N) block starts a
   and offsets r, as matrix products (:func:`_sine_sum`).
 
-* :func:`bessel_kernel` builds f(t) = integral_0^t J0(w1 u) J0(w2 (t-u)) du
-  and combines it with finite-difference derivatives,
-  k = (m/4)(a^4 f - f'''' - 2 w^2 f'' - w^4 f).  The numerical fourth
-  derivative makes this the looser cross-check of the pair.
+* :func:`bessel_kernel` evaluates the kernel in closed form on the tau grid
+  itself, from the Laplace-side identity
+  sqrt(s^2 + w^2) = s + w L{J1(w t)/t}:
+
+      k(t) = (m/4t) [w1^2 J2(w1 t) + w2^2 J2(w2 t)
+                     - w1 w2 t integral_0^t J1(w1 u)/u J1(w2 (t-u))/(t-u) du],
+
+  with w1 = lambda_pm and w2 = lambda_pp; the convolution's integrand is
+  smooth, so Gauss-Legendre nodes take it without a derivative or a finer
+  grid.  It shares no quadrature with the branch-cut route.
 
 :func:`spectral_density` is the band-limited density J(w) whose sine
 transform reproduces the kernel; :func:`forward_laplace` closes the loop back
-to the Laplace side.  Both the Bessel route's fine grid and a kernel handed to
-:func:`forward_laplace` must resolve the band: their step may not exceed
+to the Laplace side.  A kernel handed to :func:`forward_laplace` must resolve
+the band: its step may not exceed
 :attr:`~netbath.model.ModelParams.fine_step`.  A direct damped-contour
 inversion is deliberately absent: the kernel does not decay and the transform
 has branch cuts on the imaginary axis, which standard inverters cannot handle.
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import j0
+from .bessel import j0, j1
 from .errors import DomainError, ShapeError, _check_bytes
 from .laplace import CavityKernel
 from .model import ModelParams, _band, _check_finite, _check_step, \
@@ -116,7 +122,7 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def _row_blocks(n_rows: int, width: int):
     """Slices of ``range(n_rows)`` whose rows of ``width`` fill about one
-    block: the (t x node) rows of the Bessel convolution.
+    block: the (t x node) rows of the Bessel route's J1 sum.
 
     A multiple of 16 rows per slice: BLAS matrix-vector kernels sum rows in
     groups of 4 or 8, so whole groups give every row the bits that one
@@ -133,19 +139,19 @@ def _row_blocks(n_rows: int, width: int):
 # Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
 # node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
 # float64 arrays, by peak RSS); per element of a row block, at most
-# max(_BLOCK_ELEMENTS, 17 width) (4.00-4.02 arrays: the phases, the two J0
-# values and their product, at 60-20,000 nodes); per
+# max(_BLOCK_ELEMENTS, 17 width) (2.74-3.01 arrays: the phases, the two J1
+# values and their product, at 60-4,000 nodes); per
 # (Q + B) x width entry of a column block of the sine sum, with its phases,
 # weighted copies and node vectors (3.3-3.7 arrays, 4.85 at N = 2); per
 # point (3.01-3.14 for a sine-sum kernel: its output and accumulators, then
-# TimeKernel's checks; 6.6 per fine point for the Bessel kernel's stencils
-# on the odd extension of f, on a tau grid as fine as its fine grid).
+# TimeKernel's checks; 5.85 for the Bessel kernel at 10^5-10^6 points: the
+# J1 sum, the J2 recurrence's arguments and terms, and the output).
 _NODE_BYTES = 100
 _COMPANION_BYTES = 8 * 2.25
 _TRIG_BYTES = 8 * 5.0
-_BESSEL_BLOCK_BYTES = 8 * 4.1
+_BESSEL_BLOCK_BYTES = 8 * 3.1
 _TAU_BYTES = 8 * 3.2
-_FINE_POINT_BYTES = 8 * 10.2
+_BESSEL_POINT_BYTES = 8 * 6.0
 
 
 def _split(n_tau: int, n_freqs: int):
@@ -315,36 +321,7 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
 
 
 # ---------------------------------------------------------------------------
-# Bessel-convolution route
-
-
-def fd_weights(offsets, deriv: int) -> np.ndarray:
-    """Fornberg finite-difference weights at 0 for the given node offsets.
-
-    Offsets are in units of the grid step; divide the result by h**deriv at
-    the call site.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = x.size
-    m = deriv
-    if m >= n:
-        raise ValueError("need more points than the derivative order")
-    delta = np.zeros((m + 1, n, n))
-    delta[0, 0, 0] = 1.0
-    c1 = 1.0
-    for j in range(1, n):
-        c2 = 1.0
-        for k in range(j):
-            c3 = x[j] - x[k]
-            c2 *= c3
-            for i in range(min(j, m) + 1):
-                delta[i, j, k] = (x[j] * delta[i, j - 1, k]
-                                  - (i * delta[i - 1, j - 1, k] if i > 0 else 0.0)) / c3
-        for i in range(min(j, m) + 1):
-            delta[i, j, j] = (c1 / c2) * ((i * delta[i - 1, j - 1, j - 1] if i > 0 else 0.0)
-                                          - x[j - 1] * delta[i, j - 1, j - 1])
-        c1 = c2
-    return delta[m, n - 1, :]
+# Bessel route
 
 
 def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
@@ -357,82 +334,74 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
     """
     nodes = int(math.ceil(0.55 * (params.lambda_pm + params.lambda_pp)
                           * t_max)) + 50
-    _check_bytes(_FINE_POINT_BYTES * n_points + _NODE_BYTES * nodes
+    _check_bytes(_BESSEL_POINT_BYTES * n_points + _NODE_BYTES * nodes
                  + _COMPANION_BYTES * nodes * nodes
                  + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, 17 * nodes),
                  f"Bessel convolution of {n_points} x {nodes} points")
     return nodes
 
 
-def bessel_convolution(params: ModelParams, t_grid) -> np.ndarray:
-    """f(t) = integral_0^t J0(w1 u) J0(w2 (t-u)) du by Gauss-Legendre panels.
+def _j2(x: np.ndarray) -> np.ndarray:
+    """J2 at x >= 0: the recurrence 2 J1(x)/x - J0(x) from x = 1 on, and
+    ``scipy.special.jv`` (16 times the cost) below, where the recurrence's
+    rounding, about eps, is no longer small against J2 ~ x^2/8, and at
+    x = 0 it would divide by zero."""
+    from scipy.special import jv
 
-    One fixed node set scaled to each t keeps the evaluation vectorized; the
-    (t x node) matrices are built one block of rows at a time, so the working
-    memory is a few blocks whatever the grid and the band width.
+    out = np.empty_like(x)
+    far = x >= 1.0
+    xf = x[far]
+    out[far] = 2.0 * j1(xf) / xf - j0(xf)
+    out[~far] = jv(2, x[~far])
+    return out
+
+
+def _j1_sum(params: ModelParams, tau_grid: np.ndarray,
+            nodes: int) -> np.ndarray:
+    """S(t) = (t/2) integral_0^t (J1(w1 u)/u) (J1(w2 (t-u))/(t-u)) du at
+    every t of the grid, by ``nodes`` Gauss-Legendre nodes.
+
+    With u = (t/2)(1+xi) and v = (t/2)(1-xi), S(t) = sum_q W_q J1(w1 u_q)
+    J1(w2 v_q): 1/(uv) is folded into the weights,
+    W_q = w_q / ((1+xi_q)(1-xi_q)), so each (t x node) entry is one product.
+    One node set scaled to each t; the (t x node) matrices are built one
+    block of rows at a time (:func:`_row_blocks`).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    w1 = params.lambda_pm
-    w2 = params.lambda_pp
-    t_max = float(np.max(t_grid)) if t_grid.size else 0.0
-    xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(params, t_grid.size,
-                                                       t_max))
-    f = np.empty(t_grid.shape)
-    for rows in _row_blocks(t_grid.size, xi.size):
-        t = t_grid[rows, None]
-        half = t / 2.0
-        u = half * (xi[None, :] + 1.0)
-        f[rows] = (j0(w1 * u) * j0(w2 * (t - u))) @ wq * half[:, 0]
-    return f
+    xi, wq = np.polynomial.legendre.leggauss(nodes)
+    wq /= (1.0 + xi) * (1.0 - xi)
+    # the phases of J1(w1 u) and J1(w2 v) at t = 2
+    p1 = params.lambda_pm * (1.0 + xi)
+    p2 = params.lambda_pp * (1.0 - xi)
+    s = np.empty(tau_grid.shape)
+    for rows in _row_blocks(tau_grid.size, nodes):
+        half = tau_grid[rows, None] / 2.0
+        s[rows] = (j1(half * p1) * j1(half * p2)) @ wq
+    return s
 
 
-def bessel_kernel(params: ModelParams, tau_grid, fine_step: float | None = None) -> TimeKernel:
-    """Kernel via the Bessel convolution f and its numerical derivatives.
+def bessel_kernel(params: ModelParams, tau_grid) -> TimeKernel:
+    """Kernel in closed form through Bessel functions, on the tau grid itself.
 
-    ``k = (m/4)(a^4 f - f'''' - 2 w^2 f'' - w^4 f)`` with 6th-order central
-    stencils on a fine grid; f is odd, so the grid extends through tau = 0 by
-    antisymmetry and the combination vanishes there identically, consistent
-    with the boundary values f(0)=0, f'(0)=1, f''(0)=0, f'''(0)=-w^2,
-    f''''(0)=0.
+    With w1 = lambda_pm, w2 = lambda_pp and S of :func:`_j1_sum`,
+
+        k(t) = (m / 4t) [w1^2 J2(w1 t) + w2^2 J2(w2 t) - 2 w1 w2 S(t)],
+
+    and k(0) = 0 exactly.  The Gauss-Legendre node count follows the total
+    phase (w1 + w2) tau_max (:func:`_gl_nodes`).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if not _band(params):
         return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
-    fine_step = params.fine_step if fine_step is None else fine_step
-    _check_step(fine_step, params, "fine_step")
-    dtau = _check_tau(tau_grid)
-    refine = max(1, int(math.ceil(dtau / fine_step - 1e-12)))
-    h = dtau / refine if dtau else fine_step
-    offset0 = tau_grid[0] / h
-    if abs(offset0 - round(offset0)) > 1e-6:
-        raise ShapeError("tau grid must align with the fine grid (start at a "
-                         "multiple of the fine step)")
-    margin = 4
-    n_fine = int(round((tau_grid[-1] - 0.0) / h)) + 1 + margin
-    _gl_nodes(params, n_fine, h * (n_fine - 1))   # refuse before allocating
-    f = bessel_convolution(params, h * np.arange(n_fine))
-
-    # Odd extension f(-u) = -f(u): u/h = j sits at index j + n_fine - 1.
-    odd = np.concatenate((-f[:0:-1], f))
-    at = np.round(tau_grid / h).astype(int) + (n_fine - 1)
-    f0 = odd[at]
-
-    def central(weights):
-        # Symmetric weights; summing +-k pairs first keeps the combination
-        # exactly zero at tau = 0 despite the large cancelling terms.
-        mid = weights.size // 2
-        acc = weights[mid] * f0
-        for k in range(1, mid + 1):
-            acc = acc + weights[mid + k] * (odd[at + k] + odd[at - k])
-        return acc
-
-    f4 = central(fd_weights(np.arange(-4, 5), 4) / h**4)
-    f2 = central(fd_weights(np.arange(-3, 4), 2) / h**2)
-    a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
-    w_sq = params.omega_sq
-    values = params.m / 4.0 * (a4 * f0 - f4 - 2.0 * w_sq * f2 - w_sq**2 * f0)
+    _check_tau(tau_grid)
+    nodes = _gl_nodes(params, tau_grid.size, float(tau_grid[-1]))
+    w1, w2 = params.lambda_pm, params.lambda_pp
+    bracket = w1 * w1 * _j2(w1 * tau_grid) + w2 * w2 * _j2(w2 * tau_grid) \
+        - 2.0 * w1 * w2 * _j1_sum(params, tau_grid, nodes)
+    values = np.divide(bracket, tau_grid, out=np.zeros_like(bracket),
+                       where=tau_grid > 0.0)
+    values *= params.m / 4.0
     return TimeKernel(tau=tau_grid, values=values, params=params,
-                      meta={"fine_step": h})
+                      meta={"gl_nodes": nodes})
 
 
 # ---------------------------------------------------------------------------

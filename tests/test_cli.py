@@ -38,7 +38,7 @@ assert "scipy.special" in sys.modules, scipy()
 
 def test_scipy_loads_only_with_the_routes_that_use_it():
     # importing the package and its CLI, and the light subcommands, start
-    # without scipy; the Bessel kernel's J0 loads scipy.special
+    # without scipy; the Bessel kernel's J0 and J1 load scipy.special
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADS],
@@ -171,8 +171,8 @@ def test_exit_codes(tmp_path):
     # domain error -> 3 (kernel needs a real band; C < 0 has none)
     assert run_cli(["kernel", "--C", "-0.1", "--output",
                     str(tmp_path / "x.csv")]) == 3
-    # accuracy error -> 4 (bessel fine step too coarse)
-    assert run_cli(["kernel", "--method", "bessel", "--dt", "1.0",
+    # accuracy error -> 4 (finite-time step too coarse)
+    assert run_cli(["finite-time", "--dt", "1.0",
                     "--output", str(tmp_path / "y.csv")]) == 4
     # unknown subcommand -> argparse usage error 2
     assert run_cli(["frobnicate"]) == 2
@@ -446,10 +446,9 @@ def test_finite_time_holds_no_window_matrix(tmp_path):
 
 def test_shape_and_instability_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
-    # pool below the population floor, and a tau grid off the fine grid
+    # pool below the population floor, and a window of fewer than two steps
     assert run_cli(["population", "--pool-size", "10", "--output", out]) == 2
-    assert run_cli(["kernel", "--method", "bessel", "--tau-min", "0.0001",
-                    "--tau-count", "5", "--output", out]) == 2
+    assert run_cli(["finite-time", "--T", "0.0001", "--output", out]) == 2
     # a tree whose branching outgrows n: a mode with negative stiffness
     assert run_cli(["kernel", "--method", "oracle", "--n", "2", "--omega0",
                     "1", "--C", "0.45", "--m", "1", "--branching", "4",

@@ -192,19 +192,14 @@ def _ode(p, step):
                           p, np.zeros(5))
 
 
-def _bessel(p, step):
-    # the tau grid stays at the band-resolving step: only fine_step varies
-    nb.bessel_kernel(p, p.fine_step * np.arange(5), fine_step=step)
-
-
 def _forward(p, step):
     nb.forward_laplace(TimeKernel(step * np.arange(9), np.zeros(9), params=p),
                        [1e4])
 
 
-@pytest.mark.parametrize("evaluate", [_twinning, _ode, _bessel, _forward],
+@pytest.mark.parametrize("evaluate", [_twinning, _ode, _forward],
                          ids=["twinning_solve", "ode_response_check",
-                              "bessel_kernel", "forward_laplace"])
+                              "forward_laplace"])
 def test_evaluators_accept_fine_step_and_refuse_coarser(narrow_band, evaluate):
     # one owner of the limit: every evaluator accepts it exactly and refuses
     # a step one part in 10^9 coarser, with the same message
@@ -212,15 +207,12 @@ def test_evaluators_accept_fine_step_and_refuse_coarser(narrow_band, evaluate):
     with pytest.raises(AccuracyError, match="band-resolving step"):
         evaluate(narrow_band, narrow_band.fine_step * (1 + 1e-9))
     # a step that is not positive and finite never runs: a grid built on it
-    # is refused as a grid, a step passed on its own by the step owner
+    # is refused as a grid
     for step in (0.0, -1e-3, math.nan):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises((DomainError, ShapeError)):
                 evaluate(narrow_band, step)
-    if evaluate is _bessel:
-        with pytest.raises(DomainError, match="positive and finite"):
-            evaluate(narrow_band, -1e-3)
 
 
 def test_time_grid_refuses_a_step_as_every_evaluator_does():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import scipy.special
 import netbath as nb
 import netbath.errors
 import netbath.timedomain
-from netbath.bessel import j0
+from netbath.bessel import j0, j1
 from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
-    _composite_weights, _gl_nodes, _sine_sum, bessel_convolution, fd_weights
+    _composite_weights, _gl_nodes, _j1_sum, _sine_sum
 
 
 def test_j0_against_reference():
@@ -21,13 +22,11 @@ def test_j0_against_reference():
     assert j0(-3.7) == j0(3.7)
 
 
-def test_fd_weights_known_stencils():
-    w2 = fd_weights(np.arange(-1, 2), 2)
-    assert np.allclose(w2, [1.0, -2.0, 1.0], rtol=1e-13)
-    w1 = fd_weights(np.arange(0, 3), 1)
-    assert np.allclose(w1, [-1.5, 2.0, -0.5], rtol=1e-13)
-    w4 = fd_weights(np.arange(-2, 3), 4)
-    assert np.allclose(w4, [1.0, -4.0, 6.0, -4.0, 1.0], rtol=1e-13)
+def test_j1_against_reference():
+    x = np.linspace(0.0, 300.0, 30001)
+    assert np.max(np.abs(j1(x) - scipy.special.jv(1, x))) < 1e-14
+    assert j1(0.0) == 0.0 and type(j1(0.0)) is float
+    assert j1(-3.7) == -j1(3.7)
 
 
 def test_composite_weights_integrate_polynomials():
@@ -112,27 +111,29 @@ def test_wide_band_breather_structure(wide_band):
 
 
 def test_bessel_boundary_values(wide_band):
-    # f(0) = 0 and f'(0) = 1 read off the computed convolution grid
-    h = 1.0 / (20.0 * wide_band.lambda_pp)
-    t = h * np.arange(6)
-    f = bessel_convolution(wide_band, t)
-    assert abs(f[0]) < 1e-14
-    w1 = fd_weights(np.arange(0, 5), 1) / h
-    fprime0 = float(w1 @ f[:5])
-    assert fprime0 == pytest.approx(1.0, rel=1e-5)
+    # S(0) = 0, and the convolution's mean (2/t^2) S(t) tends to w1 w2 / 4,
+    # since J1(w u)/u -> w/2; its next term is O((w t)^2)
+    p = wide_band
+    t = np.array([0.0, 1e-7, 1e-6])
+    s = _j1_sum(p, t, _gl_nodes(p, t.size, 1e-6))
+    assert s[0] == 0.0
+    mean = 2.0 * s[1:] / t[1:] ** 2
+    assert mean == pytest.approx(p.lambda_pm * p.lambda_pp / 4.0, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 545, 2001, 3000])
 def test_blocked_sums_match_one_product(wide_band, n):
-    # Row blocks give every row of the Bessel convolution the bits of one
+    # Row blocks give every row of the Bessel route's J1 sum the bits of one
     # product over the whole grid.
     p = wide_band
     t = np.linspace(0.0, 5.0, n)
-    xi, wq = np.polynomial.legendre.leggauss(_gl_nodes(p, n, 5.0))
+    nodes = _gl_nodes(p, n, 5.0)
+    xi, wq = np.polynomial.legendre.leggauss(nodes)
+    wq /= (1.0 + xi) * (1.0 - xi)
     half = t[:, None] / 2.0
-    u = half * (xi[None, :] + 1.0)
-    f = (j0(p.lambda_pm * u) * j0(p.lambda_pp * (t[:, None] - u))) @ wq
-    assert np.array_equal(bessel_convolution(p, t), f * half[:, 0])
+    s = (j1(half * (p.lambda_pm * (1.0 + xi)))
+         * j1(half * (p.lambda_pp * (1.0 - xi)))) @ wq
+    assert np.array_equal(_j1_sum(p, t, nodes), s)
 
 
 def _split_error(p, t):
@@ -234,10 +235,54 @@ def test_bessel_kernel_zero_at_origin(wide_band):
     assert tk.values[0] == 0.0
 
 
-def test_bessel_kernel_step_guard(wide_band):
-    with pytest.raises(AccuracyError):
-        nb.bessel_kernel(wide_band, np.linspace(0, 1, 11),
-                         fine_step=1.0 / wide_band.lambda_pp)
+# Largest distance from the branch-cut kernel, in units of eps max|k|, at
+# twice the measured value: (n, omega0, C, m), tau_max, points, bound.  A
+# fourth-derivative stencil divided by h^4 read 1.3e-7 to 9.2e-6 of max|k|
+# on the first four, and 0.157 on the fine narrow-band grid of the last.
+_ROUTE_CASES = [
+    ((20, 0.1, 20.0, 0.5), 5.0, 1001, 32),     # criterion 2's preset: 15.3
+    ((5, 10.0, 1.0, 0.5), 5.0, 1001, 600),     # the CLI defaults: 299.5
+    ((5, 1.0, 0.2, 1.0), 20.0, 2001, 36),      # 17.0
+    ((3, 1.0, 0.3, 0.5), 20.0, 2001, 30),      # 14.3
+    # the narrow band on a step 44 times finer than fine_step: 39.9
+    ((3, 0.526016, 0.062699, 1.786106), 3.92, 2485, 80),
+]
+
+
+def _route_error(p, tau):
+    bc = nb.branch_cut_kernel(p, tau).values
+    bs = nb.bessel_kernel(p, tau).values
+    return np.max(np.abs(bs - bc)) / (np.finfo(float).eps * np.max(np.abs(bc)))
+
+
+@pytest.mark.parametrize("args, tau_max, n, bound", _ROUTE_CASES,
+                         ids=["criterion-2", "cli-defaults", "5-1-0.2-1",
+                              "3-1-0.3-0.5", "narrow-2485"])
+def test_bessel_route_matches_branch_cut_to_rounding(args, tau_max, n, bound):
+    p = nb.derive_params(*args)
+    assert _route_error(p, np.linspace(0.0, tau_max, n)) <= bound
+
+
+@pytest.mark.parametrize("n, omega0, m", [(3, 1.0, 1.0), (5, 2.0, 0.7)])
+def test_bessel_kernel_at_critical_coupling(n, omega0, m):
+    # at C = C* the lower band edge is 0: J1(0 u) and J2(0 t) are 0, and the
+    # J2 recurrence never runs at x = 0; measured 8.8 and 7.6 eps max|k|
+    p = nb.derive_params(n, omega0, nb.critical_coupling(n, omega0, m), m)
+    assert p.lambda_pm == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _route_error(p, np.linspace(0.0, 5.0, 1001)) <= 20
+
+
+def test_bessel_kernel_takes_any_uniform_grid(narrow_band):
+    # the route evaluates on the grid it is given: a start off every
+    # multiple of fine_step, and a step coarser than fine_step; measured 67
+    # and 170 eps max|k|
+    p = narrow_band
+    for tau in (1e-4 + p.fine_step * np.arange(5), np.linspace(0.5, 5.0, 11)):
+        assert nb.bessel_kernel(p, tau).meta["gl_nodes"] == \
+            _gl_nodes(p, tau.size, tau[-1])
+        assert _route_error(p, tau) <= 340
 
 
 def test_route_agreement_both_presets(narrow_band, wide_band):
