@@ -20,7 +20,7 @@ import numpy as np
 from .finite_time import TwoTimeKernel, ode_response_check, \
     response_from_twinning, time_grid, twinning_solve
 from .laplace import _orbit_ends, closed_form_fixed_point, g0_laplace, \
-    map_orbit, quadratic_residual, real_multiplier
+    quadratic_residual, real_multiplier
 from .model import critical_coupling, derive_params, lambda_star
 from .oracle import mode_decomposition, oracle_kernel_laplace, \
     oracle_time_kernel
@@ -74,9 +74,11 @@ def criterion_1() -> CriterionResult:
     for preset in (NARROW_BAND, WIDE_BAND):
         params = derive_params(**preset)
         closed = closed_form_fixed_point(params, lam)
-        final = _orbit_ends(params, lam, 100000, 1e-13)[0]
-        worst_rel = max(worst_rel,
-                        float(np.max(np.abs(final - closed) / np.abs(closed))))
+        final, _, stop, _ = _orbit_ends(params, lam, 100000, 1e-13)
+        # an orbit that did not converge is no iterated fixed point
+        rel = np.where(stop == "converged",
+                       np.abs(final - closed) / np.abs(closed), np.inf)
+        worst_rel = max(worst_rel, float(np.max(rel)))
         res = np.abs(quadratic_residual(params, lam, closed))
         worst_res = max(worst_res,
                         float(np.max(res / np.maximum(1.0, np.abs(closed)))))
@@ -253,7 +255,8 @@ def criterion_9() -> CriterionResult:
     l_star = lambda_star(params)
 
     def converges(lam):
-        return map_orbit(params, lam, steps=20000).classification == "converged"
+        stop = _orbit_ends(params, np.array([lam]), 20000, 1e-12)[2]
+        return stop[0] == "converged"
 
     below = converges(0.9 * l_star)
     above = converges(1.1 * l_star)

@@ -366,8 +366,9 @@ def cmd_fixed_point(cfg):
     k = closed[ok] = closed_form_fixed_point(params, lam[ok])
     residual[ok] = quadratic_residual(params, lam[ok], k)
     if ok.any():
-        final[ok], iterations[ok], converged[ok] = _orbit_ends(
+        final[ok], iterations[ok], stop, _ = _orbit_ends(
             params, lam[ok], int(num["max_iter"]), num["tol"])
+        converged[ok] = stop == "converged"
     rel[ok] = np.divide(np.abs(final[ok] - k), np.abs(k),
                         out=np.zeros(k.size), where=k != 0.0)
     status = np.where(ok, "ok", "no-fixed-point").tolist()

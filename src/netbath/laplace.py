@@ -14,9 +14,12 @@ map :func:`uniform_map`, whose attracting fixed point
 :func:`~netbath.model.sqrt_argument` is nonnegative.  The analytic
 continuation onto the Fourier axis, :func:`fourier_fixed_point`, has constant
 modulus across the environment band, which makes the per-iteration gain of
-the noise kernel exactly 2 there (:func:`real_multiplier`).  The one orbit
-iterator of that map, :func:`map_orbit`, classifies where iteration from a
-start value goes: converged, near-periodic, wandering, or into the pole.
+the noise kernel exactly 2 there (:func:`real_multiplier`).  One routine,
+:func:`_orbit_ends`, steps that map: the orbits of a whole lambda grid in
+lockstep through the array update, then the last few on Python floats, and
+says where each stopped: converged, at the pole, or still moving.
+:func:`map_orbit` runs it on a grid of one and classifies an orbit still
+moving as near-periodic or wandering.
 
 All public fixed-point values are n-type (aggregate over n-1 branches); the
 single-branch (m-type) value is the n-type value divided by n-1.  A scalar
@@ -105,7 +108,7 @@ def _edge_update(k_in, g0, c_half):
     ``poles`` marks the entries whose denominator vanishes to relative
     tolerance ``POLE_RTOL`` and ``values`` is nan there.
 
-    Python floats in, as :func:`map_orbit` passes them, take a branch of
+    Python floats in, as :func:`_orbit_ends` passes them, take a branch of
     Python operators: the same IEEE operations in the same order, so every
     bit matches the array body, at a fraction of numpy's per-call cost.
     ``max`` keeps a nan ``prod`` first, so its bound stays nan as under
@@ -235,112 +238,95 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     approximate recurrence (:func:`detect_near_cycle` on its last 1024
     points); its failure to settle signals the dynamically disordered regime.
 
-    Lambda is fixed along the orbit, so G0 is evaluated once per orbit and
-    each step is one :func:`_edge_update` on Python floats, which takes its
-    float branch: the same IEEE operations as the array body, so the
-    iterates are those of :func:`uniform_map`, bit for bit.  Lambda and x0
-    are each one point: an array of any size is refused with
-    :class:`~netbath.errors.ShapeError`.  The orbit is charged 41 bytes a
-    step against the byte cap before it starts, so ``steps`` past about
-    5 x 10^7 are refused with :class:`~netbath.errors.SizeError`.
+    The orbit is that of :func:`_orbit_ends` on a grid of one, whose float
+    steps are those of :func:`uniform_map`, bit for bit.  Lambda and x0 are
+    each one point: an array of any size is refused with ShapeError.  A
+    negative ``tol`` or ``steps`` is refused with DomainError, and ``steps``
+    past about 5 x 10^7 with SizeError, before any step.
     """
-    if not tol >= 0:   # nan included
-        raise DomainError(f"tol must be >= 0, got {tol}")
     if np.ndim(lam) > 0:
         raise ShapeError("map_orbit takes one lambda, not an array")
     if np.ndim(x0) > 0:
         raise ShapeError("map_orbit takes one x0, not an array")
     _check_finite(x0, "x0")
-    _check_bytes(_ORBIT_STEP_BYTES * (steps + 1), f"orbit of {steps} steps")
-    g0 = g0_laplace(params, lam)
-    # a Python float, so that a numpy C keeps the steps on the float branch
-    c_half = float(params.C)**2 / 2.0
-    branches = params.n - 1
-    x = float(x0)
-    orbit = [x]
-    for _ in range(steps):
-        k_branch, pole = _edge_update(x, g0, c_half)
-        if pole:
-            return OrbitReport(classification="pole", final=x,
-                               orbit=np.asarray(orbit),
-                               diameter=float(np.ptp(orbit)))
-        x_next = branches * k_branch
-        orbit.append(x_next)
-        if abs(x_next - x) <= tol * max(1.0, abs(x)):
-            return OrbitReport(classification="converged", final=x_next,
-                               orbit=np.asarray(orbit),
-                               diameter=float(np.ptp(orbit)))
-        x = x_next
-    orbit = np.asarray(orbit)
-    window = orbit[-min(1024, orbit.size):]
-    period, rec_err = detect_near_cycle(window)
-    cls = "near-periodic" if period is not None and period > 1 else "wandering"
+    _, _, stop, orbit = _orbit_ends(params, np.atleast_1d(lam), steps, tol, x0)
+    cls, period, rec_err = stop[0], None, None
+    if cls == "moving":
+        period, rec_err = detect_near_cycle(orbit[-1024:])
+        cls = "near-periodic" if period is not None and period > 1 else "wandering"
     return OrbitReport(classification=cls, final=float(orbit[-1]), orbit=orbit,
                        diameter=float(np.ptp(orbit)), period=period,
                        recurrence_error=rec_err)
 
 
-#: Live orbits at or below which :func:`_orbit_ends` hands each one to
-#: :func:`map_orbit`.  A lockstep step costs 10-16 us at widths 1 to 100 and
-#: 22 us at 400, a float step 0.5 us, a map_orbit call about 20 us more and
-#: an unsettled orbit's cycle scan milliseconds.  On the benchmark's 56
+#: Live orbits at or below which :func:`_orbit_ends` steps each one on its
+#: own, on Python floats.  A lockstep step costs 10-16 us at widths 1 to 100
+#: and 22 us at 400, a float step 0.5 us.  On the benchmark's 56
 #: fixed-point lines of four seeds (one CPU of a 2-vCPU Xeon), a pass took
-#: 123 ms with 4 or 8, 127-142 ms with 12 to 24, 145 ms with no handoff
-#: and 320 ms with map_orbit alone.
+#: 123 ms with 4 or 8, 127-142 ms with 12 to 24 and 145 ms with no
+#: handoff, and 320 ms with one map_orbit call per lambda.
 _LOCKSTEP_MAX_HANDOFF = 8
 
 
-def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float):
-    """Where the :func:`map_orbit` orbit from 0 ends, at each point of a
-    1-d lambda grid.
+def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
+                x0: float = 0.0):
+    """The orbits of the uniform map from x0, one at each point of a 1-d
+    lambda grid: the one routine that steps the map.
 
-    Returns ``(final, steps_taken, converged)``: each orbit's ``final``,
-    ``orbit.size - 1`` and ``classification == "converged"``, bit for bit.
-    G0 is taken once on the grid, and every live lambda steps together
-    through the array body of :func:`_edge_update`, the same IEEE operations
-    as the float branch.  Each keeps map_orbit's stop tests, convergence
-    and the pole, and leaves the live set when one of them stops it.  Once
-    at most ``_LOCKSTEP_MAX_HANDOFF`` orbits are live, each goes on in
-    map_orbit from its current iterate with its remaining steps, so a grid
-    that small is map_orbit itself.  ``tol`` is refused and the orbit
-    charged before anything is iterated, as map_orbit does.
+    Returns ``(final, steps_taken, stop, orbit)``: each orbit's last finite
+    iterate, its step count and why it stopped, ``"converged"`` (the test
+    of :func:`map_orbit`), ``"pole"`` or ``"moving"`` (``steps`` reached);
+    then the float-stepped iterates of the last orbit live at the handoff,
+    which for a grid of one is its whole orbit from x0.  Every live lambda
+    steps together through the array body of :func:`_edge_update` until at
+    most ``_LOCKSTEP_MAX_HANDOFF`` are live; each of those goes on alone
+    through the float branch, the same IEEE operations, so every orbit has
+    the bits of its own grid of one.  A negative ``tol`` or ``steps`` is
+    refused with DomainError, and the orbit charged, before any step.
     """
     if not tol >= 0:   # nan included
         raise DomainError(f"tol must be >= 0, got {tol}")
+    if not steps >= 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
     _check_bytes(_ORBIT_STEP_BYTES * (steps + 1), f"orbit of {steps} steps")
     g0 = g0_laplace(params, lam)
+    # a Python float, so that a numpy C keeps the float steps on floats
     c_half = float(params.C)**2 / 2.0
     branches = params.n - 1
     final = np.zeros(lam.size)
     taken = np.zeros(lam.size, dtype=int)
-    converged = np.zeros(lam.size, dtype=bool)
+    stop = np.full(lam.size, "moving", dtype=object)
     live = np.arange(lam.size)
-    x = np.zeros(lam.size)
+    x = np.full(lam.size, float(x0))
     step = 0
     while step < steps and live.size > _LOCKSTEP_MAX_HANDOFF:
         k_branch, pole = _edge_update(x, g0, c_half)
         x_next = branches * k_branch
         done = np.abs(x_next - x) <= tol * np.maximum(1.0, np.abs(x))
-        stop = pole | done
-        if stop.any():
-            final[live[pole]] = x[pole]
-            taken[live[pole]] = step
-            final[live[done]] = x_next[done]
-            taken[live[done]] = step + 1
-            converged[live[done]] = True
-            keep = ~stop
-            live, g0, x_next = live[keep], g0[keep], x_next[keep]
+        ended = pole | done
+        if ended.any():
+            final[live[pole]], taken[live[pole]] = x[pole], step
+            stop[live[pole]] = "pole"
+            final[live[done]], taken[live[done]] = x_next[done], step + 1
+            stop[live[done]] = "converged"
+            live, g0, x_next = live[~ended], g0[~ended], x_next[~ended]
         x = x_next
         step += 1
-    final[live] = x
-    taken[live] = step
-    if step < steps:
-        for i, x0 in zip(live.tolist(), x.tolist()):
-            report = map_orbit(params, lam[i], x0=x0, steps=steps - step, tol=tol)
-            final[i] = report.final
-            taken[i] += report.orbit.size - 1
-            converged[i] = report.classification == "converged"
-    return final, taken, converged
+    orbit = []
+    for i, g, x in zip(live.tolist(), g0.tolist(), x.tolist()):
+        orbit = [x]
+        for _ in range(steps - step):
+            k_branch, pole = _edge_update(x, g, c_half)
+            if pole:
+                stop[i] = "pole"
+                break
+            orbit.append(branches * k_branch)
+            x, x_prev = orbit[-1], x
+            if abs(x - x_prev) <= tol * max(1.0, abs(x_prev)):
+                stop[i] = "converged"
+                break
+        final[i], taken[i] = x, step + len(orbit) - 1
+    return final, taken, stop, np.asarray(orbit)
 
 
 def fourier_fixed_point(params: ModelParams, nu):

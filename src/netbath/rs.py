@@ -182,10 +182,13 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     """Pool initialized at the single-branch fixed point k*/(n-1).
 
     ``sigma`` adds a Gaussian perturbation (absolute scale) to every sample.
-    Raises :class:`SizeError`, before the pool is allocated, when a sweep of
-    it at the largest degree the disorder allows would hold more than
-    ``BYTE_CAP`` bytes.
+    Raises, before the pool is allocated, :class:`DomainError` for a
+    ``sigma`` that is nan or negative, and :class:`SizeError` when a sweep
+    of the pool at the largest degree the disorder allows would hold more
+    than ``BYTE_CAP`` bytes.
     """
+    if not sigma >= 0:   # nan included
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
     disorder = disorder or DisorderSpec()
     degrees = disorder.degree[1:3]      # the law's degrees, or (None,)
     width = max((params.n if degrees[0] is None else max(degrees)) - 1, 0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError, _check_bytes
 from .laplace import (CavityKernel, _check_lambda_grid, _edge_update,
-                      closed_form_fixed_point, g0_laplace, map_orbit)
+                      _orbit_ends, closed_form_fixed_point, g0_laplace)
 from .model import ModelParams
 
 #: Refuse to build trees larger than this (2**20 nodes).
@@ -296,13 +296,16 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
 
     The regular-tree root aggregate at depth d equals the d-th iterate of the
     uniform map with degree branching+1 starting from zero, so the residuals
-    are those of the :func:`~netbath.laplace.map_orbit` orbit, run with zero
-    tolerance and, once it settles exactly, held at its last iterate.
-    Requires the fixed point to exist at ``lam``.
+    are those of its orbit from :func:`~netbath.laplace._orbit_ends`, with
+    zero tolerance and, once it settles exactly, held at its last iterate;
+    it is never scanned for recurrence.  Requires the fixed point to exist
+    at one ``lam``; a negative ``max_depth`` is refused with DomainError.
     """
+    if np.ndim(lam) > 0:
+        raise ShapeError("depth_convergence takes one lambda, not an array")
     n = branching + 1
     params_n = params if params.n == n else replace(params, n=n)
     k_star = closed_form_fixed_point(params_n, lam)
-    orbit = map_orbit(params_n, lam, steps=max_depth, tol=0.0).orbit
+    orbit = _orbit_ends(params_n, np.array([lam]), max_depth, 0.0)[3]
     orbit = np.pad(orbit, (0, max_depth + 1 - orbit.size), mode="edge")
     return np.abs(orbit - k_star)

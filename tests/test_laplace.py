@@ -281,9 +281,10 @@ def _pole_lambda(params, lo, hi, step):
 
 def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
     # the lockstep grid against one map_orbit per lambda.  Grids of 1 and 8
-    # go to map_orbit whole; grids of 9 and more step in lockstep and hand
-    # their last orbits over mid-run.  Both regimes, lambda* itself, and
-    # points below it, where orbits wander or meet the pole
+    # step on floats whole; grids of 9 and more step in lockstep and hand
+    # their last orbits over to the float steps mid-run.  Both regimes,
+    # lambda* itself, and points below it, where orbits wander or meet the
+    # pole
     rng = np.random.default_rng(29)
     cases = []
     for size in (1, 8, 9, 200):
@@ -301,26 +302,75 @@ def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
              _pole_lambda(wandering, 0.68, 0.70, 7)]
     cases.append((wandering, np.sort(np.concatenate(
         (rng.uniform(0.2, 1.5, 7), [1.0], poles)))))
-    handed = []
+    # each edge update's k_in: an array step, or the iterate a float step
+    # starts from
+    calls, handed = [], []
 
-    def spy(*args, **kwargs):
-        handed.append(kwargs["x0"])
-        return nb.map_orbit(*args, **kwargs)
+    def spy(k_in, g0, c_half):
+        calls.append(k_in if type(k_in) is float else None)
+        return _edge_update(k_in, g0, c_half)
 
-    monkeypatch.setattr(laplace, "map_orbit", spy)
+    monkeypatch.setattr(laplace, "_edge_update", spy)
     seen = set()
     for p, lam in cases:
         for steps in (0, 1, 2000):
             for tol in (0.0, 1e-12):
-                final, taken, converged = _orbit_ends(p, lam, steps, tol)
+                calls.clear()
+                final, taken, stop, _ = _orbit_ends(p, lam, steps, tol)
+                # an orbit handed over mid-run: float steps after array
+                # steps, from an iterate past the start
+                handed.append(None in calls and any(
+                    k not in (None, 0.0) for k in calls[calls.index(None):]))
                 for i, x in enumerate(lam.tolist()):
                     ref = nb.map_orbit(p, x, steps=steps, tol=tol)
                     assert final[i].tobytes() == np.float64(ref.final).tobytes()
-                    assert (taken[i], converged[i]) == \
-                        (ref.orbit.size - 1, ref.classification == "converged")
+                    assert (taken[i], stop[i]) == (ref.orbit.size - 1, {
+                        "near-periodic": "moving", "wandering": "moving"
+                    }.get(ref.classification, ref.classification))
                     seen.add(ref.classification)
     assert seen == {"pole", "converged", "near-periodic", "wandering"}
-    assert any(x0 != 0.0 for x0 in handed)
+    assert any(handed)
+
+
+def test_orbit_ends_return_the_float_orbit_of_a_grid_of_one(narrow_band):
+    # a grid of one is stepped on floats whole, from x0: its orbit is that
+    # of the per-step uniform_map loop, and its end and step count are the
+    # orbit's own
+    for x0, steps in ((0.0, 2000), (0.5, 7), (0.0, 0)):
+        final, taken, stop, orbit = _orbit_ends(
+            narrow_band, np.array([1.0]), steps, 1e-12, x0)
+        ref = _map_orbit_reference(narrow_band, 1.0, x0=x0, steps=steps)
+        assert orbit.tobytes() == ref.orbit.tobytes()
+        assert (final[0], taken[0]) == (orbit[-1], orbit.size - 1)
+    assert stop[0] == "moving" and orbit.tolist() == [0.0]
+
+
+def test_orbit_iteration_refuses_negative_steps(narrow_band):
+    # a negative step count was an orbit of its start value alone,
+    # classified "wandering", and a negative depth a numpy ValueError
+    with pytest.raises(DomainError, match="steps"):
+        nb.map_orbit(narrow_band, 1.0, steps=-3)
+    with pytest.raises(DomainError, match="steps"):
+        _orbit_ends(narrow_band, np.linspace(0.5, 2.0, 20), -1, 1e-12)
+    with pytest.raises(DomainError, match="steps"):
+        nb.depth_convergence(narrow_band, 4, -1, 1.0)
+    assert nb.map_orbit(narrow_band, 1.0, steps=0).orbit.tolist() == [0.0]
+
+
+def test_capped_orbits_skip_the_cycle_scan(monkeypatch):
+    # the near-cycle scan is map_orbit's alone: capped orbits of a grid,
+    # handed to the float steps, and a depth orbit still moving at
+    # max_depth are never scanned
+    def scan(tail):
+        raise AssertionError("near-cycle scan run")
+
+    monkeypatch.setattr(laplace, "detect_near_cycle", scan)
+    wandering = nb.derive_params(2, 1.0, 2.4142135623730951, 1.0)
+    _, taken, stop, _ = _orbit_ends(wandering, np.linspace(0.3, 0.9, 20), 300, 1e-12)
+    assert (stop == "moving").sum() > 8 and taken.max() == 300
+    # a line near C* settles only after 270 steps
+    res = nb.depth_convergence(nb.derive_params(2, 1.0, 1.2, 1.0), 1, 200, 0.01)
+    assert res.size == 201 and res[-1] != res[-2]
 
 
 def test_map_orbit_refuses_a_lambda_array(narrow_band):

@@ -398,6 +398,22 @@ def test_sweep_stops_redrawing_at_the_pole(narrow_band):
         nb.population_step(pop)
 
 
+def test_pool_refuses_a_nan_or_negative_sigma(narrow_band):
+    # both were ignored, leaving an unperturbed pool of variance 0.0; the
+    # refusal comes before the pool is allocated
+    tracemalloc.start()
+    try:
+        for sigma in (np.nan, -1e-3, -np.inf):
+            with pytest.raises(DomainError, match="sigma"):
+                nb.population_init(narrow_band, 1.0, size=10**6, sigma=sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    pool = nb.population_init(narrow_band, 1.0, size=MIN_POOL, sigma=0.0)
+    assert np.var(pool.samples) == 0.0
+
+
 def test_pool_refused_by_its_sweep_before_allocating(monkeypatch):
     # a sweep of 3 x 10^7 slots is charged 72 bytes a slot, about 2.01 GiB,
     # though the pool itself is 240 MB

@@ -334,6 +334,9 @@ def test_depth_convergence_requires_fixed_point():
     p = nb.derive_params(2, 1.0, 2.0 * c2, 1.0)
     with pytest.raises(DomainError):
         nb.depth_convergence(p, 1, 10, 0.5)
+    # one lambda, as map_orbit took
+    with pytest.raises(ShapeError, match="one lambda"):
+        nb.depth_convergence(p, 1, 10, np.array([2.0, 3.0]))
 
 
 def test_edge_noise_gain_zero_coupling():
