@@ -29,6 +29,7 @@ squares an array, so a point returns exactly the grid's float at that point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,8 +242,9 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
     The orbit is that of :func:`_orbit_ends` on a grid of one, whose float
     steps are those of :func:`uniform_map`, bit for bit.  Lambda and x0 are
     each one point: an array of any size is refused with ShapeError.  A
-    negative ``tol`` or ``steps`` is refused with DomainError, and ``steps``
-    past about 5 x 10^7 with SizeError, before any step.
+    negative ``tol``, and a ``steps`` that is negative or not an integer (a
+    bool included), are refused with DomainError, and ``steps`` past about
+    5 x 10^7 with SizeError, before any step.
     """
     if np.ndim(lam) > 0:
         raise ShapeError("map_orbit takes one lambda, not an array")
@@ -281,13 +283,15 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     steps together through the array body of :func:`_edge_update` until at
     most ``_LOCKSTEP_MAX_HANDOFF`` are live; each of those goes on alone
     through the float branch, the same IEEE operations, so every orbit has
-    the bits of its own grid of one.  A negative ``tol`` or ``steps`` is
-    refused with DomainError, and the orbit charged, before any step.
+    the bits of its own grid of one.  A negative ``tol``, and a ``steps``
+    that is negative or not an integer, are refused with DomainError, and
+    the orbit charged, before any step.
     """
     if not tol >= 0:   # nan included
         raise DomainError(f"tol must be >= 0, got {tol}")
-    if not steps >= 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+            or steps < 0:
+        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
     _check_bytes(_ORBIT_STEP_BYTES * (steps + 1), f"orbit of {steps} steps")
     g0 = g0_laplace(params, lam)
     # a Python float, so that a numpy C keeps the float steps on floats

@@ -22,7 +22,7 @@ are the nodes and weights of that measure: the mode frequencies
 Omega_j^2 = omega^2 - sqrt(2) C mu_j / m and their root weights, only modes
 the root sees, a degenerate eigenvalue once with its summed weight.  They
 give the time-domain kernel.  On the Laplace side the corner of M^{-1} is
-that of sigma - cT, one banded solve per lambda.  A lambda whose sigma lies
+that of sigma - cT, one tridiagonal solve per lambda.  A lambda whose sigma lies
 within 1e-8 of the scale of M from some c mu_j leaves M singular or
 near-singular, and that gap guard refuses it.  The run does not depend on
 lambda, so one run serves a grid, and a point gets the bits it gets in one.
@@ -34,14 +34,17 @@ reaches each level, so the run takes at least depth+1 steps: exactly that
 many on a b-ary tree, whose levels span the space and whose T is sqrt(b)
 times a chain, the chain mapping of Chin, Rivas, Huelga & Plenio (J. Math.
 Phys. 51, 092109 (2010)).  A chain of N nodes rooted at its end is already
-tridiagonal, T = A, so it takes no run and O(N) memory; its modes cost
-most, since the eigenproblem of a k x k T peaks at two k x k arrays and is
-charged for them.  The matrix-vector product is two scatters over the
-parent array.  A tree is connected and bipartite, so by Perron-Frobenius
-the extreme adjacency eigenvalues +-rho(A) are simple, with eigenvectors
-that have no zero entry, the root's entry among them.  The root therefore
-sees both, T keeps +-rho(A), and the extreme mode frequencies the root
-sees are those of the whole network.
+tridiagonal, T = A, so it takes no run, and its nodes and weights come in
+closed form, mu_j = 2 cos(j pi/(N+1)) and s_0j^2 = (2/(N+1)) sin^2(j
+pi/(N+1)): its modes and its gap guard take O(N) time and memory and no
+eigensolver.  Any other tree takes its nodes and weights from LAPACK; the
+eigenproblem of a k x k T peaks at two k x k arrays and is charged for
+them.  The matrix-vector product is two scatters over the parent array.
+A tree is connected and bipartite, so by Perron-Frobenius the extreme
+adjacency eigenvalues +-rho(A) are simple, with eigenvectors that have no
+zero entry, the root's entry among them.  The root therefore sees both, T
+keeps +-rho(A), and the extreme mode frequencies the root sees are those of
+the whole network.
 
 The off-diagonal C/sqrt(2) is a convention derived from matching the cavity
 recursion, not a physical identification of the edge Hamiltonian; it is
@@ -126,42 +129,66 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
     return np.array(alpha), np.array(beta)
 
 
+def _path_measure(k: int):
+    """Golub-Welsch nodes and weights of the k-node path seen from its end,
+    in closed form: the sine transform diagonalises the path, so mu_j =
+    2 cos(j pi/(k+1)) and s_0j^2 = (2/(k+1)) sin^2(j pi/(k+1)), j = 1..k.
+    They are taken as 2 sin(theta_j) and (2/(k+1)) cos^2(theta_j), theta_j =
+    pi (2j - k - 1) / (2(k+1)), in ascending order: a +-mu pair is an exact
+    pair of negatives with equal weights, the middle node of an odd path is
+    exactly 0, and one node is exactly (0, 1)."""
+    theta = np.pi * np.arange(1 - k, k, 2) / (2 * (k + 1))
+    return 2.0 * np.sin(theta), 2.0 / (k + 1) * np.cos(theta) ** 2
+
+
 def _tree_jacobi(tree: TreeGraph):
-    """The root's Jacobi matrix.  A path from the root, the one tree with a
-    node at every depth below N, is its own: alpha = 0 and beta = 1, the
-    bits the run gives there, since each of its steps is exact.  Any other
+    """The root's Jacobi matrix (alpha, beta) and, where it comes in closed
+    form, its measure (mu, s0^2), else None.  A path from the root, the one
+    tree with a node at every depth below N, is its own Jacobi matrix:
+    alpha = 0 and beta = 1, the bits the run gives there, since each of its
+    steps is exact, and its measure is :func:`_path_measure`'s.  Any other
     tree takes the run, its basis first allocated for depth+1 vectors, so a
     tree too deep for the cap is refused for free."""
     n, levels = tree.n_nodes, int(tree.depth.max()) + 1
     if levels == n:
-        return np.zeros(n), np.ones(n - 1)
-    return _jacobi(_tree_matvec(tree), n, levels, bipartite=True)
+        return np.zeros(n), np.ones(n - 1), _path_measure(n)
+    return (*_jacobi(_tree_matvec(tree), n, levels, bipartite=True), None)
 
 
-def _corner(alpha, beta, c: float, sigma: np.ndarray) -> np.ndarray:
+def _corner(c: float, sigma: np.ndarray, alpha, beta,
+            measure=None) -> np.ndarray:
     """``[(sigma - c T)^{-1}]_{0,0}`` for each shift of the flat array
-    ``sigma``, T the Jacobi matrix (alpha, beta), by one banded solve each.
+    ``sigma``, T the Jacobi matrix (alpha, beta), by one LAPACK ``gtsv``
+    solve each (the routine ``solve_banded`` runs on a tridiagonal band).
 
-    Raises :class:`DomainError` when some shift lies within 1e-8 (|sigma|
-    + |c| max|mu|) of an eigenvalue c mu_j of cT: the matrix is singular
-    or near-singular there.
+    The gap guard reads the eigenvalues mu_j of T from ``measure`` when it
+    is given, else takes them by ``eigvalsh_tridiagonal``.  Raises
+    :class:`DomainError` when some shift lies within 1e-8 (|sigma| + |c|
+    max|mu|) of an eigenvalue c mu_j of cT, where the matrix is singular or
+    near-singular, or is not finite; a nan or infinite c or sigma fails the
+    guard, so no solve meets one.
     """
     import scipy.linalg
 
-    c_mu = c * scipy.linalg.eigvalsh_tridiagonal(alpha, beta)
+    mu = (scipy.linalg.eigvalsh_tridiagonal(alpha, beta) if measure is None
+          else measure[0])
+    c_mu = c * mu
     reach = np.abs(c_mu).max()
-    band = np.zeros((3, alpha.size))
-    band[0, 1:] = band[2, :-1] = -c * beta
-    e = np.zeros(alpha.size)
+    # gtsv's wrapper takes one off-diagonal entry, never read, for one node
+    off = -c * beta if beta.size else np.zeros(1)
+    e = np.zeros((alpha.size, 1))
     e[0] = 1.0
+    gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), (off, e))
     corner = np.empty(sigma.size)
     for i, s in enumerate(sigma.tolist()):
         gap = np.abs(s - c_mu).min()
         if not gap > 1e-8 * (abs(s) + reach):
             raise DomainError(
                 f"tree matrix is singular or near-singular (gap {gap:.3g})")
-        band[1] = s - c * alpha
-        corner[i] = scipy.linalg.solve_banded((1, 1), band, e)[0]
+        *_, x, info = gtsv(off, s - c * alpha, off, e)
+        if info != 0:
+            raise DomainError(f"tree matrix is singular (gtsv info {info})")
+        corner[i] = x[0, 0]
     return corner
 
 
@@ -171,52 +198,57 @@ def oracle_kernel_laplace(tree: TreeGraph, params: ModelParams, lam,
 
     A float for a scalar ``lam``, an array for a grid; DomainError where
     :func:`~netbath.model._laplace_s` raises it, or where M is singular or
-    near-singular.  One Lanczos run gives the root's Jacobi matrix, and each
-    lambda takes one banded solve on it.  ``dense_limit`` is ignored; the
-    benchmark's warm-up (``warm_up("check")`` in ``perfbench/jobs.py``)
-    passes it.
+    near-singular.  One Lanczos run gives the root's Jacobi matrix (none on
+    a path from the root), and each lambda takes one tridiagonal solve on
+    it.  ``dense_limit`` is ignored; the benchmark's warm-up
+    (``warm_up("check")`` in ``perfbench/jobs.py``) passes it.
     """
     sigma = params.m * _laplace_s(params, lam) / 2.0
-    alpha, beta = _tree_jacobi(tree)
     c = params.C / math.sqrt(2.0)
-    kernel = params.C**2 / 2.0 * _corner(alpha, beta, c, sigma.ravel())
+    corner = _corner(c, sigma.ravel(), *_tree_jacobi(tree))
+    kernel = params.C**2 / 2.0 * corner
     return float(kernel[0]) if sigma.ndim == 0 else kernel.reshape(sigma.shape)
 
 
 def mode_decomposition(tree: TreeGraph, params: ModelParams):
     """Frequencies and root weights of the modes the root of the tree sees.
 
-    The eigenpairs (mu_j, s_j) of the root's Jacobi matrix give ``Omega_j^2
-    = omega^2 - sqrt(2) C mu_j / m`` and ``w_j = (C^2/m) s_{0j}^2 /
-    Omega_j``; the exact kernel is then ``k(tau) = sum_j w_j sin(Omega_j
-    tau)``.  Eigenvalues closer than 1e-9 are one mode carrying their summed
-    weight, and modes of root weight below 1e-20 of the total are dropped,
-    so every mode returned is one the root sees.  By the Perron argument of
-    the module docstring the extreme Omega are those of the whole network.
-    A decoupled network (C = 0) has no modes.  Returns (Omega, w) sorted by
-    frequency.  Raises :class:`InstabilityError` when some Omega^2 <= 0, and
-    :class:`SizeError` when the Lanczos basis, or the eigenproblem of the
-    k x k Jacobi matrix, would need more than ``BYTE_CAP`` bytes: that
-    eigenproblem peaks at two k x k arrays, so it is charged on its own
-    before it starts, and it is what refuses a chain of 11,600 nodes or
-    more, whose Jacobi matrix takes O(N) memory.
+    The Golub-Welsch nodes mu_j and weights s_{0j}^2 of the root's Jacobi
+    matrix give ``Omega_j^2 = omega^2 - sqrt(2) C mu_j / m`` and ``w_j =
+    (C^2/m) s_{0j}^2 / Omega_j``; the exact kernel is then ``k(tau) =
+    sum_j w_j sin(Omega_j tau)``.  Eigenvalues closer than 1e-9 are one mode
+    carrying their summed weight, and modes of root weight below 1e-20 of
+    the total are dropped, so every mode returned is one the root sees.  By
+    the Perron argument of the module docstring the extreme Omega are those
+    of the whole network.  A decoupled network (C = 0) has no modes.
+    Returns (Omega, w) sorted by frequency.  Raises
+    :class:`InstabilityError` when some Omega^2 <= 0, and :class:`SizeError`
+    when the Lanczos basis, or the eigenproblem of the k x k Jacobi matrix,
+    would need more than ``BYTE_CAP`` bytes: that eigenproblem peaks at two
+    k x k arrays, so it is charged on its own before it starts.  A path
+    from the root takes its measure in closed form, O(N) time and memory,
+    and no eigenproblem.
     """
     if not _band(params):
         return np.empty(0), np.empty(0)
-    import scipy.linalg
+    alpha, beta, measure = _tree_jacobi(tree)
+    if measure is None:
+        import scipy.linalg
 
-    alpha, beta = _tree_jacobi(tree)
-    k = alpha.size
-    # tracemalloc: eigh_tridiagonal peaks at two k x k arrays and ~10 k-vectors
-    _check_bytes(8 * k * (2 * k + 32),
-                 f"eigenvectors of a {k} x {k} Jacobi matrix")
-    mu, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta)
+        k = alpha.size
+        # tracemalloc: eigh_tridiagonal peaks at two k x k arrays and ~10
+        # k-vectors
+        _check_bytes(8 * k * (2 * k + 32),
+                     f"eigenvectors of a {k} x {k} Jacobi matrix")
+        mu, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta)
+        measure = mu, vecs[0] ** 2
+    mu, weight = measure
     omega_b_sq = params.omega_sq - math.sqrt(2.0) * params.C * mu / params.m
     if np.any(omega_b_sq <= 0):
         raise InstabilityError(
             f"unstable mode: min Omega^2 = {omega_b_sq.min():.6g}")
     first = np.flatnonzero(np.diff(mu, prepend=-np.inf) > 1e-9)
-    share = np.add.reduceat(vecs[0] ** 2, first)
+    share = np.add.reduceat(weight, first)
     seen = share >= 1e-20 * share.sum()
     omega_b = np.sqrt(omega_b_sq[first][seen])
     weights = params.C**2 / params.m * share[seen] / omega_b

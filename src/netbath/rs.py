@@ -43,20 +43,33 @@ from .model import ModelParams
 MIN_POOL = 1000
 
 
-def variance_gain(params: ModelParams, lam: float) -> float:
+def variance_gain(params: ModelParams, lam):
     """Variance-propagation factor of the delta solution at this lambda.
 
-    Evaluates both closed forms and insists they agree to 1e-12 relative,
-    raising :class:`~netbath.errors.AccuracyError` where they do not;
-    raises :class:`~netbath.errors.DomainError` where the fixed point does
-    not exist.
+    A float for a scalar ``lam``, an array for a grid, each point with the
+    bits it has alone.  Evaluates both closed forms and insists they agree
+    to 1e-12 relative, raising :class:`~netbath.errors.AccuracyError` where
+    they do not; raises :class:`~netbath.errors.DomainError` where the fixed
+    point does not exist.
     """
     k_star = closed_form_fixed_point(params, lam)
     g0 = g0_laplace(params, lam)
     if params.C == 0:
-        return 0.0
-    n = params.n
+        return 0.0 if np.ndim(k_star) == 0 else np.zeros(k_star.shape)
     response = g0 / (1.0 - g0 * k_star)
+    if np.ndim(k_star) == 0:
+        return _gain(params, k_star, response)
+    # a grid takes the fourth powers and checks of each point on Python
+    # floats: numpy's array ** 4 can differ from pow in the last bit
+    gains = [_gain(params, k, r) for k, r in
+             zip(k_star.ravel().tolist(), response.ravel().tolist())]
+    return np.array(gains).reshape(k_star.shape)
+
+
+def _gain(params: ModelParams, k_star: float, response: float) -> float:
+    """:func:`variance_gain` at one point, from the fixed point k* and the
+    response G0/(1 - G0 k*) there."""
+    n = params.n
     # Both forms are first taken as the module docstring writes them, so
     # that every gain they agree on keeps its bits.  A fourth power of C, k*
     # or the response alone can leave the float range where the gain does

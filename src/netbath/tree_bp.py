@@ -299,7 +299,8 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     are those of its orbit from :func:`~netbath.laplace._orbit_ends`, with
     zero tolerance and, once it settles exactly, held at its last iterate;
     it is never scanned for recurrence.  Requires the fixed point to exist
-    at one ``lam``; a negative ``max_depth`` is refused with DomainError.
+    at one ``lam``; a ``max_depth`` that is negative or not an integer is
+    refused with DomainError.
     """
     if np.ndim(lam) > 0:
         raise ShapeError("depth_convergence takes one lambda, not an array")

@@ -179,15 +179,31 @@ def test_exit_codes(tmp_path):
 
 
 def test_size_refusal_exits_2(tmp_path, capsys):
-    # 20,001-node chain: the eigenproblem of its 20,001 x 20,001 Jacobi
-    # matrix peaks at two eigenvector-sized arrays, 6 GiB
+    # a chain's modes come in closed form in O(N) memory, so the chain
+    # refused is one past the node cap: 2^20 + 1 nodes, refused from its
+    # depth
     assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
-                    "--depth", "20000", "--output",
+                    "--depth", "1048576", "--output",
                     str(tmp_path / "k.csv")]) == 2
     # about 2.2 million window points: the table alone passes the cap
     assert run_cli(["finite-time", "--T", "10000", "--output",
                     str(tmp_path / "f.csv")]) == 2
     assert capsys.readouterr().err.count("ERROR size:") == 2
+
+
+def test_oracle_kernel_of_a_long_chain(tmp_path):
+    # the 100,001-node chain, whose modes were refused from the eigenproblem
+    # of its Jacobi matrix, takes its measure in closed form: one row a tau
+    # point, every value finite
+    out = tmp_path / "k.csv"
+    assert run_cli(["kernel", "--method", "oracle", "--branching", "1",
+                    "--depth", "100000", "--tau-count", "101", "--output",
+                    str(out)]) == 0
+    lines = read_lines(out)
+    assert "n_modes=100001" in lines[0]
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 101
+    assert all(np.isfinite(float(k)) for _, k in rows)
 
 
 def test_plot_output(tmp_path):

@@ -357,6 +357,27 @@ def test_orbit_iteration_refuses_negative_steps(narrow_band):
     assert nb.map_orbit(narrow_band, 1.0, steps=0).orbit.tolist() == [0.0]
 
 
+def test_orbit_iteration_refuses_a_steps_that_is_not_an_integer(
+        narrow_band, monkeypatch):
+    # steps=2.5 escaped as a raw TypeError from range and steps=True ran one
+    # step; each is refused as a negative count is, before any step, and a
+    # numpy integer is a count
+    ref = nb.map_orbit(narrow_band, 1.0, steps=3).orbit
+    assert nb.map_orbit(narrow_band, 1.0, steps=np.int64(3)).orbit.tobytes() \
+        == ref.tobytes()
+
+    def step(*args):
+        raise AssertionError("stepped")
+    monkeypatch.setattr(laplace, "_edge_update", step)
+    for steps in (2.5, 3.0, True, False, "3", None, np.float64(3.0)):
+        with pytest.raises(DomainError, match="integer"):
+            nb.map_orbit(narrow_band, 1.0, steps=steps)
+        with pytest.raises(DomainError, match="integer"):
+            _orbit_ends(narrow_band, np.linspace(0.5, 2.0, 20), steps, 1e-12)
+    with pytest.raises(DomainError, match="integer"):
+        nb.depth_convergence(narrow_band, 4, 2.5, 1.0)
+
+
 def test_capped_orbits_skip_the_cycle_scan(monkeypatch):
     # the near-cycle scan is map_orbit's alone: capped orbits of a grid,
     # handed to the float steps, and a depth orbit still moving at
@@ -556,6 +577,7 @@ def test_point_and_grid_give_the_same_bits(narrow_band):
             ("vernon_imag", lambda k, x, p=p: nb.vernon_imag(k, p, p.C, x),
              k, lam),
             ("uniform_map", lambda k, x, p=p: nb.uniform_map(k, p, x), k, lam),
+            ("variance_gain", functools.partial(nb.variance_gain, p), lam[ok]),
         ]
         if p.band_defined:
             cases += [(f.__name__, functools.partial(f, p), lam)

@@ -13,7 +13,8 @@ import netbath as nb
 import netbath.errors
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import _corner, _jacobi, _tree_jacobi, _tree_matvec
+from netbath.oracle import _corner, _jacobi, _path_measure, _tree_jacobi, \
+    _tree_matvec
 from netbath.tree_bp import TreeGraph
 
 
@@ -223,8 +224,9 @@ def test_finite_size_error_decreases(ordered_chain):
 
 def test_corner_inverse_gap_guard_takes_a_regular_matrix(ordered_chain):
     p = ordered_chain
-    val = _corner(*_tree_jacobi(nb.build_chain(5)), p.C / math.sqrt(2.0),
-                  np.array([p.m * (1.0 + p.omega_sq) / 2.0]))
+    val = _corner(p.C / math.sqrt(2.0),
+                  np.array([p.m * (1.0 + p.omega_sq) / 2.0]),
+                  *_tree_jacobi(nb.build_chain(5)))
     assert math.isfinite(val[0]) and val[0] > 0.0
 
 
@@ -275,8 +277,8 @@ def test_grid_with_a_singular_shift_is_refused_whole(ordered_chain):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="singular"):
-            _corner(*jacobi, c, diagonal)
-        ok = _corner(*jacobi, c, diagonal[[0, 2]])
+            _corner(c, diagonal, *jacobi)
+        ok = _corner(c, diagonal[[0, 2]], *jacobi)
     assert np.all(np.isfinite(ok))
 
 
@@ -307,7 +309,8 @@ def test_lanczos_run_stops_where_the_krylov_space_is_exhausted(monkeypatch):
     monkeypatch.setattr(netbath.oracle, "_check_bytes",
                         lambda need, what: (charges.append(what), charge(need, what)))
     tree = nb.build_tree(2, 12)
-    alpha, beta = _tree_jacobi(tree)
+    alpha, beta, measure = _tree_jacobi(tree)
+    assert measure is None
     assert alpha.size == 13 and beta.size == 12
     assert charges == [f"Lanczos basis of 13 vectors of {tree.n_nodes} nodes"]
     grown, _ = _jacobi(_tree_matvec(tree), tree.n_nodes)
@@ -340,38 +343,69 @@ def _chain_and_leaf(depth):
 @pytest.mark.parametrize("depth", [*range(61), 400, 2000])
 def test_path_jacobi_is_the_run_without_running_it(depth):
     # on a path from its root every Lanczos step is exact arithmetic, so
-    # alpha = 0 and beta = 1 are the very bits the run gives
+    # alpha = 0 and beta = 1 are the very bits the run gives.  Its measure,
+    # in closed form, is LAPACK's eigenpairs of that matrix (measured: nodes
+    # 1.6e-15, weights 6.3e-16, most of it LAPACK's own error).  The nodes
+    # ascend; a +-mu pair is an exact pair of negatives with equal weights,
+    # an odd path's middle node is exactly 0 and one node is exactly (0, 1)
     chain = nb.build_chain(depth)
     run = _jacobi(_tree_matvec(chain), chain.n_nodes, bipartite=True)
-    got = _tree_jacobi(chain)
+    *got, (mu, weight) = _tree_jacobi(chain)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in run]
+    ref_mu, vecs = scipy.linalg.eigh_tridiagonal(*run)
+    assert np.max(np.abs(mu - ref_mu)) <= 2e-15
+    assert np.max(np.abs(weight - vecs[0] ** 2)) <= 1e-15
+    assert np.all(np.diff(mu) > 0.0)
+    assert np.array_equal(mu, -mu[::-1])
+    assert np.array_equal(weight, weight[::-1])
+    if chain.n_nodes % 2:
+        assert mu[depth // 2] == 0.0
+    if depth == 0:
+        assert (mu.tolist(), weight.tolist()) == ([0.0], [1.0])
+
+
+def test_path_measure_matches_mpmath():
+    # against 40 digits: 2 cos(j pi/(k+1)) and (2/(k+1)) sin^2(j pi/(k+1));
+    # measured 2.2e-16 on the nodes and 5.6e-17 on the weights, where
+    # LAPACK's eigenpairs were 1.6e-15 and 6.3e-16 off
+    mpmath = pytest.importorskip("mpmath")
+    for k in [*range(1, 61), 400, 2000]:
+        mu, weight = _path_measure(k)
+        with mpmath.workdps(40):
+            angle = [j * mpmath.pi / (k + 1) for j in range(k, 0, -1)]
+            ref_mu = [float(2 * mpmath.cos(a)) for a in angle]
+            ref_weight = [float(2 * mpmath.sin(a) ** 2 / (k + 1))
+                          for a in angle]
+        assert np.max(np.abs(mu - ref_mu)) <= 8.9e-16, k
+        assert np.max(np.abs(weight - ref_weight)) <= 4e-16, k
 
 
 def test_path_and_leaf_takes_the_run():
     # one more leaf on the root and the tree is no longer a path: its
     # Jacobi matrix is the run's, and not all of its beta are 1
     tree = _chain_and_leaf(400)
-    alpha, beta = _tree_jacobi(tree)
+    alpha, beta, measure = _tree_jacobi(tree)
+    assert measure is None
     run = _jacobi(_tree_matvec(tree), tree.n_nodes, 401, bipartite=True)
     assert [alpha.tobytes(), beta.tobytes()] == [a.tobytes() for a in run]
     assert alpha.size >= 401 and not np.all(beta == 1.0)
 
 
-def test_path_eigenvectors_refused_before_allocating(narrow_band, monkeypatch):
-    # the 401-node chain's Jacobi matrix is 6.4 kB, its 401 x 401
-    # eigenvectors 1.3 MB, and the eigenproblem peaks at two of them: with
-    # the cap at 1 MiB the modes are refused before eigh starts
-    cap = 1 << 20
-    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
-    chain = nb.build_chain(400)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeError, match="eigenvectors of a 401 x 401"):
-            nb.mode_decomposition(chain, narrow_band)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < cap
+def test_path_modes_take_linear_memory(narrow_band, monkeypatch):
+    # a path's modes come in closed form, with no k x k eigenvectors: the
+    # 401-node chain, whose eigenproblem a 1 MiB cap refused, now takes 45
+    # kB, and the peak stays about 105 bytes a node up to 100,001 nodes
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", 1 << 20)
+    for depth in (400, 2000, 20000, 100000):
+        chain = nb.build_chain(depth)
+        tracemalloc.start()
+        try:
+            omega, _ = nb.mode_decomposition(chain, narrow_band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert omega.size == chain.n_nodes
+        assert peak <= 120 * chain.n_nodes
 
 
 def test_lanczos_basis_refused_before_allocating(ordered_chain, monkeypatch):
@@ -402,7 +436,25 @@ def test_corner_inverse_refuses_singular_matrix(ordered_chain, diagonal):
     # refuses the shift
     jacobi = _tree_jacobi(nb.build_chain(2))
     with pytest.raises(DomainError, match="singular"):
-        _corner(*jacobi, ordered_chain.C / math.sqrt(2.0), np.array([diagonal]))
+        _corner(ordered_chain.C / math.sqrt(2.0), np.array([diagonal]), *jacobi)
+
+
+def test_gap_guard_refuses_what_is_not_finite(monkeypatch):
+    # the tridiagonal solve makes no finiteness scan of its band, as
+    # solve_banded did: a nan or infinite shift or coupling leaves the gap
+    # nan or its bound infinite, and the guard refuses it before any solve
+    def no_solve(*args):
+        raise AssertionError("solve reached")
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda *args: (no_solve,))
+    cases = [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+             (math.nan, 3.0), (math.inf, 3.0), (-math.inf, 3.0)]
+    # the 40-node path has no zero eigenvalue for an infinite c to meet
+    for tree in (nb.build_chain(39), _irregular_tree()):
+        for c, sigma in cases:
+            for shifts in ([sigma], [sigma, 3.0]):
+                with pytest.raises(DomainError, match="singular"):
+                    _corner(c, np.array(shifts), *_tree_jacobi(tree))
 
 
 @pytest.mark.parametrize("C", [1.0, 1e-10, 1e-100])
@@ -415,8 +467,8 @@ def test_corner_inverse_guard_is_scale_invariant(C):
     jacobi = _tree_jacobi(nb.build_tree(2, 2))
     c = C / math.sqrt(2.0)
     with pytest.raises(DomainError, match="singular"):
-        _corner(*jacobi, c, np.array([0.0]))
-    assert _corner(*jacobi, c, np.array([3.0 * C]))[0] * C == \
+        _corner(c, np.array([0.0]), *jacobi)
+    assert _corner(c, np.array([3.0 * C]), *jacobi)[0] * C == \
         pytest.approx(8.0 / 21.0, rel=1e-14)
 
 
@@ -433,7 +485,7 @@ def test_corner_inverse_on_random_regular_graphs():
     for n_nodes, bound in ((200, 1e-11), (2000, 1e-13)):
         adj = _regular_graph(rng, n_nodes, p.n)
         jacobi = _jacobi(lambda x: adj @ x, n_nodes)
-        errs.append(np.abs(_corner(*jacobi, p.C / math.sqrt(2.0), a) - bp) / bp)
+        errs.append(np.abs(_corner(p.C / math.sqrt(2.0), a, *jacobi) - bp) / bp)
         assert errs[-1].max() <= bound
     assert np.all(np.less(errs[1], errs[0]))
 
@@ -492,7 +544,7 @@ def test_jacobi_is_a_scaled_chain_on_regular_trees():
     # (up to 87,381 nodes; b = 1 is a chain, exact)
     for b in (1, 2, 3, 4):
         for depth in range(1, 9):
-            alpha, beta = _tree_jacobi(nb.build_tree(b, depth))
+            alpha, beta, _ = _tree_jacobi(nb.build_tree(b, depth))
             assert alpha.size == depth + 1
             assert np.all(alpha == 0.0)
             assert np.max(np.abs(beta - math.sqrt(b))) <= 4e-15
@@ -571,19 +623,23 @@ def test_corner_matches_dense_on_random_trees(narrow_band):
     assert indefinite == 123
 
 
-def test_mode_decomposition_refuses_before_allocating(narrow_band):
-    # a 20,001-node chain is its own Jacobi matrix, 320 kB, but the
-    # eigenproblem of it peaks at two 20,001 x 20,001 float64 arrays, 6 GiB,
-    # and that charge refuses it
-    tree = nb.build_chain(20000)
+def test_mode_decomposition_refuses_before_allocating(narrow_band, monkeypatch):
+    # a 401-node path forked at its last node into two leaves is no path:
+    # its run takes 401 steps (the leaves are symmetric) on a basis of 1.3
+    # MB, which peaked at 1.32 MB, and the eigenproblem of the 401 x 401
+    # Jacobi matrix is charged 2.7 MB, so with the cap at 2 MiB the modes
+    # are refused after the run and before eigh starts
+    cap = 2 << 20
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
+    fork = TreeGraph(parent=np.append(nb.build_chain(400).parent, 399))
     tracemalloc.start()
     try:
-        with pytest.raises(SizeError):
-            nb.mode_decomposition(tree, narrow_band)
+        with pytest.raises(SizeError, match="eigenvectors of a 401 x 401"):
+            nb.mode_decomposition(fork, narrow_band)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < cap
 
 
 def test_oracle_time_kernel_refuses_oversized_sum(narrow_band):

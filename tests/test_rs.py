@@ -59,6 +59,25 @@ def test_variance_gain_across_the_float_range():
     assert nb.variance_gain(p, 1.0) == 2.7408649142339156e-06
 
 
+def test_variance_gain_grid_keeps_each_points_fallback():
+    # a grid gives every point the bits it has alone: the direct product,
+    # the powers of k*/C past C of about 1e76 or at a large lambda, the
+    # subnormal gains of C = 1e-78 and the zeros below them; a lambda whose
+    # (lambda^2 + omega^2)^2 overflows refuses the whole grid, as it refuses
+    # itself
+    lam = np.array([[1e-3, 1.0, 1e3], [1e30, 1e70, 0.5]])
+    for c in (1e-120, 1e-78, 1.0, 1e20, 5e76, 1e77):
+        p = nb.derive_params(10, 10.0, c, 0.5)
+        grid = nb.variance_gain(p, lam)
+        points = [nb.variance_gain(p, x) for x in lam.ravel().tolist()]
+        assert grid.shape == lam.shape
+        assert grid.ravel().tobytes() == np.array(points).tobytes()
+        with pytest.raises(DomainError):
+            nb.variance_gain(p, np.append(lam, 1e150))
+    zero = nb.variance_gain(nb.derive_params(10, 10.0, 0.0, 0.5), lam)
+    assert zero.shape == lam.shape and not zero.any()
+
+
 def test_population_stats_far_past_half_a_unit(narrow_band):
     # a collapsed pool at 1e20 and beyond: 0.5 is below one ULP there, so
     # the constant pool's span is widened by ULPs instead
