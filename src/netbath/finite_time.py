@@ -10,9 +10,10 @@ trapezoidal quadrature, and G0 and G vanishing at equal times, the discrete
 equation is ``G = A + M G`` with ``A`` the bare response on the grid and
 ``M = dt^2 A (K - diag(K)/2)`` strictly upper triangular, so it is solved
 directly, with no iteration: a stationary upstream kernel makes A, M and G
-upper-triangular Toeplitz, and G is one row found by forward substitution
-and returned as that row, so it is exactly Toeplitz; any other upstream
-takes one unit-upper-triangular solve of ``(I - M) G = A``.  Both report the
+upper-triangular Toeplitz, and G is one row, solved in blocks of rows (a
+block inverse's matvec each, then one convolution into the later rows) and
+returned as that row, so it is exactly Toeplitz; any other upstream takes
+one unit-upper-triangular solve of ``(I - M) G = A``.  Both report the
 relative residual of that equation on the first row.
 
 A stationary kernel (:meth:`TwoTimeKernel.from_stationary`, a stationary G,
@@ -57,7 +58,8 @@ from .model import ModelParams, _check_step, _check_uniform
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
 # 7.16-7.52 rows besides func's; neumann_first_correction 5.00-5.02 N x N,
-# the largest step on the bare response matrix, whose build is 4.25; the
+# the largest step on the bare response matrix, whose build is 1.00-1.01
+# (ode_response_check 2.00-2.01, the triangular solve 3.13 at 1,984); the
 # noise kernel 2.01-2.04, one more with an upstream; a dissipation kernel 2.13.
 _GRID_ROWS = 3.1
 _STATIONARY_ROWS = 7.6
@@ -235,20 +237,43 @@ class TwinningResult:
     iterations: int = 1
 
 
+#: Rows per block of :func:`_toeplitz_solve`; 64 to 128 ran alike from 883
+#: to 7,051 points.
+_SOLVE_BLOCK = 64
+
+
 def _toeplitz_solve(a_row: np.ndarray, k_row: np.ndarray, dt: float):
     """Row 0 of M, and row 0 of G, for an upper-Toeplitz upstream kernel.
 
-    A, M and G are then upper-triangular Toeplitz, so row 0 of G follows by
-    forward substitution, ``g_j = a_j + sum_{l=1..j} m_l g_{j-l}``; a zero
-    kernel returns the bare row exactly.
+    A, M and G are then upper-triangular Toeplitz, so row 0 of G solves the
+    row equation ``g_j = a_j + sum_{l=1..j} m_l g_{j-l}``, here in blocks of
+    ``_SOLVE_BLOCK`` rows.  Each block's rows come from one matvec with the
+    inverse of a block of ``I - M``, the unit lower-triangular Toeplitz
+    matrix of ``h = 1/(1 - m(z)) mod z^b`` (``m_0`` left out, as the row
+    equation leaves it); each solved block then adds its terms to every
+    later row in one convolution.  The first row of the inverse is a unit
+    vector, so ``g_0 = a_0`` exactly, and a zero kernel returns the bare row
+    exactly.
     """
     n = a_row.size
     k_half = k_row.copy()
     k_half[0] *= 0.5
     m_row = dt * dt * np.convolve(a_row, k_half)[:n]
+    b = min(_SOLVE_BLOCK, n)
+    h = np.zeros(b)
+    h[0] = 1.0
+    for j in range(1, b):
+        h[j] = m_row[1:j + 1] @ h[j - 1::-1]
+    # inv[i, j] = h[i - j] on and below the diagonal
+    lag = np.arange(b)[:, None] - np.arange(b)
+    inv = np.where(lag >= 0, h[lag], 0.0)
     g_row = a_row.copy()
-    for j in range(1, n):
-        g_row[j] += m_row[1:j + 1] @ g_row[j - 1::-1]
+    for start in range(0, n, b):
+        end = min(start + b, n)
+        g_row[start:end] = inv[:end - start, :end - start] @ g_row[start:end]
+        if end < n:
+            g_row[end:] += np.convolve(m_row[1:n - start], g_row[start:end],
+                                       "valid")
     return m_row, g_row
 
 
@@ -269,10 +294,12 @@ def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
 
 
 def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
-    """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the diagonal."""
+    """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the
+    diagonal: a contiguous copy of its stationary kernel, N sines for the
+    N x N matrix, and exactly Toeplitz."""
     _check_window(times.size, "bare response matrix", squares=_BARE_SQUARES)
-    lag = times[None, :] - times[:, None]
-    return np.where(lag >= 0, bare_response(params, np.maximum(lag, 0.0)), 0.0)
+    return np.ascontiguousarray(TwoTimeKernel.from_stationary(
+        times, lambda u: bare_response(params, u)).values)
 
 
 def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningResult:
@@ -281,8 +308,9 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     ``kI_upstream`` fixes the grid and so the window and step.  The step
     must resolve the band, dt <= ``params.fine_step``.  A stationary upstream,
     one that keeps its lag row as :meth:`TwoTimeKernel.from_stationary`
-    builds it, is solved as one Toeplitz row in O(N^2) and G is returned as
-    that row; any other by a unit-upper-triangular solve in O(N^3).
+    builds it, is solved as one Toeplitz row, in blocks of rows with O(N^2)
+    arithmetic in O(N / 64) numpy calls, and G is returned as that row; any
+    other by a unit-upper-triangular solve in O(N^3).
     ``G.meta["solver"]`` names the path taken, ``"toeplitz"`` or
     ``"triangular"``.
     """

@@ -111,15 +111,18 @@ def _edge_update(k_in, g0, c_half):
 
     Python floats in, as :func:`_orbit_ends` passes them, take a branch of
     Python operators: the same IEEE operations in the same order, so every
-    bit matches the array body, at a fraction of numpy's per-call cost.
-    ``max`` keeps a nan ``prod`` first, so its bound stays nan as under
-    ``np.maximum``.  The flag is then a Python bool and the value a Python
-    float.  A numpy scalar or 0-d array takes the array body.
+    bit matches the array body, at a fraction of numpy's per-call cost.  It
+    calls no builtin: the magnitudes are taken by comparison, and ``not b <=
+    1.0`` keeps a nan ``prod``'s bound nan, as under ``np.maximum``.  The
+    flag is then a Python bool and the value a Python float.  A numpy scalar
+    or 0-d array takes the array body.
     """
     prod = g0 * k_in
     denom = 1.0 - prod
     if type(denom) is float:
-        if abs(denom) < max(abs(prod), 1.0) * POLE_RTOL:
+        b = prod if prod >= 0.0 else -prod
+        d = denom if denom >= 0.0 else -denom
+        if d < (b * POLE_RTOL if not b <= 1.0 else POLE_RTOL):
             return np.nan, True
         return c_half * g0 / denom, False
     tol = np.abs(prod)
@@ -263,11 +266,12 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
 
 #: Live orbits at or below which :func:`_orbit_ends` steps each one on its
 #: own, on Python floats.  A lockstep step costs 10-16 us at widths 1 to 100
-#: and 22 us at 400, a float step 0.5 us.  On the benchmark's 56
-#: fixed-point lines of four seeds (one CPU of a 2-vCPU Xeon), a pass took
-#: 123 ms with 4 or 8, 127-142 ms with 12 to 24 and 145 ms with no
-#: handoff, and 320 ms with one map_orbit call per lambda.
-_LOCKSTEP_MAX_HANDOFF = 8
+#: and 22 us at 400, a float step about 0.35 us.  The orbits of the
+#: benchmark's 56 fixed-point lines of four seeds (8,469 lambdas; thread
+#: time on one CPU of a 2-vCPU Xeon, median of 31 passes) took 58.8 ms with
+#: 8, 47.7-51.6 ms with 16 to 32 and 46.5 ms with 64, every bit the same,
+#: and 90.5 ms with no handoff (median of 15).
+_LOCKSTEP_MAX_HANDOFF = 32
 
 
 def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
@@ -316,17 +320,25 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
             live, g0, x_next = live[~ended], g0[~ended], x_next[~ended]
         x = x_next
         step += 1
+    # The float loop reads locals only; the convergence test is map_orbit's,
+    # its magnitudes taken by comparison, and ``s > 1.0`` is max(1.0, s): a
+    # nan s gives the scale 1.0, as max does.
+    update = _edge_update
     orbit = []
     for i, g, x in zip(live.tolist(), g0.tolist(), x.tolist()):
         orbit = [x]
+        append = orbit.append
         for _ in range(steps - step):
-            k_branch, pole = _edge_update(x, g, c_half)
+            k_branch, pole = update(x, g, c_half)
             if pole:
                 stop[i] = "pole"
                 break
-            orbit.append(branches * k_branch)
-            x, x_prev = orbit[-1], x
-            if abs(x - x_prev) <= tol * max(1.0, abs(x_prev)):
+            x_next = branches * k_branch
+            append(x_next)
+            d = x_next - x
+            s = x if x >= 0.0 else -x
+            x = x_next
+            if (d if d >= 0.0 else -d) <= (tol * s if s > 1.0 else tol):
                 stop[i] = "converged"
                 break
         final[i], taken[i] = x, step + len(orbit) - 1

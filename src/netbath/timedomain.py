@@ -435,8 +435,12 @@ def _composite_weights(n_points: int, h: float) -> np.ndarray:
     else:
         n_boole = intervals - rest
     boole = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) * (2.0 * h / 45.0)
-    for start in range(0, n_boole, 4):
-        w[start:start + 5] += boole
+    if n_boole:
+        # The panels in one periodic fill, then doubled where two meet: the
+        # bits of adding them one by one.
+        w[:n_boole] = np.tile(boole[:4], n_boole // 4)
+        w[n_boole] = boole[4]
+        w[4:n_boole:4] *= 2.0
     tail = n_boole
     simpson = np.array([1.0, 4.0, 1.0]) * (h / 3.0)
     three_eighth = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)

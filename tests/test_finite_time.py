@@ -9,7 +9,8 @@ from scipy.linalg import toeplitz
 
 import netbath as nb
 from netbath.errors import AccuracyError, DomainError, ShapeError, SizeError
-from netbath.finite_time import TwoTimeKernel, _compose, neumann_first_correction
+from netbath.finite_time import TwoTimeKernel, _bare_matrix, _compose, \
+    _toeplitz_solve, neumann_first_correction
 from netbath.laplace import g0_laplace
 from netbath.timedomain import _composite_weights
 
@@ -154,6 +155,78 @@ def test_twinning_matches_successive_substitution(ft_params, solver):
     if solver == "toeplitz":
         g = res.G.values
         assert np.array_equal(g[1:, 1:], g[:-1, :-1])
+
+
+def _row_by_row(a_row, k_row, dt):
+    """Reference: forward substitution one row at a time, g_j = a_j +
+    sum_{l=1..j} m_l g_{j-l}."""
+    n = a_row.size
+    k_half = k_row.copy()
+    k_half[0] *= 0.5
+    m_row = dt * dt * np.convolve(a_row, k_half)[:n]
+    g_row = a_row.copy()
+    for j in range(1, n):
+        g_row[j] += m_row[1:j + 1] @ g_row[j - 1::-1]
+    return m_row, g_row
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 129, 883, 1764])
+def test_blocked_toeplitz_solve_matches_the_row_by_row_loop(ft_params, n):
+    # block edges at 64 rows: one short block, one full, one past it, two
+    # past it, and the windows of criterion 10 and of finite-time's defaults.
+    # The upstreams are the damped sine and the default finite-time one, the
+    # branch-cut kernel of the narrow band
+    narrow = nb.derive_params(5, 10.0, 1.0, 0.5)
+    kfunc, _, _ = _damped_sine(ft_params)
+    for params, func in ((ft_params, kfunc),
+                         (narrow, lambda u: nb.branch_cut_kernel(narrow, u).values)):
+        dt = params.fine_step
+        u = dt * np.arange(n)
+        a_row = nb.bare_response(params, u)
+        m_ref, g_ref = _row_by_row(a_row, func(u), dt)
+        m_row, g_row = _toeplitz_solve(a_row, func(u), dt)
+        assert np.array_equal(m_row, m_ref)
+        scale = np.abs(g_ref).max()
+        assert np.abs(g_row - g_ref).max() <= 1e-14 * scale
+
+        def residual(g):
+            r = g - np.convolve(m_row, g)[:n] - a_row
+            return np.abs(r).max() / max(1.0, np.abs(g).max())
+
+        # The row check repeats the loop's own dot products, so the loop's
+        # residual reads 0 to 1.4e-17 on short windows, which no other order
+        # of sums meets; there the bound is one rounding of a unit row.
+        assert residual(g_row) <= max(residual(g_ref), np.finfo(float).eps)
+
+
+def test_blocked_toeplitz_solve_exact_properties(ft_params):
+    kfunc, _, _ = _damped_sine(ft_params)
+    dt = ft_params.fine_step
+    for n in (3, 64, 200):
+        u = dt * np.arange(n)
+        a_row = nb.bare_response(ft_params, u)
+        _, g_row = _toeplitz_solve(a_row, kfunc(u), dt)
+        assert g_row[0] == a_row[0] == 0.0
+        # a zero kernel returns the bare row bit for bit
+        m_row, g_row = _toeplitz_solve(a_row, np.zeros(n), dt)
+        assert not m_row.any()
+        assert g_row.tobytes() == a_row.tobytes()
+
+
+def test_bare_matrix_is_exactly_toeplitz(ft_params):
+    # criterion 10's backward window (756 points) and a short one
+    for T in (6.0, 0.3):
+        times = nb.time_grid(T, ft_params.fine_step)
+        a = _bare_matrix(ft_params, times)
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert np.array_equal(a[0], nb.bare_response(ft_params, times - times[0]))
+        assert np.array_equal(a[1:, 1:], a[:-1, :-1])
+        assert not np.tril(a, k=-1).any()
+        # The lag-built matrix takes the sines at the subtracted times
+        # t_j - t_i, which differ from the grid lags by rounding only.
+        lag = times[None, :] - times[:, None]
+        ref = np.where(lag >= 0, nb.bare_response(ft_params, np.maximum(lag, 0.0)), 0.0)
+        assert np.abs(a - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_from_stationary_is_exactly_toeplitz():

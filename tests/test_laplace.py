@@ -280,14 +280,15 @@ def _pole_lambda(params, lo, hi, step):
 
 
 def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
-    # the lockstep grid against one map_orbit per lambda.  Grids of 1 and 8
-    # step on floats whole; grids of 9 and more step in lockstep and hand
-    # their last orbits over to the float steps mid-run.  Both regimes,
-    # lambda* itself, and points below it, where orbits wander or meet the
-    # pole
+    # the lockstep grid against one map_orbit per lambda.  Grids of 1 and
+    # of the handoff size step on floats whole; larger grids step in
+    # lockstep and hand their last orbits over to the float steps mid-run.
+    # Both regimes, lambda* itself, and points below it, where orbits wander
+    # or meet the pole
+    handoff = laplace._LOCKSTEP_MAX_HANDOFF
     rng = np.random.default_rng(29)
     cases = []
-    for size in (1, 8, 9, 200):
+    for size in (1, handoff, handoff + 1, 200):
         for ratio in (0.6, 2.0):   # C/C*: ordered, disordered
             n, m = int(rng.integers(2, 5)), float(rng.uniform(0.5, 2.0))
             p = nb.derive_params(n, 1.0, ratio * nb.critical_coupling(n, 1.0, m), m)
@@ -301,7 +302,7 @@ def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
     poles = [_pole_lambda(wandering, 0.28, 0.30, 5),
              _pole_lambda(wandering, 0.68, 0.70, 7)]
     cases.append((wandering, np.sort(np.concatenate(
-        (rng.uniform(0.2, 1.5, 7), [1.0], poles)))))
+        (rng.uniform(0.2, 1.5, handoff + 7), [1.0], poles)))))
     # each edge update's k_in: an array step, or the iterate a float step
     # starts from
     calls, handed = [], []
@@ -387,8 +388,9 @@ def test_capped_orbits_skip_the_cycle_scan(monkeypatch):
 
     monkeypatch.setattr(laplace, "detect_near_cycle", scan)
     wandering = nb.derive_params(2, 1.0, 2.4142135623730951, 1.0)
-    _, taken, stop, _ = _orbit_ends(wandering, np.linspace(0.3, 0.9, 20), 300, 1e-12)
-    assert (stop == "moving").sum() > 8 and taken.max() == 300
+    _, taken, stop, _ = _orbit_ends(wandering, np.linspace(0.3, 0.9, 80), 300, 1e-12)
+    assert (stop == "moving").sum() > laplace._LOCKSTEP_MAX_HANDOFF
+    assert taken.max() == 300
     # a line near C* settles only after 270 steps
     res = nb.depth_convergence(nb.derive_params(2, 1.0, 1.2, 1.0), 1, 200, 0.01)
     assert res.size == 201 and res[-1] != res[-2]

@@ -41,6 +41,42 @@ def test_composite_weights_integrate_polynomials():
         assert np.sum(w * x**2) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
+def _panel_loop_weights(n_points, h):
+    """Reference: the composite weights added one Boole panel at a time."""
+    if n_points < 2:
+        return np.zeros(n_points)
+    w = np.zeros(n_points)
+    intervals = n_points - 1
+    rest = intervals % 4
+    if rest == 1 and intervals >= 5:
+        n_boole, rest = intervals - 5, 5
+    else:
+        n_boole = intervals - rest
+    boole = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) * (2.0 * h / 45.0)
+    for start in range(0, n_boole, 4):
+        w[start:start + 5] += boole
+    simpson = np.array([1.0, 4.0, 1.0]) * (h / 3.0)
+    three_eighth = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    if rest == 1:
+        w[n_boole:n_boole + 2] += np.array([0.5, 0.5]) * h
+    elif rest == 2:
+        w[n_boole:n_boole + 3] += simpson
+    elif rest == 3:
+        w[n_boole:n_boole + 4] += three_eighth
+    elif rest == 5:
+        w[n_boole:n_boole + 3] += simpson
+        w[n_boole + 2:n_boole + 6] += three_eighth
+    return w
+
+
+def test_composite_weights_match_the_panel_loop():
+    # every remainder of the Boole panels, bit for bit, at three steps
+    for h in (0.1, 1.0 / 3.0, 1.3887e-3):
+        for n in range(401):
+            assert _composite_weights(n, h).tobytes() == \
+                _panel_loop_weights(n, h).tobytes()
+
+
 def test_branch_cut_zero_at_origin(narrow_band, wide_band):
     tau = np.linspace(0.0, 3.0, 301)
     for p in (narrow_band, wide_band):
