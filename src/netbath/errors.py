@@ -14,7 +14,7 @@ BYTE_CAP = 2 << 30
 
 def _check_bytes(need: float, what: str, hint: str = "") -> None:
     """Refuse with SizeError, before allocating, ``what`` needing ``need`` bytes."""
-    if need > BYTE_CAP:
+    if not need <= BYTE_CAP:   # nan too, as a count past the floats gives
         raise SizeError(f"{what} needs about {need / 2**30:.3g} GiB, cap is "
                         f"{BYTE_CAP / 2**30:.3g} GiB{hint}")
 

@@ -376,22 +376,27 @@ def _noise_kernel(G: TwoTimeKernel, state: ThermalState, C_edge, pair,
     one-sided derivative along the first argument at r = 0.  ``pair`` is
     ``np.outer`` for the kernel and ``np.multiply`` for its diagonal, which
     then costs O(N) on a stationary G.  Built in place: at most two N x N
-    arrays are alive besides ``conv`` and the result.
+    arrays are alive besides ``conv`` and the result.  DomainError where a
+    term passes the float range, as (1/A') dG^2 does at m = C = 1e-150.
     """
     c = _coupling_on_grid(C_edge, G.times)
     g = G.values
     g_start = g[0, :]
     # One-sided 2nd-order derivative along the first argument at r = 0.
     dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * G.dt)
-    total = pair(g_start, g_start)
-    total *= state.C_prime
-    term = pair(dg, dg)
-    term *= 1.0 / state.A_prime
-    total += term
-    del term
-    total += conv
-    vals = pair(c, c)
-    vals *= total
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        total = pair(g_start, g_start)
+        total *= state.C_prime
+        term = pair(dg, dg)
+        term *= 1.0 / state.A_prime
+        total += term
+        del term
+        total += conv
+        vals = pair(c, c)
+        vals *= total
+    # min and max make no N x N temporary; nan fails both tests
+    if not (-np.inf < vals.min() and vals.max() < np.inf):
+        raise DomainError("a noise-kernel term passes the float range")
     return vals
 
 

@@ -361,10 +361,11 @@ def fourier_fixed_point(params: ModelParams, nu):
     if not band:
         out = np.zeros(nu_arr.shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
-    x = params.omega_sq - nu_arr * nu_arr
+    with np.errstate(over="ignore"):   # nu^2 past the floats: x = -inf, k* = -0
+        x = params.omega_sq - nu_arr * nu_arr
     a4 = 8.0 * (params.n - 1) * params.C**2 / params.m**2
     out = np.empty(nu_arr.shape, dtype=complex)
-    inside = x * x < a4
+    inside = x * x <= a4   # at a4 = 0, C^2 underflowed: x = 0 gives k* = 0
     xo = x[~inside]
     # Outside the band: same minus-branch expression as on the Laplace axis,
     # in the cancellation-free form.
@@ -381,11 +382,12 @@ def real_multiplier(params: ModelParams, nu):
 
     ``A(nu) = 4 |k*(nu)|^2 / ((n-1) C^2)`` at the uniform dissipation fixed
     point: exactly 2 on the closed band, decaying below 1 far outside it.
-    Defined as 0 for a decoupled network (C = 0).
+    Defined as 0 for a decoupled network (C = 0), or one whose C^2 underflows.
     """
-    out = np.abs(fourier_fixed_point(params, nu))    # zeros where C = 0
-    if params.C:
-        out = 4.0 * (out * out) / ((params.n - 1) * params.C**2)
+    out = np.abs(fourier_fixed_point(params, nu))    # zeros where C^2 = 0
+    divisor = (params.n - 1) * params.C**2
+    if divisor:
+        out = 4.0 * (out * out) / divisor
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -75,7 +75,8 @@ class ModelParams:
         # OverflowError, a product or a sum goes to inf.  nan marks a quantity
         # the band leaves undefined.
         try:
-            bound = -m * omega0**2 / n
+            m_w2 = m * omega0**2
+            bound = -m_w2 / n
             if C <= bound:
                 raise DomainError(_POSITIVITY_MSG.format(C=C, bound=bound))
             omega_sq = omega0**2 + n * C / m
@@ -93,11 +94,14 @@ class ModelParams:
                 # band structure is undefined there.
                 a_sq = lambda_pp = lambda_pm = q = Lambda = math.nan
             # C^4: the highest power of C any evaluator takes (the variance
-            # gain); omega_sq^2: the fixed point's (lambda^2 + omega^2)^2 at
-            # lambda = 0.
+            # gain); omega_sq^2 and m^2: the fixed point's
+            # m^2 (lambda^2 + omega^2)^2 at lambda = 0, m^2 taken as 1/m^2,
+            # which an underflow of m^2 overflows too, or divides by zero;
+            # 1/(m omega0^2): lambda_star divides by C*, its multiple.
             derived = (omega_sq, a_sq, lambda_pp, lambda_pm, q, Lambda,
-                       float(C)**4, omega_sq**2)
-        except OverflowError:
+                       float(C)**4, omega_sq**2, 1.0 / float(m)**2,
+                       1.0 / float(m_w2))
+        except (OverflowError, ZeroDivisionError):
             derived = (math.inf,)
         if any(map(math.isinf, derived)):
             raise DomainError(f"a derived quantity overflows at n={n}, "

@@ -120,27 +120,11 @@ def _band_nodes(params: ModelParams, order: int):
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _row_blocks(n_rows: int, width: int):
-    """Slices of ``range(n_rows)`` whose rows of ``width`` fill about one
-    block: the (t x node) rows of the Bessel route's J1 sum.
-
-    A multiple of 16 rows per slice: BLAS matrix-vector kernels sum rows in
-    groups of 4 or 8, so whole groups give every row the bits that one
-    product over all rows gives it.  A last single row joins the slice
-    before it, because numpy takes a one-row product as a dot product.
-    """
-    step = max(16, _BLOCK_ELEMENTS // max(1, width) // 16 * 16)
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
-
-
 # Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
 # node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
-# float64 arrays, by peak RSS); per element of a row block, at most
-# max(_BLOCK_ELEMENTS, 17 width) (2.74-3.01 arrays: the phases, the two J1
-# values and their product, at 60-4,000 nodes); per
+# float64 arrays, by peak RSS); per element of a row block of the J1 sum,
+# max(_BLOCK_ELEMENTS, nodes) of them (2.75-3.02 arrays: the two J1 values
+# and their product or the second J1's phases, at 60-10^5 nodes); per
 # (Q + B) x width entry of a column block of the sine sum, with its phases,
 # weighted copies and node vectors (3.3-3.7 arrays, 4.85 at N = 2); per
 # point (3.01-3.14 for a sine-sum kernel: its output and accumulators, then
@@ -175,14 +159,15 @@ def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
                  f"sine sum over {n_tau} x {n_freqs} points")
 
 
-def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
-    """``sum_j weights_j sin(scale freqs_j tau_i)`` at every tau_i.
+def _sine_sum(tau, freqs, weights) -> np.ndarray:
+    """``sum_j weights_j sin(freqs_j tau_i)`` at every tau_i.
 
-    Refuses, before allocating, a sum past the cap, and a tau grid that
-    :class:`TimeKernel` refuses.  The grid is uniform, so each
-    tau_i = a_q + r_b + delta_i, with block starts a_q = ``tau[::B]``,
-    offsets r_b = ``tau[:B] - tau[0]`` and delta_i within the grid's
-    tolerance.  The sum is evaluated by the angle-addition split
+    Refuses, before allocating, a sum past the cap, a tau grid that
+    :class:`TimeKernel` refuses, and phases that overflow.  The grid is
+    uniform, so each tau_i = a_q + r_b + delta_i, with block starts
+    a_q = ``tau[::B]``, offsets r_b = ``tau[:B] - tau[0]`` and delta_i
+    within the grid's tolerance.  The sum is evaluated by the
+    angle-addition split
 
         sin(A + R) = sin A cos R + cos A sin R,
 
@@ -196,11 +181,13 @@ def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     n = tau.size
     _check_sine_sum(n, len(freqs))
     _check_tau(tau)
+    if not float(tau[-1]) * float(np.max(freqs, initial=0.0)) < math.inf:
+        raise DomainError("phases tau * frequency pass the float range")
     b, q, width = _split(n, len(freqs))
     starts, offsets = tau[::b], tau[:b] - tau[0]
     out, slope, part = np.zeros((q, b)), np.zeros((q, b)), np.empty((q, b))
     for lo in range(0, len(freqs), width):
-        f = scale * freqs[lo:lo + width]
+        f = freqs[lo:lo + width]
         w = weights[lo:lo + width, None]
         c = f.size
         phase = np.outer(starts, f)
@@ -229,11 +216,6 @@ def _sine_sum(tau, freqs, weights, scale: float = 1.0) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
-def recommended_quad_order(params: ModelParams, tau_max: float) -> int:
-    """Node-count rule tied to the oscillation count lambda_pp * tau_max."""
-    return int(math.ceil(4.0 + 2.0 * tau_max * params.lambda_pp / math.pi))
-
-
 def _quad_order(params: ModelParams, tau_grid: np.ndarray,
                 quad_order: int | None = None) -> int:
     """The order of a band quadrature on ``tau_grid``: 40 nodes past the rule
@@ -242,7 +224,10 @@ def _quad_order(params: ModelParams, tau_grid: np.ndarray,
     built, a sine sum past the cap."""
     _check_tau(tau_grid)
     tau_max = float(tau_grid[-1])
-    rule = recommended_quad_order(params, tau_max)
+    # the rule, tied to the oscillation count, held at 10^18 nodes, past
+    # every byte cap, where it would overflow
+    rule = math.ceil(min(4.0 + 2.0 * tau_max * params.lambda_pp / math.pi,
+                         1e18))
     if quad_order is None:
         quad_order = rule + 40
     elif quad_order < rule:
@@ -267,7 +252,7 @@ def branch_cut_kernel(params: ModelParams, tau_grid, quad_order: int | None = No
         return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
     quad_order = _quad_order(params, tau_grid, quad_order)
     x, coeff, _ = _band_nodes(params, quad_order)
-    values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
+    values = _sine_sum(tau_grid, params.lambda_pp * x, coeff)
     return TimeKernel(tau=tau_grid, values=values, params=params,
                       meta={"quad_order": quad_order})
 
@@ -288,10 +273,10 @@ def spectral_density(params: ModelParams, omega_grid):
     out = np.zeros_like(omega_grid)
     if not band:
         return out
-    w2 = omega_grid**2
     inside = (np.abs(omega_grid) >= params.lambda_pm) & (np.abs(omega_grid) <= params.lambda_pp)
+    w2 = omega_grid[inside]**2   # squared on the band only: no overflow
     out[inside] = params.m / (2.0 * math.pi) * np.sqrt(
-        (w2[inside] - params.lambda_pm**2) * (params.lambda_pp**2 - w2[inside]))
+        (w2 - params.lambda_pm**2) * (params.lambda_pp**2 - w2))
     return out
 
 
@@ -316,7 +301,7 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
     # dw = lambda_pp (1-q^2) ds / (2x); sqrt(s(1-s)) = sqrt((x^2-q^2)(1-x^2))/(1-q^2)
     coeff = 0.25 * w_cheb * jvals * params.lambda_pp * (1.0 - q2) / (2.0 * x) \
         * (1.0 - q2) / np.sqrt((x**2 - q2) * (1.0 - x**2))
-    values = _sine_sum(tau_grid, x, coeff, params.lambda_pp)
+    values = _sine_sum(tau_grid, omega, coeff)
     return TimeKernel(tau=tau_grid, values=values, params=params)
 
 
@@ -329,14 +314,15 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
 
     The count follows the total phase (w1 + w2) t_max.  Refuses, before
     allocating, a Bessel kernel past the cap: its arrays on the grid, the
-    nodes with their nodes x nodes companion matrix, and one block of the
-    (t x node) matrices.
+    nodes with their nodes x nodes companion matrix, and one row block of
+    the (t x node) matrices, ``_BLOCK_ELEMENTS`` entries or one row.
     """
-    nodes = int(math.ceil(0.55 * (params.lambda_pm + params.lambda_pp)
-                          * t_max)) + 50
+    # held at 10^18, past every byte cap, where the phase overflows
+    nodes = math.ceil(min(0.55 * (params.lambda_pm + params.lambda_pp)
+                          * t_max, 1e18)) + 50
     _check_bytes(_BESSEL_POINT_BYTES * n_points + _NODE_BYTES * nodes
                  + _COMPANION_BYTES * nodes * nodes
-                 + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, 17 * nodes),
+                 + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, nodes),
                  f"Bessel convolution of {n_points} x {nodes} points")
     return nodes
 
@@ -364,8 +350,9 @@ def _j1_sum(params: ModelParams, tau_grid: np.ndarray,
     With u = (t/2)(1+xi) and v = (t/2)(1-xi), S(t) = sum_q W_q J1(w1 u_q)
     J1(w2 v_q): 1/(uv) is folded into the weights,
     W_q = w_q / ((1+xi_q)(1-xi_q)), so each (t x node) entry is one product.
-    One node set scaled to each t; the (t x node) matrices are built one
-    block of rows at a time (:func:`_row_blocks`).
+    One node set scaled to each t; the (t x node) matrices are built in
+    blocks of whole rows, and ``einsum`` sums each row in an order of its
+    own, so every block size gives the same bits.
     """
     xi, wq = np.polynomial.legendre.leggauss(nodes)
     wq /= (1.0 + xi) * (1.0 - xi)
@@ -373,9 +360,11 @@ def _j1_sum(params: ModelParams, tau_grid: np.ndarray,
     p1 = params.lambda_pm * (1.0 + xi)
     p2 = params.lambda_pp * (1.0 - xi)
     s = np.empty(tau_grid.shape)
-    for rows in _row_blocks(tau_grid.size, nodes):
-        half = tau_grid[rows, None] / 2.0
-        s[rows] = (j1(half * p1) * j1(half * p2)) @ wq
+    step = max(1, _BLOCK_ELEMENTS // nodes)
+    for lo in range(0, tau_grid.size, step):
+        half = tau_grid[lo:lo + step, None] / 2.0
+        s[lo:lo + step] = np.einsum("ij,j->i", j1(half * p1) * j1(half * p2),
+                                    wq)
     return s
 
 

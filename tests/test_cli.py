@@ -355,6 +355,28 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("finite-time --omega0 0.1 --C 0.001 --beta 1e-320", 3, "domain"),
     # an infinite beta is the ground state
     ("finite-time --beta inf --T 0.5", 0, None),
+    # an m*omega0^2 that underflows (C* = 0 divided lambda*), an m^2 that
+    # overflows (a Python float power raised) or underflows (u was 0/0)
+    ("phase --omega0 1e-300", 3, "domain"),
+    ("phase --omega0 5e-324", 3, "domain"),
+    ("kernel --method bessel --omega0 1e-300", 3, "domain"),
+    ("phase --m 1e155", 3, "domain"),
+    ("fixed-point --m 1e155", 3, "domain"),
+    ("tree --n 3 --C 1e-200 --m 1e-300", 3, "domain"),
+    ("phase --omega0 1e-150", 0, None),
+    # a window whose point count overflows: 8 inf (3.1 + 0 inf) was a nan
+    # need; node counts that overflowed int(); oracle phases tau * omega and
+    # a noise-kernel term (1/A') dG^2 past the floats
+    ("finite-time --T 1e308", 2, "size"),
+    ("finite-time --T 0.5 --dt 5e-324", 2, "size"),
+    ("kernel --tau-max 1e308 --tau-count 11", 2, "size"),
+    ("kernel --method bessel --tau-max 1e308 --tau-count 11", 2, "size"),
+    ("kernel --method oracle --depth 3 --tau-max 1e308 --tau-count 11", 3,
+     "domain"),
+    ("finite-time --T 0.5 --C 1e-150 --m 1e-150", 3, "domain"),
+    # nu^2 and omega^2 past the floats: the exact values there are 0
+    ("multiplier --nu-count 5 --nu-max 1e308", 0, None),
+    ("spectrum --omega-count 5 --omega-max 1e308", 0, None),
     ("tree", 0, None),
     ("population", 0, None),
     ("finite-time", 0, None),

@@ -158,18 +158,42 @@ def test_bessel_boundary_values(wide_band):
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 545, 2001, 3000])
-def test_blocked_sums_match_one_product(wide_band, n):
-    # Row blocks give every row of the Bessel route's J1 sum the bits of one
-    # product over the whole grid.
+def test_blocked_sums_match_one_product(monkeypatch, wide_band, n):
+    # Each row of the Bessel route's J1 sum is reduced on its own, so blocks
+    # of one row, of seven and of the whole grid all give the bits of one
+    # einsum over the whole grid.
     p = wide_band
     t = np.linspace(0.0, 5.0, n)
     nodes = _gl_nodes(p, n, 5.0)
     xi, wq = np.polynomial.legendre.leggauss(nodes)
     wq /= (1.0 + xi) * (1.0 - xi)
     half = t[:, None] / 2.0
-    s = (j1(half * (p.lambda_pm * (1.0 + xi)))
-         * j1(half * (p.lambda_pp * (1.0 - xi)))) @ wq
+    s = np.einsum("ij,j->i", j1(half * (p.lambda_pm * (1.0 + xi)))
+                  * j1(half * (p.lambda_pp * (1.0 - xi))), wq)
     assert np.array_equal(_j1_sum(p, t, nodes), s)
+    for rows in (1, 7, n):
+        monkeypatch.setattr(netbath.timedomain, "_BLOCK_ELEMENTS", rows * nodes)
+        assert np.array_equal(_j1_sum(p, t, nodes), s), rows
+
+
+@pytest.mark.parametrize("nodes", [60, 700])
+def test_j1_sum_holds_less_than_its_charge(wide_band, nodes):
+    # _gl_nodes charges the sum's nodes, their companion matrix and one row
+    # block, 3.1 float64 arrays of max(_BLOCK_ELEMENTS, nodes) entries; one
+    # block peaked at 2.75-3.02 arrays.  With the sum itself on the grid,
+    # the charge bounds what the J1 sum holds at its peak.
+    td = netbath.timedomain
+    t = np.linspace(0.0, 5.0, 3001)
+    _j1_sum(wide_band, t[:5], nodes)
+    tracemalloc.start()
+    try:
+        _j1_sum(wide_band, t, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.size + td._NODE_BYTES * nodes \
+        + td._COMPANION_BYTES * nodes**2 \
+        + td._BESSEL_BLOCK_BYTES * max(td._BLOCK_ELEMENTS, nodes)
 
 
 def _split_error(p, t):
@@ -178,7 +202,7 @@ def _split_error(p, t):
     x, coeff, _ = _band_nodes(p, 119)
     terms = np.sin(p.lambda_pp * np.outer(t, x)) * coeff
     exact = np.array([math.fsum(row) for row in terms])
-    err = np.abs(_sine_sum(t, x, coeff, p.lambda_pp) - exact)
+    err = np.abs(_sine_sum(t, p.lambda_pp * x, coeff) - exact)
     return err.max() / (np.finfo(float).eps * np.abs(coeff).sum())
 
 
