@@ -5,18 +5,35 @@ ShapeError and SizeError -> 2, DomainError and InstabilityError -> 3,
 AccuracyError -> 4.
 """
 
+import math
+
 #: Refuse, with SizeError and before allocating, any dense structure whose
 #: arrays would need more than this many bytes (2 GiB): time-window steps,
 #: grids, quadratures, population pools with their sweeps and the oracle's
 #: Lanczos basis.
 BYTE_CAP = 2 << 30
 
+#: Node counts that grow without bound are held here, past every byte cap,
+#: where they would pass the float range.
+COUNT_HOLD = 10**18
+
 
 def _check_bytes(need: float, what: str, hint: str = "") -> None:
-    """Refuse with SizeError, before allocating, ``what`` needing ``need`` bytes."""
-    if not need <= BYTE_CAP:   # nan too, as a count past the floats gives
-        raise SizeError(f"{what} needs about {need / 2**30:.3g} GiB, cap is "
-                        f"{BYTE_CAP / 2**30:.3g} GiB{hint}")
+    """Refuse with SizeError, before allocating, ``what`` needing ``need`` bytes.
+
+    A need that is not finite, as a count past the floats or held at
+    ``COUNT_HOLD`` gives, is reported as past the cap, with no figure.
+    """
+    if not need <= BYTE_CAP:   # nan too
+        figure = (f"needs about {need / 2**30:.3g} GiB, cap is"
+                  if need < math.inf else "is past the cap of")
+        raise SizeError(f"{what} {figure} {BYTE_CAP / 2**30:.3g} GiB{hint}")
+
+
+def _count(n: float) -> str:
+    """A count as size refusals print it: from ``COUNT_HOLD`` on, where a
+    held count or one past the float range is not the request's, as a bound."""
+    return f"{n}" if n < COUNT_HOLD else "10^18 or more"
 
 
 class NetbathError(Exception):

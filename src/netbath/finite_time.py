@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import AccuracyError, DomainError, ShapeError, _check_bytes
+from .errors import AccuracyError, DomainError, ShapeError, _check_bytes, _count
 from .model import ModelParams, _check_step, _check_uniform
 
 # Peak float64 arrays a window step allocates besides its inputs, by
@@ -78,7 +78,7 @@ def _check_window(n: int, what: str, rows: float = 0.0,
     """Refuse, before allocating, ``what`` holding ``rows`` float64 arrays of
     N points and ``squares`` of N x N on a window of N points."""
     _check_bytes(8 * n * (rows + squares * n),
-                 f"{what} on a time window of {n} points",
+                 f"{what} on a time window of {_count(n)} points",
                  "; shorten T or coarsen dt")
 
 

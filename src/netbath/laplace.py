@@ -102,12 +102,14 @@ def g0_laplace(params: ModelParams, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _edge_update(k_in, g0, c_half):
+def _edge_update(k_in, g0, c_half, out=None):
     """Pole-guarded single-edge update ``c_half G0 / (1 - G0 k_in)``.
 
     Elementwise over broadcast arrays; returns ``(values, poles)`` where
     ``poles`` marks the entries whose denominator vanishes to relative
-    tolerance ``POLE_RTOL`` and ``values`` is nan there.
+    tolerance ``POLE_RTOL`` and ``values`` is nan there.  The array body
+    writes the values into ``out`` when one is given, which may be ``k_in``
+    itself: it is read only before.
 
     Python floats in, as :func:`_orbit_ends` passes them, take a branch of
     Python operators: the same IEEE operations in the same order, so every
@@ -133,7 +135,7 @@ def _edge_update(k_in, g0, c_half):
     poles = np.abs(denom) < tol
     if poles.any():
         denom = np.where(poles, np.nan, denom)
-    return c_half * g0 / denom, poles
+    return np.divide(c_half * g0, denom, out=out), poles
 
 
 def vernon_imag(kI_in, params: ModelParams, C_edge: float, lam):

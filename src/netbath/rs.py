@@ -24,7 +24,9 @@ indices in cache-sized blocks of slots, row by row, then their couplings:
 the order of one draw over the whole round, so each seed keeps its pool bit
 for bit.  A slot's k-1 samples are added in draw order below 8 terms and by
 numpy's pairwise row sum from 8 terms on, exactly as numpy sums a row of
-that length.
+that length.  The sums are written into the new pool and pushed through the
+edge update there, one block at a time, so a sweep holds the two pools and
+one block of temporaries, beside the degrees and couplings a law draws.
 """
 
 from __future__ import annotations
@@ -205,14 +207,18 @@ def population_init(params: ModelParams, lam: float, size: int = 10000,
     disorder = disorder or DisorderSpec()
     degrees = disorder.degree[1:3]      # the law's degrees, or (None,)
     width = max((params.n if degrees[0] is None else max(degrees)) - 1, 0)
-    # Above the tracemalloc peaks of a pool and its sweep at k-1 = 3 and 11:
-    # per slot, 72 bytes for the pools and the slot-long temporaries of the
-    # degree and coupling draws and the edge update, which peaked at 41.0 (no
-    # disorder) to 65.0 bytes (both laws) at 10^5 and 10^6 slots; and 18 per
-    # entry of one block of (slots x k-1) int64 indices, float draws and bool
-    # mask, which peaked at 16.0 for k-1 = 1 to 50, and at 17.1 for k-1 = 1
-    # under a degree law.
-    _check_bytes(72 * size + 18 * _BLOCK * width,
+    # Above the tracemalloc peaks of a pool and its first sweep at 10^5 and
+    # 10^6 slots, k-1 = 3 and 11, under no law, each law and both: 17.0 (no
+    # law) to 33.0 bytes (both laws) a slot at 10^6 slots, and 23.9 to 52.9
+    # at 10^5, where one block weighs more.  Per slot, 40 bytes for the old
+    # and new pools and, under a law, the slot's degree and coupling, 32 in
+    # all; per slot of one block, 40 for the edge update's temporaries and
+    # the block's half-squared couplings, which peaked at 33.2 beyond those
+    # 32 at one block of slots (k-1 = 0 and 1, both laws); and 18 per entry of
+    # one block of (slots x k-1) int64 indices, float draws and bool mask,
+    # which peaked at 16.0 for k-1 = 1 to 50, and at 17.1 for k-1 = 1 under
+    # a degree law.
+    _check_bytes(40 * size + (40 + 18 * width) * _BLOCK,
                  f"population pool of {size} samples and its sweep")
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
     rng = np.random.default_rng(seed)
@@ -235,32 +241,32 @@ _BLOCK = 1 << 14
 
 
 def _aggregate(rng: np.random.Generator, source: np.ndarray, degree,
-               count: int) -> np.ndarray:
-    """Per slot, the sum of k-1 samples drawn uniformly from ``source``.
+               out: np.ndarray) -> None:
+    """Per slot of ``out``, the sum of k-1 samples drawn uniformly from
+    ``source``, written into ``out``.
 
     Each block of ``_BLOCK`` slots draws its (slots x k-1) indices row by
-    row, so the blocks draw the stream of one (count x k-1) draw, gathers
+    row, so the blocks draw the stream of one (slots x k-1) draw, gathers
     them, zeroes the draws past each slot's own k-1 and sums its rows into
-    its part of the total: column by column below 8 terms, which is
-    numpy's row sum of so few terms, and by numpy, pairwise, from 8 on.
+    its slice of ``out``: column by column below 8 terms, which is numpy's
+    row sum of so few terms, and by numpy, pairwise, from 8 on.  Beside
+    ``source`` and ``out`` it holds one block of temporaries.
     """
     width = max(int(np.max(degree)) - 1, 0)
-    total = np.empty(count)
     columns = np.arange(width)
-    for lo in range(0, count, _BLOCK):
-        hi = min(lo + _BLOCK, count)
+    for lo in range(0, out.size, _BLOCK):
+        hi = min(lo + _BLOCK, out.size)
         drawn = source[rng.integers(0, source.size, size=(hi - lo, width))]
         if np.ndim(degree):
             drawn[columns >= degree[lo:hi, None] - 1] = 0.0
-        out = total[lo:hi]
+        part = out[lo:hi]
         if 0 < width < 8:
-            out[:] = drawn[:, 0]
+            part[:] = drawn[:, 0]
             for j in range(1, width):
-                out += drawn[:, j]
+                part += drawn[:, j]
         else:
-            drawn.sum(axis=1, out=out)
+            drawn.sum(axis=1, out=part)
         del drawn   # before the next block's draw
-    return total
 
 
 def population_step(pop: Population) -> Population:
@@ -272,9 +278,13 @@ def population_step(pop: Population) -> Population:
     (:func:`_aggregate`), then their couplings: the order of one whole-round
     draw, so each seed keeps its pool.  The k-1 terms of a slot are added in
     draw order below 8 terms and by numpy's pairwise row sum from 8 on.
-    Slots that hit the edge-update pole are redrawn in further rounds, up to
-    ``100 * size`` rejections in total.  The linearized variance contracts
-    by :func:`variance_gain` per sweep.  Deterministic for a given seed.
+    The first round sums into the new pool itself, and the edge update
+    overwrites the sums there one ``_BLOCK`` slice at a time, so a sweep
+    holds the two pools and one block of temporaries, beside the degree and
+    coupling of each slot under a law that draws them.  Slots that hit the
+    edge-update pole are redrawn in further rounds, up to ``100 * size``
+    rejections in total.  The linearized variance contracts by
+    :func:`variance_gain` per sweep.  Deterministic for a given seed.
     """
     rng, disorder = pop.rng, pop.disorder
     source = pop.samples
@@ -284,11 +294,18 @@ def population_step(pop: Population) -> Population:
     count, rejected = size, 0
     while count:
         degree = disorder.draw_degree(rng, pop.params.n, count)
-        total = _aggregate(rng, source, degree, count)
+        values = np.empty(count)
+        _aggregate(rng, source, degree, values)
         c_edge = disorder.draw_coupling(rng, pop.params.C, count)
-        values, poles = _edge_update(total, g0, c_edge**2 / 2.0)
+        poles = []
+        for lo in range(0, count, _BLOCK):
+            part = values[lo:lo + _BLOCK]
+            c = c_edge[lo:lo + _BLOCK] if np.ndim(c_edge) else c_edge
+            _, hit = _edge_update(part, g0, c**2 / 2.0, out=part)
+            poles.append(np.flatnonzero(hit) + lo)
+        poles = np.concatenate(poles)
         if todo is None:
-            new, todo = values, np.flatnonzero(poles)
+            new, todo = values, poles
         else:
             new[todo] = values
             todo = todo[poles]

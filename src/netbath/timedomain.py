@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import j0, j1
-from .errors import DomainError, ShapeError, _check_bytes
+from .errors import COUNT_HOLD, DomainError, ShapeError, _check_bytes, _count
 from .laplace import CavityKernel
 from .model import ModelParams, _band, _check_finite, _check_step, \
     _check_uniform
@@ -154,9 +154,10 @@ def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
     than a whole one, and ``node_bytes`` per frequency for the arrays that
     build the frequencies."""
     b, q, _ = _split(n_tau, n_freqs)
-    _check_bytes(_TAU_BYTES * q * b + node_bytes * n_freqs
-                 + _TRIG_BYTES * max(q + b, _BLOCK_ELEMENTS // 4),
-                 f"sine sum over {n_tau} x {n_freqs} points")
+    need = (_TAU_BYTES * q * b + node_bytes * n_freqs
+            + _TRIG_BYTES * max(q + b, _BLOCK_ELEMENTS // 4))
+    _check_bytes(need if n_freqs < COUNT_HOLD else math.inf,
+                 f"sine sum over {n_tau} x {_count(n_freqs)} points")
 
 
 def _sine_sum(tau, freqs, weights) -> np.ndarray:
@@ -224,15 +225,15 @@ def _quad_order(params: ModelParams, tau_grid: np.ndarray,
     built, a sine sum past the cap."""
     _check_tau(tau_grid)
     tau_max = float(tau_grid[-1])
-    # the rule, tied to the oscillation count, held at 10^18 nodes, past
-    # every byte cap, where it would overflow
+    # the rule, tied to the oscillation count, held at COUNT_HOLD nodes,
+    # past every byte cap, where it would overflow
     rule = math.ceil(min(4.0 + 2.0 * tau_max * params.lambda_pp / math.pi,
-                         1e18))
+                         COUNT_HOLD))
     if quad_order is None:
         quad_order = rule + 40
     elif quad_order < rule:
         warnings.warn(
-            f"quad_order={quad_order} below recommended {rule} for "
+            f"quad_order={quad_order} below recommended {_count(rule)} for "
             f"tau_max*lambda_pp={tau_max * params.lambda_pp:.3g}",
             AccuracyWarning, stacklevel=3)
     _check_sine_sum(tau_grid.size, quad_order, _NODE_BYTES)
@@ -317,13 +318,14 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
     nodes with their nodes x nodes companion matrix, and one row block of
     the (t x node) matrices, ``_BLOCK_ELEMENTS`` entries or one row.
     """
-    # held at 10^18, past every byte cap, where the phase overflows
+    # held at COUNT_HOLD, past every byte cap, where the phase overflows
     nodes = math.ceil(min(0.55 * (params.lambda_pm + params.lambda_pp)
-                          * t_max, 1e18)) + 50
-    _check_bytes(_BESSEL_POINT_BYTES * n_points + _NODE_BYTES * nodes
-                 + _COMPANION_BYTES * nodes * nodes
-                 + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, nodes),
-                 f"Bessel convolution of {n_points} x {nodes} points")
+                          * t_max, COUNT_HOLD)) + 50
+    need = (_BESSEL_POINT_BYTES * n_points + _NODE_BYTES * nodes
+            + _COMPANION_BYTES * nodes * nodes
+            + _BESSEL_BLOCK_BYTES * max(_BLOCK_ELEMENTS, nodes))
+    _check_bytes(need if nodes < COUNT_HOLD else math.inf,
+                 f"Bessel convolution of {n_points} x {_count(nodes)} points")
     return nodes
 
 

@@ -397,6 +397,30 @@ def test_bounds_refuse_out_of_range_values(tmp_path, capsys, line, code, label):
         assert "ERROR" not in err and out.read_text()
 
 
+@pytest.mark.parametrize("line", [
+    # T / dt past the floats: the window was "inf points" needing "nan GiB"
+    pytest.param("finite-time --T 1e308", id="window-past-the-floats"),
+    # node counts held at 10^18 were printed as 10^18 + 50 and 10^18 + 40
+    pytest.param("kernel --method bessel --tau-max 1e300 --tau-count 11",
+                 id="bessel-nodes-held"),
+    pytest.param("kernel --method branch-cut --tau-max 1e300 --tau-count 11",
+                 id="sine-sum-nodes-held"),
+])
+def test_size_refusal_past_the_float_range_reports_no_false_count(
+        tmp_path, capsys, line):
+    # the refusal names the count as 10^18 or more and the need as past the
+    # cap: no inf, nan, held count or a figure taken from one
+    out = tmp_path / "out.csv"
+    assert run_cli(shlex.split(line) + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR size:"), lines
+    assert "10^18 or more points is past the cap of 2 GiB" in lines[0]
+    for figure in ("inf", "nan", "1000000000000000", "GiB,"):
+        assert figure not in lines[0]
+    assert not out.exists() and captured.out == ""
+
+
 def test_oversized_requests_refused_before_allocating(tmp_path, capsys,
                                                      monkeypatch):
     # each would pass the 2 GiB cap, most by tens to hundreds of GiB: a

@@ -218,10 +218,11 @@ def test_population_sweep_matches_row_sum_reference(law, size):
                                  dict(coupling=("uniform", 0.5, 1.5))])
 def test_population_redraw_rounds_match_row_sum_reference(narrow_band, law):
     # half the samples sit where n-1 of them sum to the pole 1/G0, so whole
-    # slots are redrawn over several rounds
+    # slots are redrawn over several rounds, and the first round's pole
+    # slots fall in more than one of its edge-update slices
     lam = 1.0
     sample = 1.0 / (nb.g0_laplace(narrow_band, lam) * (narrow_band.n - 1))
-    samples = np.full(3 * MIN_POOL, sample)
+    samples = np.full(2 * _BLOCK + 7, sample)
     samples[1::2] *= 0.9
     pop, ref = (Population(samples=samples, lam=lam, params=narrow_band, seed=0,
                            disorder=DisorderSpec(**law), rng=np.random.default_rng(4))
@@ -249,6 +250,30 @@ def test_sweep_memory_within_its_charge(monkeypatch, n, size):
     finally:
         tracemalloc.stop()
     assert len(charged) == 1 and peak < charged[0]
+
+
+@pytest.mark.parametrize("law, pools", [
+    # the new pool and one block; with pool-long temporaries in its edge
+    # step a sweep held about 4.1 pools
+    (dict(), 1.25),
+    # and a degree and a coupling a slot: 3.13 pools measured
+    (dict(degree=("two_point", 2, 4, 0.5), coupling=("uniform", 0.01, 0.03)), 3.25),
+])
+def test_sweep_holds_two_pools_and_one_block(law, pools):
+    # a 2^20-slot sweep at k-1 = 3 peaks this many pools above the pool it
+    # starts from: a pool-long temporary of the aggregate or edge step
+    # would add one more
+    p = nb.derive_params(4, 1.0, 0.02, 1.0)
+    size = 1 << 20
+    pop = nb.population_init(p, 0.5, size=size, seed=2, sigma=1e-4,
+                             disorder=DisorderSpec(**law))
+    tracemalloc.start()
+    try:
+        nb.population_step(pop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pools * 8 * size
 
 
 def test_population_two_point_degree_from_delta_pool(narrow_band):
@@ -434,19 +459,19 @@ def test_pool_refuses_a_nan_or_negative_sigma(narrow_band):
 
 
 def test_pool_refused_by_its_sweep_before_allocating(monkeypatch):
-    # a sweep of 3 x 10^7 slots is charged 72 bytes a slot, about 2.01 GiB,
-    # though the pool itself is 240 MB
+    # a sweep of 5.4 x 10^7 slots is charged 40 bytes a slot, about 2.01
+    # GiB, though the pool itself is 432 MB
     params = nb.derive_params(20, 1.0, 0.01, 1.0)
     tracemalloc.start()
     try:
         with pytest.raises(SizeError, match="sweep"):
-            nb.population_init(params, 1.0, size=3 * 10**7)
+            nb.population_init(params, 1.0, size=54 * 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
-    # 2.97 x 10^7 slots pass the charge at n = 3 and 20, which stops here
+    # 5.35 x 10^7 slots pass the charge at n = 3 and 20, which stops here
     # before any pool is allocated, but not under a degree law reaching 40,
     # whose block of 39 indices and draws a slot tips them past the cap
     class Passed(Exception):
@@ -457,7 +482,7 @@ def test_pool_refused_by_its_sweep_before_allocating(monkeypatch):
         raise Passed
 
     monkeypatch.setattr(rs, "_check_bytes", charge)
-    size = 297 * 10**5
+    size = 535 * 10**5
     for n in (3, 20):
         with pytest.raises(Passed):
             nb.population_init(nb.derive_params(n, 1.0, 0.01, 1.0), 1.0, size=size)
