@@ -109,24 +109,12 @@ def _edge_update(k_in, g0, c_half, out=None):
     ``poles`` marks the entries whose denominator vanishes to relative
     tolerance ``POLE_RTOL`` and ``values`` is nan there.  The array body
     writes the values into ``out`` when one is given, which may be ``k_in``
-    itself: it is read only before.
-
-    Python floats in, as :func:`_orbit_ends` passes them, take a branch of
-    Python operators: the same IEEE operations in the same order, so every
-    bit matches the array body, at a fraction of numpy's per-call cost.  It
-    calls no builtin: the magnitudes are taken by comparison, and ``not b <=
-    1.0`` keeps a nan ``prod``'s bound nan, as under ``np.maximum``.  The
-    flag is then a Python bool and the value a Python float.  A numpy scalar
-    or 0-d array takes the array body.
+    itself: it is read only before.  The float steps of :func:`_orbit_ends`
+    make the same IEEE operations in the same order inline, so their bits
+    are this body's on the same floats.
     """
     prod = g0 * k_in
     denom = 1.0 - prod
-    if type(denom) is float:
-        b = prod if prod >= 0.0 else -prod
-        d = denom if denom >= 0.0 else -denom
-        if d < (b * POLE_RTOL if not b <= 1.0 else POLE_RTOL):
-            return np.nan, True
-        return c_half * g0 / denom, False
     tol = np.abs(prod)
     # Sweeps pass whole tree levels and pools: hold few large temporaries.
     del prod
@@ -268,7 +256,8 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
 
 #: Live orbits at or below which :func:`_orbit_ends` steps each one on its
 #: own, on Python floats.  A lockstep step costs 10-16 us at widths 1 to 100
-#: and 22 us at 400, a float step about 0.35 us.  The orbits of the
+#: and 22 us at 400, a float step about 0.26 us inline (0.41 us as a call;
+#: 10^5 steps, thread time, best of 5).  With a call a step, the orbits of the
 #: benchmark's 56 fixed-point lines of four seeds (8,469 lambdas; thread
 #: time on one CPU of a 2-vCPU Xeon, median of 31 passes) took 58.8 ms with
 #: 8, 47.7-51.6 ms with 16 to 32 and 46.5 ms with 64, every bit the same,
@@ -287,8 +276,9 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     then the float-stepped iterates of the last orbit live at the handoff,
     which for a grid of one is its whole orbit from x0.  Every live lambda
     steps together through the array body of :func:`_edge_update` until at
-    most ``_LOCKSTEP_MAX_HANDOFF`` are live; each of those goes on alone
-    through the float branch, the same IEEE operations, so every orbit has
+    most ``_LOCKSTEP_MAX_HANDOFF`` are live; each of those goes on alone on
+    Python floats, with the pole test and the update inline and no call a
+    step: the same IEEE operations in the same order, so every orbit has
     the bits of its own grid of one.  A negative ``tol``, and a ``steps``
     that is negative or not an integer, are refused with DomainError, and
     the orbit charged, before any step.
@@ -322,20 +312,27 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
             live, g0, x_next = live[~ended], g0[~ended], x_next[~ended]
         x = x_next
         step += 1
-    # The float loop reads locals only; the convergence test is map_orbit's,
-    # its magnitudes taken by comparison, and ``s > 1.0`` is max(1.0, s): a
-    # nan s gives the scale 1.0, as max does.
-    update = _edge_update
+    # The float loop reads locals only and makes no call: the pole test and
+    # the update are _edge_update's on floats, inline.  Its magnitudes are
+    # taken by comparison, and ``not b <= 1.0`` keeps a nan product's bound
+    # nan, as np.maximum does; G0 C^2/2 is one product an orbit, its bits
+    # those of each step's.  The convergence test is map_orbit's, and ``s >
+    # 1.0`` is max(1.0, s): a nan s gives the scale 1.0, as max does.
+    rtol = POLE_RTOL
     orbit = []
     for i, g, x in zip(live.tolist(), g0.tolist(), x.tolist()):
+        numer = c_half * g
         orbit = [x]
         append = orbit.append
         for _ in range(steps - step):
-            k_branch, pole = update(x, g, c_half)
-            if pole:
+            prod = g * x
+            denom = 1.0 - prod
+            b = prod if prod >= 0.0 else -prod
+            d = denom if denom >= 0.0 else -denom
+            if d < (b * rtol if not b <= 1.0 else rtol):
                 stop[i] = "pole"
                 break
-            x_next = branches * k_branch
+            x_next = branches * (numer / denom)
             append(x_next)
             d = x_next - x
             s = x if x >= 0.0 else -x

@@ -66,19 +66,24 @@ from .tree_bp import TreeGraph
 def _tree_matvec(tree: TreeGraph):
     """``x -> A x`` for the tree's adjacency A: each node gathers its
     children by a bincount over the parent array and its parent by an
-    indexed add."""
-    child_of = tree.parent[1:]
-    n = tree.n_nodes
+    indexed add.  An ``x`` of p < N entries is the prefix of a vector that
+    is zero past it, and gives the first p entries of A x: every parent has
+    a smaller id than its child, so the edges within the prefix are those of
+    its children."""
+    parent = tree.parent
 
     def matvec(x):
+        p = x.size
+        child_of = parent[1:p]
         # float even for one node, where the bincount is empty and int
-        y = np.bincount(child_of, weights=x[1:], minlength=n).astype(float, copy=False)
+        y = np.bincount(child_of, weights=x[1:], minlength=p).astype(float, copy=False)
         y[1:] += x[child_of]
         return y
     return matvec
 
 
-def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
+def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False,
+            reach=None):
     """Jacobi matrix (alpha, beta) of a symmetric n x n operator from e_0.
 
     Lanczos with full reorthogonalisation: each new vector is projected out
@@ -92,22 +97,32 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
     is exhausted, or after n steps.  The basis is allocated for ``k_min``
     vectors, a lower bound on the steps, and doubled when full; each
     allocation is charged, old and new basis together, before it is made.
+
+    ``reach``, when given, bounds the support of the run: the vector that
+    step k makes is zero past its first ``reach[k]`` entries (past the last
+    entry of ``reach``, past its last value).  Step k then reads and writes
+    only that prefix of its vectors and basis rows, and ``matvec`` takes
+    the prefix of the operand and returns that of its product.  Without it
+    every step runs over all n entries.
     Returns alpha of the k steps and beta of the k-1 couplings between them.
     Raises :class:`SizeError` when the basis would pass ``BYTE_CAP``.
     """
     size = max(1, min(k_min, n))
     _check_bytes(8 * n * size, f"Lanczos basis of {size} vectors of {n} nodes")
+    # zeros: a step reads its rows up to its own reach, past what earlier
+    # steps wrote
     basis = np.zeros((size, n))
     basis[0, 0] = 1.0
     alpha, beta, largest = [], [], 0.0
     for k in range(1, n + 1):
-        q = basis[k - 1]
+        p = n if reach is None else int(reach[min(k, len(reach) - 1)])
+        q = basis[k - 1, :p]
         r = matvec(q)
         alpha.append(float(q @ r))
         r -= alpha[-1] * q
         if beta:
-            r -= beta[-1] * basis[k - 2]
-        rows = basis[k % 2:k:2] if bipartite else basis[:k]
+            r -= beta[-1] * basis[k - 2, :p]
+        rows = basis[k % 2:k:2, :p] if bipartite else basis[:k, :p]
         for _ in range(2):
             before = np.linalg.norm(r)
             r -= (rows @ r) @ rows
@@ -122,9 +137,9 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False):
             grown = min(n, 2 * size)
             _check_bytes(8 * n * (size + grown),
                          f"Lanczos basis of {grown} vectors of {n} nodes")
-            basis = np.concatenate((basis, np.empty((grown - size, n))))
+            basis = np.concatenate((basis, np.zeros((grown - size, n))))
             size = grown
-        basis[k] = r / norm
+        np.divide(r, norm, out=basis[k, :p])
         beta.append(norm)
     return np.array(alpha), np.array(beta)
 
@@ -141,6 +156,19 @@ def _path_measure(k: int):
     return 2.0 * np.sin(theta), 2.0 / (k + 1) * np.cos(theta) ** 2
 
 
+def _reach(tree: TreeGraph) -> np.ndarray:
+    """For each level k, 1 + the largest id of a node at depth <= k: the
+    prefix that holds the levels 0..k.  On a tree numbered breadth first, as
+    :func:`~netbath.tree_bp.build_tree` numbers its trees, it holds those
+    levels alone; on any other, deeper nodes too."""
+    depth = tree.depth
+    # node i is in the prefix of level k when some node from i on is at
+    # depth <= k: the suffix minimum of the depths, nondecreasing, counts
+    # the prefix of every level at once
+    floor = np.minimum.accumulate(depth[::-1])[::-1]
+    return np.searchsorted(floor, np.arange(int(depth.max()) + 1), side="right")
+
+
 def _tree_jacobi(tree: TreeGraph):
     """The root's Jacobi matrix (alpha, beta) and, where it comes in closed
     form, its measure (mu, s0^2), else None.  A path from the root, the one
@@ -148,11 +176,17 @@ def _tree_jacobi(tree: TreeGraph):
     alpha = 0 and beta = 1, the bits the run gives there, since each of its
     steps is exact, and its measure is :func:`_path_measure`'s.  Any other
     tree takes the run, its basis first allocated for depth+1 vectors, so a
-    tree too deep for the cap is refused for free."""
+    tree too deep for the cap is refused for free.
+
+    The run's k-th vector lies on the levels 0..k, so step k reads and
+    writes only the prefix of the nodes that :func:`_reach` gives for level
+    k: on a b-ary tree of depth 8 the first step reads 5 nodes of 87,381.
+    A tree's first k steps are then those of the tree cut below level k."""
     n, levels = tree.n_nodes, int(tree.depth.max()) + 1
     if levels == n:
         return np.zeros(n), np.ones(n - 1), _path_measure(n)
-    return (*_jacobi(_tree_matvec(tree), n, levels, bipartite=True), None)
+    return (*_jacobi(_tree_matvec(tree), n, levels, bipartite=True,
+                     reach=_reach(tree)), None)
 
 
 def _corner(c: float, sigma: np.ndarray, alpha, beta,

@@ -148,8 +148,12 @@ class DisorderSpec:
 
     def draw_coupling(self, rng: np.random.Generator, default: float,
                       size: int):
-        """``size`` edge couplings; a scalar when the law is constant."""
-        return _draw(self.coupling, rng, default, size)
+        """``size`` edge couplings; a scalar when the law is constant.  The
+        law's values are taken as floats first: an integer two-point law
+        would draw int64 couplings, whose squares wrap past |C| = 3.04e9."""
+        tag, *values = self.coupling
+        law = (tag, *(v if v is None else float(v) for v in values))
+        return _draw(law, rng, default, size)
 
     def draw_degree(self, rng: np.random.Generator, default: int, size: int):
         """``size`` node degrees; a scalar when the law is constant."""

@@ -452,7 +452,16 @@ def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
 
     Composite high-order quadrature of ``integral_0^T exp(-lambda tau) k(tau)
     dtau`` over the whole sampled range, T = ``tk.tau[-1]``; the reported
-    truncation bound is ``max|k| * exp(-lambda T) / lambda``.  Warns when
+    truncation bound is ``max|k| * exp(-lambda T) / lambda``.  The damping
+    factorises as the sine sum's phases split (:func:`_sine_sum`): each
+    tau_i = a_q + r_b + delta_i, with block starts a_q = ``tau[::B]``,
+    offsets r_b = ``tau[:B]`` and delta_i within the grid's tolerance, so
+
+        exp(-lambda tau_i) = exp(-lambda a_q) exp(-lambda r_b) (1 - lambda delta_i),
+
+    to first order in delta_i.  That takes L (Q + B) exponentials and one
+    matrix product of the (L x Q) factors with the (Q x B) weighted samples,
+    and the same with their deltas, not L N exponentials.  Warns when
     ``lambda*T < 20`` (truncation-dominated).  Raises :class:`DomainError`
     unless every lambda is finite and > 0.
     """
@@ -467,9 +476,22 @@ def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
     tau = tk.tau
     values = tk.values
     T = tau[-1]
-    w = _composite_weights(tau.size, tk.step)
-    damped = np.exp(-np.outer(lambda_grid, tau))
-    out = damped @ (w * values)
+    lam = lambda_grid.ravel()   # a grid that is not 1-d is refused below
+    n = tau.size
+    b, q, _ = _split(n, lam.size)
+    starts, offsets = tau[::b], tau[:b]
+    # the weighted samples in (Q x B) blocks, the padding weighing nothing,
+    # and beside them the same times their deltas
+    weighted = np.zeros(q * b)
+    weighted[:n] = _composite_weights(n, tk.step) * values
+    weighted = weighted.reshape(q, b)
+    padded = np.full(q * b, T)
+    padded[:n] = tau
+    delta = padded.reshape(q, b) - starts[:, None] - offsets
+    part = np.exp(-np.outer(lam, starts)) @ np.concatenate(
+        (weighted, weighted * delta), axis=1)
+    part = part[:, :b] - lam[:, None] * part[:, b:]
+    out = np.einsum("lb,lb->l", part, np.exp(-np.outer(lam, offsets)))
     envelope = float(np.max(np.abs(values))) if values.size else 0.0
     bound = envelope * np.exp(-lambda_grid * T) / lambda_grid
     dominated = lambda_grid * T < 20.0

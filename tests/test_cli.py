@@ -429,11 +429,16 @@ def test_oversized_requests_refused_before_allocating(tmp_path, capsys,
     # grid and of the three counted commands, and orbits of 10^8 steps at
     # 41 bytes each: one at lambda* = 1, which never settles at tol 0, and a
     # grid of 50 around it, which would step in lockstep.  No orbit takes a
-    # step before it is charged
-    def step(*args):
-        raise AssertionError("an orbit stepped before it was charged")
+    # step before it is charged: each takes its G0 after its charge and
+    # before its first step
+    g0_laplace = laplace.g0_laplace
 
-    monkeypatch.setattr(laplace, "_edge_update", step)
+    def step(params, lam):
+        if sys._getframe(1).f_code is laplace._orbit_ends.__code__:
+            raise AssertionError("an orbit stepped before it was charged")
+        return g0_laplace(params, lam)
+
+    monkeypatch.setattr(laplace, "g0_laplace", step)
     out = str(tmp_path / "x.csv")
     lines = (f"kernel --tau-count {10**11}",
              "kernel --tau-max 1e9 --tau-count 10",

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,14 +220,14 @@ def test_map_orbit_matches_uniform_map_loop(narrow_band):
 
 
 def _edge_update_inputs(seed):
-    """Python-float (k_in, g0, c_half): seeded draws with G0 k_in on both
-    sides of 1 within a few POLE_RTOL, then IEEE edge values in every slot."""
+    """Python-float (k_in, g0, C): seeded draws with G0 k_in on both sides of
+    1 within a few POLE_RTOL, then IEEE edge values in every slot."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(2000):
         g0 = float(10.0 ** rng.uniform(-3.0, 3.0))
         target = 1.0 + float(rng.uniform(-4.0, 4.0)) * POLE_RTOL
-        cases.append((target / g0, g0, float(rng.uniform(0.0, 5.0))))
+        cases.append((target / g0, g0, float(rng.uniform(0.0, 3.2))))
     for _ in range(200):
         cases.append(tuple(float(v) for v in rng.normal(0.0, 3.0, 3)))
     edges = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -235,24 +236,31 @@ def _edge_update_inputs(seed):
     return cases
 
 
-def test_edge_update_float_branch_matches_the_array_body():
-    # the float branch (Python operators) against the array body on the same
-    # floats as 1-element arrays: equal value bits, nan at the same poles,
-    # the same flags
+def test_orbit_float_step_matches_the_edge_update_array_body(monkeypatch):
+    # one float step of _orbit_ends, its pole test and update inline,
+    # against the array body of _edge_update on the same floats as 1-element
+    # arrays: equal value bits, nan at the same poles, the same flags.  G0
+    # comes from a patched g0_laplace and C^2/2 from C as the loop forms it;
+    # at n = 2 the step's value is the update's times 1
     cases = _edge_update_inputs(seed=23)
-    k_in, g0, c_half = (np.array(col) for col in zip(*cases))
+    k_in, g0, c = (np.array(col) for col in zip(*cases))
+    c_half = np.array([C**2 / 2.0 for C in c.tolist()])
     with np.errstate(all="ignore"):
         ref_values, ref_poles = _edge_update(k_in, g0, c_half)
-    got = [_edge_update(*case) for case in cases]
-    assert all(type(v) is float and type(p) is bool for v, p in got)
-    values = np.array([v for v, _ in got])
-    poles = np.array([p for _, p in got])
+    values, poles = [], []
+    for k, g, C in cases:
+        monkeypatch.setattr(laplace, "g0_laplace",
+                            lambda params, lam, g=g: np.array([g]))
+        _, _, stop, orbit = _orbit_ends(SimpleNamespace(C=C, n=2),
+                                        np.array([1.0]), 1, 0.0, k)
+        poles.append(stop[0] == "pole")
+        values.append(math.nan if poles[-1] else orbit[1])
+        assert orbit[0].tobytes() == np.float64(k).tobytes()
+    values, poles = np.array(values), np.array(poles)
     assert values.tobytes() == ref_values.tobytes()
     assert np.array_equal(poles, ref_poles)
-    assert np.all(np.isnan(values[poles]))
-    # a numpy scalar or 0-d array, as vernon_imag passes, takes the array
-    # body and keeps its numpy flag
-    for k in (np.float64(0.5), np.asarray(0.5)):
+    # Python floats, numpy scalars and 0-d arrays all take the array body
+    for k in (0.5, np.float64(0.5), np.asarray(0.5)):
         assert type(_edge_update(k, 0.5, 1.0)[1]) is np.bool_
     # the draws reach the pole and miss it on both sides of G0 k = 1
     near = poles[:2000]
@@ -279,7 +287,7 @@ def _pole_lambda(params, lo, hi, step):
     return min((lo, hi), key=lambda lam: abs(denom(lam)))
 
 
-def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
+def test_orbit_ends_match_map_orbit_bit_for_bit():
     # the lockstep grid against one map_orbit per lambda.  Grids of 1 and
     # of the handoff size step on floats whole; larger grids step in
     # lockstep and hand their last orbits over to the float steps mid-run.
@@ -303,25 +311,16 @@ def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
              _pole_lambda(wandering, 0.68, 0.70, 7)]
     cases.append((wandering, np.sort(np.concatenate(
         (rng.uniform(0.2, 1.5, handoff + 7), [1.0], poles)))))
-    # each edge update's k_in: an array step, or the iterate a float step
-    # starts from
-    calls, handed = [], []
-
-    def spy(k_in, g0, c_half):
-        calls.append(k_in if type(k_in) is float else None)
-        return _edge_update(k_in, g0, c_half)
-
-    monkeypatch.setattr(laplace, "_edge_update", spy)
+    # the float-stepped iterates of the last orbit live at the handoff: an
+    # orbit handed over mid-run starts them from an iterate past the start,
+    # 0, and they are the tail of its own grid of one's orbit
+    handed = []
     seen = set()
     for p, lam in cases:
         for steps in (0, 1, 2000):
             for tol in (0.0, 1e-12):
-                calls.clear()
-                final, taken, stop, _ = _orbit_ends(p, lam, steps, tol)
-                # an orbit handed over mid-run: float steps after array
-                # steps, from an iterate past the start
-                handed.append(None in calls and any(
-                    k not in (None, 0.0) for k in calls[calls.index(None):]))
+                final, taken, stop, orbit = _orbit_ends(p, lam, steps, tol)
+                tails = set()
                 for i, x in enumerate(lam.tolist()):
                     ref = nb.map_orbit(p, x, steps=steps, tol=tol)
                     assert final[i].tobytes() == np.float64(ref.final).tobytes()
@@ -329,8 +328,11 @@ def test_orbit_ends_match_map_orbit_bit_for_bit(monkeypatch):
                         "near-periodic": "moving", "wandering": "moving"
                     }.get(ref.classification, ref.classification))
                     seen.add(ref.classification)
+                    tails.add(ref.orbit[ref.orbit.size - orbit.size:].tobytes())
+                if orbit.size and orbit[0] != 0.0:
+                    handed.append(orbit.tobytes() in tails)
     assert seen == {"pole", "converged", "near-periodic", "wandering"}
-    assert any(handed)
+    assert handed and all(handed)
 
 
 def test_orbit_ends_return_the_float_orbit_of_a_grid_of_one(narrow_band):
@@ -367,9 +369,10 @@ def test_orbit_iteration_refuses_a_steps_that_is_not_an_integer(
     assert nb.map_orbit(narrow_band, 1.0, steps=np.int64(3)).orbit.tobytes() \
         == ref.tobytes()
 
+    # every orbit takes its G0 after the checks, before its first step
     def step(*args):
         raise AssertionError("stepped")
-    monkeypatch.setattr(laplace, "_edge_update", step)
+    monkeypatch.setattr(laplace, "g0_laplace", step)
     for steps in (2.5, 3.0, True, False, "3", None, np.float64(3.0)):
         with pytest.raises(DomainError, match="integer"):
             nb.map_orbit(narrow_band, 1.0, steps=steps)

@@ -13,8 +13,8 @@ import netbath as nb
 import netbath.errors
 import netbath.oracle
 from netbath.errors import DomainError, InstabilityError, SizeError
-from netbath.oracle import _corner, _jacobi, _path_measure, _tree_jacobi, \
-    _tree_matvec
+from netbath.oracle import _corner, _jacobi, _path_measure, _reach, \
+    _tree_jacobi, _tree_matvec
 from netbath.tree_bp import TreeGraph
 
 
@@ -548,6 +548,52 @@ def test_jacobi_is_a_scaled_chain_on_regular_trees():
             assert alpha.size == depth + 1
             assert np.all(alpha == 0.0)
             assert np.max(np.abs(beta - math.sqrt(b))) <= 4e-15
+
+
+def test_reached_levels_keep_the_full_width_run():
+    # step k reads and writes only the levels 0..k of a tree numbered
+    # breadth first: against the run over all N entries, the same step
+    # count and alpha exactly, and beta within 5e-15 relative (at b = 5 and
+    # depths 7 and 8 the runs differ by 9.8e-15, where each is 1.1e-13 off
+    # sqrt(5)).  A tree's first steps are those of the tree cut below them,
+    # bit for bit, which the full-width run's are not
+    for b in range(1, 6):
+        cut = None
+        for depth in range(1, 9):
+            tree = nb.build_tree(b, depth)
+            reach = _reach(tree)
+            assert reach.tolist() == [(b ** (k + 1) - 1) // (b - 1) if b > 1
+                                      else k + 1 for k in range(depth + 1)]
+            args = _tree_matvec(tree), tree.n_nodes, depth + 1
+            alpha, beta = _jacobi(*args, bipartite=True, reach=reach)
+            full_alpha, full_beta = _jacobi(*args, bipartite=True)
+            assert alpha.size == full_alpha.size == depth + 1
+            assert alpha.tobytes() == full_alpha.tobytes()
+            assert np.max(np.abs(beta - full_beta)) <= 5e-15 * math.sqrt(b)
+            if b > 1:
+                assert [a.tobytes() for a in _tree_jacobi(tree)[:2]] == \
+                    [alpha.tobytes(), beta.tobytes()]
+            if cut is not None:
+                assert beta[:cut.size].tobytes() == cut.tobytes()
+            cut = beta
+
+
+def test_reach_bounds_the_levels_of_any_numbering():
+    # numbered breadth first, the prefix of level k holds its levels alone;
+    # numbered depth first, deeper nodes too, and the run keeps the dense
+    # corner
+    tree = _irregular_tree()
+    depth = tree.depth
+    reach = _reach(tree)
+    assert reach.tolist() == [1 + int(np.flatnonzero(depth <= k).max())
+                              for k in range(int(depth.max()) + 1)]
+    # depth first: the prefix of level 1, nodes 0-4, holds 2 and 3 of level 2
+    dfs = TreeGraph(parent=[-1, 0, 1, 1, 0, 4, 5, 4])
+    assert _reach(dfs).tolist() == [1, 5, 8, 8]
+    p = nb.derive_params(3, 1.0, 0.4, 1.0)
+    lam = np.array([0.3, 1.0, 4.0])
+    assert np.allclose(nb.oracle_kernel_laplace(dfs, p, lam),
+                       _dense_kernel(dfs, p, lam), rtol=1e-13, atol=0.0)
 
 
 def test_mode_decomposition_irregular_tree(ordered_chain):

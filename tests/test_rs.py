@@ -326,6 +326,28 @@ def test_population_two_point_coupling_from_delta_pool(narrow_band):
     assert couplings.shape == (50,) and set(couplings.tolist()) == {a, b}
 
 
+def test_integer_coupling_law_draws_floats(narrow_band):
+    # an integer two-point law drew int64 couplings, whose squares wrapped
+    # past |C| = 3.04e9: at 4e9 the delta pool stepped to -4.42e16, not
+    # +2.89e17.  Each integer law now steps its pool to the float law's bits,
+    # and a delta pool to the edge update of each coupling
+    lam = 1.0
+    for a, b in ((4_000_000_000, 1), (3_000_000_000, 1), (2, 3)):
+        pools = []
+        for law in (("two_point", a, b, 0.5),
+                    ("two_point", float(a), float(b), 0.5)):
+            spec = DisorderSpec(coupling=law)
+            pop = nb.population_init(narrow_band, lam, size=1000, seed=3,
+                                     disorder=spec)
+            pools.append(nb.population_step(pop).samples)
+            couplings = spec.draw_coupling(np.random.default_rng(0), 1.0, 8)
+            assert couplings.dtype == float
+        assert pools[0].tobytes() == pools[1].tobytes()
+        k_in = sum([pop.samples[0]] * (narrow_band.n - 1))
+        edge = [nb.vernon_imag(k_in, narrow_band, float(c), lam) for c in (a, b)]
+        assert set(pools[0].tolist()) == set(edge) and min(edge) > 0.0
+
+
 _BAD_LAWS = [
     # unknown laws, once refused only by the first population_step, after
     # the pool was allocated; ("two_point", 3, 5) was a raw ValueError

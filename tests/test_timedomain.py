@@ -390,6 +390,46 @@ def test_forward_laplace_closure(wide_band):
     assert not res.truncation_dominated.any()
 
 
+def _dense_forward(tk, lam):
+    """Reference transform: the (lambda x tau) matrix of exponentials."""
+    weights = _composite_weights(tk.tau.size, tk.step)
+    return np.exp(-np.outer(lam, tk.tau)) @ (weights * tk.values)
+
+
+def test_forward_laplace_factorised_matches_the_dense_transform(
+        wide_band, narrow_band):
+    # exp(-lambda tau) split over block starts and offsets, to first order
+    # in each point's delta, against the dense matrix: criterion 3's two
+    # grids, test_forward_laplace_closure's, the same with every point moved
+    # by up to 2e-10 steps, which keeps it uniform to 1e-9 (the transform
+    # without the first order was 1.9e-13 off there), and short grids of 2
+    # to 17 points
+    cases = []
+    for params in (wide_band, narrow_band):
+        n = int(math.ceil(20.0 / params.fine_step / 4.0)) * 4
+        cases.append((np.linspace(0.0, 20.0, n + 1), params,
+                      np.logspace(math.log10(2.0), 1.0, 25)))
+    step = 1.0 / (20.0 * wide_band.lambda_pp)
+    n = int(math.ceil(20.0 / step / 4.0)) * 4
+    tau = np.linspace(0.0, 20.0, n + 1)
+    cases.append((tau, wide_band, np.array([2.0, 5.0, 10.0])))
+    rng = np.random.default_rng(11)
+    moved = tau + rng.uniform(-2e-10, 2e-10, tau.size) * (tau[1] - tau[0])
+    moved[0] = 0.0
+    cases.append((moved, wide_band, np.array([2.0, 10.0, 40.0])))
+    for tau, params, lam in cases:
+        tk = nb.branch_cut_kernel(params, tau)
+        got = nb.forward_laplace(tk, lam).kernel.values
+        ref = _dense_forward(tk, lam)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+    for size in (2, 3, 5, 17):
+        tk = TimeKernel(np.linspace(0.0, 2.0, size),
+                        np.sin(3.0 * np.linspace(0.0, 2.0, size)))
+        lam = np.array([25.0, 40.0])
+        got = nb.forward_laplace(tk, lam).kernel.values
+        assert np.allclose(got, _dense_forward(tk, lam), rtol=1e-13, atol=0.0)
+
+
 def test_forward_laplace_linearity_and_zero(wide_band):
     tau = np.linspace(0.0, 2.0, 2001)
     tk = nb.branch_cut_kernel(wide_band, tau)
