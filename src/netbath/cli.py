@@ -272,12 +272,10 @@ def write_table(columns, data, meta: dict, cfg: dict):
         # nested keys sit deeper and a string's quotes are escaped
         text = text.replace('\n  "rows": []',
                             '\n  "rows": ' + _json_rows(data), 1)
-    elif out["format"] == "csv":
+    else:   # csv, the one other format _check_value admits
         lines = [header, ",".join(columns)]
         lines += map(",".join, zip(*map(_csv_cells, data)))
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {out['format']!r}")
     if out["path"]:
         with _open_out(out["path"]) as fh:
             fh.write(text)
@@ -286,13 +284,13 @@ def write_table(columns, data, meta: dict, cfg: dict):
     return text
 
 
-def write_svg(path: str, xs, series, labels, title: str):
-    """Minimal static polyline plot; deterministic byte output."""
+def write_svg(path: str, xs, ys, label: str, title: str):
+    """Minimal static polyline plot of one series; deterministic byte output."""
     width, height, pad = 720, 480, 50
     xs = np.asarray(xs, dtype=float)
-    ys_all = np.concatenate([np.asarray(s, dtype=float) for s in series])
-    finite = np.isfinite(ys_all)
-    ylo, yhi = (ys_all[finite].min(), ys_all[finite].max()) if finite.any() else (0, 1)
+    ys = np.asarray(ys, dtype=float)
+    finite = np.isfinite(ys)
+    ylo, yhi = (ys[finite].min(), ys[finite].max()) if finite.any() else (0, 1)
     if yhi == ylo:
         yhi = ylo + 1.0
     xlo, xhi = xs.min(), xs.max()
@@ -305,7 +303,8 @@ def write_svg(path: str, xs, series, labels, title: str):
     def sy(y):
         return height - pad - (y - ylo) / (yhi - ylo) * (height - 2 * pad)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
+                   if math.isfinite(y))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -314,25 +313,19 @@ def write_svg(path: str, xs, series, labels, title: str):
              f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" '
              f'y2="{height-pad}" stroke="black"/>',
              f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" '
-             f'stroke="black"/>']
-    for k, (ys, label) in enumerate(zip(series, labels)):
-        ys = np.asarray(ys, dtype=float)
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-                       if math.isfinite(y))
-        color = colors[k % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.2"/>')
-        parts.append(f'<text x="{width-pad-8}" y="{pad + 16 * (k + 1)}" '
-                     f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="12" fill="{color}">{label}</text>')
-    parts.append("</svg>")
+             f'stroke="black"/>',
+             f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
+             f'stroke-width="1.2"/>',
+             f'<text x="{width-pad-8}" y="{pad + 16}" text-anchor="end" '
+             f'font-family="sans-serif" font-size="12" fill="#1f77b4">{label}</text>',
+             "</svg>"]
     with _open_out(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
-def _maybe_plot(cfg, xs, series, labels, title):
+def _maybe_plot(cfg, xs, ys, label, title):
     if cfg["output"]["plot"]:
-        write_svg(cfg["output"]["plot"], xs, series, labels, title)
+        write_svg(cfg["output"]["plot"], xs, ys, label, title)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ def cmd_phase(cfg):
     arg = sqrt_argument(params, lam)
     meta = {"C_star": "none" if c_star is None else c_star,
             "lambda_star": "none" if l_star is None else l_star}
-    _maybe_plot(cfg, lam, [arg], ["sqrt argument"],
+    _maybe_plot(cfg, lam, arg, "sqrt argument",
                 "fixed-point existence scan")
     return write_table(("lambda", "sqrt_argument", "exists"),
                        (lam, arg, (arg >= 0.0).tolist()), meta, cfg)
@@ -374,7 +367,7 @@ def cmd_fixed_point(cfg):
     status = np.where(ok, "ok", "no-fixed-point").tolist()
     # fmax skips the nan fills of the rows without a fixed point
     meta = {"max_rel_diff": float(np.fmax.reduce(rel, initial=0.0))}
-    _maybe_plot(cfg, lam, [closed], ["k*"], "uniform fixed point")
+    _maybe_plot(cfg, lam, closed, "k*", "uniform fixed point")
     return write_table(("lambda", "k_closed", "k_iterated", "iterations",
                         "converged", "rel_diff", "quad_residual", "status"),
                        (lam, closed, final, iterations.tolist(),
@@ -390,13 +383,11 @@ def cmd_kernel(cfg, method: str):
         tk = branch_cut_kernel(params, tau, quad_order=num["quad_order"])
     elif method == "bessel":
         tk = bessel_kernel(params, tau)
-    elif method == "oracle":
+    else:   # oracle, the one other method --method admits
         shape = {"branching": int(num["branching"]), "depth": int(num["depth"])}
         tk = oracle_time_kernel(build_tree(**shape), params, tau)
         meta.update(shape, n_modes=tk.meta["n_modes"])
-    else:
-        raise ConfigError(f"unknown kernel method {method!r}")
-    _maybe_plot(cfg, tau, [tk.values], [f"k ({method})"], "time-domain kernel")
+    _maybe_plot(cfg, tau, tk.values, f"k ({method})", "time-domain kernel")
     return write_table(("tau", "k"), (tau, tk.values), meta, cfg)
 
 
@@ -405,7 +396,7 @@ def cmd_spectrum(cfg):
     omega = _grid(cfg["omega_grid"], "omega_grid")
     j = spectral_density(params, omega)
     meta = {"band_lo": params.lambda_pm, "band_hi": params.lambda_pp}
-    _maybe_plot(cfg, omega, [j], ["J"], "environment spectral density")
+    _maybe_plot(cfg, omega, j, "J", "environment spectral density")
     return write_table(("omega", "J"), (omega, j), meta, cfg)
 
 
@@ -416,7 +407,7 @@ def cmd_multiplier(cfg):
     band = params.band_defined & (params.lambda_pm <= np.abs(nu)) \
         & (np.abs(nu) <= params.lambda_pp)
     region = ["band" if b else "outside" for b in band.tolist()]
-    _maybe_plot(cfg, nu, [gain], ["A"], "noise-kernel gain per sweep")
+    _maybe_plot(cfg, nu, gain, "A", "noise-kernel gain per sweep")
     return write_table(("nu", "gain", "region"), (nu, gain, region), {}, cfg)
 
 
@@ -430,8 +421,8 @@ def cmd_tree(cfg):
     ratio = ["none"] + [r / prev if prev > 0.0 else "none"
                         for prev, r in zip(res[:-1].tolist(), res[1:].tolist())]
     meta = {"lambda": num["lam"], "branching": int(num["branching"])}
-    _maybe_plot(cfg, np.arange(len(res)), [np.log10(np.maximum(res, 1e-300))],
-                ["log10 residual"], "depth convergence")
+    _maybe_plot(cfg, np.arange(len(res)), np.log10(np.maximum(res, 1e-300)),
+                "log10 residual", "depth convergence")
     return write_table(("depth", "residual", "ratio"),
                        (list(range(res.size)), res, ratio), meta, cfg)
 
@@ -452,7 +443,7 @@ def cmd_finite_time(cfg):
     u = times - times[0]
     meta = {"solver": res.G.meta["solver"], "residual": res.residual,
             "beta": num["beta"]}
-    _maybe_plot(cfg, u, [res.G.values[0]], ["G(tau, u)"],
+    _maybe_plot(cfg, u, res.G.values[0], "G(tau, u)",
                 "dressed response at the window start")
     return write_table(("u", "G0", "G", "kI_out", "kR_boundary"),
                        (u, bare_response(params, u), res.G.values[0],
@@ -478,8 +469,8 @@ def cmd_population(cfg):
         if sweep < int(num["sweeps"]):
             pop = population_step(pop)
     meta = {"lambda": lam, "variance_gain": gain, "k_branch": k_branch}
-    _maybe_plot(cfg, sweeps, [np.log10(np.maximum(var, 1e-300))],
-                ["log10 variance"], "population variance trajectory")
+    _maybe_plot(cfg, sweeps, np.log10(np.maximum(var, 1e-300)),
+                "log10 variance", "population variance trajectory")
     return write_table(("sweep", "mean", "variance", "rejected"),
                        (sweeps.tolist(), mean, var, rejected), meta, cfg)
 
@@ -495,7 +486,7 @@ def cmd_orbit(cfg):
             "period": "none" if rep.period is None else rep.period,
             "diameter": rep.diameter}
     steps = np.arange(rep.orbit.size)
-    _maybe_plot(cfg, steps, [rep.orbit], ["k"], "cavity-map orbit")
+    _maybe_plot(cfg, steps, rep.orbit, "k", "cavity-map orbit")
     return write_table(("iteration", "k", "status"),
                        (steps.tolist(), rep.orbit, status), meta, cfg)
 

@@ -368,32 +368,32 @@ def vernon_imag_finite(G: TwoTimeKernel, C_edge) -> TwoTimeKernel:
     return TwoTimeKernel(times=G.times, values=vals, kind="causal")
 
 
-def _noise_kernel(G: TwoTimeKernel, state: ThermalState, C_edge, pair,
+def _noise_kernel(G: TwoTimeKernel, state: ThermalState, c, pair,
                   conv=0.0) -> np.ndarray:
-    """``C(t)C(s) [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``.
+    """``C(t)C(s) [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``,
+    ``conv`` given with its C(t)C(s), ``c`` the coupling on the grid or a
+    constant.
 
     The boundary terms come from two vectors, the first row of G and its
-    one-sided derivative along the first argument at r = 0.  ``pair`` is
-    ``np.outer`` for the kernel and ``np.multiply`` for its diagonal, which
-    then costs O(N) on a stationary G.  Built in place: at most two N x N
-    arrays are alive besides ``conv`` and the result.  DomainError where a
-    term passes the float range, as (1/A') dG^2 does at m = C = 1e-150.
+    one-sided derivative along the first argument at r = 0, each times C(t)
+    before any product is formed.  ``pair`` is ``np.outer`` for the kernel
+    and ``np.multiply`` for its diagonal, which then costs O(N) on a
+    stationary G.  Built in place: at most two N x N arrays are alive
+    besides ``conv``.  DomainError where a term passes the float range, as
+    (1/A') (C dG)^2 does at n = 7, C = 1e-40, m = 1e-148, T = 5e-56.
     """
-    c = _coupling_on_grid(C_edge, G.times)
     g = G.values
-    g_start = g[0, :]
+    g_start = c * g[0, :]
     # One-sided 2nd-order derivative along the first argument at r = 0.
-    dg = (-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * G.dt)
+    dg = c * ((-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * G.dt))
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        total = pair(g_start, g_start)
-        total *= state.C_prime
+        vals = pair(g_start, g_start)
+        vals *= state.C_prime
         term = pair(dg, dg)
         term *= 1.0 / state.A_prime
-        total += term
+        vals += term
         del term
-        total += conv
-        vals = pair(c, c)
-        vals *= total
+        vals += conv
     # min and max make no N x N temporary; nan fails both tests
     if not (-np.inf < vals.min() and vals.max() < np.inf):
         raise DomainError("a noise-kernel term passes the float range")
@@ -413,6 +413,7 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     times = G.times
     _check_window(times.size, "noise kernel",
                   squares=_NOISE_SQUARES + (kR_upstream is not None))
+    c = _coupling_on_grid(C_edge, times)
     if kR_upstream is None:
         # The zero double convolution; adding it keeps -0.0 out of the result.
         conv = 0.0
@@ -420,14 +421,16 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
             raise ShapeError("noise kernel grid differs from G grid")
-        # Weighted columns: w_l in [0, t_i], halved at both ends.
+        # Weighted columns: w_l in [0, t_i], halved at both ends, and column
+        # i times C(t_i).
         gw = G.values * G.dt
         gw[0, :] *= 0.5
         idx = np.arange(times.size)
         gw[idx, idx] *= 0.5
+        gw *= c
         conv = gw.T @ kR_upstream.values @ gw
         del gw
-    vals = _noise_kernel(G, state, C_edge, np.outer, conv)
+    vals = _noise_kernel(G, state, c, np.outer, conv)
     return TwoTimeKernel(times=times, values=vals, kind="symmetric")
 
 

@@ -82,8 +82,7 @@ def _tree_matvec(tree: TreeGraph):
     return matvec
 
 
-def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False,
-            reach=None):
+def _jacobi(matvec, n: int, bipartite: bool = False, reach=None):
     """Jacobi matrix (alpha, beta) of a symmetric n x n operator from e_0.
 
     Lanczos with full reorthogonalisation: each new vector is projected out
@@ -94,9 +93,10 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False,
     odd ones, keeps each new vector exactly zero off its own side, so it is
     projected out of the vectors of its parity only.  The run stops when beta
     falls to 1e-10 of the largest coefficient seen, where the Krylov space
-    is exhausted, or after n steps.  The basis is allocated for ``k_min``
-    vectors, a lower bound on the steps, and doubled when full; each
-    allocation is charged, old and new basis together, before it is made.
+    is exhausted, or after n steps.  The basis is first allocated for as
+    many vectors as ``reach`` has levels, or for one without it, and doubled
+    when full; each allocation is charged, old and new basis together,
+    before it is made.
 
     ``reach``, when given, bounds the support of the run: the vector that
     step k makes is zero past its first ``reach[k]`` entries (past the last
@@ -107,7 +107,7 @@ def _jacobi(matvec, n: int, k_min: int = 1, bipartite: bool = False,
     Returns alpha of the k steps and beta of the k-1 couplings between them.
     Raises :class:`SizeError` when the basis would pass ``BYTE_CAP``.
     """
-    size = max(1, min(k_min, n))
+    size = 1 if reach is None else min(len(reach), n)
     _check_bytes(8 * n * size, f"Lanczos basis of {size} vectors of {n} nodes")
     # zeros: a step reads its rows up to its own reach, past what earlier
     # steps wrote
@@ -185,7 +185,7 @@ def _tree_jacobi(tree: TreeGraph):
     n, levels = tree.n_nodes, int(tree.depth.max()) + 1
     if levels == n:
         return np.zeros(n), np.ones(n - 1), _path_measure(n)
-    return (*_jacobi(_tree_matvec(tree), n, levels, bipartite=True,
+    return (*_jacobi(_tree_matvec(tree), n, bipartite=True,
                      reach=_reach(tree)), None)
 
 

@@ -54,18 +54,16 @@ def variance_gain(params: ModelParams, lam):
     they do not; raises :class:`~netbath.errors.DomainError` where the fixed
     point does not exist.
     """
-    k_star = closed_form_fixed_point(params, lam)
+    k_star = np.asarray(closed_form_fixed_point(params, lam))
     g0 = g0_laplace(params, lam)
     if params.C == 0:
-        return 0.0 if np.ndim(k_star) == 0 else np.zeros(k_star.shape)
+        return 0.0 if k_star.ndim == 0 else np.zeros(k_star.shape)
     response = g0 / (1.0 - g0 * k_star)
-    if np.ndim(k_star) == 0:
-        return _gain(params, k_star, response)
-    # a grid takes the fourth powers and checks of each point on Python
-    # floats: numpy's array ** 4 can differ from pow in the last bit
-    gains = [_gain(params, k, r) for k, r in
-             zip(k_star.ravel().tolist(), response.ravel().tolist())]
-    return np.array(gains).reshape(k_star.shape)
+    # each point, a scalar lam too, takes its fourth powers and checks on
+    # Python floats: numpy's array ** 4 can differ from pow in the last bit
+    gains = np.array([_gain(params, k, r) for k, r in zip(
+        k_star.ravel().tolist(), response.ravel().tolist())]).reshape(k_star.shape)
+    return float(gains) if gains.ndim == 0 else gains
 
 
 def _gain(params: ModelParams, k_star: float, response: float) -> float:
@@ -321,14 +319,16 @@ def population_step(pop: Population) -> Population:
                    rejected=pop.rejected + rejected)
 
 
-def population_stats(pop: Population, bins: int = 50):
-    """(mean, variance, histogram) of the pool; histogram is (counts, edges).
+def population_stats(pop: Population):
+    """(mean, variance, histogram) of the pool; histogram is (counts, edges)
+    in 50 bins.
 
-    A pool whose spread is too narrow to hold ``bins`` distinct bin edges is
-    binned as numpy bins a constant pool, on ``[min - 0.5, max + 0.5]``, or,
-    where 0.5 is below the samples' resolution (past about 4.5e15), with
-    ``4 * bins`` of their ULPs on each side.
+    A pool whose spread is too narrow to hold distinct bin edges is binned as
+    numpy bins a constant pool, on ``[min - 0.5, max + 0.5]``, or, where 0.5
+    is below the samples' resolution (past about 4.5e15), with four ULPs a
+    bin on each side.
     """
+    bins = 50
     mean = float(np.mean(pop.samples))
     var = float(np.var(pop.samples))
     lo, hi = float(np.min(pop.samples)), float(np.max(pop.samples))

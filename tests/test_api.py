@@ -3,11 +3,14 @@
 Every name in ``netbath.__all__`` must be referenced from a package module
 other than the one that defines it (``__init__`` aside), be read as an
 attribute of the package in ``perfbench/``, or have an entry below that says
-why it stays.
+why it stays.  Every parameter with a default, of a public function or of a
+public method of a public class, must likewise be passed by some call in the
+package or in ``perfbench/``, or have an entry that says why it stays.
 """
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -68,6 +71,78 @@ def test_every_public_name_has_a_user():
     assert not unused, f"public names nothing uses: {unused}"
     stale = [name for name in ALLOWED if name not in nb.__all__]
     assert not stale, f"allowlist names no public name: {stale}"
+
+
+OPTIONS_ALLOWED = {
+    "TwoTimeKernel.from_stationary(kind)":
+        "a symmetric stationary kernel is the upstream noise kernel of "
+        "vernon_real_full, a named quantity of the paper",
+}
+
+
+def _options():
+    """``{"name(param)": (name, param, position)}`` for every parameter
+    with a default of a public function or public method.  ``position``
+    counts the positional parameters before it, past ``self`` or ``cls``;
+    it is None for a keyword-only one."""
+    found = {}
+    for name in nb.__all__:
+        obj = getattr(nb, name)
+        if inspect.isfunction(obj):
+            targets = [(name, obj, False)]
+        elif inspect.isclass(obj):
+            targets = [(f"{name}.{attr}", getattr(obj, attr),
+                        inspect.isfunction(raw))
+                       for attr, raw in vars(obj).items()
+                       if not attr.startswith("_") and (
+                           inspect.isfunction(raw)
+                           or isinstance(raw, (classmethod, staticmethod)))]
+        else:
+            continue
+        for label, func, unbound in targets:
+            params = list(inspect.signature(func).parameters.values())
+            if unbound:
+                params = params[1:]
+            for position, p in enumerate(params):
+                if p.default is p.empty:
+                    continue
+                if p.kind is p.KEYWORD_ONLY:
+                    position = None
+                found[f"{label}({p.name})"] = (label.rsplit(".", 1)[-1],
+                                               p.name, position)
+    return found
+
+
+def _passed(calls, func, param, position) -> bool:
+    """Whether some call of ``func`` passes ``param``: by keyword, by a
+    ``**`` mapping, or by position, a ``*`` sequence included."""
+    for call in calls.get(func, ()):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if position is not None and (
+                len(call.args) > position
+                or any(isinstance(a, ast.Starred) for a in call.args)):
+            return True
+    return False
+
+
+def test_every_public_option_has_a_caller():
+    calls = {}
+    files = [*(ROOT / "src" / "netbath").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                calls.setdefault(name, []).append(node)
+    options = _options()
+    uncalled = [key for key, option in options.items()
+                if not _passed(calls, *option) and key not in OPTIONS_ALLOWED]
+    assert not uncalled, f"public options nothing passes: {uncalled}"
+    stale = [key for key in OPTIONS_ALLOWED
+             if key not in options or _passed(calls, *options[key])]
+    assert not stale, f"allowlist names no uncalled public option: {stale}"
 
 
 def _load_bench(name, monkeypatch):

@@ -280,6 +280,59 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     assert captured.err.startswith("ERROR config:") and captured.out == ""
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ({"params": {"q": 1}}, [], "unknown config key params.'q'"),
+    ([1, 2], [], "config file must hold a JSON object"),
+    ({}, ["--lambda-min", "0"], "log-scale lambda_grid needs min > 0"),
+], ids=["unknown-key-in-block", "array", "log-grid-from-zero"])
+def test_config_refusals_name_their_cause(tmp_path, capsys, config, flags,
+                                          message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["phase", "--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR config: {message}\n" and captured.out == ""
+
+
+def test_null_only_where_the_default_is_null(tmp_path, capsys):
+    # numerics.dt defaults to null, the band-resolving step, and takes null
+    # from a config file; numerics.tol has a number for its default and
+    # refuses null
+    cfg = tmp_path / "cfg.json"
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    cfg.write_text(json.dumps({"numerics": {"dt": None, "T": 0.5}}))
+    assert run_cli(["finite-time", "--config", str(cfg), "--output", str(out)]) == 0
+    assert run_cli(["finite-time", "--T", "0.5", "--output", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    cfg.write_text(json.dumps({"numerics": {"tol": None}}))
+    capsys.readouterr()
+    assert run_cli(["fixed-point", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR config: config value numerics.tol=None is not float\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, points", [
+    # C = 0: the square-root argument is 1 at every lambda, a flat line on
+    # the axis
+    ("phase --C 0", None),
+    # no sweep: one point, at the origin of both axes
+    ("population --sweeps 0", ["50.00,430.00"]),
+])
+def test_plot_of_a_constant_series_or_one_point(tmp_path, line, points):
+    # a series of one value, or one x, is drawn on a range of width 1 from
+    # it, not divided by zero
+    svg = tmp_path / "plot.svg"
+    argv = shlex.split(line) + ["--plot", str(svg), "--output", str(tmp_path / "o.csv")]
+    assert run_cli(argv) == 0
+    got = re.search(r'<polyline points="([^"]*)"', svg.read_text()).group(1).split()
+    if points is not None:
+        assert got == points
+    xy = np.array([pt.split(",") for pt in got], dtype=float)
+    assert len(xy) and np.all(xy[:, 1] == 430.0)
+    assert np.all((50.0 <= xy[:, 0]) & (xy[:, 0] <= 670.0))
+
+
 @pytest.mark.parametrize("line, code, label", [
     ("tree --depth -1", 2, "config"),
     ("tree --branching 0", 2, "config"),
@@ -366,14 +419,17 @@ def test_config_values_are_type_checked(tmp_path, capsys, config):
     ("phase --omega0 1e-150", 0, None),
     # a window whose point count overflows: 8 inf (3.1 + 0 inf) was a nan
     # need; node counts that overflowed int(); oracle phases tau * omega and
-    # a noise-kernel term (1/A') dG^2 past the floats
+    # a noise-kernel term (1/A') (C dG)^2 past the floats, at 10^310.8
     ("finite-time --T 1e308", 2, "size"),
     ("finite-time --T 0.5 --dt 5e-324", 2, "size"),
     ("kernel --tau-max 1e308 --tau-count 11", 2, "size"),
     ("kernel --method bessel --tau-max 1e308 --tau-count 11", 2, "size"),
     ("kernel --method oracle --depth 3 --tau-max 1e308 --tau-count 11", 3,
      "domain"),
-    ("finite-time --T 0.5 --C 1e-150 --m 1e-150", 3, "domain"),
+    ("finite-time --n 7 --C 1e-40 --m 1e-148 --T 5e-56", 3, "domain"),
+    # a noise-kernel term (C dG)^2 / A' of up to 1.2e149, finite, whose
+    # product (1/A') dG dG alone overflowed before C(t)C(s) came in
+    ("finite-time --T 0.5 --C 1e-150 --m 1e-150", 0, None),
     # nu^2 and omega^2 past the floats: the exact values there are 0
     ("multiplier --nu-count 5 --nu-max 1e308", 0, None),
     ("spectrum --omega-count 5 --omega-max 1e308", 0, None),

@@ -483,6 +483,24 @@ def test_ode_response_step_guard(ft_params):
         nb.ode_response_check(kz, ft_params, np.zeros_like(times))
 
 
+def test_ode_response_gives_up_on_a_kernel_strong_enough(ft_params):
+    # a local kernel of -2e6 on the window's diagonal: the iterates still
+    # move after 400 sweeps, so the check gives up; -1e5 converges.  The
+    # threshold lies between 5.6e5 and 1e6, and values first overflow
+    # between 4e6 and 5e6
+    times = nb.time_grid(4.0, 1.0 / (20.0 * ft_params.lambda_pp))
+    drive = np.ones_like(times)
+
+    def local(s):
+        return TwoTimeKernel.from_stationary(
+            times, lambda u: np.where(u == 0.0, -s, 0.0))
+
+    q = nb.ode_response_check(local(1e5), ft_params, drive)
+    assert np.all(np.isfinite(q))
+    with pytest.raises(AccuracyError, match="did not converge"):
+        nb.ode_response_check(local(2e6), ft_params, drive)
+
+
 def _modes_error(G_row, tree, params, times):
     """Max error of a dressed response row against the tree's mode sum over
     C^2/2, over the mode sum's max."""

@@ -386,7 +386,7 @@ def test_path_and_leaf_takes_the_run():
     tree = _chain_and_leaf(400)
     alpha, beta, measure = _tree_jacobi(tree)
     assert measure is None
-    run = _jacobi(_tree_matvec(tree), tree.n_nodes, 401, bipartite=True)
+    run = _jacobi(_tree_matvec(tree), tree.n_nodes, bipartite=True)
     assert [alpha.tobytes(), beta.tobytes()] == [a.tobytes() for a in run]
     assert alpha.size >= 401 and not np.all(beta == 1.0)
 
@@ -541,13 +541,15 @@ def test_jacobi_is_a_scaled_chain_on_regular_trees():
     # seen from the root, a b-ary tree is sqrt(b) times a chain: its levels
     # span the Krylov space, so the run takes depth+1 steps, with alpha
     # exactly 0, as on every bipartite graph, and beta sqrt(b) to rounding
-    # (up to 87,381 nodes; b = 1 is a chain, exact)
-    for b in (1, 2, 3, 4):
+    # (up to 87,381 nodes; b = 1 is a chain, exact).  At b = 5 the rounding
+    # grows with depth, to 2.7e-15, 5.8e-15 and 1.1e-13 at depths 6-8
+    for b, bound in ((1, 4e-15), (2, 4e-15), (3, 4e-15), (4, 4e-15),
+                     (5, 1.2e-13)):
         for depth in range(1, 9):
             alpha, beta, _ = _tree_jacobi(nb.build_tree(b, depth))
             assert alpha.size == depth + 1
             assert np.all(alpha == 0.0)
-            assert np.max(np.abs(beta - math.sqrt(b))) <= 4e-15
+            assert np.max(np.abs(beta - math.sqrt(b))) <= bound
 
 
 def test_reached_levels_keep_the_full_width_run():
@@ -564,7 +566,7 @@ def test_reached_levels_keep_the_full_width_run():
             reach = _reach(tree)
             assert reach.tolist() == [(b ** (k + 1) - 1) // (b - 1) if b > 1
                                       else k + 1 for k in range(depth + 1)]
-            args = _tree_matvec(tree), tree.n_nodes, depth + 1
+            args = _tree_matvec(tree), tree.n_nodes
             alpha, beta = _jacobi(*args, bipartite=True, reach=reach)
             full_alpha, full_beta = _jacobi(*args, bipartite=True)
             assert alpha.size == full_alpha.size == depth + 1

@@ -409,8 +409,8 @@ def test_population_disorder_draws(narrow_band):
     stepped = nb.population_step(pop)
     # disorder broadens the delta pool
     assert np.var(stepped.samples) > 0.0
-    mean, var, (counts, edges) = nb.population_stats(stepped, bins=30)
-    assert counts.sum() == 1500 and len(edges) == 31
+    mean, var, (counts, edges) = nb.population_stats(stepped)
+    assert counts.sum() == 1500 and len(edges) == 51
 
 
 def test_population_stats_examples(narrow_band):

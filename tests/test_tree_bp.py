@@ -497,6 +497,14 @@ def test_tree_graph_is_read_only():
         tree.parent = other.parent
 
 
+def test_a_tree_is_unequal_to_what_is_not_a_tree():
+    # comparison with another type falls back to Python's, never reading
+    # a parent array that is not there
+    tree = nb.build_tree(2, 2)
+    assert (tree == 5) is False and (tree != 5) is True
+    assert tree != tree.parent.tolist()
+
+
 def test_trees_are_equal_when_their_parent_arrays_are():
     # equality and hash read the parent array alone, whatever its integer
     # dtype was and whatever the trees have derived so far
