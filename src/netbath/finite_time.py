@@ -448,9 +448,11 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     rest conditions at T, on the grid of ``kI_upstream`` and with the edge
     coupling ``params.C``, never referencing the dressed response: the bare
     kernel is applied repeatedly until the history changes by at most 1e-12
-    relative, for at most 400 sweeps.  The result must agree with
-    :func:`response_from_twinning` built from :func:`twinning_solve` on the
-    same grid, and the step rule is :func:`twinning_solve`'s.
+    relative, for at most 400 sweeps; AccuracyError, with no RuntimeWarning,
+    when they have not settled by then or have overflowed.  The result must
+    agree with :func:`response_from_twinning` built from
+    :func:`twinning_solve` on the same grid, and the step rule is
+    :func:`twinning_solve`'s.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
@@ -464,11 +466,16 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     k = np.ascontiguousarray(kI_upstream.values)
     source = 0.5 * _coupling_on_grid(params.C, times) * drive
     q = _apply(a, source, grid_dt)
-    for _ in range(_ODE_MAX_SWEEPS):
-        q_new = _apply(a, source + _apply(k, q, grid_dt), grid_dt)
-        delta = np.abs(q_new - q).max()
-        q = q_new
-        if delta <= _ODE_TOL * max(1.0, np.abs(q).max()):
-            return q
+    # A diverging iteration overflows: it gives up at the first sweep whose
+    # change is not finite, which an iterate that is not finite makes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_ODE_MAX_SWEEPS):
+            q_new = _apply(a, source + _apply(k, q, grid_dt), grid_dt)
+            delta = np.abs(q_new - q).max()
+            if not math.isfinite(delta):
+                break
+            q = q_new
+            if delta <= _ODE_TOL * max(1.0, np.abs(q).max()):
+                return q
     raise AccuracyError("backward response iteration did not converge; "
                         "reduce the window or the kernel strength")

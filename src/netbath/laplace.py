@@ -113,15 +113,16 @@ def _edge_update(k_in, g0, c_half, out=None):
     make the same IEEE operations in the same order inline, so their bits
     are this body's on the same floats.
     """
-    prod = g0 * k_in
-    denom = 1.0 - prod
-    tol = np.abs(prod)
-    # Sweeps pass whole tree levels and pools: hold few large temporaries.
-    del prod
-    tol = np.maximum(tol, 1.0)
-    tol *= POLE_RTOL
-    poles = np.abs(denom) < tol
+    denom = 1.0 - g0 * k_in
+    # A pole, |denom| < POLE_RTOL max(|prod|, 1), needs |prod| < 2 (else
+    # |denom| >= |prod| / 2), so |denom| < 2 POLE_RTOL: only then is the
+    # full test made, on the product formed again.  Sweeps pass whole tree
+    # levels and pools: hold few large temporaries.
+    poles = np.abs(denom) < 2.0 * POLE_RTOL
     if poles.any():
+        tol = np.maximum(np.abs(g0 * k_in), 1.0)
+        tol *= POLE_RTOL
+        poles = np.abs(denom) < tol
         denom = np.where(poles, np.nan, denom)
     return np.divide(c_half * g0, denom, out=out), poles
 

@@ -179,10 +179,16 @@ def _check_uniform(grid: np.ndarray, name: str) -> float:
     uniform (to 1e-9 relative) and increasing by a finite step."""
     with np.errstate(invalid="ignore"):   # inf - inf: a nan step, refused
         steps = np.diff(grid)
-    if not ((steps > 0) & (steps < np.inf)).all() or not np.allclose(
-            steps, steps[:1], rtol=1e-9, atol=0.0):
+    if not steps.size:
+        return 0.0
+    # a nan step makes lo and hi nan; on finite positive steps, np.isclose's
+    # test with atol = 0, |s - step| <= 1e-9 step, made on the two steps
+    # farthest from the first, since rounding keeps the order of s - step
+    step, lo, hi = steps[0], steps.min(), steps.max()
+    if not (lo > 0 and hi < np.inf and hi - step <= 1e-9 * step
+            and step - lo <= 1e-9 * step):
         raise ShapeError(f"{name} grid must be uniform and increasing by a finite step")
-    return float(steps[0]) if steps.size else 0.0
+    return float(step)
 
 
 def _check_finite(x, name: str) -> np.ndarray:

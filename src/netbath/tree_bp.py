@@ -32,9 +32,10 @@ NODE_CAP = 1 << 20
 
 #: What an upward sweep is charged, above the tracemalloc peaks of regular,
 #: random, chain, star and caterpillar trees: float rows per subtree class
-#: of its widest level, times the grid size; and what finding a tree's
-#: classes, once, is charged: words per node, where it peaked at 10 to 21.4,
-#: the tree's depth index included.
+#: of its widest level, times the grid size; and what finding the classes
+#: of a tree that :func:`build_tree` does not build is charged, once: words
+#: per node, where it peaked at 10 to 21.4, the tree's depth index included.
+#: A tree it builds takes them in closed form, two words a node.
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
 
@@ -49,7 +50,9 @@ class TreeGraph:
     most), node 0 the only root, every parent with a smaller id than its
     child.  The tree keeps a read-only int64 copy.  ``depth``, the level
     of every node and the tree's one level index, is derived from it once,
-    on first use, and is read-only too.  A sweep adds the siblings of a
+    on first use, and is read-only too.  The parent array of
+    ``build_tree(b, d)`` is recognised, and its depth and subtree classes
+    are then written down, not found.  A sweep adds the siblings of a
     level in increasing id order.  Two trees are equal when their parent
     arrays are, and hash alike.
     """
@@ -83,22 +86,63 @@ class TreeGraph:
         return self.parent.size
 
     @cached_property
+    def _regular(self):
+        """``(b, d)`` when the parent array is ``build_tree(b, d)``'s, else
+        None.  b is the root's child count, read off the leading zeros of
+        ``parent[1:]``, and a chain is b = 1; the node count must be that of
+        d full levels, and ``parent[1:]`` then ``arange(N - 1) // b``, which
+        takes one comparison of N words.  A one-node tree is (1, 0)."""
+        parent, n = self.parent[1:], self.n_nodes
+        b = max(int(np.searchsorted(parent, 0, side="right")), 1)
+        if b == 1:
+            d = n - 1
+        else:
+            d, full = 0, 1
+            while full < n:
+                d, full = d + 1, full * b + 1
+            if full != n:
+                return None
+        # the children of node i are the ids 1 + b i .. b (i + 1)
+        rows = parent.reshape(-1, b)
+        if not (rows == np.arange(rows.shape[0])[:, None]).all():
+            return None
+        return b, d
+
+    @cached_property
     def depth(self) -> np.ndarray:
-        """Level of every node, by pointer jumping: log2(height) passes."""
-        up, depth = self.parent.copy(), np.ones_like(self.parent)
-        up[0] = depth[0] = 0
-        while up.any():
-            depth += depth[up]
-            up = up[up]
+        """Level of every node: on a tree :func:`build_tree` builds, runs of
+        ``b**k`` nodes; on any other, by pointer jumping, log2(height)
+        passes."""
+        if self._regular is None:
+            up, depth = self.parent.copy(), np.ones_like(self.parent)
+            up[0] = depth[0] = 0
+            while up.any():
+                depth += depth[up]
+                up = up[up]
+        else:
+            b, d = self._regular
+            level = np.arange(d + 1, dtype=np.int64)
+            depth = level if b == 1 else np.repeat(level, b ** level)
         depth.flags.writeable = False
         return depth
 
     @cached_property
     def _classes(self):
-        """:func:`_subtree_classes` of this tree, found on its first sweep."""
-        _check_bytes(8 * SWEEP_WORDS * self.n_nodes,
-                     f"subtree classes of {self.n_nodes} nodes")
-        return _subtree_classes(self)
+        """:func:`_subtree_classes` of this tree, found on its first sweep.
+        A tree :func:`build_tree` builds has one class a level, which b
+        children of the one class below form, so it takes them in closed
+        form: nothing is sorted, and two words a node are charged."""
+        n = self.n_nodes
+        if self._regular is None:
+            _check_bytes(8 * SWEEP_WORDS * n, f"subtree classes of {n} nodes")
+            return _subtree_classes(self)
+        _check_bytes(16 * n, f"subtree classes of {n} nodes")
+        b, d = self._regular
+        bounds = b * np.arange(-1, d + 1)
+        bounds[0] = 0
+        return (np.zeros(n, dtype=np.int64), [1] * (d + 1),
+                np.zeros(b * d, dtype=np.int64), np.zeros(b * d, dtype=np.int64),
+                bounds)
 
 
 def build_tree(branching: int, depth: int) -> TreeGraph:
@@ -204,7 +248,7 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, g0: np.ndarray,
     its parent at g0[j] (for the root: toward a virtual parent), and
     ``agg[k, j]`` the sum of the messages it receives from its children.
     Nodes with identical subtrees send identical messages, so the sweep
-    forms one row per subtree class (:func:`_subtree_classes`, found on a
+    forms one row per subtree class (``TreeGraph._classes``, taken on a
     tree's first sweep and kept on it), level by level from the deepest,
     holding the level being formed and the level below it, and reads the
     path's rows through each node's class.  Siblings are added in id order

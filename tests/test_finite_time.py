@@ -487,7 +487,8 @@ def test_ode_response_gives_up_on_a_kernel_strong_enough(ft_params):
     # a local kernel of -2e6 on the window's diagonal: the iterates still
     # move after 400 sweeps, so the check gives up; -1e5 converges.  The
     # threshold lies between 5.6e5 and 1e6, and values first overflow
-    # between 4e6 and 5e6
+    # between 4e6 and 5e6: at -5e6 the check gives up at the first sweep
+    # that overflows, with the same error and no RuntimeWarning
     times = nb.time_grid(4.0, 1.0 / (20.0 * ft_params.lambda_pp))
     drive = np.ones_like(times)
 
@@ -497,8 +498,11 @@ def test_ode_response_gives_up_on_a_kernel_strong_enough(ft_params):
 
     q = nb.ode_response_check(local(1e5), ft_params, drive)
     assert np.all(np.isfinite(q))
-    with pytest.raises(AccuracyError, match="did not converge"):
-        nb.ode_response_check(local(2e6), ft_params, drive)
+    for strength in (2e6, 5e6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AccuracyError, match="did not converge"):
+                nb.ode_response_check(local(strength), ft_params, drive)
 
 
 def _modes_error(G_row, tree, params, times):

@@ -269,6 +269,59 @@ def test_orbit_float_step_matches_the_edge_update_array_body(monkeypatch):
         (~near & (prod > 1.0)).any()
 
 
+def _edge_update_reference(k_in, g0, c_half, out=None):
+    """The pole guard ``_edge_update`` made on every entry before it tested
+    |denom| < 2 POLE_RTOL first."""
+    prod = g0 * k_in
+    denom = 1.0 - prod
+    tol = np.maximum(np.abs(prod), 1.0) * POLE_RTOL
+    poles = np.abs(denom) < tol
+    if poles.any():
+        denom = np.where(poles, np.nan, denom)
+    return np.divide(c_half * g0, denom, out=out), poles
+
+
+def test_edge_update_guard_keeps_the_bits_of_the_full_test():
+    # the guard's first test, |denom| < 2 POLE_RTOL, lets through every
+    # pole: values, nan positions and the pole mask are the full test's, on
+    # k_in from 100 ULP below to 100 ULP above 1/G0 (poles and misses on
+    # both sides), on G0 k_in in (1, 2), past 2 and negative, and on nan,
+    # +-inf and -0.0; with an array or a scalar G0, on scalars, and with
+    # out= the input itself
+    k_in, g_in = [], []
+    for g in (1e-3, 0.5, 1.0, 3.0, 7.3, 1e3):
+        below = above = np.float64(1.0 / g)
+        run = [below]
+        for _ in range(100):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            run += [below, above]
+        run += [prod / g for prod in (1.5, 1.999, 2.0, 2.5, 1e300, -0.5, -2.0,
+                                      -1e300, math.nan, math.inf, -math.inf,
+                                      -0.0, 0.0)]
+        k_in += run
+        g_in += [g] * len(run)
+    k_in, g_in = np.array(k_in, dtype=float), np.array(g_in)
+
+    def same(got, ref):
+        assert np.asarray(got[0]).tobytes() == np.asarray(ref[0]).tobytes()
+        assert type(got[1]) is type(ref[1]) and np.array_equal(got[1], ref[1])
+
+    with np.errstate(all="ignore"):
+        ref = _edge_update_reference(k_in, g_in, 0.7)
+        miss = ~ref[1] & (np.abs(g_in * k_in - 1.0) < 1e-13)
+        assert ref[1].any() and (miss & (g_in * k_in < 1.0)).any() and \
+            (miss & (g_in * k_in > 1.0)).any()
+        same(_edge_update(k_in, g_in, 0.7), ref)
+        for g in np.unique(g_in).tolist():      # a scalar G0 on an array
+            same(_edge_update(k_in, g, 0.7), _edge_update_reference(k_in, g, 0.7))
+        for k, g in zip(k_in.tolist(), g_in.tolist()):
+            same(_edge_update(k, g, 0.7), _edge_update_reference(k, g, 0.7))
+        alias = k_in.copy()
+        values, poles = _edge_update(alias, g_in, 0.7, out=alias)
+        assert values is alias
+        same((values, poles), ref)
+
+
 def _pole_lambda(params, lo, hi, step):
     """The float in (lo, hi) nearest the lambda at which the orbit from 0
     meets the pole at its step-th step: bisection on that step's

@@ -276,3 +276,45 @@ def test_forward_laplace_takes_the_lambda_rule(narrow_band, lam):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match="lambda"):
             nb.forward_laplace(tk, [lam])
+
+
+def _check_uniform_reference(grid):
+    """The step ``_check_uniform`` gave, or None where it refused, when it
+    took its verdict from ``np.allclose``."""
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(grid)
+    if not ((steps > 0) & (steps < np.inf)).all() or not np.allclose(
+            steps, steps[:1], rtol=1e-9, atol=0.0):
+        return None
+    return float(steps[0]) if steps.size else 0.0
+
+
+def test_uniform_grid_rule_gives_the_allclose_verdict():
+    # from -s0 through 0 the grid's steps are s0 and s1 exactly: s1 at
+    # s0 (1 +- 1e-9) and one ULP either side of each, a step off by about
+    # 1e-9 inside a longer grid, and inf and nan steps, give allclose's
+    # verdict and step, as do one and two points
+    from netbath.model import _check_uniform
+    grids = [[0.0], [0.0, 0.1], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0, math.inf],
+             [0.0, 1.0, math.nan], [-math.inf, 0.0], [math.inf, math.inf],
+             np.linspace(0.0, 4.0, 1001)]
+    for off in (-1.01e-9, -0.99e-9, 0.99e-9, 1.01e-9):
+        grids.append(np.r_[0.0, 1.0, 2.0, 3.0 + off, 4.0 + off, 5.0 + off])
+    for s0 in (1.0, 0.1, 3e-5):
+        for edge in (s0 + 1e-9 * s0, s0 - 1e-9 * s0):
+            for s1 in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                grids.append([-s0, 0.0, s1])
+    verdicts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for grid in grids:
+            grid = np.asarray(grid, dtype=float)
+            ref = _check_uniform_reference(grid)
+            if ref is None:
+                with pytest.raises(ShapeError, match="uniform"):
+                    _check_uniform(grid, "time")
+            else:
+                step = _check_uniform(grid, "time")
+                assert type(step) is float and step == ref
+            verdicts.add(ref is None)
+    assert verdicts == {True, False}

@@ -442,21 +442,24 @@ def test_deepest_node_of_the_largest_tree_over_a_thousand_lambda(ordered_chain):
 def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
     # the add.at sweep peaked at 169.9 MiB here: two 87,381 x 50 arrays and
     # the temporaries of a whole level; one row per node of two levels, 28.5
-    # MiB.  Finding the classes holds index words, 6.7 MiB measured, below
-    # their charge; a sweep then holds one row per class of two levels, all
-    # 9 levels being one class each, and the path's rows: 12 kB measured
+    # MiB.  Writing its classes down holds one word a node, 0.68 MiB
+    # measured, below their charge of two; finding them, as any other tree
+    # does, holds index words, 6.7 MiB measured, below their charge.  A
+    # sweep then holds one row per class of two levels, all 9 levels being
+    # one class each, and the path's rows: 12 kB measured
     tree = nb.build_tree(4, 8)
     grid = np.logspace(-1, 2, 50)
     peaks = []
-    for _ in range(2):
+    for each in (tree, tree, _general_route(tree)):
         tracemalloc.start()
         try:
-            nb.root_output_message(tree, narrow_band, grid)
+            nb.root_output_message(each, narrow_band, grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 8 * netbath.tree_bp.SWEEP_WORDS * tree.n_nodes
+    assert peaks[0] <= 16 * tree.n_nodes
     assert peaks[1] <= 64 * 2**10
+    assert peaks[2] <= 8 * netbath.tree_bp.SWEEP_WORDS * tree.n_nodes
 
 
 def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
@@ -641,3 +644,79 @@ def test_build_tree_closed_form_matches_the_level_loop(branching):
         assert tree.parent.dtype == np.int64 and np.array_equal(tree.parent, parent)
         assert np.array_equal(tree.depth, np.repeat(np.arange(depth + 1),
                                                     [lv.size for lv in levels]))
+
+
+def _general_route(tree):
+    """A copy of ``tree`` that finds its depth by pointer jumping and its
+    classes by :func:`~netbath.tree_bp._subtree_classes`, recognised as
+    regular or not."""
+    general = nb.TreeGraph(parent=tree.parent)
+    general.__dict__["_regular"] = None
+    return general
+
+
+def _assert_same_arrays(got, ref):
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert got.flags.writeable == ref.flags.writeable
+
+
+# every regular tree of branching <= 6 and at most 2^17 nodes, and chains up
+# to 4,001 nodes
+REGULAR_SHAPES = [(b, d) for b in range(2, 7) for d in range(18)
+                  if (b ** (d + 1) - 1) // (b - 1) <= 1 << 17]
+REGULAR_SHAPES += [(1, d) for d in (*range(40), 99, 1000, 4000)]
+
+
+def test_regular_trees_take_their_depth_and_classes_in_closed_form():
+    # build_tree's parent arrays are recognised, and their depth and
+    # subtree classes written down equal, in value, dtype and read-only
+    # flag, what pointer jumping and the class sort find
+    for b, d in REGULAR_SHAPES:
+        tree = nb.build_tree(b, d)
+        assert tree._regular == ((b if d else 1), d)
+        general = _general_route(tree)
+        _assert_same_arrays(tree.depth, general.depth)
+        node_class, counts, *terms = tree._classes
+        ref_class, ref_counts, *ref_terms = general._classes
+        _assert_same_arrays(node_class, ref_class)
+        assert counts == ref_counts
+        for got, ref in zip(terms, ref_terms):
+            _assert_same_arrays(got, ref)
+
+
+def test_a_hand_built_regular_parent_array_takes_the_closed_form():
+    # the parent array alone says the tree is regular, whatever built it
+    for b, d in ((3, 4), (1, 12), (5, 1), (7, 0)):
+        parent = nb.build_tree(b, d).parent
+        for copy in (parent.tolist(), parent.astype(np.int32)):
+            tree = nb.TreeGraph(parent=copy)
+            assert tree._regular == ((b if d else 1), d)
+            _assert_same_arrays(tree.depth, _general_route(tree).depth)
+
+
+def _relabelled_tree():
+    # build_tree(3, 3) with the children of node 3 numbered first on level
+    # 2, then those of nodes 1 and 2: the same shape, another parent array
+    return nb.TreeGraph(parent=np.r_[-1, 0, 0, 0, [3] * 3, [1] * 3, [2] * 3,
+                                     np.repeat(np.arange(4, 13), 3)])
+
+
+@pytest.mark.parametrize("shape", ["partial-level", "extra-leaf", "relabelled"])
+def test_irregular_trees_take_the_general_route(narrow_band, shape):
+    # a partial last level, a regular tree with one more leaf and a
+    # relabelled regular tree are not build_tree's: they find their depth
+    # and classes as before, and sweep with the bits of the add.at sweep
+    tree = {"partial-level": lambda: nb.TreeGraph(parent=[-1, 0, 0, 1, 1, 2]),
+            "extra-leaf": lambda: nb.TreeGraph(
+                parent=np.r_[nb.build_tree(2, 3).parent, 6]),
+            "relabelled": _relabelled_tree}[shape]()
+    assert tree._regular is None
+    if shape == "relabelled":
+        assert tree != nb.build_tree(3, 3)
+        assert np.array_equal(tree.depth, nb.build_tree(3, 3).depth)
+    grid = np.logspace(-1, 1.5, 9)
+    up, agg = _upward_reference(tree, narrow_band, grid)
+    assert _same_bits(nb.root_output_message(tree, narrow_band, grid), up[0])
+    for v in range(tree.n_nodes):
+        ref = _environment_reference(tree, narrow_band, grid, up, agg, v)
+        assert _same_bits(nb.output_environment(tree, narrow_band, v, grid).values, ref)
