@@ -20,14 +20,17 @@ Two independent routes invert the Laplace-side fixed point:
 
 * :func:`bessel_kernel` evaluates the kernel in closed form on the tau grid
   itself, from the Laplace-side identity
-  sqrt(s^2 + w^2) = s + w L{J1(w t)/t}:
+  sqrt(s^2 + w^2) = s + w L{J1(w t)/t}.  With A_i = sqrt(s^2 + w_i^2) - s,
+  the kernel transforms to (m/8)(A1 - A2)^2, one self-convolution in time:
 
-      k(t) = (m/4t) [w1^2 J2(w1 t) + w2^2 J2(w2 t)
-                     - w1 w2 t integral_0^t J1(w1 u)/u J1(w2 (t-u))/(t-u) du],
+      k(t) = (m/8) integral_0^t g(u) g(t-u) du,
+      g(u) = [w1 J1(w1 u) - w2 J1(w2 u)] / u,
 
-  with w1 = lambda_pm and w2 = lambda_pp; the convolution's integrand is
-  smooth, so Gauss-Legendre nodes take it without a derivative or a finer
-  grid.  It shares no quadrature with the branch-cut route.
+  with w1 = lambda_pm and w2 = lambda_pp.  The integrand is smooth, so
+  Gauss-Legendre nodes take it without a derivative or a finer grid, and
+  g is one difference, so at weak coupling no terms of size w^2 cancel to
+  one of size (w2 - w1)^2.  It shares no quadrature with the branch-cut
+  route.
 
 :func:`spectral_density` is the band-limited density J(w) whose sine
 transform reproduces the kernel; :func:`forward_laplace` closes the loop back
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import j0, j1
+from .bessel import j1
 from .errors import COUNT_HOLD, DomainError, ShapeError, _check_bytes, _count
 from .laplace import CavityKernel
 from .model import ModelParams, _band, _check_finite, _check_step, \
@@ -123,19 +126,19 @@ _BLOCK_ELEMENTS = 1 << 16
 # Peak bytes the quadratures hold, by tracemalloc: per node (56-100); per
 # node squared, leggauss's companion matrix and LAPACK's copy (2.02-2.23
 # float64 arrays, by peak RSS); per element of a row block of the J1 sum,
-# max(_BLOCK_ELEMENTS, nodes) of them (2.75-3.02 arrays: the two J1 values
-# and their product or the second J1's phases, at 60-10^5 nodes); per
-# (Q + B) x width entry of a column block of the sine sum, with its phases,
-# weighted copies and node vectors (3.3-3.7 arrays, 4.85 at N = 2); per
-# point (3.01-3.14 for a sine-sum kernel: its output and accumulators, then
-# TimeKernel's checks; 5.85 for the Bessel kernel at 10^5-10^6 points: the
-# J1 sum, the J2 recurrence's arguments and terms, and the output).
+# max(_BLOCK_ELEMENTS, nodes) of them (2.81-3.02 arrays: h, the second J1
+# values and their phases, at 60-4,000 nodes); per (Q + B) x width entry of
+# a column block of the sine sum, with its phases, weighted copies and node
+# vectors (3.3-3.7 arrays, 4.85 at N = 2); per point (3.01-3.14 for a
+# sine-sum kernel: its output and accumulators, then TimeKernel's checks;
+# 3.0 for the Bessel kernel at 10^5-10^6 points: the J1 sum, the output and
+# TimeKernel's checks).
 _NODE_BYTES = 100
 _COMPANION_BYTES = 8 * 2.25
 _TRIG_BYTES = 8 * 5.0
 _BESSEL_BLOCK_BYTES = 8 * 3.1
 _TAU_BYTES = 8 * 3.2
-_BESSEL_POINT_BYTES = 8 * 6.0
+_BESSEL_POINT_BYTES = 8 * 3.25
 
 
 def _split(n_tau: int, n_freqs: int):
@@ -329,53 +332,45 @@ def _gl_nodes(params: ModelParams, n_points: int, t_max: float) -> int:
     return nodes
 
 
-def _j2(x: np.ndarray) -> np.ndarray:
-    """J2 at x >= 0: the recurrence 2 J1(x)/x - J0(x) from x = 1 on, and
-    ``scipy.special.jv`` (16 times the cost) below, where the recurrence's
-    rounding, about eps, is no longer small against J2 ~ x^2/8, and at
-    x = 0 it would divide by zero."""
-    from scipy.special import jv
-
-    out = np.empty_like(x)
-    far = x >= 1.0
-    xf = x[far]
-    out[far] = 2.0 * j1(xf) / xf - j0(xf)
-    out[~far] = jv(2, x[~far])
-    return out
-
-
 def _j1_sum(params: ModelParams, tau_grid: np.ndarray,
             nodes: int) -> np.ndarray:
-    """S(t) = (t/2) integral_0^t (J1(w1 u)/u) (J1(w2 (t-u))/(t-u)) du at
-    every t of the grid, by ``nodes`` Gauss-Legendre nodes.
+    """S(t) = (t/2) integral_0^t g(u) g(t-u) du at every t of the grid, by
+    ``nodes`` Gauss-Legendre nodes, with g(u) = h(u)/u and
+    h(u) = w1 J1(w1 u) - w2 J1(w2 u).
 
-    With u = (t/2)(1+xi) and v = (t/2)(1-xi), S(t) = sum_q W_q J1(w1 u_q)
-    J1(w2 v_q): 1/(uv) is folded into the weights,
-    W_q = w_q / ((1+xi_q)(1-xi_q)), so each (t x node) entry is one product.
-    One node set scaled to each t; the (t x node) matrices are built in
-    blocks of whole rows, and ``einsum`` sums each row in an order of its
-    own, so every block size gives the same bits.
+    With u = (t/2)(1+xi), S(t) = sum_q W_q h(u_q) h(t - u_q): 1/(u (t-u))
+    is folded into the weights, W_q = w_q / ((1+xi_q)(1-xi_q)).  The nodes
+    are symmetric, so t - u_q is the mirrored node's u, and one row of h
+    gives both factors.  One node set scaled to each t; the (t x node)
+    matrices are built in blocks of whole rows, and ``einsum`` sums each
+    row in an order of its own, so every block size gives the same bits.
     """
     xi, wq = np.polynomial.legendre.leggauss(nodes)
     wq /= (1.0 + xi) * (1.0 - xi)
-    # the phases of J1(w1 u) and J1(w2 v) at t = 2
-    p1 = params.lambda_pm * (1.0 + xi)
-    p2 = params.lambda_pp * (1.0 - xi)
+    w1, w2 = params.lambda_pm, params.lambda_pp
+    # the phases of J1(w1 u) and J1(w2 u) at t = 2
+    p1 = w1 * (1.0 + xi)
+    p2 = w2 * (1.0 + xi)
     s = np.empty(tau_grid.shape)
     step = max(1, _BLOCK_ELEMENTS // nodes)
     for lo in range(0, tau_grid.size, step):
         half = tau_grid[lo:lo + step, None] / 2.0
-        s[lo:lo + step] = np.einsum("ij,j->i", j1(half * p1) * j1(half * p2),
-                                    wq)
+        h = j1(half * p1)
+        h *= w1
+        h2 = j1(half * p2)
+        h2 *= w2
+        h -= h2
+        s[lo:lo + step] = np.einsum("ij,ij,j->i", h, h[:, ::-1], wq)
+        del h, h2                        # before the next block's
     return s
 
 
 def bessel_kernel(params: ModelParams, tau_grid) -> TimeKernel:
     """Kernel in closed form through Bessel functions, on the tau grid itself.
 
-    With w1 = lambda_pm, w2 = lambda_pp and S of :func:`_j1_sum`,
+    With S of :func:`_j1_sum`,
 
-        k(t) = (m / 4t) [w1^2 J2(w1 t) + w2^2 J2(w2 t) - 2 w1 w2 S(t)],
+        k(t) = (m / 8) (g * g)(t) = (m / 4t) S(t),
 
     and k(0) = 0 exactly.  The Gauss-Legendre node count follows the total
     phase (w1 + w2) tau_max (:func:`_gl_nodes`).
@@ -385,10 +380,8 @@ def bessel_kernel(params: ModelParams, tau_grid) -> TimeKernel:
         return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
     _check_tau(tau_grid)
     nodes = _gl_nodes(params, tau_grid.size, float(tau_grid[-1]))
-    w1, w2 = params.lambda_pm, params.lambda_pp
-    bracket = w1 * w1 * _j2(w1 * tau_grid) + w2 * w2 * _j2(w2 * tau_grid) \
-        - 2.0 * w1 * w2 * _j1_sum(params, tau_grid, nodes)
-    values = np.divide(bracket, tau_grid, out=np.zeros_like(bracket),
+    s = _j1_sum(params, tau_grid, nodes)
+    values = np.divide(s, tau_grid, out=np.zeros_like(s),
                        where=tau_grid > 0.0)
     values *= params.m / 4.0
     return TimeKernel(tau=tau_grid, values=values, params=params,

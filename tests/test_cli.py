@@ -38,7 +38,7 @@ assert "scipy.special" in sys.modules, scipy()
 
 def test_scipy_loads_only_with_the_routes_that_use_it():
     # importing the package and its CLI, and the light subcommands, start
-    # without scipy; the Bessel kernel's J0 and J1 load scipy.special
+    # without scipy; the Bessel kernel's J1 loads scipy.special
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADS],
