@@ -117,9 +117,10 @@ def _edge_update(k_in, g0, c_half, out=None):
     # A pole, |denom| < POLE_RTOL max(|prod|, 1), needs |prod| < 2 (else
     # |denom| >= |prod| / 2), so |denom| < 2 POLE_RTOL: only then is the
     # full test made, on the product formed again.  Sweeps pass whole tree
-    # levels and pools: hold few large temporaries.
+    # levels and pools: hold few large temporaries.  count_nonzero gives
+    # any's verdict with less set-up, which a tree sweep's short rows feel.
     poles = np.abs(denom) < 2.0 * POLE_RTOL
-    if poles.any():
+    if np.count_nonzero(poles):
         tol = np.maximum(np.abs(g0 * k_in), 1.0)
         tol *= POLE_RTOL
         poles = np.abs(denom) < tol

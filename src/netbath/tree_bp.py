@@ -39,6 +39,10 @@ NODE_CAP = 1 << 20
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
 
+#: Ids a recognition step of :attr:`TreeGraph._regular` compares: its
+#: temporaries stay in a core's cache.
+_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class TreeGraph:
@@ -51,10 +55,10 @@ class TreeGraph:
     child.  The tree keeps a read-only int64 copy.  ``depth``, the level
     of every node and the tree's one level index, is derived from it once,
     on first use, and is read-only too.  The parent array of
-    ``build_tree(b, d)`` is recognised, and its depth and subtree classes
-    are then written down, not found.  A sweep adds the siblings of a
-    level in increasing id order.  Two trees are equal when their parent
-    arrays are, and hash alike.
+    ``build_tree(b, d)`` is recognised first, and skips the root and order
+    checks it passes by construction; its depth and subtree classes are
+    then written down, not found.  A sweep adds siblings in id order.  Two
+    trees are equal when their parent arrays are, and hash alike.
     """
 
     parent: np.ndarray
@@ -66,12 +70,14 @@ class TreeGraph:
         if parent.dtype.kind != "i":
             raise ShapeError(f"parent must hold integer ids that fit int64, got {parent.dtype}")
         parent = parent.astype(np.int64)
-        if parent[0] != -1 or np.any(parent[1:] < 0):
-            raise ShapeError("node 0 must be the only root")
-        if np.any(parent[1:] >= np.arange(1, parent.size)):
-            raise ShapeError("every parent must have a smaller id than its child")
         parent.flags.writeable = False
         object.__setattr__(self, "parent", parent)
+        # a recognised array keeps the contract by construction
+        if self._regular is None:
+            if parent[0] != -1 or np.any(parent[1:] < 0):
+                raise ShapeError("node 0 must be the only root")
+            if np.any(parent[1:] >= np.arange(1, parent.size)):
+                raise ShapeError("every parent must have a smaller id than its child")
 
     def __eq__(self, other):
         if not isinstance(other, TreeGraph):
@@ -87,13 +93,12 @@ class TreeGraph:
 
     @cached_property
     def _regular(self):
-        """``(b, d)`` when the parent array is ``build_tree(b, d)``'s, else
-        None.  b is the root's child count, read off the leading zeros of
-        ``parent[1:]``, and a chain is b = 1; the node count must be that of
-        d full levels, and ``parent[1:]`` then ``arange(N - 1) // b``, which
-        takes one comparison of N words.  A one-node tree is (1, 0)."""
-        parent, n = self.parent[1:], self.n_nodes
-        b = max(int(np.searchsorted(parent, 0, side="right")), 1)
+        """``(b, d)`` if the parent array is ``build_tree(b, d)``'s, else None,
+        from any integer array.  b counts the leading zeros of ``parent[1:]``,
+        1 at least (one node is (1, 0)); N must be d full levels, ``parent[0]``
+        -1, the first b parents 0 and ``parent[i + b] - parent[i]`` 1."""
+        parent, n = self.parent, self.n_nodes
+        b = max(int(np.searchsorted(parent[1:], 0, side="right")), 1)
         if b == 1:
             d = n - 1
         else:
@@ -102,10 +107,14 @@ class TreeGraph:
                 d, full = d + 1, full * b + 1
             if full != n:
                 return None
-        # the children of node i are the ids 1 + b i .. b (i + 1)
-        rows = parent.reshape(-1, b)
-        if not (rows == np.arange(rows.shape[0])[:, None]).all():
+        if parent[0] != -1 or np.count_nonzero(parent[1:b + 1]):
             return None
+        # then parent[1 + i] = i // b < 1 + i: the children of node i are
+        # the ids 1 + b i .. b (i + 1)
+        for start in range(1, n - b, _CHUNK):
+            stop = min(start + _CHUNK, n - b)
+            if not (parent[start + b:stop + b] - parent[start:stop] == 1).all():
+                return None
         return b, d
 
     @cached_property
@@ -148,22 +157,32 @@ class TreeGraph:
 def build_tree(branching: int, depth: int) -> TreeGraph:
     """Regular rooted tree: every node down to level depth-1 has ``branching`` children.
 
-    Nodes are numbered breadth first, so each level is one run of ids.  A
-    tree of more than ``NODE_CAP`` nodes is refused with SizeError, one that
-    branches past depth 20 before its node count is formed.
+    Nodes are numbered breadth first: the parent array is one run of ids
+    stored b times, strided.  Sizes that are not integers (bools included) are
+    refused with DomainError, a tree of more than ``NODE_CAP`` nodes with
+    SizeError, one branching past depth 20 before its node count is formed.
     """
-    if branching < 1:
-        raise DomainError(f"branching must be >= 1, got {branching}")
-    if depth < 0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
+    for name, size, least in (("branching", branching, 1), ("depth", depth, 0)):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {size!r}")
     # A wider or deeper branching tree than this count forms gets the same
     # verdict, and a one-node tree of any width the same parent array.
-    b = min(branching, NODE_CAP + 1)
-    levels = min(depth, NODE_CAP.bit_length()) + 1
-    n_nodes = depth + 1 if b == 1 else (b ** levels - 1) // (b - 1)
+    # Python ints: a numpy integer's power would wrap.
+    b = int(min(branching, NODE_CAP + 1))
+    levels = int(min(depth, NODE_CAP.bit_length())) + 1
+    n_nodes = int(depth) + 1 if b == 1 else (b ** levels - 1) // (b - 1)
     if n_nodes > NODE_CAP:
         raise SizeError(f"tree would have more than {NODE_CAP} nodes, the cap")
-    return TreeGraph(parent=(np.arange(n_nodes) - 1) // b)
+    parent = np.empty(n_nodes, dtype=np.int64)
+    parent[0] = -1
+    children = parent[1:].reshape(-1, b)    # row i: the children of node i
+    if len(children) < b:       # depth 0 or 1: one row or none
+        children[...] = np.arange(len(children))[:, None]
+    else:
+        children[:, 0] = np.arange(len(children))
+        for j in range(1, b):
+            children[:, j] = children[:, 0]
+    return TreeGraph(parent=parent)
 
 
 def build_chain(depth: int) -> TreeGraph:
@@ -256,17 +275,18 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, g0: np.ndarray,
     the sweep.
     """
     node_class, counts, target, source, bounds = tree._classes
+    path_class, bounds = node_class[path].tolist(), bounds.tolist()
     # The widest level's class aggregates, edge-update temporaries and
     # messages, with the level above it; the most terms of one level,
     # gathered; the path's rows.
-    rows = SWEEP_ROWS * max(counts) + np.diff(bounds).max() + 2 * len(path)
+    rows = SWEEP_ROWS * max(counts) + max(b - a for a, b in zip(bounds, bounds[1:]))
+    rows += 2 * len(path)
     _check_bytes(8 * g0.size * rows,
                  f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
     up = np.empty((len(path), g0.size))
     agg_path = np.empty_like(up)
     agg = np.zeros((1, g0.size))
-    path_class = node_class[path].tolist()
     for k in reversed(range(len(counts))):
         msgs = _edge_update(agg, g0, c_half)[0]
         if k < len(path):
@@ -327,7 +347,8 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     c_half = params.C**2 / 2.0
     down = np.zeros_like(g0)
     for i in range(1, len(up)):
-        down = _edge_update(agg[i - 1] - up[i] + down, g0, c_half)[0]
+        k_in = agg[i - 1] - up[i]
+        down = _edge_update(np.add(k_in, down, out=k_in), g0, c_half, out=k_in)[0]
     total = agg[-1] + down
     flags = ~np.isfinite(total)
     return CavityKernel(grid=lambda_grid, values=total,

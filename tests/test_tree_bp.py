@@ -720,3 +720,171 @@ def test_irregular_trees_take_the_general_route(narrow_band, shape):
     for v in range(tree.n_nodes):
         ref = _environment_reference(tree, narrow_band, grid, up, agg, v)
         assert _same_bits(nb.output_environment(tree, narrow_band, v, grid).values, ref)
+
+
+def _largest_depth_under_the_cap(b):
+    """Depth of the largest ``build_tree(b, .)`` of at most ``NODE_CAP`` nodes."""
+    if b == 1:
+        return netbath.tree_bp.NODE_CAP - 1
+    d = 0
+    while (b ** (d + 2) - 1) // (b - 1) <= netbath.tree_bp.NODE_CAP:
+        d += 1
+    return d
+
+
+# REGULAR_SHAPES, one-node trees, the largest tree under the cap for
+# branching 1 to 5, and the widest star, whose one row of siblings takes
+# one store, not one a sibling
+PARENT_SHAPES = REGULAR_SHAPES + [(b, 0) for b in (2, 3, 7, 10**6)]
+PARENT_SHAPES += [(b, _largest_depth_under_the_cap(b)) for b in range(1, 6)]
+PARENT_SHAPES += [(netbath.tree_bp.NODE_CAP - 1, 1)]
+
+
+def test_build_tree_parent_arrays_are_the_floor_division():
+    # the strided stores write the parent array that (arange(N) - 1) // b
+    # forms, as the tree's read-only int64 array, and it is recognised
+    for b, d in PARENT_SHAPES:
+        tree = nb.build_tree(b, d)
+        n_nodes = d + 1 if b == 1 else (b ** (d + 1) - 1) // (b - 1)
+        assert tree.parent.dtype == np.int64 and not tree.parent.flags.writeable
+        assert np.array_equal(tree.parent, (np.arange(n_nodes) - 1) // b), (b, d)
+        assert tree._regular == ((b if d else 1), d)
+    assert [_largest_depth_under_the_cap(b) for b in range(2, 6)] == [19, 12, 9, 8]
+
+
+def _reference_verdict(parent):
+    """What TreeGraph made of ``parent`` when every array took the full
+    checks, in this order, before recognition by one broadcast comparison:
+    ``(ShapeError, message)`` or ``(None, _regular)``."""
+    parent = np.asarray(parent)
+    if parent.ndim != 1 or parent.size == 0:
+        return ShapeError, "parent must be a nonempty 1-d array"
+    if parent.dtype.kind != "i":
+        return ShapeError, ("parent must hold integer ids that fit int64, got "
+                            f"{parent.dtype}")
+    parent = parent.astype(np.int64)
+    if parent[0] != -1 or np.any(parent[1:] < 0):
+        return ShapeError, "node 0 must be the only root"
+    if np.any(parent[1:] >= np.arange(1, parent.size)):
+        return ShapeError, "every parent must have a smaller id than its child"
+    rest, n = parent[1:], parent.size
+    b = max(int(np.searchsorted(rest, 0, side="right")), 1)
+    if b == 1:
+        d = n - 1
+    else:
+        d, full = 0, 1
+        while full < n:
+            d, full = d + 1, full * b + 1
+        if full != n:
+            return None, None
+    rows = rest.reshape(-1, b)
+    if not (rows == np.arange(rows.shape[0])[:, None]).all():
+        return None, None
+    return None, (b, d)
+
+
+def _verdict(parent):
+    try:
+        return None, nb.TreeGraph(parent=parent)._regular
+    except ShapeError as err:
+        return ShapeError, str(err)
+
+
+def _validation_corpus():
+    """``(name, parent)`` pairs: build_tree's arrays, each broken in one
+    place, and arrays of other shapes and dtypes."""
+    chunk = netbath.tree_bp._CHUNK
+    for b, d in ((1, 6), (1, 4000), (2, 3), (2, 16), (3, 7), (4, 5), (5, 4)):
+        base = nb.build_tree(b, d).parent
+        n = base.size
+        name = f"{b},{d}"
+        yield name, base
+        for at in (1, n // 2, n - 1):
+            for step in (1, -1):
+                moved = base.copy()
+                moved[at] += step
+                yield f"{name} [{at}]{step:+d}", moved
+        # siblings swapped across a row boundary: the last child of one
+        # node and the first child of the next, at the root, mid-tree and,
+        # past the first chunk, at the chunk boundary
+        for row in (1, (n - 1) // b // 2, chunk // b):
+            at = row * b
+            if b > 1 and at + 1 < n:
+                swapped = base.copy()
+                swapped[[at, at + 1]] = swapped[[at + 1, at]]
+                yield f"{name} swap {at}", swapped
+        for at, value, what in ((0, 0, "root 0"), (0, -2, "root -2"),
+                                (n - 1, -1, "second root"), (n // 2, -5, "negative"),
+                                (n - 1, n - 1, "own id"), (n - 1, n, "later id")):
+            broken = base.copy()
+            broken[at] = value
+            yield f"{name} {what}", broken
+        # every parent its child's id: the shifts of a chain, no parent 0
+        yield f"{name} all own ids", np.r_[-1, np.arange(1, n)]
+        yield f"{name} partial level", base[:-1]
+        yield f"{name} extra leaf", np.r_[base, n - 1]
+        yield f"{name} extra child of the root", np.r_[base, 0]
+        dtypes = (np.int32, np.uint64, np.bool_, np.float64)
+        for dtype in dtypes + ((np.int8,) if n < 128 else ()):
+            yield f"{name} {np.dtype(dtype).name}", base.astype(dtype)
+        yield f"{name} 2-d", base.reshape(1, -1)
+        yield f"{name} list", base.tolist()
+    yield "one node", np.array([-1])
+    yield "one node, root 0", np.array([0])
+    yield "empty", np.array([], dtype=np.int64)
+    yield "empty list", []
+    yield "list", [-1, 0, 0, 1, 1, 2, 2]
+    yield "list, parent after child", [-1, 0, 3, 1]
+
+
+def test_tree_graph_keeps_the_verdicts_of_the_full_checks():
+    # recognition comes first, and a recognised array skips the root and
+    # order checks: every array gets the exception and message, or the
+    # recognition, that the checks then the broadcast comparison gave
+    seen = set()
+    for name, parent in _validation_corpus():
+        ref = _reference_verdict(parent)
+        assert _verdict(parent) == ref, name
+        seen.add(ref if ref[0] else "regular" if ref[1] else "irregular")
+    # three refusals of shape, root or order, three of dtype, and two routes
+    assert len(seen) == 8, seen
+
+
+def test_build_tree_refuses_sizes_that_are_not_integers():
+    # a float, a bool or a string is refused before anything is allocated;
+    # numpy integers are taken as Python ints, whose powers do not wrap
+    for branching, depth in ((2.0, 3), (True, 3), (2, True), (2, 3.0), (2, False),
+                             ("2", 3), (None, 3), (2, np.float64(3)), (np.bool_(1), 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="must be an integer"):
+                nb.build_tree(branching, depth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+    for depth in (True, 2.0):
+        with pytest.raises(DomainError, match="depth must be an integer"):
+            nb.build_chain(depth)
+    assert nb.build_tree(np.int64(3), np.int32(2)) == nb.build_tree(3, 2)
+    assert nb.build_chain(np.uint8(5)) == nb.build_chain(5)
+    with pytest.raises(SizeError):
+        nb.build_tree(np.int64(1 << 16), 4)     # 2^64 wraps to 0 in int64
+    with pytest.raises(SizeError):
+        nb.build_tree(np.int64(2), np.int64(10**18))
+
+
+def test_construction_holds_two_words_a_node():
+    # build_tree's array and the tree's read-only copy: 2.035 and 2.106
+    # words a node measured, recognition included; the floor division and
+    # the broadcast comparison held 3.125
+    nb.build_tree(2, 3)
+    for b, d in ((2, 19), (4, 9)):
+        tracemalloc.start()
+        try:
+            tree = nb.build_tree(b, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree._regular == (b, d)
+        assert peak <= 2.25 * 8 * tree.n_nodes, peak / 8 / tree.n_nodes
