@@ -52,6 +52,13 @@ CYCLE_TOL = 0.05
 _ORBIT_STEP_BYTES = 41
 
 
+def _check_count(name: str, count, least: int) -> None:
+    """Refuse with DomainError a count that is not an integer >= least; a
+    bool is not one, a numpy integer is."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def _check_lambda_grid(grid) -> np.ndarray:
     """The grid of a :class:`CavityKernel` as floats: refuse, with ShapeError,
     one that is not a nonempty 1-d array of finite, strictly increasing points."""
@@ -67,12 +74,13 @@ def _check_lambda_grid(grid) -> np.ndarray:
 
 @dataclass
 class CavityKernel:
-    """A dissipation kernel sampled on a real Laplace (lambda > 0) grid.
+    """A dissipation kernel sampled on a grid of real Laplace points lambda.
 
     Parameters
     ----------
     grid : array
-        Strictly increasing, finite evaluation points.
+        Strictly increasing, finite evaluation points; only
+        :func:`~netbath.timedomain.forward_laplace` needs them > 0.
     values : array
         Real kernel values.
     flags : bool array or None
@@ -287,9 +295,7 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     """
     if not tol >= 0:   # nan included
         raise DomainError(f"tol must be >= 0, got {tol}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
-            or steps < 0:
-        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
+    _check_count("steps", steps, 0)
     _check_bytes(_ORBIT_STEP_BYTES * (steps + 1), f"orbit of {steps} steps")
     g0 = g0_laplace(params, lam)
     # a Python float, so that a numpy C keeps the float steps on floats

@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError, _check_bytes
-from .laplace import (CavityKernel, _check_lambda_grid, _edge_update,
-                      _orbit_ends, closed_form_fixed_point, g0_laplace)
+from .errors import ShapeError, SizeError, _check_bytes
+from .laplace import (CavityKernel, _check_count, _edge_update, _orbit_ends,
+                      closed_form_fixed_point, g0_laplace)
 from .model import ModelParams
 
 #: Refuse to build trees larger than this (2**20 nodes).
@@ -39,10 +39,6 @@ NODE_CAP = 1 << 20
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
 
-#: Ids a recognition step of :attr:`TreeGraph._regular` compares: its
-#: temporaries stay in a core's cache.
-_CHUNK = 1 << 15
-
 
 @dataclass(frozen=True, eq=False)
 class TreeGraph:
@@ -54,14 +50,18 @@ class TreeGraph:
     most), node 0 the only root, every parent with a smaller id than its
     child.  The tree keeps a read-only int64 copy.  ``depth``, the level
     of every node and the tree's one level index, is derived from it once,
-    on first use, and is read-only too.  The parent array of
-    ``build_tree(b, d)`` is recognised first, and skips the root and order
-    checks it passes by construction; its depth and subtree classes are
-    then written down, not found.  A sweep adds siblings in id order.  Two
-    trees are equal when their parent arrays are, and hash alike.
+    on first use, and is read-only too.  A tree :func:`build_tree` builds
+    keeps the array it wrote, with no copy and no check, and the shape it
+    built, so its depth and subtree classes are written down, not found.  A
+    sweep adds siblings in id order.  Two trees are equal when their parent
+    arrays are, and hash alike.
     """
 
     parent: np.ndarray
+
+    #: ``(b, d)`` on the tree ``build_tree(b, d)`` builds (``(1, 0)`` on its
+    #: one-node tree), None on any other, a copy of its array included.
+    _regular = None
 
     def __post_init__(self):
         parent = np.asarray(self.parent)
@@ -70,14 +70,20 @@ class TreeGraph:
         if parent.dtype.kind != "i":
             raise ShapeError(f"parent must hold integer ids that fit int64, got {parent.dtype}")
         parent = parent.astype(np.int64)
+        if parent[0] != -1 or np.any(parent[1:] < 0):
+            raise ShapeError("node 0 must be the only root")
+        if np.any(parent[1:] >= np.arange(1, parent.size)):
+            raise ShapeError("every parent must have a smaller id than its child")
         parent.flags.writeable = False
         object.__setattr__(self, "parent", parent)
-        # a recognised array keeps the contract by construction
-        if self._regular is None:
-            if parent[0] != -1 or np.any(parent[1:] < 0):
-                raise ShapeError("node 0 must be the only root")
-            if np.any(parent[1:] >= np.arange(1, parent.size)):
-                raise ShapeError("every parent must have a smaller id than its child")
+
+    @classmethod
+    def _built(cls, parent: np.ndarray, regular: tuple[int, int]) -> TreeGraph:
+        """:func:`build_tree`'s tree: its int64 array, made read-only, and shape."""
+        parent.flags.writeable = False
+        tree = object.__new__(cls)
+        tree.__dict__.update(parent=parent, _regular=regular)
+        return tree
 
     def __eq__(self, other):
         if not isinstance(other, TreeGraph):
@@ -92,36 +98,9 @@ class TreeGraph:
         return self.parent.size
 
     @cached_property
-    def _regular(self):
-        """``(b, d)`` if the parent array is ``build_tree(b, d)``'s, else None,
-        from any integer array.  b counts the leading zeros of ``parent[1:]``,
-        1 at least (one node is (1, 0)); N must be d full levels, ``parent[0]``
-        -1, the first b parents 0 and ``parent[i + b] - parent[i]`` 1."""
-        parent, n = self.parent, self.n_nodes
-        b = max(int(np.searchsorted(parent[1:], 0, side="right")), 1)
-        if b == 1:
-            d = n - 1
-        else:
-            d, full = 0, 1
-            while full < n:
-                d, full = d + 1, full * b + 1
-            if full != n:
-                return None
-        if parent[0] != -1 or np.count_nonzero(parent[1:b + 1]):
-            return None
-        # then parent[1 + i] = i // b < 1 + i: the children of node i are
-        # the ids 1 + b i .. b (i + 1)
-        for start in range(1, n - b, _CHUNK):
-            stop = min(start + _CHUNK, n - b)
-            if not (parent[start + b:stop + b] - parent[start:stop] == 1).all():
-                return None
-        return b, d
-
-    @cached_property
     def depth(self) -> np.ndarray:
-        """Level of every node: on a tree :func:`build_tree` builds, runs of
-        ``b**k`` nodes; on any other, by pointer jumping, log2(height)
-        passes."""
+        """Level of every node: runs of ``b**k`` nodes on a tree :func:`build_tree`
+        builds, log2(height) passes of pointer jumping on any other."""
         if self._regular is None:
             up, depth = self.parent.copy(), np.ones_like(self.parent)
             up[0] = depth[0] = 0
@@ -147,30 +126,28 @@ class TreeGraph:
             return _subtree_classes(self)
         _check_bytes(16 * n, f"subtree classes of {n} nodes")
         b, d = self._regular
-        bounds = b * np.arange(-1, d + 1)
-        bounds[0] = 0
         return (np.zeros(n, dtype=np.int64), [1] * (d + 1),
                 np.zeros(b * d, dtype=np.int64), np.zeros(b * d, dtype=np.int64),
-                bounds)
+                np.maximum(b * np.arange(-1, d + 1), 0))
 
 
 def build_tree(branching: int, depth: int) -> TreeGraph:
     """Regular rooted tree: every node down to level depth-1 has ``branching`` children.
 
     Nodes are numbered breadth first: the parent array is one run of ids
-    stored b times, strided.  Sizes that are not integers (bools included) are
+    stored b times, strided, and the tree keeps it, read-only, with the
+    shape it was built to.  Sizes that are not integers (bools included) are
     refused with DomainError, a tree of more than ``NODE_CAP`` nodes with
     SizeError, one branching past depth 20 before its node count is formed.
     """
-    for name, size, least in (("branching", branching, 1), ("depth", depth, 0)):
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {size!r}")
+    _check_count("branching", branching, 1)
+    _check_count("depth", depth, 0)
     # A wider or deeper branching tree than this count forms gets the same
     # verdict, and a one-node tree of any width the same parent array.
     # Python ints: a numpy integer's power would wrap.
-    b = int(min(branching, NODE_CAP + 1))
-    levels = int(min(depth, NODE_CAP.bit_length())) + 1
-    n_nodes = int(depth) + 1 if b == 1 else (b ** levels - 1) // (b - 1)
+    b, d = int(min(branching, NODE_CAP + 1)), int(depth)
+    levels = min(d, NODE_CAP.bit_length()) + 1
+    n_nodes = d + 1 if b == 1 else (b ** levels - 1) // (b - 1)
     if n_nodes > NODE_CAP:
         raise SizeError(f"tree would have more than {NODE_CAP} nodes, the cap")
     parent = np.empty(n_nodes, dtype=np.int64)
@@ -182,7 +159,7 @@ def build_tree(branching: int, depth: int) -> TreeGraph:
         children[:, 0] = np.arange(len(children))
         for j in range(1, b):
             children[:, j] = children[:, 0]
-    return TreeGraph(parent=parent)
+    return TreeGraph._built(parent, (b if d else 1, d))
 
 
 def build_chain(depth: int) -> TreeGraph:
@@ -339,7 +316,7 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
             or not 0 <= node < tree.n_nodes):
         raise ShapeError(f"node must be an integer in 0..{tree.n_nodes - 1}, got {node!r}")
     g0 = _g0_grid(params, lambda_grid)
-    lambda_grid = _check_lambda_grid(np.atleast_1d(lambda_grid))
+    kernel = CavityKernel(grid=np.atleast_1d(lambda_grid), values=np.zeros_like(g0))
     path = [int(node)]
     while path[-1] > 0:
         path.append(int(tree.parent[path[-1]]))
@@ -349,10 +326,10 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     for i in range(1, len(up)):
         k_in = agg[i - 1] - up[i]
         down = _edge_update(np.add(k_in, down, out=k_in), g0, c_half, out=k_in)[0]
-    total = agg[-1] + down
-    flags = ~np.isfinite(total)
-    return CavityKernel(grid=lambda_grid, values=total,
-                        flags=flags if flags.any() else None)
+    kernel.values = agg[-1] + down
+    flags = ~np.isfinite(kernel.values)
+    kernel.flags = flags if flags.any() else None
+    return kernel
 
 
 def depth_convergence(params: ModelParams, branching: int, max_depth: int,
@@ -364,12 +341,13 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     are those of its orbit from :func:`~netbath.laplace._orbit_ends`, with
     zero tolerance and, once it settles exactly, held at its last iterate;
     it is never scanned for recurrence.  Requires the fixed point to exist
-    at one ``lam``; a ``max_depth`` that is negative or not an integer is
-    refused with DomainError.
+    at one ``lam``; a ``branching`` below 1 or a ``max_depth`` below 0, or
+    either not an integer, is refused with DomainError.
     """
+    _check_count("branching", branching, 1)
     if np.ndim(lam) > 0:
         raise ShapeError("depth_convergence takes one lambda, not an array")
-    n = branching + 1
+    n = int(branching) + 1
     params_n = params if params.n == n else replace(params, n=n)
     k_star = closed_form_fixed_point(params_n, lam)
     orbit = _orbit_ends(params_n, np.array([lam]), max_depth, 0.0)[3]

@@ -339,6 +339,28 @@ def test_depth_convergence_requires_fixed_point():
         nb.depth_convergence(p, 1, 10, np.array([2.0, 3.0]))
 
 
+def test_depth_convergence_refuses_the_branchings_build_tree_refuses(
+        narrow_band, monkeypatch):
+    # True once ran a chain and 2.0 a tree of branching 2, which build_tree
+    # refuses: both refuse them, with one message, before any step; a numpy
+    # integer is its int
+    ref = nb.depth_convergence(narrow_band, 2, 5, 1.0)
+    for branching in (np.int64(2), np.uint8(2), np.int32(2)):
+        assert _same_bits(nb.depth_convergence(narrow_band, branching, 5, 1.0), ref)
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(netbath.tree_bp, "closed_form_fixed_point", no_step)
+    monkeypatch.setattr(netbath.tree_bp, "_orbit_ends", no_step)
+    for branching in (True, False, np.bool_(1), 2.0, np.float64(2), "2", None, 0, -1):
+        with pytest.raises(DomainError, match="branching must be an integer >= 1") as err:
+            nb.depth_convergence(narrow_band, branching, 5, 1.0)
+        with pytest.raises(DomainError) as built:
+            nb.build_tree(branching, 5)
+        assert str(err.value) == str(built.value)
+
+
 def test_edge_noise_gain_zero_coupling():
     # a decoupled network passes no noise along any edge: zero gain, and
     # every node's environment kernel is zero
@@ -450,7 +472,7 @@ def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
     tree = nb.build_tree(4, 8)
     grid = np.logspace(-1, 2, 50)
     peaks = []
-    for each in (tree, tree, _general_route(tree)):
+    for each in (tree, tree, nb.TreeGraph(parent=tree.parent)):
         tracemalloc.start()
         try:
             nb.root_output_message(each, narrow_band, grid)
@@ -562,6 +584,28 @@ def test_tree_entries_refuse_a_lambda_array_before_the_sweep(narrow_band, monkey
             evaluate([[1.0, -1.0]])
 
 
+def test_output_environment_checks_its_grid_once(narrow_band, monkeypatch):
+    # the kernel is formed on the checked grid before the sweep and takes
+    # its values after it: one grid check a call, at a point or on a grid
+    calls = []
+    check = netbath.laplace._check_lambda_grid
+
+    def counted(grid):
+        calls.append(grid)
+        return check(grid)
+
+    # under every name a module may have imported it by
+    for module in (netbath.laplace, netbath.tree_bp):
+        monkeypatch.setattr(module, "_check_lambda_grid", counted, raising=False)
+    tree = nb.build_tree(3, 3)
+    for lam in (0.5, [0.5, 1.0], np.logspace(-1, 2, 50)):
+        calls.clear()
+        env = nb.output_environment(tree, narrow_band, 7, lam)
+        assert len(calls) == 1
+        assert env.values.dtype == env.grid.dtype == float
+        assert env.values.shape == env.grid.shape == np.shape(np.atleast_1d(lam))
+
+
 def test_tree_entries_take_a_point_as_a_grid_of_one(narrow_band):
     # the root message at a point is a Python float with the bits of the
     # grid of one; the environment at a point is the one-point kernel
@@ -646,18 +690,19 @@ def test_build_tree_closed_form_matches_the_level_loop(branching):
                                                     [lv.size for lv in levels]))
 
 
-def _general_route(tree):
-    """A copy of ``tree`` that finds its depth by pointer jumping and its
-    classes by :func:`~netbath.tree_bp._subtree_classes`, recognised as
-    regular or not."""
-    general = nb.TreeGraph(parent=tree.parent)
-    general.__dict__["_regular"] = None
-    return general
-
-
 def _assert_same_arrays(got, ref):
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert got.flags.writeable == ref.flags.writeable
+
+
+def _assert_same_depth_and_classes(tree, ref):
+    _assert_same_arrays(tree.depth, ref.depth)
+    node_class, counts, *terms = tree._classes
+    ref_class, ref_counts, *ref_terms = ref._classes
+    _assert_same_arrays(node_class, ref_class)
+    assert counts == ref_counts
+    for got, want in zip(terms, ref_terms):
+        _assert_same_arrays(got, want)
 
 
 # every regular tree of branching <= 6 and at most 2^17 nodes, and chains up
@@ -668,30 +713,37 @@ REGULAR_SHAPES += [(1, d) for d in (*range(40), 99, 1000, 4000)]
 
 
 def test_regular_trees_take_their_depth_and_classes_in_closed_form():
-    # build_tree's parent arrays are recognised, and their depth and
-    # subtree classes written down equal, in value, dtype and read-only
-    # flag, what pointer jumping and the class sort find
+    # build_tree's trees keep their shape, and their depth and subtree
+    # classes written down equal, in value, dtype and read-only flag, what
+    # pointer jumping and the class sort find on a copy of the array
     for b, d in REGULAR_SHAPES:
         tree = nb.build_tree(b, d)
         assert tree._regular == ((b if d else 1), d)
-        general = _general_route(tree)
-        _assert_same_arrays(tree.depth, general.depth)
-        node_class, counts, *terms = tree._classes
-        ref_class, ref_counts, *ref_terms = general._classes
-        _assert_same_arrays(node_class, ref_class)
-        assert counts == ref_counts
-        for got, ref in zip(terms, ref_terms):
-            _assert_same_arrays(got, ref)
+        general = nb.TreeGraph(parent=tree.parent)
+        assert general._regular is None
+        _assert_same_depth_and_classes(tree, general)
 
 
-def test_a_hand_built_regular_parent_array_takes_the_closed_form():
-    # the parent array alone says the tree is regular, whatever built it
-    for b, d in ((3, 4), (1, 12), (5, 1), (7, 0)):
-        parent = nb.build_tree(b, d).parent
-        for copy in (parent.tolist(), parent.astype(np.int32)):
+def test_hand_built_copies_of_a_regular_tree_take_the_general_route(narrow_band):
+    # only build_tree hands a tree its shape: a copy of its array, in any
+    # form, is checked and takes pointer jumping and the class sort, and
+    # gives the built tree's depth, classes and bits
+    grid = np.logspace(-1, 1.5, 9)
+    for b, d in ((3, 4), (1, 12), (5, 1), (7, 0), (2, 6)):
+        built = nb.build_tree(b, d)
+        root = nb.root_output_message(built, narrow_band, grid)
+        nodes = (0, built.n_nodes // 2, built.n_nodes - 1)
+        envs = [nb.output_environment(built, narrow_band, v, grid) for v in nodes]
+        for copy in (built.parent.tolist(), built.parent.astype(np.int32),
+                     built.parent.copy()):
             tree = nb.TreeGraph(parent=copy)
-            assert tree._regular == ((b if d else 1), d)
-            _assert_same_arrays(tree.depth, _general_route(tree).depth)
+            assert tree._regular is None
+            assert tree == built and hash(tree) == hash(built)
+            _assert_same_depth_and_classes(tree, built)
+            assert _same_bits(nb.root_output_message(tree, narrow_band, grid), root)
+            for v, ref in zip(nodes, envs):
+                env = nb.output_environment(tree, narrow_band, v, grid)
+                assert _same_bits(env.values, ref.values) and env.flags is ref.flags is None
 
 
 def _relabelled_tree():
@@ -742,11 +794,12 @@ PARENT_SHAPES += [(netbath.tree_bp.NODE_CAP - 1, 1)]
 
 def test_build_tree_parent_arrays_are_the_floor_division():
     # the strided stores write the parent array that (arange(N) - 1) // b
-    # forms, as the tree's read-only int64 array, and it is recognised
+    # forms, and the tree keeps that array, read-only, with its shape
     for b, d in PARENT_SHAPES:
         tree = nb.build_tree(b, d)
         n_nodes = d + 1 if b == 1 else (b ** (d + 1) - 1) // (b - 1)
         assert tree.parent.dtype == np.int64 and not tree.parent.flags.writeable
+        assert tree.parent.flags.owndata
         assert np.array_equal(tree.parent, (np.arange(n_nodes) - 1) // b), (b, d)
         assert tree._regular == ((b if d else 1), d)
     assert [_largest_depth_under_the_cap(b) for b in range(2, 6)] == [19, 12, 9, 8]
@@ -755,7 +808,8 @@ def test_build_tree_parent_arrays_are_the_floor_division():
 def _reference_verdict(parent):
     """What TreeGraph made of ``parent`` when every array took the full
     checks, in this order, before recognition by one broadcast comparison:
-    ``(ShapeError, message)`` or ``(None, _regular)``."""
+    ``(ShapeError, message)``, or ``(None, (b, d))`` on build_tree's arrays
+    and ``(None, None)`` on others."""
     parent = np.asarray(parent)
     if parent.ndim != 1 or parent.size == 0:
         return ShapeError, "parent must be a nonempty 1-d array"
@@ -793,7 +847,6 @@ def _verdict(parent):
 def _validation_corpus():
     """``(name, parent)`` pairs: build_tree's arrays, each broken in one
     place, and arrays of other shapes and dtypes."""
-    chunk = netbath.tree_bp._CHUNK
     for b, d in ((1, 6), (1, 4000), (2, 3), (2, 16), (3, 7), (4, 5), (5, 4)):
         base = nb.build_tree(b, d).parent
         n = base.size
@@ -805,9 +858,9 @@ def _validation_corpus():
                 moved[at] += step
                 yield f"{name} [{at}]{step:+d}", moved
         # siblings swapped across a row boundary: the last child of one
-        # node and the first child of the next, at the root, mid-tree and,
-        # past the first chunk, at the chunk boundary
-        for row in (1, (n - 1) // b // 2, chunk // b):
+        # node and the first child of the next, at the root, mid-tree and
+        # at id 2^15, where a recognition scan once ended its first chunk
+        for row in (1, (n - 1) // b // 2, (1 << 15) // b):
             at = row * b
             if b > 1 and at + 1 < n:
                 swapped = base.copy()
@@ -838,13 +891,13 @@ def _validation_corpus():
 
 
 def test_tree_graph_keeps_the_verdicts_of_the_full_checks():
-    # recognition comes first, and a recognised array skips the root and
-    # order checks: every array gets the exception and message, or the
-    # recognition, that the checks then the broadcast comparison gave
+    # every array given to TreeGraph, build_tree's own included, gets the
+    # exception and message the full checks gave, or is accepted with no
+    # shape: only build_tree hands a tree its shape
     seen = set()
     for name, parent in _validation_corpus():
         ref = _reference_verdict(parent)
-        assert _verdict(parent) == ref, name
+        assert _verdict(parent) == (ref if ref[0] else (None, None)), name
         seen.add(ref if ref[0] else "regular" if ref[1] else "irregular")
     # three refusals of shape, root or order, three of dtype, and two routes
     assert len(seen) == 8, seen
@@ -875,11 +928,13 @@ def test_build_tree_refuses_sizes_that_are_not_integers():
 
 
 def test_construction_holds_two_words_a_node():
-    # build_tree's array and the tree's read-only copy: 2.035 and 2.106
-    # words a node measured, recognition included; the floor division and
-    # the broadcast comparison held 3.125
+    # the one array the tree keeps and the id run of one sibling column,
+    # 1 + 1/b words a node: 1.50 at (2, 19), 1.33 at (3, 12), 1.25 at
+    # (4, 9), 1.20 at (5, 8) measured, and 2.0 on a chain, whose column is
+    # the whole array; a read-only copy of the array beside it held 2.035
+    # at (2, 19), the floor division and a broadcast comparison 3.125
     nb.build_tree(2, 3)
-    for b, d in ((2, 19), (4, 9)):
+    for b, d in ((2, 19), (3, 12), (4, 9), (5, 8), (1, (1 << 20) - 1)):
         tracemalloc.start()
         try:
             tree = nb.build_tree(b, d)
@@ -887,4 +942,5 @@ def test_construction_holds_two_words_a_node():
         finally:
             tracemalloc.stop()
         assert tree._regular == (b, d)
-        assert peak <= 2.25 * 8 * tree.n_nodes, peak / 8 / tree.n_nodes
+        bound = 2.05 if b == 1 else 1 + 1 / b + 0.05
+        assert peak <= bound * 8 * tree.n_nodes, peak / 8 / tree.n_nodes
