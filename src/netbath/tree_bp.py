@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, SizeError, _check_bytes
-from .laplace import (CavityKernel, _check_count, _edge_update, _orbit_ends,
-                      closed_form_fixed_point, g0_laplace)
+from .laplace import (POLE_RTOL, CavityKernel, _check_count, _edge_update,
+                      _orbit_ends, closed_form_fixed_point, g0_laplace)
 from .model import ModelParams
 
 #: Refuse to build trees larger than this (2**20 nodes).
@@ -32,12 +32,17 @@ NODE_CAP = 1 << 20
 
 #: What an upward sweep is charged, above the tracemalloc peaks of regular,
 #: random, chain, star and caterpillar trees: float rows per subtree class
-#: of its widest level, times the grid size; and what finding the classes
-#: of a tree that :func:`build_tree` does not build is charged, once: words
-#: per node, where it peaked at 10 to 21.4, the tree's depth index included.
-#: A tree it builds takes them in closed form, two words a node.
+#: of its widest level, times the grid size, where they peaked at 3.1 over
+#: 4,000 lambda; and what finding the classes of a tree that
+#: :func:`build_tree` does not build is charged, once: words per node,
+#: where it peaked at 10 to 21.4, the tree's depth index included.  A tree
+#: it builds takes them in closed form, two words a node.
 SWEEP_ROWS = 5
 SWEEP_WORDS = 24
+
+#: Denominators a pass of unguarded edge updates holds before it tests them
+#: for the pole: every level of a tree of b >= 2 under the node cap.
+_DENOM_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +89,14 @@ class TreeGraph:
         tree = object.__new__(cls)
         tree.__dict__.update(parent=parent, _regular=regular)
         return tree
+
+    def __reduce__(self):
+        """Copies and pickles are built again, by :func:`build_tree` on the
+        shape it built, else from the array and checked: read-only, with
+        nothing derived carried over."""
+        if self._regular is None:
+            return TreeGraph, (self.parent,)
+        return build_tree, self._regular
 
     def __eq__(self, other):
         if not isinstance(other, TreeGraph):
@@ -248,34 +261,95 @@ def _upward_messages(tree: TreeGraph, params: ModelParams, g0: np.ndarray,
     tree's first sweep and kept on it), level by level from the deepest,
     holding the level being formed and the level below it, and reads the
     path's rows through each node's class.  Siblings are added in id order
-    starting from 0.0.  Pole hits are recorded as nan rather than aborting
-    the sweep.
+    starting from 0.0: a level of one class whose children are one class
+    too adds its one message row in place, the additions ``np.add.at``
+    makes, and any other level by ``np.add.at``.  A level of one class is
+    updated as :func:`_unguarded_first` says.  Pole hits are recorded as
+    nan rather than aborting the sweep.
     """
     node_class, counts, target, source, bounds = tree._classes
     path_class, bounds = node_class[path].tolist(), bounds.tolist()
-    # The widest level's class aggregates, edge-update temporaries and
-    # messages, with the level above it; the most terms of one level,
-    # gathered; the path's rows.
-    rows = SWEEP_ROWS * max(counts) + max(b - a for a, b in zip(bounds, bounds[1:]))
-    rows += 2 * len(path)
+    # The widest level's class aggregates, updated in place, with the
+    # edge-update temporaries and the level above it; the most terms one
+    # level gathers (a level of one class under one class adds its row in
+    # place); the path's rows; the denominators held, and the mask of their
+    # test.
+    rows = SWEEP_ROWS * max(counts) + max(
+        (bounds[k + 1] - bounds[k] for k in range(1, len(counts))
+         if not counts[k - 1] == 1 == counts[k]), default=0)
+    rows += 2 * len(path) + 2 * min(len(counts), _DENOM_ROWS)
     _check_bytes(8 * g0.size * rows,
                  f"upward sweep of {tree.n_nodes} nodes over {g0.size} lambda points")
     c_half = params.C**2 / 2.0
-    up = np.empty((len(path), g0.size))
-    agg_path = np.empty_like(up)
-    agg = np.zeros((1, g0.size))
-    for k in reversed(range(len(counts))):
-        msgs = _edge_update(agg, g0, c_half)[0]
-        if k < len(path):
-            up[k], agg_path[k] = msgs[path_class[k]], agg[path_class[k]]
-        if k == 0:
-            break
-        del agg
-        agg = np.zeros((counts[k - 1], g0.size))
-        a, b = bounds[k], bounds[k + 1]
-        np.add.at(agg, target[a:b], msgs[source[a:b]])
-        del msgs
-    return up, agg_path
+
+    def sweep(update):
+        up = np.empty((len(path), g0.size))
+        agg_path = np.empty_like(up)
+        agg = np.zeros((1, g0.size))
+        for k in reversed(range(len(counts))):
+            if k < len(path):
+                agg_path[k] = agg[path_class[k]]
+            if counts[k] == 1:
+                update(agg[0])
+            else:
+                _edge_update(agg, g0, c_half, out=agg)
+            msgs = agg                  # updated in place
+            if k < len(path):
+                up[k] = msgs[path_class[k]]
+            if k == 0:
+                return up, agg_path
+            a, b = bounds[k], bounds[k + 1]
+            if counts[k - 1] == 1 == counts[k]:
+                agg = msgs + 0.0        # np.add.at's first addition, from 0.0
+                for _ in range(b - a - 1):
+                    agg += msgs
+            else:
+                agg = np.zeros((counts[k - 1], g0.size))
+                np.add.at(agg, target[a:b], msgs.take(source[a:b], axis=0))
+
+    return _unguarded_first(sweep, g0, c_half, len(counts))
+
+
+def _unguarded_first(run, g0, c_half, steps: int):
+    """``run(update)``, a pass of at most ``steps`` single-edge updates
+    ``update(k_in)`` of rows over the grid, each written into ``k_in``.
+
+    The first pass makes :func:`~netbath.laplace._edge_update`'s array body
+    with no pole test, raising on division by zero, overflow and invalid
+    operations, and holds its denominators, ``_DENOM_ROWS`` rows at most,
+    testing them as they fill and at its end.  When no error was raised and
+    none was within ``2 POLE_RTOL`` of 0, the pole test would have passed
+    every update, so the pass has the bits of its updates through
+    _edge_update and is returned.  Otherwise it is made again with every
+    update through _edge_update, whose nan at a pole and whose warnings are
+    then the pass's.
+    """
+    held = np.empty((min(steps, _DENOM_ROWS), g0.size))
+    filled = near = 0
+
+    def near_pole():    # in place: the denominators held are read no more
+        size = np.abs(held[:filled], out=held[:filled])
+        return np.count_nonzero(size < 2.0 * POLE_RTOL)
+
+    def unguarded(k_in):
+        nonlocal filled, near
+        if filled == len(held):
+            near, filled = near + near_pole(), 0
+        denom = held[filled]
+        filled += 1
+        np.subtract(1.0, np.multiply(g0, k_in, out=denom), out=denom)
+        return np.divide(numer, denom, out=k_in)
+
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            numer = c_half * g0
+            result = run(unguarded)
+        if not near + near_pole():
+            return result
+        del result      # before the second pass holds rows of its own
+    except FloatingPointError:
+        pass
+    return run(lambda k_in: _edge_update(k_in, g0, c_half, out=k_in)[0])
 
 
 def _g0_grid(params: ModelParams, lambda_grid) -> np.ndarray:
@@ -321,12 +395,16 @@ def output_environment(tree: TreeGraph, params: ModelParams, node: int,
     while path[-1] > 0:
         path.append(int(tree.parent[path[-1]]))
     up, agg = _upward_messages(tree, params, g0, path[::-1])
-    c_half = params.C**2 / 2.0
-    down = np.zeros_like(g0)
-    for i in range(1, len(up)):
-        k_in = agg[i - 1] - up[i]
-        down = _edge_update(np.add(k_in, down, out=k_in), g0, c_half, out=k_in)[0]
-    kernel.values = agg[-1] + down
+    # every step's agg[p] - up[v] in one subtraction, over rows no longer read
+    rest = np.subtract(agg[:-1], up[1:], out=up[1:])
+
+    def walk(update):
+        down = np.zeros_like(g0)
+        for k_in in rest:
+            down = update(k_in + down)
+        return down
+
+    kernel.values = agg[-1] + _unguarded_first(walk, g0, params.C**2 / 2.0, len(rest))
     flags = ~np.isfinite(kernel.values)
     kernel.flags = flags if flags.any() else None
     return kernel
@@ -345,6 +423,7 @@ def depth_convergence(params: ModelParams, branching: int, max_depth: int,
     either not an integer, is refused with DomainError.
     """
     _check_count("branching", branching, 1)
+    _check_count("max_depth", max_depth, 0)
     if np.ndim(lam) > 0:
         raise ShapeError("depth_convergence takes one lambda, not an array")
     n = int(branching) + 1

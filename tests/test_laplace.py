@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from netbath.errors import BYTE_CAP, DomainError, ShapeError, SizeError, \
     SingularTransformError
 from netbath.laplace import POLE_RTOL, _ORBIT_STEP_BYTES, CavityKernel, \
     OrbitReport, _chordal, _edge_update, _orbit_ends, detect_near_cycle
+from netbath.tree_bp import _DENOM_ROWS, _unguarded_first
 
 K_STAR_NARROW_LAM0 = 0.0729206334100700298717568095  # 30-digit evaluation
 
@@ -269,6 +271,52 @@ def test_orbit_float_step_matches_the_edge_update_array_body(monkeypatch):
         (~near & (prod > 1.0)).any()
 
 
+def test_tree_unguarded_update_matches_the_edge_update_array_body():
+    # the update of the tree sweep and path walk, tree_bp._unguarded_first,
+    # against the array body of _edge_update on the same floats: every case,
+    # as a pass of one update, has _edge_update's value bits, nan at its
+    # poles included; the pass is made again, through _edge_update, when
+    # its denominator is within 2 POLE_RTOL of 0, and only then on the
+    # seeded draws.  Near-pole and plain draws at the first, the last and
+    # either side of a refill of the held denominators, in passes of plain
+    # updates, are found there too
+    def one_pass(rows, g0, c_half):
+        runs = []
+
+        def run(update):
+            runs.append(update)
+            return [update(row.copy()) for row in rows]
+        return _unguarded_first(run, g0, c_half, len(rows)), len(runs)
+
+    def warned(call, *args):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = call(*args)
+        return out, [str(w.message) for w in seen]
+
+    cases = _edge_update_inputs(seed=29)
+    near = []
+    for i, (k, g, C) in enumerate(cases):
+        k_in, g0, c_half = np.array([k]), np.array([g]), C**2 / 2.0
+        ((got,), runs), ours = warned(one_pass, [k_in], g0, c_half)
+        (ref, _), theirs = warned(_edge_update, k_in, g0, c_half)
+        assert got.tobytes() == ref.tobytes() and ours == theirs
+        if i < 2200:        # the seeded draws
+            near.append(abs(1.0 - g * k) < 2.0 * POLE_RTOL)
+            assert runs == 1 + near[-1]
+    assert any(near[:40]) and not all(near[:40])
+    steps = 2 * _DENOM_ROWS - 24
+    for (k, g, C), hit in list(zip(cases, near))[:40]:
+        c_half = C**2 / 2.0
+        for at in (0, _DENOM_ROWS - 1, _DENOM_ROWS, steps - 1):
+            rows = [np.array([0.25 / g]) for _ in range(steps)]
+            rows[at] = np.array([k])
+            got, runs = one_pass(rows, np.array([g]), c_half)
+            ref = [_edge_update(row, np.array([g]), c_half)[0] for row in rows]
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert runs == 1 + hit
+
+
 def _edge_update_reference(k_in, g0, c_half, out=None):
     """The pole guard ``_edge_update`` made on every entry before it tested
     |denom| < 2 POLE_RTOL first."""
@@ -403,12 +451,13 @@ def test_orbit_ends_return_the_float_orbit_of_a_grid_of_one(narrow_band):
 
 def test_orbit_iteration_refuses_negative_steps(narrow_band):
     # a negative step count was an orbit of its start value alone,
-    # classified "wandering", and a negative depth a numpy ValueError
+    # classified "wandering", and a negative depth a numpy ValueError; a
+    # depth is refused under its own name
     with pytest.raises(DomainError, match="steps"):
         nb.map_orbit(narrow_band, 1.0, steps=-3)
     with pytest.raises(DomainError, match="steps"):
         _orbit_ends(narrow_band, np.linspace(0.5, 2.0, 20), -1, 1e-12)
-    with pytest.raises(DomainError, match="steps"):
+    with pytest.raises(DomainError, match="max_depth"):
         nb.depth_convergence(narrow_band, 4, -1, 1.0)
     assert nb.map_orbit(narrow_band, 1.0, steps=0).orbit.tolist() == [0.0]
 

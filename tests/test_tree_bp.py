@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -361,6 +363,23 @@ def test_depth_convergence_refuses_the_branchings_build_tree_refuses(
         assert str(err.value) == str(built.value)
 
 
+def test_depth_convergence_refuses_a_max_depth_under_its_own_name(
+        narrow_band, monkeypatch):
+    # -1 and 2.5 were refused under the orbit's name, steps: max_depth is
+    # refused as itself, before any step; a numpy integer is its int
+    ref = nb.depth_convergence(narrow_band, 2, 5, 1.0)
+    assert _same_bits(nb.depth_convergence(narrow_band, 2, np.int64(5), 1.0), ref)
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(netbath.tree_bp, "closed_form_fixed_point", no_step)
+    monkeypatch.setattr(netbath.tree_bp, "_orbit_ends", no_step)
+    for max_depth in (-1, 2.5, 2.0, True, np.bool_(0), "5", None):
+        with pytest.raises(DomainError, match="^max_depth must be an integer >= 0"):
+            nb.depth_convergence(narrow_band, 2, max_depth, 1.0)
+
+
 def test_edge_noise_gain_zero_coupling():
     # a decoupled network passes no noise along any edge: zero gain, and
     # every node's environment kernel is zero
@@ -373,14 +392,26 @@ def test_edge_noise_gain_zero_coupling():
         assert np.all(env.values == 0.0)
 
 
+def _one_class_over_many():
+    # a chain of three nodes above a random tree of 60 rooted at its end:
+    # levels of one class, whose one message row is added in place, over
+    # levels of many, which np.add.at adds
+    below = _random_tree(60, 5).parent[1:] + 2
+    return nb.TreeGraph(parent=np.r_[-1, 0, 1, below])
+
+
 @pytest.mark.parametrize("shape", ["b3d4", "b2d8", "chain", "random300",
                                    "random500", "inner-leaves", "pole",
-                                   "swapped", "star2000", "caterpillar"])
+                                   "swapped", "star2000", "caterpillar",
+                                   "levels-3-1-2", "one-class-over-many",
+                                   "underflow"])
 def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
     # the class sweep adds each class's children in id order from 0.0, as
     # np.add.at did over the whole tree: the root message and the environment
     # of every node are the reference's, bit for bit, nan positions and flags
-    # included
+    # included.  Levels of one class, hand-built ones with branching 3, 1
+    # and 2 among them, add their one row in place; where C^2/2 G0
+    # underflows every message is 0.0, and its sign is the reference's
     grid = np.logspace(-1, 1.5, 9)
     params = narrow_band
     tree = {"b3d4": lambda: nb.build_tree(3, 4),
@@ -392,9 +423,20 @@ def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
             "pole": lambda: None,
             "swapped": _swapped_tree,
             "star2000": lambda: _star(2000),
-            "caterpillar": lambda: _caterpillar(60)}[shape]()
+            "caterpillar": lambda: _caterpillar(60),
+            "levels-3-1-2": lambda: _tree_from_children([3, 1, 1, 1, 2, 2, 2]),
+            "one-class-over-many": _one_class_over_many,
+            "underflow": lambda: nb.build_tree(3, 4)}[shape]()
     if tree is None:
         tree, params, grid = _pole_tree()
+    if shape == "underflow":
+        params = nb.derive_params(5, 10.0, 1e-170, 0.5)
+        assert not np.any(params.C**2 / 2.0 * nb.g0_laplace(params, grid))
+    counts = tree._classes[1]
+    if shape == "levels-3-1-2":
+        assert tree._regular is None and counts == [1] * 4
+    if shape == "one-class-over-many":
+        assert counts[:3] == [1] * 3 and max(counts) > 1
     up, agg = _upward_reference(tree, params, grid)
     assert _same_bits(nb.root_output_message(tree, params, grid), up[0])
     for v in range(tree.n_nodes):
@@ -405,6 +447,8 @@ def test_sweep_keeps_the_bits_of_the_add_at_sweep(narrow_band, shape):
         assert (env.flags is None) if not flags.any() else _same_bits(env.flags, flags)
     if shape == "pole":
         assert np.isnan(up[1, 1])
+    if shape == "underflow":
+        assert not up.any() and not np.signbit(up).any()
     if shape == "swapped":
         node_class = tree._classes[0]
         assert len(set(node_class[1:6].tolist())) == 4
@@ -485,12 +529,12 @@ def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
 
 
 def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
-    # a random tree of 3,000 nodes has at most 107 classes on one level and
-    # 299 terms; finding them is charged 0.58 MB of index words, and over
-    # 200 lambda its rows are charged 1.34 MB, so with the cap at 1 MiB the
-    # sweep is refused before any level is formed; over 50 lambda, 0.33 MB
-    # of rows, it runs, and runs again once the cap is below the index
-    # words, which the tree's first sweep paid for
+    # a random tree of 3,000 nodes has at most 107 classes on one level,
+    # 299 terms and 18 levels; finding them is charged 0.58 MB of index
+    # words, and over 200 lambda its rows are charged 1.40 MB, so with the
+    # cap at 1 MiB the sweep is refused before any level is formed; over 50
+    # lambda, 0.35 MB of rows, it runs, and runs again once the cap is below
+    # the index words, which the tree's first sweep paid for
     cap = 1 << 20
     monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
     tree = _random_tree(3000, 4)
@@ -507,6 +551,29 @@ def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
     assert nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 50)).size == 50
 
 
+def test_a_level_summed_in_place_is_charged_no_gather(narrow_band, monkeypatch):
+    # a star of 20,000 leaves adds its one leaf row in place and gathers
+    # nothing: over 1,000 lambda it is charged 11 rows, not the 20,000
+    # gathered rows (160 MB) np.add.at's terms took, and runs under a 1 MiB
+    # cap, below which it peaks, with the bits of the sum in id order
+    cap = 1 << 20
+    monkeypatch.setattr(netbath.errors, "BYTE_CAP", cap)
+    tree = nb.build_tree(20000, 1)
+    grid = np.logspace(-1, 2, 1000)
+    tracemalloc.start()
+    try:
+        root = nb.root_output_message(tree, narrow_band, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+    leaf = nb.vernon_imag(np.zeros_like(grid), narrow_band, narrow_band.C, grid)
+    agg = np.zeros_like(grid)
+    for _ in range(20000):          # the additions np.add.at makes
+        agg = agg + leaf
+    assert _same_bits(root, nb.vernon_imag(agg, narrow_band, narrow_band.C, grid))
+
+
 def test_tree_graph_is_read_only():
     # the depth index and subtree classes a tree derives and keeps cannot go
     # stale
@@ -520,6 +587,30 @@ def test_tree_graph_is_read_only():
             array[0] = 1
     with pytest.raises(AttributeError):
         tree.parent = other.parent
+
+
+@pytest.mark.parametrize("make", [lambda: nb.build_tree(2, 5), lambda: nb.build_chain(9),
+                                  lambda: nb.build_tree(7, 0), _inner_leaves_tree,
+                                  lambda: _random_tree(80, 2)],
+                         ids=["b2d5", "chain9", "one-node", "inner-leaves", "random80"])
+def test_copies_and_pickles_are_built_again(narrow_band, make):
+    # a copy or a pickle of a tree is read-only, equal and hashed alike, and
+    # carries no derived depth or classes: a tree build_tree built is built
+    # again on its shape, any other checked from its array; its sweeps give
+    # the original's bits
+    tree = make()
+    grid = np.logspace(-1, 1.5, 9)
+    root = nb.root_output_message(tree, narrow_band, grid)
+    env = nb.output_environment(tree, narrow_band, tree.n_nodes - 1, grid).values
+    for again in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert again is not tree and again._regular == tree._regular
+        assert again == tree and hash(again) == hash(tree)
+        assert "depth" not in vars(again) and "_classes" not in vars(again)
+        with pytest.raises(ValueError, match="read-only"):
+            again.parent[-1] = 0
+        assert _same_bits(nb.root_output_message(again, narrow_band, grid), root)
+        again_env = nb.output_environment(again, narrow_band, tree.n_nodes - 1, grid)
+        assert _same_bits(again_env.values, env)
 
 
 def test_a_tree_is_unequal_to_what_is_not_a_tree():
