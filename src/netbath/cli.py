@@ -140,10 +140,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return _merge(cfg, overrides)
 
 
-#: Peak bytes a table row holds, measured with tracemalloc over each command
-#: (5,000 to 100,000 rows, the column writer): 157-463 in csv and 255-680 in
-#: json for the tables of two to five columns, and for the widest,
-#: fixed-point's eight, 416-420 in csv and 787-794 in json.
+#: Peak bytes a table row holds, measured with tracemalloc over phase, kernel,
+#: spectrum, multiplier, orbit and fixed-point (5,000 and 100,000 rows, the
+#: block renderer): 59-346 in csv and 163-346 in json for the tables of two
+#: and three columns, and for the widest, fixed-point's eight, 338-341 in csv
+#: and 653-658 in json.
 TABLE_ROW_BYTES = 1300
 
 
@@ -204,10 +205,223 @@ def _is_float_column(col) -> bool:
     return isinstance(col, np.ndarray) and col.dtype.kind == "f"
 
 
-def _csv_cells(col):
-    if _is_float_column(col):
-        return map("{:.17g}".format, col.tolist())
-    return map(_fmt, col)
+# ---------------------------------------------------------------------------
+# table cells
+#
+# A float cell is '%.17g' % x in csv and repr(x) in json, rendered for a whole
+# array at once.  Both are correctly rounded decimal digits of x, read here
+# from the product x 10^(16-E), 10^E <= |x| < 10^(E+1), formed as a
+# double-double with Dekker's exact product (Numer. Math. 18, 224 (1971)):
+# its integer part and fraction, known to about 1e-14, round to the 17 digits
+# of '%.17g', and the first of its 15-, 16- and 17-digit roundings within x's
+# half ulp are repr's shortest digits.  Python's own formatter renders a cell
+# the product cannot decide: zero, nan and inf, |x| outside [1e-280, 1e280],
+# a subnormal, a power of two in json (its half ulp below is halved), and a
+# rounding within _TIE of a tie.
+
+_SPLIT = 134217729.0        # 2^27 + 1: Veltkamp's split of a double in halves
+_POW_LO, _POW_HI = -282, 297    # the 10^k held, for 10^E and 10^(16-E)
+_TIE = 1e-9                 # in units of the 17th digit
+# A float cell is _CELL bytes, six 8-byte words with NULs over the bytes its
+# layout drops: the sign, the "0." and zeros of E < 0, the leading digit and
+# a point; four groups of four digits, each with a point after it; "e+-"
+# and the exponent's two or three digits.  _digit_tables holds the words of
+# the groups 0000-9999 first, then those of a leading digit d at _LEAD + d,
+# then those of an exponent E at _EXP + E.
+_CELL = 48
+_LEAD, _EXP = 10000, 10310
+#: float cells under this count take Python's formatter: below it the
+#: product's fixed cost exceeds its saving on the cells (phase tables of 50
+#: to 150 rows put the crossover at 100-200 cells)
+_FEW = 150
+#: cells a block of rows holds, so that a table's temporaries are a few
+#: hundred kB whatever its length (blocks of 512 and 4,096 cells were slower)
+_BLOCK_CELLS = 2048
+#: json's row end and the next row's start, after a row's last cell
+_JSON_ROW = "\n    ],\n    [\n      "
+
+
+@functools.cache
+def _digit_tables():
+    """(10^k as hi, lo, hi's Veltkamp halves and the least double not
+    below it, for k from _POW_LO; the words of a float cell, as uint64: each
+    4-digit group with points, "-0.000" and each leading digit with a point,
+    and "e+-" and |E| for each E from -300; the trailing zeros of each
+    group, 4 for 0000)."""
+    powers = [1]
+    for _ in range(max(-_POW_LO, _POW_HI)):
+        powers.append(10 * powers[-1])
+    exact = []
+    for k in range(_POW_LO, _POW_HI + 1):
+        power = powers[abs(k)]
+        if k >= 0:
+            hi = float(power)       # int conversion rounds correctly
+            lo = float(power - int(hi))
+        else:
+            hi = 1 / power          # so does int division
+            a, b = hi.as_integer_ratio()
+            lo = (b - a * power) / power / b
+        exact.append((hi, lo, math.nextafter(hi, math.inf) if lo > 0 else hi))
+    pow10 = np.empty((5, len(exact)))
+    pow10[[0, 1, 4]] = np.array(exact).T
+    split = _SPLIT * pow10[0]
+    pow10[2] = split - (split - pow10[0])
+    pow10[3] = pow10[0] - pow10[2]
+    group = np.arange(10000, dtype=np.uint16)
+    words = np.zeros((_EXP + 300, 8), np.uint8)
+    words[:10000, 1::2] = ord(".")
+    for place in range(4):
+        words[:10000, 2 * place] = group // 10**(3 - place) % 10 + 48
+    words[_LEAD:_LEAD + 10] = np.frombuffer(b"-0.0000." * 10,
+                                            np.uint8).reshape(10, 8)
+    words[_LEAD:_LEAD + 10, 6] += np.arange(10, dtype=np.uint8)
+    e = np.abs(np.arange(-300, 300))
+    wide = e >= 100
+    words[_EXP - 300:, :3] = np.frombuffer(b"e+-", np.uint8)
+    words[_EXP - 300:, 3] = np.where(wide, e // 100, e // 10) + 48
+    words[_EXP - 300:, 4] = np.where(wide, e // 10 % 10, e % 10) + 48
+    words[_EXP - 300:, 5] = wide * (e % 10 + 48)
+    zeros = sum(group % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+    return pow10, words.view(np.uint64).ravel(), zeros
+
+
+@functools.cache
+def _layouts(json_style: bool):
+    """Which of its _CELL bytes a float cell keeps, a row of 0 and 1 a key.
+
+    A key is (class, digit count) of a positive cell, then the same for a
+    negative one; class c <= fixed_hi + 4 is fixed notation at E = c - 4
+    (repr up to E = 15, '%.17g' to 16), and the four after are e-dd, e-ddd,
+    e+dd and e+ddd.  Returns (masks, the key of each E from -300 at 17
+    digits, the first negative key)."""
+    fixed_hi = 15 if json_style else 16
+    # byte 0 is "-", 1-5 "0.000", digit i sits at 6 + 2i with a point after
+    # it, 40-42 are "e+-" and 43-45 the exponent
+    E = np.arange(-4, fixed_hi + 1)[:, None, None]
+    nd = np.arange(1, 18)[:, None]
+    i = np.arange(17)
+    integer = (E >= 0) & (nd <= E + 1)          # no digit after the point
+    fixed = np.zeros((E.size, 17, _CELL), np.uint8)
+    fixed[..., 1:3] = E < 0
+    fixed[..., 3:6] = np.arange(3, 6) < 2 - E
+    fixed[..., 6:39:2] = (i < np.maximum(nd, E + 1)) \
+        | (json_style & integer & (i == E + 1))     # repr's ".0"
+    fixed[..., 7:38:2] = (i[:16] == E) & (json_style | ~integer)
+    exponent = np.zeros((4, 17, _CELL), np.uint8)
+    exponent[..., 6:39:2] = i < nd
+    exponent[..., 7] = nd[:, 0] > 1
+    exponent[..., 40] = 1
+    exponent[:2, :, 42] = 1                     # e-dd, e-ddd
+    exponent[2:, :, 41] = 1                     # e+dd, e+ddd
+    exponent[..., 43:45] = 1
+    exponent[1::2, :, 45] = 1                   # a third exponent digit
+    positive = np.concatenate([fixed, exponent]).reshape(-1, _CELL)
+    masks = np.concatenate([positive, positive])
+    masks[len(positive):, 0] = 1
+    E = np.arange(-300, 300)
+    kinds = np.where((E >= -4) & (E <= fixed_hi), E + 4,
+                     fixed_hi + 5 + 2 * (E >= 0) + (np.abs(E) >= 100))
+    return masks, 17 * kinds + 16, len(positive)
+
+
+def _decimal(xs: np.ndarray, json_style: bool):
+    """The decimal digits of xs, 1e-280 <= xs <= 1e280, from the
+    double-double product: (17-digit integers, a shorter repr's digits
+    followed by zeros; their E; whether the product decided each)."""
+    pow10 = _digit_tables()[0]
+    # E of the unrounded x (the double 1e200 is below 10^200, so E = 199)
+    # from 2^(ex-1) <= x < 2^ex, which puts it within one either way
+    mant, ex = np.frexp(xs)
+    E = np.floor((ex - 1) * math.log10(2)).astype(np.intp)
+    E -= xs < pow10[4].take(E - _POW_LO)
+    E += xs >= pow10[4].take(E + 1 - _POW_LO)
+    # x (hi + lo) = p + t, p x hi rounded and t the rest: p is an even
+    # integer in [1e16, 1e17], t of order ulp(p)
+    hi, lo, hi_hi, hi_lo = pow10[:4].take((16 - _POW_LO) - E, axis=1)
+    split = _SPLIT * xs
+    x_hi = split - (split - xs)
+    x_lo = xs - x_hi
+    p = xs * hi
+    t = ((x_hi * hi_hi - p) + x_hi * hi_lo + x_lo * hi_hi) + x_lo * hi_lo \
+        + xs * lo
+    whole = np.floor(t)
+    frac = t - whole
+    below = p.astype(np.int64) + whole.astype(np.int64)
+    ok = (below >= 10**16) & (below < 10**17) & (np.abs(frac - 0.5) >= _TIE)
+    digits = below + (frac > 0.5)
+    if json_style:
+        # repr's digits: the first rounding to 15, 16 or 17 digits that reads
+        # back as x, so within its half ulp (x is no power of two)
+        half_ulp = p / mant * 2.0**-54
+        fits, sure, rounded = [], [], []
+        for step in (100, 10):
+            q = below // step
+            rest = below - step * q + frac
+            miss = np.minimum(rest, step - rest) - half_ulp
+            fits.append(miss < 0)
+            sure.append((np.abs(miss) >= _TIE)
+                        & (np.abs(rest - step / 2) >= _TIE))
+            rounded.append((q + (rest > step / 2)) * step)
+        ok &= sure[0] & (fits[0] | sure[1])
+        digits = np.where(fits[0], rounded[0],
+                          np.where(fits[1], rounded[1], digits))
+    carry = digits == 10**17
+    return np.where(ok & ~carry, digits, 10**16), E + carry, ok
+
+
+def _product_cells(x: np.ndarray, json_style: bool):
+    """Cells of x, 1e-280 <= |x| <= 1e280, from _decimal: (NUL-padded
+    bytes (x.size, _CELL), whether the product decided each)."""
+    _, words, quad_zeros = _digit_tables()
+    masks, kinds, negative = _layouts(json_style)
+    digits, E, ok = _decimal(np.abs(x), json_style)
+    # the cell's words: its leading digit, four groups of four and E
+    groups = np.empty((x.size, 6), np.intp)
+    for j in (4, 3, 2, 1):
+        rest = digits // 10000
+        np.subtract(digits, 10000 * rest, out=groups[:, j])
+        digits = rest
+    groups[:, 0] = digits + _LEAD
+    groups[:, 5] = E + _EXP
+    zeros = quad_zeros.take(groups[:, 1:5].T)
+    trailing = zeros[3] + (zeros[3] == 4) * (
+        zeros[2] + (zeros[2] == 4) * (zeros[1] + (zeros[1] == 4) * zeros[0]))
+    key = kinds.take(E + 300) + (x < 0) * negative - trailing
+    cells = words.take(groups).view(np.uint8)
+    cells *= masks.take(key, axis=0)
+    return cells, ok
+
+
+def _python_cells(values: list, json_style: bool) -> np.ndarray:
+    """Python's own cells of a list of floats, as _float_cells lays them."""
+    if json_style:
+        text = [repr(v) if math.isfinite(v) else "null" for v in values]
+    else:
+        text = ["%.17g" % v for v in values]
+    return np.array(text, f"S{_CELL}").view(np.uint8).reshape(len(text), _CELL)
+
+
+def _float_cells(x: np.ndarray, json_style: bool) -> np.ndarray:
+    """The cells of a float array as NUL-padded bytes (x.size, _CELL):
+    '%.17g' % x in csv, repr(x) in json with null for a value not finite."""
+    if x.size < _FEW:
+        return _python_cells(x.tolist(), json_style)
+    ax = np.abs(x)
+    some = (ax >= 1e-280) & (ax <= 1e280)
+    if json_style:
+        some &= np.frexp(ax)[0] != 0.5
+    some = np.flatnonzero(some)
+    if some.size == x.size:
+        cells, ok = _product_cells(x, json_style)
+    else:
+        cells = np.empty((x.size, _CELL), np.uint8)
+        ok = np.zeros(x.size, bool)
+        if some.size:
+            cells[some], ok[some] = _product_cells(x.take(some), json_style)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        cells[redo] = _python_cells(x.take(redo).tolist(), json_style)
+    return cells
 
 
 #: cell types rendered once per distinct (type, value): True and 1 stay
@@ -215,30 +429,66 @@ def _csv_cells(col):
 _MEMO_TYPES = (str, bool, int)
 
 
-def _json_cells(col):
-    if not _is_float_column(col):
-        memo, cells = {}, []
-        for v in col:
-            if type(v) not in _MEMO_TYPES:
-                cells.append(json.dumps(_json_value(v)))
-                continue
-            key = (type(v), v)
-            if key not in memo:
-                memo[key] = json.dumps(v)
-            cells.append(memo[key])
-        return cells
-    cells = list(map(float.__repr__, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        cells[i] = "null"
-    return cells
+def _text_cells(col, json_style: bool):
+    """A list column's distinct cells, rendered by _fmt or _json_value as
+    NUL-padded bytes (distinct, width), and each cell's row among them."""
+    # a cell of another type is a key of its own, (row, value)
+    memo: dict = {}
+    index = np.array([memo.setdefault((type(v), v) if type(v) in _MEMO_TYPES
+                                      else (i, v), len(memo))
+                      for i, v in enumerate(col)])
+    values = [v for _, v in memo]
+    if json_style:
+        # one dumps call: its items one a line, as a string's newlines are
+        # escaped
+        texts = json.dumps(list(map(_json_value, values)), indent=0)[2:-2] \
+            .encode().split(b",\n")
+    else:
+        texts = [_fmt(v).encode() for v in values]
+    if b"\0" in b"".join(texts):
+        raise ValueError("a table cell holds a NUL")
+    width = max(map(len, texts))
+    cells = np.array(texts, f"S{max(width, 1)}").view(np.uint8)
+    return cells.reshape(len(texts), -1)[:, :width], index
 
 
-def _json_rows(data) -> str:
-    """The ``rows`` value of at least one row exactly as ``json.dumps(...,
-    indent=2)`` lays it out two levels deep."""
-    rows = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]"
-                      for row in zip(*map(_json_cells, data)))
-    return "[\n" + rows + "\n  ]"
+def _table_body(data, json_style: bool) -> list:
+    """The rows of a table, a str a block of rows: each cell, then ``,`` or
+    a newline in csv, and json's indented ``,`` or row end and start."""
+    rows = len(data[0])
+    seps = [",\n      " if json_style else ","] * (len(data) - 1) \
+        + [_JSON_ROW if json_style else "\n"]
+    floats = [j for j, col in enumerate(data) if _is_float_column(col)]
+    texts = {j: _text_cells(col, json_style) for j, col in enumerate(data)
+             if j not in floats}
+    widths = [_CELL if j in floats else texts[j][0].shape[1]
+              for j in range(len(data))]
+    offsets = np.cumsum([0] + [w + len(s) for w, s in zip(widths, seps)])
+    # a row holds each cell, NUL-padded to its column's width, and the
+    # separator after it; dropping the NULs leaves the text
+    block = max(1, _BLOCK_CELLS // len(data))
+    chars = np.empty((min(block, rows), offsets[-1]), np.uint8)
+    for j, sep in enumerate(seps):
+        chars[:, offsets[j] + widths[j]:offsets[j + 1]] = \
+            np.frombuffer(sep.encode(), np.uint8)
+    pieces = []
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        if floats:
+            x = np.stack([data[j][start:stop] for j in floats], axis=1,
+                         dtype=float)
+            cells = _float_cells(x.ravel(), json_style).reshape(
+                stop - start, len(floats), _CELL)
+        for j in range(len(data)):
+            if j in floats:
+                cell = cells[:, floats.index(j)]
+            else:
+                distinct, index = texts[j]
+                cell = distinct.take(index[start:stop], axis=0)
+            chars[:stop - start, offsets[j]:offsets[j] + widths[j]] = cell
+        pieces.append(chars[:stop - start].tobytes().translate(None, b"\0")
+                      .decode())
+    return pieces
 
 
 def write_table(columns, data, meta: dict, cfg: dict):
@@ -246,8 +496,10 @@ def write_table(columns, data, meta: dict, cfg: dict):
 
     ``data`` holds one sequence per name in ``columns``, all of one length,
     at least one row: a float ndarray, or a list of other cells (str, bool,
-    int, or a float mixed with ``"none"``).  Cells are rendered a column at
-    a time, the bytes those of rendering each row in turn.
+    int, or a float mixed with ``"none"``).  The float arrays are rendered
+    by _float_cells and the lists through a memo of their distinct cells,
+    a block of rows at a time; the bytes are those of rendering each row in
+    turn with ``'%.17g' %``, ``repr``, _fmt and _json_value.
 
     Column format: one metadata line (tool, version, params, seed, plus any
     subcommand metadata as space-separated key=value tokens), the column-name
@@ -270,12 +522,14 @@ def write_table(columns, data, meta: dict, cfg: dict):
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         # splice the rows in: no other line opens "rows" two spaces in, as
         # nested keys sit deeper and a string's quotes are escaped
-        text = text.replace('\n  "rows": []',
-                            '\n  "rows": ' + _json_rows(data), 1)
+        head, tail = text.split('\n  "rows": []', 1)
+        body = _table_body(data, True)
+        body[-1] = body[-1][:-len(_JSON_ROW)]
+        text = "".join([head, '\n  "rows": [\n    [\n      ', *body,
+                        "\n    ]\n  ]", tail])
     else:   # csv, the one other format _check_value admits
-        lines = [header, ",".join(columns)]
-        lines += map(",".join, zip(*map(_csv_cells, data)))
-        text = "\n".join(lines) + "\n"
+        text = "".join([header, "\n", ",".join(columns), "\n",
+                        *_table_body(data, False)])
     if out["path"]:
         with _open_out(out["path"]) as fh:
             fh.write(text)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import netbath as nb
 from netbath import cli, laplace
@@ -652,10 +654,20 @@ _DEFAULT_LINES = [["phase"], ["fixed-point"], ["kernel"],
                   ["multiplier"], ["tree"], ["finite-time"], ["population"],
                   ["orbit"]]
 
+# tables whose float cells the renderer hands to Python's formatter: the nan
+# fills and -1.1e-16 of the n = 2 fixed point at C*, zero gains, and cells
+# near 1e-151
+_FALLBACK_LINES = [
+    ["fixed-point", "--n", "2", "--omega0", "1", "--C", "2.4142135623730951",
+     "--m", "1", "--lambda-count", "3", "--lambda-min", "0.1",
+     "--lambda-max", "3"],
+    ["multiplier", "--C", "1e-200"],
+    ["kernel", "--C", "1e-150", "--m", "1e-150"]]
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv", _quick_start_lines() + _DEFAULT_LINES,
-                         ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("argv", _quick_start_lines() + _DEFAULT_LINES
+                         + _FALLBACK_LINES, ids=lambda a: " ".join(a))
 def test_column_writer_matches_row_reference(tmp_path, monkeypatch, argv, fmt):
     # every documented line and every subcommand at its defaults: the bytes
     # written are those of the row-wise reference
@@ -703,11 +715,14 @@ def test_column_writer_crafted_cells(tmp_path, fmt):
         assert doc["rows"] == [[None, True, "none", "a,b"]]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_widest_table_within_row_charge(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, rows", [
+    pytest.param(fmt, rows, id=fmt if rows == 2000 else f"{fmt}-{rows}")
+    for rows in (2000, 50000) for fmt in ("csv", "json")])
+def test_widest_table_within_row_charge(tmp_path, fmt, rows):
     # fixed-point's eight columns are the widest table; with the numerics
-    # that fill it, it peaks below the charge the size guard makes per row
-    rows = 2000
+    # that fill it, it peaks below the charge the size guard makes per row.
+    # 50,000 rows span many of the renderer's blocks, whose temporaries are
+    # held a block at a time, not a table
     argv = ["fixed-point", "--lambda-count", str(rows), "--format", fmt,
             "--output", str(tmp_path / "fp")]
     tracemalloc.start()
@@ -717,6 +732,72 @@ def test_widest_table_within_row_charge(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < cli.TABLE_ROW_BYTES * rows
+
+
+def _rendered(x, json_style):
+    """The renderer's cells of x, each as text, and Python's own."""
+    x = np.asarray(x, dtype=float)
+    # at least _FEW cells, so the product, not the per-cell fallback, runs
+    x = np.resize(x, max(x.size, cli._FEW))
+    cells = cli._float_cells(x, json_style)
+    got = [bytes(row).replace(b"\0", b"").decode() for row in cells]
+    if json_style:
+        want = [repr(v) if math.isfinite(v) else "null" for v in x.tolist()]
+    else:
+        want = ["%.17g" % v for v in x.tolist()]
+    return got, want
+
+
+def _assert_rendered(x):
+    for json_style in (False, True):
+        got, want = _rendered(x, json_style)
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not bad, (json_style, len(bad), bad[:5])
+
+
+def test_renderer_on_random_bit_patterns():
+    # 10^5 seeded bit patterns over all finite doubles, and the same
+    # patterns in [1e-3, 1e3), where the fixed notation of both styles sits
+    bits = np.random.default_rng(47).integers(0, 2**64, 100_000,
+                                              dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    _assert_rendered(x)
+    _assert_rendered(np.ldexp(np.frexp(x)[0], np.arange(x.size) % 20 - 9))
+
+
+def test_renderer_next_to_powers_of_ten_and_two():
+    # E comes from the unrounded x: the double 1e200 is below 10^200
+    tens = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    for powers in (tens, twos):
+        _assert_rendered(np.concatenate([np.nextafter(powers, 0), powers,
+                                         np.nextafter(powers, np.inf)]))
+    assert _rendered([1e200], False)[0][0] == "9.9999999999999997e+199"
+
+
+def test_renderer_on_edge_values():
+    tiny = np.nextafter(0, 1)
+    _assert_rendered([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                      tiny, -tiny, 2.2250738585072014e-308 / 3, 2.0**53 - 1,
+                      2.0**53, 2.0**53 + 2, 1e16, 1e17, 1e-280, 1e280,
+                      9.9999999999999e279, 1e23, 1e22, 0.1, 1 / 3, 123.0,
+                      1e-5, 1e-4, 9.999999999999999e-5, 999999999999999.9])
+
+
+def test_renderer_on_exact_ties():
+    # the exact decimal of each sits half way between two 17-, 16- or
+    # 15-digit roundings; Python rounds it half to even
+    ties = [382929582713472.375, 382929582713472.125, 1.0000152587890625,
+            1234567890123455.0]
+    _assert_rendered(np.concatenate([ties, np.negative(ties)]))
+    assert _rendered(ties[:2], False)[0][:2] == ["382929582713472.38",
+                                                 "382929582713472.12"]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_renderer_matches_python_formatters(values):
+    _assert_rendered(values)
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path):
