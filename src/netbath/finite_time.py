@@ -9,30 +9,30 @@ with ``G0(u) = (2/(m omega)) sin(omega u)`` twice the bare response.  With
 trapezoidal quadrature, and G0 and G vanishing at equal times, the discrete
 equation is ``G = A + M G`` with ``A`` the bare response on the grid and
 ``M = dt^2 A (K - diag(K)/2)`` strictly upper triangular, so it is solved
-directly, with no iteration: a stationary upstream kernel makes A, M and G
+directly, with no iteration.  The upstream kernel is stationary, as every
+kernel of a network with constant couplings is, so A, M and G are
 upper-triangular Toeplitz, and G is one row, solved in blocks of rows (a
 block inverse's matvec each, then one convolution into the later rows) and
-returned as that row, so it is exactly Toeplitz; any other upstream takes
-one unit-upper-triangular solve of ``(I - M) G = A``.  Both report the
+returned as that row, so it is exactly Toeplitz.  The solve reports the
 relative residual of that equation on the first row.
 
 A stationary kernel (:meth:`TwoTimeKernel.from_stationary`, a stationary G,
-and its dissipation kernel at a constant coupling) keeps only its lag row:
-``values`` is a read-only Toeplitz view of it, so a row or the diagonal
-costs O(N) and N x N arithmetic allocates only where it is asked for.
+and its dissipation kernel) keeps only its lag row: ``values`` is a
+read-only Toeplitz view of it, so a row or the diagonal costs O(N) and
+N x N arithmetic allocates only where it is asked for.
 
-The single-edge updates built on G:
+The single-edge updates built on G, at a constant coupling C:
 
-* dissipation: ``kI_out(t, s-t) = (1/2) C(t) C(s) G(t, s-t)``;
+* dissipation: ``kI_out(t, s-t) = (1/2) C^2 G(t, s-t)``;
 * noise, full form: a double convolution of the upstream noise kernel with
   two G factors plus two boundary terms set by the initial Gaussian state,
   ``C' G(0, t) G(0, s)`` and ``(1/A') dG/dr|_0 dG/dr|_0``.
 
 The auxiliary backward path Q driven by a deviation history solves
 
-    (m/2) Q'' + (m omega^2/2) Q = (1/2) C(t) drive(t) + int_t^T kI(t, s-t) Q(s) ds
+    (m/2) Q'' + (m omega^2/2) Q = (1/2) C drive(t) + int_t^T kI(t, s-t) Q(s) ds
 
-with rest conditions at T, and coincides with ``(1/2) int G(t,s-t) C(s)
+with rest conditions at T, and coincides with ``(1/2) C int G(t,s-t)
 drive(s) ds``; :func:`ode_response_check` computes the left-hand route
 iteratively, :func:`response_from_twinning` the right-hand one.
 
@@ -59,13 +59,12 @@ from .model import ModelParams, _check_step, _check_uniform
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
 # 7.16-7.52 rows besides func's; neumann_first_correction 5.00-5.02 N x N,
 # the largest step on the bare response matrix, whose build is 1.00-1.01
-# (ode_response_check 2.00-2.01, the triangular solve 3.13 at 1,984); the
-# noise kernel 2.01-2.04, one more with an upstream; a dissipation kernel 2.13.
+# (ode_response_check 2.00-2.01); the noise kernel 2.01-2.04, one more with
+# an upstream.
 _GRID_ROWS = 3.1
 _STATIONARY_ROWS = 7.6
 _BARE_SQUARES = 5.1
 _NOISE_SQUARES = 2.1
-_DISSIPATION_SQUARES = 2.2
 
 # Stop rule of ode_response_check: relative change per sweep, and the sweep
 # count after which it gives up.
@@ -228,8 +227,8 @@ class TwinningResult:
     """Solved dressed response.
 
     ``residual`` is the max-norm residual of ``(I - M) G = A`` on the first
-    row, relative to ``max(1, max |G[0]|)``; ``iterations`` is always 1, the
-    solve being direct.
+    row, relative to ``max |G[0]|``, so it reads the same in any units;
+    ``iterations`` is always 1, the solve being direct.
     """
 
     G: TwoTimeKernel
@@ -277,22 +276,6 @@ def _toeplitz_solve(a_row: np.ndarray, k_row: np.ndarray, dt: float):
     return m_row, g_row
 
 
-def _triangular_solve(a: np.ndarray, k: np.ndarray, dt: float):
-    """Row 0 of M, and G, from one unit-upper-triangular solve of (I - M) G = A."""
-    import scipy.linalg
-
-    k_half = k.copy()
-    diag = np.diag_indices_from(k_half)
-    k_half[diag] *= 0.5
-    minus_m = a @ k_half
-    del k_half
-    minus_m *= -dt * dt
-    # The unit diagonal of I - M is implied; the solver never reads it.
-    g = scipy.linalg.solve_triangular(minus_m, a, unit_diagonal=True,
-                                      check_finite=False)
-    return -minus_m[0], g
-
-
 def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
     """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the
     diagonal: a contiguous copy of its stationary kernel, N sines for the
@@ -306,35 +289,28 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
     ``kI_upstream`` fixes the grid and so the window and step.  The step
-    must resolve the band, dt <= ``params.fine_step``.  A stationary upstream,
-    one that keeps its lag row as :meth:`TwoTimeKernel.from_stationary`
-    builds it, is solved as one Toeplitz row, in blocks of rows with O(N^2)
-    arithmetic in O(N / 64) numpy calls, and G is returned as that row; any
-    other by a unit-upper-triangular solve in O(N^3).
-    ``G.meta["solver"]`` names the path taken, ``"toeplitz"`` or
-    ``"triangular"``.
+    must resolve the band, dt <= ``params.fine_step``.  The upstream must be
+    stationary, keeping its lag row as :meth:`TwoTimeKernel.from_stationary`
+    builds it; any other is refused with :class:`ShapeError`.  G is solved
+    as one Toeplitz row, in blocks of rows with O(N^2) arithmetic in
+    O(N / 64) numpy calls, and returned as that row.  ``G.meta["solver"]``
+    names the solver, ``"toeplitz"``.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
     _check_step(grid_dt, params, "dt")
-
     k_row = kI_upstream._row
-    if k_row is not None:
-        solver = "toeplitz"
-        a_row = bare_response(params, times - times[0])
-        m_row, g_row = _toeplitz_solve(a_row, k_row, grid_dt)
-        # (I - M) G = A on the first row is the row equation g - m * g = a.
-        r_row = g_row - np.convolve(m_row, g_row)[:times.size] - a_row
-        kernel = TwoTimeKernel._from_row(times, g_row)
-    else:
-        solver = "triangular"
-        a = _bare_matrix(params, times)
-        m_row, g = _triangular_solve(a, kI_upstream.values, grid_dt)
-        g_row = g[0]
-        r_row = g_row - m_row @ g - a[0]
-        kernel = TwoTimeKernel(times=times, values=g, kind="causal")
-    residual = float(np.abs(r_row).max() / max(1.0, np.abs(g_row).max()))
-    kernel.meta["solver"] = solver
+    if k_row is None:
+        raise ShapeError("the upstream kernel must be stationary, built by "
+                         "TwoTimeKernel.from_stationary")
+    a_row = bare_response(params, times - times[0])
+    m_row, g_row = _toeplitz_solve(a_row, k_row, grid_dt)
+    # (I - M) G = A on the first row is the row equation g - m * g = a.
+    r_row = g_row - np.convolve(m_row, g_row)[:times.size] - a_row
+    kernel = TwoTimeKernel._from_row(times, g_row)
+    kernel.meta["solver"] = "toeplitz"
+    # A row that underflowed to zero solves the equation exactly.
+    residual = float(np.abs(r_row).max() / (np.abs(g_row).max() or 1.0))
     return TwinningResult(G=kernel, residual=residual)
 
 
@@ -345,37 +321,26 @@ def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) ->
                     kI_upstream.dt)
 
 
-def _coupling_on_grid(C_edge, times: np.ndarray) -> np.ndarray:
-    if callable(C_edge):
-        return np.asarray([C_edge(t) for t in times], dtype=float)
-    return np.full(times.size, float(C_edge))
+def vernon_imag_finite(G: TwoTimeKernel, C_edge: float) -> TwoTimeKernel:
+    """Downstream dissipation kernel (1/2) C^2 G(t, s-t), stationary as G is.
 
-
-def vernon_imag_finite(G: TwoTimeKernel, C_edge) -> TwoTimeKernel:
-    """Downstream dissipation kernel (1/2) C(t) C(s) G(t, s-t).
-
-    ``C_edge`` is a constant or a callable C(t); a coupling that vanishes
-    before a turn-on time zeroes the kernel there.  A constant coupling keeps
-    a stationary G stationary.
+    ``C_edge`` is the constant coupling.  A G that is not stationary is
+    refused with :class:`ShapeError`.
     """
-    if G._row is not None and not callable(C_edge):
-        c = float(C_edge)
-        return TwoTimeKernel._from_row(G.times, 0.5 * c * c * G._row)
-    _check_window(G.times.size, "dissipation kernel",
-                  squares=_DISSIPATION_SQUARES)
-    c = _coupling_on_grid(C_edge, G.times)
-    vals = 0.5 * c[:, None] * c[None, :] * G.values
-    return TwoTimeKernel(times=G.times, values=vals, kind="causal")
+    if G._row is None:
+        raise ShapeError("the dressed response must be stationary, as "
+                         "twinning_solve returns it")
+    c = float(C_edge)
+    return TwoTimeKernel._from_row(G.times, 0.5 * c * c * G._row)
 
 
 def _noise_kernel(G: TwoTimeKernel, state: ThermalState, c, pair,
                   conv=0.0) -> np.ndarray:
-    """``C(t)C(s) [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``,
-    ``conv`` given with its C(t)C(s), ``c`` the coupling on the grid or a
-    constant.
+    """``C^2 [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``,
+    ``conv`` given with its C^2, ``c`` the constant coupling C.
 
     The boundary terms come from two vectors, the first row of G and its
-    one-sided derivative along the first argument at r = 0, each times C(t)
+    one-sided derivative along the first argument at r = 0, each times C
     before any product is formed.  ``pair`` is ``np.outer`` for the kernel
     and ``np.multiply`` for its diagonal, which then costs O(N) on a
     stationary G.  Built in place: at most two N x N arrays are alive
@@ -401,11 +366,12 @@ def _noise_kernel(G: TwoTimeKernel, state: ThermalState, c, pair,
 
 
 def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
-                     state: ThermalState, C_edge) -> TwoTimeKernel:
+                     state: ThermalState, C_edge: float) -> TwoTimeKernel:
     """Downstream noise kernel: double convolution plus two boundary terms.
 
-    ``out(t,s) = C(t)C(s) [ int_0^t int_0^s kR(t',s') G(t',t-t') G(s',s-s')
-    + C' G(0,t) G(0,s) + (1/A') dG(r,t-r)/dr|_0 dG(r,s-r)/dr|_0 ]``.
+    ``out(t,s) = C^2 [ int_0^t int_0^s kR(t',s') G(t',t-t') G(s',s-s')
+    + C' G(0,t) G(0,s) + (1/A') dG(r,t-r)/dr|_0 dG(r,s-r)/dr|_0 ]`` at the
+    constant coupling ``C_edge``.
     The boundary terms stem from the initial state of the integrated-out
     oscillator and matter only near the start of the window when G has
     finite memory.  Output is symmetric.
@@ -413,7 +379,7 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     times = G.times
     _check_window(times.size, "noise kernel",
                   squares=_NOISE_SQUARES + (kR_upstream is not None))
-    c = _coupling_on_grid(C_edge, times)
+    c = float(C_edge)
     if kR_upstream is None:
         # The zero double convolution; adding it keeps -0.0 out of the result.
         conv = 0.0
@@ -421,8 +387,7 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
             raise ShapeError("noise kernel grid differs from G grid")
-        # Weighted columns: w_l in [0, t_i], halved at both ends, and column
-        # i times C(t_i).
+        # Weighted columns: w_l in [0, t_i], halved at both ends, times C.
         gw = G.values * G.dt
         gw[0, :] *= 0.5
         idx = np.arange(times.size)
@@ -434,10 +399,11 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     return TwoTimeKernel(times=times, values=vals, kind="symmetric")
 
 
-def response_from_twinning(G: TwoTimeKernel, C_edge, drive: np.ndarray) -> np.ndarray:
-    """Q(t) = (1/2) int_t^T G(t, s-t) C(s) drive(s) ds on the grid."""
-    c = _coupling_on_grid(C_edge, G.times)
-    return 0.5 * _apply(G.values, c * np.asarray(drive, dtype=float), G.dt)
+def response_from_twinning(G: TwoTimeKernel, C_edge: float,
+                           drive: np.ndarray) -> np.ndarray:
+    """Q(t) = (1/2) int_t^T G(t, s-t) C drive(s) ds on the grid."""
+    return 0.5 * _apply(G.values, float(C_edge) * np.asarray(drive, dtype=float),
+                        G.dt)
 
 
 def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
@@ -448,7 +414,8 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     rest conditions at T, on the grid of ``kI_upstream`` and with the edge
     coupling ``params.C``, never referencing the dressed response: the bare
     kernel is applied repeatedly until the history changes by at most 1e-12
-    relative, for at most 400 sweeps; AccuracyError, with no RuntimeWarning,
+    of its largest value, a rule that reads the same in any units, for at
+    most 400 sweeps; AccuracyError, with no RuntimeWarning,
     when they have not settled by then or have overflowed.  The result must
     agree with :func:`response_from_twinning` built from
     :func:`twinning_solve` on the same grid, and the step rule is
@@ -464,7 +431,7 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     # A stationary upstream is a strided view; its matvecs run faster on a
     # contiguous copy.
     k = np.ascontiguousarray(kI_upstream.values)
-    source = 0.5 * _coupling_on_grid(params.C, times) * drive
+    source = 0.5 * params.C * drive
     q = _apply(a, source, grid_dt)
     # A diverging iteration overflows: it gives up at the first sweep whose
     # change is not finite, which an iterate that is not finite makes.
@@ -475,7 +442,7 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
             if not math.isfinite(delta):
                 break
             q = q_new
-            if delta <= _ODE_TOL * max(1.0, np.abs(q).max()):
+            if delta <= _ODE_TOL * np.abs(q).max():
                 return q
     raise AccuracyError("backward response iteration did not converge; "
                         "reduce the window or the kernel strength")

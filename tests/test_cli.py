@@ -430,7 +430,7 @@ def test_plot_of_a_constant_series_or_one_point(tmp_path, line, points):
      "domain"),
     ("finite-time --n 7 --C 1e-40 --m 1e-148 --T 5e-56", 3, "domain"),
     # a noise-kernel term (C dG)^2 / A' of up to 1.2e149, finite, whose
-    # product (1/A') dG dG alone overflowed before C(t)C(s) came in
+    # product (1/A') dG dG alone overflowed before C^2 came in
     ("finite-time --T 0.5 --C 1e-150 --m 1e-150", 0, None),
     # nu^2 and omega^2 past the floats: the exact values there are 0
     ("multiplier --nu-count 5 --nu-max 1e308", 0, None),

@@ -184,7 +184,8 @@ def test_fine_step_resolves_the_band(narrow_band):
 
 
 def _twinning(p, step):
-    nb.twinning_solve(TwoTimeKernel(step * np.arange(5), np.zeros((5, 5))), p)
+    nb.twinning_solve(TwoTimeKernel.from_stationary(step * np.arange(5), np.zeros_like),
+                      p)
 
 
 def _ode(p, step):

@@ -502,7 +502,8 @@ def test_oracle_imports_nothing_of_the_recursion():
     # the oracle is an independent check only while it shares no code with
     # the message passing: of tree_bp it may take the graph alone; and the
     # finite window is checked against the oracle's mode sum only while
-    # neither imports the other
+    # neither imports the other.  The finite window imports no scipy, so
+    # the finite-time command loads none
     for name in _imported_names(netbath.oracle):
         parts = name.split(".")
         assert "laplace" not in parts and "rs" not in parts, name
@@ -510,6 +511,7 @@ def test_oracle_imports_nothing_of_the_recursion():
         assert "tree_bp" not in parts or parts[-1] == "TreeGraph", name
     for name in _imported_names(netbath.finite_time):
         assert "oracle" not in name.split("."), name
+        assert name.split(".")[0] != "scipy", name
 
 
 def test_tree_matrix_matches_loop_reference():

@@ -6,12 +6,15 @@ g(omega0 tau).  Rescaling omega0 by 2^a, m by 2^c and C by 2^(c+2a) is exact
 in floating point, so every evaluator here must return its unscaled values
 times the exact power of two, bit for bit, with no tolerance.
 
-Not covered yet: the routes with absolute floors, which read differently in
-other units (ROADMAP item 29) -- the max(1, |x|) stop rule of
+The finite window joins them: its dressed response row, at the step
+``fine_step``, and the residual of its solve, relative to max|G[0]|; and the
+backward response of ``ode_response_check``, whose stop rule is relative to
+max|q|, scales with its drive.
+
+Not covered yet: the route with an absolute floor, which reads differently
+in other units (ROADMAP item 29) -- the max(1, |x|) stop rule of
 ``laplace._orbit_ends`` (``map_orbit``, ``depth_convergence``, the
-``fixed-point`` and ``orbit`` commands), the same floor in
-``ode_response_check``, and ``twinning_solve``'s residual, divided by
-max(1, max|G[0]|).
+``fixed-point`` and ``orbit`` commands).
 """
 
 import math
@@ -66,3 +69,42 @@ def test_power_of_two_units_scale_the_values_exactly(name):
         # a complex value as its real and imaginary floats
         want = np.ldexp(ref.view(np.float64), value_a * a + value_c * c).view(ref.dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, c)
+
+
+def _upstream(params, T):
+    """The finite-time command's upstream on 0..T at the step fine_step: the
+    branch-cut kernel, stationary."""
+    times = nb.time_grid(T, params.fine_step)
+    return nb.TwoTimeKernel.from_stationary(
+        times, lambda u: nb.branch_cut_kernel(params, u).values)
+
+
+def test_power_of_two_units_scale_the_window_solve_exactly():
+    # time scales by 2^-a and G = (2/(m omega)) sin(omega u) + ... by
+    # 2^(-a-c); M = dt^2 A K is unitless, so the residual reads the same
+    params = nb.derive_params(N, OMEGA0, C, M)
+    upstream = _upstream(params, 6.0)
+    ref = nb.twinning_solve(upstream, params)
+    assert upstream.times.size > 100 and 0.0 < ref.residual <= 1e-14
+    for a, c in SCALES:
+        params = nb.derive_params(N, math.ldexp(OMEGA0, a), math.ldexp(C, c + 2 * a),
+                                  math.ldexp(M, c))
+        scaled = _upstream(params, math.ldexp(6.0, -a))
+        got = nb.twinning_solve(scaled, params)
+        assert scaled.times.tobytes() == np.ldexp(upstream.times, -a).tobytes(), (a, c)
+        assert got.G.values[0].tobytes() == \
+            np.ldexp(ref.G.values[0], -a - c).tobytes(), (a, c)
+        assert got.residual == ref.residual, (a, c)
+
+
+def test_backward_response_scales_with_its_drive_exactly():
+    # the equation is linear in the drive, and the stop rule is relative to
+    # max|q|, so a drive scaled by 2^e takes the same sweeps to q 2^e
+    params = nb.derive_params(N, OMEGA0, C, M)
+    upstream = _upstream(params, 6.0)
+    drive = np.exp(-0.5 * ((upstream.times - 1.5) / 0.15) ** 2)
+    ref = nb.ode_response_check(upstream, params, drive)
+    assert np.any(ref != 0)
+    for e in (-40, -12, 12, 40):
+        got = nb.ode_response_check(upstream, params, np.ldexp(drive, e))
+        assert got.tobytes() == np.ldexp(ref, e).tobytes(), e
