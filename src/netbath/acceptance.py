@@ -81,7 +81,7 @@ def criterion_1() -> CriterionResult:
         worst_rel = max(worst_rel, float(np.max(rel)))
         res = np.abs(quadratic_residual(params, lam, closed))
         worst_res = max(worst_res,
-                        float(np.max(res / np.maximum(1.0, np.abs(closed)))))
+                        float(np.max(res / np.abs(closed))))
     return _result("fixed-point closure",
                    worst_rel <= 1e-10 and worst_res <= 1e-12,
                    f"max rel diff {worst_rel:.2e} (<=1e-10), "

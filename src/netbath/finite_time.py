@@ -16,10 +16,10 @@ block inverse's matvec each, then one convolution into the later rows) and
 returned as that row, so it is exactly Toeplitz.  The solve reports the
 relative residual of that equation on the first row.
 
-A stationary kernel (:meth:`TwoTimeKernel.from_stationary`, a stationary G,
-and its dissipation kernel) keeps only its lag row: ``values`` is a
-read-only Toeplitz view of it, so a row or the diagonal costs O(N) and
-N x N arithmetic allocates only where it is asked for.
+A two-time kernel is causal, held as its lag row (the upstream dissipation
+kernel, G and its downstream dissipation kernel), or a symmetric noise
+kernel built from a matrix; a causal kernel's ``values`` is a read-only
+Toeplitz view of its row, so a row or the diagonal costs O(N).
 
 The single-edge updates built on G, at a constant coupling C:
 
@@ -39,9 +39,10 @@ iteratively, :func:`response_from_twinning` the right-hand one.
 The step must resolve the band: :func:`twinning_solve` and
 :func:`ode_response_check` refuse one coarser than
 :attr:`~netbath.model.ModelParams.fine_step`, which is also the default step
-of the ``finite-time`` command.  A step whose arrays, rows of N points
-or N x N, would exceed :data:`~netbath.errors.BYTE_CAP` is refused with
-:class:`SizeError` before it builds them.
+of the ``finite-time`` command.  A step whose arrays would exceed
+:data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
+it builds them; only the noise kernel and :func:`neumann_first_correction`
+build N x N ones.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ from .model import ModelParams, _check_step, _check_uniform
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
 # 7.16-7.52 rows besides func's; neumann_first_correction 5.00-5.02 N x N,
-# the largest step on the bare response matrix, whose build is 1.00-1.01
-# (ode_response_check 2.00-2.01); the noise kernel 2.01-2.04, one more with
-# an upstream.
+# the one step on the bare response matrix, whose build is 1.00-1.01; the
+# noise kernel 2.01-2.04, one more with an upstream; ode_response_check
+# 7.05-7.43 rows at N = 379 to 3,018.
 _GRID_ROWS = 3.1
 _STATIONARY_ROWS = 7.6
 _BARE_SQUARES = 5.1
 _NOISE_SQUARES = 2.1
+_ODE_ROWS = 7.5
 
 # Stop rule of ode_response_check: relative change per sweep, and the sweep
 # count after which it gives up.
@@ -112,17 +114,15 @@ def thermal_init(beta: float, params: ModelParams) -> ThermalState:
 
 @dataclass
 class TwoTimeKernel:
-    """Kernel on the uniform two-time grid 0 <= t <= s <= T.
+    """Kernel on the uniform two-time grid 0 <= t <= s <= T, ``dt`` its step.
 
-    ``values[i, j]`` holds K(t_i, t_j - t_i); causal kernels vanish below the
-    diagonal, symmetric kernels (noise type) satisfy V = V^T instead.  ``dt``
-    is the grid step.  A stationary kernel stores its lag row in ``_row``, and
-    ``values`` is a read-only Toeplitz view of one buffer holding it.
+    Only :meth:`from_stationary` builds a causal kernel K(t, s-t) = k(s-t),
+    held as its lag row ``_row``, ``values`` a read-only Toeplitz view of it;
+    a kernel built from a matrix is a symmetric noise kernel, with no row.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = "causal"
     meta: dict = field(default_factory=dict, repr=False)
     _row: np.ndarray | None = field(default=None, repr=False)
     dt: float = field(init=False, repr=False)
@@ -130,46 +130,43 @@ class TwoTimeKernel:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        n = self.times.size
-        if self.values.shape != (n, n):
+        if self.values.shape != (self.times.size,) * 2:
             raise ShapeError("values must be square over the time grid")
         self.dt = _check_uniform(self.times, "time")
-        if self.kind not in ("causal", "symmetric"):
-            raise ShapeError(f"unknown kind {self.kind!r}")
-        # A stationary kernel is causal by construction.
-        if self.kind == "causal" and self._row is None:
-            lower = np.tril(self.values, k=-1)
-            if np.any(lower != 0.0):
-                raise ShapeError("causal kernel has entries below the diagonal")
 
     @classmethod
-    def from_stationary(cls, times, func, kind: str = "causal") -> "TwoTimeKernel":
-        """Build K(t, s-t) = func(s-t) on the grid (zero below the diagonal).
+    def from_stationary(cls, times, func) -> "TwoTimeKernel":
+        """The causal kernel K(t, s-t) = func(s-t) on the grid.
 
         ``func`` is evaluated once per lag index, on ``times - times[0]``, so
-        the values are exactly Toeplitz (upper triangular when causal,
-        symmetric otherwise).
+        the values are exactly upper-triangular Toeplitz.
         """
         times = np.asarray(times, dtype=float)
         _check_window(times.size, "stationary kernel", rows=_STATIONARY_ROWS)
         row = np.asarray(func(times - times[0]), dtype=float)
-        return cls._from_row(times, row, kind)
+        return cls._from_row(times, row)
 
     @classmethod
-    def _from_row(cls, times, row: np.ndarray, kind: str = "causal") -> "TwoTimeKernel":
-        """The stationary kernel of a lag row, ``values`` a view of O(N) memory.
+    def _from_row(cls, times, row: np.ndarray) -> "TwoTimeKernel":
+        """The causal kernel of a lag row, ``values`` a view of O(N) memory.
 
-        The buffer is the reversed first column followed by ``row[1:]``, the
-        layout ``scipy.linalg.toeplitz`` strides before it copies; here the
-        strided view is kept, read-only because every row aliases the buffer.
+        The buffer is N - 1 zeros followed by the row, the layout
+        ``scipy.linalg.toeplitz`` strides before it copies; here the strided
+        view is kept, read-only because every row aliases the buffer.
         """
         n = row.size
-        head = row[:0:-1] if kind == "symmetric" else np.zeros(n - 1)
-        buf = np.concatenate((head, row))
+        buf = np.concatenate((np.zeros(n - 1), row))
         step = buf.strides[0]
         vals = as_strided(buf[n - 1:], shape=(n, n), strides=(-step, step),
                           writeable=False)
-        return cls(times=times, values=vals, kind=kind, _row=vals[0])
+        return cls(times=times, values=vals, _row=vals[0])
+
+
+def _lag_row(kernel: TwoTimeKernel, what: str) -> np.ndarray:
+    """A causal kernel's lag row; ShapeError for ``what``, a noise kernel."""
+    if kernel._row is None:
+        raise ShapeError(f"{what} must be a causal kernel (from_stationary)")
+    return kernel._row
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
@@ -214,11 +211,13 @@ def _compose(x: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     return dt * out
 
 
-def _apply(x: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
-    """Weighted action on a history vector, (X * h)[i] ~ int_t_i^T X[i,l] h[l] dl."""
-    out = x @ h
-    out -= 0.5 * np.diag(x) * h
-    out -= 0.5 * x[:, -1] * h[-1]
+def _apply(row: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
+    """Weighted action of a lag row on a history, (X * h)[i] ~ int_t_i^T
+    X(t_i, t_l - t_i) h[l] dl, the ends l = i and N - 1 weighed by half."""
+    n = h.size
+    out = np.correlate(np.concatenate((h, np.zeros(n - 1))), row, "valid")
+    out -= 0.5 * row[0] * h
+    out -= 0.5 * row[::-1] * h[-1]
     return dt * out
 
 
@@ -290,19 +289,15 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
 
     ``kI_upstream`` fixes the grid and so the window and step.  The step
     must resolve the band, dt <= ``params.fine_step``.  The upstream must be
-    stationary, keeping its lag row as :meth:`TwoTimeKernel.from_stationary`
-    builds it; any other is refused with :class:`ShapeError`.  G is solved
-    as one Toeplitz row, in blocks of rows with O(N^2) arithmetic in
-    O(N / 64) numpy calls, and returned as that row.  ``G.meta["solver"]``
+    a causal kernel; a noise kernel is refused with :class:`ShapeError`.  G
+    is solved as one Toeplitz row, in blocks of rows with O(N^2) arithmetic
+    in O(N / 64) numpy calls, and returned as that row.  ``G.meta["solver"]``
     names the solver, ``"toeplitz"``.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
     _check_step(grid_dt, params, "dt")
-    k_row = kI_upstream._row
-    if k_row is None:
-        raise ShapeError("the upstream kernel must be stationary, built by "
-                         "TwoTimeKernel.from_stationary")
+    k_row = _lag_row(kI_upstream, "the upstream kernel")
     a_row = bare_response(params, times - times[0])
     m_row, g_row = _toeplitz_solve(a_row, k_row, grid_dt)
     # (I - M) G = A on the first row is the row equation g - m * g = a.
@@ -324,14 +319,10 @@ def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) ->
 def vernon_imag_finite(G: TwoTimeKernel, C_edge: float) -> TwoTimeKernel:
     """Downstream dissipation kernel (1/2) C^2 G(t, s-t), stationary as G is.
 
-    ``C_edge`` is the constant coupling.  A G that is not stationary is
-    refused with :class:`ShapeError`.
+    ``C_edge`` is the constant coupling; a noise kernel G is a ShapeError.
     """
-    if G._row is None:
-        raise ShapeError("the dressed response must be stationary, as "
-                         "twinning_solve returns it")
     c = float(C_edge)
-    return TwoTimeKernel._from_row(G.times, 0.5 * c * c * G._row)
+    return TwoTimeKernel._from_row(G.times, 0.5 * c * c * _lag_row(G, "G"))
 
 
 def _noise_kernel(G: TwoTimeKernel, state: ThermalState, c, pair,
@@ -374,8 +365,9 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     constant coupling ``C_edge``.
     The boundary terms stem from the initial state of the integrated-out
     oscillator and matter only near the start of the window when G has
-    finite memory.  Output is symmetric.
+    finite memory.  Output is symmetric; a noise kernel G is a ShapeError.
     """
+    _lag_row(G, "G")
     times = G.times
     _check_window(times.size, "noise kernel",
                   squares=_NOISE_SQUARES + (kR_upstream is not None))
@@ -396,14 +388,14 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         conv = gw.T @ kR_upstream.values @ gw
         del gw
     vals = _noise_kernel(G, state, c, np.outer, conv)
-    return TwoTimeKernel(times=times, values=vals, kind="symmetric")
+    return TwoTimeKernel(times=times, values=vals)
 
 
 def response_from_twinning(G: TwoTimeKernel, C_edge: float,
                            drive: np.ndarray) -> np.ndarray:
     """Q(t) = (1/2) int_t^T G(t, s-t) C drive(s) ds on the grid."""
-    return 0.5 * _apply(G.values, float(C_edge) * np.asarray(drive, dtype=float),
-                        G.dt)
+    drive = float(C_edge) * np.asarray(drive, dtype=float)
+    return 0.5 * _apply(_lag_row(G, "G"), drive, G.dt)
 
 
 def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
@@ -412,8 +404,9 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
 
     Solves ``(m/2)Q'' + (m omega^2/2) Q = (1/2) C drive + int_t^T kI Q`` with
     rest conditions at T, on the grid of ``kI_upstream`` and with the edge
-    coupling ``params.C``, never referencing the dressed response: the bare
-    kernel is applied repeatedly until the history changes by at most 1e-12
+    coupling ``params.C``, never referencing the dressed response: the lag
+    rows of the bare response and of the upstream, a causal kernel, are
+    applied repeatedly until the history changes by at most 1e-12
     of its largest value, a rule that reads the same in any units, for at
     most 400 sweeps; AccuracyError, with no RuntimeWarning,
     when they have not settled by then or have overflowed.  The result must
@@ -427,17 +420,16 @@ def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,
     drive = np.asarray(drive, dtype=float)
     if drive.shape != times.shape:
         raise ShapeError("drive must be sampled on the kernel grid")
-    a = _bare_matrix(params, times)
-    # A stationary upstream is a strided view; its matvecs run faster on a
-    # contiguous copy.
-    k = np.ascontiguousarray(kI_upstream.values)
+    k_row = _lag_row(kI_upstream, "the upstream kernel")
+    _check_window(times.size, "backward response check", rows=_ODE_ROWS)
+    a_row = bare_response(params, times - times[0])
     source = 0.5 * params.C * drive
-    q = _apply(a, source, grid_dt)
+    q = _apply(a_row, source, grid_dt)
     # A diverging iteration overflows: it gives up at the first sweep whose
     # change is not finite, which an iterate that is not finite makes.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_ODE_MAX_SWEEPS):
-            q_new = _apply(a, source + _apply(k, q, grid_dt), grid_dt)
+            q_new = _apply(a_row, source + _apply(k_row, q, grid_dt), grid_dt)
             delta = np.abs(q_new - q).max()
             if not math.isfinite(delta):
                 break

@@ -233,8 +233,8 @@ def map_orbit(params: ModelParams, lam: float, x0: float = 0.0,
               steps: int = 2000, tol: float = 1e-12) -> OrbitReport:
     """Iterate the uniform map from x0 and classify the orbit.
 
-    Convergence criterion: ``|x_{i+1} - x_i| <= tol * max(1, |x_i|)``; a
-    converged orbit ends at the fixed point after ``orbit.size - 1`` steps.
+    Converged: ``|x_{i+1} - x_i| <= tol * |x_i|``, relative, so in any units;
+    the orbit then ends at the fixed point after ``orbit.size - 1`` steps.
     From zero in the ordered regime the iterates increase monotonically to
     the closed-form value.  An orbit that hits the pole of the edge update
     stops there, classified ``"pole"``, with ``final`` the last finite
@@ -310,7 +310,7 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     while step < steps and live.size > _LOCKSTEP_MAX_HANDOFF:
         k_branch, pole = _edge_update(x, g0, c_half)
         x_next = branches * k_branch
-        done = np.abs(x_next - x) <= tol * np.maximum(1.0, np.abs(x))
+        done = np.abs(x_next - x) <= tol * np.abs(x)
         ended = pole | done
         if ended.any():
             final[live[pole]], taken[live[pole]] = x[pole], step
@@ -324,8 +324,7 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     # the update are _edge_update's on floats, inline.  Its magnitudes are
     # taken by comparison, and ``not b <= 1.0`` keeps a nan product's bound
     # nan, as np.maximum does; G0 C^2/2 is one product an orbit, its bits
-    # those of each step's.  The convergence test is map_orbit's, and ``s >
-    # 1.0`` is max(1.0, s): a nan s gives the scale 1.0, as max does.
+    # those of each step's.  The convergence test is map_orbit's.
     rtol = POLE_RTOL
     orbit = []
     for i, g, x in zip(live.tolist(), g0.tolist(), x.tolist()):
@@ -345,7 +344,7 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
             d = x_next - x
             s = x if x >= 0.0 else -x
             x = x_next
-            if (d if d >= 0.0 else -d) <= (tol * s if s > 1.0 else tol):
+            if (d if d >= 0.0 else -d) <= tol * s:
                 stop[i] = "converged"
                 break
         final[i], taken[i] = x, step + len(orbit) - 1

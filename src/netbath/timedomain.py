@@ -151,6 +151,24 @@ def _split(n_tau: int, n_freqs: int):
     return b, q, max(1, min(n_freqs, _BLOCK_ELEMENTS // (4 * (q + b))))
 
 
+def _block_split(tau: np.ndarray, n_freqs: int):
+    """The uniform grid's split for the sine sum and the forward transform:
+    ``(b, q, width)`` of :func:`_split`, block starts a_q = ``tau[::B]``,
+    offsets r_b = ``tau[:B] - tau[0]``, and ``deltas(out)``, which writes
+    delta_i = tau_i - a_q - r_b into a (Q x B) ``out``, padded at tau[-1]."""
+    b, q, width = _split(tau.size, n_freqs)
+    starts, offsets = tau[::b], tau[:b] - tau[0]
+
+    def deltas(out: np.ndarray) -> np.ndarray:
+        out.reshape(-1)[:tau.size] = tau
+        out.reshape(-1)[tau.size:] = tau[-1]
+        out -= starts[:, None]
+        out -= offsets
+        return out
+
+    return b, q, width, starts, offsets, deltas
+
+
 def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
     """Refuse, before allocating, a sine sum past the cap: its output and
     (Q x B) accumulators, one column block of its trig matrices, never less
@@ -187,8 +205,7 @@ def _sine_sum(tau, freqs, weights) -> np.ndarray:
     _check_tau(tau)
     if not float(tau[-1]) * float(np.max(freqs, initial=0.0)) < math.inf:
         raise DomainError("phases tau * frequency pass the float range")
-    b, q, width = _split(n, len(freqs))
-    starts, offsets = tau[::b], tau[:b] - tau[0]
+    b, q, width, starts, offsets, deltas = _block_split(tau, len(freqs))
     out, slope, part = np.zeros((q, b)), np.zeros((q, b)), np.empty((q, b))
     for lo in range(0, len(freqs), width):
         f = freqs[lo:lo + width]
@@ -210,13 +227,8 @@ def _sine_sum(tau, freqs, weights) -> np.ndarray:
         np.multiply(w, cos_r, out=right[c:])
         slope += np.matmul(left, right, out=part)
         del left, right, sin_r, cos_r, phase   # before the next block's
-    delta = part.reshape(-1)
-    delta[:n] = tau
-    delta[n:] = tau[-1]                  # padding, cut from the output
-    part -= starts[:, None]
-    part -= offsets
-    part *= slope
-    out += part
+    # the padding's terms are cut from the output
+    out += np.multiply(deltas(part), slope, out=part)
     return out.reshape(-1)[:n]
 
 
@@ -471,16 +483,13 @@ def forward_laplace(tk: TimeKernel, lambda_grid) -> ForwardLaplaceResult:
     T = tau[-1]
     lam = lambda_grid.ravel()   # a grid that is not 1-d is refused below
     n = tau.size
-    b, q, _ = _split(n, lam.size)
-    starts, offsets = tau[::b], tau[:b]
+    b, q, _, starts, offsets, deltas = _block_split(tau, lam.size)
     # the weighted samples in (Q x B) blocks, the padding weighing nothing,
     # and beside them the same times their deltas
     weighted = np.zeros(q * b)
     weighted[:n] = _composite_weights(n, tk.step) * values
     weighted = weighted.reshape(q, b)
-    padded = np.full(q * b, T)
-    padded[:n] = tau
-    delta = padded.reshape(q, b) - starts[:, None] - offsets
+    delta = deltas(np.empty((q, b)))
     part = np.exp(-np.outer(lam, starts)) @ np.concatenate(
         (weighted, weighted * delta), axis=1)
     part = part[:, :b] - lam[:, None] * part[:, b:]

@@ -73,11 +73,7 @@ def test_every_public_name_has_a_user():
     assert not stale, f"allowlist names no public name: {stale}"
 
 
-OPTIONS_ALLOWED = {
-    "TwoTimeKernel.from_stationary(kind)":
-        "a symmetric stationary kernel is the upstream noise kernel of "
-        "vernon_real_full, a named quantity of the paper",
-}
+OPTIONS_ALLOWED: dict = {}
 
 
 def _options():

@@ -77,19 +77,18 @@ def test_thermal_ground_state_limit(ft_params):
         nb.thermal_init(0.0, ft_params)
 
 
-def test_two_time_kernel_validation():
+def test_two_time_kernel_validation(ft_params):
+    # a kernel built from a matrix is a noise kernel, with no lag row, and
+    # a step that takes a causal kernel refuses it
     times = np.linspace(0.0, 1.0, 5)
-    bad = np.ones((5, 5))
-    with pytest.raises(ShapeError):
-        TwoTimeKernel(times=times, values=bad, kind="causal")
-    ok = TwoTimeKernel(times=times, values=np.triu(bad), kind="causal")
-    assert ok.dt == pytest.approx(0.25)
+    ok = TwoTimeKernel(times=times, values=toeplitz(np.cos(times)))
+    assert ok.dt == pytest.approx(0.25) and ok._row is None
+    with pytest.raises(ShapeError, match="must be a causal kernel"):
+        nb.vernon_imag_finite(ok, ft_params.C)
     with pytest.raises(ShapeError):
         TwoTimeKernel(times=times, values=np.zeros((4, 4)))
     with pytest.raises(ShapeError, match="finite step"):
         TwoTimeKernel(times=np.array([-np.inf, 0.0]), values=np.zeros((2, 2)))
-    with pytest.raises(ShapeError, match="unknown kind 'anti'"):
-        TwoTimeKernel(times=times, values=np.zeros((5, 5)), kind="anti")
 
 
 def test_twinning_zero_kernel_returns_bare(ft_params):
@@ -206,7 +205,7 @@ def test_blocked_toeplitz_solve_exact_properties(ft_params):
 
 
 def test_bare_matrix_is_exactly_toeplitz(ft_params):
-    # criterion 10's backward window (756 points) and a short one
+    # neumann_first_correction's matrix on a 756-point window and a short one
     for T in (6.0, 0.3):
         times = nb.time_grid(T, ft_params.fine_step)
         a = _bare_matrix(ft_params, times)
@@ -225,11 +224,10 @@ def test_from_stationary_is_exactly_toeplitz():
     times = nb.time_grid(1.0, 0.01)
     u = times - times[0]
     causal = TwoTimeKernel.from_stationary(times, np.cos)
-    sym = TwoTimeKernel.from_stationary(times, np.cos, kind="symmetric")
-    assert np.array_equal(causal.values, np.triu(sym.values))
-    assert np.array_equal(sym.values, sym.values.T)
-    assert np.array_equal(sym.values[0], np.cos(u))
-    assert np.array_equal(sym.values[1:, 1:], sym.values[:-1, :-1])
+    assert np.array_equal(causal.values, np.triu(toeplitz(np.cos(u))))
+    assert np.array_equal(causal.values[0], np.cos(u))
+    assert np.shares_memory(causal.values, causal._row)
+    assert np.array_equal(causal.values[1:, 1:], causal.values[:-1, :-1])
 
 
 def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
@@ -240,8 +238,8 @@ def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
     kk = TwoTimeKernel.from_stationary(times, kfunc)
     G = nb.twinning_solve(kk, ft_params).G
     kI = nb.vernon_imag_finite(G, ft_params.C)
-    sym = TwoTimeKernel.from_stationary(times, np.cos, kind="symmetric")
-    for kernel in (kk, G, kI, sym):
+    sym = TwoTimeKernel(times=times, values=toeplitz(np.cos(times - times[0])))
+    for kernel in (kk, G, kI):
         before = kernel.values[0].copy()
         with pytest.raises(ValueError):
             kernel.values[0, 1] = 1.0
@@ -261,21 +259,21 @@ def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
 
 
 def test_window_refused_before_allocating(ft_params):
-    # 44,001 points: the grid and a stationary kernel are rows, but every
-    # step that builds N x N arrays, at 15 GiB each, refuses before it does,
-    # and a kernel that is not stationary is refused by the steps that take
-    # only a lag row
+    # 44,001 points: the grid and a causal kernel are rows, but every step
+    # that builds N x N arrays, at 15 GiB each, refuses before it does, and
+    # a noise kernel is refused by the steps that take a causal one
     times = np.linspace(0.0, 200.0, 44001)
     kernel = TwoTimeKernel.from_stationary(times, np.sin)
-    dense = TwoTimeKernel(times=times, values=np.broadcast_to(0.0, (44001,) * 2),
-                          kind="symmetric")
+    dense = TwoTimeKernel(times=times, values=np.broadcast_to(0.0, (44001,) * 2))
     drive = np.zeros(times.size)
     state = nb.thermal_init(1.0, ft_params)
     steps = ((SizeError, lambda: neumann_first_correction(kernel, ft_params)),
-             (SizeError, lambda: nb.ode_response_check(kernel, ft_params, drive)),
              (SizeError, lambda: nb.vernon_real_full(None, kernel, state, ft_params.C)),
+             (ShapeError, lambda: nb.ode_response_check(dense, ft_params, drive)),
              (ShapeError, lambda: nb.twinning_solve(dense, ft_params)),
-             (ShapeError, lambda: nb.vernon_imag_finite(dense, ft_params.C)))
+             (ShapeError, lambda: nb.vernon_imag_finite(dense, ft_params.C)),
+             (ShapeError, lambda: nb.vernon_real_full(None, dense, state, ft_params.C)),
+             (ShapeError, lambda: nb.response_from_twinning(dense, ft_params.C, drive)))
     tracemalloc.start()
     try:
         for error, step in steps:
@@ -354,10 +352,10 @@ def test_vernon_real_full_structure(ft_params):
     res = nb.twinning_solve(kk, ft_params)
     omega = math.sqrt(ft_params.omega_sq)
     state = nb.thermal_init(2.0 / omega, ft_params)
-    kr_up = TwoTimeKernel.from_stationary(
-        times, lambda u: 0.1 * np.cos(0.7 * omega * u), kind="symmetric")
+    kr_up = TwoTimeKernel(times=times,
+                          values=toeplitz(0.1 * np.cos(0.7 * omega * times)))
     out = nb.vernon_real_full(kr_up, res.G, state, ft_params.C)
-    assert out.kind == "symmetric"
+    assert out._row is None
     assert np.max(np.abs(out.values - out.values.T)) < 1e-14
     boundary_only = nb.vernon_real_full(None, res.G, state, ft_params.C)
     # boundary terms cannot cancel: both outer products are rank one with
@@ -365,7 +363,7 @@ def test_vernon_real_full_structure(ft_params):
     assert np.all(np.diag(boundary_only.values) >= 0.0)
     # an upstream noise kernel on another grid is refused, whatever its size
     for other in (times[:-1], times * (1.0 + 1e-9)):
-        shifted = TwoTimeKernel.from_stationary(other, np.zeros_like, kind="symmetric")
+        shifted = TwoTimeKernel(times=other, values=np.zeros((other.size,) * 2))
         with pytest.raises(ShapeError, match="grid differs"):
             nb.vernon_real_full(shifted, res.G, state, ft_params.C)
     # bit for bit, signed zeros included, the out-of-place expression with
@@ -391,12 +389,11 @@ def test_vernon_real_boundary_terms_decay_with_damped_fixture(ft_params):
     times = nb.time_grid(T, dt)
     memory = 0.3
     gamma_fix = 1.0 / memory
-    lag = np.maximum(times[None, :] - times[:, None], 0.0)
-    damped = np.triu(nb.bare_response(ft_params, lag) * np.exp(-gamma_fix * lag))
-    G = TwoTimeKernel(times=times, values=damped, kind="causal")
+    G = TwoTimeKernel.from_stationary(
+        times, lambda u: nb.bare_response(ft_params, u) * np.exp(-gamma_fix * u))
     state = nb.thermal_init(2.0 / omega, ft_params)
-    kr_up = TwoTimeKernel.from_stationary(
-        times, lambda u: 0.1 * np.cos(0.7 * omega * u), kind="symmetric")
+    kr_up = TwoTimeKernel(times=times,
+                          values=toeplitz(0.1 * np.cos(0.7 * omega * times)))
     full = nb.vernon_real_full(kr_up, G, state, ft_params.C)
     boundary = nb.vernon_real_full(None, G, state, ft_params.C)
     i10 = np.searchsorted(times, 10.0 * memory)
@@ -454,6 +451,28 @@ def test_ode_response_matches_twinning_convolution(ft_params):
     drive[(times < 1.0) | (times > 2.0)] = 0.0
     q_ode = nb.ode_response_check(kk, ft_params, drive)
     q_conv = nb.response_from_twinning(res.G, ft_params.C, drive)
+    rms = np.sqrt(np.mean((q_ode - q_conv) ** 2)) / np.sqrt(np.mean(q_conv**2))
+    assert rms <= 1e-6
+
+
+def test_backward_check_and_convolution_hold_rows_only(ft_params):
+    # on 4,024 points both routes work on lag rows, together 7.0 rows of N
+    # points measured, and agree
+    times = nb.time_grid(32.0, 1.0 / (20.0 * ft_params.lambda_pp))
+    kfunc, _, _ = _damped_sine(ft_params)
+    kk = TwoTimeKernel.from_stationary(times, kfunc)
+    G = nb.twinning_solve(kk, ft_params).G
+    drive = np.exp(-0.5 * ((times - 1.5) / 0.15) ** 2)
+    drive[(times < 1.0) | (times > 2.0)] = 0.0
+    tracemalloc.start()
+    try:
+        q_ode = nb.ode_response_check(kk, ft_params, drive)
+        q_conv = nb.response_from_twinning(G, ft_params.C, drive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert times.size == 4024
+    assert peak < 8 * 8 * times.size
     rms = np.sqrt(np.mean((q_ode - q_conv) ** 2)) / np.sqrt(np.mean(q_conv**2))
     assert rms <= 1e-6
 

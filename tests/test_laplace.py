@@ -172,7 +172,7 @@ def _map_orbit_reference(params, lam, x0=0.0, steps=2000, tol=1e-12):
                                orbit=np.asarray(orbit),
                                diameter=float(np.ptp(orbit)))
         orbit.append(x_next)
-        if abs(x_next - x) <= tol * max(1.0, abs(x)):
+        if abs(x_next - x) <= tol * abs(x):
             return OrbitReport(classification="converged", final=x_next,
                                orbit=np.asarray(orbit),
                                diameter=float(np.ptp(orbit)))

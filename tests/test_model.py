@@ -189,7 +189,8 @@ def _twinning(p, step):
 
 
 def _ode(p, step):
-    nb.ode_response_check(TwoTimeKernel(step * np.arange(5), np.zeros((5, 5))),
+    nb.ode_response_check(TwoTimeKernel.from_stationary(step * np.arange(5),
+                                                        np.zeros_like),
                           p, np.zeros(5))
 
 

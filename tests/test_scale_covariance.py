@@ -11,10 +11,10 @@ The finite window joins them: its dressed response row, at the step
 backward response of ``ode_response_check``, whose stop rule is relative to
 max|q|, scales with its drive.
 
-Not covered yet: the route with an absolute floor, which reads differently
-in other units (ROADMAP item 29) -- the max(1, |x|) stop rule of
-``laplace._orbit_ends`` (``map_orbit``, ``depth_convergence``, the
-``fixed-point`` and ``orbit`` commands).
+The orbits of the uniform map join them: ``laplace._orbit_ends`` (behind
+``map_orbit``, ``depth_convergence`` and the ``fixed-point`` and ``orbit``
+commands) stops on |x_{i+1} - x_i| <= tol |x_i|, with no absolute floor, so
+its step counts and stop reasons are the same in any units.
 """
 
 import math
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import netbath as nb
+from netbath.laplace import _orbit_ends
 
 N, OMEGA0, C, M = 4, 1.0, 0.3, 1.0
 TREE = nb.build_tree(N - 1, 5)
@@ -108,3 +109,32 @@ def test_backward_response_scales_with_its_drive_exactly():
     for e in (-40, -12, 12, 40):
         got = nb.ode_response_check(upstream, params, np.ldexp(drive, e))
         assert got.tobytes() == np.ldexp(ref, e).tobytes(), e
+
+
+def test_power_of_two_units_scale_the_orbits_exactly():
+    # 65 lambdas: the lockstep body until 32 are live, then the float
+    # steps; each orbit takes the same steps to the same stop, its iterates
+    # times m omega0^2
+    lam = np.logspace(-1, 1, 65)
+    ref = _orbit_ends(nb.derive_params(N, OMEGA0, C, M), lam, 2000, 1e-12)
+    assert set(ref[2]) == {"converged"} and ref[1].max() > ref[1].min()
+    for a, c in SCALES:
+        params = nb.derive_params(N, math.ldexp(OMEGA0, a), math.ldexp(C, c + 2 * a),
+                                  math.ldexp(M, c))
+        final, taken, stop, orbit = _orbit_ends(params, np.ldexp(lam, a), 2000, 1e-12)
+        assert np.array_equal(stop, ref[2]) and np.array_equal(taken, ref[1]), (a, c)
+        assert final.tobytes() == np.ldexp(ref[0], 2 * a + c).tobytes(), (a, c)
+        assert orbit.tobytes() == np.ldexp(ref[3], 2 * a + c).tobytes(), (a, c)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_orbit_reads_the_phase_in_any_units(frac):
+    # n = 2 at C = 2 C*: below lambda* there is no fixed point, and the
+    # orbit still moves after 20,000 steps, near-periodic, at omega0 = m =
+    # 2^-20 as at 1
+    for e in (0, -20):
+        omega0 = m = math.ldexp(1.0, e)
+        params = nb.derive_params(2, omega0, 2.0 * nb.critical_coupling(2, omega0, m), m)
+        report = nb.map_orbit(params, frac * nb.lambda_star(params), steps=20000)
+        assert report.classification == "near-periodic", e
+        assert report.orbit.size == 20001, e
