@@ -201,10 +201,6 @@ def _json_value(value):
     return value if math.isfinite(value) else None
 
 
-def _is_float_column(col) -> bool:
-    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
-
-
 # ---------------------------------------------------------------------------
 # table cells
 #
@@ -430,14 +426,18 @@ _MEMO_TYPES = (str, bool, int)
 
 
 def _text_cells(col, json_style: bool):
-    """A list column's distinct cells, rendered by _fmt or _json_value as
-    NUL-padded bytes (distinct, width), and each cell's row among them."""
-    # a cell of another type is a key of its own, (row, value)
-    memo: dict = {}
-    index = np.array([memo.setdefault((type(v), v) if type(v) in _MEMO_TYPES
-                                      else (i, v), len(memo))
-                      for i, v in enumerate(col)])
-    values = [v for _, v in memo]
+    """A column's distinct cells (a list's by a memo), rendered by _fmt or
+    _json_value as NUL-padded bytes (distinct, width), and each row's."""
+    if isinstance(col, np.ndarray):
+        values, index = np.unique(col, return_inverse=True)
+        values = values.tolist()
+    else:
+        # a cell of another type is a key of its own, (row, value)
+        memo: dict = {}
+        index = np.array([memo.setdefault((type(v), v) if type(v) in _MEMO_TYPES
+                                          else (i, v), len(memo))
+                          for i, v in enumerate(col)])
+        values = [v for _, v in memo]
     if json_style:
         # one dumps call: its items one a line, as a string's newlines are
         # escaped
@@ -458,10 +458,17 @@ def _table_body(data, json_style: bool) -> list:
     rows = len(data[0])
     seps = [",\n      " if json_style else ","] * (len(data) - 1) \
         + [_JSON_ROW if json_style else "\n"]
-    floats = [j for j, col in enumerate(data) if _is_float_column(col)]
+    # float arrays, then int arrays below 2^53 in magnitude, whose cells
+    # '%.17g' % float(v) are str(v), json's int token too
+    kinds = [[j for j, col in enumerate(data) if isinstance(col, np.ndarray)
+              and col.dtype.kind == "f"],
+             [j for j, col in enumerate(data) if isinstance(col, np.ndarray)
+              and col.dtype.kind in "iu"
+              and np.all(np.abs(col.astype(float)) < 2.0**53)]]
+    numeric = kinds[0] + kinds[1]
     texts = {j: _text_cells(col, json_style) for j, col in enumerate(data)
-             if j not in floats}
-    widths = [_CELL if j in floats else texts[j][0].shape[1]
+             if j not in numeric}
+    widths = [_CELL if j in numeric else texts[j][0].shape[1]
               for j in range(len(data))]
     offsets = np.cumsum([0] + [w + len(s) for w, s in zip(widths, seps)])
     # a row holds each cell, NUL-padded to its column's width, and the
@@ -474,18 +481,18 @@ def _table_body(data, json_style: bool) -> list:
     pieces = []
     for start in range(0, rows, block):
         stop = min(start + block, rows)
-        if floats:
-            x = np.stack([data[j][start:stop] for j in floats], axis=1,
-                         dtype=float)
-            cells = _float_cells(x.ravel(), json_style).reshape(
-                stop - start, len(floats), _CELL)
-        for j in range(len(data)):
-            if j in floats:
-                cell = cells[:, floats.index(j)]
-            else:
-                distinct, index = texts[j]
-                cell = distinct.take(index[start:stop], axis=0)
-            chars[:stop - start, offsets[j]:offsets[j] + widths[j]] = cell
+        for kind, style in zip(kinds, (json_style, False)):
+            if kind:
+                x = np.stack([data[j][start:stop] for j in kind], axis=1,
+                             dtype=float)
+                cells = _float_cells(x.ravel(), style).reshape(
+                    stop - start, len(kind), _CELL)
+                for i, j in enumerate(kind):
+                    chars[:stop - start, offsets[j]:offsets[j] + _CELL] = \
+                        cells[:, i]
+        for j, (distinct, index) in texts.items():
+            chars[:stop - start, offsets[j]:offsets[j] + widths[j]] = \
+                distinct.take(index[start:stop], axis=0)
         pieces.append(chars[:stop - start].tobytes().translate(None, b"\0")
                       .decode())
     return pieces
@@ -495,11 +502,11 @@ def write_table(columns, data, meta: dict, cfg: dict):
     """Emit the table per the output block; returns the rendered text.
 
     ``data`` holds one sequence per name in ``columns``, all of one length,
-    at least one row: a float ndarray, or a list of other cells (str, bool,
-    int, or a float mixed with ``"none"``).  The float arrays are rendered
-    by _float_cells and the lists through a memo of their distinct cells,
-    a block of rows at a time; the bytes are those of rendering each row in
-    turn with ``'%.17g' %``, ``repr``, _fmt and _json_value.
+    at least one row: an ndarray, or a list of cells (str, bool, int, or a
+    float mixed with ``"none"``).  _float_cells renders float arrays, and
+    int arrays below 2^53 in csv's style; other arrays and lists go through
+    their distinct cells, a block of rows at a time.  The bytes are those of
+    each row rendered by ``'%.17g' %``, ``repr``, _fmt and _json_value.
 
     Column format: one metadata line (tool, version, params, seed, plus any
     subcommand metadata as space-separated key=value tokens), the column-name
@@ -539,7 +546,8 @@ def write_table(columns, data, meta: dict, cfg: dict):
 
 
 def write_svg(path: str, xs, ys, label: str, title: str):
-    """Minimal static polyline plot of one series; deterministic byte output."""
+    """Minimal static polyline plot of one series; deterministic byte output,
+    the finite rows' points scaled as arrays and formatted in one call."""
     width, height, pad = 720, 480, 50
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -557,8 +565,8 @@ def write_svg(path: str, xs, ys, label: str, title: str):
     def sy(y):
         return height - pad - (y - ylo) / (yhi - ylo) * (height - 2 * pad)
 
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-                   if math.isfinite(y))
+    xy = np.stack([sx(xs[finite]), sy(ys[finite])], axis=1)
+    pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -597,7 +605,7 @@ def cmd_phase(cfg):
     _maybe_plot(cfg, lam, arg, "sqrt argument",
                 "fixed-point existence scan")
     return write_table(("lambda", "sqrt_argument", "exists"),
-                       (lam, arg, (arg >= 0.0).tolist()), meta, cfg)
+                       (lam, arg, arg >= 0.0), meta, cfg)
 
 
 def cmd_fixed_point(cfg):
@@ -618,14 +626,14 @@ def cmd_fixed_point(cfg):
         converged[ok] = stop == "converged"
     rel[ok] = np.divide(np.abs(final[ok] - k), np.abs(k),
                         out=np.zeros(k.size), where=k != 0.0)
-    status = np.where(ok, "ok", "no-fixed-point").tolist()
+    status = np.where(ok, "ok", "no-fixed-point")
     # fmax skips the nan fills of the rows without a fixed point
     meta = {"max_rel_diff": float(np.fmax.reduce(rel, initial=0.0))}
     _maybe_plot(cfg, lam, closed, "k*", "uniform fixed point")
     return write_table(("lambda", "k_closed", "k_iterated", "iterations",
                         "converged", "rel_diff", "quad_residual", "status"),
-                       (lam, closed, final, iterations.tolist(),
-                        converged.tolist(), rel, residual, status), meta, cfg)
+                       (lam, closed, final, iterations, converged, rel,
+                        residual, status), meta, cfg)
 
 
 def cmd_kernel(cfg, method: str):
@@ -660,7 +668,7 @@ def cmd_multiplier(cfg):
     gain = np.atleast_1d(real_multiplier(params, nu))
     band = params.band_defined & (params.lambda_pm <= np.abs(nu)) \
         & (np.abs(nu) <= params.lambda_pp)
-    region = ["band" if b else "outside" for b in band.tolist()]
+    region = np.where(band, "band", "outside")
     _maybe_plot(cfg, nu, gain, "A", "noise-kernel gain per sweep")
     return write_table(("nu", "gain", "region"), (nu, gain, region), {}, cfg)
 
@@ -678,7 +686,7 @@ def cmd_tree(cfg):
     _maybe_plot(cfg, np.arange(len(res)), np.log10(np.maximum(res, 1e-300)),
                 "log10 residual", "depth convergence")
     return write_table(("depth", "residual", "ratio"),
-                       (list(range(res.size)), res, ratio), meta, cfg)
+                       (np.arange(res.size), res, ratio), meta, cfg)
 
 
 def cmd_finite_time(cfg):
@@ -716,17 +724,17 @@ def cmd_population(cfg):
                           sigma=float(num["sigma_rel"]) * abs(k_branch))
     sweeps = np.arange(int(num["sweeps"]) + 1)
     mean, var = np.empty(sweeps.size), np.empty(sweeps.size)
-    rejected = []
+    rejected = np.empty(sweeps.size, dtype=int)
     for sweep in sweeps.tolist():
         mean[sweep], var[sweep] = np.mean(pop.samples), np.var(pop.samples)
-        rejected.append(pop.rejected)
+        rejected[sweep] = pop.rejected
         if sweep < int(num["sweeps"]):
             pop = population_step(pop)
     meta = {"lambda": lam, "variance_gain": gain, "k_branch": k_branch}
     _maybe_plot(cfg, sweeps, np.log10(np.maximum(var, 1e-300)),
                 "log10 variance", "population variance trajectory")
     return write_table(("sweep", "mean", "variance", "rejected"),
-                       (sweeps.tolist(), mean, var, rejected), meta, cfg)
+                       (sweeps, mean, var, rejected), meta, cfg)
 
 
 def cmd_orbit(cfg):
@@ -735,14 +743,14 @@ def cmd_orbit(cfg):
     _check_rows(int(num["steps"]) + 1)
     rep = map_orbit(params, float(num["lam"]), x0=float(num["x0"]),
                     steps=int(num["steps"]), tol=num["tol"])
-    status = ["ok" if f else "pole" for f in np.isfinite(rep.orbit).tolist()]
+    status = np.where(np.isfinite(rep.orbit), "ok", "pole")
     meta = {"classification": rep.classification,
             "period": "none" if rep.period is None else rep.period,
             "diameter": rep.diameter}
     steps = np.arange(rep.orbit.size)
     _maybe_plot(cfg, steps, rep.orbit, "k", "cavity-map orbit")
     return write_table(("iteration", "k", "status"),
-                       (steps.tolist(), rep.orbit, status), meta, cfg)
+                       (steps, rep.orbit, status), meta, cfg)
 
 
 def cmd_check(cfg, report_path: str | None):

@@ -393,9 +393,12 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
 
 def response_from_twinning(G: TwoTimeKernel, C_edge: float,
                            drive: np.ndarray) -> np.ndarray:
-    """Q(t) = (1/2) int_t^T G(t, s-t) C drive(s) ds on the grid."""
-    drive = float(C_edge) * np.asarray(drive, dtype=float)
-    return 0.5 * _apply(_lag_row(G, "G"), drive, G.dt)
+    """Q(t) = (1/2) int_t^T G(t, s-t) C drive(s) ds on the grid; ShapeError
+    unless the drive is sampled on G's grid."""
+    drive = np.asarray(drive, dtype=float)
+    if drive.shape != G.times.shape:
+        raise ShapeError("drive must be sampled on the kernel grid")
+    return 0.5 * _apply(_lag_row(G, "G"), float(C_edge) * drive, G.dt)
 
 
 def ode_response_check(kI_upstream: TwoTimeKernel, params: ModelParams,

@@ -33,6 +33,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError, SingularTransformError, \
     _check_bytes
@@ -46,6 +47,9 @@ POLE_RTOL = 1e-14
 #: largest chordal recurrence error still called periodic.
 CYCLE_MAX_PERIOD = 256
 CYCLE_TOL = 0.05
+#: Pairs of points a block of the near-cycle scan holds: 256 KiB a
+#: temporary, whatever the tail's length.
+_CYCLE_BLOCK_PAIRS = 2**15
 
 #: Peak bytes an orbit holds per step: its list of Python floats, then the
 #: array copy.  tracemalloc measured 40.0-40.5 from 10^4 to 3 x 10^6 steps.
@@ -178,21 +182,25 @@ def closed_form_fixed_point(params: ModelParams, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _chordal(x, y):
-    """Distance on the projective line, ``|sin(arctan x - arctan y)|``.
+def _chordal(x, y, fx, fy):
+    """Distance on the projective line, ``|sin(arctan x - arctan y)|``, of
+    broadcast arrays x and y, given ``fx = 1 + x*x`` and ``fy = 1 + y*y``.
 
     Finite even across pole passages, and for any pair of finite floats:
-    where ``(1 + x^2)(1 + y^2)`` overflows (``|x| |y|`` or a square past
-    about 1.8e308), the pair is taken again as ``|x/2 - y/2|``, divided by
-    each ``hypot(1, .)`` in turn and doubled.  Every other pair keeps the
-    squared form and its bits.
+    where ``fx fy`` overflows (``|x| |y|`` or a square past about 1.8e308),
+    the pair is taken again as ``|x/2 - y/2|``, divided by each
+    ``hypot(1, .)`` in turn and doubled.  Every other pair keeps the squared
+    form and its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # taken again below
-        norm = np.sqrt((1.0 + x * x) * (1.0 + y * y))
-        out = np.abs(x - y) / norm
+        norm = fx * fy
+        np.sqrt(norm, out=norm)
+        out = x - y
+        np.abs(out, out=out)
+        out /= norm
     far = np.isinf(norm)
     if far.any():
-        x, y = x[far], y[far]
+        x, y = (a[far] for a in np.broadcast_arrays(x, y))
         out[far] = np.abs(0.5 * x - 0.5 * y) / np.hypot(1.0, x) / np.hypot(1.0, y) * 2.0
     return out
 
@@ -202,19 +210,37 @@ def detect_near_cycle(tail: np.ndarray):
 
     Uses the chordal metric so that large excursions (pole passages of the
     rational map) do not mask recurrence.  Returns ``(period,
-    recurrence_error)`` for the best period up to ``CYCLE_MAX_PERIOD``, or
-    ``(None, error)`` when no period beats ``CYCLE_TOL``.
+    recurrence_error)`` for the first period up to ``CYCLE_MAX_PERIOD`` of
+    least error (largest distance of points a period apart), or ``(None,
+    error)`` when no period beats ``CYCLE_TOL``.  All periods are scanned
+    together, ``_CYCLE_BLOCK_PAIRS`` pairs at most at a time: rows of a
+    sliding window, each point against the next ones.
     """
     tail = np.asarray(tail, dtype=float)
     n = tail.size
-    best_p, best_err = None, np.inf
-    for p in range(1, min(CYCLE_MAX_PERIOD, n // 2) + 1):
-        err = float(np.max(_chordal(tail[p:], tail[:-p])))
-        if err < best_err:
-            best_p, best_err = p, err
-    if best_p is not None and best_err <= CYCLE_TOL:
-        return best_p, best_err
-    return None, best_err
+    periods = min(CYCLE_MAX_PERIOD, n // 2)
+    if periods == 0:
+        return None, np.inf
+    # nan past the end, so that every row holds every period: quiet nan
+    # raises no floating-point error, and those pairs are masked below
+    ext = np.concatenate([tail, np.full(periods, np.nan)])
+    with np.errstate(over="ignore"):     # _chordal takes the far pairs again
+        factor = 1.0 + ext * ext
+    point, fac, past = (sliding_window_view(a, periods + 1)
+                        for a in (ext, factor, np.arange(ext.size) >= n))
+    errors = np.zeros(periods)
+    rows = _CYCLE_BLOCK_PAIRS // periods
+    for start in range(0, n - 1, rows):
+        block = slice(start, start + rows)
+        dist = _chordal(point[block, 1:], point[block, :1], fac[block, 1:],
+                        fac[block, :1])
+        np.copyto(dist, 0.0, where=past[block, 1:])
+        np.maximum(errors, dist.max(axis=0), out=errors)
+        del dist    # one block's distances held at a time
+    # a nan error is never the best, as a strict < never takes it
+    errors[np.isnan(errors)] = np.inf
+    best = int(np.argmin(errors))
+    return best + 1 if errors[best] <= CYCLE_TOL else None, float(errors[best])
 
 
 @dataclass

@@ -715,6 +715,96 @@ def test_column_writer_crafted_cells(tmp_path, fmt):
         assert doc["rows"] == [[None, True, "none", "a,b"]]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [1, 7, 400, 3000])
+def test_typed_columns_render_as_their_lists(tmp_path, fmt, rows):
+    # int, bool and label arrays give the bytes of the same cells as lists,
+    # whose distinct cells _fmt and _json_value render one at a time: ints
+    # below 2^53 in magnitude as floats, the rest through str; tables on
+    # both sides of _FEW cells and across several blocks of rows
+    rng = np.random.default_rng(rows)
+    i64 = np.iinfo(np.int64)
+    small = np.resize([0, -1, 1, -7, 2**53 - 1, -(2**53 - 1)], rows)
+    small[6:] = rng.integers(-10**15, 10**15, max(rows - 6, 0))
+    wide = np.resize([2**53, -2**53, 10**17, i64.max, i64.min, 3], rows)
+    data = (rng.normal(size=rows), small, wide,
+            np.resize(np.array([0, 7, 2**64 - 1], dtype=np.uint64), rows),
+            rng.random(rows) < 0.5,
+            rng.choice(["ok", "pole", "no-fixed-point"], rows),
+            np.arange(rows))
+    columns = ("f", "small", "wide", "unsigned", "flag", "label", "index")
+    lists = tuple(col if col.dtype.kind == "f" else col.tolist()
+                  for col in data)
+    cfg = cli.load_config(None, {"output": {"format": fmt,
+                                            "path": str(tmp_path / "t")}})
+    text = cli.write_table(columns, data, {}, cfg)
+    assert text == cli.write_table(columns, lists, {}, cfg) == \
+        _reference_table(columns, list(zip(*lists)), {}, cfg)
+
+
+def _svg_reference(path, xs, ys, label, title):
+    """The plot with its points formatted one at a time: the reference for
+    write_svg."""
+    width, height, pad = 720, 480, 50
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    finite = np.isfinite(ys)
+    ylo, yhi = (ys[finite].min(), ys[finite].max()) if finite.any() else (0, 1)
+    if yhi == ylo:
+        yhi = ylo + 1.0
+    xlo, xhi = xs.min(), xs.max()
+    if xhi == xlo:
+        xhi = xlo + 1.0
+
+    def sx(x):
+        return pad + (x - xlo) / (xhi - xlo) * (width - 2 * pad)
+
+    def sy(y):
+        return height - pad - (y - ylo) / (yhi - ylo) * (height - 2 * pad)
+
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
+                   if math.isfinite(y))
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>',
+             f'<text x="{width//2}" y="24" text-anchor="middle" '
+             f'font-family="sans-serif" font-size="14">{title}</text>',
+             f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" '
+             f'y2="{height-pad}" stroke="black"/>',
+             f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" '
+             f'stroke="black"/>',
+             f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
+             f'stroke-width="1.2"/>',
+             f'<text x="{width-pad-8}" y="{pad + 16}" text-anchor="end" '
+             f'font-family="sans-serif" font-size="12" fill="#1f77b4">{label}</text>',
+             "</svg>"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def test_svg_matches_the_pointwise_reference(tmp_path):
+    # seeded series with nan and inf gaps, over linear and log x, then a
+    # constant series, an all-nan series and one point
+    rng = np.random.default_rng(52)
+    series = []
+    for _ in range(40):
+        size = int(rng.integers(2, 2500))
+        xs = np.sort(rng.uniform(-10.0, 10.0, size)) if rng.random() < 0.5 \
+            else np.logspace(-3, rng.uniform(0, 5), size)
+        ys = rng.normal(size=size) * 10.0 ** rng.uniform(-200, 200)
+        ys[rng.random(size) < rng.uniform(0.0, 0.3)] = np.nan
+        ys[rng.random(size) < 0.01] = np.inf
+        series.append((xs, ys))
+    series += [(np.arange(50.0), np.full(50, -2.5)),
+               (np.arange(50.0), np.full(50, np.nan)),
+               (np.array([3.0]), np.array([1.0]))]
+    for xs, ys in series:
+        cli.write_svg(str(tmp_path / "got.svg"), xs, ys, "k", "t")
+        _svg_reference(str(tmp_path / "want.svg"), xs, ys, "k", "t")
+        assert (tmp_path / "got.svg").read_bytes() == \
+            (tmp_path / "want.svg").read_bytes()
+
+
 @pytest.mark.parametrize("fmt, rows", [
     pytest.param(fmt, rows, id=fmt if rows == 2000 else f"{fmt}-{rows}")
     for rows in (2000, 50000) for fmt in ("csv", "json")])

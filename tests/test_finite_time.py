@@ -455,6 +455,22 @@ def test_ode_response_matches_twinning_convolution(ft_params):
     assert rms <= 1e-6
 
 
+def test_drive_off_the_kernel_grid_is_refused(ft_params):
+    # a drive one point short, five points long or a scalar is refused by
+    # both routes with ShapeError, not numpy's broadcast error
+    times = nb.time_grid(1.0, 1.0 / (20.0 * ft_params.lambda_pp))
+    kfunc, _, _ = _damped_sine(ft_params)
+    kk = TwoTimeKernel.from_stationary(times, kfunc)
+    G = nb.twinning_solve(kk, ft_params).G
+    for drive in (np.ones(times.size - 1), np.ones(times.size + 5), 1.0):
+        with pytest.raises(ShapeError, match="kernel grid"):
+            nb.response_from_twinning(G, ft_params.C, drive)
+        with pytest.raises(ShapeError, match="kernel grid"):
+            nb.ode_response_check(kk, ft_params, drive)
+    assert nb.response_from_twinning(G, ft_params.C, np.ones(times.size)).shape \
+        == times.shape
+
+
 def test_backward_check_and_convolution_hold_rows_only(ft_params):
     # on 4,024 points both routes work on lag rows, together 7.0 rows of N
     # points measured, and agree

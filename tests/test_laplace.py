@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -517,12 +518,18 @@ def test_map_orbit_refuses_an_x0_array(narrow_band):
         nb.map_orbit(narrow_band, 1.0, x0=0.5).orbit.tobytes()
 
 
+def _chordal_of(x, y):
+    """_chordal of x and y, with the factors 1 + x^2 and 1 + y^2 it takes."""
+    with np.errstate(over="ignore"):
+        return _chordal(x, y, 1.0 + x * x, 1.0 + y * y)
+
+
 def test_chordal_distance_past_the_square_range():
     # (1 + x^2)(1 + y^2) overflows here; the distance is still
     # |sin(arctan x - arctan y)|, with no RuntimeWarning
     for big in (1e300, -1e300, 1e200, -1.7e308):
         y = np.array([0.0, 1.0, -3.0, 2.5e-7, 0.5])
-        got = _chordal(np.full(y.size, big), y)
+        got = _chordal_of(np.full(y.size, big), y)
         want = np.abs(np.sin(np.arctan(big) - np.arctan(y)))
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
     # between two huge points, where arctan has no bits left, the distance
@@ -530,11 +537,11 @@ def test_chordal_distance_past_the_square_range():
     # sin(pi) = 1.2e-16
     x = np.array([1e300, 1e300, 1.7e308, -1e200, 3e160])
     y = np.array([-1e300, 1e300, -1.7e308, 7e153, 5e160])
-    np.testing.assert_allclose(_chordal(x, y), np.abs(1.0 / y - 1.0 / x),
+    np.testing.assert_allclose(_chordal_of(x, y), np.abs(1.0 / y - 1.0 / x),
                                rtol=1e-15, atol=0.0)
     # below the range, the squared form keeps its bits
     x, y = np.array([0.3, -2.0, 1e150]), np.array([1.7, 5.0, 3.0])
-    assert np.array_equal(_chordal(x, y),
+    assert np.array_equal(_chordal_of(x, y),
                           np.abs(x - y) / np.sqrt((1.0 + x * x) * (1.0 + y * y)))
     report = nb.map_orbit(nb.derive_params(2, 1.0, 2.4142135623730951, 1.0), 0.5,
                           x0=1e300, steps=10)
@@ -554,6 +561,104 @@ def test_detect_near_cycle_exact_two_cycle():
     orbit = np.array([0.3, 1.7] * 200)
     period, err = detect_near_cycle(orbit)
     assert period == 2 and err < 1e-12
+
+
+def _chordal_pairs_reference(x, y):
+    """The chordal distance as it was taken for one period at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):   # taken again below
+        norm = np.sqrt((1.0 + x * x) * (1.0 + y * y))
+        out = np.abs(x - y) / norm
+    far = np.isinf(norm)
+    if far.any():
+        x, y = x[far], y[far]
+        out[far] = np.abs(0.5 * x - 0.5 * y) / np.hypot(1.0, x) / np.hypot(1.0, y) * 2.0
+    return out
+
+
+def _near_cycle_loop_reference(tail):
+    """The near-cycle scan one period at a time: the reference for the
+    blocked scan."""
+    tail = np.asarray(tail, dtype=float)
+    n = tail.size
+    best_p, best_err = None, np.inf
+    for p in range(1, min(laplace.CYCLE_MAX_PERIOD, n // 2) + 1):
+        err = float(np.max(_chordal_pairs_reference(tail[p:], tail[:-p])))
+        if err < best_err:
+            best_p, best_err = p, err
+    if best_p is not None and best_err <= laplace.CYCLE_TOL:
+        return best_p, best_err
+    return None, best_err
+
+
+def _assert_scan_matches_loop(tail):
+    got, want = detect_near_cycle(tail), _near_cycle_loop_reference(tail)
+    assert got[0] == want[0] and type(got[1]) is type(want[1]) is float
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), \
+        (got, want)
+    return got
+
+
+def test_near_cycle_scan_matches_the_loop_on_moving_orbits():
+    # 300 seeded orbits below lambda*, n = 2-5, still moving after their
+    # steps: the same period and the same error bits as the loop
+    rng = np.random.default_rng(52)
+    scanned = periodic = 0
+    while scanned < 300:
+        n = int(rng.integers(2, 6))
+        omega0, m = rng.uniform(0.5, 2.0, 2)
+        params = nb.derive_params(n, omega0, nb.critical_coupling(n, omega0, m)
+                                  * rng.uniform(1.2, 4.0), m)
+        lam = nb.lambda_star(params) * rng.uniform(0.05, 0.99)
+        report = nb.map_orbit(params, lam, steps=int(rng.integers(100, 1500)))
+        if report.classification in ("converged", "pole"):
+            continue
+        period, _ = _assert_scan_matches_loop(report.orbit[-1024:])
+        scanned += 1
+        periodic += period is not None
+    assert 0 < periodic < scanned
+
+
+def test_near_cycle_scan_matches_the_loop_on_crafted_tails():
+    tails = [np.array([]), np.array([0.4]), np.array([0.4, -2.0]),
+             np.array([0.4, -2.0, 7.5]),
+             np.array([0.3, 1.7] * 200), np.array([0.3, -1.7, 5.0] * 150),
+             np.full(40, 2.5)]
+    # two tied periods: one point off a 2-cycle puts the same nonzero
+    # error on every even period, and the shortest is kept
+    tied = np.array([0.3, 1.7] * 100)
+    tied[101] = 1.75
+    tails.append(tied)
+    for tail in tails:
+        _assert_scan_matches_loop(tail)
+    assert detect_near_cycle(tails[4]) == (2, 0.0)
+    assert detect_near_cycle(tails[5]) == (3, 0.0)
+    assert detect_near_cycle(tied)[0] == 2
+    assert detect_near_cycle(tails[0]) == detect_near_cycle(tails[1]) \
+        == (None, math.inf)
+    # near 1e300 the squares overflow: the far pairs are taken again with
+    # no floating-point error raised, as by the loop
+    orbit = nb.map_orbit(nb.derive_params(2, 1.0, 2.4142135623730951, 1.0),
+                         0.5).orbit[-300:]
+    far = np.concatenate([[1e300], orbit[:100], [-1e300, 1e300], orbit[100:],
+                          [1.7e308, 3e200]])
+    with np.errstate(all="raise"):
+        for tail in (far, far[::-1], far[:5]):
+            _assert_scan_matches_loop(tail)
+
+
+def test_near_cycle_scan_memory_is_held_to_a_block():
+    # the scan of a 1,024-point tail holds blocks of 2^15 pairs, not the
+    # 256 x 1,024 float64 array of all pairs at once (2 MiB): 0.65 MiB
+    # measured
+    tail = nb.map_orbit(nb.derive_params(2, 1.0, 2.4142135623730951, 1.0),
+                        0.5).orbit[-1024:]
+    tracemalloc.start()
+    try:
+        detect_near_cycle(tail)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fourier_continuation(narrow_band, wide_band):
