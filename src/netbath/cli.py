@@ -406,15 +406,10 @@ def _float_cells(x: np.ndarray, json_style: bool) -> np.ndarray:
     some = (ax >= 1e-280) & (ax <= 1e280)
     if json_style:
         some &= np.frexp(ax)[0] != 0.5
-    some = np.flatnonzero(some)
-    if some.size == x.size:
-        cells, ok = _product_cells(x, json_style)
-    else:
-        cells = np.empty((x.size, _CELL), np.uint8)
-        ok = np.zeros(x.size, bool)
-        if some.size:
-            cells[some], ok[some] = _product_cells(x.take(some), json_style)
-    redo = np.flatnonzero(~ok)
+    # the other cells, 0 and nan among them, go to the product as 1.0 and
+    # are rendered again below with the cells it leaves undecided
+    cells, ok = _product_cells(np.where(some, x, 1.0), json_style)
+    redo = np.flatnonzero(~(ok & some))
     if redo.size:
         cells[redo] = _python_cells(x.take(redo).tolist(), json_style)
     return cells

@@ -41,8 +41,7 @@ The step must resolve the band: :func:`twinning_solve` and
 :attr:`~netbath.model.ModelParams.fine_step`, which is also the default step
 of the ``finite-time`` command.  A step whose arrays would exceed
 :data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
-it builds them; only the noise kernel and :func:`neumann_first_correction`
-build N x N ones.
+it builds them; only the noise kernel builds N x N ones.
 """
 
 from __future__ import annotations
@@ -58,13 +57,11 @@ from .model import ModelParams, _check_step, _check_uniform
 
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
-# 7.16-7.52 rows besides func's; neumann_first_correction 5.00-5.02 N x N,
-# the one step on the bare response matrix, whose build is 1.00-1.01; the
-# noise kernel 2.01-2.04, one more with an upstream; ode_response_check
-# 7.05-7.43 rows at N = 379 to 3,018.
+# 7.16-7.52 rows besides func's; the noise kernel, the one step that builds
+# N x N arrays, 2.01-2.04 of them, one more with an upstream;
+# ode_response_check 7.05-7.43 rows at N = 379 to 3,018.
 _GRID_ROWS = 3.1
 _STATIONARY_ROWS = 7.6
-_BARE_SQUARES = 5.1
 _NOISE_SQUARES = 2.1
 _ODE_ROWS = 7.5
 
@@ -198,19 +195,6 @@ def bare_response(params: ModelParams, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _compose(x: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid-weighted causal composition, (X * Y)[i,j] ~ int X[i,l] Y[l,j] dl.
-
-    For causal factors the integration variable runs l in [i, j]; endpoint
-    weights are halved.  The weight pattern factorizes per variable, so the
-    composition is associative at the discrete level.
-    """
-    out = x @ y
-    out -= 0.5 * np.diag(x)[:, None] * y
-    out -= 0.5 * x * np.diag(y)[None, :]
-    return dt * out
-
-
 def _apply(row: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
     """Weighted action of a lag row on a history, (X * h)[i] ~ int_t_i^T
     X(t_i, t_l - t_i) h[l] dl, the ends l = i and N - 1 weighed by half."""
@@ -275,15 +259,6 @@ def _toeplitz_solve(a_row: np.ndarray, k_row: np.ndarray, dt: float):
     return m_row, g_row
 
 
-def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
-    """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the
-    diagonal: a contiguous copy of its stationary kernel, N sines for the
-    N x N matrix, and exactly Toeplitz."""
-    _check_window(times.size, "bare response matrix", squares=_BARE_SQUARES)
-    return np.ascontiguousarray(TwoTimeKernel.from_stationary(
-        times, lambda u: bare_response(params, u)).values)
-
-
 def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningResult:
     """Solve the discretised two-time response equation ``(I - M) G = A`` directly.
 
@@ -307,13 +282,6 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     # A row that underflowed to zero solves the equation exactly.
     residual = float(np.abs(r_row).max() / (np.abs(g_row).max() or 1.0))
     return TwinningResult(G=kernel, residual=residual)
-
-
-def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) -> np.ndarray:
-    """First-order term int int G0 kI G0 of the Neumann series for G."""
-    a = _bare_matrix(params, kI_upstream.times)
-    return _compose(a, _compose(kI_upstream.values, a, kI_upstream.dt),
-                    kI_upstream.dt)
 
 
 def vernon_imag_finite(G: TwoTimeKernel, C_edge: float) -> TwoTimeKernel:
@@ -365,7 +333,8 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
     constant coupling ``C_edge``.
     The boundary terms stem from the initial state of the integrated-out
     oscillator and matter only near the start of the window when G has
-    finite memory.  Output is symmetric; a noise kernel G is a ShapeError.
+    finite memory.  Output is symmetric; a noise kernel G is a ShapeError,
+    and so is an upstream whose max|V - V^T| passes 1e-12 max|V|.
     """
     _lag_row(G, "G")
     times = G.times
@@ -379,6 +348,12 @@ def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
         if kR_upstream.times.shape != times.shape or \
                 not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
             raise ShapeError("noise kernel grid differs from G grid")
+        # V against V^T 64 rows at a time, so no N x N temporary is made
+        v = kR_upstream.values
+        tol = 1e-12 * max(v.max(), -v.min())
+        if any(np.abs(v[i:i + 64] - v[:, i:i + 64].T).max() > tol
+               for i in range(0, times.size, 64)):
+            raise ShapeError("the upstream noise kernel is not symmetric")
         # Weighted columns: w_l in [0, t_i], halved at both ends, times C.
         gw = G.values * G.dt
         gw[0, :] *= 0.5

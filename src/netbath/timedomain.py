@@ -13,10 +13,10 @@ Two independent routes invert the Laplace-side fixed point:
   amplitude is half of ``ModelParams.Lambda``: the halved value is what the
   contour algebra gives, what the Bessel route reproduces, and what
   forward-transforms back to the closed-form fixed point.  Its sum over the
-  nodes, which the spectral-density transform and the oracle's mode sum
-  share, is evaluated on the uniform tau grid by the angle-addition split
-  sin(a + r) = sin a cos r + cos a sin r, with about sqrt(N) block starts a
-  and offsets r, as matrix products (:func:`_sine_sum`).
+  nodes, which the oracle's mode sum shares, is evaluated on the uniform tau
+  grid by the angle-addition split sin(a + r) = sin a cos r + cos a sin r,
+  with about sqrt(N) block starts a and offsets r, as matrix products
+  (:func:`_sine_sum`).
 
 * :func:`bessel_kernel` evaluates the kernel in closed form on the tau grid
   itself, from the Laplace-side identity
@@ -294,31 +294,6 @@ def spectral_density(params: ModelParams, omega_grid):
     out[inside] = params.m / (2.0 * math.pi) * np.sqrt(
         (w2 - params.lambda_pm**2) * (params.lambda_pp**2 - w2))
     return out
-
-
-def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel:
-    """Integrate J(w) sin(w tau) dw over the band with the same node rule.
-
-    Uses the substitution w = lambda_pp * x and evaluates J through
-    :func:`spectral_density`, so agreement with :func:`branch_cut_kernel`
-    checks the density's formula and prefactor rather than repeating the
-    kernel quadrature verbatim.  The band rule and the default order are
-    :func:`branch_cut_kernel`'s.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if not _band(params):
-        return TimeKernel(tau_grid, np.zeros_like(tau_grid), params)
-    # The quadrature weights for sqrt(s(1-s)), with the variables changed to
-    # w = lambda_pp x; J carries the square-root factors.
-    x, _, w_cheb = _band_nodes(params, _quad_order(params, tau_grid))
-    omega = params.lambda_pp * x
-    jvals = spectral_density(params, omega)
-    q2 = params.q**2
-    # dw = lambda_pp (1-q^2) ds / (2x); sqrt(s(1-s)) = sqrt((x^2-q^2)(1-x^2))/(1-q^2)
-    coeff = 0.25 * w_cheb * jvals * params.lambda_pp * (1.0 - q2) / (2.0 * x) \
-        * (1.0 - q2) / np.sqrt((x**2 - q2) * (1.0 - x**2))
-    values = _sine_sum(tau_grid, omega, coeff)
-    return TimeKernel(tau=tau_grid, values=values, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ ALLOWED = {
                         "through the same private helper",
     "fourier_fixed_point": "the fixed-point kernel on the Fourier axis, "
                            "k*(i nu), a named quantity of the paper",
-    "spectral_density_sine_transform": "reference the tests hold the "
-                                       "branch-cut kernel against",
     "ThermalState": "return type of thermal_init",
     "Population": "return type of population_init and population_step",
 }

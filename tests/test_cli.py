@@ -885,6 +885,30 @@ def test_renderer_on_exact_ties():
                                                  "382929582713472.12"]
 
 
+def test_renderer_takes_all_cells_in_one_product_call(monkeypatch):
+    # every int column the CLI writes starts at 0, a cell the product does
+    # not decide: the whole array still goes through one product call, and
+    # its 0, nan, infinities, subnormals and json powers of two are
+    # rendered again by Python's formatters
+    calls = []
+    product = cli._product_cells
+
+    def counted(x, json_style):
+        calls.append(x.size)
+        return product(x, json_style)
+
+    monkeypatch.setattr(cli, "_product_cells", counted)
+    column = np.arange(cli._FEW, dtype=float)
+    mixed = np.concatenate([column, [-0.0, math.nan, math.inf, -math.inf,
+                                     1e-300, 5e-324, 1e300, 0.125, -2.0]])
+    for x in (column, mixed):
+        for json_style in (False, True):
+            calls.clear()
+            got, want = _rendered(x, json_style)
+            assert got == want
+            assert calls == [x.size]
+
+
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_renderer_matches_python_formatters(values):
     _assert_rendered(values)

@@ -9,10 +9,11 @@ from scipy.linalg import toeplitz
 
 import netbath as nb
 from netbath.errors import AccuracyError, DomainError, ShapeError, SizeError
-from netbath.finite_time import TwoTimeKernel, _bare_matrix, _compose, \
-    _toeplitz_solve, neumann_first_correction
+from netbath.finite_time import TwoTimeKernel, _toeplitz_solve
 from netbath.laplace import g0_laplace
 from netbath.timedomain import _composite_weights
+
+from _reference import _bare_matrix, _compose, neumann_first_correction
 
 TANH1_HALF = 0.380797077977882444059729141302
 
@@ -380,6 +381,35 @@ def test_vernon_real_full_structure(ft_params):
         ref = c[:, None] * c[None, :] * (conv + boundary)
         assert np.array_equal(got.values, ref)
         assert np.array_equal(np.signbit(got.values), np.signbit(ref))
+
+
+def test_vernon_real_full_refuses_an_upstream_that_is_not_symmetric(ft_params):
+    kfunc, _, _ = _damped_sine(ft_params)
+    dt = 1.0 / (20.0 * ft_params.lambda_pp)
+    times = nb.time_grid(4.0, dt)
+    G = nb.twinning_solve(TwoTimeKernel.from_stationary(times, kfunc),
+                          ft_params).G
+    state = nb.thermal_init(1.0, ft_params)
+    sym = toeplitz(np.cos(times - times[0]))
+    near = sym.copy()
+    near[-1, -2] += 1e-9
+    for values in (np.triu(sym), near,
+                   TwoTimeKernel.from_stationary(times, np.cos).values):
+        upstream = TwoTimeKernel(times=times, values=values)
+        with pytest.raises(ShapeError, match="not symmetric"):
+            nb.vernon_real_full(upstream, G, state, ft_params.C)
+    # within 1e-12 of max|V| is accepted, as is a zero upstream
+    near[-1, -2] = sym[-1, -2] + 1e-13
+    for values in (near, np.zeros_like(sym)):
+        upstream = TwoTimeKernel(times=times, values=values)
+        nb.vernon_real_full(upstream, G, state, ft_params.C)
+    # the package's own outputs, fed back as upstream three levels deep, are
+    # symmetric to rounding
+    kR = None
+    for _ in range(4):
+        kR = nb.vernon_real_full(kR, G, state, ft_params.C)
+        v = kR.values
+        assert np.abs(v - v.T).max() <= 1e-14 * np.abs(v).max()
 
 
 def test_vernon_real_boundary_terms_decay_with_damped_fixture(ft_params):

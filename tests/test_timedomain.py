@@ -14,6 +14,8 @@ from netbath.errors import AccuracyError, DomainError, ShapeError
 from netbath.timedomain import AccuracyWarning, TimeKernel, _band_nodes, \
     _composite_weights, _gl_nodes, _j1_sum, _sine_sum
 
+from _reference import spectral_density_sine_transform
+
 
 def test_j1_against_reference():
     x = np.linspace(0.0, 300.0, 30001)
@@ -85,7 +87,7 @@ def test_branch_cut_decoupled_zero():
     p0 = nb.derive_params(5, 10.0, 0.0, 0.5)
     tau = np.linspace(0, 2, 20)
     for route in (nb.branch_cut_kernel, nb.bessel_kernel,
-                  nb.spectral_density_sine_transform,
+                  spectral_density_sine_transform,
                   lambda p, t: nb.oracle_time_kernel(nb.build_tree(2, 3), p, t)):
         tk = route(p0, tau)
         assert np.all(tk.values == 0.0) and np.array_equal(tk.tau, tau)
@@ -102,7 +104,7 @@ def test_time_domain_routes_refuse_a_band_that_is_not_real():
         for evaluate in (lambda: nb.spectral_density(p, [0.5, 1.0]),
                          lambda: nb.bessel_kernel(p, tau),
                          lambda: nb.branch_cut_kernel(p, tau),
-                         lambda: nb.spectral_density_sine_transform(p, tau),
+                         lambda: spectral_density_sine_transform(p, tau),
                          lambda: nb.oracle_time_kernel(nb.build_chain(4), p, tau)):
             with pytest.raises(DomainError, match="band edges are not real") as err:
                 evaluate()
@@ -451,7 +453,7 @@ def test_spectral_density_sine_transform_closure(narrow_band, wide_band):
     tau = np.linspace(0.0, 5.0, 401)
     for p in (narrow_band, wide_band):
         bc = nb.branch_cut_kernel(p, tau)
-        st = nb.spectral_density_sine_transform(p, tau)
+        st = spectral_density_sine_transform(p, tau)
         assert np.max(np.abs(st.values - bc.values)) <= \
             1e-10 * np.max(np.abs(bc.values))
 
@@ -545,7 +547,7 @@ def test_time_kernel_validation(wide_band):
     # it forms a node count or a sum, and without a warning
     routes = (lambda tau: TimeKernel(tau=tau, values=np.zeros(np.shape(tau))),
               lambda tau: nb.branch_cut_kernel(wide_band, tau),
-              lambda tau: nb.spectral_density_sine_transform(wide_band, tau),
+              lambda tau: spectral_density_sine_transform(wide_band, tau),
               lambda tau: nb.bessel_kernel(wide_band, tau),
               lambda tau: nb.oracle_time_kernel(nb.build_chain(4), wide_band, tau))
     for tau, message in (([], "a nonempty 1-d array"),
