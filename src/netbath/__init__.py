@@ -17,7 +17,7 @@ from .tree_bp import (TreeGraph, build_chain, build_tree, depth_convergence,
                       output_environment, root_output_message)
 from .timedomain import (TimeKernel, bessel_kernel, branch_cut_kernel,
                          forward_laplace, spectral_density)
-from .finite_time import (ThermalState, TwoTimeKernel, bare_response,
+from .finite_time import (NoiseKernel, ThermalState, TwoTimeKernel, bare_response,
                           ode_response_check, response_from_twinning,
                           thermal_init, time_grid, twinning_solve,
                           vernon_imag_finite, vernon_real_full)
@@ -38,7 +38,7 @@ __all__ = [
     "output_environment", "depth_convergence",
     "TimeKernel", "branch_cut_kernel", "bessel_kernel",
     "spectral_density", "forward_laplace",
-    "ThermalState", "TwoTimeKernel", "thermal_init", "twinning_solve",
+    "ThermalState", "TwoTimeKernel", "NoiseKernel", "thermal_init", "twinning_solve",
     "vernon_imag_finite", "vernon_real_full", "ode_response_check",
     "response_from_twinning", "bare_response", "time_grid",
     "oracle_kernel_laplace", "mode_decomposition", "oracle_time_kernel",

@@ -31,7 +31,7 @@ from . import __version__
 from .errors import AccuracyError, ConfigError, DomainError, \
     InstabilityError, NetbathError, ShapeError, SizeError, _check_bytes
 from .finite_time import TwoTimeKernel, thermal_init, time_grid, twinning_solve, \
-    vernon_imag_finite, bare_response, _noise_kernel
+    vernon_imag_finite, vernon_real_full, bare_response
 from .laplace import _orbit_ends, closed_form_fixed_point, map_orbit, \
     quadratic_residual, real_multiplier
 from .model import critical_coupling, derive_params, fixed_point_exists, \
@@ -695,16 +695,15 @@ def cmd_finite_time(cfg):
         times, lambda u: branch_cut_kernel(params, u).values)
     res = twinning_solve(upstream, params)
     kI_out = vernon_imag_finite(res.G, params.C)
-    # The diagonal of vernon_real_full(None, G, ...), the boundary terms alone.
-    kR_boundary = _noise_kernel(res.G, state, params.C, np.multiply)
+    # With no upstream, the noise kernel is the boundary terms alone.
+    kR = vernon_real_full(None, res.G, state, params.C)
     u = times - times[0]
-    meta = {"solver": res.G.meta["solver"], "residual": res.residual,
-            "beta": num["beta"]}
+    meta = {"residual": res.residual, "beta": num["beta"]}
     _maybe_plot(cfg, u, res.G.values[0], "G(tau, u)",
                 "dressed response at the window start")
     return write_table(("u", "G0", "G", "kI_out", "kR_boundary"),
                        (u, bare_response(params, u), res.G.values[0],
-                        kI_out.values[0], kR_boundary), meta, cfg)
+                        kI_out.values[0], kR.diagonal), meta, cfg)
 
 
 def cmd_population(cfg):

@@ -16,17 +16,20 @@ block inverse's matvec each, then one convolution into the later rows) and
 returned as that row, so it is exactly Toeplitz.  The solve reports the
 relative residual of that equation on the first row.
 
-A two-time kernel is causal, held as its lag row (the upstream dissipation
-kernel, G and its downstream dissipation kernel), or a symmetric noise
-kernel built from a matrix; a causal kernel's ``values`` is a read-only
-Toeplitz view of its row, so a row or the diagonal costs O(N).
+A causal two-time kernel (the upstream dissipation kernel, G and its
+downstream dissipation kernel) is held as its lag row, its ``values`` a
+read-only Toeplitz view of the row, so a row or the diagonal costs O(N).  A
+noise kernel is held as N x r weighted columns, K = F diag(w) F^T, so it is
+symmetric and positive semidefinite by construction and its diagonal costs
+O(N r).
 
 The single-edge updates built on G, at a constant coupling C:
 
 * dissipation: ``kI_out(t, s-t) = (1/2) C^2 G(t, s-t)``;
 * noise, full form: a double convolution of the upstream noise kernel with
   two G factors plus two boundary terms set by the initial Gaussian state,
-  ``C' G(0, t) G(0, s)`` and ``(1/A') dG/dr|_0 dG/dr|_0``.
+  ``C' G(0, t) G(0, s)`` and ``(1/A') dG/dr|_0 dG/dr|_0``: each upstream
+  column convolved with G's row once, and two columns more.
 
 The auxiliary backward path Q driven by a deviation history solves
 
@@ -41,13 +44,13 @@ The step must resolve the band: :func:`twinning_solve` and
 :attr:`~netbath.model.ModelParams.fine_step`, which is also the default step
 of the ``finite-time`` command.  A step whose arrays would exceed
 :data:`~netbath.errors.BYTE_CAP` is refused with :class:`SizeError` before
-it builds them; only the noise kernel builds N x N ones.
+it builds them; no step builds an N x N array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,12 +60,12 @@ from .model import ModelParams, _check_step, _check_uniform
 
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
-# 7.16-7.52 rows besides func's; the noise kernel, the one step that builds
-# N x N arrays, 2.01-2.04 of them, one more with an upstream;
-# ode_response_check 7.05-7.43 rows at N = 379 to 3,018.
+# 7.16-7.52 rows besides func's; ode_response_check 7.05-7.43 rows at N = 379
+# to 3,018; the noise kernel 6.09-6.63 rows, its two boundary columns
+# included, and one more an upstream column, at N = 671 to 1,973.
 _GRID_ROWS = 3.1
 _STATIONARY_ROWS = 7.6
-_NOISE_SQUARES = 2.1
+_NOISE_ROWS = 6.7
 _ODE_ROWS = 7.5
 
 # Stop rule of ode_response_check: relative change per sweep, and the sweep
@@ -71,11 +74,10 @@ _ODE_TOL = 1e-12
 _ODE_MAX_SWEEPS = 400
 
 
-def _check_window(n: int, what: str, rows: float = 0.0,
-                  squares: float = 0.0) -> None:
+def _check_window(n: int, what: str, rows: float) -> None:
     """Refuse, before allocating, ``what`` holding ``rows`` float64 arrays of
-    N points and ``squares`` of N x N on a window of N points."""
-    _check_bytes(8 * n * (rows + squares * n),
+    N points on a window of N points."""
+    _check_bytes(8 * n * rows,
                  f"{what} on a time window of {_count(n)} points",
                  "; shorten T or coarsen dt")
 
@@ -109,27 +111,29 @@ def thermal_init(beta: float, params: ModelParams) -> ThermalState:
     return ThermalState(A_prime=a_p, C_prime=scale / tanh)
 
 
-@dataclass
 class TwoTimeKernel:
-    """Kernel on the uniform two-time grid 0 <= t <= s <= T, ``dt`` its step.
+    """Causal kernel K(t, s-t) = k(s-t) on the uniform two-time grid
+    0 <= t <= s <= T, held as its lag row; ``dt`` is the grid's step.
 
-    Only :meth:`from_stationary` builds a causal kernel K(t, s-t) = k(s-t),
-    held as its lag row ``_row``, ``values`` a read-only Toeplitz view of it;
-    a kernel built from a matrix is a symmetric noise kernel, with no row.
+    ``values`` is a read-only Toeplitz view of the row, of O(N) memory: the
+    buffer is N - 1 zeros followed by the row, the layout
+    ``scipy.linalg.toeplitz`` strides before it copies; here the strided
+    view is kept, read-only because every row aliases the buffer.
+    ShapeError unless the row is sampled on the grid.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict, repr=False)
-    _row: np.ndarray | None = field(default=None, repr=False)
-    dt: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.times.size,) * 2:
-            raise ShapeError("values must be square over the time grid")
+    def __init__(self, times, row):
+        self.times = np.asarray(times, dtype=float)
         self.dt = _check_uniform(self.times, "time")
+        row = np.asarray(row, dtype=float)
+        if row.shape != self.times.shape:
+            raise ShapeError("the lag row must be sampled on the time grid")
+        n = row.size
+        buf = np.concatenate((np.zeros(n - 1), row))
+        step = buf.strides[0]
+        self.values = as_strided(buf[n - 1:], shape=(n, n),
+                                 strides=(-step, step), writeable=False)
+        self._row = self.values[0]
 
     @classmethod
     def from_stationary(cls, times, func) -> "TwoTimeKernel":
@@ -140,28 +144,45 @@ class TwoTimeKernel:
         """
         times = np.asarray(times, dtype=float)
         _check_window(times.size, "stationary kernel", rows=_STATIONARY_ROWS)
-        row = np.asarray(func(times - times[0]), dtype=float)
-        return cls._from_row(times, row)
+        return cls(times, func(times - times[0]))
 
-    @classmethod
-    def _from_row(cls, times, row: np.ndarray) -> "TwoTimeKernel":
-        """The causal kernel of a lag row, ``values`` a view of O(N) memory.
 
-        The buffer is N - 1 zeros followed by the row, the layout
-        ``scipy.linalg.toeplitz`` strides before it copies; here the strided
-        view is kept, read-only because every row aliases the buffer.
-        """
-        n = row.size
-        buf = np.concatenate((np.zeros(n - 1), row))
-        step = buf.strides[0]
-        vals = as_strided(buf[n - 1:], shape=(n, n), strides=(-step, step),
-                          writeable=False)
-        return cls(times=times, values=vals, _row=vals[0])
+class NoiseKernel:
+    """Noise kernel K = F diag(w) F^T on a uniform time grid, held as its
+    N x r ``columns`` F and r ``weights`` w >= 0, so symmetric and positive
+    semidefinite by construction; ``dt`` is the grid's step.
+
+    ``diagonal`` is K's diagonal, summed on construction one column at a
+    time in column order.  ShapeError unless the columns are N x r over the
+    grid with r weights; DomainError for a weight that is not >= 0 or a
+    diagonal that is not finite, which bounds every entry, as max|K_ij| <=
+    max_i K_ii.
+    """
+
+    def __init__(self, times, columns, weights):
+        self.times = np.asarray(times, dtype=float)
+        self.dt = _check_uniform(self.times, "time")
+        self.columns = np.asarray(columns, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
+        if self.columns.ndim != 2 or self.columns.shape[0] != self.times.size \
+                or self.weights.shape != self.columns.shape[1:]:
+            raise ShapeError("noise-kernel columns must be N x r over the "
+                             "time grid, with r weights")
+        if not np.all(self.weights >= 0.0):   # nan included
+            raise DomainError("noise-kernel weights must be >= 0")
+        self.diagonal = np.zeros(self.times.size)
+        # A column that is not finite, or a term past the float range, makes
+        # the diagonal not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, w in zip(self.columns.T, self.weights):
+                self.diagonal += f * f * w
+        if not np.all(np.isfinite(self.diagonal)):
+            raise DomainError("a noise-kernel term passes the float range")
 
 
 def _lag_row(kernel: TwoTimeKernel, what: str) -> np.ndarray:
     """A causal kernel's lag row; ShapeError for ``what``, a noise kernel."""
-    if kernel._row is None:
+    if not isinstance(kernel, TwoTimeKernel):
         raise ShapeError(f"{what} must be a causal kernel (from_stationary)")
     return kernel._row
 
@@ -172,7 +193,7 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     Raises :class:`DomainError` for a dt that is not positive and finite, as
     every step is refused (:func:`~netbath.model._check_step`);
     :class:`ShapeError` for a T that is not finite or a window of fewer than
-    three points, which the one-sided derivative of the boundary terms needs;
+    four points, which the one-sided derivatives of the boundary terms need;
     and :class:`SizeError` when the grid itself would exceed the cap.
     """
     _check_step(dt, None, "dt")
@@ -180,9 +201,9 @@ def time_grid(T: float, dt: float) -> np.ndarray:
         raise ShapeError(f"time window 0..{T:g} must be finite")
     steps = T / dt - 1e-9
     n = max(1, math.ceil(steps)) if math.isfinite(steps) else math.inf
-    if n < 2:
+    if n < 3:
         raise ShapeError(f"time window 0..{T:g} at step {dt:g} has "
-                         f"{n + 1} points; the boundary terms need at least 3")
+                         f"{n + 1} points; the boundary terms need at least 4")
     _check_window(n + 1, "grid", rows=_GRID_ROWS)
     return T * np.arange(n + 1) / n
 
@@ -266,8 +287,7 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     must resolve the band, dt <= ``params.fine_step``.  The upstream must be
     a causal kernel; a noise kernel is refused with :class:`ShapeError`.  G
     is solved as one Toeplitz row, in blocks of rows with O(N^2) arithmetic
-    in O(N / 64) numpy calls, and returned as that row.  ``G.meta["solver"]``
-    names the solver, ``"toeplitz"``.
+    in O(N / 64) numpy calls, and returned as that row.
     """
     times = kI_upstream.times
     grid_dt = kI_upstream.dt
@@ -277,11 +297,9 @@ def twinning_solve(kI_upstream: TwoTimeKernel, params: ModelParams) -> TwinningR
     m_row, g_row = _toeplitz_solve(a_row, k_row, grid_dt)
     # (I - M) G = A on the first row is the row equation g - m * g = a.
     r_row = g_row - np.convolve(m_row, g_row)[:times.size] - a_row
-    kernel = TwoTimeKernel._from_row(times, g_row)
-    kernel.meta["solver"] = "toeplitz"
     # A row that underflowed to zero solves the equation exactly.
     residual = float(np.abs(r_row).max() / (np.abs(g_row).max() or 1.0))
-    return TwinningResult(G=kernel, residual=residual)
+    return TwinningResult(G=TwoTimeKernel(times, g_row), residual=residual)
 
 
 def vernon_imag_finite(G: TwoTimeKernel, C_edge: float) -> TwoTimeKernel:
@@ -290,80 +308,58 @@ def vernon_imag_finite(G: TwoTimeKernel, C_edge: float) -> TwoTimeKernel:
     ``C_edge`` is the constant coupling; a noise kernel G is a ShapeError.
     """
     c = float(C_edge)
-    return TwoTimeKernel._from_row(G.times, 0.5 * c * c * _lag_row(G, "G"))
+    return TwoTimeKernel(G.times, 0.5 * c * c * _lag_row(G, "G"))
 
 
-def _noise_kernel(G: TwoTimeKernel, state: ThermalState, c, pair,
-                  conv=0.0) -> np.ndarray:
-    """``C^2 [conv + C' G(0,t) G(0,s) + (1/A') dG|_0(t) dG|_0(s)]``,
-    ``conv`` given with its C^2, ``c`` the constant coupling C.
-
-    The boundary terms come from two vectors, the first row of G and its
-    one-sided derivative along the first argument at r = 0, each times C
-    before any product is formed.  ``pair`` is ``np.outer`` for the kernel
-    and ``np.multiply`` for its diagonal, which then costs O(N) on a
-    stationary G.  Built in place: at most two N x N arrays are alive
-    besides ``conv``.  DomainError where a term passes the float range, as
-    (1/A') (C dG)^2 does at n = 7, C = 1e-40, m = 1e-148, T = 5e-56.
-    """
-    g = G.values
-    g_start = c * g[0, :]
-    # One-sided 2nd-order derivative along the first argument at r = 0.
-    dg = c * ((-3.0 * g[0, :] + 4.0 * g[1, :] - g[2, :]) / (2.0 * G.dt))
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        vals = pair(g_start, g_start)
-        vals *= state.C_prime
-        term = pair(dg, dg)
-        term *= 1.0 / state.A_prime
-        vals += term
-        del term
-        vals += conv
-    # min and max make no N x N temporary; nan fails both tests
-    if not (-np.inf < vals.min() and vals.max() < np.inf):
-        raise DomainError("a noise-kernel term passes the float range")
-    return vals
-
-
-def vernon_real_full(kR_upstream: TwoTimeKernel | None, G: TwoTimeKernel,
-                     state: ThermalState, C_edge: float) -> TwoTimeKernel:
+def vernon_real_full(kR_upstream: NoiseKernel | None, G: TwoTimeKernel,
+                     state: ThermalState, C_edge: float) -> NoiseKernel:
     """Downstream noise kernel: double convolution plus two boundary terms.
 
     ``out(t,s) = C^2 [ int_0^t int_0^s kR(t',s') G(t',t-t') G(s',s-s')
     + C' G(0,t) G(0,s) + (1/A') dG(r,t-r)/dr|_0 dG(r,s-r)/dr|_0 ]`` at the
-    constant coupling ``C_edge``.
+    constant coupling ``C_edge``, returned as columns: each upstream column
+    f becomes ``C dt (g * f - f_0 g / 2)``, its trapezoid double
+    convolution with G's lag row g (``*`` the causal convolution; g_0 = 0,
+    so the halved diagonal drops out), keeping its weight; then ``C g``,
+    weighted C', and ``C dg``, weighted 1/A'.
     The boundary terms stem from the initial state of the integrated-out
     oscillator and matter only near the start of the window when G has
-    finite memory.  Output is symmetric; a noise kernel G is a ShapeError,
-    and so is an upstream whose max|V - V^T| passes 1e-12 max|V|.
+    finite memory.  ``dg = dG(r, t-r)/dr|_0 = -g'(t)`` by second-order
+    differences along the row: forward at u = 0 and dt, backward from 2dt
+    on.  A noise kernel G, a window of fewer than four points, or an
+    upstream that is not a noise kernel on G's grid, is a ShapeError; a term
+    past the float range a DomainError, as
+    (1/A') (C dG)^2 is at n = 7, C = 1e-40, m = 1e-148, T = 5e-56.
     """
-    _lag_row(G, "G")
-    times = G.times
-    _check_window(times.size, "noise kernel",
-                  squares=_NOISE_SQUARES + (kR_upstream is not None))
-    c = float(C_edge)
+    g = _lag_row(G, "G")
+    times, n = G.times, G.times.size
+    if n < 4:
+        raise ShapeError("the boundary terms need at least 4 points")
     if kR_upstream is None:
-        # The zero double convolution; adding it keeps -0.0 out of the result.
-        conv = 0.0
-    else:
-        if kR_upstream.times.shape != times.shape or \
-                not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
-            raise ShapeError("noise kernel grid differs from G grid")
-        # V against V^T 64 rows at a time, so no N x N temporary is made
-        v = kR_upstream.values
-        tol = 1e-12 * max(v.max(), -v.min())
-        if any(np.abs(v[i:i + 64] - v[:, i:i + 64].T).max() > tol
-               for i in range(0, times.size, 64)):
-            raise ShapeError("the upstream noise kernel is not symmetric")
-        # Weighted columns: w_l in [0, t_i], halved at both ends, times C.
-        gw = G.values * G.dt
-        gw[0, :] *= 0.5
-        idx = np.arange(times.size)
-        gw[idx, idx] *= 0.5
-        gw *= c
-        conv = gw.T @ kR_upstream.values @ gw
-        del gw
-    vals = _noise_kernel(G, state, c, np.outer, conv)
-    return TwoTimeKernel(times=times, values=vals)
+        kR_upstream = NoiseKernel(times, np.zeros((n, 0)), np.zeros(0))
+    elif not isinstance(kR_upstream, NoiseKernel) or \
+            kR_upstream.times.shape != times.shape or \
+            not np.allclose(kR_upstream.times, times, rtol=1e-12, atol=0.0):
+        raise ShapeError("the upstream must be a noise kernel on G's grid")
+    r = kR_upstream.weights.size
+    _check_window(n, "noise kernel", rows=_NOISE_ROWS + r)
+    c = float(C_edge)
+    # Column-major, so each column is contiguous.
+    cols = np.empty((r + 2, n)).T
+    with np.errstate(over="ignore", invalid="ignore"):   # NoiseKernel refuses
+        for k, f in enumerate(kR_upstream.columns.T):
+            cols[:, k] = np.convolve(g, f)[:n]
+            cols[:, k] -= 0.5 * f[0] * g
+        cols[:, :r] *= c * G.dt
+        cols[:, r] = c * g
+        dg = cols[:, r + 1]
+        dg[2:] = -3.0 * g[2:] + 4.0 * g[1:-1] - g[:-2]
+        dg[:2] = 3.0 * g[:2] - 4.0 * g[1:3] + g[2:4]
+        dg /= 2.0 * G.dt
+        dg *= c
+    weights = np.append(kR_upstream.weights,
+                        (state.C_prime, 1.0 / state.A_prime))
+    return NoiseKernel(times, cols, weights)
 
 
 def response_from_twinning(G: TwoTimeKernel, C_edge: float,

@@ -8,7 +8,10 @@ here so the tests can compare the two.
   series for the finite window's dressed response, on the N x N bare
   response matrix;
 * :func:`spectral_density_sine_transform`, the sine transform of the
-  band-limited spectral density, which the branch-cut kernel must reproduce.
+  band-limited spectral density, which the branch-cut kernel must reproduce;
+* :func:`noise_double_convolution`, the noise kernel's double convolution
+  with two G factors on N x N matrices, which the package forms one column
+  at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
     """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the
     diagonal: a contiguous copy of its stationary kernel, N sines for the
     N x N matrix, and exactly Toeplitz."""
-    _check_window(times.size, "bare response matrix", squares=_BARE_SQUARES)
+    _check_window(times.size, "bare response matrix",
+                  rows=_BARE_SQUARES * times.size)
     return np.ascontiguousarray(TwoTimeKernel.from_stationary(
         times, lambda u: bare_response(params, u)).values)
 
@@ -78,3 +82,19 @@ def spectral_density_sine_transform(params: ModelParams, tau_grid) -> TimeKernel
         * (1.0 - q2) / np.sqrt((x**2 - q2) * (1.0 - x**2))
     values = _sine_sum(tau_grid, omega, coeff)
     return TimeKernel(tau=tau_grid, values=values, params=params)
+
+
+def noise_double_convolution(kR_values: np.ndarray, G: TwoTimeKernel,
+                             c: float) -> np.ndarray:
+    """``C^2 int_0^t int_0^s kR(t',s') G(t',t-t') G(s',s-s')`` on the N x N
+    matrix ``kR_values``, by trapezoid weights on G's dense matrix."""
+    times = G.times
+    # Weighted columns: w_l in [0, t_i], halved at both ends, times C.
+    gw = G.values * G.dt
+    gw[0, :] *= 0.5
+    idx = np.arange(times.size)
+    gw[idx, idx] *= 0.5
+    gw *= c
+    conv = gw.T @ kR_values @ gw
+    del gw
+    return conv

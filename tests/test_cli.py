@@ -543,13 +543,15 @@ def test_finite_time_prints_equal_time_noise(tmp_path):
     expect = {}
     for beta in (0.3, 3.0):
         kR = nb.vernon_real_full(None, G, nb.thermal_init(beta, p), p.C)
-        expect[beta] = np.diag(kR.values)
+        expect[beta] = kR.diagonal
         cols = _finite_time_columns(tmp_path, beta)
         assert np.array_equal(cols[:, 2], G.values[0])
         assert np.array_equal(cols[:, 3], kI.values[0])
         got = cols[:, 4]
         assert np.array_equal(got, expect[beta])
-        assert got[0] == 0.0 and np.all(got[1:] != 0.0)
+        # the boundary terms' derivative is taken along G's row, so the
+        # equal-time noise is positive from u = 0 on
+        assert np.all(got > 0.0)
     assert not np.array_equal(expect[0.3], expect[3.0])
 
 
