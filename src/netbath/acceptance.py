@@ -300,7 +300,7 @@ def criterion_10() -> CriterionResult:
     n_keep = int(round(U / dt_act)) + 1
     n_keep -= (n_keep - 1) % 4
     u = times[:n_keep]
-    row = res.G.values[0, :n_keep]
+    row = res.G.row[:n_keep]
     w = _composite_weights(n_keep, dt_act)
     lam = np.linspace(2.0 * omega, 10.0 * omega, 9)
     num = np.sum(w * np.exp(-lam[:, None] * u) * row, axis=1)

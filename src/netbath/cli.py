@@ -8,8 +8,9 @@ given config and seed), or a JSON object with ``--format json``.  A JSON
 config file supplies defaults; explicit flags override it.
 
 One table, ``_KEYS``, names every config key once, with its type, flag,
-default and lower bound: it builds the flags, collects them as overrides and
-checks every value, from a flag or a config file, against type and bound.
+default and lower bound, and ``_check_value`` gives every value its type.
+``_TABLES`` declares the keys each subcommand reads: it takes their flags
+and no other, and receives their typed values as keyword arguments.
 
 Exit codes: 0 success; 2 config error (an unwritable output path included),
 incompatible shapes, or a size refused before allocating; 3 domain error or
@@ -62,7 +63,7 @@ _KEYS = (
     ("numerics", "seed", int, "--seed", 0, ">= 0", "RNG seed"),
 ) + tuple(
     (f"{grid}_grid", key, typ, f"--{grid}-{key}", default, bound,
-     argparse.SUPPRESS)
+     f"{grid} grid {key}")
     for grid, defaults in (("lambda", (0.1, 100.0, 200, "log")),
                            ("nu", (0.0, 40.0, 401, "linear")),
                            ("tau", (0.0, 5.0, 1001, "linear")),
@@ -73,30 +74,61 @@ _KEYS = (
                                            ("scale", ("linear", "log"), None)),
                                           defaults)
 ) + tuple(
-    ("numerics", key, typ, "--" + key.replace("_", "-"), default, bound,
-     argparse.SUPPRESS)
-    for key, typ, default, bound in (
-        ("tol", float, 1e-12, None), ("max_iter", int, 10000, ">= 0"),
-        ("quad_order", int, None, ">= 1"), ("dt", float, None, "> 0"),
-        ("T", float, 6.0, None), ("beta", float, 1.0, None),
-        ("pool_size", int, 10000, ">= 1"), ("sweeps", int, 20, ">= 0"),
-        ("sigma_rel", float, 0.01, ">= 0"), ("lam", float, 1.0, None),
-        ("x0", float, 0.0, None), ("steps", int, 2000, ">= 0"),
-        ("depth", int, 8, ">= 0"), ("branching", int, 2, ">= 1"))
+    ("numerics", key, typ, "--" + key.replace("_", "-"), default, bound, text)
+    for key, typ, default, bound, text in (
+        ("tol", float, 1e-12, None, "convergence tolerance"),
+        ("max_iter", int, 10000, ">= 0", "iteration cap"),
+        ("quad_order", int, None, ">= 1", "band quadrature order"),
+        ("dt", float, None, "> 0", "time step (default: band-resolving)"),
+        ("T", float, 6.0, None, "window length"),
+        ("beta", float, 1.0, None, "inverse temperature"),
+        ("pool_size", int, 10000, ">= 1", "population pool size"),
+        ("sweeps", int, 20, ">= 0", "population sweeps"),
+        ("sigma_rel", float, 0.01, ">= 0", "initial spread, relative"),
+        ("lam", float, 1.0, None, "Laplace variable lambda"),
+        ("x0", float, 0.0, None, "orbit start"),
+        ("steps", int, 2000, ">= 0", "orbit steps"),
+        ("depth", int, 8, ">= 0", "tree depth"),
+        ("branching", int, 2, ">= 1", "tree branching"))
 )
+_ROWS = {row[:2]: row for row in _KEYS}
 
 _DEFAULTS: dict = {}
 for _block, _key, _, _, _default, _, _ in _KEYS:
     _DEFAULTS.setdefault(_block, {})[_key] = _default
 
+#: Subcommand -> (its grid, the numerics keys it reads): what each table
+#: reads besides the params and output blocks and the seed, which every
+#: table prints.  Its flags are those keys' and --config; kernel adds
+#: --method, and check, no table, takes --report alone.
+_TABLES = {
+    "phase": ("lambda", ()),
+    "fixed-point": ("lambda", ("tol", "max_iter")),
+    "kernel": ("tau", ("quad_order", "branching", "depth")),
+    "spectrum": ("omega", ()),
+    "multiplier": ("nu", ()),
+    "tree": (None, ("branching", "depth", "lam")),
+    "finite-time": (None, ("dt", "T", "beta")),
+    "population": (None, ("lam", "pool_size", "sweeps", "sigma_rel", "seed")),
+    "orbit": (None, ("lam", "x0", "steps", "tol")),
+}
 
-def _check_value(block: str, key: str, val) -> None:
-    """Refuse a config value of the wrong type or out of bounds with ConfigError."""
-    typ, bound = next((row[2], row[5]) for row in _KEYS
-                      if row[:2] == (block, key))
-    if val is None:
-        ok = _DEFAULTS[block][key] is None
-    elif isinstance(typ, tuple):
+
+def _reads(name: str, block: str, key: str) -> bool:
+    """Whether table ``name`` reads config key ``block.key``."""
+    grid, keys = _TABLES[name]
+    return block in ("params", "output", f"{grid}_grid") or \
+        block == "numerics" and (key == "seed" or key in keys)
+
+
+def _check_value(block: str, key: str, val):
+    """The config value with its key's type, a float key's as a float;
+    ConfigError for a value of another type, one too large for a float, or
+    one out of bounds."""
+    _, _, typ, _, default, bound, _ = _ROWS[block, key]
+    if val is None and default is None:
+        return None
+    if isinstance(typ, tuple):
         ok = val in typ
     else:
         ok = not isinstance(val, bool) and isinstance(
@@ -104,11 +136,18 @@ def _check_value(block: str, key: str, val) -> None:
     if not ok:
         want = "one of " + ", ".join(typ) if isinstance(typ, tuple) else typ.__name__
         raise ConfigError(f"config value {block}.{key}={val!r} is not {want}")
-    if bound and val is not None:
+    if typ is float:
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ConfigError(f"config value {block}.{key} is too large for "
+                              "a float") from None
+    if bound:
         op, lo = bound.split()
         # written so that nan fails every bound
         if not (val >= float(lo) if op == ">=" else val > float(lo)):
             raise ConfigError(f"config value {block}.{key}={val!r} is not {bound}")
+    return val
 
 
 def _merge(base: dict, update: dict) -> dict:
@@ -121,18 +160,23 @@ def _merge(base: dict, update: dict) -> dict:
         for key, val in values.items():
             if key not in out[block]:
                 raise ConfigError(f"unknown config key {block}.{key!r}")
-            _check_value(block, key, val)
-            out[block][key] = val
+            out[block][key] = _check_value(block, key, val)
     return out
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
+    """The defaults, then the config file at ``path``, then ``overrides``,
+    each value checked and typed; ConfigError for a file that cannot be
+    read or parsed, or holds a key or value that is refused."""
     cfg = _DEFAULTS
     if path is not None:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: JSON that does not parse, bytes that do not decode,
+        # and an integer past Python's digit limit; RecursionError: arrays
+        # or objects nested past the parser's depth
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -167,8 +211,7 @@ def _grid(spec: dict, name: str) -> np.ndarray:
 
 def _params(cfg: dict):
     p = cfg["params"]
-    return derive_params(int(p["n"]), float(p["omega0"]), float(p["C"]),
-                         float(p["m"]))
+    return derive_params(p["n"], p["omega0"], p["C"], p["m"])
 
 
 def _open_out(path: str):
@@ -589,24 +632,23 @@ def _maybe_plot(cfg, xs, ys, label, title):
 # subcommands
 
 
-def cmd_phase(cfg):
-    params = _params(cfg)
-    lam = _grid(cfg["lambda_grid"], "lambda_grid")
+# Each table takes the config, for its output block, the model parameters,
+# its grid and its numerics values, typed, as _TABLES declares them.
+
+def cmd_phase(cfg, params, lambda_grid):
     c_star = critical_coupling(params.n, params.omega0, params.m)
     l_star = lambda_star(params)
-    arg = sqrt_argument(params, lam)
+    arg = sqrt_argument(params, lambda_grid)
     meta = {"C_star": "none" if c_star is None else c_star,
             "lambda_star": "none" if l_star is None else l_star}
-    _maybe_plot(cfg, lam, arg, "sqrt argument",
+    _maybe_plot(cfg, lambda_grid, arg, "sqrt argument",
                 "fixed-point existence scan")
     return write_table(("lambda", "sqrt_argument", "exists"),
-                       (lam, arg, arg >= 0.0), meta, cfg)
+                       (lambda_grid, arg, arg >= 0.0), meta, cfg)
 
 
-def cmd_fixed_point(cfg):
-    params = _params(cfg)
-    lam = _grid(cfg["lambda_grid"], "lambda_grid")
-    num = cfg["numerics"]
+def cmd_fixed_point(cfg, params, lambda_grid, tol, max_iter):
+    lam = lambda_grid
     ok = fixed_point_exists(params, lam)
     # the rows without a fixed point keep these fills
     closed, final, rel, residual = (np.full(lam.size, math.nan)
@@ -617,7 +659,7 @@ def cmd_fixed_point(cfg):
     residual[ok] = quadratic_residual(params, lam[ok], k)
     if ok.any():
         final[ok], iterations[ok], stop, _ = _orbit_ends(
-            params, lam[ok], int(num["max_iter"]), num["tol"])
+            params, lam[ok], max_iter, tol)
         converged[ok] = stop == "converged"
     rel[ok] = np.divide(np.abs(final[ok] - k), np.abs(k),
                         out=np.zeros(k.size), where=k != 0.0)
@@ -631,35 +673,29 @@ def cmd_fixed_point(cfg):
                         residual, status), meta, cfg)
 
 
-def cmd_kernel(cfg, method: str):
-    params = _params(cfg)
-    tau = _grid(cfg["tau_grid"], "tau_grid")
-    num = cfg["numerics"]
+def cmd_kernel(cfg, params, tau_grid, method, quad_order, branching, depth):
     meta = {"method": method}
     if method == "branch-cut":
-        tk = branch_cut_kernel(params, tau, quad_order=num["quad_order"])
+        tk = branch_cut_kernel(params, tau_grid, quad_order=quad_order)
     elif method == "bessel":
-        tk = bessel_kernel(params, tau)
+        tk = bessel_kernel(params, tau_grid)
     else:   # oracle, the one other method --method admits
-        shape = {"branching": int(num["branching"]), "depth": int(num["depth"])}
-        tk = oracle_time_kernel(build_tree(**shape), params, tau)
+        shape = {"branching": branching, "depth": depth}
+        tk = oracle_time_kernel(build_tree(**shape), params, tau_grid)
         meta.update(shape, n_modes=tk.meta["n_modes"])
-    _maybe_plot(cfg, tau, tk.values, f"k ({method})", "time-domain kernel")
-    return write_table(("tau", "k"), (tau, tk.values), meta, cfg)
+    _maybe_plot(cfg, tau_grid, tk.values, f"k ({method})", "time-domain kernel")
+    return write_table(("tau", "k"), (tau_grid, tk.values), meta, cfg)
 
 
-def cmd_spectrum(cfg):
-    params = _params(cfg)
-    omega = _grid(cfg["omega_grid"], "omega_grid")
-    j = spectral_density(params, omega)
+def cmd_spectrum(cfg, params, omega_grid):
+    j = spectral_density(params, omega_grid)
     meta = {"band_lo": params.lambda_pm, "band_hi": params.lambda_pp}
-    _maybe_plot(cfg, omega, j, "J", "environment spectral density")
-    return write_table(("omega", "J"), (omega, j), meta, cfg)
+    _maybe_plot(cfg, omega_grid, j, "J", "environment spectral density")
+    return write_table(("omega", "J"), (omega_grid, j), meta, cfg)
 
 
-def cmd_multiplier(cfg):
-    params = _params(cfg)
-    nu = _grid(cfg["nu_grid"], "nu_grid")
+def cmd_multiplier(cfg, params, nu_grid):
+    nu = nu_grid
     gain = np.atleast_1d(real_multiplier(params, nu))
     band = params.band_defined & (params.lambda_pm <= np.abs(nu)) \
         & (np.abs(nu) <= params.lambda_pp)
@@ -668,29 +704,23 @@ def cmd_multiplier(cfg):
     return write_table(("nu", "gain", "region"), (nu, gain, region), {}, cfg)
 
 
-def cmd_tree(cfg):
-    params = _params(cfg)
-    num = cfg["numerics"]
-    _check_rows(int(num["depth"]) + 1)
-    res = depth_convergence(params, int(num["branching"]), int(num["depth"]),
-                            float(num["lam"]))
+def cmd_tree(cfg, params, branching, depth, lam):
+    _check_rows(depth + 1)
+    res = depth_convergence(params, branching, depth, lam)
     # no predecessor at depth 0; underflowed residuals leave no ratio
     ratio = ["none"] + [r / prev if prev > 0.0 else "none"
                         for prev, r in zip(res[:-1].tolist(), res[1:].tolist())]
-    meta = {"lambda": num["lam"], "branching": int(num["branching"])}
+    meta = {"lambda": lam, "branching": branching}
     _maybe_plot(cfg, np.arange(len(res)), np.log10(np.maximum(res, 1e-300)),
                 "log10 residual", "depth convergence")
     return write_table(("depth", "residual", "ratio"),
                        (np.arange(res.size), res, ratio), meta, cfg)
 
 
-def cmd_finite_time(cfg):
-    params = _params(cfg)
-    num = cfg["numerics"]
-    dt = params.fine_step if num["dt"] is None else num["dt"]
-    times = time_grid(float(num["T"]), float(dt))
+def cmd_finite_time(cfg, params, dt, T, beta):
+    times = time_grid(T, params.fine_step if dt is None else dt)
     _check_rows(times.size)
-    state = thermal_init(float(num["beta"]), params)
+    state = thermal_init(beta, params)
     upstream = TwoTimeKernel.from_stationary(
         times, lambda u: branch_cut_kernel(params, u).values)
     res = twinning_solve(upstream, params)
@@ -698,66 +728,59 @@ def cmd_finite_time(cfg):
     # With no upstream, the noise kernel is the boundary terms alone.
     kR = vernon_real_full(None, res.G, state, params.C)
     u = times - times[0]
-    meta = {"residual": res.residual, "beta": num["beta"]}
-    _maybe_plot(cfg, u, res.G.values[0], "G(tau, u)",
+    meta = {"residual": res.residual, "beta": beta}
+    _maybe_plot(cfg, u, res.G.row, "G(tau, u)",
                 "dressed response at the window start")
     return write_table(("u", "G0", "G", "kI_out", "kR_boundary"),
-                       (u, bare_response(params, u), res.G.values[0],
-                        kI_out.values[0], kR.diagonal), meta, cfg)
+                       (u, bare_response(params, u), res.G.row,
+                        kI_out.row, kR.diagonal), meta, cfg)
 
 
-def cmd_population(cfg):
-    params = _params(cfg)
-    num = cfg["numerics"]
-    lam = float(num["lam"])
-    _check_rows(int(num["sweeps"]) + 1)
+def cmd_population(cfg, params, lam, pool_size, sweeps, sigma_rel, seed):
+    _check_rows(sweeps + 1)
     gain = variance_gain(params, lam)
     k_branch = closed_form_fixed_point(params, lam) / (params.n - 1)
-    pop = population_init(params, lam, size=int(num["pool_size"]),
-                          seed=int(num["seed"]),
-                          sigma=float(num["sigma_rel"]) * abs(k_branch))
-    sweeps = np.arange(int(num["sweeps"]) + 1)
-    mean, var = np.empty(sweeps.size), np.empty(sweeps.size)
-    rejected = np.empty(sweeps.size, dtype=int)
-    for sweep in sweeps.tolist():
+    pop = population_init(params, lam, size=pool_size, seed=seed,
+                          sigma=sigma_rel * abs(k_branch))
+    rows = np.arange(sweeps + 1)
+    mean, var = np.empty(rows.size), np.empty(rows.size)
+    rejected = np.empty(rows.size, dtype=int)
+    for sweep in rows.tolist():
         mean[sweep], var[sweep] = np.mean(pop.samples), np.var(pop.samples)
         rejected[sweep] = pop.rejected
-        if sweep < int(num["sweeps"]):
+        if sweep < sweeps:
             pop = population_step(pop)
     meta = {"lambda": lam, "variance_gain": gain, "k_branch": k_branch}
-    _maybe_plot(cfg, sweeps, np.log10(np.maximum(var, 1e-300)),
+    _maybe_plot(cfg, rows, np.log10(np.maximum(var, 1e-300)),
                 "log10 variance", "population variance trajectory")
     return write_table(("sweep", "mean", "variance", "rejected"),
-                       (sweeps, mean, var, rejected), meta, cfg)
+                       (rows, mean, var, rejected), meta, cfg)
 
 
-def cmd_orbit(cfg):
-    params = _params(cfg)
-    num = cfg["numerics"]
-    _check_rows(int(num["steps"]) + 1)
-    rep = map_orbit(params, float(num["lam"]), x0=float(num["x0"]),
-                    steps=int(num["steps"]), tol=num["tol"])
+def cmd_orbit(cfg, params, lam, x0, steps, tol):
+    _check_rows(steps + 1)
+    rep = map_orbit(params, lam, x0=x0, steps=steps, tol=tol)
     status = np.where(np.isfinite(rep.orbit), "ok", "pole")
     meta = {"classification": rep.classification,
             "period": "none" if rep.period is None else rep.period,
             "diameter": rep.diameter}
-    steps = np.arange(rep.orbit.size)
-    _maybe_plot(cfg, steps, rep.orbit, "k", "cavity-map orbit")
+    iteration = np.arange(rep.orbit.size)
+    _maybe_plot(cfg, iteration, rep.orbit, "k", "cavity-map orbit")
     return write_table(("iteration", "k", "status"),
-                       (steps, rep.orbit, status), meta, cfg)
+                       (iteration, rep.orbit, status), meta, cfg)
 
 
-def cmd_check(cfg, report_path: str | None):
+def cmd_check(report: str | None):
     from .acceptance import run_all
-    def report(res):
+    def show(res):
         print(res.line(), flush=True)
         print(f"[{res.number:2d}] {res.runtime:.1f} s", file=sys.stderr, flush=True)
 
     # The report is opened first, so an unwritable path is refused before
     # the run; wall times go to stderr so that stdout is the same bytes on
     # every run.
-    with _open_out(report_path) if report_path else contextlib.nullcontext() as fh:
-        results, total = run_all(report=report)
+    with _open_out(report) if report else contextlib.nullcontext() as fh:
+        results, total = run_all(report=show)
         print(f"total runtime {total:.1f} s", file=sys.stderr)
         if fh:
             doc = {"tool": TOOL, "version": __version__, "total_runtime_s": total,
@@ -772,28 +795,6 @@ def cmd_check(cfg, report_path: str | None):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _commands() -> dict:
-    """Subcommand -> (function, its own flag and that flag's argparse options).
-
-    The function is called with the config and the own flag's value, if any.
-    Built per call, so a function replaced on this module is the one run.
-    """
-    return {
-        "phase": (cmd_phase, None),
-        "fixed-point": (cmd_fixed_point, None),
-        "spectrum": (cmd_spectrum, None),
-        "multiplier": (cmd_multiplier, None),
-        "tree": (cmd_tree, None),
-        "finite-time": (cmd_finite_time, None),
-        "population": (cmd_population, None),
-        "orbit": (cmd_orbit, None),
-        "kernel": (cmd_kernel, ("--method", {
-            "choices": ("branch-cut", "bessel", "oracle"),
-            "default": "branch-cut"})),
-        "check": (cmd_check, ("--report", {"help": "write a JSON report here"})),
-    }
-
-
 # Error class -> (label, exit code); the most specific class listed wins.
 _EXITS = {
     ConfigError: ("config", 2),
@@ -805,59 +806,69 @@ _EXITS = {
 }
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    for block, key, _, flag, _, _, _ in _KEYS:
-        val = getattr(args, _dest(flag))
-        if val is not None:
-            over.setdefault(block, {})[key] = val
-    return over
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+    """The argument parser, built once per process from _KEYS and _TABLES.
 
     It holds flags and subcommand names only, no command functions, and
     ``parse_args`` leaves it unchanged, so every ``main`` call can share it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    for _, _, typ, flag, _, _, text in _KEYS:
-        if isinstance(typ, tuple):
-            common.add_argument(flag, choices=typ, help=text)
-        else:
-            common.add_argument(flag, type=None if typ is str else typ,
-                                help=text)
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Harmonic networks as effective quantum environments")
     parser.add_argument("--version", action="version",
                         version=f"{TOOL} {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, own) in _commands().items():
-        sub = subs.add_parser(name, parents=[common])
-        if own:
-            sub.add_argument(own[0], **own[1])
+    for name in _TABLES:
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config file")
+        for block, key, typ, flag, _, _, text in _KEYS:
+            if not _reads(name, block, key):
+                continue
+            if isinstance(typ, tuple):
+                sub.add_argument(flag, choices=typ, help=text)
+            else:
+                sub.add_argument(flag, type=None if typ is str else typ,
+                                 help=text)
+        if name == "kernel":
+            sub.add_argument("--method", default="branch-cut",
+                             choices=("branch-cut", "bessel", "oracle"),
+                             help="kernel route")
+    subs.add_parser("check").add_argument(
+        "--report", help="write a JSON report here")
     return parser
 
 
+def _run_table(name: str, args: dict) -> None:
+    """Load the config of table ``name`` under its parsed flags ``args``,
+    which hold its own flag too, and run it on the values _TABLES names."""
+    over: dict = {}
+    for block, key, _, flag, _, _, _ in _KEYS:
+        val = args.pop(flag[2:].replace("-", "_"), None)
+        if val is not None:
+            over.setdefault(block, {})[key] = val
+    cfg = load_config(args.pop("config"), over)
+    grid, keys = _TABLES[name]
+    args["params"] = _params(cfg)
+    if grid:
+        args[f"{grid}_grid"] = _grid(cfg[f"{grid}_grid"], f"{grid}_grid")
+    args.update((key, cfg["numerics"][key]) for key in keys)
+    # looked up per call, so a function replaced on this module is the one run
+    globals()["cmd_" + name.replace("-", "_")](cfg, **args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code.
         return int(exc.code or 0)
-    cmd, own = _commands()[args.command]
-    extra = [getattr(args, _dest(own[0]))] if own else []
+    name = args.pop("command")
     try:
-        cfg = load_config(args.config, _collect_overrides(args))
-        cmd(cfg, *extra)
+        if name == "check":
+            cmd_check(**args)
+        else:
+            _run_table(name, args)
     except NetbathError as exc:
         label, code = next(_EXITS[cls] for cls in type(exc).__mro__
                            if cls in _EXITS)

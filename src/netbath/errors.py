@@ -5,8 +5,6 @@ ShapeError and SizeError -> 2, DomainError and InstabilityError -> 3,
 AccuracyError -> 4.
 """
 
-import math
-
 #: Refuse, with SizeError and before allocating, any dense structure whose
 #: arrays would need more than this many bytes (2 GiB): time-window steps,
 #: grids, quadratures, population pools with their sweeps and the oracle's
@@ -21,12 +19,13 @@ COUNT_HOLD = 10**18
 def _check_bytes(need: float, what: str, hint: str = "") -> None:
     """Refuse with SizeError, before allocating, ``what`` needing ``need`` bytes.
 
-    A need that is not finite, as a count past the floats or held at
-    ``COUNT_HOLD`` gives, is reported as past the cap, with no figure.
+    A need that is no finite float, as a count past the floats, one held at
+    ``COUNT_HOLD`` or an integer too large for a float gives, is reported as
+    past the cap, with no figure.
     """
     if not need <= BYTE_CAP:   # nan too
         figure = (f"needs about {need / 2**30:.3g} GiB, cap is"
-                  if need < math.inf else "is past the cap of")
+                  if need < 2**1024 else "is past the cap of")
         raise SizeError(f"{what} {figure} {BYTE_CAP / 2**30:.3g} GiB{hint}")
 
 

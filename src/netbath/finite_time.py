@@ -17,11 +17,10 @@ returned as that row, so it is exactly Toeplitz.  The solve reports the
 relative residual of that equation on the first row.
 
 A causal two-time kernel (the upstream dissipation kernel, G and its
-downstream dissipation kernel) is held as its lag row, its ``values`` a
-read-only Toeplitz view of the row, so a row or the diagonal costs O(N).  A
-noise kernel is held as N x r weighted columns, K = F diag(w) F^T, so it is
-symmetric and positive semidefinite by construction and its diagonal costs
-O(N r).
+downstream dissipation kernel) is held as its read-only lag ``row``, so it
+costs O(N).  A noise kernel is held as N x r weighted columns,
+K = F diag(w) F^T, so it is symmetric and positive semidefinite by
+construction and its diagonal costs O(N r).
 
 The single-edge updates built on G, at a constant coupling C:
 
@@ -53,18 +52,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import AccuracyError, DomainError, ShapeError, _check_bytes, _count
 from .model import ModelParams, _check_step, _check_uniform
 
 # Peak float64 arrays a window step allocates besides its inputs, by
 # tracemalloc at N = 661 to 1,984: time_grid 3.03-3.08 rows, from_stationary
-# 7.16-7.52 rows besides func's; ode_response_check 7.05-7.43 rows at N = 379
+# 1.09-1.28 rows besides func's; ode_response_check 7.05-7.43 rows at N = 379
 # to 3,018; the noise kernel 6.09-6.63 rows, its two boundary columns
 # included, and one more an upstream column, at N = 671 to 1,973.
 _GRID_ROWS = 3.1
-_STATIONARY_ROWS = 7.6
+_STATIONARY_ROWS = 1.3
 _NOISE_ROWS = 6.7
 _ODE_ROWS = 7.5
 
@@ -113,27 +111,18 @@ def thermal_init(beta: float, params: ModelParams) -> ThermalState:
 
 class TwoTimeKernel:
     """Causal kernel K(t, s-t) = k(s-t) on the uniform two-time grid
-    0 <= t <= s <= T, held as its lag row; ``dt`` is the grid's step.
-
-    ``values`` is a read-only Toeplitz view of the row, of O(N) memory: the
-    buffer is N - 1 zeros followed by the row, the layout
-    ``scipy.linalg.toeplitz`` strides before it copies; here the strided
-    view is kept, read-only because every row aliases the buffer.
-    ShapeError unless the row is sampled on the grid.
+    0 <= t <= s <= T, held as its lag ``row``, a read-only copy of the row
+    given; ``dt`` is the grid's step.  ShapeError unless the row is sampled
+    on the grid.
     """
 
     def __init__(self, times, row):
         self.times = np.asarray(times, dtype=float)
         self.dt = _check_uniform(self.times, "time")
-        row = np.asarray(row, dtype=float)
-        if row.shape != self.times.shape:
+        self.row = np.array(row, dtype=float)
+        if self.row.shape != self.times.shape:
             raise ShapeError("the lag row must be sampled on the time grid")
-        n = row.size
-        buf = np.concatenate((np.zeros(n - 1), row))
-        step = buf.strides[0]
-        self.values = as_strided(buf[n - 1:], shape=(n, n),
-                                 strides=(-step, step), writeable=False)
-        self._row = self.values[0]
+        self.row.flags.writeable = False
 
     @classmethod
     def from_stationary(cls, times, func) -> "TwoTimeKernel":
@@ -184,7 +173,7 @@ def _lag_row(kernel: TwoTimeKernel, what: str) -> np.ndarray:
     """A causal kernel's lag row; ShapeError for ``what``, a noise kernel."""
     if not isinstance(kernel, TwoTimeKernel):
         raise ShapeError(f"{what} must be a causal kernel (from_stationary)")
-    return kernel._row
+    return kernel.row
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:

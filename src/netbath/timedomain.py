@@ -174,11 +174,12 @@ def _check_sine_sum(n_tau: int, n_freqs: int, node_bytes: int = 0) -> None:
     (Q x B) accumulators, one column block of its trig matrices, never less
     than a whole one, and ``node_bytes`` per frequency for the arrays that
     build the frequencies."""
-    b, q, _ = _split(n_tau, n_freqs)
-    need = (_TAU_BYTES * q * b + node_bytes * n_freqs
-            + _TRIG_BYTES * max(q + b, _BLOCK_ELEMENTS // 4))
-    _check_bytes(need if n_freqs < COUNT_HOLD else math.inf,
-                 f"sine sum over {n_tau} x {_count(n_freqs)} points")
+    need = math.inf     # a count held, past every cap, _split cannot take
+    if n_freqs < COUNT_HOLD:
+        b, q, _ = _split(n_tau, n_freqs)
+        need = (_TAU_BYTES * q * b + node_bytes * n_freqs
+                + _TRIG_BYTES * max(q + b, _BLOCK_ELEMENTS // 4))
+    _check_bytes(need, f"sine sum over {n_tau} x {_count(n_freqs)} points")
 
 
 def _sine_sum(tau, freqs, weights) -> np.ndarray:

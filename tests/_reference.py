@@ -4,6 +4,8 @@ No command, criterion or benchmark job of the package calls these: each is
 an independent route to a quantity the package computes another way, kept
 here so the tests can compare the two.
 
+* :func:`causal_matrix`, a causal kernel's N x N matrix, built from its lag
+  row for the tests that compare dense matrices;
 * :func:`neumann_first_correction`, the dense first term of the Neumann
   series for the finite window's dressed response, on the N x N bare
   response matrix;
@@ -42,20 +44,30 @@ def _compose(x: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     return dt * out
 
 
+def causal_matrix(kernel: TwoTimeKernel) -> np.ndarray:
+    """A causal kernel's N x N matrix K[i, j] = row[j - i], zero below the
+    diagonal: exactly Toeplitz, built a row at a time."""
+    row = kernel.row
+    out = np.zeros((row.size, row.size))
+    for i in range(row.size):
+        out[i, i:] = row[:row.size - i]
+    return out
+
+
 def _bare_matrix(params: ModelParams, times: np.ndarray) -> np.ndarray:
     """The bare response A[i, j] = G0(t_j - t_i) on the grid, zero below the
-    diagonal: a contiguous copy of its stationary kernel, N sines for the
-    N x N matrix, and exactly Toeplitz."""
+    diagonal: the matrix of its stationary kernel, N sines for the N x N
+    matrix, and exactly Toeplitz."""
     _check_window(times.size, "bare response matrix",
                   rows=_BARE_SQUARES * times.size)
-    return np.ascontiguousarray(TwoTimeKernel.from_stationary(
-        times, lambda u: bare_response(params, u)).values)
+    return causal_matrix(TwoTimeKernel.from_stationary(
+        times, lambda u: bare_response(params, u)))
 
 
 def neumann_first_correction(kI_upstream: TwoTimeKernel, params: ModelParams) -> np.ndarray:
     """First-order term int int G0 kI G0 of the Neumann series for G."""
     a = _bare_matrix(params, kI_upstream.times)
-    return _compose(a, _compose(kI_upstream.values, a, kI_upstream.dt),
+    return _compose(a, _compose(causal_matrix(kI_upstream), a, kI_upstream.dt),
                     kI_upstream.dt)
 
 
@@ -90,7 +102,8 @@ def noise_double_convolution(kR_values: np.ndarray, G: TwoTimeKernel,
     matrix ``kR_values``, by trapezoid weights on G's dense matrix."""
     times = G.times
     # Weighted columns: w_l in [0, t_i], halved at both ends, times C.
-    gw = G.values * G.dt
+    gw = causal_matrix(G)
+    gw *= G.dt
     gw[0, :] *= 0.5
     idx = np.arange(times.size)
     gw[idx, idx] *= 0.5

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import math
 import os
@@ -345,7 +347,6 @@ def test_plot_of_a_constant_series_or_one_point(tmp_path, line, points):
     ("population --sigma-rel -1", 2, "config"),
     ("finite-time --dt 0", 2, "config"),
     ("kernel --quad-order 0", 2, "config"),
-    ("kernel --method bessel --dt 0", 2, "config"),
     ("orbit --steps -1", 2, "config"),
     ("fixed-point --max-iter -1", 2, "config"),
     ("phase --lambda-count 0", 2, "config"),
@@ -479,6 +480,21 @@ def test_size_refusal_past_the_float_range_reports_no_false_count(
     assert not out.exists() and captured.out == ""
 
 
+@pytest.mark.parametrize("line", [f"tree --depth {10**400}",
+                                  f"kernel --quad-order {10**400}",
+                                  f"phase --lambda-count {10**400}"],
+                         ids=["depth", "quad-order", "grid-count"])
+def test_integer_count_past_the_floats_is_refused_for_size(tmp_path, capsys,
+                                                           line):
+    # an int flag takes any integer: one too large for a float is past the
+    # cap, with no figure, not an OverflowError from forming one
+    out = tmp_path / "out.csv"
+    assert run_cli(shlex.split(line) + ["--output", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR size:"), lines
+    assert lines[0].endswith("is past the cap of 2 GiB") and not out.exists()
+
+
 def test_oversized_requests_refused_before_allocating(tmp_path, capsys,
                                                      monkeypatch):
     # each would pass the 2 GiB cap, most by tens to hundreds of GiB: a
@@ -545,8 +561,8 @@ def test_finite_time_prints_equal_time_noise(tmp_path):
         kR = nb.vernon_real_full(None, G, nb.thermal_init(beta, p), p.C)
         expect[beta] = kR.diagonal
         cols = _finite_time_columns(tmp_path, beta)
-        assert np.array_equal(cols[:, 2], G.values[0])
-        assert np.array_equal(cols[:, 3], kI.values[0])
+        assert np.array_equal(cols[:, 2], G.row)
+        assert np.array_equal(cols[:, 3], kI.row)
         got = cols[:, 4]
         assert np.array_equal(got, expect[beta])
         # the boundary terms' derivative is taken along G's row, so the
@@ -940,3 +956,110 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["params"]["n"] == 20
     assert run_cli(["spectrum", "--omega-count", "2"]) == 0
     assert "params=n=5,omega0=10,C=1,m=0.5 " in capsys.readouterr().out
+
+
+# the flags every table takes: the params and output blocks, the seed and
+# the config file
+_COMMON_FLAGS = {"--config", "--n", "--omega0", "--C", "--m", "--format",
+                 "--output", "--plot", "--seed"}
+
+
+def _declared_keys(name):
+    """The (block, key) pairs _TABLES declares for table ``name``."""
+    grid, keys = cli._TABLES[name]
+    return {(block, key) for block, key, *_ in cli._KEYS
+            if block == f"{grid}_grid" or block == "numerics" and key in keys}
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    # each table's flags are the common set plus its declared keys' (and
+    # kernel's --method); check takes --report alone: 122 pairs in all
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+    flags = {name: {opt for action in sub._actions
+                    for opt in action.option_strings} - {"-h", "--help"}
+             for name, sub in subs.items()}
+    assert flags.pop("check") == {"--report"}
+    assert set(flags) == set(cli._TABLES)
+    for name, table_flags in flags.items():
+        declared = {cli._ROWS[key][3] for key in _declared_keys(name)}
+        own = {"--method"} if name == "kernel" else set()
+        assert table_flags == _COMMON_FLAGS | declared | own, name
+    assert sum(map(len, flags.values())) + 1 == 122
+
+
+def test_each_command_reads_exactly_its_declared_keys():
+    # read from the source: each cmd_* takes the config, the parameters and
+    # one argument per declared key, subscripts no config block, and casts
+    # no value it was given; _params casts none either
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert {name for name in funcs if name.startswith("cmd_")} == \
+        {"cmd_" + name.replace("-", "_") for name in cli._TABLES} | {"cmd_check"}
+    assert [a.arg for a in funcs["cmd_check"].args.args] == ["report"]
+    for name in cli._TABLES:
+        node = funcs["cmd_" + name.replace("-", "_")]
+        args = [a.arg for a in node.args.args + node.args.kwonlyargs]
+        grid, _ = cli._TABLES[name]
+        keys = {key for block, key in _declared_keys(name)
+                if block == "numerics"} | ({f"{grid}_grid"} if grid else set())
+        own = {"method"} if name == "kernel" else set()
+        assert args[:2] == ["cfg", "params"] and set(args[2:]) == keys | own
+        assert not [n for n in ast.walk(node) if isinstance(n, ast.Subscript)
+                    and isinstance(n.value, ast.Name) and n.value.id == "cfg"]
+    for node in [funcs["_params"]] + [funcs[f] for f in funcs
+                                      if f.startswith("cmd_")]:
+        assert not [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id in ("int", "float")
+                    and isinstance(n.args[0], (ast.Name, ast.Subscript))]
+
+
+@pytest.mark.parametrize("line", ["kernel --dt 0.01", "phase --tau-count 5",
+                                  "check --format json",
+                                  "check --config c.json"])
+def test_unread_flag_is_a_usage_error(capsys, monkeypatch, line):
+    # a flag its subcommand does not read is refused by argparse, not
+    # ignored; check would run the acceptance suite, so it must not start
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda *a, **k: pytest.fail("check ran"))
+    assert run_cli(shlex.split(line)) == 2
+    captured = capsys.readouterr()
+    assert "usage: " in captured.err and \
+        f"unrecognized arguments: {line.split(' ', 1)[1]}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_config_file_float_keys_print_as_the_flags_do(tmp_path, capsys):
+    # an integer in a config file for a float key is that float, in the
+    # parameters and in the metadata the command prints
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"omega0": 10},
+                               "numerics": {"lam": 1}}))
+    assert run_cli(["tree", "--config", str(cfg), "--format", "json"]) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(["tree", "--omega0", "10", "--lam", "1",
+                    "--format", "json"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert '"omega0": 10.0' in from_file and '"lambda": 1.0' in from_file
+
+
+@pytest.mark.parametrize("text", [
+    b'{"params": {"n": 5}}\xff',
+    b'{"params": {"C": 1' + b"0" * 5000 + b"}}",
+    b'{"params": {"omega0": 1' + b"0" * 400 + b"}}",
+    b'{"params": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["undecodable-byte", "5001-digit-integer", "401-digit-float-key",
+        "nested-past-the-parser"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text):
+    # bytes that do not decode, an integer past Python's digit limit, an
+    # integer too large for a float key, and arrays nested past the JSON
+    # parser's depth: one config error each, no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run_cli(["phase", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR config:"), lines
+    assert captured.out == ""

@@ -2,8 +2,8 @@
 
 Every argv line must exit 0, 2, 3 or 4 and raise nothing, a RuntimeWarning
 included, and a ``--format json`` table must parse with NaN and Infinity
-refused.  The corpus draws 1-3 flags from ``cli._KEYS`` and sets them to
-IEEE edge values, on grids small enough that the whole run takes about a
+refused.  The corpus draws 1-3 of a command's own flags from ``cli._KEYS``
+and sets them to IEEE edge values, on grids small enough that the whole run takes about a
 second.  The inputs it found exiting 1 with a traceback are named cases of
 ``test_cli.test_bounds_refuse_out_of_range_values``; a C whose square
 underflows, which printed nan gains, is named here.
@@ -39,8 +39,12 @@ _FLOATS = ("0", "-0.0", "1", "-1", "5e-324", "1e-300", "1e-200", "1e-150",
 # Counts stay small or go past every cap: no request is refused for time, so
 # a count such as --sweeps 100000 would only make the run long.
 _INTS = ("0", "1", "2", "3", "-1", "2147483648")
-_FLOAT_FLAGS = [row[3] for row in cli._KEYS if row[2] is float]
-_INT_FLAGS = [row[3] for row in cli._KEYS if row[2] is int]
+
+
+def _flags(cmd: str, typ) -> list[str]:
+    """The flags of type ``typ`` that the subcommand of ``cmd`` takes."""
+    return [flag for block, key, t, flag, *_ in cli._KEYS
+            if t is typ and cli._reads(cmd.split()[0], block, key)]
 
 
 def _corpus(seed: int, size: int) -> list[str]:
@@ -51,9 +55,9 @@ def _corpus(seed: int, size: int) -> list[str]:
         line = f"{cmd} {_BASE[cmd]}"
         for _ in range(rng.integers(1, 4)):
             if rng.random() < 0.75:
-                line += f" {rng.choice(_FLOAT_FLAGS)}={rng.choice(_FLOATS)}"
+                line += f" {rng.choice(_flags(cmd, float))}={rng.choice(_FLOATS)}"
             else:
-                line += f" {rng.choice(_INT_FLAGS)}={rng.choice(_INTS)}"
+                line += f" {rng.choice(_flags(cmd, int))}={rng.choice(_INTS)}"
         if rng.random() < 0.3:
             line += " --format json"
         lines.append(line)

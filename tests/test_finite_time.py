@@ -13,8 +13,8 @@ from netbath.finite_time import NoiseKernel, TwoTimeKernel, _toeplitz_solve
 from netbath.laplace import g0_laplace
 from netbath.timedomain import _composite_weights
 
-from _reference import _bare_matrix, _compose, neumann_first_correction, \
-    noise_double_convolution
+from _reference import _bare_matrix, _compose, causal_matrix, \
+    neumann_first_correction, noise_double_convolution
 
 TANH1_HALF = 0.380797077977882444059729141302
 
@@ -59,7 +59,7 @@ def _successive_substitution(kI_upstream, params, tol=1e-15, max_iter=500):
     a = np.where(lag >= 0, nb.bare_response(params, np.maximum(lag, 0.0)), 0.0)
     g = a.copy()
     for _ in range(max_iter):
-        g_new = a + _compose(a, _compose(kI_upstream.values, g, dt), dt)
+        g_new = a + _compose(a, _compose(causal_matrix(kI_upstream), g, dt), dt)
         residual = np.abs(g_new - g).max() / max(1.0, np.abs(g_new).max())
         g = g_new
         if residual <= tol:
@@ -97,7 +97,7 @@ def test_two_time_kernel_validation(ft_params):
     times = np.linspace(0.0, 1.0, 5)
     causal = TwoTimeKernel(times, np.cos(times))
     assert causal.dt == pytest.approx(0.25)
-    assert np.array_equal(causal.values, np.triu(toeplitz(np.cos(times))))
+    assert np.array_equal(causal_matrix(causal), np.triu(toeplitz(np.cos(times))))
     noise = _cos_noise(times, 1.0, 1.0)
     assert noise.dt == pytest.approx(0.25)
     with pytest.raises(ShapeError, match="must be a causal kernel"):
@@ -118,12 +118,13 @@ def test_twinning_zero_kernel_returns_bare(ft_params):
     u = times - times[0]
     bare = toeplitz(np.zeros(times.size), nb.bare_response(ft_params, u))
     assert res.residual == 0.0
-    assert np.array_equal(res.G.values, bare)
+    g = causal_matrix(res.G)
+    assert np.array_equal(g, bare)
     # The bare response at the subtracted times t_j - t_i differs from the
     # grid lags by rounding only.
     lag = np.maximum(times[None, :] - times[:, None], 0.0)
     subtracted = np.triu(nb.bare_response(ft_params, lag))
-    assert np.abs(res.G.values - subtracted).max() <= \
+    assert np.abs(g - subtracted).max() <= \
         1e-14 * np.abs(subtracted).max()
 
 
@@ -133,7 +134,7 @@ def test_twinning_causality_and_step_guard(ft_params):
     kfunc, _, _ = _damped_sine(ft_params)
     kk = TwoTimeKernel.from_stationary(times, kfunc)
     res = nb.twinning_solve(kk, ft_params)
-    assert np.all(np.tril(res.G.values, k=-1) == 0.0)
+    assert np.all(np.tril(causal_matrix(res.G), k=-1) == 0.0)
     coarse = nb.time_grid(3.0, 1.0)
     kc = TwoTimeKernel.from_stationary(coarse, kfunc)
     with pytest.raises(AccuracyError):
@@ -151,7 +152,7 @@ def test_twinning_residual_at_rounding(ft_params):
     heavy = nb.derive_params(5, 10.0, 1e-10, 1e100)
     times = nb.time_grid(1e-290, 1e-291)
     res = nb.twinning_solve(TwoTimeKernel.from_stationary(times, np.zeros_like), heavy)
-    assert not res.G.values[0].any() and res.residual == 0.0
+    assert not res.G.row.any() and res.residual == 0.0
 
 
 def test_twinning_matches_successive_substitution(ft_params):
@@ -161,8 +162,8 @@ def test_twinning_matches_successive_substitution(ft_params):
     upstream = TwoTimeKernel.from_stationary(times, kfunc)
     res = nb.twinning_solve(upstream, ft_params)
     ref = _successive_substitution(upstream, ft_params)
-    assert np.abs(res.G.values - ref).max() <= 1e-13 * np.abs(ref).max()
-    g = res.G.values
+    g = causal_matrix(res.G)
+    assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(g[1:, 1:], g[:-1, :-1])
 
 
@@ -242,14 +243,14 @@ def test_from_stationary_is_exactly_toeplitz():
     times = nb.time_grid(1.0, 0.01)
     u = times - times[0]
     causal = TwoTimeKernel.from_stationary(times, np.cos)
-    assert np.array_equal(causal.values, np.triu(toeplitz(np.cos(u))))
-    assert np.array_equal(causal.values[0], np.cos(u))
-    assert np.shares_memory(causal.values, causal._row)
-    assert np.array_equal(causal.values[1:, 1:], causal.values[:-1, :-1])
+    matrix = causal_matrix(causal)
+    assert np.array_equal(matrix, np.triu(toeplitz(np.cos(u))))
+    assert np.array_equal(causal.row, np.cos(u))
+    assert np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])
 
 
 def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
-    # every row of a stationary kernel aliases one buffer, so no write lands
+    # a stationary kernel's lag row is read-only, so no write lands
     dt = 1.0 / (20.0 * ft_params.lambda_pp)
     times = nb.time_grid(2.0, dt)
     kfunc, _, _ = _damped_sine(ft_params)
@@ -258,15 +259,15 @@ def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
     kI = nb.vernon_imag_finite(G, ft_params.C)
     up = _cos_noise(times, 1.0, 1.0)
     for kernel in (kk, G, kI):
-        before = kernel.values[0].copy()
+        before = kernel.row.copy()
         with pytest.raises(ValueError):
-            kernel.values[0, 1] = 1.0
+            kernel.row[1] = 1.0
         with pytest.raises(ValueError):
-            kernel.values[1] *= 2.0
-        assert np.array_equal(kernel.values[0], before)
+            kernel.row[1:] *= 2.0
+        assert np.array_equal(kernel.row, before)
     # the noise kernel returns fresh, writable columns, weights and diagonal
     state = nb.thermal_init(1.0, ft_params)
-    inputs = (kk.values, G.values, kI.values, up.columns, up.weights,
+    inputs = (kk.row, G.row, kI.row, up.columns, up.weights,
               up.diagonal)
     for out in (nb.vernon_real_full(None, G, state, ft_params.C),
                 nb.vernon_real_full(up, G, state, ft_params.C)):
@@ -274,7 +275,7 @@ def test_stationary_kernels_are_read_only_and_outputs_fresh(ft_params):
             assert vals.flags.writeable
             assert not any(np.shares_memory(vals, k) for k in inputs)
         out.columns[1, 0] = 1.0
-    assert G.values[0, 1] != 1.0
+    assert G.row[1] != 1.0
 
 
 def test_window_refused_before_allocating(ft_params):
@@ -324,7 +325,7 @@ def test_twinning_stationary_laplace_closure(ft_params):
     w = _composite_weights(n_keep, dt_act)
     worst = 0.0
     for lam in np.linspace(2 * omega, 10 * omega, 5):
-        num = float(np.sum(w * np.exp(-lam * u) * res.G.values[0, :n_keep]))
+        num = float(np.sum(w * np.exp(-lam * u) * res.G.row[:n_keep]))
         g0 = g0_laplace(ft_params, lam)
         ref = g0 / (1.0 - g0 * ktilde(lam))
         worst = max(worst, abs(num - ref) / abs(ref))
@@ -359,12 +360,13 @@ def test_vernon_imag_finite_rules(ft_params):
     # free branch with C=2: kI(u) = (1/2) C^2 G0(u) = (C^2/(m omega)) sin(omega u)
     u = times - times[0]
     expect = 4.0 / (ft_params.m * omega) * np.sin(omega * u)
-    assert np.allclose(const.values[0], 2.0 * nb.bare_response(ft_params, u),
+    assert np.allclose(const.row, 2.0 * nb.bare_response(ft_params, u),
                        rtol=1e-12)
-    assert np.allclose(expect, const.values[0], rtol=1e-12)
+    assert np.allclose(expect, const.row, rtol=1e-12)
     # quadratic in the coupling
     quad = nb.vernon_imag_finite(res.G, 4.0)
-    assert np.allclose(quad.values, 4.0 * const.values, rtol=1e-13)
+    assert np.allclose(causal_matrix(quad), 4.0 * causal_matrix(const),
+                       rtol=1e-13)
 
 
 def test_vernon_real_full_structure(ft_params):
@@ -390,7 +392,7 @@ def test_vernon_real_full_structure(ft_params):
         nb.vernon_real_full(kk, res.G, state, ft_params.C)
     # the one-sided differences at u = dt read four points, and the grid
     # has them
-    short = TwoTimeKernel(times[:3], res.G.values[0, :3])
+    short = TwoTimeKernel(times[:3], res.G.row[:3])
     with pytest.raises(ShapeError, match="at least 4 points"):
         nb.vernon_real_full(None, short, state, ft_params.C)
     with pytest.raises(ShapeError, match="at least 4"):
@@ -401,7 +403,7 @@ def test_vernon_real_full_structure(ft_params):
     # the one-sided 2nd-order differences along the row, forward at u = 0
     # and dt and backward from 2dt on, and the diagonal summed a column at
     # a time in that order
-    g, c, n = res.G.values[0], ft_params.C, times.size
+    g, c, n = res.G.row, ft_params.C, times.size
     dg = np.empty(n)
     dg[2:] = (-3.0 * g[2:] + 4.0 * g[1:-1] - g[:-2]) / (2.0 * res.G.dt)
     dg[:2] = -(-3.0 * g[:2] + 4.0 * g[1:3] - g[2:4]) / (2.0 * res.G.dt)
@@ -696,7 +698,7 @@ def test_finite_window_matches_the_tree_modes_one_level(ft_params, family, depth
                 times, lambda u: children * nb.oracle_time_kernel(
                     upstream_tree, ft_params, u).values)
             G = nb.twinning_solve(upstream, ft_params).G
-            errors[i, k] = _modes_error(G.values[0], build(d), ft_params, times)
+            errors[i, k] = _modes_error(G.row, build(d), ft_params, times)
     assert np.all(errors <= bounds)
     ratios = errors[:, :-1] / errors[:, 1:]
     assert np.all((3.9 <= ratios) & (ratios <= 4.1))
@@ -715,7 +717,7 @@ def test_finite_window_iterated_level_by_level_matches_the_tree_modes(ft_params)
         times = nb.time_grid(6.0, ft_params.fine_step / 2**k)
         upstream = TwoTimeKernel.from_stationary(times, np.zeros_like)
         for d in range(checked[-1] + 1):
-            row = nb.twinning_solve(upstream, ft_params).G.values[0]
+            row = nb.twinning_solve(upstream, ft_params).G.row
             if d in checked:
                 errors[checked.index(d), k] = _modes_error(
                     row, nb.build_tree(2, d), ft_params, times)
