@@ -807,11 +807,13 @@ _EXITS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process from _KEYS and _TABLES.
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and each subcommand's parser by name, built once
+    per process from _KEYS and _TABLES.
 
-    It holds flags and subcommand names only, no command functions, and
-    ``parse_args`` leaves it unchanged, so every ``main`` call can share it.
+    They hold flags and subcommand names only, no command functions, and
+    ``parse_args`` leaves them unchanged, so every ``main`` call can share
+    them.
     """
     parser = argparse.ArgumentParser(
         prog=TOOL,
@@ -836,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="kernel route")
     subs.add_parser("check").add_argument(
         "--report", help="write a JSON report here")
-    return parser
+    return parser, subs.choices
 
 
 def _run_table(name: str, args: dict) -> None:
@@ -858,12 +860,20 @@ def _run_table(name: str, args: dict) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subs = _parsers()
     try:
-        args = vars(build_parser().parse_args(argv))
+        # A subcommand's own parser reads its flags, so a usage error shows
+        # its usage; the top-level one takes --version, -h and what names no
+        # subcommand.
+        if argv and argv[0] in subs:
+            name, args = argv[0], vars(subs[argv[0]].parse_args(argv[1:]))
+        else:
+            args = vars(parser.parse_args(argv))
+            name = args.pop("command")
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code.
         return int(exc.code or 0)
-    name = args.pop("command")
     try:
         if name == "check":
             cmd_check(**args)

@@ -336,7 +336,9 @@ def _orbit_ends(params: ModelParams, lam: np.ndarray, steps: int, tol: float,
     while step < steps and live.size > _LOCKSTEP_MAX_HANDOFF:
         k_branch, pole = _edge_update(x, g0, c_half)
         x_next = branches * k_branch
-        done = np.abs(x_next - x) <= tol * np.abs(x)
+        # inf * 0 is a nan that no step is within, as on the floats below
+        with np.errstate(invalid="ignore"):
+            done = np.abs(x_next - x) <= tol * np.abs(x)
         ended = pole | done
         if ended.any():
             final[live[pole]], taken[live[pole]] = x[pole], step

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import json
 import math
@@ -539,6 +538,21 @@ def test_oversized_requests_refused_before_allocating(tmp_path, capsys,
     assert capsys.readouterr().err.count("ERROR size:") == len(lines)
 
 
+def test_an_infinite_tol_takes_the_float_steps_verdict(capsys):
+    # from x0 = 0 the bound tol * |x| is inf * 0, a nan no step is within:
+    # the float steps of a grid of one read it quietly, and the lockstep of
+    # the default 200-point grid, which raised RuntimeWarning on it, gives
+    # the same verdict, so every orbit converges on its second step
+    for count in ("1", "200"):
+        assert run_cli(["fixed-point", "--tol", "inf", "--lambda-count", count,
+                        "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        assert len(rows) == int(count)
+        assert all(row["iterations"] == 2 and row["converged"] is True
+                   for row in rows), rows
+
+
 def _finite_time_columns(tmp_path, beta):
     out = tmp_path / f"ft-{beta}.csv"
     assert run_cli(["finite-time", "--T", "1", "--beta", str(beta),
@@ -933,7 +947,7 @@ def test_renderer_matches_python_formatters(values):
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path):
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers() is cli._parsers()
     # a format, a method or a config file given once does not reach the
     # next call; a usage error leaves the parser usable
     assert run_cli(["phase", "--lambda-count", "2", "--format", "json"]) == 0
@@ -974,8 +988,7 @@ def _declared_keys(name):
 def test_each_subcommand_takes_the_flags_it_reads():
     # each table's flags are the common set plus its declared keys' (and
     # kernel's --method); check takes --report alone: 122 pairs in all
-    subs = next(action for action in cli.build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction)).choices
+    subs = cli._parsers()[1]
     flags = {name: {opt for action in sub._actions
                     for opt in action.option_strings} - {"-h", "--help"}
              for name, sub in subs.items()}
@@ -1021,12 +1034,13 @@ def test_each_command_reads_exactly_its_declared_keys():
                                   "check --config c.json"])
 def test_unread_flag_is_a_usage_error(capsys, monkeypatch, line):
     # a flag its subcommand does not read is refused by argparse, not
-    # ignored; check would run the acceptance suite, so it must not start
+    # ignored, under that subcommand's usage; check would run the
+    # acceptance suite, so it must not start
     monkeypatch.setattr(cli, "cmd_check",
                         lambda *a, **k: pytest.fail("check ran"))
     assert run_cli(shlex.split(line)) == 2
     captured = capsys.readouterr()
-    assert "usage: " in captured.err and \
+    assert f"usage: netbath {line.split()[0]} " in captured.err and \
         f"unrecognized arguments: {line.split(' ', 1)[1]}" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 

@@ -508,11 +508,12 @@ def test_deepest_node_of_the_largest_tree_over_a_thousand_lambda(ordered_chain):
 def test_sweep_holds_no_nodes_by_lambda_array(narrow_band):
     # the add.at sweep peaked at 169.9 MiB here: two 87,381 x 50 arrays and
     # the temporaries of a whole level; one row per node of two levels, 28.5
-    # MiB.  Writing its classes down holds one word a node, 0.68 MiB
-    # measured, below their charge of two; finding them, as any other tree
-    # does, holds index words, 6.7 MiB measured, below their charge.  A
-    # sweep then holds one row per class of two levels, all 9 levels being
-    # one class each, and the path's rows: 12 kB measured
+    # MiB.  Writing its classes down holds a few words a level, and its
+    # first sweep every class row, 16 kB measured (0.68 MiB when its classes
+    # held one word a node); finding them, as any other tree does, holds
+    # index words, 6.7 MiB measured, below their charge.  A second query
+    # reads the rows its first kept: 5 kB measured (12 kB when it swept
+    # again)
     tree = nb.build_tree(4, 8)
     grid = np.logspace(-1, 2, 50)
     peaks = []
@@ -553,7 +554,8 @@ def test_sweep_refused_before_allocating(narrow_band, monkeypatch):
 
 def test_a_level_summed_in_place_is_charged_no_gather(narrow_band, monkeypatch):
     # a star of 20,000 leaves adds its one leaf row in place and gathers
-    # nothing: over 1,000 lambda it is charged 11 rows, not the 20,000
+    # nothing: over 1,000 lambda it is charged 18 rows, 7 of them for the
+    # rows its two classes keep and a walk's, not the 20,000
     # gathered rows (160 MB) np.add.at's terms took, and runs under a 1 MiB
     # cap, below which it peaks, with the bits of the sum in id order
     cap = 1 << 20
@@ -572,6 +574,129 @@ def test_a_level_summed_in_place_is_charged_no_gather(narrow_band, monkeypatch):
     for _ in range(20000):          # the additions np.add.at makes
         agg = agg + leaf
     assert _same_bits(root, nb.vernon_imag(agg, narrow_band, narrow_band.C, grid))
+
+
+@pytest.mark.parametrize("shape", ["chain", "b2d4", "b3d3", "copy-b3d3", "star",
+                                   "random40", "random300", "pole"])
+def test_repeated_and_interleaved_queries_keep_the_bits_of_a_fresh_tree(narrow_band,
+                                                                      shape):
+    # a tree of at most 32 classes, fewer than its nodes, keeps the rows of
+    # its last grid and coupling; every query, alternating two grids and two
+    # couplings, in an order that reads deep paths before shallow ones, has
+    # the bits of the same query on a fresh tree, nan rows at a pole
+    # included, and none is a view of the rows kept, so a caller that writes
+    # into one gets the same bits again
+    make = {"chain": lambda: nb.build_chain(12),
+            "b2d4": lambda: nb.build_tree(2, 4),
+            "b3d3": lambda: nb.build_tree(3, 3),
+            "copy-b3d3": lambda: nb.TreeGraph(parent=nb.build_tree(3, 3).parent),
+            "star": lambda: _star(30),
+            "random40": lambda: _random_tree(40, 3),
+            "random300": lambda: _random_tree(300, 4),
+            "pole": lambda: _pole_tree()[0]}[shape]
+    tree = make()
+    if shape == "pole":
+        p = _pole_tree()[1]
+        couplings = (p, nb.derive_params(p.n, p.omega0, 0.7, p.m))
+        grids = (_pole_tree()[2], np.array([0.3, 1.0]))
+    else:
+        p = narrow_band
+        couplings = (p, nb.derive_params(p.n, p.omega0, 0.6, p.m))
+        grids = (np.logspace(-1, 1.5, 9), np.logspace(-2, 2, 7))
+    classes = sum(tree._classes[1])
+    keeps = classes <= 32 and classes < tree.n_nodes
+    assert keeps == (shape not in ("chain", "random300"))
+    nodes = np.random.default_rng(7).permutation(tree.n_nodes)[:40].tolist()
+    for _ in range(2):
+        for params in couplings:
+            for grid in grids:
+                root = nb.root_output_message(tree, params, grid)
+                assert _same_bits(root, nb.root_output_message(make(), params, grid))
+                if keeps:
+                    assert not np.shares_memory(root, tree._rows[1])
+                root[:] = 0.0
+                for v in nodes:
+                    env = nb.output_environment(tree, params, v, grid)
+                    ref = nb.output_environment(make(), params, v, grid)
+                    assert _same_bits(env.values, ref.values), v
+                    assert (env.flags is ref.flags is None
+                            or _same_bits(env.flags, ref.flags))
+                    env.values[:] = -1.0
+    assert ("_rows" in vars(tree)) == keeps
+    if shape == "pole":
+        up = nb.root_output_message(tree, p, grids[0])
+        assert np.isnan(up[1]) and np.isnan(tree._rows[1]).any()
+
+
+def test_one_sweep_per_tree_and_grid(narrow_band, monkeypatch):
+    # a tree that keeps its rows sweeps once for a root message and any
+    # number of environments on one grid and coupling, again for another,
+    # which its rows are then replaced by; a chain sweeps on every call
+    calls = []
+    sweep = netbath.tree_bp._sweep
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return sweep(*args)
+
+    monkeypatch.setattr(netbath.tree_bp, "_sweep", counted)
+    tree = nb.build_tree(2, 14)
+    a, b = np.logspace(-1, 2, 50), np.logspace(-1, 2, 20)
+    nb.root_output_message(tree, narrow_band, a)
+    for v in (1, 100, 5000, tree.n_nodes - 1, 100):
+        nb.output_environment(tree, narrow_band, v, a)
+    assert calls == [50]
+    # nodes of a level share its one down row: 14 levels below the root
+    assert len(tree._rows[3]) == 14
+    nb.output_environment(tree, narrow_band, 7, b)
+    nb.root_output_message(tree, narrow_band, b)
+    nb.root_output_message(tree, narrow_band, a)
+    other = nb.derive_params(narrow_band.n, narrow_band.omega0, 0.5, narrow_band.m)
+    nb.root_output_message(tree, other, a)
+    nb.output_environment(tree, other, 3, a)
+    assert calls == [50, 20, 50, 50]
+    # the rows of another grid go before the sweep holds its own: a tree
+    # keeping 4.8 MB of rows over 20,000 lambda sweeps another 20,000 with
+    # one set of rows held at a time (1.6 times the rows measured, 2.6 when
+    # both were held)
+    tracemalloc.start()
+    try:
+        nb.root_output_message(tree, narrow_band, np.logspace(-1, 2, 20000))
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        nb.root_output_message(tree, narrow_band, np.logspace(-1, 1, 20000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 4.8e6 and peak < 2 * held
+    calls.clear()
+    chain = nb.build_chain(40)
+    for v in (0, 20, 40):
+        nb.output_environment(chain, narrow_band, v, a)
+    assert calls == [50] * 3 and "_rows" not in vars(chain)
+
+
+def test_a_built_trees_queries_leave_its_parent_array_unwritten(narrow_band):
+    # build_tree keeps its shape: the node count, each node's path and its
+    # all-zero classes (one broadcast zero) come from it, so no query, copy
+    # or pickle writes the parent array; its first read gives the bits of
+    # the level loop's array, read-only, and is kept
+    grid = np.logspace(-1, 1.5, 9)
+    for b, d in ((2, 10), (3, 5), (1, 6), (5, 1), (7, 0)):
+        tree = nb.build_tree(b, d)
+        nb.root_output_message(tree, narrow_band, grid)
+        for v in (0, tree.n_nodes // 2, tree.n_nodes - 1):
+            nb.output_environment(tree, narrow_band, v, grid)
+        pickle.loads(pickle.dumps(tree))
+        copy.copy(tree)
+        assert tree._classes[0].strides == (0,)
+        assert "parent" not in vars(tree)
+        parent = tree.parent
+        assert _same_bits(parent, _build_tree_by_levels(b, d)[0])
+        assert not parent.flags.writeable and parent.flags.owndata
+        assert tree.parent is parent
+    with pytest.raises(AttributeError, match="no attribute 'parents'"):
+        tree.parents
 
 
 def test_tree_graph_is_read_only():
@@ -1019,19 +1144,22 @@ def test_build_tree_refuses_sizes_that_are_not_integers():
 
 
 def test_construction_holds_two_words_a_node():
-    # the one array the tree keeps and the id run of one sibling column,
-    # 1 + 1/b words a node: 1.50 at (2, 19), 1.33 at (3, 12), 1.25 at
-    # (4, 9), 1.20 at (5, 8) measured, and 2.0 on a chain, whose column is
-    # the whole array; a read-only copy of the array beside it held 2.035
-    # at (2, 19), the floor division and a broadcast comparison 3.125
-    nb.build_tree(2, 3)
+    # construction holds the shape alone; the parent array's first read
+    # holds the one array the tree keeps and the id run of one sibling
+    # column, 1 + 1/b words a node: 1.50 at (2, 19), 1.33 at (3, 12), 1.25
+    # at (4, 9), 1.20 at (5, 8) measured, and 2.0 on a chain, whose column
+    # is the whole array; a read-only copy of the array beside it held
+    # 2.035 at (2, 19), the floor division and a broadcast comparison 3.125
+    nb.build_tree(2, 3).parent
     for b, d in ((2, 19), (3, 12), (4, 9), (5, 8), (1, (1 << 20) - 1)):
         tracemalloc.start()
         try:
             tree = nb.build_tree(b, d)
+            built = tracemalloc.get_traced_memory()[1]
+            tree.parent
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert tree._regular == (b, d)
+        assert tree._regular == (b, d) and built < 4096
         bound = 2.05 if b == 1 else 1 + 1 / b + 0.05
         assert peak <= bound * 8 * tree.n_nodes, peak / 8 / tree.n_nodes
